@@ -6,7 +6,7 @@ rates, and a Monte Carlo harness that validates the two against each other.
 """
 
 from .analytics import (AnalyticConfig, AnalyticResult, EULER_GAMMA,
-                        aia_strong_pdf, euler_gamma, exp_integral_ei,
+                        aia_strong_pdf, exp_integral_ei,
                         mcg_avg_secondary_rate, prob_h_ge_g,
                         a3_avg_sum_rate, aia_avg_sum_rate,
                         pu_avg_secondary_rate, quadrature_rate,
@@ -25,20 +25,3 @@ from .selection import (OmaSelection, Selection, a3_as, aia_as, es_crnoma,
                         es_fnoma, mcg_as, oma_es, pu_as, random_as, su_as)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalyticConfig", "AnalyticResult", "ChannelRealization",
-    "ConfigurationError", "EULER_GAMMA", "FadingConfig", "OmaSelection",
-    "PowerSplit", "RatePair", "RateReport", "Scenario", "Selection",
-    "ValidationPoint", "ValidationResult", "a3_as", "aia_as", "apply_axis",
-    "aia_strong_pdf", "channel_order", "cr_power_split", "cr_rates",
-    "es_crnoma", "es_fnoma", "euler_gamma", "exp_integral_ei", "figure_rows",
-    "fnoma_pair_rates", "fnoma_sum_rate", "jain_fairness", "load_scenario",
-    "load_validation_grid", "mcg_as", "mcg_avg_secondary_rate", "oma_es",
-    "oma_pair_rates", "omega_from_distance", "prob_h_ge_g",
-    "a3_avg_sum_rate", "aia_avg_sum_rate", "pu_as",
-    "pu_avg_secondary_rate", "qos_epsilon", "quadrature_rate", "random_as",
-    "reproduce_figure", "run_point", "run_trials", "sample_channel_batch",
-    "sample_channels", "su_as", "su_avg_secondary_rate", "sweep",
-    "transmit_snr", "validate_asymptotics",
-]

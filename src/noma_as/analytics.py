@@ -37,11 +37,6 @@ _MAX_BINOMIAL_SUM = 30
 _MAX_COMPOSITIONS = 10 ** 6
 
 
-def euler_gamma() -> float:
-    """Euler's constant C to double precision."""
-    return EULER_GAMMA
-
-
 # ---------------------------------------------------------------------------
 # exponential integral
 

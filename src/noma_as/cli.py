@@ -2,7 +2,8 @@
 
 Subcommands: `figure` (figure-reproduction CSV), `sweep` (one-axis sweep of
 a scenario file), `validate` (closed form vs Monte Carlo on a grid file),
-`bench` (comparison-count audit against the advertised complexity bounds).
+`bench` (audit of the comparison-count formulas against the advertised
+complexity bounds).
 
 Exit codes: 0 success, 1 configuration error, 2 validation-tolerance
 failure, 3 I/O error.  NOMA_SIM_WORKERS caps worker processes.
@@ -11,16 +12,13 @@ failure, 3 I/O error.  NOMA_SIM_WORKERS caps worker processes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
-import numpy as np
-
-from . import selection
-from .channel import ChannelRealization
 from .figures import reproduce_figure, write_csv, FIGURE_IDS
 from .harness import (ConfigurationError, load_scenario, load_validation_grid,
                       sweep, validate_asymptotics)
-from .rates import PowerSplit
+from .selection import POLICIES
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -56,7 +54,7 @@ def _build_parser() -> _Parser:
     val.add_argument("--grid", required=True,
                      help="grid file: blank-line-separated scenario blocks")
 
-    ben = sub.add_parser("bench", help="eval_count audit vs complexity bounds")
+    ben = sub.add_parser("bench", help="comparison-count formulas vs complexity bounds")
     ben.add_argument("--max-dim", type=int, default=8,
                      help="check all antenna counts in {1..max-dim}^3")
     return parser
@@ -115,52 +113,23 @@ def _cmd_validate(args) -> int:
     return EXIT_TOLERANCE if failed else EXIT_OK
 
 
-_BOUNDS = {
-    "es_fnoma": ("N*M*K", lambda n, m, k: n * m * k),
-    "es_crnoma": ("N*M*K", lambda n, m, k: n * m * k),
-    "a3": ("N*(M+K+3)", lambda n, m, k: n * (m + k + 3)),
-    "aia": ("N*(M+K+3)", lambda n, m, k: n * (m + k + 3)),
-    "mcg": ("N*(M+K)+2", lambda n, m, k: n * (m + k) + 2),
-    "pu": ("N*K+M", lambda n, m, k: n * k + m),
-    "su": ("N*M+K", lambda n, m, k: n * m + k),
-}
-
-
-def _measured_counts(n, m, k, rng):
-    ch = ChannelRealization(rng.exponential(1.0, (n, m)), rng.exponential(1.0, (n, k)))
-    split = PowerSplit.from_b(0.4)
-    return {
-        "es_fnoma": selection.es_fnoma(ch, split, 1e12).eval_count,
-        "es_crnoma": selection.es_crnoma(ch, 1e12, 1.0).eval_count,
-        "a3": selection.a3_as(ch, split, 1e12).eval_count,
-        "aia": selection.aia_as(ch, split, 1e12).eval_count,
-        "mcg": selection.mcg_as(ch, 1e12, 1.0).eval_count,
-        "pu": selection.pu_as(ch, 1e12, 1.0).eval_count,
-        "su": selection.su_as(ch, 1e12, 1.0).eval_count,
-    }
-
-
 def _cmd_bench(args) -> int:
     if args.max_dim < 1:
         raise ConfigurationError("--max-dim must be >= 1")
-    rng = np.random.default_rng(0)
+    audited = [p for p in POLICIES.values() if p.bound is not None]
+    dims = range(1, args.max_dim + 1)
     print(f"{'policy':>10s} {'bound':>12s}   counts for (N, M=K=2), N=1..{args.max_dim}")
-    showcase = {}
-    for n in range(1, args.max_dim + 1):
-        for policy, count in _measured_counts(n, 2, 2, rng).items():
-            showcase.setdefault(policy, []).append(count)
-    for policy, counts in showcase.items():
-        print(f"{policy:>10s} {_BOUNDS[policy][0]:>12s}   {counts}")
+    for p in audited:
+        print(f"{p.bound.row:>10s} {p.bound.text:>12s}   {[p.count(n, 2, 2) for n in dims]}")
     violations = []
     exact_off = []
-    for n in range(1, args.max_dim + 1):
-        for m in range(1, args.max_dim + 1):
-            for k in range(1, args.max_dim + 1):
-                for policy, count in _measured_counts(n, m, k, rng).items():
-                    if count > _BOUNDS[policy][1](n, m, k):
-                        violations.append((policy, n, m, k, count))
-                    if policy.startswith("es") and count != n * m * k:
-                        exact_off.append((policy, n, m, k, count))
+    for n, m, k in itertools.product(dims, repeat=3):
+        for p in audited:
+            count, limit = p.count(n, m, k), p.bound.limit(n, m, k)
+            if count > limit:
+                violations.append((p.bound.row, n, m, k, count))
+            if p.bound.exact and count != limit:
+                exact_off.append((p.bound.row, n, m, k, count))
     total = args.max_dim ** 3
     if violations or exact_off:
         for v in violations:

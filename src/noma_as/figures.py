@@ -11,12 +11,15 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .analytics import (AnalyticConfig, mcg_avg_secondary_rate,
-                        a3_avg_sum_rate, aia_avg_sum_rate,
-                        pu_avg_secondary_rate, su_avg_secondary_rate)
+# The closed forms run through POLICIES; their names stay bound here because
+# the benchmark's tracer (perfbench/trace.py) wraps them on this module too.
+from .analytics import (a3_avg_sum_rate, aia_avg_sum_rate,  # noqa: F401
+                        mcg_avg_secondary_rate, pu_avg_secondary_rate,
+                        su_avg_secondary_rate)
 from .channel import FadingConfig
 from .harness import ConfigurationError, run_point
 from .rates import PowerSplit
+from .selection import POLICIES
 
 _PS_GRID = tuple(range(0, 45, 5))
 _B_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -28,68 +31,53 @@ _RTH_GRID = tuple(float(r) for r in range(1, 9))
 FIGURE_IDS = tuple(range(1, 9))
 
 
-def _fnoma_columns(fading, split, trials, seed, workers, with_oma=True):
-    rep = run_point(fading, "fnoma", ("es", "a3", "aia", "random"),
-                    trials, seed, split=split, workers=workers)
-    acfg = AnalyticConfig.from_fading(fading, b=split.b)
-    cols = {
-        "fnoma_es": rep["es"].mean_sum,
-        "a3_sim": rep["a3"].mean_sum,
-        "a3_analytic": a3_avg_sum_rate(acfg).value,
-        "aia_sim": rep["aia"].mean_sum,
-        "aia_analytic": aia_avg_sum_rate(acfg).value,
-        "fnoma_ra": rep["random"].mean_sum,
-    }
-    if with_oma:
-        oma = run_point(fading, "oma", ("oma_es",), trials, seed, workers=workers)
-        cols["oma_es"] = oma["oma_es"].mean_sum
+def _columns(modes, fading, trials, seed, workers, split=None, r_th=None):
+    """Every policy of each mode on shared draws, one column per policy, or
+    a `_sim`/`_analytic` pair where the policy has a closed form."""
+    cols = {}
+    for mode in modes:
+        names = tuple(p for m, p in POLICIES if m == mode)
+        rep = run_point(fading, mode, names, trials, seed, split=split,
+                        r_th=r_th, workers=workers)
+        for name in names:
+            policy = POLICIES[mode, name]
+            value = getattr(rep[name], policy.metric)
+            if policy.closed_form is None:
+                cols[policy.column] = value
+            else:
+                cols[f"{policy.column}_sim"] = value
+                cols[f"{policy.column}_analytic"] = policy.closed_form(fading, split, r_th)
     return cols
-
-
-def _cr_columns(fading, r_th, trials, seed, workers):
-    rep = run_point(fading, "crnoma", ("es", "mcg", "pu", "su", "random"),
-                    trials, seed, r_th=r_th, workers=workers)
-    acfg = AnalyticConfig.from_fading(fading, r_th=r_th)
-    return {
-        "cr_es": rep["es"].mean_r1,
-        "mcg_sim": rep["mcg"].mean_r1,
-        "mcg_analytic": mcg_avg_secondary_rate(acfg).value,
-        "pu_sim": rep["pu"].mean_r1,
-        "pu_analytic": pu_avg_secondary_rate(acfg).value,
-        "su_sim": rep["su"].mean_r1,
-        "su_analytic": su_avg_secondary_rate(acfg).value,
-        "cr_ra": rep["random"].mean_r1,
-    }
 
 
 def _fig1(trials, seed, workers):
     split = PowerSplit.from_b(0.4)
-    rows = [(ps, _fnoma_columns(FadingConfig(n_bs=2, ps_dbm=float(ps)),
-                                split, trials, seed, workers))
+    rows = [(ps, _columns(("fnoma", "oma"), FadingConfig(n_bs=2, ps_dbm=float(ps)),
+                          trials, seed, workers, split=split))
             for ps in _PS_GRID]
     return "ps_dbm", rows
 
 
 def _fig2(trials, seed, workers):
     split = PowerSplit.from_b(0.4)
-    rows = [(n, _fnoma_columns(FadingConfig(n_bs=n, ps_dbm=10.0),
-                               split, trials, seed, workers))
+    rows = [(n, _columns(("fnoma", "oma"), FadingConfig(n_bs=n, ps_dbm=10.0),
+                         trials, seed, workers, split=split))
             for n in _N_GRID]
     return "n_bs", rows
 
 
 def _fig3(trials, seed, workers):
     split = PowerSplit.from_b(0.4)
-    rows = [(d2, _fnoma_columns(FadingConfig(n_bs=2, d2=d2, ps_dbm=10.0),
-                                split, trials, seed, workers))
+    rows = [(d2, _columns(("fnoma", "oma"), FadingConfig(n_bs=2, d2=d2, ps_dbm=10.0),
+                          trials, seed, workers, split=split))
             for d2 in _D2_GRID]
     return "d2", rows
 
 
 def _fig4(trials, seed, workers):
     fading = FadingConfig(n_bs=2, ps_dbm=10.0)
-    rows = [(b, _fnoma_columns(fading, PowerSplit.from_b(b), trials, seed,
-                               workers, with_oma=False))
+    rows = [(b, _columns(("fnoma",), fading, trials, seed, workers,
+                         split=PowerSplit.from_b(b)))
             for b in _B_GRID]
     return "b", rows
 
@@ -106,8 +94,8 @@ def _fig5(trials, seed, workers):
 
 
 def _fig6(trials, seed, workers):
-    rows = [(d1, _cr_columns(FadingConfig(n_bs=4, d1=d1, ps_dbm=20.0),
-                             5.0, trials, seed, workers))
+    rows = [(d1, _columns(("crnoma",), FadingConfig(n_bs=4, d1=d1, ps_dbm=20.0),
+                          trials, seed, workers, r_th=5.0))
             for d1 in _D1_GRID]
     return "d1", rows
 
@@ -126,8 +114,8 @@ def _two_placements(build):
 
 def _fig7(trials, seed, workers):
     def build(ps, fading):
-        return _cr_columns(replace(fading, ps_dbm=float(ps)), 5.0,
-                           trials, seed, workers)
+        return _columns(("crnoma",), replace(fading, ps_dbm=float(ps)),
+                        trials, seed, workers, r_th=5.0)
 
     rows_for = _two_placements(build)
     return "ps_dbm", [(ps, rows_for(ps)) for ps in _PS_GRID]
@@ -135,7 +123,7 @@ def _fig7(trials, seed, workers):
 
 def _fig8(trials, seed, workers):
     def build(r_th, fading):
-        return _cr_columns(fading, float(r_th), trials, seed, workers)
+        return _columns(("crnoma",), fading, trials, seed, workers, r_th=float(r_th))
 
     rows_for = _two_placements(build)
     return "r_th", [(r, rows_for(r)) for r in _RTH_GRID]

@@ -14,15 +14,16 @@ exact per realization rather than statistical.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analytics, selection
 from .channel import FadingConfig, sample_channel_batch
 from .rates import PowerSplit, cr_rates, fnoma_pair_rates, jain_fairness, oma_pair_rates
+from .selection import POLICIES
 
 _CHUNK = 16384
 ASYMPTOTIC_MIN_RHO = 1e8  # below this the high-SNR closed forms are not claimed
@@ -30,13 +31,6 @@ ASYMPTOTIC_MIN_RHO = 1e8  # below this the high-SNR closed forms are not claimed
 
 class ConfigurationError(ValueError):
     """Invalid scenario, axis, or file input (CLI exit code 1)."""
-
-
-_MODE_POLICIES = {
-    "fnoma": ("es", "a3", "aia", "random"),
-    "crnoma": ("es", "mcg", "pu", "su", "random"),
-    "oma": ("oma_es",),
-}
 
 
 @dataclass(frozen=True)
@@ -53,21 +47,27 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in _MODE_POLICIES:
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.policy not in _MODE_POLICIES[self.mode]:
-            raise ConfigurationError(
-                f"policy {self.policy!r} is not valid in mode {self.mode!r} "
-                f"(choose from {_MODE_POLICIES[self.mode]})")
+        if (self.mode, self.policy) not in POLICIES:
+            raise ConfigurationError(f"(mode, policy) = {(self.mode, self.policy)} is "
+                                     f"not one of {list(POLICIES)}")
         if self.mode == "fnoma":
             if self.split is None:
                 raise ConfigurationError("fnoma scenarios need a power split (key b)")
-            if not self.split.a >= self.split.b:
-                raise ConfigurationError("fnoma needs a >= b, i.e. b <= 0.5")
+            if not (self.split.b > 0 and self.split.a >= self.split.b):
+                raise ConfigurationError(f"b = {self.split.b}: fnoma needs 0 < b <= 0.5")
         if self.mode == "crnoma" and (self.r_th is None or not self.r_th > 0):
             raise ConfigurationError("crnoma scenarios need r_th > 0")
-        if self.trials < 1:
-            raise ConfigurationError("trials must be >= 1")
+        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
+            raise ConfigurationError(f"trials = {self.trials!r}: need an integer >= 1")
+        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2 ** 64:
+            raise ConfigurationError(f"seed = {self.seed!r}: need an integer in [0, 2**64)")
+        try:
+            omegas = (self.fading.omega_h, self.fading.omega_g)
+        except OverflowError:
+            omegas = (math.inf,)
+        if not all(0 < w < math.inf for w in omegas):
+            raise ConfigurationError(f"alpha = {self.fading.alpha}: path loss "
+                                     f"d1**alpha or d2**alpha is out of float range")
 
 
 @dataclass(frozen=True)
@@ -83,57 +83,26 @@ class RateReport:
     mean_eval_count: float
 
 
-_EVAL_COUNT = {
-    "es": selection.count_es,
-    "a3": selection.count_a3,
-    "aia": selection.count_aia,
-    "mcg": selection.count_mcg,
-    "pu": selection.count_pu,
-    "su": selection.count_su,
-    "random": lambda n, m, k: 0,
-    "oma_es": selection.count_oma,
-}
-
-_TRIPLES = {
-    ("fnoma", "a3"): selection._a3_triples,
-    ("fnoma", "aia"): selection._aia_triples,
-    ("crnoma", "mcg"): selection._mcg_triples,
-    ("crnoma", "pu"): selection._pu_triples,
-    ("crnoma", "su"): selection._su_triples,
-}
-
-
-def _policy_rate_arrays(policy, mode, h, g, rho, split, r_th, seed, t0):
-    """Per-trial (r1, r2) arrays for one policy over a stacked chunk."""
-    count, n_dim, m_dim = h.shape
-    k_dim = g.shape[2]
-    if mode == "oma":
-        t = np.arange(count)
-        n1, m, n2, k = selection._oma_indices(h, g)
-        return oma_pair_rates(h[t, n1, m], g[t, n2, k], rho)
-    if policy == "es":
-        if mode == "fnoma":
-            n, m, k = selection._es_fnoma_triples(h, g, split, rho)
-        else:
-            n, m, k = selection._es_crnoma_triples(h, g, rho, r_th)
-    elif policy == "random":
-        n, m, k = selection._random_triples(n_dim, m_dim, k_dim, seed, t0, count)
-    else:
-        n, m, k = _TRIPLES[(mode, policy)](h, g)
-    h_sel, g_sel = selection._gather(h, g, n, m, k)
-    if mode == "fnoma":
-        return fnoma_pair_rates(h_sel, g_sel, split, rho)
-    return cr_rates(h_sel, g_sel, rho, r_th, "exact")
+# The selection of each (mode, policy), looked up here at call time: the
+# benchmark's tracer (perfbench/trace.py) wraps entries of this dict.
+_TRIPLES = {key: policy.select for key, policy in POLICIES.items()}
 
 
 def _simulate_chunk(args):
+    """Per-trial (r1, r2) arrays of each policy over one chunk of trials."""
     fading, mode, policies, split, r_th, seed, t0, count = args
     h, g = sample_channel_batch(fading, seed, t0, count)
     rho = fading.rho
     out = {}
     for policy in policies:
-        r1, r2 = _policy_rate_arrays(policy, mode, h, g, rho, split, r_th, seed, t0)
-        out[policy] = (r1, r2)
+        h_sel, g_sel = _TRIPLES[mode, policy](h, g, rho=rho, split=split, r_th=r_th,
+                                              seed=seed, t0=t0)
+        if mode == "fnoma":
+            out[policy] = fnoma_pair_rates(h_sel, g_sel, split, rho)
+        elif mode == "oma":
+            out[policy] = oma_pair_rates(h_sel, g_sel, rho)
+        else:
+            out[policy] = cr_rates(h_sel, g_sel, rho, r_th, "exact")
     return t0, out
 
 
@@ -206,7 +175,7 @@ def run_point(fading, mode, policies, trials, seed, split=None, r_th=None,
                 fill(t0, chunk_out)
 
     n, m, k = fading.n_bs, fading.m_ue1, fading.k_ue2
-    return {p: _make_report(acc[p][0], acc[p][1], _EVAL_COUNT[p](n, m, k))
+    return {p: _make_report(acc[p][0], acc[p][1], POLICIES[mode, p].count(n, m, k))
             for p in policies}
 
 
@@ -257,6 +226,12 @@ class ValidationPoint:
     scenario: Scenario
     tolerance: float  # relative gap allowed
 
+    def __post_init__(self):
+        scn = self.scenario
+        if POLICIES[scn.mode, scn.policy].closed_form is None:
+            raise ConfigurationError(
+                f"no closed form for policy {scn.policy!r} in mode {scn.mode!r}")
+
 
 @dataclass(frozen=True)
 class ValidationResult:
@@ -266,23 +241,6 @@ class ValidationResult:
     rel_gap: float
     tolerance: float
     status: str  # "pass" | "fail" | "not-applicable"
-
-
-def _closed_form_value(scn: Scenario) -> float:
-    if scn.mode == "fnoma" and scn.policy == "a3":
-        cfg = analytics.AnalyticConfig.from_fading(scn.fading, b=scn.split.b)
-        return analytics.a3_avg_sum_rate(cfg).value
-    if scn.mode == "fnoma" and scn.policy == "aia":
-        cfg = analytics.AnalyticConfig.from_fading(scn.fading, b=scn.split.b)
-        return analytics.aia_avg_sum_rate(cfg).value
-    if scn.mode == "crnoma" and scn.policy in ("mcg", "pu", "su"):
-        cfg = analytics.AnalyticConfig.from_fading(scn.fading, r_th=scn.r_th)
-        fn = {"mcg": analytics.mcg_avg_secondary_rate,
-              "pu": analytics.pu_avg_secondary_rate,
-              "su": analytics.su_avg_secondary_rate}[scn.policy]
-        return fn(cfg).value
-    raise ConfigurationError(
-        f"no closed form for policy {scn.policy!r} in mode {scn.mode!r}")
 
 
 def validate_asymptotics(points, workers=None):
@@ -296,9 +254,9 @@ def validate_asymptotics(points, workers=None):
     results = []
     for point in points:
         scn = point.scenario
-        closed = _closed_form_value(scn)
-        report = run_trials(scn, workers=workers)
-        mc = report.mean_sum if scn.mode == "fnoma" else report.mean_r1
+        policy = POLICIES[scn.mode, scn.policy]
+        closed = policy.closed_form(scn.fading, scn.split, scn.r_th)
+        mc = getattr(run_trials(scn, workers=workers), policy.metric)
         gap = abs(closed - mc) / abs(mc) if mc != 0 else math.inf
         if scn.fading.rho < ASYMPTOTIC_MIN_RHO:
             status = "not-applicable"
@@ -319,46 +277,49 @@ _FADING_FLOAT_KEYS = ("d1", "d2", "alpha", "ps_dbm", "sigma2_dbm")
 
 
 def _parse_kv_lines(lines, path, start_line=0):
+    """{key: (value, "path:line")} for the `key = value` lines."""
     kv = {}
     for offset, raw in enumerate(lines):
+        where = f"{path}:{start_line + offset + 1}"
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigurationError(
-                f"{path}:{start_line + offset + 1}: expected 'key = value', got {raw!r}")
+            raise ConfigurationError(f"{where}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key in kv:
-            raise ConfigurationError(f"{path}: duplicate key {key!r}")
-        kv[key] = value.strip()
+            raise ConfigurationError(f"{where}: duplicate key {key!r}")
+        kv[key] = (value.strip(), where)
     return kv
 
 
 def _scenario_from_mapping(kv: dict, path, allow_tolerance=False):
     kv = dict(kv)
-    tolerance = None
-    if allow_tolerance and "tolerance" in kv:
-        tolerance = float(kv.pop("tolerance"))
-    fading_kwargs = {}
-    for key in _FADING_INT_KEYS:
-        if key in kv:
-            fading_kwargs[key] = int(kv.pop(key))
-    for key in _FADING_FLOAT_KEYS:
-        if key in kv:
-            fading_kwargs[key] = float(kv.pop(key))
-    try:
-        mode = kv.pop("mode")
-        policy = kv.pop("policy")
-    except KeyError as missing:
-        raise ConfigurationError(f"{path}: missing required key {missing}") from None
-    split = PowerSplit.from_b(float(kv.pop("b"))) if "b" in kv else None
-    r_th = float(kv.pop("r_th")) if "r_th" in kv else None
-    trials = int(kv.pop("trials")) if "trials" in kv else 100_000
-    seed = int(kv.pop("seed")) if "seed" in kv else 0
+
+    def take(key, parse, default=None):
+        if key not in kv:
+            return default
+        value, where = kv.pop(key)
+        try:
+            return parse(value)
+        except ValueError:
+            raise ConfigurationError(
+                f"{where}: {key} = {value!r} is not a valid {parse.__name__}") from None
+
+    tolerance = take("tolerance", float) if allow_tolerance else None
+    fading_kwargs = {key: take(key, int) for key in _FADING_INT_KEYS if key in kv}
+    fading_kwargs.update({key: take(key, float) for key in _FADING_FLOAT_KEYS if key in kv})
+    for key in ("mode", "policy"):
+        if key not in kv:
+            raise ConfigurationError(f"{path}: missing required key {key!r}")
+    mode, policy = take("mode", str), take("policy", str)
+    b, r_th = take("b", float), take("r_th", float)
+    trials, seed = take("trials", int, 100_000), take("seed", int, 0)
     if kv:
         raise ConfigurationError(f"{path}: unknown keys {sorted(kv)}")
     try:
+        split = None if b is None else PowerSplit.from_b(b)
         scn = Scenario(FadingConfig(**fading_kwargs), mode, policy,
                        split=split, r_th=r_th, trials=trials, seed=seed)
     except ValueError as exc:
@@ -398,5 +359,8 @@ def load_validation_grid(path):
     for start, block in blocks:
         kv = _parse_kv_lines(block, path, start_line=start)
         scn, tol = _scenario_from_mapping(kv, path, allow_tolerance=True)
-        points.append(ValidationPoint(scn, 0.02 if tol is None else tol))
+        try:
+            points.append(ValidationPoint(scn, 0.02 if tol is None else tol))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}:{start + 1}: {exc}") from None
     return points

@@ -8,13 +8,12 @@ comparison count that is linear instead of cubic in the antenna counts.
 eval_count convention: pairwise max/min comparisons plus, for the exhaustive
 searches, one unit per candidate objective evaluation.  The exact counts are
 
-    es_fnoma / es_crnoma : N*M*K
-    a3_as / aia_as       : N*(M-1) + N*(K-1) + N + (N-1)   = N*(M+K) - 1
-    mcg_as               : N*(M-1) + N*(K-1) + 2*(N-1) + 1 = N*(M+K) - 1
-    pu_as                : (N*K - 1) + (M - 1)
-    su_as                : (N*M - 1) + (K - 1)
-    random_as            : 0
-    oma_es               : (N*M - 1) + (N*K - 1)
+    es_fnoma / es_crnoma    : N*M*K
+    a3_as / aia_as / mcg_as : N*(M-1) + N*(K-1) + N + (N-1) = N*(M+K) - 1
+    pu_as                   : (N*K - 1) + (M - 1)
+    su_as                   : (N*M - 1) + (K - 1)
+    random_as               : 0
+    oma_es                  : (N*M - 1) + (N*K - 1)
 
 mcg_as is realized through per-row maxima (same intermediate values as
 a3_as, hence the identical triple and count) rather than two whole-matrix
@@ -28,15 +27,18 @@ fading; the rules exist so results are reproducible.
 
 The ``_*_triples`` kernels operate on stacked realizations of shape
 (T, N, M)/(T, N, K) and return 0-based index arrays; the public functions
-wrap a batch of one and report 1-based indices.
+wrap a batch of one and report 1-based indices.  ``POLICIES`` is the one
+table of (mode, policy) pairs that the harness, the figures and the CLI read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import analytics
 from .channel import ChannelRealization, POLICY_DOMAIN, _substream
 from .rates import PowerSplit, cr_power_split, cr_rates, fnoma_sum_rate
 
@@ -100,13 +102,6 @@ def count_a3(n, m, k):
     return n * (m - 1) + n * (k - 1) + n + (n - 1)
 
 
-count_aia = count_a3
-
-
-def count_mcg(n, m, k):
-    return n * (m - 1) + n * (k - 1) + 2 * (n - 1) + 1
-
-
 def count_pu(n, m, k):
     return (n * k - 1) + (m - 1)
 
@@ -134,9 +129,6 @@ def _a3_triples(h, g):
     n = np.maximum(hn, gn).argmax(axis=1)
     t = np.arange(h.shape[0])
     return n, hi[t, n], gi[t, n]
-
-
-_mcg_triples = _a3_triples  # identical staged outcome, different split later
 
 
 def _aia_triples(h, g):
@@ -215,9 +207,15 @@ def _oma_indices(h, g):
     return hflat // m_dim, hflat % m_dim, gflat // k_dim, gflat % k_dim
 
 
-def _gather(h, g, n, m, k):
+def _gains(h, g, n1, m, n2, k):
+    """Stacked selected gains h[t, n1, m] and g[t, n2, k]."""
     t = np.arange(h.shape[0])
-    return h[t, n, m], g[t, n, k]
+    return h[t, n1, m], g[t, n2, k]
+
+
+def _triple_gains(h, g, triple):
+    n, m, k = triple
+    return _gains(h, g, n, m, n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +263,7 @@ def a3_as(ch: ChannelRealization, split: PowerSplit, rho) -> Selection:
 def aia_as(ch: ChannelRealization, split: PowerSplit, rho) -> Selection:
     """Maximize the weak user's gain (the search ignores split and rho)."""
     n, m, k = _aia_triples(ch.h[None], ch.g[None])
-    return _build(ch, n[0], m[0], k[0], split, count_aia(*_dims(ch)))
+    return _build(ch, n[0], m[0], k[0], split, count_a3(*_dims(ch)))
 
 
 def mcg_as(ch: ChannelRealization, rho, r_th) -> Selection:
@@ -274,8 +272,8 @@ def mcg_as(ch: ChannelRealization, rho, r_th) -> Selection:
     Selects the same triple as a3_as on every realization; reduces to su_as
     when the best UE1 gain beats the best UE2 gain and to pu_as otherwise.
     """
-    n, m, k = _mcg_triples(ch.h[None], ch.g[None])
-    sel = _build(ch, n[0], m[0], k[0], None, count_mcg(*_dims(ch)))
+    n, m, k = _a3_triples(ch.h[None], ch.g[None])
+    sel = _build(ch, n[0], m[0], k[0], None, count_a3(*_dims(ch)))
     sel.split = cr_power_split(sel.h_gain, sel.g_gain, rho, r_th, "asymptotic")
     return sel
 
@@ -313,3 +311,90 @@ def oma_es(ch: ChannelRealization, rho) -> OmaSelection:
     return OmaSelection(int(n1[0]) + 1, int(m[0]) + 1, int(n2[0]) + 1,
                         int(k[0]) + 1, float(ch.h[n1[0], m[0]]),
                         float(ch.g[n2[0], k[0]]), count_oma(*_dims(ch)))
+
+
+# ---------------------------------------------------------------------------
+# the policy table
+
+
+class Bound(NamedTuple):
+    """An advertised comparison-count bound, as `noma-as bench` audits it."""
+
+    row: str  # the audit's row name
+    text: str  # the bound as printed
+    limit: Callable  # (n, m, k) -> value of the bound
+    exact: bool = False  # exhaustive searches: the count equals the bound
+
+
+@dataclass(frozen=True)
+class Policy:
+    """Everything the harness, figures and CLI know about one (mode, policy).
+
+    select(h, g, rho=, split=, r_th=, seed=, t0=) returns the stacked UE1
+    and UE2 gains of the chosen links for trials t0, t0+1, ...
+    closed_form(fading, split, r_th) is the high-SNR average of `metric`,
+    the RateReport field the mode reports.  Both look kernels and closed
+    forms up on their modules at call time, so a function replaced there
+    after import (as the benchmark's tracer does) is the one that runs.
+    """
+
+    column: str  # figure column; `_sim`/`_analytic` pair with a closed form
+    select: Callable
+    count: Callable  # (n, m, k) -> eval_count
+    metric: str
+    bound: Bound | None = None
+    closed_form: Callable | None = None
+
+
+def _split_cfg(fading, split, r_th):
+    return analytics.AnalyticConfig.from_fading(fading, b=split.b)
+
+
+def _qos_cfg(fading, split, r_th):
+    return analytics.AnalyticConfig.from_fading(fading, r_th=r_th)
+
+
+def _random_gains(h, g, seed, t0, **_):
+    count, n_dim, m_dim = h.shape
+    return _triple_gains(h, g, _random_triples(n_dim, m_dim, g.shape[2], seed, t0, count))
+
+
+# Within a mode, entries are in figure-column order; the bounded entries are
+# in the order `noma-as bench` prints them.
+POLICIES = {
+    ("fnoma", "es"): Policy(
+        "fnoma_es",
+        lambda h, g, rho, split, **_: _triple_gains(h, g, _es_fnoma_triples(h, g, split, rho)),
+        count_es, "mean_sum", Bound("es_fnoma", "N*M*K", lambda n, m, k: n * m * k, True)),
+    ("crnoma", "es"): Policy(
+        "cr_es",
+        lambda h, g, rho, r_th, **_: _triple_gains(h, g, _es_crnoma_triples(h, g, rho, r_th)),
+        count_es, "mean_r1", Bound("es_crnoma", "N*M*K", lambda n, m, k: n * m * k, True)),
+    ("fnoma", "a3"): Policy(
+        "a3", lambda h, g, **_: _triple_gains(h, g, _a3_triples(h, g)),
+        count_a3, "mean_sum", Bound("a3", "N*(M+K+3)", lambda n, m, k: n * (m + k + 3)),
+        lambda *args: analytics.a3_avg_sum_rate(_split_cfg(*args)).value),
+    ("fnoma", "aia"): Policy(
+        "aia", lambda h, g, **_: _triple_gains(h, g, _aia_triples(h, g)),
+        count_a3, "mean_sum", Bound("aia", "N*(M+K+3)", lambda n, m, k: n * (m + k + 3)),
+        lambda *args: analytics.aia_avg_sum_rate(_split_cfg(*args)).value),
+    ("crnoma", "mcg"): Policy(
+        "mcg", lambda h, g, **_: _triple_gains(h, g, _a3_triples(h, g)),
+        count_a3, "mean_r1", Bound("mcg", "N*(M+K)+2", lambda n, m, k: n * (m + k) + 2),
+        lambda *args: analytics.mcg_avg_secondary_rate(_qos_cfg(*args)).value),
+    ("crnoma", "pu"): Policy(
+        "pu", lambda h, g, **_: _triple_gains(h, g, _pu_triples(h, g)),
+        count_pu, "mean_r1", Bound("pu", "N*K+M", lambda n, m, k: n * k + m),
+        lambda *args: analytics.pu_avg_secondary_rate(_qos_cfg(*args)).value),
+    ("crnoma", "su"): Policy(
+        "su", lambda h, g, **_: _triple_gains(h, g, _su_triples(h, g)),
+        count_su, "mean_r1", Bound("su", "N*M+K", lambda n, m, k: n * m + k),
+        lambda *args: analytics.su_avg_secondary_rate(_qos_cfg(*args)).value),
+    ("fnoma", "random"): Policy(
+        "fnoma_ra", _random_gains, lambda n, m, k: 0, "mean_sum"),
+    ("crnoma", "random"): Policy(
+        "cr_ra", _random_gains, lambda n, m, k: 0, "mean_r1"),
+    ("oma", "oma_es"): Policy(
+        "oma_es", lambda h, g, **_: _gains(h, g, *_oma_indices(h, g)),
+        count_oma, "mean_sum"),
+}

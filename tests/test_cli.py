@@ -103,6 +103,19 @@ def test_sweep_unknown_scenario_key(tmp_path):
                  "--values", "100"]) == 1
 
 
+@pytest.mark.parametrize("line", ["trials = 1e5", "trials = 2.5", "seed = -1",
+                                  "b = 0", "alpha = 300"])
+def test_bad_scenario_value_names_file_and_key(tmp_path, capsys, line):
+    key = line.split(" =")[0]
+    path = tmp_path / "bad.txt"
+    path.write_text("".join(row for row in SCENARIO_TEXT.splitlines(True)
+                            if not row.startswith(key + " ")) + line + "\n")
+    assert main(["sweep", "--scenario", str(path), "--axis", "d2",
+                 "--values", "100"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and f"{key} =" in err
+
+
 def test_sweep_missing_file(tmp_path):
     assert main(["sweep", "--scenario", str(tmp_path / "none.txt"),
                  "--axis", "d2", "--values", "100"]) == 3

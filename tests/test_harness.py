@@ -45,6 +45,18 @@ def test_mode_policy_compatibility():
         _fnoma_scn(trials=0)
 
 
+@pytest.mark.parametrize("kwargs, key", [
+    ({"split": PowerSplit.from_b(0.0)}, "b"),
+    ({"trials": 2.5}, "trials"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 2 ** 64}, "seed"),
+    ({"fading": FadingConfig(alpha=300.0)}, "alpha"),
+])
+def test_bad_scenario_value_fails_at_construction(kwargs, key):
+    with pytest.raises(ConfigurationError, match=rf"\b{key} ="):
+        _fnoma_scn(**kwargs)
+
+
 # --- trial averaging ----------------------------------------------------------
 
 def test_single_trial_equals_direct_computation():

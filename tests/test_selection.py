@@ -7,7 +7,7 @@ import oracles
 from noma_as import (ChannelRealization, PowerSplit, a3_as, aia_as,
                      cr_power_split, es_crnoma, es_fnoma, mcg_as, oma_es,
                      pu_as, random_as, su_as)
-from noma_as.selection import (count_a3, count_es, count_mcg, count_oma,
+from noma_as.selection import (count_a3, count_es, count_oma,
                                count_pu, count_su)
 
 B = PowerSplit.from_b(0.4)
@@ -269,7 +269,7 @@ def test_eval_count_formulas_and_bounds():
                 assert a3.eval_count <= n * (m + k + 3)
                 assert aia_as(ch, B, RHO).eval_count == count_a3(n, m, k)
                 mcg = mcg_as(ch, RHO, 1.0)
-                assert mcg.eval_count == count_mcg(n, m, k) <= n * (m + k) + 2
+                assert mcg.eval_count == count_a3(n, m, k) <= n * (m + k) + 2
                 assert pu_as(ch, RHO, 1.0).eval_count == count_pu(n, m, k) <= n * k + m
                 assert su_as(ch, RHO, 1.0).eval_count == count_su(n, m, k) <= n * m + k
                 assert oma_es(ch, RHO).eval_count == count_oma(n, m, k)
