@@ -17,7 +17,7 @@ from .analytics import (a3_avg_sum_rate, aia_avg_sum_rate,  # noqa: F401
                         mcg_avg_secondary_rate, pu_avg_secondary_rate,
                         su_avg_secondary_rate)
 from .channel import FadingConfig
-from .harness import ConfigurationError, run_point
+from .harness import ConfigurationError, Run, run_point
 from .rates import PowerSplit
 from .selection import POLICIES
 
@@ -100,16 +100,18 @@ def _fig6(trials, seed, workers):
     return "d1", rows
 
 
-def _two_placements(build):
-    # UE1 nearer the BS, then UE2 nearer, as column-name suffixes
-    def rows_for(x):
-        near = build(x, FadingConfig(n_bs=4, d1=80.0, d2=200.0, ps_dbm=20.0))
-        far = build(x, FadingConfig(n_bs=4, d1=200.0, d2=80.0, ps_dbm=20.0))
-        cols = {f"{name}_ue1near": val for name, val in near.items()}
-        cols.update({f"{name}_ue2near": val for name, val in far.items()})
-        return cols
-
-    return rows_for
+def _two_placements(build, xs):
+    """Rows with UE1 nearer the BS, then UE2 nearer, as column-name suffixes.
+    Every point of one placement runs before the other's, so each geometry
+    is sampled and selected once."""
+    near = [build(x, FadingConfig(n_bs=4, d1=80.0, d2=200.0, ps_dbm=20.0)) for x in xs]
+    far = [build(x, FadingConfig(n_bs=4, d1=200.0, d2=80.0, ps_dbm=20.0)) for x in xs]
+    rows = []
+    for x, near_cols, far_cols in zip(xs, near, far):
+        cols = {f"{name}_ue1near": val for name, val in near_cols.items()}
+        cols.update({f"{name}_ue2near": val for name, val in far_cols.items()})
+        rows.append((x, cols))
+    return rows
 
 
 def _fig7(trials, seed, workers):
@@ -117,16 +119,14 @@ def _fig7(trials, seed, workers):
         return _columns(("crnoma",), replace(fading, ps_dbm=float(ps)),
                         trials, seed, workers, r_th=5.0)
 
-    rows_for = _two_placements(build)
-    return "ps_dbm", [(ps, rows_for(ps)) for ps in _PS_GRID]
+    return "ps_dbm", _two_placements(build, _PS_GRID)
 
 
 def _fig8(trials, seed, workers):
     def build(r_th, fading):
         return _columns(("crnoma",), fading, trials, seed, workers, r_th=float(r_th))
 
-    rows_for = _two_placements(build)
-    return "r_th", [(r, rows_for(r)) for r in _RTH_GRID]
+    return "r_th", _two_placements(build, _RTH_GRID)
 
 
 _BUILDERS = {1: _fig1, 2: _fig2, 3: _fig3, 4: _fig4,
@@ -134,12 +134,14 @@ _BUILDERS = {1: _fig1, 2: _fig2, 3: _fig3, 4: _fig4,
 
 
 def figure_rows(figure_id: int, trials: int, seed: int, workers=None):
-    """(axis name, [(x, {column: value})]) for one figure id."""
+    """(axis name, [(x, {column: value})]) for one figure id; all its points
+    share one `Run`."""
     if figure_id not in _BUILDERS:
         raise ConfigurationError(f"figure id must be in 1..8, got {figure_id}")
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    return _BUILDERS[figure_id](trials, seed, workers)
+    with Run(workers, trials) as run:
+        return _BUILDERS[figure_id](trials, seed, run)
 
 
 def _fmt(v) -> str:

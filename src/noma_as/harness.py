@@ -9,6 +9,17 @@ pairwise sum over that one array; reports are therefore bit-identical for
 any worker count.  Policies evaluated at the same (seed, trials) point see
 the same realizations, which makes dominance comparisons between policies
 exact per realization rather than statistical.
+
+A figure, sweep or validation run shares one `Run` across its points.  The
+run's workers live as long as the run, and chunk i of every point goes to
+worker i mod W, so each worker sees the same chunks of a geometry again.
+A worker keeps one geometry, keyed by (seed, N, M, K, d1, d2, alpha), and
+per chunk (t0, count) its sampled gains and the chosen gains of every
+policy whose choice ignores rho, split and r_th (`Policy.gains_only`).  A
+later point on that geometry reruns only the exhaustive searches and the
+rate formulas.  A reused array is the array a fresh draw or selection
+would have produced, and it meets the same rate formulas and the same
+reduction, so no bit of any report moves.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,22 +100,54 @@ class RateReport:
 _TRIPLES = {key: policy.select for key, policy in POLICIES.items()}
 
 
-def _simulate_chunk(args):
-    """Per-trial (r1, r2) arrays of each policy over one chunk of trials."""
-    fading, mode, policies, split, r_th, seed, t0, count = args
-    h, g = sample_channel_batch(fading, seed, t0, count)
-    rho = fading.rho
-    out = {}
-    for policy in policies:
-        h_sel, g_sel = _TRIPLES[mode, policy](h, g, rho=rho, split=split, r_th=r_th,
-                                              seed=seed, t0=t0)
-        if mode == "fnoma":
-            out[policy] = fnoma_pair_rates(h_sel, g_sel, split, rho)
-        elif mode == "oma":
-            out[policy] = oma_pair_rates(h_sel, g_sel, rho)
-        else:
-            out[policy] = cr_rates(h_sel, g_sel, rho, r_th, "exact")
-    return t0, out
+class _GeometryCache:
+    """The chunks of one geometry that one worker has seen: their sampled
+    gains and the chosen gains of every `gains_only` policy."""
+
+    def __init__(self):
+        self.key = None
+        self.chunks = {}  # (t0, count) -> (h, g, {(mode, policy): (h_sel, g_sel)})
+
+    def simulate(self, task):
+        """Per-trial (r1, r2) arrays of each policy over one chunk of trials."""
+        fading, mode, policies, split, r_th, seed, t0, count = task
+        key = (seed, fading.n_bs, fading.m_ue1, fading.k_ue2,
+               fading.d1, fading.d2, fading.alpha)
+        if key != self.key:
+            self.key, self.chunks = key, {}
+        if (t0, count) not in self.chunks:
+            h, g = sample_channel_batch(fading, seed, t0, count)
+            self.chunks[t0, count] = h, g, {}
+        h, g, chosen = self.chunks[t0, count]
+        rho = fading.rho
+        out = {}
+        for policy in policies:
+            gains = chosen.get((mode, policy))
+            if gains is None:
+                gains = _TRIPLES[mode, policy](h, g, rho=rho, split=split, r_th=r_th,
+                                               seed=seed, t0=t0)
+                if POLICIES[mode, policy].gains_only:
+                    chosen[mode, policy] = gains
+            h_sel, g_sel = gains
+            if mode == "fnoma":
+                out[policy] = fnoma_pair_rates(h_sel, g_sel, split, rho)
+            elif mode == "oma":
+                out[policy] = oma_pair_rates(h_sel, g_sel, rho)
+            else:
+                out[policy] = cr_rates(h_sel, g_sel, rho, r_th, "exact")
+        return t0, out
+
+
+_worker_cache = None  # set in each worker process only, when it starts
+
+
+def _start_worker():
+    global _worker_cache
+    _worker_cache = _GeometryCache()
+
+
+def _simulate_in_worker(task):
+    return _worker_cache.simulate(task)
 
 
 def _resolve_workers(workers):
@@ -122,7 +166,49 @@ def _resolve_workers(workers):
             raise ConfigurationError(
                 f"NOMA_SIM_WORKERS must be a positive integer, got {env!r}")
         return value
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+class Run:
+    """The workers of one figure, sweep or validation run.
+
+    `workers` (None: NOMA_SIM_WORKERS, else the usable CPUs) is capped at
+    the chunk count of the run's largest point, `max_trials`.  With one
+    worker the chunks run in this process against the run's own cache;
+    otherwise each worker is a one-process pool, started at the first
+    point, and chunk i of every point goes to worker i mod W, so a worker
+    sees the same chunks of each geometry again.  Use as a context manager.
+    """
+
+    def __init__(self, workers, max_trials):
+        self.workers = min(_resolve_workers(workers), -(-max_trials // _CHUNK))
+        self._cache = _GeometryCache() if self.workers == 1 else None
+        self._pools = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for pool in self._pools:
+            pool.shutdown(cancel_futures=True)
+        self._pools = []
+
+    def simulate(self, tasks):
+        """The chunk results of `tasks`, in order, each dropped once consumed."""
+        if self._cache is not None:
+            for task in tasks:
+                yield self._cache.simulate(task)
+            return
+        if not self._pools:
+            self._pools = [ProcessPoolExecutor(max_workers=1, initializer=_start_worker)
+                           for _ in range(self.workers)]
+        futures = [self._pools[i % self.workers].submit(_simulate_in_worker, task)
+                   for i, task in enumerate(tasks)]
+        futures.reverse()
+        while futures:
+            yield futures.pop().result()
 
 
 def _std_err(x):
@@ -151,28 +237,21 @@ def run_point(fading, mode, policies, trials, seed, split=None, r_th=None,
     """Evaluate several policies on the same `trials` realizations.
 
     Returns {policy: RateReport}.  All policies share the channel draws, so
-    cross-policy comparisons at one point are paired.
+    cross-policy comparisons at one point are paired.  `workers` is a `Run`
+    shared with other points, or a worker count for a run of this point only.
     """
     for policy in policies:
         Scenario(fading, mode, policy, split=split, r_th=r_th,
                  trials=trials, seed=seed)  # validates the combination
-    workers = _resolve_workers(workers)
     tasks = [(fading, mode, tuple(policies), split, r_th, seed, t0,
               min(_CHUNK, trials - t0)) for t0 in range(0, trials, _CHUNK)]
     acc = {p: (np.empty(trials), np.empty(trials)) for p in policies}
-
-    def fill(t0, chunk_out):
-        for policy, (r1, r2) in chunk_out.items():
-            acc[policy][0][t0:t0 + r1.size] = r1
-            acc[policy][1][t0:t0 + r2.size] = r2
-
-    if workers == 1 or len(tasks) == 1:
-        for task in tasks:
-            fill(*_simulate_chunk(task))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for t0, chunk_out in pool.map(_simulate_chunk, tasks):
-                fill(t0, chunk_out)
+    own = nullcontext(workers) if isinstance(workers, Run) else Run(workers, trials)
+    with own as run:
+        for t0, chunk_out in run.simulate(tasks):
+            for policy, (r1, r2) in chunk_out.items():
+                acc[policy][0][t0:t0 + r1.size] = r1
+                acc[policy][1][t0:t0 + r2.size] = r2
 
     n, m, k = fading.n_bs, fading.m_ue1, fading.k_ue2
     return {p: _make_report(acc[p][0], acc[p][1], POLICIES[mode, p].count(n, m, k))
@@ -214,7 +293,8 @@ def sweep(base: Scenario, axis: str, values, workers=None):
     """One report per swept value, same seed at every point so the whole
     curve rides on common random numbers."""
     points = [apply_axis(base, axis, v) for v in values]
-    return [(v, run_trials(p, workers=workers)) for v, p in zip(values, points)]
+    with Run(workers, base.trials) as run:
+        return [(v, run_trials(p, workers=run)) for v, p in zip(values, points)]
 
 
 # ---------------------------------------------------------------------------
@@ -252,19 +332,20 @@ def validate_asymptotics(points, workers=None):
     failed.
     """
     results = []
-    for point in points:
-        scn = point.scenario
-        policy = POLICIES[scn.mode, scn.policy]
-        closed = policy.closed_form(scn.fading, scn.split, scn.r_th)
-        mc = getattr(run_trials(scn, workers=workers), policy.metric)
-        gap = abs(closed - mc) / abs(mc) if mc != 0 else math.inf
-        if scn.fading.rho < ASYMPTOTIC_MIN_RHO:
-            status = "not-applicable"
-        elif gap <= point.tolerance:
-            status = "pass"
-        else:
-            status = "fail"
-        results.append(ValidationResult(scn, closed, mc, gap, point.tolerance, status))
+    with Run(workers, max((p.scenario.trials for p in points), default=1)) as run:
+        for point in points:
+            scn = point.scenario
+            policy = POLICIES[scn.mode, scn.policy]
+            closed = policy.closed_form(scn.fading, scn.split, scn.r_th)
+            mc = getattr(run_trials(scn, workers=run), policy.metric)
+            gap = abs(closed - mc) / abs(mc) if mc != 0 else math.inf
+            if scn.fading.rho < ASYMPTOTIC_MIN_RHO:
+                status = "not-applicable"
+            elif gap <= point.tolerance:
+                status = "pass"
+            else:
+                status = "fail"
+            results.append(ValidationResult(scn, closed, mc, gap, point.tolerance, status))
     return results
 
 

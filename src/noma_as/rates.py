@@ -107,6 +107,12 @@ def jain_fairness(r1, r2):
         raise ValueError("rates must be nonnegative")
     s = np.add(r1, r2)
     q = np.multiply(r1, r1) + np.multiply(r2, r2)
+    small = q < np.finfo(float).tiny
+    if np.any(small):  # subnormal squares lose bits: redo those scaled by 2**600
+        with np.errstate(over="ignore"):  # overflows only where not small
+            u1, u2 = np.multiply(r1, 2.0 ** 600), np.multiply(r2, 2.0 ** 600)
+            s = np.where(small, u1 + u2, s)
+            q = np.where(small, u1 * u1 + u2 * u2, q)
     safe = np.where(q > 0.0, q, 1.0)
     return _out(np.where(q > 0.0, s * s / (2.0 * safe), 1.0))
 

@@ -336,6 +336,9 @@ class Policy:
     the RateReport field the mode reports.  Both look kernels and closed
     forms up on their modules at call time, so a function replaced there
     after import (as the benchmark's tracer does) is the one that runs.
+    gains_only says the choice reads the gains (and seed, t0) but not rho,
+    split or r_th, so the harness selects once per geometry and reuses the
+    chosen gains at every point of a power, split or r_th sweep.
     """
 
     column: str  # figure column; `_sim`/`_analytic` pair with a closed form
@@ -344,6 +347,7 @@ class Policy:
     metric: str
     bound: Bound | None = None
     closed_form: Callable | None = None
+    gains_only: bool = True
 
 
 def _split_cfg(fading, split, r_th):
@@ -365,11 +369,13 @@ POLICIES = {
     ("fnoma", "es"): Policy(
         "fnoma_es",
         lambda h, g, rho, split, **_: _triple_gains(h, g, _es_fnoma_triples(h, g, split, rho)),
-        count_es, "mean_sum", Bound("es_fnoma", "N*M*K", lambda n, m, k: n * m * k, True)),
+        count_es, "mean_sum", Bound("es_fnoma", "N*M*K", lambda n, m, k: n * m * k, True),
+        gains_only=False),
     ("crnoma", "es"): Policy(
         "cr_es",
         lambda h, g, rho, r_th, **_: _triple_gains(h, g, _es_crnoma_triples(h, g, rho, r_th)),
-        count_es, "mean_r1", Bound("es_crnoma", "N*M*K", lambda n, m, k: n * m * k, True)),
+        count_es, "mean_r1", Bound("es_crnoma", "N*M*K", lambda n, m, k: n * m * k, True),
+        gains_only=False),
     ("fnoma", "a3"): Policy(
         "a3", lambda h, g, **_: _triple_gains(h, g, _a3_triples(h, g)),
         count_a3, "mean_sum", Bound("a3", "N*(M+K+3)", lambda n, m, k: n * (m + k + 3)),

@@ -1,8 +1,13 @@
 import math
+import os
+from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from noma_as import harness
+from noma_as.harness import Run
 from noma_as import (ConfigurationError, FadingConfig, PowerSplit, Scenario,
                      ValidationPoint, apply_axis, cr_rates, fnoma_pair_rates,
                      jain_fairness, load_scenario, load_validation_grid,
@@ -147,6 +152,101 @@ def test_workers_env_validation(monkeypatch):
         run_trials(_fnoma_scn(trials=10))
     monkeypatch.setenv("NOMA_SIM_WORKERS", "1")
     run_trials(_fnoma_scn(trials=10))
+
+
+# --- one run shared by many points ----------------------------------------------
+
+_FNOMA_ALL = ("es", "a3", "aia", "random")
+_CR_ALL = ("es", "mcg", "pu", "su", "random")
+
+
+def _reports(points, trials, workers):
+    """run_point at each (fading, mode, policies, seed, split, r_th) point."""
+    return [run_point(fading, mode, policies, trials, seed, split=split, r_th=r_th,
+                      workers=workers)
+            for fading, mode, policies, seed, split, r_th in points]
+
+
+def test_run_shares_draws_across_points_on_two_workers():
+    # two chunks on two worker processes: fnoma powers x splits and the oma
+    # point on one geometry, crnoma with d1 and d2 swapped, then the first
+    # geometry again.  Each report must equal a one-worker run of its point
+    # alone; the low powers make es choose differently at every point.
+    geo = FadingConfig(n_bs=2, d1=80.0, d2=200.0)
+    swapped = FadingConfig(n_bs=2, d1=200.0, d2=80.0)
+    first = [(replace(geo, ps_dbm=ps), "fnoma", _FNOMA_ALL, 5, PowerSplit.from_b(b), None)
+             for ps in (-30.0, 0.0) for b in (0.2, 0.4)]
+    first.append((replace(geo, ps_dbm=30.0), "oma", ("oma_es",), 5, None, None))
+    cr = [(replace(swapped, ps_dbm=ps), "crnoma", _CR_ALL, 5, None, r_th)
+          for ps in (10.0, 30.0) for r_th in (1.0, 5.0)]
+    fresh = _reports(first + cr, 16385, 1)
+    with Run(2, 16385) as run:
+        assert run.workers == 2
+        assert _reports(first + cr + first, 16385, run) == fresh + fresh[:len(first)]
+
+
+def test_run_cache_key_covers_the_geometry_and_the_chunk(monkeypatch):
+    # each variant differs from the base geometry in one cache-key field; in
+    # four-trial chunks, one process holds chunks of equal size at three t0.
+    # References run first, in one chunk, which no cache can share.
+    base = FadingConfig(n_bs=2, d1=80.0, d2=200.0, alpha=3.0, ps_dbm=30.0)
+    variants = [(replace(base, d1=90.0), 5), (replace(base, d2=150.0), 5),
+                (replace(base, alpha=2.5), 5), (base, 6), (replace(base, n_bs=3), 5),
+                (replace(base, m_ue1=3), 5), (replace(base, k_ue2=3), 5)]
+    split = PowerSplit.from_b(0.4)
+    points = []
+    for fading, seed in variants:
+        points += [(base, "fnoma", _FNOMA_ALL, 5, split, None),
+                   (replace(base, ps_dbm=10.0), "fnoma", _FNOMA_ALL, 5, split, None),
+                   (fading, "fnoma", _FNOMA_ALL, seed, split, None)]
+    fresh = _reports(points, 12, 1)
+    monkeypatch.setattr(harness, "_CHUNK", 4)
+    with Run(1, 12) as run:
+        assert _reports(points, 12, run) == fresh
+
+
+class _InlinePool:
+    """Stands in for the process pool: records its size, runs tasks here."""
+
+    sizes = []
+
+    def __init__(self, max_workers, initializer):
+        self.sizes.append(max_workers)
+        initializer()
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_run_starts_no_more_workers_than_chunks(monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(harness, "_worker_cache", None)
+
+    def workers_started(fn):
+        _InlinePool.sizes.clear()
+        fn()
+        return sum(_InlinePool.sizes)
+
+    monkeypatch.setenv("NOMA_SIM_WORKERS", "64")
+    scn = _fnoma_scn(trials=16385)
+    assert workers_started(lambda: run_trials(scn)) == 2
+    assert run_trials(scn) == run_trials(scn, workers=1)
+    assert workers_started(lambda: run_trials(_fnoma_scn(trials=16384))) == 0
+    assert workers_started(lambda: sweep(scn, "ps_dbm", [10.0, 20.0])) == 2
+    points = [ValidationPoint(_fnoma_scn(trials=t), 0.05) for t in (10, 2 * 16384 + 1)]
+    assert workers_started(lambda: validate_asymptotics(points)) == 3
+
+    monkeypatch.delenv("NOMA_SIM_WORKERS")
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert Run(None, 10 * 16384).workers == 2
+    assert Run(None, 16384).workers == 1
 
 
 # --- sweeps ---------------------------------------------------------------------

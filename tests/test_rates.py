@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noma_as import (PowerSplit, channel_order, cr_power_split, cr_rates,
@@ -103,6 +103,7 @@ def test_jain_examples():
 
 
 @given(r1=st.floats(0, 50), r2=st.floats(0, 50))
+@example(r1=7.462160828527934e-157, r2=7.462160828527934e-157)
 def test_jain_range(r1, r2):
     assert 0.5 <= jain_fairness(r1, r2) <= 1.0
 
