@@ -7,10 +7,18 @@ gain is ``d**-alpha``.
 
 Sampling uses the inverse-CDF transform ``x = -ln(u) / omega`` with ``u``
 uniform on (0, 1); a zero uniform (probability 2**-53 per draw) is remapped
-to the smallest positive double so gains are strictly positive.  The
-generator state for trial ``t`` is derived from ``(seed, t)`` through the
-Philox counter, never from sequential draws, so any subset of trials can be
-generated in any order, on any number of workers, with identical results.
+to the smallest positive double so gains are strictly positive.
+
+Every random word comes from Philox4x64-10 (Salmon et al., SC 2011) under
+the key ``(seed, domain)``: block ``j`` of trial ``t`` is the output for the
+counter ``(j, 0, 0, t)``, ``j >= 1``, with ``t`` taken modulo 2**64.  This
+is numpy's own stream: ``np.random.Philox(key=(seed, domain),
+counter=(0, 0, 0, t))`` adds 1 to counter word 0 before each block, so its
+words are exactly these.  Trial t's state is a pure function of
+``(seed, domain, t)``, never of sequential draws, so any subset of trials
+can be generated in any order, on any number of workers, with identical
+results, and ``_philox_block`` computes the blocks of a whole vector of
+trials at once.
 """
 
 from __future__ import annotations
@@ -44,6 +52,12 @@ def transmit_snr(ps_dbm, sigma2_dbm):
     if not (math.isfinite(ps_dbm) and math.isfinite(sigma2_dbm)):
         raise ValueError("power levels must be finite")
     return 10.0 ** ((ps_dbm - sigma2_dbm) / 10.0)
+
+
+def largest_gain(omega):
+    """Largest gain any draw can give at rate parameter ``omega``: minus the
+    log of the smallest uniform, over ``omega``, as the sampler computes it."""
+    return float(-np.log(_TINY)) / omega
 
 
 @dataclass(frozen=True)
@@ -114,14 +128,52 @@ class ChannelRealization:
                 raise ValueError("gains must be finite and strictly positive")
 
 
-def _key(seed: int, domain: int) -> np.ndarray:
-    return np.array([seed & _MASK64, domain], dtype=np.uint64)
+# Philox4x64-10 round multipliers and Weyl key increments (Salmon et al.)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_BITS32 = np.uint64(32)
 
 
-def _substream(seed: int, trial_index: int, domain: int) -> np.random.Generator:
-    """Generator whose state is a pure function of (seed, trial, domain)."""
-    counter = np.array([0, 0, 0, trial_index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=_key(seed, domain), counter=counter))
+def _mulhilo(a: int, b: np.ndarray):
+    """Low and high 64-bit words of the 128-bit product of constant ``a`` and
+    the uint64 array ``b``; the high word is built from 32-bit halves."""
+    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    b_lo = b & _LOW32
+    b_hi = b >> _BITS32
+    lo_lo = a_lo * b_lo
+    hi_lo = a_hi * b_lo
+    lo_hi = a_lo * b_hi
+    carry = (lo_lo >> _BITS32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)
+    hi = a_hi * b_hi
+    hi += hi_lo >> _BITS32
+    hi += lo_hi >> _BITS32
+    hi += carry >> _BITS32
+    return np.uint64(a) * b, hi
+
+
+def _philox_block(seed: int, domain: int, counter):
+    """Philox4x64-10 output block (four uint64 arrays) under key
+    ``(seed, domain)`` for the counter words ``counter`` = (c0, c1, c2, c3),
+    uint64 arrays that broadcast against each other."""
+    x0, x1, x2, x3 = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in counter))
+    k0, k1 = seed & _MASK64, domain & _MASK64
+    for _ in range(10):
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], x0)
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], x2)
+        hi1 ^= x1
+        hi1 ^= np.uint64(k0)
+        hi0 ^= x3
+        hi0 ^= np.uint64(k1)
+        x0, x1, x2, x3 = hi1, lo1, hi0, lo0
+        k0 = (k0 + _PHILOX_W[0]) & _MASK64
+        k1 = (k1 + _PHILOX_W[1]) & _MASK64
+    return x0, x1, x2, x3
+
+
+def _trial_counters(start: int, count: int) -> np.ndarray:
+    """Counter word 3 of trials start .. start+count-1, modulo 2**64."""
+    return np.uint64(start & _MASK64) + np.arange(count, dtype=np.uint64)
 
 
 def _gains_from_uniforms(u: np.ndarray, cfg: FadingConfig):
@@ -140,31 +192,22 @@ def sample_channels(cfg: FadingConfig, seed: int, trial_index: int) -> ChannelRe
     A pure function of (cfg, seed, trial_index): repeated calls are
     bit-identical regardless of interleaving with other trials.
     """
-    rng = _substream(seed, trial_index, CHANNEL_DOMAIN)
-    u = rng.random(cfg.n_bs * (cfg.m_ue1 + cfg.k_ue2))
-    h, g = _gains_from_uniforms(u, cfg)
-    return ChannelRealization(h, g)
+    h, g = sample_channel_batch(cfg, seed, trial_index, 1)
+    return ChannelRealization(h[0], g[0])
 
 
 def sample_channel_batch(cfg: FadingConfig, seed: int, start: int, count: int):
     """Stacked draws for trials start .. start+count-1.
 
-    Bit-identical to stacking ``sample_channels`` per trial; the hot loop
-    reuses one Philox instance and rewrites its counter per trial, which is
-    about an order of magnitude faster than constructing fresh generators.
-    Returns (h, g) with shapes (count, N, M) and (count, N, K).
+    Trial t's N*(M+K) uniforms are the words of its blocks (j, 0, 0, t),
+    j = 1, 2, ..., all computed at once, each mapped to [0, 1) as numpy's
+    ``random()`` maps a word.  Returns (h, g) with shapes (count, N, M) and
+    (count, N, K).
     """
     total = cfg.n_bs * (cfg.m_ue1 + cfg.k_ue2)
-    phil = np.random.Philox(key=_key(seed, CHANNEL_DOMAIN))
-    gen = np.random.Generator(phil)
-    state = phil.state  # template; counter words 0..2 stay zero
-    counter = state["state"]["counter"]
-    u = np.empty((count, total), dtype=np.float64)
-    for i in range(count):
-        counter[3] = (start + i) & _MASK64
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        phil.state = state
-        u[i] = gen.random(total)
+    blocks = np.arange(1, -(-total // 4) + 1, dtype=np.uint64)
+    words = _philox_block(seed, CHANNEL_DOMAIN, (blocks[None, :], 0, 0,
+                                                 _trial_counters(start, count)[:, None]))
+    words = np.stack(words, axis=-1).reshape(count, 4 * blocks.size)[:, :total]
+    u = (words >> np.uint64(11)) * 2.0 ** -53
     return _gains_from_uniforms(u, cfg)

@@ -33,8 +33,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import FadingConfig, sample_channel_batch
-from .rates import PowerSplit, cr_rates, fnoma_pair_rates, jain_fairness, oma_pair_rates
+from .channel import FadingConfig, largest_gain, sample_channel_batch
+from .rates import (PowerSplit, cr_rates, fnoma_pair_rates, jain_fairness, oma_pair_rates,
+                    qos_epsilon)
 from .selection import POLICIES
 
 _CHUNK = 16384
@@ -42,7 +43,15 @@ ASYMPTOTIC_MIN_RHO = 1e8  # below this the high-SNR closed forms are not claimed
 
 
 class ConfigurationError(ValueError):
-    """Invalid scenario, axis, or file input (CLI exit code 1)."""
+    """Invalid scenario, axis, or file input (CLI exit code 1).
+
+    `keys` are the scenario keys whose values the message names, if any; a
+    scenario file reports the line of the first one it sets.
+    """
+
+    def __init__(self, message, keys=()):
+        super().__init__(message)
+        self.keys = keys
 
 
 @dataclass(frozen=True)
@@ -66,20 +75,47 @@ class Scenario:
             if self.split is None:
                 raise ConfigurationError("fnoma scenarios need a power split (key b)")
             if not (self.split.b > 0 and self.split.a >= self.split.b):
-                raise ConfigurationError(f"b = {self.split.b}: fnoma needs 0 < b <= 0.5")
-        if self.mode == "crnoma" and (self.r_th is None or not self.r_th > 0):
-            raise ConfigurationError("crnoma scenarios need r_th > 0")
+                raise ConfigurationError(f"b = {self.split.b}: fnoma needs 0 < b <= 0.5",
+                                         ("b",))
+        if self.mode == "crnoma":
+            if self.r_th is None:
+                raise ConfigurationError("crnoma scenarios need a rate floor (key r_th)")
+            with np.errstate(over="ignore"):
+                eps = qos_epsilon(self.r_th) if self.r_th > 0 else 0.0
+            if not 0 < eps < math.inf:
+                raise ConfigurationError(f"r_th = {self.r_th}: crnoma needs 2**r_th - 1 "
+                                         f"positive and finite", ("r_th",))
         if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
-            raise ConfigurationError(f"trials = {self.trials!r}: need an integer >= 1")
+            raise ConfigurationError(f"trials = {self.trials!r}: need an integer >= 1",
+                                     ("trials",))
         if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2 ** 64:
-            raise ConfigurationError(f"seed = {self.seed!r}: need an integer in [0, 2**64)")
+            raise ConfigurationError(f"seed = {self.seed!r}: need an integer in [0, 2**64)",
+                                     ("seed",))
+        fading = self.fading
         try:
-            omegas = (self.fading.omega_h, self.fading.omega_g)
+            omegas = (fading.omega_h, fading.omega_g)
         except OverflowError:
             omegas = (math.inf,)
         if not all(0 < w < math.inf for w in omegas):
-            raise ConfigurationError(f"alpha = {self.fading.alpha}: path loss "
-                                     f"d1**alpha or d2**alpha is out of float range")
+            raise ConfigurationError(f"alpha = {fading.alpha}: path loss "
+                                     f"d1**alpha or d2**alpha is out of float range",
+                                     ("alpha",))
+        try:
+            rho = fading.rho
+        except OverflowError:
+            rho = math.inf
+        if not 0 < rho < math.inf:
+            keys = ("ps_dbm", "sigma2_dbm")  # the larger magnitude first
+            raise ConfigurationError(
+                f"ps_dbm = {fading.ps_dbm}, sigma2_dbm = {fading.sigma2_dbm}: the SNR "
+                f"10**((ps_dbm - sigma2_dbm)/10) is out of float range",
+                sorted(keys, key=lambda k: -abs(getattr(fading, k))))
+        for key, d, omega in (("d1", fading.d1, omegas[0]), ("d2", fading.d2, omegas[1])):
+            if not rho * largest_gain(omega) < math.inf:
+                raise ConfigurationError(
+                    f"{key} = {d}, alpha = {fading.alpha}: the largest gain a draw can "
+                    f"give, {largest_gain(1.0):.6g} / {key}**alpha, times the SNR "
+                    f"{rho:.6g} overflows", (key, "alpha"))
 
 
 @dataclass(frozen=True)
@@ -376,6 +412,7 @@ def _parse_kv_lines(lines, path, start_line=0):
 
 
 def _scenario_from_mapping(kv: dict, path, allow_tolerance=False):
+    lines = {key: where for key, (_, where) in kv.items()}
     kv = dict(kv)
 
     def take(key, parse, default=None):
@@ -403,6 +440,9 @@ def _scenario_from_mapping(kv: dict, path, allow_tolerance=False):
         split = None if b is None else PowerSplit.from_b(b)
         scn = Scenario(FadingConfig(**fading_kwargs), mode, policy,
                        split=split, r_th=r_th, trials=trials, seed=seed)
+    except ConfigurationError as exc:
+        where = next((lines[k] for k in exc.keys if k in lines), path)
+        raise ConfigurationError(f"{where}: {exc}", exc.keys) from None
     except ValueError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
     return scn, tolerance

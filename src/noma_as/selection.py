@@ -25,6 +25,15 @@ between the two matrices resolves to the UE1 side, consistently with the
 channel-order indicator.  Ties have probability zero under continuous
 fading; the rules exist so results are reproducible.
 
+random_as draws trial t's (n, m, k) from its policy-domain Philox blocks
+(see ``channel``) exactly as numpy's ``Generator.integers(0, [N, M, K])``
+does on the per-trial generator ``Philox(key=(seed, 1), counter=(0, 0, 0,
+t))``.  Each dimension above 1 reads the next 32-bit word, the low half of
+a 64-bit word before its high half; a dimension of 1 reads none.  The value
+is ``(u32 * dim) >> 32``, and Lemire's rejection (ACM TOMACS 2019) makes it
+exactly uniform: when ``(u32 * dim) mod 2**32 < (2**32 - dim) mod dim`` the
+trial draws again from its next word.
+
 The ``_*_triples`` kernels operate on stacked realizations of shape
 (T, N, M)/(T, N, K) and return 0-based index arrays; the public functions
 wrap a batch of one and report 1-based indices.  ``POLICIES`` is the one
@@ -39,7 +48,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import analytics
-from .channel import ChannelRealization, POLICY_DOMAIN, _substream
+from .channel import (ChannelRealization, POLICY_DOMAIN, _LOW32, _philox_block,
+                      _trial_counters)
 from .rates import PowerSplit, cr_power_split, cr_rates, fnoma_sum_rate
 
 
@@ -189,14 +199,33 @@ def _es_crnoma_triples(h, g, rho, r_th):
 
 
 def _random_triples(n_dim, m_dim, k_dim, seed, start, count):
-    n = np.empty(count, dtype=np.int64)
-    m = np.empty(count, dtype=np.int64)
-    k = np.empty(count, dtype=np.int64)
-    high = [n_dim, m_dim, k_dim]
-    for i in range(count):
-        rng = _substream(seed, start + i, POLICY_DOMAIN)
-        n[i], m[i], k[i] = rng.integers(0, high)
-    return n, m, k
+    """Uniform (n, m, k) of trials start .. start+count-1, drawn as numpy's
+    ``integers(0, [n_dim, m_dim, k_dim])`` draws them (see the module
+    docstring)."""
+    if max(n_dim, m_dim, k_dim) > 2 ** 32:
+        raise ValueError("antenna counts above 2**32 are not supported")
+    trials = _trial_counters(start, count)
+    words = np.empty((count, 0), dtype=np.uint32)  # 8 per block
+    used = np.zeros(count, dtype=np.int64)  # words each trial has consumed
+    out = []
+    for dim in (n_dim, m_dim, k_dim):
+        value = np.zeros(count, dtype=np.int64)
+        threshold = (2 ** 32 - dim) % dim
+        todo = np.arange(count if dim > 1 else 0)
+        while todo.size:
+            while used[todo].max() >= words.shape[1]:
+                block = _philox_block(seed, POLICY_DOMAIN,
+                                      (words.shape[1] // 8 + 1, 0, 0, trials))
+                # low half of each word first, as numpy's next_uint32 reads it
+                halves = np.stack(block, axis=1).astype("<u8", copy=False).view("<u4")
+                words = np.concatenate([words, halves], axis=1)
+            product = words[todo, used[todo]].astype(np.uint64) * np.uint64(dim)
+            used[todo] += 1
+            accept = (product & _LOW32) >= threshold
+            value[todo[accept]] = product[accept] >> np.uint64(32)
+            todo = todo[~accept]
+        out.append(value)
+    return tuple(out)
 
 
 def _oma_indices(h, g):

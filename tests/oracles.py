@@ -3,12 +3,47 @@
 Everything here is deliberately written with plain Python loops and the
 math module: the searches share nothing with the numpy kernels they verify
 except the documented tie-break convention (lowest row-major index, UE1
-side on a row-level tie).
+side on a row-level tie).  The per-trial draws are numpy's own streams: one
+``np.random.Generator(np.random.Philox(...))`` per trial, read with its
+``random`` and ``integers`` methods.
 """
 
 import math
 
 import numpy as np
+
+_MASK64 = (1 << 64) - 1
+CHANNEL_DOMAIN, POLICY_DOMAIN = 0, 1
+
+
+# --- numpy's own per-trial streams ---------------------------------------------
+# The package computes trial t's random words for every trial at once.  These
+# build numpy's Philox generator for one trial at a time instead, the way the
+# package's draws are defined, and are the reference they must match bit for
+# bit.
+
+
+def _key(seed, domain):
+    return np.array([seed & _MASK64, domain], dtype=np.uint64)
+
+
+def _substream(seed, trial_index, domain):
+    """numpy Generator whose state is a pure function of (seed, trial, domain)."""
+    counter = np.array([0, 0, 0, trial_index & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=_key(seed, domain), counter=counter))
+
+
+def channel_uniforms(seed, trial_index, total):
+    """The `total` uniforms behind trial `trial_index`'s channel gains."""
+    return _substream(seed, trial_index, CHANNEL_DOMAIN).random(total)
+
+
+def random_triple(seed, trial_index, dims):
+    """The random policy's 0-based (n, m, k) for one trial."""
+    return tuple(_substream(seed, trial_index, POLICY_DOMAIN).integers(0, list(dims)))
+
+
+# --- plain-loop references -----------------------------------------------------
 
 
 def random_instance(rng, n, m, k, omega_h=1.0, omega_g=2.0):

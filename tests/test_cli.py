@@ -103,17 +103,33 @@ def test_sweep_unknown_scenario_key(tmp_path):
                  "--values", "100"]) == 1
 
 
+CR_SCENARIO_TEXT = """\
+mode = crnoma
+policy = pu
+n_bs = 4
+ps_dbm = 20
+r_th = 5
+trials = 300
+seed = 3
+"""
+
+
 @pytest.mark.parametrize("line", ["trials = 1e5", "trials = 2.5", "seed = -1",
-                                  "b = 0", "alpha = 300"])
+                                  "b = 0", "alpha = 300", "ps_dbm = 2980",
+                                  "ps_dbm = -5000", "sigma2_dbm = -4000", "d1 = 1e-100",
+                                  "cr: r_th = 1024", "cr: r_th = inf"])
 def test_bad_scenario_value_names_file_and_key(tmp_path, capsys, line):
+    text = SCENARIO_TEXT
+    if line.startswith("cr: "):
+        text, line = CR_SCENARIO_TEXT, line[4:]
     key = line.split(" =")[0]
     path = tmp_path / "bad.txt"
-    path.write_text("".join(row for row in SCENARIO_TEXT.splitlines(True)
-                            if not row.startswith(key + " ")) + line + "\n")
+    rows = [row for row in text.splitlines(True) if not row.startswith(key + " ")]
+    path.write_text("".join(rows) + line + "\n")
     assert main(["sweep", "--scenario", str(path), "--axis", "d2",
                  "--values", "100"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}") and f"{key} =" in err
+    assert err.startswith(f"error: {path}:{len(rows) + 1}: ") and f"{key} =" in err
 
 
 def test_sweep_missing_file(tmp_path):

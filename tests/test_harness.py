@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from noma_as import harness
 from noma_as.harness import Run
@@ -14,6 +16,7 @@ from noma_as import (ConfigurationError, FadingConfig, PowerSplit, Scenario,
                      run_point, run_trials, sample_channels, sweep,
                      validate_asymptotics)
 from noma_as import a3_as, pu_as
+from noma_as.selection import POLICIES
 
 
 def _fnoma_scn(**kw):
@@ -56,10 +59,73 @@ def test_mode_policy_compatibility():
     ({"seed": -1}, "seed"),
     ({"seed": 2 ** 64}, "seed"),
     ({"fading": FadingConfig(alpha=300.0)}, "alpha"),
+    ({"fading": FadingConfig(ps_dbm=2980.0)}, "ps_dbm"),  # rho overflows
+    ({"fading": FadingConfig(ps_dbm=-5000.0)}, "ps_dbm"),  # rho underflows to 0
+    ({"fading": FadingConfig(sigma2_dbm=-4000.0)}, "sigma2_dbm"),
+    ({"policy": "es", "fading": FadingConfig(d1=1e-100)}, "d1"),  # rho * gain overflows
+    ({"fading": FadingConfig(d1=1.0, d2=0.5, alpha=1000.0)}, "d2"),
 ])
 def test_bad_scenario_value_fails_at_construction(kwargs, key):
     with pytest.raises(ConfigurationError, match=rf"\b{key} ="):
         _fnoma_scn(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, key", [
+    ({"r_th": 1024.0}, "r_th"),  # 2**r_th - 1 overflows
+    ({"r_th": math.inf}, "r_th"),
+    ({"r_th": 1e-300}, "r_th"),  # 2**r_th - 1 rounds to 0
+    ({"policy": "es", "fading": FadingConfig(d1=1e-100, d2=1e-100)}, "d1"),
+])
+def test_bad_crnoma_value_fails_at_construction(kwargs, key):
+    with pytest.raises(ConfigurationError, match=rf"\b{key} ="):
+        _cr_scn(**kwargs)
+
+
+def _log_wide(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pair=st.sampled_from(sorted(POLICIES)), dims=st.tuples(*[st.integers(1, 4)] * 3),
+       d1=_log_wide(-120, 120), d2=_log_wide(-120, 120), alpha=_log_wide(-3, 3),
+       ps_dbm=st.floats(-4000, 4000), sigma2_dbm=st.floats(-4000, 4000),
+       b=st.floats(0.0, 0.5), r_th=st.one_of(st.floats(0.0, 2000.0), st.just(math.inf)),
+       trials=st.integers(1, 64), seed=st.integers(0, 2 ** 64 - 1))
+@example(pair=("fnoma", "a3"), dims=(2, 2, 2), d1=80.0, d2=200.0, alpha=3.0,
+         ps_dbm=2980.0, sigma2_dbm=-110.0, b=0.4, r_th=1.0, trials=64, seed=0)
+@example(pair=("fnoma", "a3"), dims=(2, 2, 2), d1=80.0, d2=200.0, alpha=3.0,
+         ps_dbm=-5000.0, sigma2_dbm=-110.0, b=0.4, r_th=1.0, trials=64, seed=0)
+@example(pair=("crnoma", "pu"), dims=(4, 2, 2), d1=80.0, d2=200.0, alpha=3.0,
+         ps_dbm=20.0, sigma2_dbm=-110.0, b=0.4, r_th=1024.0, trials=64, seed=0)
+@example(pair=("crnoma", "pu"), dims=(4, 2, 2), d1=80.0, d2=200.0, alpha=3.0,
+         ps_dbm=20.0, sigma2_dbm=-110.0, b=0.4, r_th=math.inf, trials=64, seed=0)
+@example(pair=("fnoma", "es"), dims=(2, 2, 2), d1=1e-100, d2=200.0, alpha=3.0,
+         ps_dbm=30.0, sigma2_dbm=-110.0, b=0.4, r_th=1.0, trials=64, seed=0)
+@example(pair=("crnoma", "es"), dims=(4, 2, 2), d1=1e-100, d2=1e-100, alpha=3.0,
+         ps_dbm=20.0, sigma2_dbm=-110.0, b=0.4, r_th=5.0, trials=64, seed=0)
+def test_any_scenario_is_rejected_when_built_or_reports_finite_numbers(
+        pair, dims, d1, d2, alpha, ps_dbm, sigma2_dbm, b, r_th, trials, seed):
+    mode, policy = pair
+    fading = FadingConfig(n_bs=dims[0], m_ue1=dims[1], k_ue2=dims[2], d1=d1, d2=d2,
+                          alpha=alpha, ps_dbm=ps_dbm, sigma2_dbm=sigma2_dbm)
+    try:
+        scn = Scenario(fading, mode, policy, split=PowerSplit.from_b(b), r_th=r_th,
+                       trials=trials, seed=seed)
+    except ConfigurationError:
+        return
+    report = run_trials(scn, workers=1)
+    values = [report.mean_r1, report.mean_r2, report.mean_sum, report.mean_fairness,
+              *report.std_err.values()]
+    assert all(math.isfinite(v) for v in values), report
+
+
+def test_sweep_rejects_a_bad_point_before_any_point_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr(harness._GeometryCache, "simulate",
+                        lambda self, task: ran.append(task))
+    with pytest.raises(ConfigurationError, match=r"\bps_dbm ="):
+        sweep(_fnoma_scn(), "ps_dbm", [10.0, 20.0, 2980.0], workers=1)
+    assert ran == []
 
 
 # --- trial averaging ----------------------------------------------------------

@@ -189,6 +189,25 @@ def test_random_deterministic_under_seed():
     assert s1.eval_count == 0
 
 
+@pytest.mark.parametrize("dims", [(4, 2, 2), (3, 5, 7), (1, 2, 3), (2, 1, 1),
+                                  (2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32 - 5)])
+def test_random_triples_match_numpy_integers(dims, monkeypatch):
+    # the last case rejects about half of its first words, so trials retry
+    # and some run past their first block
+    from noma_as import selection
+    blocks = []
+    philox_block = selection._philox_block
+    monkeypatch.setattr(selection, "_philox_block",
+                        lambda *args: blocks.append(args) or philox_block(*args))
+    # the second start wraps the trial index past 2**64 - 1 to 0
+    for seed, start in ((21, 0), (2 ** 64 - 1, 2 ** 64 - 100)):
+        got = np.stack(selection._random_triples(*dims, seed, start, 200), axis=1)
+        expected = [oracles.random_triple(seed, start + i, dims) for i in range(200)]
+        assert got.tolist() == [list(e) for e in expected]
+    if dims[0] > 2 ** 31:
+        assert len(blocks) > 2
+
+
 def test_random_indices_uniform():
     from noma_as.selection import _random_triples
     n, _, _ = _random_triples(4, 2, 2, seed=21, start=0, count=100_000)
