@@ -18,7 +18,8 @@ words are exactly these.  Trial t's state is a pure function of
 ``(seed, domain, t)``, never of sequential draws, so any subset of trials
 can be generated in any order, on any number of workers, with identical
 results, and ``_philox_block`` computes the blocks of a whole vector of
-trials at once.
+trials at once.  ``sample_channel_batch`` is the one sampler; a single
+realization is a batch of one.
 """
 
 from __future__ import annotations
@@ -107,27 +108,6 @@ class FadingConfig:
         return transmit_snr(self.ps_dbm, self.sigma2_dbm)
 
 
-@dataclass
-class ChannelRealization:
-    """One draw of the squared-magnitude gain matrices.
-
-    h has shape (n_bs, m_ue1), g has shape (n_bs, k_ue2); every entry is
-    finite and strictly positive.
-    """
-
-    h: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=np.float64)
-        self.g = np.asarray(self.g, dtype=np.float64)
-        if self.h.ndim != 2 or self.g.ndim != 2 or self.h.shape[0] != self.g.shape[0]:
-            raise ValueError("h and g must be 2-D with a shared first dimension")
-        for a in (self.h, self.g):
-            if not np.all(np.isfinite(a)) or not np.all(a > 0.0):
-                raise ValueError("gains must be finite and strictly positive")
-
-
 # Philox4x64-10 round multipliers and Weyl key increments (Salmon et al.)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -184,16 +164,6 @@ def _gains_from_uniforms(u: np.ndarray, cfg: FadingConfig):
     h = x[..., :nm].reshape(u.shape[:-1] + (n, m)) / cfg.omega_h
     g = x[..., nm:].reshape(u.shape[:-1] + (n, k)) / cfg.omega_g
     return h, g
-
-
-def sample_channels(cfg: FadingConfig, seed: int, trial_index: int) -> ChannelRealization:
-    """Draw one channel realization for the given trial substream.
-
-    A pure function of (cfg, seed, trial_index): repeated calls are
-    bit-identical regardless of interleaving with other trials.
-    """
-    h, g = sample_channel_batch(cfg, seed, trial_index, 1)
-    return ChannelRealization(h[0], g[0])
 
 
 def sample_channel_batch(cfg: FadingConfig, seed: int, start: int, count: int):

@@ -170,7 +170,7 @@ class _GeometryCache:
             elif mode == "oma":
                 out[policy] = oma_pair_rates(h_sel, g_sel, rho)
             else:
-                out[policy] = cr_rates(h_sel, g_sel, rho, r_th, "exact")
+                out[policy] = cr_rates(h_sel, g_sel, rho, r_th)
         return t0, out
 
 

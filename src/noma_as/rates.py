@@ -5,10 +5,12 @@ receiver cancels the weaker user's signal before decoding), the
 QoS-constrained variant where UE2 is primary and the power split adapts to
 the channel, and an equal-time orthogonal baseline.
 
-Role assignment is per realization: the channel-order indicator is 1 when
-the UE1 gain is at least the UE2 gain (ties deliberately resolve to 1 so the
+Role assignment is per realization: UE1 is the strong user when its gain is
+at least the UE2 gain (``h >= g``; ties deliberately resolve to UE1 so the
 mapping is deterministic).  The coefficient ``b`` always rides on the strong
-user's signal and ``a = 1 - b`` on the weak user's.
+user's signal and ``a = 1 - b`` on the weak user's.  Every QoS-constrained
+policy is evaluated with the same exact, clipped split; the high-SNR
+simplifications live only in the closed forms of ``analytics``.
 
 All functions are ufunc-based: they accept scalars or broadcast-compatible
 arrays, and return Python floats for pure-scalar input.  Rates are bit/s/Hz
@@ -42,12 +44,6 @@ class RatePair(NamedTuple):
 
 def _out(v):
     return float(v) if np.ndim(v) == 0 else v
-
-
-def channel_order(h, g):
-    """Indicator of the gain ordering: 1 when h >= g, else 0."""
-    d = np.greater_equal(h, g).astype(np.int64)
-    return int(d) if d.ndim == 0 else d
 
 
 def qos_epsilon(r_th):
@@ -117,47 +113,38 @@ def jain_fairness(r1, r2):
     return _out(np.where(q > 0.0, s * s / (2.0 * safe), 1.0))
 
 
-def cr_power_split(h, g, rho, r_th, mode="exact") -> PowerSplit:
+def cr_power_split(h, g, rho, r_th) -> PowerSplit:
     """Strong-user coefficient that serves UE1 subject to UE2's rate floor.
 
     UE2 is primary: its rate must reach r_th, so b is the extreme admissible
-    value given the gain ordering.  ``exact`` clips b into [0, 1] (an empty
-    admissible range means UE1 gets no power and its rate is zero);
-    ``asymptotic`` returns the unclipped high-SNR simplification.
+    value given the gain ordering, clipped into [0, 1] (an empty admissible
+    range means UE1 gets no power and its rate is zero).
     """
-    if mode not in ("exact", "asymptotic"):
-        raise ValueError(f"unknown mode {mode!r}")
     if not np.all(np.greater(rho, 0)) or not np.all(np.greater(r_th, 0)):
         raise ValueError("rho and r_th must be positive")
     eps = qos_epsilon(r_th)
     d = np.greater_equal(h, g)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b_ue1_strong = (rho * g - eps) / (rho * g * (eps + 1.0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = rho * g * (eps + 1.0)
+        b_ue1_strong = (rho * g - eps) / den
+        big = np.isinf(den)
+        if np.any(big):  # the same value, without the overflowing product
+            b_ue1_strong = np.where(big, (1.0 - eps / (rho * g)) / (eps + 1.0),
+                                    b_ue1_strong)
         b_ue2_strong = eps / (rho * g)
-    if mode == "exact":
-        b_ue1_strong = np.maximum(b_ue1_strong, 0.0)
-        b_ue2_strong = np.minimum(b_ue2_strong, 1.0)
-    b = np.where(d, b_ue1_strong, b_ue2_strong)
+    b = np.where(d, np.maximum(b_ue1_strong, 0.0), np.minimum(b_ue2_strong, 1.0))
     return PowerSplit(_out(1.0 - b), _out(b))
 
 
-def cr_rates(h, g, rho, r_th, mode="exact") -> RatePair:
+def cr_rates(h, g, rho, r_th) -> RatePair:
     """(secondary, primary) rates under the QoS-driven power split.
 
-    r1 is UE1's (secondary) rate; with an exact split strictly inside (0, 1)
-    the primary rate equals r_th, and a clipped split yields r1 = 0.  The
-    asymptotic mode evaluates the high-SNR secondary-rate expressions and is
-    an analysis tool only (it may go negative at low SNR).
+    r1 is UE1's (secondary) rate; with a split strictly inside (0, 1) the
+    primary rate equals r_th, and a clipped split yields r1 = 0.
     """
-    split = cr_power_split(h, g, rho, r_th, mode)
-    a, b = split
+    a, b = cr_power_split(h, g, rho, r_th)
     d = np.greater_equal(h, g)
-    if mode == "exact":
-        r1 = np.where(d, _strong_rate(h, b, rho), _weak_rate(h, a, b, rho))
-    else:
-        eps = qos_epsilon(r_th)
-        r1 = np.where(d, np.log2(rho * h / (eps + 1.0)),
-                      np.log2(rho * h * g / (eps * h + g)))
+    r1 = np.where(d, _strong_rate(h, b, rho), _weak_rate(h, a, b, rho))
     r2 = np.where(d, _weak_rate(g, a, b, rho), _strong_rate(g, b, rho))
     return RatePair(_out(r1), _out(r2))
 

@@ -1,43 +1,46 @@
 """Joint transmit/receive antenna-selection policies.
 
-Every policy maps one channel realization to a selected antenna triple
-(BS, UE1, UE2) plus the implied gain ordering.  The exhaustive searches are
-the optimality references; the staged policies trade a little rate for a
-comparison count that is linear instead of cubic in the antenna counts.
+Every policy maps a channel realization to a selected antenna triple
+(BS, UE1, UE2); the orthogonal baseline picks each user's best link on its
+own.  The exhaustive searches are the optimality references; the staged
+policies trade a little rate for a comparison count that is linear instead
+of cubic in the antenna counts.
 
 eval_count convention: pairwise max/min comparisons plus, for the exhaustive
-searches, one unit per candidate objective evaluation.  The exact counts are
+searches, one unit per candidate objective evaluation.  The exact counts of
+the ``POLICIES`` entries are
 
-    es_fnoma / es_crnoma    : N*M*K
-    a3_as / aia_as / mcg_as : N*(M-1) + N*(K-1) + N + (N-1) = N*(M+K) - 1
-    pu_as                   : (N*K - 1) + (M - 1)
-    su_as                   : (N*M - 1) + (K - 1)
-    random_as               : 0
-    oma_es                  : (N*M - 1) + (N*K - 1)
+    es (fnoma and crnoma) : N*M*K
+    a3 / aia / mcg        : N*(M-1) + N*(K-1) + N + (N-1) = N*(M+K) - 1
+    pu                    : (N*K - 1) + (M - 1)
+    su                    : (N*M - 1) + (K - 1)
+    random                : 0
+    oma_es                : (N*M - 1) + (N*K - 1)
 
-mcg_as is realized through per-row maxima (same intermediate values as
-a3_as, hence the identical triple and count) rather than two whole-matrix
-scans; a direct scan would exceed its advertised N*(M+K)+2 budget once
-min(M, K) > 4.
+mcg is realized through per-row maxima (same intermediate values as a3,
+hence the identical triple and count) rather than two whole-matrix scans;
+a direct scan would exceed its advertised N*(M+K)+2 budget once
+min(M, K) > 4.  It reduces to su when the best UE1 gain beats the best UE2
+gain and to pu otherwise.
 
 Tie-breaking everywhere: lowest row-major linear index wins, and a tie
-between the two matrices resolves to the UE1 side, consistently with the
-channel-order indicator.  Ties have probability zero under continuous
+between the two matrices resolves to the UE1 side, as a tie of the two
+gains does in ``rates``.  Ties have probability zero under continuous
 fading; the rules exist so results are reproducible.
 
-random_as draws trial t's (n, m, k) from its policy-domain Philox blocks
-(see ``channel``) exactly as numpy's ``Generator.integers(0, [N, M, K])``
-does on the per-trial generator ``Philox(key=(seed, 1), counter=(0, 0, 0,
-t))``.  Each dimension above 1 reads the next 32-bit word, the low half of
-a 64-bit word before its high half; a dimension of 1 reads none.  The value
-is ``(u32 * dim) >> 32``, and Lemire's rejection (ACM TOMACS 2019) makes it
+random draws trial t's (n, m, k) from its policy-domain Philox blocks (see
+``channel``) exactly as numpy's ``Generator.integers(0, [N, M, K])`` does
+on the per-trial generator ``Philox(key=(seed, 1), counter=(0, 0, 0, t))``.
+Each dimension above 1 reads the next 32-bit word, the low half of a 64-bit
+word before its high half; a dimension of 1 reads none.  The value is
+``(u32 * dim) >> 32``, and Lemire's rejection (ACM TOMACS 2019) makes it
 exactly uniform: when ``(u32 * dim) mod 2**32 < (2**32 - dim) mod dim`` the
 trial draws again from its next word.
 
 The ``_*_triples`` kernels operate on stacked realizations of shape
-(T, N, M)/(T, N, K) and return 0-based index arrays; the public functions
-wrap a batch of one and report 1-based indices.  ``POLICIES`` is the one
-table of (mode, policy) pairs that the harness, the figures and the CLI read.
+(T, N, M)/(T, N, K) and return 0-based index arrays.  ``POLICIES`` is the
+one table of (mode, policy) pairs that the harness, the figures and the CLI
+read.
 """
 
 from __future__ import annotations
@@ -48,56 +51,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import analytics
-from .channel import (ChannelRealization, POLICY_DOMAIN, _LOW32, _philox_block,
-                      _trial_counters)
-from .rates import PowerSplit, cr_power_split, cr_rates, fnoma_sum_rate
-
-
-@dataclass
-class Selection:
-    """One policy decision: antenna triple, gain ordering and bookkeeping.
-
-    Antenna indices are 1-based.  gamma_s/gamma_w are the larger/smaller of
-    the two selected gains; delta is 1 when the UE1 gain is the larger one.
-    split is policy-dependent (the fixed split for fixed-power policies, the
-    QoS-driven split for the others, None for the random baseline).
-    """
-
-    n_star: int
-    m_star: int
-    k_star: int
-    delta: int
-    gamma_s: float
-    gamma_w: float
-    split: PowerSplit | None
-    eval_count: int
-
-    @property
-    def h_gain(self) -> float:
-        """Selected UE1 gain h[n*, m*]."""
-        return self.gamma_s if self.delta else self.gamma_w
-
-    @property
-    def g_gain(self) -> float:
-        """Selected UE2 gain g[n*, k*]."""
-        return self.gamma_w if self.delta else self.gamma_s
-
-
-@dataclass
-class OmaSelection:
-    """Per-user best links for the orthogonal baseline.
-
-    The two users need not share a BS antenna, so there are two BS indices
-    (all 1-based).
-    """
-
-    n1_star: int
-    m_star: int
-    n2_star: int
-    k_star: int
-    h_best: float
-    g_best: float
-    eval_count: int
+from .channel import POLICY_DOMAIN, _LOW32, _philox_block, _trial_counters
+from .rates import cr_rates, fnoma_sum_rate
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +134,7 @@ def _unravel_nmk(idx, m_dim, k_dim):
 
 
 def _es_fnoma_triples(h, g, split, rho):
+    """Exhaustive search maximizing the fixed-power sum rate."""
     tcount, _, m_dim = h.shape
     k_dim = g.shape[2]
     h4 = h[:, :, :, None]
@@ -189,11 +145,16 @@ def _es_fnoma_triples(h, g, split, rho):
 
 
 def _es_crnoma_triples(h, g, rho, r_th):
+    """Exhaustive search maximizing the secondary rate under the QoS floor.
+
+    Infeasible triples carry r1 = 0, so they are admissible but dominated;
+    an all-infeasible trial picks (0, 0, 0).
+    """
     tcount, _, m_dim = h.shape
     k_dim = g.shape[2]
     h4 = np.broadcast_to(h[:, :, :, None], h.shape + (k_dim,))
     g4 = np.broadcast_to(g[:, :, None, :], g.shape[:2] + (m_dim, k_dim))
-    r1, _ = cr_rates(h4, g4, rho, r_th, "exact")
+    r1, _ = cr_rates(h4, g4, rho, r_th)
     idx = r1.reshape(tcount, -1).argmax(axis=1)
     return _unravel_nmk(idx, m_dim, k_dim)
 
@@ -245,101 +206,6 @@ def _gains(h, g, n1, m, n2, k):
 def _triple_gains(h, g, triple):
     n, m, k = triple
     return _gains(h, g, n, m, n, k)
-
-
-# ---------------------------------------------------------------------------
-# public per-realization policies
-
-
-def _build(ch, n, m, k, split, eval_count) -> Selection:
-    h_sel = float(ch.h[n, m])
-    g_sel = float(ch.g[n, k])
-    delta = 1 if h_sel >= g_sel else 0
-    gs, gw = (h_sel, g_sel) if delta else (g_sel, h_sel)
-    return Selection(int(n) + 1, int(m) + 1, int(k) + 1, delta, gs, gw,
-                     split, eval_count)
-
-
-def _dims(ch):
-    n, m = ch.h.shape
-    return n, m, ch.g.shape[1]
-
-
-def es_fnoma(ch: ChannelRealization, split: PowerSplit, rho) -> Selection:
-    """Exhaustive search maximizing the fixed-power sum rate."""
-    n, m, k = _es_fnoma_triples(ch.h[None], ch.g[None], split, rho)
-    return _build(ch, n[0], m[0], k[0], split, count_es(*_dims(ch)))
-
-
-def es_crnoma(ch: ChannelRealization, rho, r_th) -> Selection:
-    """Exhaustive search maximizing the secondary rate under the QoS floor.
-
-    Infeasible triples carry objective 0, so they are admissible but
-    dominated; an all-infeasible realization returns the first triple.
-    """
-    n, m, k = _es_crnoma_triples(ch.h[None], ch.g[None], rho, r_th)
-    sel = _build(ch, n[0], m[0], k[0], None, count_es(*_dims(ch)))
-    sel.split = cr_power_split(sel.h_gain, sel.g_gain, rho, r_th, "exact")
-    return sel
-
-
-def a3_as(ch: ChannelRealization, split: PowerSplit, rho) -> Selection:
-    """Maximize the strong user's gain (the search ignores split and rho)."""
-    n, m, k = _a3_triples(ch.h[None], ch.g[None])
-    return _build(ch, n[0], m[0], k[0], split, count_a3(*_dims(ch)))
-
-
-def aia_as(ch: ChannelRealization, split: PowerSplit, rho) -> Selection:
-    """Maximize the weak user's gain (the search ignores split and rho)."""
-    n, m, k = _aia_triples(ch.h[None], ch.g[None])
-    return _build(ch, n[0], m[0], k[0], split, count_a3(*_dims(ch)))
-
-
-def mcg_as(ch: ChannelRealization, rho, r_th) -> Selection:
-    """Strong-gain-first selection with the high-SNR QoS split attached.
-
-    Selects the same triple as a3_as on every realization; reduces to su_as
-    when the best UE1 gain beats the best UE2 gain and to pu_as otherwise.
-    """
-    n, m, k = _a3_triples(ch.h[None], ch.g[None])
-    sel = _build(ch, n[0], m[0], k[0], None, count_a3(*_dims(ch)))
-    sel.split = cr_power_split(sel.h_gain, sel.g_gain, rho, r_th, "asymptotic")
-    return sel
-
-
-def pu_as(ch: ChannelRealization, rho, r_th) -> Selection:
-    """Primary-first: best UE2 link globally, then UE1's best on that row."""
-    n, m, k = _pu_triples(ch.h[None], ch.g[None])
-    sel = _build(ch, n[0], m[0], k[0], None, count_pu(*_dims(ch)))
-    sel.split = cr_power_split(sel.h_gain, sel.g_gain, rho, r_th, "asymptotic")
-    return sel
-
-
-def su_as(ch: ChannelRealization, rho, r_th) -> Selection:
-    """Secondary-first: best UE1 link globally, then UE2's best on that row."""
-    n, m, k = _su_triples(ch.h[None], ch.g[None])
-    sel = _build(ch, n[0], m[0], k[0], None, count_su(*_dims(ch)))
-    sel.split = cr_power_split(sel.h_gain, sel.g_gain, rho, r_th, "asymptotic")
-    return sel
-
-
-def random_as(ch: ChannelRealization, seed, trial_index=0) -> Selection:
-    """Uniform independent indices; deterministic in (seed, trial_index).
-
-    Uses a policy-domain substream so the draws never alias the channel
-    generator's for the same (seed, trial_index).
-    """
-    n_dim, m_dim, k_dim = _dims(ch)
-    n, m, k = _random_triples(n_dim, m_dim, k_dim, seed, trial_index, 1)
-    return _build(ch, n[0], m[0], k[0], None, 0)
-
-
-def oma_es(ch: ChannelRealization, rho) -> OmaSelection:
-    """Independent per-user best links for the orthogonal baseline."""
-    n1, m, n2, k = _oma_indices(ch.h[None], ch.g[None])
-    return OmaSelection(int(n1[0]) + 1, int(m[0]) + 1, int(n2[0]) + 1,
-                        int(k[0]) + 1, float(ch.h[n1[0], m[0]]),
-                        float(ch.g[n2[0], k[0]]), count_oma(*_dims(ch)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,13 @@ import pytest
 from scipy import integrate
 
 import oracles
-from noma_as import (AnalyticConfig, ChannelRealization, FadingConfig,
-                     PowerSplit, aia_strong_pdf, cr_power_split, cr_rates,
-                     es_crnoma, es_fnoma, mcg_avg_secondary_rate, prob_h_ge_g,
+from noma_as import (AnalyticConfig, FadingConfig, PowerSplit, aia_strong_pdf,
+                     cr_power_split, cr_rates, mcg_avg_secondary_rate, prob_h_ge_g,
                      a3_avg_sum_rate, aia_avg_sum_rate,
                      pu_avg_secondary_rate, quadrature_rate, run_point,
                      sample_channel_batch, su_avg_secondary_rate)
-from noma_as.selection import (_a3_triples, _aia_triples, a3_as, aia_as,
-                               count_a3, count_pu, count_su,
-                               mcg_as, oma_es, pu_as, random_as, su_as)
+from noma_as.selection import (POLICIES, _a3_triples, _aia_triples, _es_crnoma_triples,
+                               _es_fnoma_triples)
 
 SEED = 20240501
 SPLIT = PowerSplit.from_b(0.4)
@@ -42,17 +40,16 @@ def test_criterion_1_exhaustive_search_oracle_equivalence():
     for _ in range(10_000):
         n, m, k = rng.integers(1, 5, size=3)
         h, g = oracles.random_instance(rng, n, m, k, omega_h=0.9, omega_g=2.1)
-        ch = ChannelRealization(h, g)
 
-        sel = es_fnoma(ch, SPLIT, 1e3)
+        triple = [int(i[0]) for i in _es_fnoma_triples(h[None], g[None], SPLIT, 1e3)]
         (bn, bm, bk), val = oracles.brute_es_fnoma(h, g, SPLIT.b, 1e3)
-        assert (sel.n_star - 1, sel.m_star - 1, sel.k_star - 1) == (bn, bm, bk)
-        impl_val = oracles.fnoma_objective(ch.h[bn, bm], ch.g[bn, bk], SPLIT.b, 1e3)
+        assert tuple(triple) == (bn, bm, bk)
+        impl_val = oracles.fnoma_objective(h[bn, bm], g[bn, bk], SPLIT.b, 1e3)
         assert abs(impl_val - val) <= 1e-12 * max(1.0, abs(val))
 
-        sel = es_crnoma(ch, 1e3, 2.0)
+        triple = [int(i[0]) for i in _es_crnoma_triples(h[None], g[None], 1e3, 2.0)]
         (bn, bm, bk), val = oracles.brute_es_crnoma(h, g, 1e3, 2.0)
-        assert (sel.n_star - 1, sel.m_star - 1, sel.k_star - 1) == (bn, bm, bk)
+        assert tuple(triple) == (bn, bm, bk)
         checked += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"criterion 1 took {elapsed:.1f}s"
@@ -270,18 +267,19 @@ def test_criterion_9_qualitative_figure_claims():
 
 
 def test_criterion_10_complexity_instrumentation():
-    rng = np.random.default_rng(SEED + 4)
-    rho, r_th = 1e12, 1.0
+    unbounded = {key for key, policy in POLICIES.items() if policy.bound is None}
+    assert unbounded == {("fnoma", "random"), ("crnoma", "random"), ("oma", "oma_es")}
     for n, m, k in itertools.product(range(1, 9), repeat=3):
-        ch = ChannelRealization(*oracles.random_instance(rng, n, m, k))
-        assert es_fnoma(ch, SPLIT, rho).eval_count == n * m * k
-        assert es_crnoma(ch, rho, r_th).eval_count == n * m * k
-        assert a3_as(ch, SPLIT, rho).eval_count == count_a3(n, m, k) <= n * (m + k + 3)
-        assert aia_as(ch, SPLIT, rho).eval_count <= n * (m + k + 3)
-        assert mcg_as(ch, rho, r_th).eval_count == count_a3(n, m, k) <= n * (m + k) + 2
-        assert pu_as(ch, rho, r_th).eval_count == count_pu(n, m, k) <= n * k + m
-        assert su_as(ch, rho, r_th).eval_count == count_su(n, m, k) <= n * m + k
-        assert random_as(ch, seed=1).eval_count == 0
-        assert oma_es(ch, rho).eval_count == (n * m - 1) + (n * k - 1)
+        for key, policy in POLICIES.items():
+            count = policy.count(n, m, k)
+            assert count >= 0, (key, n, m, k)
+            if policy.bound is not None:
+                limit = policy.bound.limit(n, m, k)
+                assert count == limit if policy.bound.exact else count <= limit, (key, n, m, k)
+        assert POLICIES["fnoma", "es"].count(n, m, k) == n * m * k
+        assert POLICIES["crnoma", "es"].count(n, m, k) == n * m * k
+        assert POLICIES["fnoma", "random"].count(n, m, k) == 0
+        assert POLICIES["crnoma", "random"].count(n, m, k) == 0
+        assert POLICIES["oma", "oma_es"].count(n, m, k) == (n * m - 1) + (n * k - 1)
     _announce(10, "comparison counts exact for exhaustive search and within "
                   "every advertised bound over all 512 antenna configurations")

@@ -5,8 +5,8 @@ import pytest
 from scipy import stats
 
 import oracles
-from noma_as import (ChannelRealization, FadingConfig, omega_from_distance,
-                     sample_channel_batch, sample_channels, transmit_snr)
+from noma_as import (FadingConfig, omega_from_distance, sample_channel_batch,
+                     transmit_snr)
 from noma_as.channel import _gains_from_uniforms, _philox_block
 
 _MASK64 = (1 << 64) - 1
@@ -52,24 +52,15 @@ def test_fading_config_validation(kwargs):
         FadingConfig(**kwargs)
 
 
-def test_realization_validation():
-    with pytest.raises(ValueError):
-        ChannelRealization(np.zeros((2, 2)), np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        ChannelRealization(np.full((2, 2), np.nan), np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        ChannelRealization(np.ones((2, 2)), np.ones((3, 2)))
-
-
 def test_sampling_is_pure_in_seed_and_trial():
     cfg = FadingConfig()
-    a = sample_channels(cfg, seed=123, trial_index=42)
-    b = sample_channels(cfg, seed=123, trial_index=42)
-    assert np.array_equal(a.h, b.h) and np.array_equal(a.g, b.g)
-    c = sample_channels(cfg, seed=123, trial_index=43)
-    d = sample_channels(cfg, seed=124, trial_index=42)
-    assert not np.array_equal(a.h, c.h)
-    assert not np.array_equal(a.h, d.h)
+    a = sample_channel_batch(cfg, seed=123, start=42, count=1)
+    b = sample_channel_batch(cfg, seed=123, start=42, count=1)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    c = sample_channel_batch(cfg, seed=123, start=43, count=1)
+    d = sample_channel_batch(cfg, seed=124, start=42, count=1)
+    assert not np.array_equal(a[0], c[0])
+    assert not np.array_equal(a[0], d[0])
 
 
 def _oracle_gains(cfg, seed, trials):
@@ -130,9 +121,9 @@ def test_batch_matches_per_trial_draws():
     eh, eg = _oracle_gains(cfg, 7, range(3, 9))
     assert np.array_equal(h, eh) and np.array_equal(g, eg)
     for i, t in enumerate(range(3, 9)):
-        single = sample_channels(cfg, 7, t)
-        assert np.array_equal(h[i], single.h)
-        assert np.array_equal(g[i], single.g)
+        single_h, single_g = sample_channel_batch(cfg, 7, t, 1)
+        assert np.array_equal(h[i], single_h[0])
+        assert np.array_equal(g[i], single_g[0])
 
 
 def test_gains_strictly_positive_and_finite():

@@ -13,10 +13,9 @@ from noma_as.harness import Run
 from noma_as import (ConfigurationError, FadingConfig, PowerSplit, Scenario,
                      ValidationPoint, apply_axis, cr_rates, fnoma_pair_rates,
                      jain_fairness, load_scenario, load_validation_grid,
-                     run_point, run_trials, sample_channels, sweep,
+                     run_point, run_trials, sample_channel_batch, sweep,
                      validate_asymptotics)
-from noma_as import a3_as, pu_as
-from noma_as.selection import POLICIES
+from noma_as.selection import POLICIES, _a3_triples, _pu_triples
 
 
 def _fnoma_scn(**kw):
@@ -133,9 +132,9 @@ def test_sweep_rejects_a_bad_point_before_any_point_runs(monkeypatch):
 def test_single_trial_equals_direct_computation():
     scn = _fnoma_scn(trials=1, seed=77)
     report = run_trials(scn, workers=1)
-    ch = sample_channels(scn.fading, 77, 0)
-    sel = a3_as(ch, scn.split, scn.fading.rho)
-    r1, r2 = fnoma_pair_rates(sel.h_gain, sel.g_gain, scn.split, scn.fading.rho)
+    h, g = sample_channel_batch(scn.fading, 77, 0, 1)
+    (n,), (m,), (k,) = _a3_triples(h, g)
+    r1, r2 = fnoma_pair_rates(h[0, n, m], g[0, n, k], scn.split, scn.fading.rho)
     assert report.mean_r1 == r1
     assert report.mean_r2 == r2
     assert report.mean_sum == r1 + r2
@@ -147,9 +146,9 @@ def test_single_trial_equals_direct_computation():
 def test_single_trial_crnoma_equals_direct_computation():
     scn = _cr_scn(trials=1, seed=5)
     report = run_trials(scn, workers=1)
-    ch = sample_channels(scn.fading, 5, 0)
-    sel = pu_as(ch, scn.fading.rho, scn.r_th)
-    r1, r2 = cr_rates(sel.h_gain, sel.g_gain, scn.fading.rho, scn.r_th)
+    h, g = sample_channel_batch(scn.fading, 5, 0, 1)
+    (n,), (m,), (k,) = _pu_triples(h, g)
+    r1, r2 = cr_rates(h[0, n, m], g[0, n, k], scn.fading.rho, scn.r_th)
     assert report.mean_r1 == r1 and report.mean_r2 == r2
 
 

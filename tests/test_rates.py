@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from noma_as import (PowerSplit, channel_order, cr_power_split, cr_rates,
-                     fnoma_pair_rates, fnoma_sum_rate, jain_fairness,
-                     oma_pair_rates, qos_epsilon)
+from noma_as import (PowerSplit, cr_power_split, cr_rates, fnoma_pair_rates,
+                     fnoma_sum_rate, jain_fairness, oma_pair_rates, qos_epsilon)
 
 LOG2_5 = math.log2(5.0)
 
@@ -19,9 +18,20 @@ settings.load_profile("rates")
 
 
 def test_channel_order_branches():
-    assert channel_order(2.0, 1.0) == 1
-    assert channel_order(1.0, 2.0) == 0
-    assert channel_order(1.0, 1.0) == 1  # ties resolve to the UE1 side
+    # UE1 takes the strong-user role when h > g, UE2 when h < g, and a tie
+    # resolves to the UE1 side
+    split = PowerSplit.from_b(0.4)
+    strong = math.log2(1.0 + 10.0 * 0.4 * 1.0)
+    assert fnoma_pair_rates(2.0, 1.0, split, 10.0).r1 == math.log2(1.0 + 10.0 * 0.4 * 2.0)
+    assert fnoma_pair_rates(1.0, 2.0, split, 10.0).r2 == math.log2(1.0 + 10.0 * 0.4 * 2.0)
+    r1, r2 = fnoma_pair_rates(1.0, 1.0, split, 10.0)
+    assert r1 == strong and r2 < strong
+    # UE1 strong keeps the most power the floor allows (b = 0.45); UE2
+    # strong would get the least it needs (b = 0.1)
+    assert cr_power_split(2.0, 1.0, 10.0, 1.0).b == pytest.approx(0.45, abs=1e-15)
+    assert cr_power_split(1.0, 2.0, 10.0, 1.0).b == pytest.approx(0.05, abs=1e-15)
+    assert cr_power_split(1.0, 1.0, 10.0, 1.0).b == pytest.approx(0.45, abs=1e-15)
+    assert cr_rates(1.0, 1.0, 10.0, 1.0).r1 == math.log2(1.0 + 10.0 * 0.45 * 1.0)
 
 
 def test_power_split_construction():
@@ -117,13 +127,6 @@ def test_cr_split_examples():
     assert cr_power_split(2.0, 0.05, 10.0, 1.0).b == 0.0
 
 
-def test_cr_split_asymptotic_is_unclipped():
-    b = cr_power_split(2.0, 0.05, 10.0, 1.0, "asymptotic").b
-    assert b == pytest.approx((10.0 * 0.05 - 1.0) / (10.0 * 0.05 * 2.0), abs=1e-15)
-    with pytest.raises(ValueError):
-        cr_power_split(1.0, 1.0, 10.0, 1.0, "nope")
-
-
 def test_cr_rates_example():
     r1, r2 = cr_rates(2.0, 1.0, 10.0, 1.0)
     assert r1 == pytest.approx(math.log2(10.0), abs=1e-12)
@@ -151,13 +154,34 @@ def test_cr_qos_tightness(h, g, rho, r_th):
         assert abs(r2 - r_th) <= 1e-9
 
 
+log_spread = lambda lo, hi: st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@given(h=log_spread(-6, 300), g=log_spread(-6, 300), rho=log_spread(-3, 3),
+       r_th=st.floats(0.01, 60.0))
+@example(h=2e300, g=1e300, rho=1.0, r_th=40.0)
+def test_cr_split_interior_and_tight_when_ue1_strong(h, g, rho, r_th):
+    # the split stays inside (0, 1) and pins the primary rate to the floor
+    # also where rho * g * 2**r_th passes the float range
+    assume(h >= g and 1e-3 <= rho * g <= 1e300 and rho * g > qos_epsilon(r_th))
+    b = cr_power_split(h, g, rho, r_th).b
+    assert 0.0 < b < 1.0
+    _, r2 = cr_rates(h, g, rho, r_th)
+    assert abs(r2 - r_th) <= 1e-9
+
+
 @given(h=st.floats(1e-3, 1e3), g=st.floats(1e-3, 1e3),
        rho=st.floats(1e10, 1e14), r_th=st.floats(0.1, 10.0))
 def test_cr_exact_and_asymptotic_agree_at_high_snr(h, g, rho, r_th):
-    exact = cr_rates(h, g, rho, r_th, "exact")
-    asym = cr_rates(h, g, rho, r_th, "asymptotic")
-    assert abs(exact.r1 - asym.r1) <= 1e-3
-    assert abs(exact.r2 - asym.r2) <= 1e-3
+    # the high-SNR secondary rates behind the closed forms; the floor is met
+    r1, r2 = cr_rates(h, g, rho, r_th)
+    eps = qos_epsilon(r_th)
+    if h >= g:
+        asym = math.log2(rho * h / (eps + 1.0))
+    else:
+        asym = math.log2(rho * h * g / (eps * h + g))
+    assert abs(r1 - asym) <= 1e-3
+    assert abs(r2 - r_th) <= 1e-3
 
 
 def test_sum_rate_high_snr_approximation():
