@@ -14,12 +14,14 @@ A figure, sweep or validation run shares one `Run` across its points.  The
 run's workers live as long as the run, and chunk i of every point goes to
 worker i mod W, so each worker sees the same chunks of a geometry again.
 A worker keeps one geometry, keyed by (seed, N, M, K, d1, d2, alpha), and
-per chunk (t0, count) its sampled gains and the chosen gains of every
-policy whose choice ignores rho, split and r_th (`Policy.gains_only`).  A
-later point on that geometry reruns only the exhaustive searches and the
-rate formulas.  A reused array is the array a fresh draw or selection
-would have produced, and it meets the same rate formulas and the same
-reduction, so no bit of any report moves.
+per chunk (t0, count) three things that ignore rho, split and r_th: the
+sampled gains, their row statistics (`selection.row_stats`: the per-row
+maxima and argmaxes that every kernel but random reads), and the chosen
+gains of every policy whose choice reads only those (`Policy.gains_only`).
+A later point on that geometry reruns only the exhaustive searches, from
+the cached row statistics, and the rate formulas.  A reused array is the
+array a fresh draw or selection would have produced, and it meets the same
+rate formulas and the same reduction, so no bit of any report moves.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from .channel import FadingConfig, largest_gain, sample_channel_batch
 from .rates import (PowerSplit, cr_rates, fnoma_pair_rates, jain_fairness, oma_pair_rates,
                     qos_epsilon)
-from .selection import POLICIES
+from .selection import POLICIES, row_stats
 
 _CHUNK = 16384
 ASYMPTOTIC_MIN_RHO = 1e8  # below this the high-SNR closed forms are not claimed
@@ -138,11 +140,12 @@ _TRIPLES = {key: policy.select for key, policy in POLICIES.items()}
 
 class _GeometryCache:
     """The chunks of one geometry that one worker has seen: their sampled
-    gains and the chosen gains of every `gains_only` policy."""
+    gains, row statistics and the chosen gains of every `gains_only`
+    policy."""
 
     def __init__(self):
         self.key = None
-        self.chunks = {}  # (t0, count) -> (h, g, {(mode, policy): (h_sel, g_sel)})
+        self.chunks = {}  # (t0, count) -> (h, g, rows, {(mode, policy): (h_sel, g_sel)})
 
     def simulate(self, task):
         """Per-trial (r1, r2) arrays of each policy over one chunk of trials."""
@@ -153,15 +156,15 @@ class _GeometryCache:
             self.key, self.chunks = key, {}
         if (t0, count) not in self.chunks:
             h, g = sample_channel_batch(fading, seed, t0, count)
-            self.chunks[t0, count] = h, g, {}
-        h, g, chosen = self.chunks[t0, count]
+            self.chunks[t0, count] = h, g, row_stats(h, g), {}
+        h, g, rows, chosen = self.chunks[t0, count]
         rho = fading.rho
         out = {}
         for policy in policies:
             gains = chosen.get((mode, policy))
             if gains is None:
-                gains = _TRIPLES[mode, policy](h, g, rho=rho, split=split, r_th=r_th,
-                                               seed=seed, t0=t0)
+                gains = _TRIPLES[mode, policy](h, g, rows=rows, rho=rho, split=split,
+                                               r_th=r_th, seed=seed, t0=t0)
                 if POLICIES[mode, policy].gains_only:
                     chosen[mode, policy] = gains
             h_sel, g_sel = gains
@@ -351,12 +354,22 @@ class ValidationPoint:
 
 @dataclass(frozen=True)
 class ValidationResult:
+    """One point's closed form against its Monte Carlo estimate.
+
+    std_err is the estimate's standard error and sigma_gap the gap
+    |closed_form - monte_carlo| in units of it: a gap of a few sigma is
+    sampling noise, a gap of hundreds a wrong formula or a bias the
+    tolerance does not cover.
+    """
+
     scenario: Scenario
     closed_form: float
     monte_carlo: float
     rel_gap: float
     tolerance: float
     status: str  # "pass" | "fail" | "not-applicable"
+    std_err: float
+    sigma_gap: float
 
 
 def validate_asymptotics(points, workers=None):
@@ -373,7 +386,9 @@ def validate_asymptotics(points, workers=None):
             scn = point.scenario
             policy = POLICIES[scn.mode, scn.policy]
             closed = policy.closed_form(scn.fading, scn.split, scn.r_th)
-            mc = getattr(run_trials(scn, workers=run), policy.metric)
+            report = run_trials(scn, workers=run)
+            mc = getattr(report, policy.metric)
+            se = report.std_err[policy.metric.removeprefix("mean_")]
             gap = abs(closed - mc) / abs(mc) if mc != 0 else math.inf
             if scn.fading.rho < ASYMPTOTIC_MIN_RHO:
                 status = "not-applicable"
@@ -381,7 +396,9 @@ def validate_asymptotics(points, workers=None):
                 status = "pass"
             else:
                 status = "fail"
-            results.append(ValidationResult(scn, closed, mc, gap, point.tolerance, status))
+            sigmas = abs(closed - mc) / se if se > 0 else (0.0 if closed == mc else math.inf)
+            results.append(ValidationResult(scn, closed, mc, gap, point.tolerance, status,
+                                            se, sigmas))
     return results
 
 

@@ -122,7 +122,10 @@ def cr_power_split(h, g, rho, r_th) -> PowerSplit:
     """
     if not np.all(np.greater(rho, 0)) or not np.all(np.greater(r_th, 0)):
         raise ValueError("rho and r_th must be positive")
-    eps = qos_epsilon(r_th)
+    with np.errstate(over="ignore"):
+        eps = qos_epsilon(r_th)
+    if not np.all(np.isfinite(eps)):
+        raise ValueError(f"r_th = {r_th}: 2**r_th - 1 is not finite")
     d = np.greater_equal(h, g)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         den = rho * g * (eps + 1.0)

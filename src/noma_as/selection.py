@@ -7,8 +7,8 @@ policies trade a little rate for a comparison count that is linear instead
 of cubic in the antenna counts.
 
 eval_count convention: pairwise max/min comparisons plus, for the exhaustive
-searches, one unit per candidate objective evaluation.  The exact counts of
-the ``POLICIES`` entries are
+searches, one unit per candidate objective evaluation of the paper's
+reference search.  The exact counts of the ``POLICIES`` entries are
 
     es (fnoma and crnoma) : N*M*K
     a3 / aia / mcg        : N*(M-1) + N*(K-1) + N + (N-1) = N*(M+K) - 1
@@ -16,6 +16,13 @@ the ``POLICIES`` entries are
     su                    : (N*M - 1) + (K - 1)
     random                : 0
     oma_es                : (N*M - 1) + (N*K - 1)
+
+Both exhaustive objectives never decrease when either selected gain grows,
+so the best (m, k) of BS antenna n is the pair of row argmaxes of h[n, :]
+and g[n, :], and the optimum is the best of these N row-max candidates.
+The kernels evaluate the N candidates and then the M*K grid of the first
+row that reaches the optimum, N + M*K evaluations in all; es keeps the
+count N*M*K of the reference search it reproduces, triple for triple.
 
 mcg is realized through per-row maxima (same intermediate values as a3,
 hence the identical triple and count) rather than two whole-matrix scans;
@@ -37,10 +44,11 @@ word before its high half; a dimension of 1 reads none.  The value is
 exactly uniform: when ``(u32 * dim) mod 2**32 < (2**32 - dim) mod dim`` the
 trial draws again from its next word.
 
-The ``_*_triples`` kernels operate on stacked realizations of shape
-(T, N, M)/(T, N, K) and return 0-based index arrays.  ``POLICIES`` is the
-one table of (mode, policy) pairs that the harness, the figures and the CLI
-read.
+The ``_*_triples`` kernels read stacked realizations of shape
+(T, N, M)/(T, N, K), through their ``row_stats`` (the per-row maxima and
+argmaxes, which depend on the gains alone), and return 0-based index
+arrays.  ``POLICIES`` is the one table of (mode, policy) pairs that the
+harness, the figures and the CLI read.
 """
 
 from __future__ import annotations
@@ -83,80 +91,81 @@ def count_oma(n, m, k):
 # batch kernels (0-based indices over stacked realizations)
 
 
-def _row_stats(a):
-    return a.max(axis=2), a.argmax(axis=2)
+class RowStats(NamedTuple):
+    """Per-row maxima of stacked h (T, N, M) and g (T, N, K) and their first
+    column indices, each of shape (T, N)."""
+
+    h_max: np.ndarray
+    h_arg: np.ndarray
+    g_max: np.ndarray
+    g_arg: np.ndarray
 
 
-def _a3_triples(h, g):
+def row_stats(h, g):
+    """The row maxima and argmaxes that every kernel but random reads."""
+    hi = h.argmax(axis=2)[:, :, None]
+    gi = g.argmax(axis=2)[:, :, None]
+    return RowStats(np.take_along_axis(h, hi, axis=2)[:, :, 0], hi[:, :, 0],
+                    np.take_along_axis(g, gi, axis=2)[:, :, 0], gi[:, :, 0])
+
+
+def _row_pick(rows, n):
+    """(n, m, k) of trial t's row n[t] maxima."""
+    t = np.arange(n.size)
+    return n, rows.h_arg[t, n], rows.g_arg[t, n]
+
+
+def _a3_triples(rows):
     """Largest single gain anywhere, then the best same-row companion."""
-    hn, hi = _row_stats(h)
-    gn, gi = _row_stats(g)
-    n = np.maximum(hn, gn).argmax(axis=1)
-    t = np.arange(h.shape[0])
-    return n, hi[t, n], gi[t, n]
+    return _row_pick(rows, np.maximum(rows.h_max, rows.g_max).argmax(axis=1))
 
 
-def _aia_triples(h, g):
+def _aia_triples(rows):
     """Row whose smaller row-maximum is largest, then both row maxima."""
-    hn, hi = _row_stats(h)
-    gn, gi = _row_stats(g)
-    n = np.minimum(hn, gn).argmax(axis=1)
-    t = np.arange(h.shape[0])
-    return n, hi[t, n], gi[t, n]
+    return _row_pick(rows, np.minimum(rows.h_max, rows.g_max).argmax(axis=1))
 
 
-def _pu_triples(h, g):
+def _pu_triples(rows):
     """Global best UE2 link first, then UE1's best on the shared BS antenna."""
-    tcount, _, k_dim = g.shape
-    t = np.arange(tcount)
-    flat = g.reshape(tcount, -1).argmax(axis=1)
-    n = flat // k_dim
-    k = flat - n * k_dim
-    m = h.argmax(axis=2)[t, n]
-    return n, m, k
+    return _row_pick(rows, rows.g_max.argmax(axis=1))
 
 
-def _su_triples(h, g):
+def _su_triples(rows):
     """Global best UE1 link first, then UE2's best on the shared BS antenna."""
-    tcount, _, m_dim = h.shape
-    t = np.arange(tcount)
-    flat = h.reshape(tcount, -1).argmax(axis=1)
-    n = flat // m_dim
-    m = flat - n * m_dim
-    k = g.argmax(axis=2)[t, n]
-    return n, m, k
+    return _row_pick(rows, rows.h_max.argmax(axis=1))
 
 
-def _unravel_nmk(idx, m_dim, k_dim):
-    n = idx // (m_dim * k_dim)
-    rem = idx - n * (m_dim * k_dim)
-    return n, rem // k_dim, rem % k_dim
+def _es_triples(h, g, rows, objective):
+    """First row-major (n, m, k) maximizing objective(h[n, m], g[n, k]).
 
-
-def _es_fnoma_triples(h, g, split, rho):
-    """Exhaustive search maximizing the fixed-power sum rate."""
-    tcount, _, m_dim = h.shape
+    The objective never decreases when either gain grows, so each row's
+    best value is its row-max candidate's and the optimum v* is the best of
+    the N candidates.  The first row reaching v* holds the first optimal
+    triple; its first M x K entry equal to v* is that triple.
+    """
+    t = np.arange(h.shape[0])
+    best = objective(rows.h_max, rows.g_max)
+    n = best.argmax(axis=1)
+    top = best[t, n]
+    grid = objective(h[t, n, :, None], g[t, n, None, :])
     k_dim = g.shape[2]
-    h4 = h[:, :, :, None]
-    g4 = g[:, :, None, :]
-    obj = fnoma_sum_rate(np.maximum(h4, g4), np.minimum(h4, g4), split.b, rho)
-    idx = obj.reshape(tcount, -1).argmax(axis=1)
-    return _unravel_nmk(idx, m_dim, k_dim)
+    idx = (grid == top[:, None, None]).reshape(t.size, -1).argmax(axis=1)
+    return n, idx // k_dim, idx % k_dim
 
 
-def _es_crnoma_triples(h, g, rho, r_th):
+def _es_fnoma_triples(h, g, rows, split, rho):
+    """Exhaustive search maximizing the fixed-power sum rate."""
+    return _es_triples(h, g, rows, lambda x, y: fnoma_sum_rate(
+        np.maximum(x, y), np.minimum(x, y), split.b, rho))
+
+
+def _es_crnoma_triples(h, g, rows, rho, r_th):
     """Exhaustive search maximizing the secondary rate under the QoS floor.
 
     Infeasible triples carry r1 = 0, so they are admissible but dominated;
     an all-infeasible trial picks (0, 0, 0).
     """
-    tcount, _, m_dim = h.shape
-    k_dim = g.shape[2]
-    h4 = np.broadcast_to(h[:, :, :, None], h.shape + (k_dim,))
-    g4 = np.broadcast_to(g[:, :, None, :], g.shape[:2] + (m_dim, k_dim))
-    r1, _ = cr_rates(h4, g4, rho, r_th)
-    idx = r1.reshape(tcount, -1).argmax(axis=1)
-    return _unravel_nmk(idx, m_dim, k_dim)
+    return _es_triples(h, g, rows, lambda x, y: cr_rates(x, y, rho, r_th).r1)
 
 
 def _random_triples(n_dim, m_dim, k_dim, seed, start, count):
@@ -225,8 +234,9 @@ class Bound(NamedTuple):
 class Policy:
     """Everything the harness, figures and CLI know about one (mode, policy).
 
-    select(h, g, rho=, split=, r_th=, seed=, t0=) returns the stacked UE1
-    and UE2 gains of the chosen links for trials t0, t0+1, ...
+    select(h, g, rows=, rho=, split=, r_th=, seed=, t0=) returns the
+    stacked UE1 and UE2 gains of the chosen links for trials t0, t0+1, ...,
+    where rows is ``row_stats(h, g)``.
     closed_form(fading, split, r_th) is the high-SNR average of `metric`,
     the RateReport field the mode reports.  Both look kernels and closed
     forms up on their modules at call time, so a function replaced there
@@ -263,32 +273,34 @@ def _random_gains(h, g, seed, t0, **_):
 POLICIES = {
     ("fnoma", "es"): Policy(
         "fnoma_es",
-        lambda h, g, rho, split, **_: _triple_gains(h, g, _es_fnoma_triples(h, g, split, rho)),
+        lambda h, g, rows, rho, split, **_: _triple_gains(
+            h, g, _es_fnoma_triples(h, g, rows, split, rho)),
         count_es, "mean_sum", Bound("es_fnoma", "N*M*K", lambda n, m, k: n * m * k, True),
         gains_only=False),
     ("crnoma", "es"): Policy(
         "cr_es",
-        lambda h, g, rho, r_th, **_: _triple_gains(h, g, _es_crnoma_triples(h, g, rho, r_th)),
+        lambda h, g, rows, rho, r_th, **_: _triple_gains(
+            h, g, _es_crnoma_triples(h, g, rows, rho, r_th)),
         count_es, "mean_r1", Bound("es_crnoma", "N*M*K", lambda n, m, k: n * m * k, True),
         gains_only=False),
     ("fnoma", "a3"): Policy(
-        "a3", lambda h, g, **_: _triple_gains(h, g, _a3_triples(h, g)),
+        "a3", lambda h, g, rows, **_: _triple_gains(h, g, _a3_triples(rows)),
         count_a3, "mean_sum", Bound("a3", "N*(M+K+3)", lambda n, m, k: n * (m + k + 3)),
         lambda *args: analytics.a3_avg_sum_rate(_split_cfg(*args)).value),
     ("fnoma", "aia"): Policy(
-        "aia", lambda h, g, **_: _triple_gains(h, g, _aia_triples(h, g)),
+        "aia", lambda h, g, rows, **_: _triple_gains(h, g, _aia_triples(rows)),
         count_a3, "mean_sum", Bound("aia", "N*(M+K+3)", lambda n, m, k: n * (m + k + 3)),
         lambda *args: analytics.aia_avg_sum_rate(_split_cfg(*args)).value),
     ("crnoma", "mcg"): Policy(
-        "mcg", lambda h, g, **_: _triple_gains(h, g, _a3_triples(h, g)),
+        "mcg", lambda h, g, rows, **_: _triple_gains(h, g, _a3_triples(rows)),
         count_a3, "mean_r1", Bound("mcg", "N*(M+K)+2", lambda n, m, k: n * (m + k) + 2),
         lambda *args: analytics.mcg_avg_secondary_rate(_qos_cfg(*args)).value),
     ("crnoma", "pu"): Policy(
-        "pu", lambda h, g, **_: _triple_gains(h, g, _pu_triples(h, g)),
+        "pu", lambda h, g, rows, **_: _triple_gains(h, g, _pu_triples(rows)),
         count_pu, "mean_r1", Bound("pu", "N*K+M", lambda n, m, k: n * k + m),
         lambda *args: analytics.pu_avg_secondary_rate(_qos_cfg(*args)).value),
     ("crnoma", "su"): Policy(
-        "su", lambda h, g, **_: _triple_gains(h, g, _su_triples(h, g)),
+        "su", lambda h, g, rows, **_: _triple_gains(h, g, _su_triples(rows)),
         count_su, "mean_r1", Bound("su", "N*M+K", lambda n, m, k: n * m + k),
         lambda *args: analytics.su_avg_secondary_rate(_qos_cfg(*args)).value),
     ("fnoma", "random"): Policy(

@@ -1,16 +1,19 @@
 """Independent reference implementations used to check the package.
 
-Everything here is deliberately written with plain Python loops and the
-math module: the searches share nothing with the numpy kernels they verify
-except the documented tie-break convention (lowest row-major index, UE1
-side on a row-level tie).  The per-trial draws are numpy's own streams: one
-``np.random.Generator(np.random.Philox(...))`` per trial, read with its
-``random`` and ``integers`` methods.
+The plain-loop searches use the math module alone: they share nothing with
+the numpy kernels they verify except the documented tie-break convention
+(lowest row-major index, UE1 side on a row-level tie).  The full searches
+evaluate the package's own objectives on all N*M*K triples, so the row-max
+kernels must pick the very same triple.  The per-trial draws are numpy's
+own streams: one ``np.random.Generator(np.random.Philox(...))`` per trial,
+read with its ``random`` and ``integers`` methods.
 """
 
 import math
 
 import numpy as np
+
+from noma_as.rates import cr_rates, fnoma_sum_rate
 
 _MASK64 = (1 << 64) - 1
 CHANNEL_DOMAIN, POLICY_DOMAIN = 0, 1
@@ -115,3 +118,34 @@ def aia_weak_oracle(h, g):
 
 def exponential_mean_oracle(omega):
     return 1.0 / omega
+
+
+# --- full N*M*K searches over stacked realizations -------------------------------
+
+
+def _unravel_nmk(idx, m_dim, k_dim):
+    n = idx // (m_dim * k_dim)
+    rem = idx - n * (m_dim * k_dim)
+    return n, rem // k_dim, rem % k_dim
+
+
+def full_es_fnoma_triples(h, g, split, rho):
+    """Every (n, m, k)'s fixed-power sum rate; the first maximum's triple."""
+    tcount, _, m_dim = h.shape
+    k_dim = g.shape[2]
+    h4 = h[:, :, :, None]
+    g4 = g[:, :, None, :]
+    obj = fnoma_sum_rate(np.maximum(h4, g4), np.minimum(h4, g4), split.b, rho)
+    idx = obj.reshape(tcount, -1).argmax(axis=1)
+    return _unravel_nmk(idx, m_dim, k_dim)
+
+
+def full_es_crnoma_triples(h, g, rho, r_th):
+    """Every (n, m, k)'s secondary rate; the first maximum's triple."""
+    tcount, _, m_dim = h.shape
+    k_dim = g.shape[2]
+    h4 = np.broadcast_to(h[:, :, :, None], h.shape + (k_dim,))
+    g4 = np.broadcast_to(g[:, :, None, :], g.shape[:2] + (m_dim, k_dim))
+    r1, _ = cr_rates(h4, g4, rho, r_th)
+    idx = r1.reshape(tcount, -1).argmax(axis=1)
+    return _unravel_nmk(idx, m_dim, k_dim)

@@ -19,7 +19,7 @@ from noma_as import (AnalyticConfig, FadingConfig, PowerSplit, aia_strong_pdf,
                      pu_avg_secondary_rate, quadrature_rate, run_point,
                      sample_channel_batch, su_avg_secondary_rate)
 from noma_as.selection import (POLICIES, _a3_triples, _aia_triples, _es_crnoma_triples,
-                               _es_fnoma_triples)
+                               _es_fnoma_triples, row_stats)
 
 SEED = 20240501
 SPLIT = PowerSplit.from_b(0.4)
@@ -41,13 +41,14 @@ def test_criterion_1_exhaustive_search_oracle_equivalence():
         n, m, k = rng.integers(1, 5, size=3)
         h, g = oracles.random_instance(rng, n, m, k, omega_h=0.9, omega_g=2.1)
 
-        triple = [int(i[0]) for i in _es_fnoma_triples(h[None], g[None], SPLIT, 1e3)]
+        rows = row_stats(h[None], g[None])
+        triple = [int(i[0]) for i in _es_fnoma_triples(h[None], g[None], rows, SPLIT, 1e3)]
         (bn, bm, bk), val = oracles.brute_es_fnoma(h, g, SPLIT.b, 1e3)
         assert tuple(triple) == (bn, bm, bk)
         impl_val = oracles.fnoma_objective(h[bn, bm], g[bn, bk], SPLIT.b, 1e3)
         assert abs(impl_val - val) <= 1e-12 * max(1.0, abs(val))
 
-        triple = [int(i[0]) for i in _es_crnoma_triples(h[None], g[None], 1e3, 2.0)]
+        triple = [int(i[0]) for i in _es_crnoma_triples(h[None], g[None], rows, 1e3, 2.0)]
         (bn, bm, bk), val = oracles.brute_es_crnoma(h, g, 1e3, 2.0)
         assert tuple(triple) == (bn, bm, bk)
         checked += 1
@@ -66,12 +67,12 @@ def test_criterion_2_structural_identities():
         g = rng.exponential(0.5, (per_combo, n, k))
         t = np.arange(per_combo)
 
-        an, am, ak = _a3_triples(h, g)
+        an, am, ak = _a3_triples(row_stats(h, g))
         gamma_s = np.maximum(h[t, an, am], g[t, an, ak])
         assert np.array_equal(gamma_s, np.maximum(h.max(axis=(1, 2)),
                                                   g.max(axis=(1, 2))))
 
-        wn, wm, wk = _aia_triples(h, g)
+        wn, wm, wk = _aia_triples(row_stats(h, g))
         gamma_w = np.minimum(h[t, wn, wm], g[t, wn, wk])
         expected = np.minimum(h.max(axis=2), g.max(axis=2)).max(axis=1)
         assert np.array_equal(gamma_w, expected)

@@ -15,7 +15,7 @@ from noma_as import (ConfigurationError, FadingConfig, PowerSplit, Scenario,
                      jain_fairness, load_scenario, load_validation_grid,
                      run_point, run_trials, sample_channel_batch, sweep,
                      validate_asymptotics)
-from noma_as.selection import POLICIES, _a3_triples, _pu_triples
+from noma_as.selection import POLICIES, _a3_triples, _pu_triples, row_stats
 
 
 def _fnoma_scn(**kw):
@@ -133,7 +133,7 @@ def test_single_trial_equals_direct_computation():
     scn = _fnoma_scn(trials=1, seed=77)
     report = run_trials(scn, workers=1)
     h, g = sample_channel_batch(scn.fading, 77, 0, 1)
-    (n,), (m,), (k,) = _a3_triples(h, g)
+    (n,), (m,), (k,) = _a3_triples(row_stats(h, g))
     r1, r2 = fnoma_pair_rates(h[0, n, m], g[0, n, k], scn.split, scn.fading.rho)
     assert report.mean_r1 == r1
     assert report.mean_r2 == r2
@@ -147,7 +147,7 @@ def test_single_trial_crnoma_equals_direct_computation():
     scn = _cr_scn(trials=1, seed=5)
     report = run_trials(scn, workers=1)
     h, g = sample_channel_batch(scn.fading, 5, 0, 1)
-    (n,), (m,), (k,) = _pu_triples(h, g)
+    (n,), (m,), (k,) = _pu_triples(row_stats(h, g))
     r1, r2 = cr_rates(h[0, n, m], g[0, n, k], scn.fading.rho, scn.r_th)
     assert report.mean_r1 == r1 and report.mean_r2 == r2
 
@@ -248,6 +248,24 @@ def test_run_shares_draws_across_points_on_two_workers():
     with Run(2, 16385) as run:
         assert run.workers == 2
         assert _reports(first + cr + first, 16385, run) == fresh + fresh[:len(first)]
+
+
+def test_run_keeps_row_statistics_per_chunk_on_two_workers(monkeypatch):
+    # three chunks on two worker processes, so worker 0 holds chunks 0 and 2
+    # of each geometry: fnoma powers x splits, then crnoma powers x r_th with
+    # d1 and d2 swapped.  References run first, in one chunk, which no cache
+    # can share.
+    geo = FadingConfig(n_bs=3, d1=80.0, d2=200.0)
+    swapped = FadingConfig(n_bs=3, d1=200.0, d2=80.0)
+    points = [(replace(geo, ps_dbm=ps), "fnoma", _FNOMA_ALL, 5, PowerSplit.from_b(b), None)
+              for ps in (-30.0, 0.0, 30.0) for b in (0.2, 0.5)]
+    points += [(replace(swapped, ps_dbm=ps), "crnoma", _CR_ALL, 5, None, r_th)
+               for ps in (0.0, 20.0) for r_th in (1.0, 5.0)]
+    fresh = _reports(points, 96, 1)
+    monkeypatch.setattr(harness, "_CHUNK", 32)
+    with Run(2, 96) as run:
+        assert run.workers == 2
+        assert _reports(points, 96, run) == fresh
 
 
 def test_run_cache_key_covers_the_geometry_and_the_chunk(monkeypatch):
@@ -364,6 +382,25 @@ def test_validate_asymptotics_passes_at_high_snr():
     assert [r.status for r in results] == ["pass"] * 3
     for r in results:
         assert r.rel_gap <= r.tolerance
+
+
+def test_validation_result_carries_the_monte_carlo_error(monkeypatch):
+    # a PASS point: the report's standard error, the gap in units of it
+    scn = _cr_scn(policy="mcg", trials=20_000)
+    report = run_trials(scn, workers=1)
+    res = validate_asymptotics([ValidationPoint(scn, 0.02)], workers=1)[0]
+    assert res.status == "pass"
+    assert res.monte_carlo == report.mean_r1
+    assert res.std_err == report.std_err["r1"] > 0
+    assert res.sigma_gap == abs(res.closed_form - res.monte_carlo) / res.std_err < 5
+    # a fabricated FAIL: a closed form 5% off lies far outside the noise
+    policy = POLICIES["crnoma", "mcg"]
+    monkeypatch.setitem(POLICIES, ("crnoma", "mcg"), replace(
+        policy, closed_form=lambda *args: 1.05 * policy.closed_form(*args)))
+    bad = validate_asymptotics([ValidationPoint(scn, 0.02)], workers=1)[0]
+    assert bad.status == "fail"
+    assert (bad.monte_carlo, bad.std_err) == (res.monte_carlo, res.std_err)
+    assert bad.sigma_gap == abs(bad.closed_form - bad.monte_carlo) / bad.std_err > 50
 
 
 def test_validate_flags_low_snr_as_not_applicable():

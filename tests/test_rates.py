@@ -127,6 +127,14 @@ def test_cr_split_examples():
     assert cr_power_split(2.0, 0.05, 10.0, 1.0).b == 0.0
 
 
+@pytest.mark.parametrize("h, g", [(2.0, 1.0), (1.0, 2.0)])
+@pytest.mark.parametrize("r_th", [1024.0, math.inf])
+def test_cr_rates_reject_a_floor_whose_threshold_overflows(h, g, r_th):
+    for formula in (cr_power_split, cr_rates):
+        with pytest.raises(ValueError, match=r"\br_th\b"):
+            formula(h, g, 10.0, r_th)
+
+
 def test_cr_rates_example():
     r1, r2 = cr_rates(2.0, 1.0, 10.0, 1.0)
     assert r1 == pytest.approx(math.log2(10.0), abs=1e-12)

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from noma_as import PowerSplit
+from noma_as import FadingConfig, PowerSplit, Scenario, cr_rates, sample_channel_batch
+from noma_as.rates import fnoma_sum_rate
 from noma_as.selection import (POLICIES, _a3_triples, _aia_triples, _es_crnoma_triples,
                                _es_fnoma_triples, _oma_indices, _pu_triples,
-                               _random_triples, _su_triples)
+                               _random_triples, _su_triples, _triple_gains, row_stats)
 
 B = PowerSplit.from_b(0.4)
 RHO = 1e3
@@ -30,7 +33,8 @@ def _batches(count, seed):
 
 
 def _select(key, h, g, seed=7, t0=5):
-    return POLICIES[key].select(h, g, rho=RHO, split=B, r_th=R_TH, seed=seed, t0=t0)
+    return POLICIES[key].select(h, g, rows=row_stats(h, g), rho=RHO, split=B, r_th=R_TH,
+                                seed=seed, t0=t0)
 
 
 def _row_maxima(h, g, n):
@@ -81,13 +85,13 @@ def test_every_policy_matches_plain_loop_oracle(key):
 def test_es_fnoma_singleton():
     rng = np.random.default_rng(1)
     h, g = _stack(rng, 3, 1, 1, 1)
-    assert [a.tolist() for a in _es_fnoma_triples(h, g, B, RHO)] == [[0, 0, 0]] * 3
+    assert [a.tolist() for a in _es_fnoma_triples(h, g, row_stats(h, g), B, RHO)] == [[0, 0, 0]] * 3
     assert POLICIES["fnoma", "es"].count(1, 1, 1) == 1
 
 
 def test_es_fnoma_matches_brute_force():
     for h, g in _batches(40, seed=2):
-        triples = np.stack(_es_fnoma_triples(h, g, B, RHO), axis=1)
+        triples = np.stack(_es_fnoma_triples(h, g, row_stats(h, g), B, RHO), axis=1)
         for t in range(h.shape[0]):
             (n, m, k), val = oracles.brute_es_fnoma(h[t], g[t], B.b, RHO)
             assert tuple(triples[t]) == (n, m, k)
@@ -102,17 +106,87 @@ def test_es_eval_count():
 
 def test_es_crnoma_matches_brute_force():
     for h, g in _batches(40, seed=4):
-        triples = np.stack(_es_crnoma_triples(h, g, RHO, R_TH), axis=1)
+        triples = np.stack(_es_crnoma_triples(h, g, row_stats(h, g), RHO, R_TH), axis=1)
         for t in range(h.shape[0]):
             (n, m, k), _ = oracles.brute_es_crnoma(h[t], g[t], RHO, R_TH)
             assert tuple(triples[t]) == (n, m, k)
+
+
+def _es_pairs(h, g, split, rho, r_th):
+    """(row-max search, full N*M*K reference) triples of both modes, each
+    stacked to shape (3, T)."""
+    rows = row_stats(h, g)
+    return [(np.stack(_es_fnoma_triples(h, g, rows, split, rho)),
+             np.stack(oracles.full_es_fnoma_triples(h, g, split, rho))),
+            (np.stack(_es_crnoma_triples(h, g, rows, rho, r_th)),
+             np.stack(oracles.full_es_crnoma_triples(h, g, rho, r_th)))]
+
+
+def test_es_keeps_the_first_of_tied_triples():
+    # gains from {1, 2, 3} tie within rows and across rows; at r_th = 11 and
+    # 12 many or all triples of a trial are infeasible and tie at r1 = 0
+    rng = np.random.default_rng(31)
+    for n, m, k in SHAPES:
+        h = rng.integers(1, 4, (300, n, m)).astype(float)
+        g = rng.integers(1, 4, (300, n, k)).astype(float)
+        for r_th in (R_TH, 11.0, 12.0):
+            for got, expected in _es_pairs(h, g, B, RHO, r_th):
+                assert np.array_equal(got, expected)
+
+
+_SHAPE = st.tuples(*[st.integers(1, 5)] * 3)
+_FIGURE_D = st.floats(50.0, 400.0)  # d1 and d2 of the figure grids
+_U64 = st.integers(0, 2 ** 64 - 1)
+
+
+def _sampled(dims, d1, d2, ps_dbm, b, r_th, seed, start, count):
+    """Draws of an accepted scenario: (split, rho, h, g)."""
+    fading = FadingConfig(*dims, d1=d1, d2=d2, ps_dbm=ps_dbm)
+    split = PowerSplit.from_b(b)
+    Scenario(fading, "fnoma", "es", split=split)
+    Scenario(fading, "crnoma", "es", r_th=r_th)
+    return (split, fading.rho) + sample_channel_batch(fading, seed, start, count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims=_SHAPE, d1=_FIGURE_D, d2=_FIGURE_D, ps_dbm=st.floats(-20.0, 60.0),
+       b=st.floats(0.0, 0.5, exclude_min=True), r_th=st.floats(0.01, 30.0),
+       seed=_U64, start=_U64, count=st.integers(1, 300))
+def test_es_equals_full_search(dims, d1, d2, ps_dbm, b, r_th, seed, start, count):
+    split, rho, h, g = _sampled(dims, d1, d2, ps_dbm, b, r_th, seed, start, count)
+    for got, expected in _es_pairs(h, g, split, rho, r_th):
+        assert np.array_equal(got, expected)
+
+
+def _objectives(h, g, triple, split, rho, r_th):
+    """Sum rate and secondary rate of the chosen gains."""
+    x, y = _triple_gains(h, g, triple)
+    return (fnoma_sum_rate(np.maximum(x, y), np.minimum(x, y), split.b, rho),
+            cr_rates(x, y, rho, r_th).r1)
+
+
+# Up to the largest power a Scenario with the default noise floor accepts,
+# the float formulas can fall out of step with the monotone rates by an ulp,
+# so the two searches may pick different triples of (nearly) equal value.
+@settings(max_examples=150, deadline=None)
+@given(dims=_SHAPE, d1=_FIGURE_D, d2=_FIGURE_D, ps_dbm=st.floats(60.0, 2972.5),
+       b=st.floats(0.0, 0.5, exclude_min=True), r_th=st.floats(0.01, 30.0),
+       seed=_U64, start=_U64, count=st.integers(1, 300))
+def test_es_matches_full_search_value_at_high_snr(dims, d1, d2, ps_dbm, b, r_th, seed,
+                                                  start, count):
+    split, rho, h, g = _sampled(dims, d1, d2, ps_dbm, b, r_th, seed, start, count)
+    for mode, (got, expected) in enumerate(_es_pairs(h, g, split, rho, r_th)):
+        differ = ~(got == expected).all(axis=0)
+        ours = _objectives(h, g, got, split, rho, r_th)[mode][differ]
+        full = _objectives(h, g, expected, split, rho, r_th)[mode][differ]
+        assert np.all(np.abs(ours - full) <= 1e-9 * np.abs(full))
 
 
 def test_es_crnoma_all_infeasible_returns_first_triple():
     rng = np.random.default_rng(5)
     # rho*g < eps everywhere, so every triple is served nothing
     h, g = rng.uniform(0.5, 1.0, (4, 3, 2)), rng.uniform(0.5, 1.0, (4, 3, 2))
-    assert [a.tolist() for a in _es_crnoma_triples(h, g, 10.0, 10.0)] == [[0] * 4] * 3
+    assert [a.tolist() for a in _es_crnoma_triples(h, g, row_stats(h, g), 10.0, 10.0)] == [[0] * 4] * 3
 
 
 # --- strong-gain-first ------------------------------------------------------
@@ -120,14 +194,14 @@ def test_es_crnoma_all_infeasible_returns_first_triple():
 def test_a3_hand_instance():
     h = np.array([[0.2, 0.1], [0.3, 5.0], [0.4, 0.2]])
     g = np.array([[1.0, 0.5], [2.0, 0.7], [0.3, 0.6]])
-    assert [int(i[0]) for i in _a3_triples(h[None], g[None])] == [1, 1, 0]
+    assert [int(i[0]) for i in _a3_triples(row_stats(h[None], g[None]))] == [1, 1, 0]
     assert [float(x[0]) for x in _select(("fnoma", "a3"), h[None], g[None])] == [5.0, 2.0]
 
 
 def test_a3_singleton():
     rng = np.random.default_rng(1)
     h, g = _stack(rng, 3, 1, 1, 1)
-    assert [a.tolist() for a in _a3_triples(h, g)] == [[0, 0, 0]] * 3
+    assert [a.tolist() for a in _a3_triples(row_stats(h, g))] == [[0, 0, 0]] * 3
 
 
 def test_a3_strong_gain_is_global_max():
@@ -143,7 +217,7 @@ def test_a3_strong_gain_is_global_max():
 
 def test_aia_equals_a3_for_single_row():
     h, g = _stack(np.random.default_rng(7), 50, 1, 3, 2)
-    for got, expected in zip(_aia_triples(h, g), _a3_triples(h, g)):
+    for got, expected in zip(_aia_triples(row_stats(h, g)), _a3_triples(row_stats(h, g))):
         assert np.array_equal(got, expected)
 
 
@@ -159,7 +233,7 @@ def test_aia_avoids_poor_companion_row():
     # must walk away from it
     h = np.array([[[10.0, 0.2], [2.0, 0.5]]])
     g = np.array([[[0.1, 0.05], [1.5, 0.2]]])
-    assert _a3_triples(h, g)[0][0] == 0 and _aia_triples(h, g)[0][0] == 1
+    assert _a3_triples(row_stats(h, g))[0][0] == 0 and _aia_triples(row_stats(h, g))[0][0] == 1
     assert _select(("fnoma", "aia"), h, g)[1][0] == 1.5
 
 
@@ -186,14 +260,14 @@ def test_pu_hand_instance():
     g[2, 1] = 9.0
     g += 0.1
     h = np.array([[0.2, 0.3], [0.1, 0.2], [0.7, 0.4]])
-    n, m, k = _pu_triples(h[None], g[None])
+    n, m, k = _pu_triples(row_stats(h[None], g[None]))
     assert (n[0], k[0]) == (2, 1)
     assert m[0] == 0  # row-3 argmax of h
 
 
 def test_pu_single_receive_antenna():
     h, g = _stack(np.random.default_rng(12), 20, 4, 2, 1)
-    n, _, k = _pu_triples(h, g)
+    n, _, k = _pu_triples(row_stats(h, g))
     assert not k.any()
     assert n.tolist() == [oracles.global_max(g[t])[1][0] for t in range(20)]
 
@@ -203,14 +277,14 @@ def test_su_hand_instance():
     h[0, 1] = 7.0
     h += 0.05
     g = np.array([[0.3, 0.9], [0.6, 0.1]])
-    n, m, k = _su_triples(h[None], g[None])
+    n, m, k = _su_triples(row_stats(h[None], g[None]))
     assert (n[0], m[0]) == (0, 1)
     assert k[0] == 1  # row-1 argmax of g
 
 
 def test_su_single_receive_antenna():
     h, g = _stack(np.random.default_rng(13), 20, 4, 1, 3)
-    assert not _su_triples(h, g)[1].any()
+    assert not _su_triples(row_stats(h, g))[1].any()
 
 
 # --- random and orthogonal baselines ---------------------------------------
@@ -303,5 +377,5 @@ def test_comparison_policies_scale_equivariant():
     for h, g in _batches(20, seed=19):
         for c in (2.0 ** -20, 2.0 ** 13):
             for kernel in (_a3_triples, _aia_triples, _pu_triples, _su_triples):
-                for s0, s1 in zip(kernel(h, g), kernel(h * c, g * c)):
+                for s0, s1 in zip(kernel(row_stats(h, g)), kernel(row_stats(h * c, g * c))):
                     assert np.array_equal(s0, s1)
