@@ -14,7 +14,10 @@ Alternating binomial sums are accumulated with ``math.fsum`` in a fixed
 summand order, so values are reproducible bit for bit; the supported range
 is N*M, N*K <= 30, beyond which float64 cancellation makes the expansions
 meaningless.  ``quadrature_rate`` is the independent numerical cross-check
-for all of the closed forms.
+for all of the closed forms.  It is the only user of ``scipy.integrate``,
+which scipy loads the first time the attribute is read, so importing this
+module loads only the scipy package itself and a figure, sweep or
+validation run never loads the integrators.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+import scipy
 
 from .channel import FadingConfig
 from .rates import qos_epsilon
@@ -404,7 +407,7 @@ def quadrature_rate(pdf, b, rho, abs_tol=1e-8) -> float:
 
     cutoff = scale
     for _ in range(200):
-        seg, _ = integrate.quad(pdf, cutoff, 2.0 * cutoff, limit=100)
+        seg, _ = scipy.integrate.quad(pdf, cutoff, 2.0 * cutoff, limit=100)
         if abs(seg) < 1e-13:
             break
         cutoff *= 2.0
@@ -426,8 +429,8 @@ def quadrature_rate(pdf, b, rho, abs_tol=1e-8) -> float:
     total = 0.0
     err = 0.0
     for lo, hi in zip(points[:-1], points[1:]):
-        v, e = integrate.quad(f, lo, hi, epsabs=abs_tol / (2 * len(points)),
-                              epsrel=1e-12, limit=200)
+        v, e = scipy.integrate.quad(f, lo, hi, epsabs=abs_tol / (2 * len(points)),
+                                    epsrel=1e-12, limit=200)
         total += v
         err += e
     if err > abs_tol:

@@ -31,7 +31,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -314,8 +314,8 @@ def apply_axis(scn: Scenario, axis: str, value) -> Scenario:
     if axis in ("ps_dbm", "d1", "d2"):
         return replace(scn, fading=replace(scn.fading, **{axis: float(value)}))
     if axis == "n_bs":
-        if int(value) != value:
-            raise ConfigurationError(f"n_bs must be an integer, got {value}")
+        if not (math.isfinite(value) and int(value) == value):
+            raise ConfigurationError(f"n_bs must be an integer, got {value}", ("n_bs",))
         return replace(scn, fading=replace(scn.fading, n_bs=int(value)))
     if axis == "b":
         if scn.mode != "fnoma":
@@ -342,14 +342,31 @@ def sweep(base: Scenario, axis: str, values, workers=None):
 
 @dataclass(frozen=True)
 class ValidationPoint:
+    """A scenario whose closed form is checked against its simulation.
+
+    The closed form is evaluated when the point is built, so a closed form
+    that refuses the antenna counts fails before any point of a run starts.
+    """
+
     scenario: Scenario
     tolerance: float  # relative gap allowed
+    _closed_form: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scn = self.scenario
-        if POLICIES[scn.mode, scn.policy].closed_form is None:
+        closed_form = POLICIES[scn.mode, scn.policy].closed_form
+        if closed_form is None:
             raise ConfigurationError(
                 f"no closed form for policy {scn.policy!r} in mode {scn.mode!r}")
+        fading = scn.fading
+        try:
+            value = closed_form(fading, scn.split, scn.r_th)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"n_bs = {fading.n_bs}, m_ue1 = {fading.m_ue1}, k_ue2 = {fading.k_ue2}: "
+                f"the {scn.policy} closed form refuses these antenna counts: {exc}",
+                ("n_bs", "m_ue1", "k_ue2")) from None
+        object.__setattr__(self, "_closed_form", value)
 
 
 @dataclass(frozen=True)
@@ -385,7 +402,7 @@ def validate_asymptotics(points, workers=None):
         for point in points:
             scn = point.scenario
             policy = POLICIES[scn.mode, scn.policy]
-            closed = policy.closed_form(scn.fading, scn.split, scn.r_th)
+            closed = point._closed_form
             report = run_trials(scn, workers=run)
             mc = getattr(report, policy.metric)
             se = report.std_err[policy.metric.removeprefix("mean_")]
@@ -500,5 +517,5 @@ def load_validation_grid(path):
         try:
             points.append(ValidationPoint(scn, 0.02 if tol is None else tol))
         except ConfigurationError as exc:
-            raise ConfigurationError(f"{path}:{start + 1}: {exc}") from None
+            raise ConfigurationError(f"{path}:{start + 1}: {exc}", exc.keys) from None
     return points

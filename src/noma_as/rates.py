@@ -14,7 +14,9 @@ simplifications live only in the closed forms of ``analytics``.
 
 All functions are ufunc-based: they accept scalars or broadcast-compatible
 arrays, and return Python floats for pure-scalar input.  Rates are bit/s/Hz
-(base-2 logs everywhere).
+(base-2 logs everywhere).  Each rate takes one log: the pair formulas select
+every element's SINR, strong or weak form, and then take log2(1 + SINR)
+once.
 """
 
 from __future__ import annotations
@@ -51,14 +53,20 @@ def qos_epsilon(r_th):
     return np.exp2(r_th) - 1.0
 
 
-def _strong_rate(x, b, rho):
+def _strong_sinr(x, b, rho):
     # decoded after interference cancellation
-    return np.log2(1.0 + rho * b * x)
+    return rho * b * x
 
 
-def _weak_rate(x, a, b, rho):
+def _weak_sinr(x, a, b, rho):
     # decoded while treating the strong user's signal as noise
-    return np.log2(1.0 + a * x / (b * x + 1.0 / rho))
+    return a * x / (b * x + 1.0 / rho)
+
+
+def _rate(x, strong, a, b, rho):
+    """log2(1 + SINR), with the strong form where `strong` holds and the weak
+    form elsewhere: the SINR is selected first, so each rate takes one log."""
+    return np.log2(1.0 + np.where(strong, _strong_sinr(x, b, rho), _weak_sinr(x, a, b, rho)))
 
 
 def fnoma_pair_rates(h, g, split: PowerSplit, rho) -> RatePair:
@@ -73,9 +81,7 @@ def fnoma_pair_rates(h, g, split: PowerSplit, rho) -> RatePair:
     if not rho > 0:
         raise ValueError("rho must be positive")
     d = np.greater_equal(h, g)
-    r1 = np.where(d, _strong_rate(h, b, rho), _weak_rate(h, a, b, rho))
-    r2 = np.where(d, _weak_rate(g, a, b, rho), _strong_rate(g, b, rho))
-    return RatePair(_out(r1), _out(r2))
+    return RatePair(_out(_rate(h, d, a, b, rho)), _out(_rate(g, ~d, a, b, rho)))
 
 
 def fnoma_sum_rate(gamma_s, gamma_w, b, rho):
@@ -90,7 +96,8 @@ def fnoma_sum_rate(gamma_s, gamma_w, b, rho):
     if np.any(np.less(gamma_s, gamma_w)):
         raise ValueError("gamma_s < gamma_w: caller must order the pair")
     a = 1.0 - b
-    return _out(_strong_rate(gamma_s, b, rho) + _weak_rate(gamma_w, a, b, rho))
+    return _out(np.log2(1.0 + _strong_sinr(gamma_s, b, rho))
+                + np.log2(1.0 + _weak_sinr(gamma_w, a, b, rho)))
 
 
 def jain_fairness(r1, r2):
@@ -113,13 +120,10 @@ def jain_fairness(r1, r2):
     return _out(np.where(q > 0.0, s * s / (2.0 * safe), 1.0))
 
 
-def cr_power_split(h, g, rho, r_th) -> PowerSplit:
-    """Strong-user coefficient that serves UE1 subject to UE2's rate floor.
-
-    UE2 is primary: its rate must reach r_th, so b is the extreme admissible
-    value given the gain ordering, clipped into [0, 1] (an empty admissible
-    range means UE1 gets no power and its rate is zero).
-    """
+def _qos_split(h, g, rho, r_th):
+    """(d, a, b) of the QoS-driven split: d marks where UE1 is the strong
+    user, b is the strong user's clipped coefficient and a = 1 - b (see
+    `cr_power_split`)."""
     if not np.all(np.greater(rho, 0)) or not np.all(np.greater(r_th, 0)):
         raise ValueError("rho and r_th must be positive")
     with np.errstate(over="ignore"):
@@ -128,15 +132,26 @@ def cr_power_split(h, g, rho, r_th) -> PowerSplit:
         raise ValueError(f"r_th = {r_th}: 2**r_th - 1 is not finite")
     d = np.greater_equal(h, g)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den = rho * g * (eps + 1.0)
-        b_ue1_strong = (rho * g - eps) / den
+        rho_g = rho * g
+        den = rho_g * (eps + 1.0)
+        b_ue1_strong = (rho_g - eps) / den
         big = np.isinf(den)
         if np.any(big):  # the same value, without the overflowing product
-            b_ue1_strong = np.where(big, (1.0 - eps / (rho * g)) / (eps + 1.0),
-                                    b_ue1_strong)
-        b_ue2_strong = eps / (rho * g)
+            b_ue1_strong = np.where(big, (1.0 - eps / rho_g) / (eps + 1.0), b_ue1_strong)
+        b_ue2_strong = eps / rho_g
     b = np.where(d, np.maximum(b_ue1_strong, 0.0), np.minimum(b_ue2_strong, 1.0))
-    return PowerSplit(_out(1.0 - b), _out(b))
+    return d, 1.0 - b, b
+
+
+def cr_power_split(h, g, rho, r_th) -> PowerSplit:
+    """Strong-user coefficient that serves UE1 subject to UE2's rate floor.
+
+    UE2 is primary: its rate must reach r_th, so b is the extreme admissible
+    value given the gain ordering, clipped into [0, 1] (an empty admissible
+    range means UE1 gets no power and its rate is zero).
+    """
+    _, a, b = _qos_split(h, g, rho, r_th)
+    return PowerSplit(_out(a), _out(b))
 
 
 def cr_rates(h, g, rho, r_th) -> RatePair:
@@ -145,11 +160,14 @@ def cr_rates(h, g, rho, r_th) -> RatePair:
     r1 is UE1's (secondary) rate; with a split strictly inside (0, 1) the
     primary rate equals r_th, and a clipped split yields r1 = 0.
     """
-    a, b = cr_power_split(h, g, rho, r_th)
-    d = np.greater_equal(h, g)
-    r1 = np.where(d, _strong_rate(h, b, rho), _weak_rate(h, a, b, rho))
-    r2 = np.where(d, _weak_rate(g, a, b, rho), _strong_rate(g, b, rho))
-    return RatePair(_out(r1), _out(r2))
+    d, a, b = _qos_split(h, g, rho, r_th)
+    return RatePair(_out(_rate(h, d, a, b, rho)), _out(_rate(g, ~d, a, b, rho)))
+
+
+def _cr_secondary_rate(h, g, rho, r_th):
+    """The r1 of `cr_rates` alone, for searches that never read r2."""
+    d, a, b = _qos_split(h, g, rho, r_th)
+    return _rate(h, d, a, b, rho)
 
 
 def oma_pair_rates(h_best, g_best, rho) -> RatePair:

@@ -60,7 +60,7 @@ import numpy as np
 
 from . import analytics
 from .channel import POLICY_DOMAIN, _LOW32, _philox_block, _trial_counters
-from .rates import cr_rates, fnoma_sum_rate
+from .rates import _cr_secondary_rate, fnoma_sum_rate
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def _es_crnoma_triples(h, g, rows, rho, r_th):
     Infeasible triples carry r1 = 0, so they are admissible but dominated;
     an all-infeasible trial picks (0, 0, 0).
     """
-    return _es_triples(h, g, rows, lambda x, y: cr_rates(x, y, rho, r_th).r1)
+    return _es_triples(h, g, rows, lambda x, y: _cr_secondary_rate(x, y, rho, r_th))
 
 
 def _random_triples(n_dim, m_dim, k_dim, seed, start, count):

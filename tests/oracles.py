@@ -46,6 +46,61 @@ def random_triple(seed, trial_index, dims):
     return tuple(_substream(seed, trial_index, POLICY_DOMAIN).integers(0, list(dims)))
 
 
+# --- the rate formulas as two branches and four logs ----------------------------
+# The package selects each element's SINR first and takes one log per rate.
+# These keep the form that computes both rate forms for every element and then
+# picks one; every selected element meets the same IEEE operations in the same
+# order, so the package must match them bit for bit.
+
+
+def ref_cr_power_split(h, g, rho, r_th):
+    """(a, b) of the QoS-driven split, clipped into [0, 1]."""
+    if not np.all(np.greater(rho, 0)) or not np.all(np.greater(r_th, 0)):
+        raise ValueError("rho and r_th must be positive")
+    with np.errstate(over="ignore"):
+        eps = np.exp2(r_th) - 1.0
+    if not np.all(np.isfinite(eps)):
+        raise ValueError(f"r_th = {r_th}: 2**r_th - 1 is not finite")
+    d = np.greater_equal(h, g)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = rho * g * (eps + 1.0)
+        b_ue1_strong = (rho * g - eps) / den
+        big = np.isinf(den)
+        if np.any(big):
+            b_ue1_strong = np.where(big, (1.0 - eps / (rho * g)) / (eps + 1.0),
+                                    b_ue1_strong)
+        b_ue2_strong = eps / (rho * g)
+    b = np.where(d, np.maximum(b_ue1_strong, 0.0), np.minimum(b_ue2_strong, 1.0))
+    return 1.0 - b, b
+
+
+def _ref_strong_rate(x, b, rho):
+    return np.log2(1.0 + rho * b * x)
+
+
+def _ref_weak_rate(x, a, b, rho):
+    return np.log2(1.0 + a * x / (b * x + 1.0 / rho))
+
+
+def _ref_pair(h, g, a, b, rho):
+    d = np.greater_equal(h, g)
+    r1 = np.where(d, _ref_strong_rate(h, b, rho), _ref_weak_rate(h, a, b, rho))
+    r2 = np.where(d, _ref_weak_rate(g, a, b, rho), _ref_strong_rate(g, b, rho))
+    return r1, r2
+
+
+def ref_cr_rates(h, g, rho, r_th):
+    """(r1, r2) under the QoS-driven split."""
+    a, b = ref_cr_power_split(h, g, rho, r_th)
+    return _ref_pair(h, g, a, b, rho)
+
+
+def ref_fnoma_pair_rates(h, g, split, rho):
+    """(r1, r2) under a fixed split."""
+    a, b = split
+    return _ref_pair(h, g, a, b, rho)
+
+
 # --- plain-loop references -----------------------------------------------------
 
 

@@ -1,5 +1,9 @@
 import csv
+import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +100,14 @@ def test_sweep_bad_values(tmp_path):
                  "--axis", "d2", "--values", "abc"]) == 1
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_sweep_rejects_a_non_integer_antenna_count(tmp_path, capsys, value):
+    assert main(["sweep", "--scenario", _scenario_file(tmp_path), "--axis", "n_bs",
+                 "--values", value]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: n_bs must be an integer, got {value}\n"
+
+
 def test_sweep_unknown_scenario_key(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text(SCENARIO_TEXT + "bandwidth = 7\n")
@@ -159,6 +171,17 @@ def test_validate_low_snr_not_applicable(tmp_path, capsys):
     assert "N/A" in capsys.readouterr().out
 
 
+def test_validate_refuses_a_closed_form_before_any_point_runs(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("mode = fnoma\npolicy = a3\nps_dbm = 30\nb = 0.4\n"
+                    "trials = 20000\nseed = 2\n\nmode = fnoma\npolicy = a3\n"
+                    "n_bs = 16\nps_dbm = 30\nb = 0.4\ntrials = 20000\n")
+    assert main(["validate", "--grid", str(grid)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {grid}:8: n_bs = 16, m_ue1 = 2, k_ue2 = 2: ")
+
+
 def test_bench_all_within_bounds(capsys):
     assert main(["bench", "--max-dim", "4"]) == 0
     out = capsys.readouterr().out
@@ -175,3 +198,40 @@ def test_workers_env_propagates(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("NOMA_SIM_WORKERS", "not-a-number")
     assert main(["sweep", "--scenario", _scenario_file(tmp_path),
                  "--axis", "d2", "--values", "100"]) == 1
+
+
+STARTUP_SCRIPT = """\
+import math
+import sys
+
+import noma_as
+from noma_as.cli import main
+
+assert "scipy.integrate" not in sys.modules, "import noma_as loaded scipy.integrate"
+scenario, grid, out = sys.argv[1:]
+for argv in (["figure", "--id", "7", "--trials", "64", "--out", out],
+             ["validate", "--grid", grid],
+             ["sweep", "--scenario", scenario, "--axis", "ps_dbm", "--values", "10,20"],
+             ["bench", "--max-dim", "2"]):
+    assert main(argv) == 0, argv
+    assert "scipy.integrate" not in sys.modules, f"{argv[0]} loaded scipy.integrate"
+rate = noma_as.quadrature_rate(lambda x: 2.0 * math.exp(-2.0 * x), 1e-3, 1.0)
+assert "scipy.integrate" in sys.modules
+print(repr(rate))
+"""
+
+
+def test_cli_runs_never_load_scipy_integrate(tmp_path):
+    # a fresh interpreter: only quadrature_rate may load the integrators
+    grid = tmp_path / "grid.txt"
+    grid.write_text("mode = fnoma\npolicy = a3\nps_dbm = 30\nb = 0.4\n"
+                    "trials = 200\nseed = 2\ntolerance = 1\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, NOMA_SIM_WORKERS="1",
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, _scenario_file(tmp_path),
+                           str(grid), str(tmp_path / "fig7.csv")],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+    assert done.returncode == 0, done.stderr
+    rate = float(done.stdout.splitlines()[-1])
+    assert rate == pytest.approx(math.log2(1.0 + 1e-3 / 2.0), rel=0.01)

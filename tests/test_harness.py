@@ -351,8 +351,10 @@ def test_sweep_axis_validation():
         sweep(_fnoma_scn(), "r_th", [1.0])  # crnoma-only axis
     with pytest.raises(ConfigurationError):
         sweep(_cr_scn(), "b", [0.3])  # fnoma-only axis
-    with pytest.raises(ConfigurationError):
-        apply_axis(_fnoma_scn(), "n_bs", 2.5)
+    for value in (2.5, math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match=r"\bn_bs\b") as info:
+            apply_axis(_fnoma_scn(), "n_bs", value)
+        assert info.value.keys == ("n_bs",)
 
 
 def test_sweep_applies_values():
@@ -494,6 +496,22 @@ def test_validation_grid_parsing(tmp_path):
     assert points[0].tolerance == 0.05
     assert points[1].tolerance == 0.02  # default
     assert points[1].scenario.policy == "pu"
+
+
+def test_validation_grid_refuses_a_closed_form_before_any_point_runs(tmp_path,
+                                                                     monkeypatch):
+    # the second block's a3 closed form needs N*M = 32 > 30 binomial terms
+    ran = []
+    monkeypatch.setattr(harness._GeometryCache, "simulate",
+                        lambda self, task: ran.append(task))
+    path = tmp_path / "grid.txt"
+    path.write_text(GRID_TEXT.split("\n\n")[0] + "\n\n\nmode = fnoma\npolicy = a3\n"
+                    "n_bs = 16\nps_dbm = 30\nb = 0.4\ntrials = 400\n")
+    with pytest.raises(ConfigurationError) as info:
+        validate_asymptotics(load_validation_grid(path), workers=1)
+    assert str(info.value).startswith(f"{path}:10: n_bs = 16, m_ue1 = 2, k_ue2 = 2: ")
+    assert info.value.keys == ("n_bs", "m_ue1", "k_ue2")
+    assert ran == []
 
 
 def test_validation_grid_empty(tmp_path):

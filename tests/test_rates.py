@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from noma_as import (PowerSplit, cr_power_split, cr_rates, fnoma_pair_rates,
                      fnoma_sum_rate, jain_fairness, oma_pair_rates, qos_epsilon)
+from noma_as.rates import _cr_secondary_rate
+from oracles import ref_cr_power_split, ref_cr_rates, ref_fnoma_pair_rates
 
 LOG2_5 = math.log2(5.0)
 
 gains = st.floats(min_value=1e-9, max_value=1e4)
 coeffs = st.floats(min_value=0.05, max_value=0.5)
 snrs = st.floats(min_value=1e-2, max_value=1e14)
+log_spread = lambda lo, hi: st.floats(lo, hi).map(lambda e: 10.0 ** e)
 settings.register_profile("rates", deadline=None)
 settings.load_profile("rates")
 
@@ -154,15 +157,41 @@ def test_cr_rates_zero_when_infeasible():
     assert r1 == 0.0
 
 
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), (got, want)
+
+
+@given(h=log_spread(-300, 300), g=log_spread(-300, 300), rho=log_spread(-3, 300),
+       r_th=st.floats(1e-3, 60.0), b=st.floats(0.0, 0.5, exclude_min=True))
+@example(h=2e300, g=1e300, rho=1.0, r_th=40.0, b=0.4)  # overflowing split denominator
+@example(h=2.0, g=0.05, rho=10.0, r_th=1.0, b=0.4)  # UE1 strong, infeasible: b = 0
+@example(h=0.01, g=0.05, rho=10.0, r_th=6.0, b=0.4)  # UE2 strong, b clipped to 1
+@example(h=1.0, g=1.0, rho=10.0, r_th=1.0, b=0.5)  # h == g
+def test_rates_match_the_two_branch_formulas_bit_for_bit(h, g, rho, r_th, b):
+    # each gain pair in both orders and equal, as scalars and as one array
+    hs, gs = np.array([h, g, h]), np.array([g, h, h])
+    split = PowerSplit.from_b(b)
+    with np.errstate(over="ignore"):  # rho * b * x may pass the float range
+        for x, y in [(h, g), (g, h), (h, h), (hs, gs)]:
+            want_split = ref_cr_power_split(x, y, rho, r_th)
+            want_cr = ref_cr_rates(x, y, rho, r_th)
+            for got, want in [(cr_power_split(x, y, rho, r_th), want_split),
+                              (cr_rates(x, y, rho, r_th), want_cr),
+                              ((_cr_secondary_rate(x, y, rho, r_th),), want_cr[:1]),
+                              (fnoma_pair_rates(x, y, split, rho),
+                               ref_fnoma_pair_rates(x, y, split, rho))]:
+                for got_v, want_v in zip(got, want, strict=True):
+                    _same_bits(got_v, want_v)
+
+
 @given(h=gains, g=gains, rho=st.floats(1.0, 1e14), r_th=st.floats(0.1, 10.0))
 def test_cr_qos_tightness(h, g, rho, r_th):
     split = cr_power_split(h, g, rho, r_th)
     if 0.0 < split.b < 1.0:
         _, r2 = cr_rates(h, g, rho, r_th)
         assert abs(r2 - r_th) <= 1e-9
-
-
-log_spread = lambda lo, hi: st.floats(lo, hi).map(lambda e: 10.0 ** e)
 
 
 @given(h=log_spread(-6, 300), g=log_spread(-6, 300), rho=log_spread(-3, 3),
