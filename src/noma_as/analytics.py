@@ -10,14 +10,16 @@ and multinomial expansions of the relevant CDF powers.  Averaging
 and its small-argument behaviour Ei(-t) ~ C + ln t (C is Euler's constant),
 which is what makes the high-SNR forms elementary.
 
-Alternating binomial sums are accumulated with ``math.fsum`` in a fixed
-summand order, so values are reproducible bit for bit; the supported range
-is N*M, N*K <= 30, beyond which float64 cancellation makes the expansions
-meaningless.  ``quadrature_rate`` is the independent numerical cross-check
-for all of the closed forms.  It is the only user of ``scipy.integrate``,
-which scipy loads the first time the attribute is read, so importing this
-module loads only the scipy package itself and a figure, sweep or
-validation run never loads the integrators.
+Alternating binomial sums are accumulated with ``math.fsum``, so values are
+reproducible bit for bit.  Every closed form follows one refusal rule: it
+answers for N*M, N*K <= 30 only, beyond which float64 cancellation makes the
+expansions meaningless.  The weak-gain-first forms expand the (N-1)-fold
+product CDF through one exact big-integer coefficient table, each entry
+rounded to float once.  ``quadrature_rate`` is the independent numerical
+cross-check for all of the closed forms.  It is the only user of
+``scipy.integrate``, which scipy loads the first time the attribute is read,
+so importing this module loads only the scipy package itself and a figure,
+sweep or validation run never loads the integrators.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ EULER_GAMMA = 0.5772156649015329
 
 _LN2 = math.log(2.0)
 _MAX_BINOMIAL_SUM = 30
-_MAX_COMPOSITIONS = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -185,39 +186,29 @@ def a3_avg_sum_rate(cfg: AnalyticConfig) -> AnalyticResult:
 # weak-gain-first policy: strong-companion density and average sum rate
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=64)
-def _multinomial_terms(n: int, m: int, k: int, oh: float, og: float):
-    """(coefficient, decay-rate) pairs of the (N-1)-fold product CDF of the
-    per-row smaller row-maximum, via the multinomial expansion."""
-    n_comp = math.comb(n - 1 + m * k, m * k)
-    if n_comp > _MAX_COMPOSITIONS:
-        raise ValueError(
-            f"composition enumeration needs {n_comp} terms "
-            f"(> {_MAX_COMPOSITIONS}); reduce N, M or K")
-    pair_rate = [(-_mu(i, m) * _mu(j, k), i * oh + j * og)
-                 for i in range(1, m + 1) for j in range(1, k + 1)]
-    out = []
-    for ell in _compositions(n - 1, m * k + 1):
-        coef = math.factorial(n - 1)
-        for l in ell:
-            coef //= math.factorial(l)
-        weight = float(coef)
-        xi = 0.0
-        for (base, rate), l in zip(pair_rate, ell[1:]):
-            if l:
-                weight *= base ** l
-                xi += rate * l
-        out.append((weight, xi))
-    return tuple(out)
+def _aia_power_table(n: int, m: int, k: int):
+    """Nonzero exact coefficients ((p, q), c_pq) of P(X, Y)**(N-1), where
+    P = 1 - sum_{i,j >= 1} mu(i, M) mu(j, K) X^i Y^j, so that P(e^-x omega_h,
+    e^-x omega_g) is the CDF of one row's smaller row-maximum.
+
+    The term c_pq of the (N-1)-fold product CDF decays at rate
+    xi = p*omega_h + q*omega_g.  N - 1 big-integer convolutions give the
+    table exactly; refuses outside N*M, N*K <= 30 before building it.
+    """
+    _check_binomial_range(n * m, n * k)
+    factor = {(0, 0): 1}
+    for i in range(1, m + 1):
+        for j in range(1, k + 1):
+            factor[i, j] = (-1) ** (i + j + 1) * math.comb(m, i) * math.comb(k, j)
+    table = {(0, 0): 1}
+    for _ in range(n - 1):
+        product = {}
+        for (p, q), c in table.items():
+            for (i, j), f in factor.items():
+                product[p + i, q + j] = product.get((p + i, q + j), 0) + c * f
+        table = {pq: c for pq, c in product.items() if c}
+    return tuple(sorted(table.items()))
 
 
 @lru_cache(maxsize=64)
@@ -226,18 +217,21 @@ def _aia_strong_mixture(n: int, m: int, k: int, oh: float, og: float):
     density of the strong companion gain under weak-gain-first selection.
 
     Derived by conditioning on the winning row and expanding every CDF
-    factor; consolidating equal decay rates keeps the representation small.
-    The printed three-psi-term variant of this density carries extra pieces
-    that cancel across the multinomial sum (and vanish identically only for
-    N >= 2), so the reduced form below is the one that is also correct at
-    N = 1.
+    factor, the other N - 1 rows through the exact table of
+    ``_aia_power_table`` (so the same N*M, N*K <= 30 refusal applies);
+    consolidating equal decay rates keeps the representation small.  The
+    printed three-psi-term variant of this density carries extra pieces that
+    cancel across the expansion (and vanish identically only for N >= 2), so
+    the reduced form below is the one that is also correct at N = 1.
     """
     acc: dict[float, list] = {}
 
     def add(weight, rate):
         acc.setdefault(rate, []).append(weight)
 
-    for coef, xi in _multinomial_terms(n, m, k, oh, og):
+    table = _aia_power_table(n, m, k)
+    for (p, q), c in table:
+        coef, xi = float(c), p * oh + q * og
         for i in range(1, m + 1):
             for j in range(1, k + 1):
                 z = coef * n * i * j * oh * og * _mu(i, m) * _mu(j, k)
@@ -248,8 +242,7 @@ def _aia_strong_mixture(n: int, m: int, k: int, oh: float, og: float):
                 add(-z * (1.0 / phi_i + 1.0 / phi_j), i * oh + j * og + xi)
     rates = np.array(list(acc.keys()))
     weights = np.array([math.fsum(v) for v in acc.values()])
-    n_terms = m * k * len(_multinomial_terms(n, m, k, oh, og))
-    return weights, rates, n_terms
+    return weights, rates, m * k * len(table)
 
 
 def aia_strong_pdf(x, cfg: AnalyticConfig):
@@ -283,8 +276,8 @@ def aia_avg_sum_rate(cfg: AnalyticConfig) -> AnalyticResult:
         return EULER_GAMMA + math.log(u / (b * rho))
 
     terms = []
-    n_terms = 0
-    for coef, xi in _multinomial_terms(n, m, k, oh, og):
+    for (p, q), c in _aia_power_table(n, m, k):
+        coef, xi = float(c), p * oh + q * og
         for i in range(1, m + 1):
             for j in range(1, k + 1):
                 z = coef * n * i * j * oh * og * _mu(i, m) * _mu(j, k)
@@ -296,9 +289,8 @@ def aia_avg_sum_rate(cfg: AnalyticConfig) -> AnalyticResult:
                 terms.append(z * (-chi(io) / (io * phi_j)
                                   - chi(jo) / (jo * phi_i)
                                   + phi_2 * chi(phi_1) / (phi_i * phi_j * phi_1)))
-                n_terms += 1
     value = math.log2(1.0 / b) + math.fsum(terms) / _LN2
-    return AnalyticResult(value, n_terms)
+    return AnalyticResult(value, len(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,18 @@ def largest_gain(omega):
     return float(-np.log(_TINY)) / omega
 
 
+class ConfigurationError(ValueError):
+    """Invalid scenario, axis, or file input (CLI exit code 1).
+
+    `keys` are the scenario keys whose values the message names, if any; a
+    scenario file reports the line of the first one it sets.
+    """
+
+    def __init__(self, message, keys=()):
+        super().__init__(message)
+        self.keys = keys
+
+
 @dataclass(frozen=True)
 class FadingConfig:
     """Scenario geometry and radio parameters; fixes all channel statistics.
@@ -80,17 +92,16 @@ class FadingConfig:
     sigma2_dbm: float = -110.0
 
     def __post_init__(self):
-        if min(self.n_bs, self.m_ue1, self.k_ue2) < 1:
-            raise ValueError("antenna counts must be >= 1")
-        for name in ("n_bs", "m_ue1", "k_ue2"):
-            if int(getattr(self, name)) != getattr(self, name):
-                raise ValueError(f"{name} must be an integer")
-        if not (self.d1 > 0 and self.d2 > 0):
-            raise ValueError("distances must be positive")
-        if not self.alpha > 0:
-            raise ValueError("path-loss exponent must be positive")
-        if not (math.isfinite(self.ps_dbm) and math.isfinite(self.sigma2_dbm)):
-            raise ValueError("power levels must be finite")
+        for keys, ok, need in (
+                (("n_bs", "m_ue1", "k_ue2"), lambda v: v >= 1 and v % 1 == 0,
+                 "antenna counts must be integers >= 1"),
+                (("d1", "d2"), lambda v: v > 0, "distances must be positive"),
+                (("alpha",), lambda v: v > 0, "path-loss exponent must be positive"),
+                (("ps_dbm", "sigma2_dbm"), math.isfinite, "power levels must be finite")):
+            for key in keys:
+                value = getattr(self, key)
+                if not ok(value):
+                    raise ConfigurationError(f"{key} = {value}: {need}", (key,))
 
     @property
     def omega_h(self) -> float:

@@ -35,25 +35,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import FadingConfig, largest_gain, sample_channel_batch
+from .channel import ConfigurationError, FadingConfig, largest_gain, sample_channel_batch
 from .rates import (PowerSplit, cr_rates, fnoma_pair_rates, jain_fairness, oma_pair_rates,
                     qos_epsilon)
 from .selection import POLICIES, row_stats
 
 _CHUNK = 16384
 ASYMPTOTIC_MIN_RHO = 1e8  # below this the high-SNR closed forms are not claimed
-
-
-class ConfigurationError(ValueError):
-    """Invalid scenario, axis, or file input (CLI exit code 1).
-
-    `keys` are the scenario keys whose values the message names, if any; a
-    scenario file reports the line of the first one it sets.
-    """
-
-    def __init__(self, message, keys=()):
-        super().__init__(message)
-        self.keys = keys
 
 
 @dataclass(frozen=True)
@@ -460,6 +448,9 @@ def _scenario_from_mapping(kv: dict, path, allow_tolerance=False):
                 f"{where}: {key} = {value!r} is not a valid {parse.__name__}") from None
 
     tolerance = take("tolerance", float) if allow_tolerance else None
+    if tolerance is not None and not 0 < tolerance < math.inf:
+        raise ConfigurationError(f"{lines['tolerance']}: tolerance = {tolerance}: need a "
+                                 f"finite relative gap > 0", ("tolerance",))
     fading_kwargs = {key: take(key, int) for key in _FADING_INT_KEYS if key in kv}
     fading_kwargs.update({key: take(key, float) for key in _FADING_FLOAT_KEYS if key in kv})
     for key in ("mode", "policy"):

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import oracles
 from noma_as import (AnalyticConfig, EULER_GAMMA, FadingConfig, aia_strong_pdf,
                      exp_integral_ei, mcg_avg_secondary_rate,
                      prob_h_ge_g, a3_avg_sum_rate, aia_avg_sum_rate,
                      pu_avg_secondary_rate, quadrature_rate,
                      sample_channel_batch, su_avg_secondary_rate)
+from noma_as.analytics import _aia_power_table
 
 mpmath.mp.dps = 30
 
@@ -166,9 +168,46 @@ def test_aia_rate_needs_split():
         aia_avg_sum_rate(_cfg(b=None))
 
 
-def test_composition_cap():
-    with pytest.raises(ValueError):
-        aia_avg_sum_rate(_cfg(60, 3, 3, b=0.4))
+def test_aia_rate_refuses_beyond_the_binomial_range():
+    # the a3 rule, N*M, N*K <= 30, with a3's message: at (8, 4, 4) the float
+    # expansion returned -359.9 where the rate is 31.7
+    for n, m, k in [(60, 3, 3), (8, 4, 4)]:
+        with pytest.raises(ValueError) as aia_info:
+            aia_avg_sum_rate(_cfg(n, m, k, b=0.4))
+        with pytest.raises(ValueError) as a3_info:
+            a3_avg_sum_rate(_cfg(n, m, k))
+        assert str(aia_info.value) == str(a3_info.value)
+
+
+def test_aia_table_is_the_compositions_grouped_by_decay_rate():
+    for n in range(1, 6):
+        for m in range(1, 4):
+            for k in range(1, 4):
+                grouped = {}
+                for pq, coef in oracles.aia_composition_terms(n, m, k):
+                    grouped[pq] = grouped.get(pq, 0) + coef
+                table = dict(_aia_power_table(n, m, k))
+                assert table == {pq: c for pq, c in grouped.items() if c}, (n, m, k)
+                assert all(type(c) is int for c in table.values())
+                # P(1, 1) = 0, so the coefficients of P**(N-1) cancel
+                assert sum(table.values()) == (1 if n == 1 else 0)
+
+
+def test_aia_rate_up_to_two_rows_is_the_float_composition_sum():
+    # bit for bit: figure 1's aia_analytic column rests on this
+    cfgs = [AnalyticConfig.from_fading(FadingConfig(n_bs=2, ps_dbm=float(ps)), b=0.4)
+            for ps in range(0, 45, 5)]
+    cfgs += [_cfg(n, m, k, oh, og, 1e12, b=0.4) for n in (1, 2) for m in range(1, 4)
+             for k in range(1, 4) for oh, og in [(1.0, 2.0), (512000.0, 8e6)]]
+    for cfg in cfgs:
+        assert aia_avg_sum_rate(cfg).value == oracles.aia_rate_from_float_compositions(cfg)
+
+
+def test_aia_rate_on_figure_two_grid_against_80_digits():
+    for n in range(1, 9):
+        cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=n, ps_dbm=10.0), b=0.4)
+        exact = oracles.aia_rate_mp(cfg)
+        assert aia_avg_sum_rate(cfg).value == pytest.approx(exact, rel=1e-9, abs=0), n
 
 
 # --- crossing probability -----------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from noma_as import harness
 from noma_as.cli import main
 
 SCENARIO_TEXT = """\
@@ -129,7 +130,9 @@ seed = 3
 @pytest.mark.parametrize("line", ["trials = 1e5", "trials = 2.5", "seed = -1",
                                   "b = 0", "alpha = 300", "ps_dbm = 2980",
                                   "ps_dbm = -5000", "sigma2_dbm = -4000", "d1 = 1e-100",
-                                  "cr: r_th = 1024", "cr: r_th = inf"])
+                                  "cr: r_th = 1024", "cr: r_th = inf", "n_bs = 0",
+                                  "m_ue1 = 0", "k_ue2 = -1", "d1 = -4", "d2 = 0",
+                                  "alpha = 0", "ps_dbm = nan", "sigma2_dbm = inf"])
 def test_bad_scenario_value_names_file_and_key(tmp_path, capsys, line):
     text = SCENARIO_TEXT
     if line.startswith("cr: "):
@@ -180,6 +183,32 @@ def test_validate_refuses_a_closed_form_before_any_point_runs(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {grid}:8: n_bs = 16, m_ue1 = 2, k_ue2 = 2: ")
+
+
+def test_validate_refuses_aia_beyond_the_binomial_range_before_any_chunk(
+        tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(harness.Run, "simulate", lambda self, tasks: ran.append(tasks))
+    grid = tmp_path / "grid.txt"
+    grid.write_text("mode = fnoma\npolicy = a3\nps_dbm = 30\nb = 0.4\n"
+                    "trials = 20000\nseed = 2\n\nmode = fnoma\npolicy = aia\n"
+                    "n_bs = 8\nm_ue1 = 4\nk_ue2 = 4\nps_dbm = 40\nb = 0.4\n")
+    assert main(["validate", "--grid", str(grid)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and ran == []
+    assert err.startswith(f"error: {grid}:8: n_bs = 8, m_ue1 = 4, k_ue2 = 4: ")
+
+
+@pytest.mark.parametrize("value", ["nan", "-0.5", "0", "inf"])
+def test_validate_rejects_a_tolerance_that_is_not_finite_and_positive(tmp_path, capsys,
+                                                                      value):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("mode = fnoma\npolicy = a3\nps_dbm = 30\nb = 0.4\n"
+                    f"trials = 200\nseed = 2\ntolerance = {value}\n")
+    assert main(["validate", "--grid", str(grid)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {grid}:7: tolerance = ")
 
 
 def test_bench_all_within_bounds(capsys):

@@ -355,6 +355,10 @@ def test_sweep_axis_validation():
         with pytest.raises(ConfigurationError, match=r"\bn_bs\b") as info:
             apply_axis(_fnoma_scn(), "n_bs", value)
         assert info.value.keys == ("n_bs",)
+    for axis, value in (("n_bs", 0), ("d1", math.nan), ("d2", -4.0), ("ps_dbm", math.inf)):
+        with pytest.raises(ConfigurationError, match=rf"^{axis} = ") as info:
+            apply_axis(_fnoma_scn(), axis, value)
+        assert info.value.keys == (axis,)
 
 
 def test_sweep_applies_values():
@@ -512,6 +516,15 @@ def test_validation_grid_refuses_a_closed_form_before_any_point_runs(tmp_path,
     assert str(info.value).startswith(f"{path}:10: n_bs = 16, m_ue1 = 2, k_ue2 = 2: ")
     assert info.value.keys == ("n_bs", "m_ue1", "k_ue2")
     assert ran == []
+
+
+def test_validation_grid_rejects_a_bad_tolerance(tmp_path):
+    path = tmp_path / "grid.txt"
+    path.write_text(GRID_TEXT.replace("tolerance = 0.05", "tolerance = -0.5"))
+    with pytest.raises(ConfigurationError) as info:
+        load_validation_grid(path)
+    assert str(info.value).startswith(f"{path}:7: tolerance = -0.5: ")
+    assert info.value.keys == ("tolerance",)
 
 
 def test_validation_grid_empty(tmp_path):
