@@ -304,9 +304,16 @@ def prob_h_ge_g(cfg: AnalyticConfig) -> float:
     float-exact rate parameters), so the symmetric case returns exactly 0.5
     and the alternating sum loses nothing to cancellation.
     """
-    nm, nk = cfg.n_bs * cfg.m_ue1, cfg.n_bs * cfg.k_ue2
+    return _prob_h_ge_g(cfg.n_bs * cfg.m_ue1, cfg.n_bs * cfg.k_ue2,
+                        cfg.omega_h, cfg.omega_g)
+
+
+@lru_cache(maxsize=64)
+def _prob_h_ge_g(nm: int, nk: int, omega_h: float, omega_g: float) -> float:
+    """The exact sum of `prob_h_ge_g`, cached: it depends on the geometry
+    only, and costs about a millisecond at N*M = N*K = 8."""
     _check_binomial_range(nm, nk)
-    oh, og = Fraction(cfg.omega_h), Fraction(cfg.omega_g)
+    oh, og = Fraction(omega_h), Fraction(omega_g)
     total = Fraction(0)
     for i in range(1, nm + 1):
         for j in range(1, nk + 1):

@@ -3,18 +3,24 @@ closed-form-vs-simulation validation.
 
 Reproducibility model: trial t of a scenario draws its channels from the
 (seed, t) substream, so the set of realizations is fixed by the scenario
-alone.  Workers receive disjoint trial chunks of a fixed size, per-trial
-metrics are reassembled in trial order, and the reduction is numpy's
-pairwise sum over that one array; reports are therefore bit-identical for
+alone.  A point's trials split into leaves (`_leaves`) along the tree of
+numpy's pairwise sum.  Whoever simulates a leaf also reduces it: for r1,
+r2, r1 + r2 and the Jain fairness it returns the leaf's sum and its M2
+(sum of squared deviations) about the leaf mean, and no per-trial array
+leaves the worker.  The parent merges the leaves along the same tree
+(`_merged`): sums left + right, M2 by the pairwise update of Chan, Golub
+and LeVeque (1979).  The merged sum has the bits `np.add.reduce` gives over
+the whole per-trial array, so every mean is that array's `mean()`; the
+tree depends on the trial count alone, so reports are bit-identical for
 any worker count.  Policies evaluated at the same (seed, trials) point see
 the same realizations, which makes dominance comparisons between policies
 exact per realization rather than statistical.
 
 A figure, sweep or validation run shares one `Run` across its points.  The
-run's workers live as long as the run, and chunk i of every point goes to
-worker i mod W, so each worker sees the same chunks of a geometry again.
+run's workers live as long as the run, and leaf i of every point goes to
+worker i mod W, so each worker sees the same leaves of a geometry again.
 A worker keeps one geometry, keyed by (seed, N, M, K, d1, d2, alpha), and
-per chunk (t0, count) three things that ignore rho, split and r_th: the
+per leaf (t0, count) three things that ignore rho, split and r_th: the
 sampled gains, their row statistics (`selection.row_stats`: the per-row
 maxima and argmaxes that every kernel but random reads), and the chosen
 gains of every policy whose choice reads only those (`Policy.gains_only`).
@@ -40,7 +46,7 @@ from .rates import (PowerSplit, cr_rates, fnoma_pair_rates, jain_fairness, oma_p
                     qos_epsilon)
 from .selection import POLICIES, row_stats
 
-_CHUNK = 16384
+_CHUNK = 16384  # largest leaf; numpy's pairwise sum splits only above 128, so >= 128
 ASYMPTOTIC_MIN_RHO = 1e8  # below this the high-SNR closed forms are not claimed
 
 
@@ -136,7 +142,8 @@ class _GeometryCache:
         self.chunks = {}  # (t0, count) -> (h, g, rows, {(mode, policy): (h_sel, g_sel)})
 
     def simulate(self, task):
-        """Per-trial (r1, r2) arrays of each policy over one chunk of trials."""
+        """(t0, moments) of one leaf of trials: `_make_report` of each policy,
+        stacked on axis 1, so moments[0] are the sums and moments[1] the M2."""
         fading, mode, policies, split, r_th, seed, t0, count = task
         key = (seed, fading.n_bs, fading.m_ue1, fading.k_ue2,
                fading.d1, fading.d2, fading.alpha)
@@ -147,7 +154,7 @@ class _GeometryCache:
             self.chunks[t0, count] = h, g, row_stats(h, g), {}
         h, g, rows, chosen = self.chunks[t0, count]
         rho = fading.rho
-        out = {}
+        out = []
         for policy in policies:
             gains = chosen.get((mode, policy))
             if gains is None:
@@ -157,12 +164,13 @@ class _GeometryCache:
                     chosen[mode, policy] = gains
             h_sel, g_sel = gains
             if mode == "fnoma":
-                out[policy] = fnoma_pair_rates(h_sel, g_sel, split, rho)
+                r1, r2 = fnoma_pair_rates(h_sel, g_sel, split, rho)
             elif mode == "oma":
-                out[policy] = oma_pair_rates(h_sel, g_sel, rho)
+                r1, r2 = oma_pair_rates(h_sel, g_sel, rho)
             else:
-                out[policy] = cr_rates(h_sel, g_sel, rho, r_th)
-        return t0, out
+                r1, r2 = cr_rates(h_sel, g_sel, rho, r_th)
+            out.append(_make_report(r1, r2))
+        return t0, np.stack(out, axis=1)
 
 
 _worker_cache = None  # set in each worker process only, when it starts
@@ -202,15 +210,15 @@ class Run:
     """The workers of one figure, sweep or validation run.
 
     `workers` (None: NOMA_SIM_WORKERS, else the usable CPUs) is capped at
-    the chunk count of the run's largest point, `max_trials`.  With one
-    worker the chunks run in this process against the run's own cache;
+    the leaf count of the run's largest point, `max_trials`.  With one
+    worker the leaves run in this process against the run's own cache;
     otherwise each worker is a one-process pool, started at the first
-    point, and chunk i of every point goes to worker i mod W, so a worker
-    sees the same chunks of each geometry again.  Use as a context manager.
+    point, and leaf i of every point goes to worker i mod W, so a worker
+    sees the same leaves of each geometry again.  Use as a context manager.
     """
 
     def __init__(self, workers, max_trials):
-        self.workers = min(_resolve_workers(workers), -(-max_trials // _CHUNK))
+        self.workers = min(_resolve_workers(workers), len(_leaves(0, max_trials)))
         self._cache = _GeometryCache() if self.workers == 1 else None
         self._pools = []
 
@@ -223,7 +231,7 @@ class Run:
         self._pools = []
 
     def simulate(self, tasks):
-        """The chunk results of `tasks`, in order, each dropped once consumed."""
+        """The leaf results of `tasks`, in order, each dropped once consumed."""
         if self._cache is not None:
             for task in tasks:
                 yield self._cache.simulate(task)
@@ -238,23 +246,56 @@ class Run:
             yield futures.pop().result()
 
 
-def _std_err(x):
-    if x.size < 2:
-        return 0.0
-    return float(x.std(ddof=1) / math.sqrt(x.size))
+def _half(n):
+    """Size of the first part when numpy's pairwise sum splits n > 128 items."""
+    return n // 2 - (n // 2) % 8
 
 
-def _make_report(r1, r2, eval_count):
-    rsum = r1 + r2
-    fair = jain_fairness(r1, r2)
+def _leaves(t0, n):
+    """The (t0, count) leaves of trials t0 .. t0 + n - 1, in trial order: the
+    pieces of numpy's pairwise-sum tree, split until at most `_CHUNK`."""
+    if n <= _CHUNK:
+        return [(t0, n)]
+    half = _half(n)
+    return _leaves(t0, half) + _leaves(t0 + half, n - half)
+
+
+def _merged(t0, n, leaf):
+    """(sums, M2) of trials t0 .. t0 + n - 1, merged along the tree of
+    `_leaves` from leaf[t0] = (sums, M2) of each leaf.
+
+    Sums add left + right, as numpy's pairwise sum does; M2 merges by the
+    pairwise update of Chan, Golub and LeVeque (1979).
+    """
+    if n <= _CHUNK:
+        return leaf[t0]
+    half = _half(n)
+    (sa, qa), (sb, qb) = _merged(t0, half, leaf), _merged(t0 + half, n - half, leaf)
+    delta = sb / (n - half) - sa / half
+    return sa + sb, qa + qb + delta * delta * (half * (n - half) / n)
+
+
+def _make_report(r1, r2):
+    """Moments of one leaf: row 0 the sums, row 1 the M2 about the leaf
+    mean, of r1, r2, r1 + r2 and the Jain fairness, in that order."""
+    out = np.empty((2, 4))
+    for i, x in enumerate((r1, r2, r1 + r2, jain_fairness(r1, r2))):
+        total = np.add.reduce(x)
+        dev = x - total / x.size
+        out[:, i] = total, np.add.reduce(dev * dev)
+    return out
+
+
+def _report(trials, sums, m2, eval_count):
+    mean = sums / trials
+    se = np.sqrt(m2 / (trials - 1)) / math.sqrt(trials) if trials > 1 else np.zeros(4)
     return RateReport(
-        mean_r1=float(r1.mean()),
-        mean_r2=float(r2.mean()),
-        mean_sum=float(rsum.mean()),
-        mean_fairness=float(fair.mean()),
-        std_err={"r1": _std_err(r1), "r2": _std_err(r2),
-                 "sum": _std_err(rsum), "fairness": _std_err(fair)},
-        trials_used=int(r1.size),
+        mean_r1=float(mean[0]),
+        mean_r2=float(mean[1]),
+        mean_sum=float(mean[2]),
+        mean_fairness=float(mean[3]),
+        std_err=dict(zip(("r1", "r2", "sum", "fairness"), map(float, se))),
+        trials_used=trials,
         mean_eval_count=float(eval_count),
     )
 
@@ -270,19 +311,15 @@ def run_point(fading, mode, policies, trials, seed, split=None, r_th=None,
     for policy in policies:
         Scenario(fading, mode, policy, split=split, r_th=r_th,
                  trials=trials, seed=seed)  # validates the combination
-    tasks = [(fading, mode, tuple(policies), split, r_th, seed, t0,
-              min(_CHUNK, trials - t0)) for t0 in range(0, trials, _CHUNK)]
-    acc = {p: (np.empty(trials), np.empty(trials)) for p in policies}
+    tasks = [(fading, mode, tuple(policies), split, r_th, seed, t0, count)
+             for t0, count in _leaves(0, trials)]
     own = nullcontext(workers) if isinstance(workers, Run) else Run(workers, trials)
     with own as run:
-        for t0, chunk_out in run.simulate(tasks):
-            for policy, (r1, r2) in chunk_out.items():
-                acc[policy][0][t0:t0 + r1.size] = r1
-                acc[policy][1][t0:t0 + r2.size] = r2
-
+        leaf = dict(run.simulate(tasks))
+    sums, m2 = _merged(0, trials, leaf)
     n, m, k = fading.n_bs, fading.m_ue1, fading.k_ue2
-    return {p: _make_report(acc[p][0], acc[p][1], POLICIES[mode, p].count(n, m, k))
-            for p in policies}
+    return {p: _report(trials, sums[i], m2[i], POLICIES[mode, p].count(n, m, k))
+            for i, p in enumerate(policies)}
 
 
 def run_trials(scn: Scenario, workers=None) -> RateReport:
@@ -332,8 +369,9 @@ def sweep(base: Scenario, axis: str, values, workers=None):
 class ValidationPoint:
     """A scenario whose closed form is checked against its simulation.
 
-    The closed form is evaluated when the point is built, so a closed form
-    that refuses the antenna counts fails before any point of a run starts.
+    The tolerance and the closed form are checked when the point is built,
+    so a bad tolerance or a closed form that refuses the antenna counts
+    fails before any point of a run starts.
     """
 
     scenario: Scenario
@@ -341,6 +379,9 @@ class ValidationPoint:
     _closed_form: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 0 < self.tolerance < math.inf:
+            raise ConfigurationError(f"tolerance = {self.tolerance}: need a finite "
+                                     f"relative gap > 0", ("tolerance",))
         scn = self.scenario
         closed_form = POLICIES[scn.mode, scn.policy].closed_form
         if closed_form is None:
@@ -448,9 +489,6 @@ def _scenario_from_mapping(kv: dict, path, allow_tolerance=False):
                 f"{where}: {key} = {value!r} is not a valid {parse.__name__}") from None
 
     tolerance = take("tolerance", float) if allow_tolerance else None
-    if tolerance is not None and not 0 < tolerance < math.inf:
-        raise ConfigurationError(f"{lines['tolerance']}: tolerance = {tolerance}: need a "
-                                 f"finite relative gap > 0", ("tolerance",))
     fading_kwargs = {key: take(key, int) for key in _FADING_INT_KEYS if key in kv}
     fading_kwargs.update({key: take(key, float) for key in _FADING_FLOAT_KEYS if key in kv})
     for key in ("mode", "policy"):
@@ -508,5 +546,6 @@ def load_validation_grid(path):
         try:
             points.append(ValidationPoint(scn, 0.02 if tol is None else tol))
         except ConfigurationError as exc:
-            raise ConfigurationError(f"{path}:{start + 1}: {exc}", exc.keys) from None
+            where = kv["tolerance"][1] if "tolerance" in exc.keys else f"{path}:{start + 1}"
+            raise ConfigurationError(f"{where}: {exc}", exc.keys) from None
     return points

@@ -8,7 +8,9 @@ kernels must pick the very same triple.  The per-trial draws are numpy's
 own streams: one ``np.random.Generator(np.random.Philox(...))`` per trial,
 read with its ``random`` and ``integers`` methods.  The weak-gain-first
 closed form is checked against its expansion listed composition by
-composition, in float and at 80 digits with mpmath.
+composition, in float and at 80 digits with mpmath.  The harness's means and
+standard errors are checked against numpy's over per-trial arrays drawn,
+selected and rated in one batch.
 """
 
 import math
@@ -17,7 +19,9 @@ import mpmath
 import numpy as np
 
 from noma_as.analytics import EULER_GAMMA
-from noma_as.rates import cr_rates, fnoma_sum_rate
+from noma_as.channel import sample_channel_batch
+from noma_as.rates import cr_rates, fnoma_pair_rates, fnoma_sum_rate, oma_pair_rates
+from noma_as.selection import POLICIES, row_stats
 
 _MASK64 = (1 << 64) - 1
 CHANNEL_DOMAIN, POLICY_DOMAIN = 0, 1
@@ -103,6 +107,26 @@ def ref_fnoma_pair_rates(h, g, split, rho):
     """(r1, r2) under a fixed split."""
     a, b = split
     return _ref_pair(h, g, a, b, rho)
+
+
+# --- per-trial rates of one point ----------------------------------------------
+# The harness reduces each leaf of trials where it is simulated and merges the
+# leaves' moments.  This keeps every trial of a point in one array instead, so
+# numpy's mean and std over it are the reference for that reduction.
+
+
+def per_trial_rates(fading, mode, policy, trials, seed, split=None, r_th=None):
+    """(r1, r2) of one policy at one point, one entry per trial, drawn,
+    selected and rated in one batch."""
+    h, g = sample_channel_batch(fading, seed, 0, trials)
+    rho = fading.rho
+    h_sel, g_sel = POLICIES[mode, policy].select(h, g, rows=row_stats(h, g), rho=rho,
+                                                 split=split, r_th=r_th, seed=seed, t0=0)
+    if mode == "fnoma":
+        return fnoma_pair_rates(h_sel, g_sel, split, rho)
+    if mode == "oma":
+        return oma_pair_rates(h_sel, g_sel, rho)
+    return cr_rates(h_sel, g_sel, rho, r_th)
 
 
 # --- plain-loop references -----------------------------------------------------

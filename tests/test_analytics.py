@@ -11,7 +11,7 @@ from noma_as import (AnalyticConfig, EULER_GAMMA, FadingConfig, aia_strong_pdf,
                      prob_h_ge_g, a3_avg_sum_rate, aia_avg_sum_rate,
                      pu_avg_secondary_rate, quadrature_rate,
                      sample_channel_batch, su_avg_secondary_rate)
-from noma_as.analytics import _aia_power_table
+from noma_as.analytics import _aia_power_table, _prob_h_ge_g
 
 mpmath.mp.dps = 30
 
@@ -238,6 +238,20 @@ def test_prob_matches_empirical_frequency():
     p = prob_h_ge_g(cfg)
     se = math.sqrt(p * (1 - p) / 200_000)
     assert abs(freq - p) < 3 * se
+
+
+def test_prob_sums_once_per_geometry():
+    # figure 7's mcg closed form at 9 powers on each of its two placements
+    _prob_h_ge_g.cache_clear()
+    for d1, d2 in ((80.0, 200.0), (200.0, 80.0)):
+        for ps in range(0, 45, 5):
+            fading = FadingConfig(n_bs=4, d1=d1, d2=d2, ps_dbm=float(ps))
+            cfg = AnalyticConfig.from_fading(fading, r_th=2.0)
+            mcg_avg_secondary_rate(cfg)
+            uncached = _prob_h_ge_g.__wrapped__(8, 8, fading.omega_h, fading.omega_g)
+            assert prob_h_ge_g(cfg) == uncached
+    info = _prob_h_ge_g.cache_info()
+    assert (info.misses, info.hits) == (2, 2 * 9 * 2 - 2)
 
 
 # --- QoS-mode average secondary rates ----------------------------------------

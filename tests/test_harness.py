@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from noma_as import harness
 from noma_as.harness import Run
 from noma_as import (ConfigurationError, FadingConfig, PowerSplit, Scenario,
@@ -219,6 +221,63 @@ def test_workers_env_validation(monkeypatch):
     run_trials(_fnoma_scn(trials=10))
 
 
+# --- the reduction: leaf moments merged along numpy's pairwise tree ----------------
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 10 ** 6), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=1, seed=0)
+@example(n=129, seed=0)
+@example(n=16384, seed=0)
+@example(n=16385, seed=0)
+@example(n=32776, seed=0)
+@example(n=10 ** 6, seed=0)
+def test_merged_leaves_sum_like_numpy_bit_for_bit(n, seed):
+    # guards the leaf tree against a numpy whose pairwise sum splits otherwise
+    rng = np.random.default_rng(seed)
+    r1 = rng.exponential(size=n) * 10.0 ** rng.uniform(-6, 6, n)
+    r2 = rng.exponential(size=n) * 10.0 ** rng.uniform(-6, 6, n)
+    leaf = {t0: harness._make_report(r1[t0:t0 + count], r2[t0:t0 + count])[:, None]
+            for t0, count in harness._leaves(0, n)}
+    sums, m2 = harness._merged(0, n, leaf)
+    for i, x in enumerate((r1, r2, r1 + r2, jain_fairness(r1, r2))):
+        assert sums[0, i] == np.add.reduce(x)
+        assert sums[0, i] / n == x.mean()
+        if n > 1:
+            assert m2[0, i] / (n - 1) == pytest.approx(x.var(ddof=1), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("trials", [1, 129, 16384, 16385, 32776, 100_000])
+@pytest.mark.parametrize("mode", ["fnoma", "crnoma"])
+def test_run_point_matches_numpy_over_the_per_trial_arrays(mode, trials):
+    fading = FadingConfig(n_bs=2, d1=80.0, ps_dbm=20.0)
+    split, r_th = (PowerSplit.from_b(0.4), None) if mode == "fnoma" else (None, 2.0)
+    policies = _FNOMA_ALL if mode == "fnoma" else _CR_ALL
+    reports = run_point(fading, mode, policies, trials, 7, split=split, r_th=r_th,
+                        workers=1)
+    for policy, report in reports.items():
+        r1, r2 = oracles.per_trial_rates(fading, mode, policy, trials, 7, split, r_th)
+        for key, x in (("r1", r1), ("r2", r2), ("sum", r1 + r2),
+                       ("fairness", jain_fairness(r1, r2))):
+            assert getattr(report, f"mean_{key}") == x.mean()
+            se = x.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
+            assert report.std_err[key] == pytest.approx(se, rel=1e-12, abs=0)
+        assert report.trials_used == trials
+
+
+def test_the_parent_holds_no_per_trial_array():
+    # per-trial arrays of r1 and r2 for 2**17 trials x 5 policies are 10 MiB
+    fading = FadingConfig(n_bs=2, d1=80.0, ps_dbm=20.0)
+    run_point(fading, "crnoma", _CR_ALL, 16385, 3, r_th=2.0, workers=2)  # imports
+    tracemalloc.start()
+    try:
+        reports = run_point(fading, "crnoma", _CR_ALL, 2 ** 17, 3, r_th=2.0, workers=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reports["es"].trials_used == 2 ** 17
+    assert peak < 2 ** 20
+
+
 # --- one run shared by many points ----------------------------------------------
 
 _FNOMA_ALL = ("es", "a3", "aia", "random")
@@ -250,10 +309,16 @@ def test_run_shares_draws_across_points_on_two_workers():
         assert _reports(first + cr + first, 16385, run) == fresh + fresh[:len(first)]
 
 
+def _means(reports):
+    return [{p: (r.mean_r1, r.mean_r2, r.mean_sum, r.mean_fairness) for p, r in rep.items()}
+            for rep in reports]
+
+
 def test_run_keeps_row_statistics_per_chunk_on_two_workers(monkeypatch):
-    # three chunks on two worker processes, so worker 0 holds chunks 0 and 2
+    # three leaves on two worker processes, so worker 0 holds leaves 0 and 2
     # of each geometry: fnoma powers x splits, then crnoma powers x r_th with
-    # d1 and d2 swapped.  References run first, in one chunk, which no cache
+    # d1 and d2 swapped.  References run each point alone with the same
+    # leaves; their means must also equal those of one leaf, which no cache
     # can share.
     geo = FadingConfig(n_bs=3, d1=80.0, d2=200.0)
     swapped = FadingConfig(n_bs=3, d1=200.0, d2=80.0)
@@ -261,17 +326,22 @@ def test_run_keeps_row_statistics_per_chunk_on_two_workers(monkeypatch):
               for ps in (-30.0, 0.0, 30.0) for b in (0.2, 0.5)]
     points += [(replace(swapped, ps_dbm=ps), "crnoma", _CR_ALL, 5, None, r_th)
                for ps in (0.0, 20.0) for r_th in (1.0, 5.0)]
-    fresh = _reports(points, 96, 1)
-    monkeypatch.setattr(harness, "_CHUNK", 32)
-    with Run(2, 96) as run:
+    one_leaf = _reports(points, 520, 1)
+    monkeypatch.setattr(harness, "_CHUNK", 256)
+    assert harness._leaves(0, 520) == [(0, 256), (256, 128), (384, 136)]
+    fresh = _reports(points, 520, 1)
+    with Run(2, 520) as run:
         assert run.workers == 2
-        assert _reports(points, 96, run) == fresh
+        shared = _reports(points, 520, run)
+    assert shared == fresh
+    assert _means(shared) == _means(one_leaf)
 
 
 def test_run_cache_key_covers_the_geometry_and_the_chunk(monkeypatch):
     # each variant differs from the base geometry in one cache-key field; in
-    # four-trial chunks, one process holds chunks of equal size at three t0.
-    # References run first, in one chunk, which no cache can share.
+    # 128-trial leaves, one process holds leaves of equal size at four t0.
+    # References run each point alone with the same leaves; their means must
+    # also equal those of one leaf, which no cache can share.
     base = FadingConfig(n_bs=2, d1=80.0, d2=200.0, alpha=3.0, ps_dbm=30.0)
     variants = [(replace(base, d1=90.0), 5), (replace(base, d2=150.0), 5),
                 (replace(base, alpha=2.5), 5), (base, 6), (replace(base, n_bs=3), 5),
@@ -282,10 +352,14 @@ def test_run_cache_key_covers_the_geometry_and_the_chunk(monkeypatch):
         points += [(base, "fnoma", _FNOMA_ALL, 5, split, None),
                    (replace(base, ps_dbm=10.0), "fnoma", _FNOMA_ALL, 5, split, None),
                    (fading, "fnoma", _FNOMA_ALL, seed, split, None)]
-    fresh = _reports(points, 12, 1)
-    monkeypatch.setattr(harness, "_CHUNK", 4)
-    with Run(1, 12) as run:
-        assert _reports(points, 12, run) == fresh
+    one_leaf = _reports(points, 512, 1)
+    monkeypatch.setattr(harness, "_CHUNK", 128)
+    assert harness._leaves(0, 512) == [(t0, 128) for t0 in (0, 128, 256, 384)]
+    fresh = _reports(points, 512, 1)
+    with Run(1, 512) as run:
+        shared = _reports(points, 512, run)
+    assert shared == fresh
+    assert _means(shared) == _means(one_leaf)
 
 
 class _InlinePool:
@@ -407,6 +481,13 @@ def test_validation_result_carries_the_monte_carlo_error(monkeypatch):
     assert bad.status == "fail"
     assert (bad.monte_carlo, bad.std_err) == (res.monte_carlo, res.std_err)
     assert bad.sigma_gap == abs(bad.closed_form - bad.monte_carlo) / bad.std_err > 50
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -0.5, 0.0, math.inf, -math.inf])
+def test_validation_point_rejects_a_tolerance_that_is_not_finite_and_positive(tolerance):
+    with pytest.raises(ConfigurationError, match=rf"^tolerance = {tolerance}: ") as info:
+        ValidationPoint(_fnoma_scn(), tolerance)
+    assert info.value.keys == ("tolerance",)
 
 
 def test_validate_flags_low_snr_as_not_applicable():
