@@ -9,15 +9,13 @@ closed-form curves carry `_sim` / `_analytic` suffixes where both exist.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 # The closed forms run through POLICIES; their names stay bound here because
 # the benchmark's tracer (perfbench/trace.py) wraps them on this module too.
 from .analytics import (a3_avg_sum_rate, aia_avg_sum_rate,  # noqa: F401
                         mcg_avg_secondary_rate, pu_avg_secondary_rate,
                         su_avg_secondary_rate)
 from .channel import FadingConfig
-from .harness import ConfigurationError, Run, run_point
+from .harness import ConfigurationError, Point, Run, run_point
 from .rates import PowerSplit
 from .selection import POLICIES
 
@@ -31,117 +29,84 @@ _RTH_GRID = tuple(float(r) for r in range(1, 9))
 FIGURE_IDS = tuple(range(1, 9))
 
 
-def _columns(modes, fading, trials, seed, workers, split=None, r_th=None):
-    """Every policy of each mode on shared draws, one column per policy, or
-    a `_sim`/`_analytic` pair where the policy has a closed form."""
+def _policies(entry):
+    """(mode, policies) of a column group's mode entry: every policy of the
+    mode, or for "jain" (figure 5) the fnoma policies a3 and aia."""
+    if entry == "jain":
+        return "fnoma", ("a3", "aia")
+    return entry, tuple(p for m, p in POLICIES if m == entry)
+
+
+def _columns(entry, point, reports):
+    """One column per policy, or a `_sim`/`_analytic` pair where the policy
+    has a closed form; "jain" columns hold the mean Jain fairness."""
+    if entry == "jain":
+        return {f"jain_{name}": reports[name].mean_fairness for name in point.policies}
     cols = {}
-    for mode in modes:
-        names = tuple(p for m, p in POLICIES if m == mode)
-        rep = run_point(fading, mode, names, trials, seed, split=split,
-                        r_th=r_th, workers=workers)
-        for name in names:
-            policy = POLICIES[mode, name]
-            value = getattr(rep[name], policy.metric)
-            if policy.closed_form is None:
-                cols[policy.column] = value
-            else:
-                cols[f"{policy.column}_sim"] = value
-                cols[f"{policy.column}_analytic"] = policy.closed_form(fading, split, r_th)
+    for name in point.policies:
+        policy = POLICIES[point.mode, name]
+        value = getattr(reports[name], policy.metric)
+        if policy.closed_form is None:
+            cols[policy.column] = value
+        else:
+            cols[f"{policy.column}_sim"] = value
+            cols[f"{policy.column}_analytic"] = policy.closed_form(point.fading, point.split,
+                                                                   point.r_th)
     return cols
 
 
-def _fig1(trials, seed, workers):
-    split = PowerSplit.from_b(0.4)
-    rows = [(ps, _columns(("fnoma", "oma"), FadingConfig(n_bs=2, ps_dbm=float(ps)),
-                          trials, seed, workers, split=split))
-            for ps in _PS_GRID]
-    return "ps_dbm", rows
+def _two_placements(ps_dbm, r_th):
+    """Column groups with UE1 nearer the BS, then UE2 nearer, told apart by
+    column-name suffixes."""
+    return [(suffix, ("crnoma",), FadingConfig(n_bs=4, d1=d1, d2=d2, ps_dbm=ps_dbm), None, r_th)
+            for suffix, d1, d2 in (("_ue1near", 80.0, 200.0), ("_ue2near", 200.0, 80.0))]
 
 
-def _fig2(trials, seed, workers):
-    split = PowerSplit.from_b(0.4)
-    rows = [(n, _columns(("fnoma", "oma"), FadingConfig(n_bs=n, ps_dbm=10.0),
-                         trials, seed, workers, split=split))
-            for n in _N_GRID]
-    return "n_bs", rows
+_B04 = PowerSplit.from_b(0.4)
 
-
-def _fig3(trials, seed, workers):
-    split = PowerSplit.from_b(0.4)
-    rows = [(d2, _columns(("fnoma", "oma"), FadingConfig(n_bs=2, d2=d2, ps_dbm=10.0),
-                          trials, seed, workers, split=split))
-            for d2 in _D2_GRID]
-    return "d2", rows
-
-
-def _fig4(trials, seed, workers):
-    fading = FadingConfig(n_bs=2, ps_dbm=10.0)
-    rows = [(b, _columns(("fnoma",), fading, trials, seed, workers,
-                         split=PowerSplit.from_b(b)))
-            for b in _B_GRID]
-    return "b", rows
-
-
-def _fig5(trials, seed, workers):
-    fading = FadingConfig(n_bs=4, ps_dbm=20.0)
-    rows = []
-    for b in _B_GRID:
-        rep = run_point(fading, "fnoma", ("a3", "aia"), trials, seed,
-                        split=PowerSplit.from_b(b), workers=workers)
-        rows.append((b, {"jain_a3": rep["a3"].mean_fairness,
-                         "jain_aia": rep["aia"].mean_fairness}))
-    return "b", rows
-
-
-def _fig6(trials, seed, workers):
-    rows = [(d1, _columns(("crnoma",), FadingConfig(n_bs=4, d1=d1, ps_dbm=20.0),
-                          trials, seed, workers, r_th=5.0))
-            for d1 in _D1_GRID]
-    return "d1", rows
-
-
-def _two_placements(build, xs):
-    """Rows with UE1 nearer the BS, then UE2 nearer, as column-name suffixes.
-    Every point of one placement runs before the other's, so each geometry
-    is sampled and selected once."""
-    near = [build(x, FadingConfig(n_bs=4, d1=80.0, d2=200.0, ps_dbm=20.0)) for x in xs]
-    far = [build(x, FadingConfig(n_bs=4, d1=200.0, d2=80.0, ps_dbm=20.0)) for x in xs]
-    rows = []
-    for x, near_cols, far_cols in zip(xs, near, far):
-        cols = {f"{name}_ue1near": val for name, val in near_cols.items()}
-        cols.update({f"{name}_ue2near": val for name, val in far_cols.items()})
-        rows.append((x, cols))
-    return rows
-
-
-def _fig7(trials, seed, workers):
-    def build(ps, fading):
-        return _columns(("crnoma",), replace(fading, ps_dbm=float(ps)),
-                        trials, seed, workers, r_th=5.0)
-
-    return "ps_dbm", _two_placements(build, _PS_GRID)
-
-
-def _fig8(trials, seed, workers):
-    def build(r_th, fading):
-        return _columns(("crnoma",), fading, trials, seed, workers, r_th=float(r_th))
-
-    return "r_th", _two_placements(build, _RTH_GRID)
-
-
-_BUILDERS = {1: _fig1, 2: _fig2, 3: _fig3, 4: _fig4,
-             5: _fig5, 6: _fig6, 7: _fig7, 8: _fig8}
+# figure id -> (axis, grid, x -> [(suffix, mode entries, fading, split, r_th)]):
+# each column group runs every mode entry on shared draws and names its
+# columns with the group's suffix
+_FIGURES = {
+    1: ("ps_dbm", _PS_GRID, lambda ps: [
+        ("", ("fnoma", "oma"), FadingConfig(n_bs=2, ps_dbm=float(ps)), _B04, None)]),
+    2: ("n_bs", _N_GRID, lambda n: [
+        ("", ("fnoma", "oma"), FadingConfig(n_bs=n, ps_dbm=10.0), _B04, None)]),
+    3: ("d2", _D2_GRID, lambda d2: [
+        ("", ("fnoma", "oma"), FadingConfig(n_bs=2, d2=d2, ps_dbm=10.0), _B04, None)]),
+    4: ("b", _B_GRID, lambda b: [
+        ("", ("fnoma",), FadingConfig(n_bs=2, ps_dbm=10.0), PowerSplit.from_b(b), None)]),
+    5: ("b", _B_GRID, lambda b: [
+        ("", ("jain",), FadingConfig(n_bs=4, ps_dbm=20.0), PowerSplit.from_b(b), None)]),
+    6: ("d1", _D1_GRID, lambda d1: [
+        ("", ("crnoma",), FadingConfig(n_bs=4, d1=d1, ps_dbm=20.0), None, 5.0)]),
+    7: ("ps_dbm", _PS_GRID, lambda ps: _two_placements(float(ps), 5.0)),
+    8: ("r_th", _RTH_GRID, lambda r_th: _two_placements(20.0, float(r_th))),
+}
 
 
 def figure_rows(figure_id: int, trials: int, seed: int, workers=None):
     """(axis name, [(x, {column: value})]) for one figure id; all its points
     share one `Run`."""
-    if figure_id not in _BUILDERS:
+    if figure_id not in _FIGURES:
         raise ConfigurationError(f"figure id must be in 1..8, got {figure_id}")
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    with Run(workers, trials) as run:
-        return _BUILDERS[figure_id](trials, seed, run)
+    axis, grid, column_groups = _FIGURES[figure_id]
+    plan = [(x, [(suffix, entry, Point(fading, *_policies(entry), trials, seed, split, r_th))
+                 for suffix, entries, fading, split, r_th in column_groups(x)
+                 for entry in entries])
+            for x in grid]
+    rows = []
+    with Run(workers, [point for _, groups in plan for _, _, point in groups]) as run:
+        for x, groups in plan:
+            cols = {}
+            for suffix, entry, point in groups:
+                reports = run_point(*point, workers=run)
+                cols.update({f"{name}{suffix}": value
+                             for name, value in _columns(entry, point, reports).items()})
+            rows.append((x, cols))
+    return axis, rows
 
 
 def _fmt(v) -> str:

@@ -16,18 +16,17 @@ any worker count.  Policies evaluated at the same (seed, trials) point see
 the same realizations, which makes dominance comparisons between policies
 exact per realization rather than statistical.
 
-A figure, sweep or validation run shares one `Run` across its points.  The
-run's workers live as long as the run, and leaf i of every point goes to
-worker i mod W, so each worker sees the same leaves of a geometry again.
-A worker keeps one geometry, keyed by (seed, N, M, K, d1, d2, alpha), and
-per leaf (t0, count) three things that ignore rho, split and r_th: the
-sampled gains, their row statistics (`selection.row_stats`: the per-row
-maxima and argmaxes that every kernel but random reads), and the chosen
-gains of every policy whose choice reads only those (`Policy.gains_only`).
-A later point on that geometry reruns only the exhaustive searches, from
-the cached row statistics, and the rate formulas.  A reused array is the
-array a fresh draw or selection would have produced, and it meets the same
-rate formulas and the same reduction, so no bit of any report moves.
+A figure, sweep or validation builds one `Run` from all its points and
+groups them by what their draws depend on: the geometry (seed, antenna
+counts, d1, d2, alpha) and the trial count, not the power levels.  One task
+is one leaf of one group.  It samples the leaf, computes its row statistics
+(`selection.row_stats`: the per-row maxima and argmaxes that every kernel
+but random reads) and selects each policy whose choice reads only the gains
+(`Policy.gains_only`) once; then, for every point of the group, it runs the
+exhaustive searches, the rate formulas and the reduction.  A point reuses
+the arrays a fresh draw or selection would have produced, and they meet the
+same rate formulas and the same reduction, so no bit of any report moves.
+A worker holds one leaf at a time, whatever the trial count.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,30 +132,36 @@ class RateReport:
 _TRIPLES = {key: policy.select for key, policy in POLICIES.items()}
 
 
-class _GeometryCache:
-    """The chunks of one geometry that one worker has seen: their sampled
-    gains, row statistics and the chosen gains of every `gains_only`
-    policy."""
+class Point(NamedTuple):
+    """The arguments of one `run_point` call, which a `Run` is built from."""
 
-    def __init__(self):
-        self.key = None
-        self.chunks = {}  # (t0, count) -> (h, g, rows, {(mode, policy): (h_sel, g_sel)})
+    fading: FadingConfig
+    mode: str
+    policies: tuple
+    trials: int
+    seed: int
+    split: PowerSplit | None = None
+    r_th: float | None = None
 
-    def simulate(self, task):
-        """(t0, moments) of one leaf of trials: `_make_report` of each policy,
-        stacked on axis 1, so moments[0] are the sums and moments[1] the M2."""
-        fading, mode, policies, split, r_th, seed, t0, count = task
-        key = (seed, fading.n_bs, fading.m_ue1, fading.k_ue2,
-               fading.d1, fading.d2, fading.alpha)
-        if key != self.key:
-            self.key, self.chunks = key, {}
-        if (t0, count) not in self.chunks:
-            h, g = sample_channel_batch(fading, seed, t0, count)
-            self.chunks[t0, count] = h, g, row_stats(h, g), {}
-        h, g, rows, chosen = self.chunks[t0, count]
-        rho = fading.rho
-        out = []
-        for policy in policies:
+
+def _point(scn: Scenario) -> Point:
+    return Point(scn.fading, scn.mode, (scn.policy,), scn.trials, scn.seed, scn.split, scn.r_th)
+
+
+def _simulate_leaf(task):
+    """Moments of one leaf of one geometry group, per point of the group:
+    `_make_report` of each policy stacked on axis 1, so moments[0] are the
+    sums and moments[1] the M2.  The leaf is sampled, its row statistics
+    computed and each `gains_only` policy selected once, for all points."""
+    geometry, seed, t0, count, points = task
+    h, g = sample_channel_batch(geometry, seed, t0, count)
+    rows = row_stats(h, g)
+    chosen = {}
+    out = []
+    for point in points:
+        mode, split, r_th, rho = point.mode, point.split, point.r_th, point.fading.rho
+        reports = []
+        for policy in point.policies:
             gains = chosen.get((mode, policy))
             if gains is None:
                 gains = _TRIPLES[mode, policy](h, g, rows=rows, rho=rho, split=split,
@@ -169,20 +175,9 @@ class _GeometryCache:
                 r1, r2 = oma_pair_rates(h_sel, g_sel, rho)
             else:
                 r1, r2 = cr_rates(h_sel, g_sel, rho, r_th)
-            out.append(_make_report(r1, r2))
-        return t0, np.stack(out, axis=1)
-
-
-_worker_cache = None  # set in each worker process only, when it starts
-
-
-def _start_worker():
-    global _worker_cache
-    _worker_cache = _GeometryCache()
-
-
-def _simulate_in_worker(task):
-    return _worker_cache.simulate(task)
+            reports.append(_make_report(r1, r2))
+        out.append(np.stack(reports, axis=1))
+    return out
 
 
 def _resolve_workers(workers):
@@ -207,43 +202,49 @@ def _resolve_workers(workers):
 
 
 class Run:
-    """The workers of one figure, sweep or validation run.
+    """The simulation of every point of one figure, sweep or validation.
 
+    `points` are the `Point`s that `run_point` will be asked for; each
+    (point, policy) is checked as a `Scenario` here, before any work.  The
+    points are grouped by what their draws depend on: the geometry (the
+    `FadingConfig` with its power levels zeroed), trials and seed.  Entering
+    the run starts one `_simulate_leaf` task per leaf of each group.
     `workers` (None: NOMA_SIM_WORKERS, else the usable CPUs) is capped at
-    the leaf count of the run's largest point, `max_trials`.  With one
-    worker the leaves run in this process against the run's own cache;
-    otherwise each worker is a one-process pool, started at the first
-    point, and leaf i of every point goes to worker i mod W, so a worker
-    sees the same leaves of each geometry again.  Use as a context manager.
+    the leaf count of the largest point.  With one worker the tasks run in
+    this process, one after another; otherwise on one process pool of that
+    many workers.  Use as a context manager.
     """
 
-    def __init__(self, workers, max_trials):
-        self.workers = min(_resolve_workers(workers), len(_leaves(0, max_trials)))
-        self._cache = _GeometryCache() if self.workers == 1 else None
-        self._pools = []
+    def __init__(self, workers, points):
+        points = list(dict.fromkeys(points))
+        for point in points:
+            for policy in point.policies:
+                Scenario(point.fading, point.mode, policy, split=point.split,
+                         r_th=point.r_th, trials=point.trials, seed=point.seed)
+        self.workers = min(_resolve_workers(workers),
+                           max((len(_leaves(0, p.trials)) for p in points), default=1))
+        self._groups = {}
+        for point in points:
+            geometry = replace(point.fading, ps_dbm=0.0, sigma2_dbm=0.0)
+            self._groups.setdefault((geometry, point.trials, point.seed), []).append(point)
+        self._leaf = {}  # point -> {t0: moments of that leaf}
 
     def __enter__(self):
+        tasks = [(geometry, seed, t0, count, tuple(points))
+                 for (geometry, trials, seed), points in self._groups.items()
+                 for t0, count in _leaves(0, trials)]
+        if self.workers == 1:
+            results = map(_simulate_leaf, tasks)
+        else:
+            with ProcessPoolExecutor(max_workers=self.workers) as pool:
+                results = list(pool.map(_simulate_leaf, tasks))
+        for (_, _, t0, _, points), moments in zip(tasks, results):
+            for point, leaf in zip(points, moments):
+                self._leaf.setdefault(point, {})[t0] = leaf
         return self
 
     def __exit__(self, *exc):
-        for pool in self._pools:
-            pool.shutdown(cancel_futures=True)
-        self._pools = []
-
-    def simulate(self, tasks):
-        """The leaf results of `tasks`, in order, each dropped once consumed."""
-        if self._cache is not None:
-            for task in tasks:
-                yield self._cache.simulate(task)
-            return
-        if not self._pools:
-            self._pools = [ProcessPoolExecutor(max_workers=1, initializer=_start_worker)
-                           for _ in range(self.workers)]
-        futures = [self._pools[i % self.workers].submit(_simulate_in_worker, task)
-                   for i, task in enumerate(tasks)]
-        futures.reverse()
-        while futures:
-            yield futures.pop().result()
+        pass
 
 
 def _half(n):
@@ -306,17 +307,16 @@ def run_point(fading, mode, policies, trials, seed, split=None, r_th=None,
 
     Returns {policy: RateReport}.  All policies share the channel draws, so
     cross-policy comparisons at one point are paired.  `workers` is a `Run`
-    shared with other points, or a worker count for a run of this point only.
+    built with this point among others, or a worker count for a run of this
+    point only.
     """
-    for policy in policies:
-        Scenario(fading, mode, policy, split=split, r_th=r_th,
-                 trials=trials, seed=seed)  # validates the combination
-    tasks = [(fading, mode, tuple(policies), split, r_th, seed, t0, count)
-             for t0, count in _leaves(0, trials)]
-    own = nullcontext(workers) if isinstance(workers, Run) else Run(workers, trials)
+    point = Point(fading, mode, tuple(policies), trials, seed, split, r_th)
+    own = nullcontext(workers) if isinstance(workers, Run) else Run(workers, [point])
     with own as run:
-        leaf = dict(run.simulate(tasks))
-    sums, m2 = _merged(0, trials, leaf)
+        leaf = run._leaf.get(point)
+        if leaf is None:
+            raise ValueError(f"{point} is not a point of this run")
+        sums, m2 = _merged(0, trials, leaf)
     n, m, k = fading.n_bs, fading.m_ue1, fading.k_ue2
     return {p: _report(trials, sums[i], m2[i], POLICIES[mode, p].count(n, m, k))
             for i, p in enumerate(policies)}
@@ -324,8 +324,7 @@ def run_point(fading, mode, policies, trials, seed, split=None, r_th=None,
 
 def run_trials(scn: Scenario, workers=None) -> RateReport:
     """Average instantaneous rates of one policy over scn.trials draws."""
-    return run_point(scn.fading, scn.mode, (scn.policy,), scn.trials, scn.seed,
-                     split=scn.split, r_th=scn.r_th, workers=workers)[scn.policy]
+    return run_point(*_point(scn), workers=workers)[scn.policy]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +356,7 @@ def sweep(base: Scenario, axis: str, values, workers=None):
     """One report per swept value, same seed at every point so the whole
     curve rides on common random numbers."""
     points = [apply_axis(base, axis, v) for v in values]
-    with Run(workers, base.trials) as run:
+    with Run(workers, map(_point, points)) as run:
         return [(v, run_trials(p, workers=run)) for v, p in zip(values, points)]
 
 
@@ -427,7 +426,7 @@ def validate_asymptotics(points, workers=None):
     failed.
     """
     results = []
-    with Run(workers, max((p.scenario.trials for p in points), default=1)) as run:
+    with Run(workers, [_point(p.scenario) for p in points]) as run:
         for point in points:
             scn = point.scenario
             policy = POLICIES[scn.mode, scn.policy]

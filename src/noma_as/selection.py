@@ -242,8 +242,8 @@ class Policy:
     forms up on their modules at call time, so a function replaced there
     after import (as the benchmark's tracer does) is the one that runs.
     gains_only says the choice reads the gains (and seed, t0) but not rho,
-    split or r_th, so the harness selects once per geometry and reuses the
-    chosen gains at every point of a power, split or r_th sweep.
+    split or r_th, so the harness selects once per leaf of each geometry
+    group and reuses the chosen gains at every point of the group.
     """
 
     column: str  # figure column; `_sim`/`_analytic` pair with a closed form

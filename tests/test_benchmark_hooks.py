@@ -35,6 +35,23 @@ def test_traced_figure_reaches_every_layer(tmp_path, figure_id, spans):
               if name.startswith(("selection.", "rates.", "analytics.closed_form"))]
     assert sorted(traced) == sorted(spans)
     assert all(layers[name]["calls"] > 0 for name in spans)
+    assert layers["harness.run_point"]["trials"] > 0
+
+
+def test_traced_validate_reaches_run_point(tmp_path):
+    (tmp_path / "grid.txt").write_text(
+        "mode = fnoma\npolicy = a3\nps_dbm = 30\nb = 0.4\ntrials = 200\ntolerance = 1\n\n"
+        "mode = crnoma\npolicy = mcg\nn_bs = 4\nps_dbm = 20\nr_th = 5\ntrials = 200\n"
+        "tolerance = 1\n")
+    proc = subprocess.run(
+        [sys.executable, str(TRACE), "--pass", "traced", "--", "validate", "--grid",
+         "grid.txt"],
+        cwd=tmp_path, env={**os.environ, "NOMA_SIM_WORKERS": "1"},
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rc"] == 0
+    assert result["layers"]["harness.run_point"]["trials"] == 2 * 200
 
 
 def _figure7_pass(tmp_path, mode, workers, trials):
@@ -51,11 +68,11 @@ def _figure7_pass(tmp_path, mode, workers, trials):
 
 def test_figure7_samples_and_selects_once_per_placement(tmp_path):
     # two placements, each one geometry over the nine powers: one draw and
-    # one random-policy selection per trial and placement, and one pool per
-    # worker for the whole figure
+    # one random-policy selection per trial and placement, and one pool for
+    # the whole figure
     trials = 16385
     pooled = _figure7_pass(tmp_path, "plain", 2, trials)
-    assert 1 <= pooled["pools_started"] <= 2
+    assert pooled["pools_started"] == 1
     layers = _figure7_pass(tmp_path, "traced", 1, trials)["layers"]
     assert layers["channel.sample"]["trials"] == 2 * trials
     assert layers["selection.random"]["trials"] == 2 * trials

@@ -188,7 +188,8 @@ def test_validate_refuses_a_closed_form_before_any_point_runs(tmp_path, capsys):
 def test_validate_refuses_aia_beyond_the_binomial_range_before_any_chunk(
         tmp_path, capsys, monkeypatch):
     ran = []
-    monkeypatch.setattr(harness.Run, "simulate", lambda self, tasks: ran.append(tasks))
+    monkeypatch.setattr(harness, "_simulate_leaf", ran.append)
+    monkeypatch.setenv("NOMA_SIM_WORKERS", "1")
     grid = tmp_path / "grid.txt"
     grid.write_text("mode = fnoma\npolicy = a3\nps_dbm = 30\nb = 0.4\n"
                     "trials = 20000\nseed = 2\n\nmode = fnoma\npolicy = aia\n"

@@ -1,7 +1,7 @@
 import math
 import os
 import tracemalloc
-from concurrent.futures import Future
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import oracles
 from noma_as import harness
-from noma_as.harness import Run
+from noma_as.harness import Point, Run
 from noma_as import (ConfigurationError, FadingConfig, PowerSplit, Scenario,
-                     ValidationPoint, apply_axis, cr_rates, fnoma_pair_rates,
+                     ValidationPoint, apply_axis, cr_rates, figure_rows, fnoma_pair_rates,
                      jain_fairness, load_scenario, load_validation_grid,
                      run_point, run_trials, sample_channel_batch, sweep,
                      validate_asymptotics)
@@ -120,12 +120,21 @@ def test_any_scenario_is_rejected_when_built_or_reports_finite_numbers(
     assert all(math.isfinite(v) for v in values), report
 
 
-def test_sweep_rejects_a_bad_point_before_any_point_runs(monkeypatch):
+def _record_tasks(monkeypatch):
     ran = []
-    monkeypatch.setattr(harness._GeometryCache, "simulate",
-                        lambda self, task: ran.append(task))
+    monkeypatch.setattr(harness, "_simulate_leaf", ran.append)
+    return ran
+
+
+def test_sweep_rejects_a_bad_point_before_any_point_runs(monkeypatch):
+    ran = _record_tasks(monkeypatch)
     with pytest.raises(ConfigurationError, match=r"\bps_dbm ="):
         sweep(_fnoma_scn(), "ps_dbm", [10.0, 20.0, 2980.0], workers=1)
+    # a run checks every (point, policy) when it is built, before any task
+    good = harness._point(_fnoma_scn())
+    bad = good._replace(policies=("es", "a3"), split=PowerSplit.from_b(0.6))
+    with pytest.raises(ConfigurationError, match=r"^b = 0.6: "):
+        Run(1, [good, bad])
     assert ran == []
 
 
@@ -284,29 +293,29 @@ _FNOMA_ALL = ("es", "a3", "aia", "random")
 _CR_ALL = ("es", "mcg", "pu", "su", "random")
 
 
-def _reports(points, trials, workers):
-    """run_point at each (fading, mode, policies, seed, split, r_th) point."""
-    return [run_point(fading, mode, policies, trials, seed, split=split, r_th=r_th,
-                      workers=workers)
-            for fading, mode, policies, seed, split, r_th in points]
+def _reports(points, workers):
+    return [run_point(*point, workers=workers) for point in points]
 
 
 def test_run_shares_draws_across_points_on_two_workers():
-    # two chunks on two worker processes: fnoma powers x splits and the oma
+    # two leaves on two worker processes: fnoma powers x splits and the oma
     # point on one geometry, crnoma with d1 and d2 swapped, then the first
-    # geometry again.  Each report must equal a one-worker run of its point
-    # alone; the low powers make es choose differently at every point.
+    # geometry's points again.  Each report must equal a one-worker run of
+    # its point alone; the low powers make es choose differently at every
+    # point.
     geo = FadingConfig(n_bs=2, d1=80.0, d2=200.0)
     swapped = FadingConfig(n_bs=2, d1=200.0, d2=80.0)
-    first = [(replace(geo, ps_dbm=ps), "fnoma", _FNOMA_ALL, 5, PowerSplit.from_b(b), None)
-             for ps in (-30.0, 0.0) for b in (0.2, 0.4)]
-    first.append((replace(geo, ps_dbm=30.0), "oma", ("oma_es",), 5, None, None))
-    cr = [(replace(swapped, ps_dbm=ps), "crnoma", _CR_ALL, 5, None, r_th)
+    first = [Point(replace(geo, ps_dbm=ps), "fnoma", _FNOMA_ALL, 16385, 5,
+                   PowerSplit.from_b(b)) for ps in (-30.0, 0.0) for b in (0.2, 0.4)]
+    first.append(Point(replace(geo, ps_dbm=30.0), "oma", ("oma_es",), 16385, 5))
+    cr = [Point(replace(swapped, ps_dbm=ps), "crnoma", _CR_ALL, 16385, 5, r_th=r_th)
           for ps in (10.0, 30.0) for r_th in (1.0, 5.0)]
-    fresh = _reports(first + cr, 16385, 1)
-    with Run(2, 16385) as run:
+    fresh = _reports(first + cr, 1)
+    with Run(2, first + cr + first) as run:
         assert run.workers == 2
-        assert _reports(first + cr + first, 16385, run) == fresh + fresh[:len(first)]
+        assert _reports(first + cr + first, run) == fresh + fresh[:len(first)]
+        with pytest.raises(ValueError, match="not a point of this run"):
+            run_point(*first[0]._replace(seed=6), workers=run)
 
 
 def _means(reports):
@@ -315,51 +324,105 @@ def _means(reports):
 
 
 def test_run_keeps_row_statistics_per_chunk_on_two_workers(monkeypatch):
-    # three leaves on two worker processes, so worker 0 holds leaves 0 and 2
-    # of each geometry: fnoma powers x splits, then crnoma powers x r_th with
-    # d1 and d2 swapped.  References run each point alone with the same
-    # leaves; their means must also equal those of one leaf, which no cache
-    # can share.
+    # three leaves of each geometry on two worker processes: fnoma powers x
+    # splits, then crnoma powers x r_th with d1 and d2 swapped.  References
+    # run each point alone with the same leaves; their means must also equal
+    # those of one leaf, which no sharing across leaves can give.
     geo = FadingConfig(n_bs=3, d1=80.0, d2=200.0)
     swapped = FadingConfig(n_bs=3, d1=200.0, d2=80.0)
-    points = [(replace(geo, ps_dbm=ps), "fnoma", _FNOMA_ALL, 5, PowerSplit.from_b(b), None)
-              for ps in (-30.0, 0.0, 30.0) for b in (0.2, 0.5)]
-    points += [(replace(swapped, ps_dbm=ps), "crnoma", _CR_ALL, 5, None, r_th)
+    points = [Point(replace(geo, ps_dbm=ps), "fnoma", _FNOMA_ALL, 520, 5,
+                    PowerSplit.from_b(b)) for ps in (-30.0, 0.0, 30.0) for b in (0.2, 0.5)]
+    points += [Point(replace(swapped, ps_dbm=ps), "crnoma", _CR_ALL, 520, 5, r_th=r_th)
                for ps in (0.0, 20.0) for r_th in (1.0, 5.0)]
-    one_leaf = _reports(points, 520, 1)
+    one_leaf = _reports(points, 1)
     monkeypatch.setattr(harness, "_CHUNK", 256)
     assert harness._leaves(0, 520) == [(0, 256), (256, 128), (384, 136)]
-    fresh = _reports(points, 520, 1)
-    with Run(2, 520) as run:
+    fresh = _reports(points, 1)
+    with Run(2, points) as run:
         assert run.workers == 2
-        shared = _reports(points, 520, run)
+        shared = _reports(points, run)
     assert shared == fresh
     assert _means(shared) == _means(one_leaf)
 
 
-def test_run_cache_key_covers_the_geometry_and_the_chunk(monkeypatch):
-    # each variant differs from the base geometry in one cache-key field; in
-    # 128-trial leaves, one process holds leaves of equal size at four t0.
-    # References run each point alone with the same leaves; their means must
-    # also equal those of one leaf, which no cache can share.
+def test_run_groups_points_by_geometry_trials_and_seed(monkeypatch):
+    # each variant differs from the base point in one of d1, d2, alpha, seed,
+    # n_bs, m_ue1, k_ue2 and trials, and draws its own leaves; a point at
+    # another ps_dbm or sigma2_dbm shares the base point's draws.  References
+    # run each point alone with the same 128-trial leaves; their means must
+    # also equal those of one leaf.
     base = FadingConfig(n_bs=2, d1=80.0, d2=200.0, alpha=3.0, ps_dbm=30.0)
-    variants = [(replace(base, d1=90.0), 5), (replace(base, d2=150.0), 5),
-                (replace(base, alpha=2.5), 5), (base, 6), (replace(base, n_bs=3), 5),
-                (replace(base, m_ue1=3), 5), (replace(base, k_ue2=3), 5)]
     split = PowerSplit.from_b(0.4)
-    points = []
-    for fading, seed in variants:
-        points += [(base, "fnoma", _FNOMA_ALL, 5, split, None),
-                   (replace(base, ps_dbm=10.0), "fnoma", _FNOMA_ALL, 5, split, None),
-                   (fading, "fnoma", _FNOMA_ALL, seed, split, None)]
-    one_leaf = _reports(points, 512, 1)
+    same = [Point(f, "fnoma", _FNOMA_ALL, 512, 5, split)
+            for f in (base, replace(base, ps_dbm=10.0), replace(base, sigma2_dbm=-100.0))]
+    variants = [Point(f, "fnoma", _FNOMA_ALL, trials, seed, split)
+                for f, seed, trials in ((replace(base, d1=90.0), 5, 512),
+                                        (replace(base, d2=150.0), 5, 512),
+                                        (replace(base, alpha=2.5), 5, 512), (base, 6, 512),
+                                        (replace(base, n_bs=3), 5, 512),
+                                        (replace(base, m_ue1=3), 5, 512),
+                                        (replace(base, k_ue2=3), 5, 512), (base, 5, 256))]
+    points = same + variants
+    one_leaf = _reports(points, 1)
     monkeypatch.setattr(harness, "_CHUNK", 128)
     assert harness._leaves(0, 512) == [(t0, 128) for t0 in (0, 128, 256, 384)]
-    fresh = _reports(points, 512, 1)
-    with Run(1, 512) as run:
-        shared = _reports(points, 512, run)
+    fresh = _reports(points, 1)
+    sampled = []
+
+    def geometry(fading):
+        return fading.n_bs, fading.m_ue1, fading.k_ue2, fading.d1, fading.d2, fading.alpha
+
+    def sample(fading, seed, start, count):
+        sampled.append((geometry(fading), seed, start, count))
+        return sample_channel_batch(fading, seed, start, count)
+
+    monkeypatch.setattr(harness, "sample_channel_batch", sample)
+    with Run(1, points) as run:
+        shared = _reports(points, run)
+    assert sorted(sampled) == sorted((geometry(p.fading), p.seed, t0, count)
+                                     for p in [same[0]] + variants
+                                     for t0, count in harness._leaves(0, p.trials))
     assert shared == fresh
     assert _means(shared) == _means(one_leaf)
+
+
+def test_run_holds_one_leaf_at_a_time_in_process(monkeypatch):
+    # figure 7 in four leaves per placement at one worker: when a leaf is
+    # sampled, the arrays of every earlier leaf are gone
+    monkeypatch.setattr(harness, "_CHUNK", 128)
+    assert len(harness._leaves(0, 512)) == 4
+    earlier = []
+
+    def sample(fading, seed, start, count):
+        assert [ref for ref in earlier if ref() is not None] == []
+        h, g = sample_channel_batch(fading, seed, start, count)
+        earlier.extend((weakref.ref(h), weakref.ref(g)))
+        return h, g
+
+    monkeypatch.setattr(harness, "sample_channel_batch", sample)
+    axis, rows = figure_rows(7, 512, 1, workers=1)
+    assert len(earlier) == 2 * 2 * 4 and len(rows) == 9
+
+
+def test_run_writes_the_same_bits_at_one_two_and_three_workers(monkeypatch):
+    # two geometries, three modes, two seeds, three leaves per point
+    geo = FadingConfig(n_bs=2, d1=80.0, d2=200.0)
+    swapped = FadingConfig(n_bs=3, d1=200.0, d2=80.0)
+    points = []
+    for seed in (5, 6):
+        points += [Point(replace(geo, ps_dbm=ps), "fnoma", _FNOMA_ALL, 520, seed,
+                         PowerSplit.from_b(0.4)) for ps in (0.0, 30.0)]
+        points.append(Point(replace(geo, ps_dbm=30.0), "oma", ("oma_es",), 520, seed))
+        points += [Point(replace(swapped, ps_dbm=ps), "crnoma", _CR_ALL, 520, seed,
+                         r_th=r_th) for ps in (10.0, 30.0) for r_th in (1.0, 5.0)]
+    monkeypatch.setattr(harness, "_CHUNK", 256)
+    assert len(harness._leaves(0, 520)) == 3
+    printed = []
+    for workers in (1, 2, 3):
+        with Run(workers, points) as run:
+            assert run.workers == workers
+            printed.append(repr(_reports(points, run)))
+    assert printed[0] == printed[1] == printed[2]
 
 
 class _InlinePool:
@@ -367,43 +430,42 @@ class _InlinePool:
 
     sizes = []
 
-    def __init__(self, max_workers, initializer):
+    def __init__(self, max_workers):
         self.sizes.append(max_workers)
-        initializer()
 
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    def __enter__(self):
+        return self
 
-    def shutdown(self, wait=True, cancel_futures=False):
+    def __exit__(self, *exc):
         pass
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
 
 
 def test_run_starts_no_more_workers_than_chunks(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(harness, "_worker_cache", None)
 
-    def workers_started(fn):
+    def pools_started(fn):
         _InlinePool.sizes.clear()
         fn()
-        return sum(_InlinePool.sizes)
+        return list(_InlinePool.sizes)
 
     monkeypatch.setenv("NOMA_SIM_WORKERS", "64")
     scn = _fnoma_scn(trials=16385)
-    assert workers_started(lambda: run_trials(scn)) == 2
+    assert pools_started(lambda: run_trials(scn)) == [2]
     assert run_trials(scn) == run_trials(scn, workers=1)
-    assert workers_started(lambda: run_trials(_fnoma_scn(trials=16384))) == 0
-    assert workers_started(lambda: sweep(scn, "ps_dbm", [10.0, 20.0])) == 2
+    assert pools_started(lambda: run_trials(_fnoma_scn(trials=16384))) == []
+    assert pools_started(lambda: sweep(scn, "ps_dbm", [10.0, 20.0])) == [2]
     points = [ValidationPoint(_fnoma_scn(trials=t), 0.05) for t in (10, 2 * 16384 + 1)]
-    assert workers_started(lambda: validate_asymptotics(points)) == 3
+    assert pools_started(lambda: validate_asymptotics(points)) == [3]
 
     monkeypatch.delenv("NOMA_SIM_WORKERS")
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     if hasattr(os, "sched_getaffinity"):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert Run(None, 10 * 16384).workers == 2
-    assert Run(None, 16384).workers == 1
+        assert Run(None, [harness._point(_fnoma_scn(trials=10 * 16384))]).workers == 2
+    assert Run(None, [harness._point(_fnoma_scn(trials=16384))]).workers == 1
 
 
 # --- sweeps ---------------------------------------------------------------------
@@ -586,9 +648,7 @@ def test_validation_grid_parsing(tmp_path):
 def test_validation_grid_refuses_a_closed_form_before_any_point_runs(tmp_path,
                                                                      monkeypatch):
     # the second block's a3 closed form needs N*M = 32 > 30 binomial terms
-    ran = []
-    monkeypatch.setattr(harness._GeometryCache, "simulate",
-                        lambda self, task: ran.append(task))
+    ran = _record_tasks(monkeypatch)
     path = tmp_path / "grid.txt"
     path.write_text(GRID_TEXT.split("\n\n")[0] + "\n\n\nmode = fnoma\npolicy = a3\n"
                     "n_bs = 16\nps_dbm = 30\nb = 0.4\ntrials = 400\n")
