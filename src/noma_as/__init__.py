@@ -5,7 +5,23 @@ policies with exhaustive-search references, closed-form high-SNR average
 rates, and a Monte Carlo harness that validates the two against each other.
 The policies are the entries of ``noma_as.selection.POLICIES``; they select
 over stacked channel draws from ``sample_channel_batch``.
+
+The package's parallelism is its own process pool, and it makes no BLAS
+call, so numpy is loaded with one OpenBLAS thread: an idle BLAS thread only
+spins and competes with the workers.  An ``OPENBLAS_NUM_THREADS`` set by the
+user wins, and the environment is restored after the import, so processes
+started later are unaffected.
 """
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .analytics import (AnalyticConfig, AnalyticResult, EULER_GAMMA,
                         aia_strong_pdf, exp_integral_ei,

@@ -25,6 +25,7 @@ realization is a batch of one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,11 @@ def largest_gain(omega):
     return float(-np.log(_TINY)) / omega
 
 
+def _is_int(value):
+    """An integer of any integral type but bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class ConfigurationError(ValueError):
     """Invalid scenario, axis, or file input (CLI exit code 1).
 
@@ -93,7 +99,7 @@ class FadingConfig:
 
     def __post_init__(self):
         for keys, ok, need in (
-                (("n_bs", "m_ue1", "k_ue2"), lambda v: v >= 1 and v % 1 == 0,
+                (("n_bs", "m_ue1", "k_ue2"), lambda v: _is_int(v) and v >= 1,
                  "antenna counts must be integers >= 1"),
                 (("d1", "d2"), lambda v: v > 0, "distances must be positive"),
                 (("alpha",), lambda v: v > 0, "path-loss exponent must be positive"),
@@ -146,20 +152,22 @@ def _mulhilo(a: int, b: np.ndarray):
 def _philox_block(seed: int, domain: int, counter):
     """Philox4x64-10 output block (four uint64 arrays) under key
     ``(seed, domain)`` for the counter words ``counter`` = (c0, c1, c2, c3),
-    uint64 arrays that broadcast against each other."""
-    x0, x1, x2, x3 = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in counter))
+    uint64 arrays or scalars that broadcast against each other.
+
+    Each word keeps its own shape until a round mixes it into a larger one,
+    so constant words such as the zeros of ``(j, 0, 0, t)`` stay 0-d through
+    the first rounds; the four words are broadcast at the end.
+    """
+    x0, x1, x2, x3 = (np.asarray(c, dtype=np.uint64) for c in counter)
     k0, k1 = seed & _MASK64, domain & _MASK64
-    for _ in range(10):
-        lo0, hi0 = _mulhilo(_PHILOX_M[0], x0)
-        lo1, hi1 = _mulhilo(_PHILOX_M[1], x2)
-        hi1 ^= x1
-        hi1 ^= np.uint64(k0)
-        hi0 ^= x3
-        hi0 ^= np.uint64(k1)
-        x0, x1, x2, x3 = hi1, lo1, hi0, lo0
-        k0 = (k0 + _PHILOX_W[0]) & _MASK64
-        k1 = (k1 + _PHILOX_W[1]) & _MASK64
-    return x0, x1, x2, x3
+    with np.errstate(over="ignore"):  # 0-d words multiply as numpy scalars, which warn
+        for _ in range(10):
+            lo0, hi0 = _mulhilo(_PHILOX_M[0], x0)
+            lo1, hi1 = _mulhilo(_PHILOX_M[1], x2)
+            x0, x1, x2, x3 = hi1 ^ (x1 ^ np.uint64(k0)), lo1, hi0 ^ (x3 ^ np.uint64(k1)), lo0
+            k0 = (k0 + _PHILOX_W[0]) & _MASK64
+            k1 = (k1 + _PHILOX_W[1]) & _MASK64
+    return tuple(np.broadcast_arrays(x0, x1, x2, x3))
 
 
 def _trial_counters(start: int, count: int) -> np.ndarray:
@@ -168,12 +176,17 @@ def _trial_counters(start: int, count: int) -> np.ndarray:
 
 
 def _gains_from_uniforms(u: np.ndarray, cfg: FadingConfig):
+    """(h, g) of shapes (T, N, M) and (T, N, K) from each trial's uniforms
+    u (T, N*(M+K)), h[t] from the first N*M of them in row-major order.
+
+    The gains are computed link by link, so h and g are views of (N, M, T)
+    and (N, K, T) arrays: each (n, m) column of the trials is contiguous.
+    """
     n, m, k = cfg.n_bs, cfg.m_ue1, cfg.k_ue2
     nm = n * m
-    u = np.where(u == 0.0, _TINY, u)
-    x = -np.log(u)
-    h = x[..., :nm].reshape(u.shape[:-1] + (n, m)) / cfg.omega_h
-    g = x[..., nm:].reshape(u.shape[:-1] + (n, k)) / cfg.omega_g
+    x = -np.log(np.maximum(np.ascontiguousarray(u.T), _TINY))  # u = 0 reads as _TINY
+    h = (x[:nm] / cfg.omega_h).reshape(n, m, -1).transpose(2, 0, 1)
+    g = (x[nm:] / cfg.omega_g).reshape(n, k, -1).transpose(2, 0, 1)
     return h, g
 
 
@@ -183,12 +196,13 @@ def sample_channel_batch(cfg: FadingConfig, seed: int, start: int, count: int):
     Trial t's N*(M+K) uniforms are the words of its blocks (j, 0, 0, t),
     j = 1, 2, ..., all computed at once, each mapped to [0, 1) as numpy's
     ``random()`` maps a word.  Returns (h, g) with shapes (count, N, M) and
-    (count, N, K).
+    (count, N, K), the trial axis fastest in memory (see
+    ``_gains_from_uniforms``).
     """
     total = cfg.n_bs * (cfg.m_ue1 + cfg.k_ue2)
     blocks = np.arange(1, -(-total // 4) + 1, dtype=np.uint64)
-    words = _philox_block(seed, CHANNEL_DOMAIN, (blocks[None, :], 0, 0,
-                                                 _trial_counters(start, count)[:, None]))
-    words = np.stack(words, axis=-1).reshape(count, 4 * blocks.size)[:, :total]
+    words = _philox_block(seed, CHANNEL_DOMAIN, (blocks[:, None], 0, 0,
+                                                 _trial_counters(start, count)[None, :]))
+    words = np.stack(words, axis=1).reshape(4 * blocks.size, count)[:total]
     u = (words >> np.uint64(11)) * 2.0 ** -53
-    return _gains_from_uniforms(u, cfg)
+    return _gains_from_uniforms(u.T, cfg)

@@ -32,7 +32,6 @@ A worker holds one leaf at a time, whatever the trial count.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -41,9 +40,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ConfigurationError, FadingConfig, largest_gain, sample_channel_batch
-from .rates import (PowerSplit, cr_rates, fnoma_pair_rates, jain_fairness, oma_pair_rates,
-                    qos_epsilon)
+from .channel import (ConfigurationError, FadingConfig, _is_int, largest_gain,
+                      sample_channel_batch)
+from .rates import PowerSplit, _jain, cr_rates, fnoma_pair_rates, oma_pair_rates, qos_epsilon
 from .selection import POLICIES, row_stats
 
 _CHUNK = 16384  # largest leaf; numpy's pairwise sum splits only above 128, so >= 128
@@ -81,10 +80,10 @@ class Scenario:
             if not 0 < eps < math.inf:
                 raise ConfigurationError(f"r_th = {self.r_th}: crnoma needs 2**r_th - 1 "
                                          f"positive and finite", ("r_th",))
-        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise ConfigurationError(f"trials = {self.trials!r}: need an integer >= 1",
                                      ("trials",))
-        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2 ** 64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2 ** 64:
             raise ConfigurationError(f"seed = {self.seed!r}: need an integer in [0, 2**64)",
                                      ("seed",))
         fading = self.fading
@@ -280,7 +279,8 @@ def _make_report(r1, r2):
     """Moments of one leaf: row 0 the sums, row 1 the M2 about the leaf
     mean, of r1, r2, r1 + r2 and the Jain fairness, in that order."""
     out = np.empty((2, 4))
-    for i, x in enumerate((r1, r2, r1 + r2, jain_fairness(r1, r2))):
+    both = r1 + r2
+    for i, x in enumerate((r1, r2, both, _jain(r1, r2, both))):
         total = np.add.reduce(x)
         dev = x - total / x.size
         out[:, i] = total, np.add.reduce(dev * dev)

@@ -14,9 +14,11 @@ simplifications live only in the closed forms of ``analytics``.
 
 All functions are ufunc-based: they accept scalars or broadcast-compatible
 arrays, and return Python floats for pure-scalar input.  Rates are bit/s/Hz
-(base-2 logs everywhere).  Each rate takes one log: the pair formulas select
-every element's SINR, strong or weak form, and then take log2(1 + SINR)
-once.
+(base-2 logs everywhere).  A pair takes two logs: the pair formulas compute
+one strong SINR on max(h, g) and one weak SINR on min(h, g), take
+log2(1 + SINR) of each, and then select r1 and r2 from the two by h >= g.
+The CR-NOMA search reads r1 alone, so it selects each element's SINR first
+and takes one log.
 """
 
 from __future__ import annotations
@@ -63,10 +65,12 @@ def _weak_sinr(x, a, b, rho):
     return a * x / (b * x + 1.0 / rho)
 
 
-def _rate(x, strong, a, b, rho):
-    """log2(1 + SINR), with the strong form where `strong` holds and the weak
-    form elsewhere: the SINR is selected first, so each rate takes one log."""
-    return np.log2(1.0 + np.where(strong, _strong_sinr(x, b, rho), _weak_sinr(x, a, b, rho)))
+def _pair(h, g, d, a, b, rho):
+    """(r1, r2): one strong rate on max(h, g) and one weak rate on
+    min(h, g), each UE's rate then selected by d = h >= g."""
+    strong = np.log2(1.0 + _strong_sinr(np.maximum(h, g), b, rho))
+    weak = np.log2(1.0 + _weak_sinr(np.minimum(h, g), a, b, rho))
+    return RatePair(_out(np.where(d, strong, weak)), _out(np.where(d, weak, strong)))
 
 
 def fnoma_pair_rates(h, g, split: PowerSplit, rho) -> RatePair:
@@ -80,8 +84,7 @@ def fnoma_pair_rates(h, g, split: PowerSplit, rho) -> RatePair:
         raise ValueError(f"fixed-power mode needs a >= b, got a={a}, b={b}")
     if not rho > 0:
         raise ValueError("rho must be positive")
-    d = np.greater_equal(h, g)
-    return RatePair(_out(_rate(h, d, a, b, rho)), _out(_rate(g, ~d, a, b, rho)))
+    return _pair(h, g, np.greater_equal(h, g), a, b, rho)
 
 
 def fnoma_sum_rate(gamma_s, gamma_w, b, rho):
@@ -95,9 +98,14 @@ def fnoma_sum_rate(gamma_s, gamma_w, b, rho):
         raise ValueError("rho must be positive")
     if np.any(np.less(gamma_s, gamma_w)):
         raise ValueError("gamma_s < gamma_w: caller must order the pair")
-    a = 1.0 - b
-    return _out(np.log2(1.0 + _strong_sinr(gamma_s, b, rho))
-                + np.log2(1.0 + _weak_sinr(gamma_w, a, b, rho)))
+    return _out(_fnoma_sum_rate(gamma_s, gamma_w, b, rho))
+
+
+def _fnoma_sum_rate(x, y, b, rho):
+    """`fnoma_sum_rate` of the gains x and y in either order, without its
+    checks: the strong form on max(x, y), the weak form on min(x, y)."""
+    strong = np.log2(1.0 + _strong_sinr(np.maximum(x, y), b, rho))
+    return strong + np.log2(1.0 + _weak_sinr(np.minimum(x, y), 1.0 - b, b, rho))
 
 
 def jain_fairness(r1, r2):
@@ -108,7 +116,11 @@ def jain_fairness(r1, r2):
     """
     if np.any(np.less(r1, 0)) or np.any(np.less(r2, 0)):
         raise ValueError("rates must be nonnegative")
-    s = np.add(r1, r2)
+    return _out(_jain(r1, r2, np.add(r1, r2)))
+
+
+def _jain(r1, r2, s):
+    """`jain_fairness` of nonnegative rates whose sum s = r1 + r2 is known."""
     q = np.multiply(r1, r1) + np.multiply(r2, r2)
     small = q < np.finfo(float).tiny
     if np.any(small):  # subnormal squares lose bits: redo those scaled by 2**600
@@ -116,21 +128,19 @@ def jain_fairness(r1, r2):
             u1, u2 = np.multiply(r1, 2.0 ** 600), np.multiply(r2, 2.0 ** 600)
             s = np.where(small, u1 + u2, s)
             q = np.where(small, u1 * u1 + u2 * u2, q)
-    safe = np.where(q > 0.0, q, 1.0)
-    return _out(np.where(q > 0.0, s * s / (2.0 * safe), 1.0))
+    return np.divide(s * s, 2.0 * q, out=np.ones(np.shape(q)), where=q > 0.0)
 
 
-def _qos_split(h, g, rho, r_th):
-    """(d, a, b) of the QoS-driven split: d marks where UE1 is the strong
-    user, b is the strong user's clipped coefficient and a = 1 - b (see
-    `cr_power_split`)."""
+def _qos_coefficients(g, rho, r_th):
+    """The clipped strong-user coefficient b of the QoS-driven split where
+    UE1 is the strong user and where UE2 is, each at the shape of g, on
+    which alone it depends (see `cr_power_split`)."""
     if not np.all(np.greater(rho, 0)) or not np.all(np.greater(r_th, 0)):
         raise ValueError("rho and r_th must be positive")
     with np.errstate(over="ignore"):
         eps = qos_epsilon(r_th)
     if not np.all(np.isfinite(eps)):
         raise ValueError(f"r_th = {r_th}: 2**r_th - 1 is not finite")
-    d = np.greater_equal(h, g)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rho_g = rho * g
         den = rho_g * (eps + 1.0)
@@ -139,7 +149,15 @@ def _qos_split(h, g, rho, r_th):
         if np.any(big):  # the same value, without the overflowing product
             b_ue1_strong = np.where(big, (1.0 - eps / rho_g) / (eps + 1.0), b_ue1_strong)
         b_ue2_strong = eps / rho_g
-    b = np.where(d, np.maximum(b_ue1_strong, 0.0), np.minimum(b_ue2_strong, 1.0))
+    return np.maximum(b_ue1_strong, 0.0), np.minimum(b_ue2_strong, 1.0)
+
+
+def _qos_split(h, g, rho, r_th):
+    """(d, a, b) of the QoS-driven split: d marks where UE1 is the strong
+    user, b is the strong user's clipped coefficient and a = 1 - b."""
+    b_ue1_strong, b_ue2_strong = _qos_coefficients(g, rho, r_th)
+    d = np.greater_equal(h, g)
+    b = np.where(d, b_ue1_strong, b_ue2_strong)
     return d, 1.0 - b, b
 
 
@@ -160,14 +178,17 @@ def cr_rates(h, g, rho, r_th) -> RatePair:
     r1 is UE1's (secondary) rate; with a split strictly inside (0, 1) the
     primary rate equals r_th, and a clipped split yields r1 = 0.
     """
-    d, a, b = _qos_split(h, g, rho, r_th)
-    return RatePair(_out(_rate(h, d, a, b, rho)), _out(_rate(g, ~d, a, b, rho)))
+    return _pair(h, g, *_qos_split(h, g, rho, r_th), rho)
 
 
 def _cr_secondary_rate(h, g, rho, r_th):
-    """The r1 of `cr_rates` alone, for searches that never read r2."""
-    d, a, b = _qos_split(h, g, rho, r_th)
-    return _rate(h, d, a, b, rho)
+    """The r1 of `cr_rates` alone, for searches that never read r2: UE1's
+    SINR, strong or weak form, is selected first, so it takes one log, and
+    each form's coefficient stays at the shape of g."""
+    b_ue1_strong, b_ue2_strong = _qos_coefficients(g, rho, r_th)
+    sinr = np.where(np.greater_equal(h, g), _strong_sinr(h, b_ue1_strong, rho),
+                    _weak_sinr(h, 1.0 - b_ue2_strong, b_ue2_strong, rho))
+    return np.log2(1.0 + sinr)
 
 
 def oma_pair_rates(h_best, g_best, rho) -> RatePair:

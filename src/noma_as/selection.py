@@ -28,12 +28,12 @@ mcg is realized through per-row maxima (same intermediate values as a3,
 hence the identical triple and count) rather than two whole-matrix scans;
 a direct scan would exceed its advertised N*(M+K)+2 budget once
 min(M, K) > 4.  It reduces to su when the best UE1 gain beats the best UE2
-gain and to pu otherwise.
+gain and to pu when it falls short.
 
-Tie-breaking everywhere: lowest row-major linear index wins, and a tie
-between the two matrices resolves to the UE1 side, as a tie of the two
-gains does in ``rates``.  Ties have probability zero under continuous
-fading; the rules exist so results are reproducible.
+Tie-breaking everywhere: the lowest index wins, the row before the column
+(row-major order); a row-max policy whose key ties between a UE1 and a
+UE2 gain takes the lower row.  Ties have probability zero under
+continuous fading; the rules exist so results are reproducible.
 
 random draws trial t's (n, m, k) from its policy-domain Philox blocks (see
 ``channel``) exactly as numpy's ``Generator.integers(0, [N, M, K])`` does
@@ -46,9 +46,19 @@ trial draws again from its next word.
 
 The ``_*_triples`` kernels read stacked realizations of shape
 (T, N, M)/(T, N, K), through their ``row_stats`` (the per-row maxima and
-argmaxes, which depend on the gains alone), and return 0-based index
-arrays.  ``POLICIES`` is the one table of (mode, policy) pairs that the
-harness, the figures and the CLI read.
+first argmaxes, which depend on the gains alone), and return 0-based index
+arrays.  They work one column at a time over the short antenna axes: numpy
+runs ``argmax`` along an axis of length 2-4, or a ufunc whose inner axis
+is that short, as one tiny loop per trial.  ``_first_max`` takes the
+maximum and its first index over a list of (T,) columns, which the
+sampler lays out contiguously, and each kernel passes it the columns it
+compares: ``row_stats`` the M (K) columns of each row, a row pick the N
+rows of its key, and ``es`` its N candidates, whose maximum is the
+optimum.  ``es`` then gathers the chosen row's gains into (M, T) and
+(K, T) arrays, evaluates the objective on the (M, K, T) grid and takes the
+first of its M*K columns equal to the optimum.  ``POLICIES`` is the one
+table of (mode, policy) pairs that the harness, the figures and the CLI
+read.
 """
 
 from __future__ import annotations
@@ -60,7 +70,7 @@ import numpy as np
 
 from . import analytics
 from .channel import POLICY_DOMAIN, _LOW32, _philox_block, _trial_counters
-from .rates import _cr_secondary_rate, fnoma_sum_rate
+from .rates import _cr_secondary_rate, _fnoma_sum_rate
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +103,7 @@ def count_oma(n, m, k):
 
 class RowStats(NamedTuple):
     """Per-row maxima of stacked h (T, N, M) and g (T, N, K) and their first
-    column indices, each of shape (T, N)."""
+    column indices, each of shape (N, T): row n is BS antenna n."""
 
     h_max: np.ndarray
     h_arg: np.ndarray
@@ -101,38 +111,58 @@ class RowStats(NamedTuple):
     g_arg: np.ndarray
 
 
+def _first_max(columns):
+    """Elementwise maximum of a sequence of equal-shape arrays and the index
+    of the first one that holds it.  Column j raises the index only where it
+    beats every earlier column, ``max(arg, j * (column > best))``, so a tie
+    keeps the lowest index."""
+    best = columns[0]
+    arg = np.zeros(best.shape, dtype=np.intp)
+    for j in range(1, len(columns)):
+        column = columns[j]
+        np.maximum(arg, j * (column > best), out=arg)
+        best = np.maximum(best, column)
+    return best, arg
+
+
+def _row_columns(x):
+    """The (max, first argmax) of each row of stacked x (T, N, C), stacked
+    to shape (N, T) each, from one pass over the C columns of every row."""
+    per_row = [_first_max([x[:, n, j] for j in range(x.shape[2])]) for n in range(x.shape[1])]
+    return np.stack([best for best, _ in per_row]), np.stack([arg for _, arg in per_row])
+
+
 def row_stats(h, g):
     """The row maxima and argmaxes that every kernel but random reads."""
-    hi = h.argmax(axis=2)[:, :, None]
-    gi = g.argmax(axis=2)[:, :, None]
-    return RowStats(np.take_along_axis(h, hi, axis=2)[:, :, 0], hi[:, :, 0],
-                    np.take_along_axis(g, gi, axis=2)[:, :, 0], gi[:, :, 0])
+    return RowStats(*_row_columns(h), *_row_columns(g))
 
 
-def _row_pick(rows, n):
-    """(n, m, k) of trial t's row n[t] maxima."""
-    t = np.arange(n.size)
-    return n, rows.h_arg[t, n], rows.g_arg[t, n]
+def _row_pick(rows, key):
+    """(n, m, k): each trial's first row n maximizing key (N, T), with the
+    column indices of that row's maxima."""
+    _, n = _first_max(key)
+    at = n * n.size + np.arange(n.size)
+    return n, np.take(rows.h_arg, at), np.take(rows.g_arg, at)
 
 
 def _a3_triples(rows):
     """Largest single gain anywhere, then the best same-row companion."""
-    return _row_pick(rows, np.maximum(rows.h_max, rows.g_max).argmax(axis=1))
+    return _row_pick(rows, np.maximum(rows.h_max, rows.g_max))
 
 
 def _aia_triples(rows):
     """Row whose smaller row-maximum is largest, then both row maxima."""
-    return _row_pick(rows, np.minimum(rows.h_max, rows.g_max).argmax(axis=1))
+    return _row_pick(rows, np.minimum(rows.h_max, rows.g_max))
 
 
 def _pu_triples(rows):
     """Global best UE2 link first, then UE1's best on the shared BS antenna."""
-    return _row_pick(rows, rows.g_max.argmax(axis=1))
+    return _row_pick(rows, rows.g_max)
 
 
 def _su_triples(rows):
     """Global best UE1 link first, then UE2's best on the shared BS antenna."""
-    return _row_pick(rows, rows.h_max.argmax(axis=1))
+    return _row_pick(rows, rows.h_max)
 
 
 def _es_triples(h, g, rows, objective):
@@ -141,22 +171,26 @@ def _es_triples(h, g, rows, objective):
     The objective never decreases when either gain grows, so each row's
     best value is its row-max candidate's and the optimum v* is the best of
     the N candidates.  The first row reaching v* holds the first optimal
-    triple; its first M x K entry equal to v* is that triple.
+    triple; its first M x K entry equal to v* is that triple.  The row's
+    gains are gathered into (M, T) and (K, T) so that the grid is (M, K, T).
     """
-    t = np.arange(h.shape[0])
-    best = objective(rows.h_max, rows.g_max)
-    n = best.argmax(axis=1)
-    top = best[t, n]
-    grid = objective(h[t, n, :, None], g[t, n, None, :])
-    k_dim = g.shape[2]
-    idx = (grid == top[:, None, None]).reshape(t.size, -1).argmax(axis=1)
-    return n, idx // k_dim, idx % k_dim
+    top, n = _first_max(objective(rows.h_max, rows.g_max))
+    grid = objective(_row_of(h, n)[:, None], _row_of(g, n)[None])
+    _, idx = _first_max((grid == top).reshape(-1, n.size))
+    return (n,) + divmod(idx, g.shape[2])
+
+
+def _row_of(x, n):
+    """The gains x[t, n[t], :] of stacked x (T, N, C), as a (C, T) array."""
+    t_dim, _, c_dim = x.shape
+    at = n * (c_dim * t_dim) + np.arange(t_dim)
+    # a flat index into x laid out as (N, C, T), which the sampler's is
+    return np.take(x.transpose(1, 2, 0), at + t_dim * np.arange(c_dim)[:, None])
 
 
 def _es_fnoma_triples(h, g, rows, split, rho):
     """Exhaustive search maximizing the fixed-power sum rate."""
-    return _es_triples(h, g, rows, lambda x, y: fnoma_sum_rate(
-        np.maximum(x, y), np.minimum(x, y), split.b, rho))
+    return _es_triples(h, g, rows, lambda x, y: _fnoma_sum_rate(x, y, split.b, rho))
 
 
 def _es_crnoma_triples(h, g, rows, rho, r_th):
@@ -199,11 +233,12 @@ def _random_triples(n_dim, m_dim, k_dim, seed, start, count):
 
 
 def _oma_indices(h, g):
-    tcount, _, m_dim = h.shape
-    k_dim = g.shape[2]
-    hflat = h.reshape(tcount, -1).argmax(axis=1)
-    gflat = g.reshape(tcount, -1).argmax(axis=1)
-    return hflat // m_dim, hflat % m_dim, gflat // k_dim, gflat % k_dim
+    """(n1, m, n2, k): the first row-major maximum of h and of g."""
+    out = []
+    for x in (h, g):
+        _, flat = _first_max([x[:, n, j] for n in range(x.shape[1]) for j in range(x.shape[2])])
+        out += divmod(flat, x.shape[2])
+    return tuple(out)
 
 
 def _gains(h, g, n1, m, n2, k):

@@ -2,7 +2,7 @@
 
 The plain-loop searches use the math module alone: they share nothing with
 the numpy kernels they verify except the documented tie-break convention
-(lowest row-major index, UE1 side on a row-level tie).  The full searches
+(the lowest index wins a tie: the first row, then the first column).  The full searches
 evaluate the package's own objectives on all N*M*K triples, so the row-max
 kernels must pick the very same triple.  The per-trial draws are numpy's
 own streams: one ``np.random.Generator(np.random.Philox(...))`` per trial,
@@ -187,6 +187,49 @@ def global_max(a):
                 best = a[i, j]
                 where = (i, j)
     return best, where
+
+
+def _first_argmax(values):
+    """Index of the first maximum of a sequence, by plain comparison."""
+    best = 0
+    for i, v in enumerate(values):
+        if v > values[best]:
+            best = i
+    return best
+
+
+# the row each row-max policy picks maximizes this key of the row's maxima
+_ROW_KEYS = {"a3": max, "mcg": max, "aia": min,
+             "pu": lambda h_max, g_max: g_max, "su": lambda h_max, g_max: h_max}
+
+
+def policy_triple(key, h, g, b, rho, r_th, seed, trial):
+    """The triple (n, m, k) that policy `key` = (mode, policy) picks on one
+    instance h (N, M), g (N, K), or (n1, m, n2, k) for oma_es, by plain
+    loops; every tie goes to the lowest index."""
+    mode, policy = key
+    if policy == "es":
+        if mode == "fnoma":
+            return brute_es_fnoma(h, g, b, rho)[0]
+        return brute_es_crnoma(h, g, rho, r_th)[0]
+    if policy == "random":
+        return random_triple(seed, trial, (h.shape[0], h.shape[1], g.shape[1]))
+    if policy == "oma_es":
+        return global_max(h)[1] + global_max(g)[1]
+    rule = _ROW_KEYS[policy]
+    n = _first_argmax([rule(max(h[i]), max(g[i])) for i in range(h.shape[0])])
+    return n, _first_argmax(list(h[n])), _first_argmax(list(g[n]))
+
+
+def argmax_row_stats(h, g):
+    """(h_max, h_arg, g_max, g_arg) of stacked h (T, N, M) and g (T, N, K)
+    by numpy's argmax along the antenna axis, each transposed to the (N, T)
+    of `selection.row_stats`."""
+    out = []
+    for x in (h, g):
+        arg = x.argmax(axis=2)
+        out += [np.take_along_axis(x, arg[:, :, None], axis=2)[:, :, 0].T, arg.T]
+    return tuple(out)
 
 
 def aia_weak_oracle(h, g):

@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import oracles
-from noma_as import (FadingConfig, omega_from_distance, sample_channel_batch,
-                     transmit_snr)
+from noma_as import (ConfigurationError, FadingConfig, omega_from_distance,
+                     sample_channel_batch, transmit_snr)
 from noma_as.channel import _gains_from_uniforms, _philox_block
 
 _MASK64 = (1 << 64) - 1
@@ -46,10 +47,18 @@ def test_transmit_snr_rejects_non_finite():
 @pytest.mark.parametrize("kwargs", [
     {"n_bs": 0}, {"m_ue1": 0}, {"k_ue2": -1},
     {"d1": 0.0}, {"d2": -3.0}, {"alpha": 0.0}, {"ps_dbm": math.nan},
+    {"n_bs": 2.0}, {"m_ue1": True}, {"k_ue2": np.float64(2)},
 ])
 def test_fading_config_validation(kwargs):
-    with pytest.raises(ValueError):
+    # an integral float or a bool would pass `v >= 1` and then fail inside
+    # the run, as a slice index
+    with pytest.raises(ConfigurationError) as err:
         FadingConfig(**kwargs)
+    assert err.value.keys == tuple(kwargs)
+
+
+def test_numpy_integer_antenna_counts_are_accepted():
+    assert FadingConfig(n_bs=np.int64(3)).n_bs == 3
 
 
 def test_sampling_is_pure_in_seed_and_trial():
@@ -102,6 +111,40 @@ def test_philox_known_answers(word, expected):
     start = _words((sum(word << (64 * i) for i in range(4)) - 1) % (1 << 256))
     bitgen = np.random.Philox(key=[word, word], counter=start)
     assert bitgen.random_raw(4).tolist() == expected
+
+
+_BLOCKS = np.arange(1, 4, dtype=np.uint64)[:, None]  # (B, 1)
+_TRIALS = np.uint64(2 ** 64 - 3) + np.arange(5, dtype=np.uint64)[None, :]  # (1, T), wraps
+
+
+@pytest.mark.parametrize("counter", [
+    (_BLOCKS, 0, 0, _TRIALS),  # the sampler's counters
+    (2, 0, 0, _TRIALS[0]),  # the random policy's
+    (_BLOCKS, np.uint64(7), 2 ** 64 - 1, 5),
+    (_TRIALS, _BLOCKS, 0, 0),
+    (3, 0, 0, 9),  # all four words 0-d
+    (np.array(2 ** 64 - 1, dtype=np.uint64), np.uint64(1), 0, np.array(12345)),
+])
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_philox_block_keeps_unbroadcast_words_exact(counter, seed):
+    # words left at their own shape must give the bits of fully broadcast
+    # ones, and 0-d words must not warn when their products wrap
+    full = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in counter))
+    expected = _philox_block(seed, 1, [np.array(w) for w in full])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _philox_block(seed, 1, counter)
+    for word, want in zip(got, expected):
+        assert word.dtype == np.uint64 and word.shape == want.shape == full[0].shape
+        assert np.array_equal(word, want)
+
+
+def test_sampled_columns_are_contiguous():
+    # the kernels read each (n, m) column of the trials as one array
+    h, g = sample_channel_batch(FadingConfig(n_bs=3, m_ue1=2, k_ue2=4), seed=1, start=0,
+                                count=50)
+    assert all(x[:, n, j].flags.c_contiguous
+               for x in (h, g) for n in range(3) for j in range(x.shape[2]))
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (3, 1, 2), (4, 2, 2), (8, 4, 4)])

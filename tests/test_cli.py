@@ -251,17 +251,49 @@ print(repr(rate))
 """
 
 
+def _fresh_env(**extra):
+    """The environment of a fresh interpreter that imports this checkout's
+    `noma_as`, without OPENBLAS_NUM_THREADS unless `extra` sets it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, NOMA_SIM_WORKERS="1",
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return dict(env, **extra)
+
+
 def test_cli_runs_never_load_scipy_integrate(tmp_path):
     # a fresh interpreter: only quadrature_rate may load the integrators
     grid = tmp_path / "grid.txt"
     grid.write_text("mode = fnoma\npolicy = a3\nps_dbm = 30\nb = 0.4\n"
                     "trials = 200\nseed = 2\ntolerance = 1\n")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, NOMA_SIM_WORKERS="1",
-               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    env = _fresh_env()
     done = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, _scenario_file(tmp_path),
                            str(grid), str(tmp_path / "fig7.csv")],
                           capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
     assert done.returncode == 0, done.stderr
     rate = float(done.stdout.splitlines()[-1])
     assert rate == pytest.approx(math.log2(1.0 + 1e-3 / 2.0), rel=0.01)
+
+
+THREADS_SCRIPT = """\
+import os
+
+import noma_as
+
+print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("openblas", [None, "2"])
+def test_import_loads_numpy_with_one_blas_thread(tmp_path, openblas):
+    # the package's parallelism is its process pool: an idle OpenBLAS thread
+    # only spins; a value the user sets wins, and none is left behind
+    extra = {} if openblas is None else {"OPENBLAS_NUM_THREADS": openblas}
+    done = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], capture_output=True,
+                          text=True, env=_fresh_env(**extra), cwd=tmp_path, timeout=120)
+    assert done.returncode == 0, done.stderr
+    threads, env_value = done.stdout.split()
+    assert env_value == str(openblas)
+    if openblas is None:
+        assert threads == "1"

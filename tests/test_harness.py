@@ -65,10 +65,13 @@ def test_mode_policy_compatibility():
     ({"fading": FadingConfig(sigma2_dbm=-4000.0)}, "sigma2_dbm"),
     ({"policy": "es", "fading": FadingConfig(d1=1e-100)}, "d1"),  # rho * gain overflows
     ({"fading": FadingConfig(d1=1.0, d2=0.5, alpha=1000.0)}, "d2"),
+    ({"trials": True}, "trials"),
+    ({"seed": False}, "seed"),
 ])
 def test_bad_scenario_value_fails_at_construction(kwargs, key):
-    with pytest.raises(ConfigurationError, match=rf"\b{key} ="):
+    with pytest.raises(ConfigurationError, match=rf"\b{key} =") as err:
         _fnoma_scn(**kwargs)
+    assert key in err.value.keys
 
 
 @pytest.mark.parametrize("kwargs, key", [

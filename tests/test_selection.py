@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from noma_as import FadingConfig, PowerSplit, Scenario, cr_rates, sample_channel_batch
@@ -187,6 +188,61 @@ def test_es_crnoma_all_infeasible_returns_first_triple():
     # rho*g < eps everywhere, so every triple is served nothing
     h, g = rng.uniform(0.5, 1.0, (4, 3, 2)), rng.uniform(0.5, 1.0, (4, 3, 2))
     assert [a.tolist() for a in _es_crnoma_triples(h, g, row_stats(h, g), 10.0, 10.0)] == [[0] * 4] * 3
+
+
+# --- ties ---------------------------------------------------------------------
+
+# Each kernel's triples, for every (mode, policy) of the table.
+_KERNELS = {
+    ("fnoma", "es"): lambda h, g, rows, seed, t0: _es_fnoma_triples(h, g, rows, B, RHO),
+    ("crnoma", "es"): lambda h, g, rows, seed, t0: _es_crnoma_triples(h, g, rows, RHO, R_TH),
+    ("fnoma", "a3"): lambda h, g, rows, seed, t0: _a3_triples(rows),
+    ("fnoma", "aia"): lambda h, g, rows, seed, t0: _aia_triples(rows),
+    ("crnoma", "mcg"): lambda h, g, rows, seed, t0: _a3_triples(rows),
+    ("crnoma", "pu"): lambda h, g, rows, seed, t0: _pu_triples(rows),
+    ("crnoma", "su"): lambda h, g, rows, seed, t0: _su_triples(rows),
+    ("fnoma", "random"): lambda h, g, rows, seed, t0: _random_triples(
+        h.shape[1], h.shape[2], g.shape[2], seed, t0, h.shape[0]),
+    ("oma", "oma_es"): lambda h, g, rows, seed, t0: _oma_indices(h, g),
+}
+_KERNELS["crnoma", "random"] = _KERNELS["fnoma", "random"]
+
+# The same stacked values in other memory layouts: Fortran order, the trial
+# axis fastest (as the sampler lays them out) and a strided view.
+_LAYOUTS = [
+    np.ascontiguousarray,
+    np.asfortranarray,
+    lambda x: np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1),
+    lambda x: np.repeat(x, 2, axis=2)[:, :, ::2],
+]
+# g = 1e-3 leaves UE2's floor out of reach when UE1 is the strong user, so
+# CR-NOMA triples also tie at r1 = 0
+_TIE_GAINS = np.array([1e-3, 0.5, 2.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(dims=_SHAPE, count=st.integers(1, 12), seed=_U64, t0=st.integers(0, 2 ** 40),
+       data=st.data())
+def test_ties_go_to_the_lowest_index(dims, count, seed, t0, data):
+    assert set(_KERNELS) == set(POLICIES)
+    n, m, k = dims
+    draw = lambda shape: _TIE_GAINS[data.draw(
+        hnp.arrays(np.int8, shape, elements=st.integers(0, 2)))]
+    h0, g0 = draw((count, n, m)), draw((count, n, k))
+    expected = {key: [oracles.policy_triple(key, h0[t], g0[t], B.b, RHO, R_TH, seed, t0 + t)
+                      for t in range(count)] for key in POLICIES}
+    for layout in _LAYOUTS:
+        h, g = layout(h0), layout(g0)
+        rows = row_stats(h, g)
+        for got, want in zip(rows, oracles.argmax_row_stats(h0, g0)):
+            assert np.array_equal(got, want)
+        for key in POLICIES:
+            triples = np.stack(_KERNELS[key](h, g, rows, seed, t0), axis=1)
+            assert [tuple(row) for row in triples.tolist()] == expected[key], key
+            h_sel, g_sel = _select(key, h, g, seed=seed, t0=t0)
+            picked = [(h0[(t,) + e[:2]], g0[(t,) + (e[2:] if len(e) == 4 else e[::2])])
+                      for t, e in enumerate(expected[key])]
+            assert list(zip(h_sel.tolist(), g_sel.tolist())) == picked, key
 
 
 # --- strong-gain-first ------------------------------------------------------
