@@ -19,7 +19,10 @@ words are exactly these.  Trial t's state is a pure function of
 can be generated in any order, on any number of workers, with identical
 results, and ``_philox_block`` computes the blocks of a whole vector of
 trials at once.  ``sample_channel_batch`` is the one sampler; a single
-realization is a batch of one.
+realization is a batch of one.  Its unit draws ``-ln u`` depend on the seed,
+the antenna counts and the trials alone; a geometry only divides them by its
+``omega``, so geometries that share the rest can share one computation of
+them (``_keep_unit_draws``).
 """
 
 from __future__ import annotations
@@ -101,8 +104,10 @@ class FadingConfig:
         for keys, ok, need in (
                 (("n_bs", "m_ue1", "k_ue2"), lambda v: _is_int(v) and v >= 1,
                  "antenna counts must be integers >= 1"),
-                (("d1", "d2"), lambda v: v > 0, "distances must be positive"),
-                (("alpha",), lambda v: v > 0, "path-loss exponent must be positive"),
+                (("d1", "d2"), lambda v: 0 < v < math.inf,
+                 "distances must be positive and finite"),
+                (("alpha",), lambda v: 0 < v < math.inf,
+                 "path-loss exponent must be positive and finite"),
                 (("ps_dbm", "sigma2_dbm"), math.isfinite, "power levels must be finite")):
             for key in keys:
                 value = getattr(self, key)
@@ -175,34 +180,78 @@ def _trial_counters(start: int, count: int) -> np.ndarray:
     return np.uint64(start & _MASK64) + np.arange(count, dtype=np.uint64)
 
 
-def _gains_from_uniforms(u: np.ndarray, cfg: FadingConfig):
-    """(h, g) of shapes (T, N, M) and (T, N, K) from each trial's uniforms
-    u (T, N*(M+K)), h[t] from the first N*M of them in row-major order.
+def _neg_log(u):
+    """-ln u of the uniforms u in [0, 1), in place; u = 0 reads as _TINY."""
+    np.maximum(u, _TINY, out=u)
+    np.log(u, out=u)
+    return np.negative(u, out=u)
 
-    The gains are computed link by link, so h and g are views of (N, M, T)
-    and (N, K, T) arrays: each (n, m) column of the trials is contiguous.
+
+def _unit_draws(seed: int, total: int, start: int, count: int):
+    """The unit-rate exponentials -ln u of trials start .. start+count-1, a
+    (total, count) array whose row i holds every trial's i-th uniform.
+
+    Trial t's uniforms are the words of its blocks (j, 0, 0, t), j = 1, 2,
+    ..., each mapped to [0, 1) as numpy's ``random()`` maps a word.  The
+    blocks are computed for all trials one j at a time, and each one's words
+    are mapped into their four rows of the output in place.
+    """
+    out = np.empty((total, count))
+    trials = _trial_counters(start, count)
+    for j in range(-(-total // 4)):
+        words = _philox_block(seed, CHANNEL_DOMAIN, (j + 1, 0, 0, trials))
+        rows = out[4 * j:4 * j + 4]
+        for row, word in zip(rows, words):
+            np.multiply(word >> np.uint64(11), 2.0 ** -53, out=row)
+        _neg_log(rows)
+    return out
+
+
+def _gains_from_unit_draws(x, cfg: FadingConfig):
+    """(h, g) of shapes (T, N, M) and (T, N, K) from the unit draws x
+    (N*(M+K), T), h from the first N*M rows in row-major (n, m) order.
+
+    h and g are views of (N, M, T) and (N, K, T) arrays: each (n, m) column
+    of the trials is contiguous.
     """
     n, m, k = cfg.n_bs, cfg.m_ue1, cfg.k_ue2
     nm = n * m
-    x = -np.log(np.maximum(np.ascontiguousarray(u.T), _TINY))  # u = 0 reads as _TINY
     h = (x[:nm] / cfg.omega_h).reshape(n, m, -1).transpose(2, 0, 1)
     g = (x[nm:] / cfg.omega_g).reshape(n, k, -1).transpose(2, 0, 1)
     return h, g
 
 
+# While on, the unit draws `sample_channel_batch` last used, keyed by what
+# they depend on: None when off, else {} or {key: draws}.
+_kept = None
+
+
+def _keep_unit_draws(on: bool):
+    """Turn on (or off, dropping them) the keeping of the unit draws.
+
+    The unit draws of a batch depend on the seed, the antenna counts and the
+    trials alone, not on the distances or the path-loss exponent, which only
+    divide them.  While keeping is on, `sample_channel_batch` keeps the
+    draws of its last call, and a call for another geometry with the same
+    seed, antenna counts and trials rescales them instead of drawing again.
+    """
+    global _kept
+    _kept = {} if on else None
+
+
 def sample_channel_batch(cfg: FadingConfig, seed: int, start: int, count: int):
     """Stacked draws for trials start .. start+count-1.
 
-    Trial t's N*(M+K) uniforms are the words of its blocks (j, 0, 0, t),
-    j = 1, 2, ..., all computed at once, each mapped to [0, 1) as numpy's
-    ``random()`` maps a word.  Returns (h, g) with shapes (count, N, M) and
-    (count, N, K), the trial axis fastest in memory (see
-    ``_gains_from_uniforms``).
+    Returns (h, g) with shapes (count, N, M) and (count, N, K), the trial
+    axis fastest in memory: the unit draws of ``_unit_draws`` (or the ones
+    kept, see ``_keep_unit_draws``) divided by ``omega_h`` and ``omega_g``.
     """
-    total = cfg.n_bs * (cfg.m_ue1 + cfg.k_ue2)
-    blocks = np.arange(1, -(-total // 4) + 1, dtype=np.uint64)
-    words = _philox_block(seed, CHANNEL_DOMAIN, (blocks[:, None], 0, 0,
-                                                 _trial_counters(start, count)[None, :]))
-    words = np.stack(words, axis=1).reshape(4 * blocks.size, count)[:total]
-    u = (words >> np.uint64(11)) * 2.0 ** -53
-    return _gains_from_uniforms(u.T, cfg)
+    n, m, k = cfg.n_bs, cfg.m_ue1, cfg.k_ue2
+    key = (seed, n, m, k, start, count)
+    x = None if _kept is None else _kept.get(key)
+    if x is None:
+        x = _unit_draws(seed, n * (m + k), start, count)
+        if _kept is not None:
+            _kept.clear()
+            _kept[key] = x
+    return _gains_from_unit_draws(x, cfg)

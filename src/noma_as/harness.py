@@ -17,16 +17,22 @@ the same realizations, which makes dominance comparisons between policies
 exact per realization rather than statistical.
 
 A figure, sweep or validation builds one `Run` from all its points and
-groups them by what their draws depend on: the geometry (seed, antenna
-counts, d1, d2, alpha) and the trial count, not the power levels.  One task
-is one leaf of one group.  It samples the leaf, computes its row statistics
+groups them by what their draws depend on: the antenna counts, the trial
+count and the seed, not the distances, the path-loss exponent or the power
+levels.  One task is one leaf of one such shape group.  It runs each
+geometry (d1, d2, alpha) of the group in turn: the unit-rate exponentials
+of the leaf are computed once and kept until the last geometry has divided
+them by its path loss (`channel._keep_unit_draws`), so figure 7's two
+placements, figure 3's d2 values and figure 6's d1 values draw once per
+leaf.  For each geometry the task computes the row statistics
 (`selection.row_stats`: the per-row maxima and argmaxes that every kernel
 but random reads) and selects each policy whose choice reads only the gains
-(`Policy.gains_only`) once; then, for every point of the group, it runs the
-exhaustive searches, the rate formulas and the reduction.  A point reuses
-the arrays a fresh draw or selection would have produced, and they meet the
-same rate formulas and the same reduction, so no bit of any report moves.
-A worker holds one leaf at a time, whatever the trial count.
+(`Policy.gains_only`) once; then, for every point of the geometry, it runs
+the exhaustive searches, the rate formulas and the reduction.  A point
+reuses the arrays a fresh draw or selection would have produced, and they
+meet the same rate formulas and the same reduction, so no bit of any report
+moves.  A worker holds one leaf at a time, whatever the trial count, and
+one geometry's gains at a time.
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (ConfigurationError, FadingConfig, _is_int, largest_gain,
-                      sample_channel_batch)
+from .channel import (ConfigurationError, FadingConfig, _is_int, _keep_unit_draws,
+                      largest_gain, sample_channel_batch)
 from .rates import PowerSplit, _jain, cr_rates, fnoma_pair_rates, oma_pair_rates, qos_epsilon
 from .selection import POLICIES, row_stats
 
@@ -148,12 +154,28 @@ def _point(scn: Scenario) -> Point:
 
 
 def _simulate_leaf(task):
-    """Moments of one leaf of one geometry group, per point of the group:
-    `_make_report` of each policy stacked on axis 1, so moments[0] are the
-    sums and moments[1] the M2.  The leaf is sampled, its row statistics
-    computed and each `gains_only` policy selected once, for all points."""
-    geometry, seed, t0, count, points = task
+    """Moments of one leaf of one shape group, per point of the group in
+    the task's order: `_make_report` of each policy stacked on axis 1, so
+    moments[0] are the sums and moments[1] the M2.  The geometries are
+    sampled in turn and rescale one computation of the leaf's unit draws,
+    which is dropped once the last geometry has scaled it."""
+    seed, t0, count, geometries = task
+    _keep_unit_draws(len(geometries) > 1)
+    try:
+        return [moments for i, (geometry, points) in enumerate(geometries)
+                for moments in _simulate_geometry(geometry, points, seed, t0, count,
+                                                  i + 1 == len(geometries))]
+    finally:
+        _keep_unit_draws(False)
+
+
+def _simulate_geometry(geometry, points, seed, t0, count, last):
+    """The moments of each point of one geometry of a leaf.  The leaf is
+    sampled, its row statistics computed and each `gains_only` policy
+    selected once, for all points."""
     h, g = sample_channel_batch(geometry, seed, t0, count)
+    if last:
+        _keep_unit_draws(False)
     rows = row_stats(h, g)
     chosen = {}
     out = []
@@ -205,9 +227,10 @@ class Run:
 
     `points` are the `Point`s that `run_point` will be asked for; each
     (point, policy) is checked as a `Scenario` here, before any work.  The
-    points are grouped by what their draws depend on: the geometry (the
-    `FadingConfig` with its power levels zeroed), trials and seed.  Entering
-    the run starts one `_simulate_leaf` task per leaf of each group.
+    points are grouped by what their draws depend on: the antenna counts,
+    trials and seed; within a group, by geometry (the `FadingConfig` with
+    its power levels zeroed).  Entering the run starts one `_simulate_leaf`
+    task per leaf of each group.
     `workers` (None: NOMA_SIM_WORKERS, else the usable CPUs) is capped at
     the leaf count of the largest point.  With one worker the tasks run in
     this process, one after another; otherwise on one process pool of that
@@ -222,23 +245,27 @@ class Run:
                          r_th=point.r_th, trials=point.trials, seed=point.seed)
         self.workers = min(_resolve_workers(workers),
                            max((len(_leaves(0, p.trials)) for p in points), default=1))
-        self._groups = {}
+        self._groups = {}  # (N, M, K, trials, seed) -> {geometry: [point, ...]}
         for point in points:
-            geometry = replace(point.fading, ps_dbm=0.0, sigma2_dbm=0.0)
-            self._groups.setdefault((geometry, point.trials, point.seed), []).append(point)
+            fading = point.fading
+            shape = (fading.n_bs, fading.m_ue1, fading.k_ue2, point.trials, point.seed)
+            geometry = replace(fading, ps_dbm=0.0, sigma2_dbm=0.0)
+            self._groups.setdefault(shape, {}).setdefault(geometry, []).append(point)
         self._leaf = {}  # point -> {t0: moments of that leaf}
 
     def __enter__(self):
-        tasks = [(geometry, seed, t0, count, tuple(points))
-                 for (geometry, trials, seed), points in self._groups.items()
+        tasks = [(seed, t0, count, tuple((geometry, tuple(group))
+                                         for geometry, group in geometries.items()))
+                 for (*_, trials, seed), geometries in self._groups.items()
                  for t0, count in _leaves(0, trials)]
         if self.workers == 1:
             results = map(_simulate_leaf, tasks)
         else:
             with ProcessPoolExecutor(max_workers=self.workers) as pool:
                 results = list(pool.map(_simulate_leaf, tasks))
-        for (_, _, t0, _, points), moments in zip(tasks, results):
-            for point, leaf in zip(points, moments):
+        for (_, t0, _, geometries), moments in zip(tasks, results):
+            points = [point for _, group in geometries for point in group]
+            for point, leaf in zip(points, moments, strict=True):
                 self._leaf.setdefault(point, {})[t0] = leaf
         return self
 

@@ -103,9 +103,25 @@ def fnoma_sum_rate(gamma_s, gamma_w, b, rho):
 
 def _fnoma_sum_rate(x, y, b, rho):
     """`fnoma_sum_rate` of the gains x and y in either order, without its
-    checks: the strong form on max(x, y), the weak form on min(x, y)."""
-    strong = np.log2(1.0 + _strong_sinr(np.maximum(x, y), b, rho))
-    return strong + np.log2(1.0 + _weak_sinr(np.minimum(x, y), 1.0 - b, b, rho))
+    checks: the strong form on max(x, y), the weak form on min(x, y).
+
+    Evaluated in place in three buffers of the broadcast shape, with the
+    operations of `_strong_sinr` and `_weak_sinr` in their order, so the
+    exhaustive search's (M, K, T) grid takes no further full-size temporary.
+    """
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(b), np.shape(rho))
+    strong = np.maximum(x, y, out=np.empty(shape))
+    strong *= rho * b
+    strong += 1.0
+    np.log2(strong, out=strong)
+    weak_x = np.minimum(x, y, out=np.empty(shape))
+    weak = np.multiply(1.0 - b, weak_x, out=np.empty(shape))
+    weak_x *= b
+    weak_x += 1.0 / rho
+    weak /= weak_x
+    weak += 1.0
+    strong += np.log2(weak, out=weak)
+    return strong
 
 
 def jain_fairness(r1, r2):

@@ -8,7 +8,7 @@ from scipy import stats
 import oracles
 from noma_as import (ConfigurationError, FadingConfig, omega_from_distance,
                      sample_channel_batch, transmit_snr)
-from noma_as.channel import _gains_from_uniforms, _philox_block
+from noma_as.channel import _gains_from_unit_draws, _neg_log, _philox_block
 
 _MASK64 = (1 << 64) - 1
 
@@ -47,6 +47,7 @@ def test_transmit_snr_rejects_non_finite():
 @pytest.mark.parametrize("kwargs", [
     {"n_bs": 0}, {"m_ue1": 0}, {"k_ue2": -1},
     {"d1": 0.0}, {"d2": -3.0}, {"alpha": 0.0}, {"ps_dbm": math.nan},
+    {"d1": math.inf}, {"d2": math.inf}, {"alpha": math.inf},
     {"n_bs": 2.0}, {"m_ue1": True}, {"k_ue2": np.float64(2)},
 ])
 def test_fading_config_validation(kwargs):
@@ -75,8 +76,8 @@ def test_sampling_is_pure_in_seed_and_trial():
 def _oracle_gains(cfg, seed, trials):
     """Gains from numpy's per-trial generators, through the package's map."""
     total = cfg.n_bs * (cfg.m_ue1 + cfg.k_ue2)
-    u = np.stack([oracles.channel_uniforms(seed, t, total) for t in trials])
-    return _gains_from_uniforms(u, cfg)
+    u = np.stack([oracles.channel_uniforms(seed, t, total) for t in trials], axis=1)
+    return _gains_from_unit_draws(_neg_log(u), cfg)
 
 
 def _words(counter):

@@ -10,13 +10,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from noma_as import harness
+from noma_as import channel, figures, harness
 from noma_as.harness import Point, Run
 from noma_as import (ConfigurationError, FadingConfig, PowerSplit, Scenario,
                      ValidationPoint, apply_axis, cr_rates, figure_rows, fnoma_pair_rates,
                      jain_fairness, load_scenario, load_validation_grid,
                      run_point, run_trials, sample_channel_batch, sweep,
                      validate_asymptotics)
+from noma_as.figures import _PS_GRID
 from noma_as.selection import POLICIES, _a3_triples, _pu_triples, row_stats
 
 
@@ -407,6 +408,37 @@ def test_run_holds_one_leaf_at_a_time_in_process(monkeypatch):
     assert len(earlier) == 2 * 2 * 4 and len(rows) == 9
 
 
+def test_run_draws_figure_7_once_per_leaf_for_both_placements(monkeypatch):
+    # the two placements differ only in d1 and d2, so the unit draws of each
+    # of the two leaves are computed once, not once per placement; every
+    # report equals that of a run of its point alone, and a run of one
+    # geometry keeps no unit draws while it samples
+    monkeypatch.setattr(harness, "_CHUNK", 128)
+    points = [Point(fading, "crnoma", _CR_ALL, 256, 2, r_th=5.0)
+              for ps in _PS_GRID
+              for *_, fading, _, _ in figures._two_placements(float(ps), 5.0)]
+    fresh = _reports(points, 1)
+    computed, kept = [], []
+    unit_draws = channel._unit_draws
+
+    def count(*args):
+        computed.append(args)
+        return unit_draws(*args)
+
+    def sample(fading, seed, start, count):
+        kept.append(channel._kept)
+        return sample_channel_batch(fading, seed, start, count)
+
+    monkeypatch.setattr(channel, "_unit_draws", count, raising=False)
+    with Run(1, points) as run:
+        assert _reports(points, run) == fresh
+    assert len(computed) == 2 and channel._kept is None
+    monkeypatch.setattr(harness, "sample_channel_batch", sample)
+    kept.clear()
+    run_point(*points[0], workers=1)
+    assert kept == [None, None]
+
+
 def test_run_writes_the_same_bits_at_one_two_and_three_workers(monkeypatch):
     # two geometries, three modes, two seeds, three leaves per point
     geo = FadingConfig(n_bs=2, d1=80.0, d2=200.0)
@@ -494,7 +526,8 @@ def test_sweep_axis_validation():
         with pytest.raises(ConfigurationError, match=r"\bn_bs\b") as info:
             apply_axis(_fnoma_scn(), "n_bs", value)
         assert info.value.keys == ("n_bs",)
-    for axis, value in (("n_bs", 0), ("d1", math.nan), ("d2", -4.0), ("ps_dbm", math.inf)):
+    for axis, value in (("n_bs", 0), ("d1", math.nan), ("d2", -4.0), ("ps_dbm", math.inf),
+                        ("d1", math.inf), ("d2", math.inf)):
         with pytest.raises(ConfigurationError, match=rf"^{axis} = ") as info:
             apply_axis(_fnoma_scn(), axis, value)
         assert info.value.keys == (axis,)
@@ -595,6 +628,19 @@ def test_scenario_file_round_trip(tmp_path):
     assert scn.fading == FadingConfig(n_bs=2, ps_dbm=30.0)
     assert scn.split == PowerSplit.from_b(0.4)
     assert scn.trials == 500 and scn.seed == 42
+
+
+@pytest.mark.parametrize("key, line", [("d1", 7), ("d2", 8), ("alpha", 9)])
+def test_scenario_file_names_the_line_of_an_infinite_distance_or_exponent(tmp_path, key,
+                                                                          line):
+    path = tmp_path / "scn.txt"
+    text = "".join(f"{key} = inf\n" if raw.startswith(f"{key} =") else raw
+                   for raw in SCENARIO_TEXT.splitlines(keepends=True))
+    path.write_text(text)
+    with pytest.raises(ConfigurationError) as info:
+        load_scenario(path)
+    assert str(info.value).startswith(f"{path}:{line}: {key} = inf: ")
+    assert info.value.keys == (key,)
 
 
 def test_scenario_file_unknown_key(tmp_path):
