@@ -14,11 +14,18 @@ simplifications live only in the closed forms of ``analytics``.
 
 All functions are ufunc-based: they accept scalars or broadcast-compatible
 arrays, and return Python floats for pure-scalar input.  Rates are bit/s/Hz
-(base-2 logs everywhere).  A pair takes two logs: the pair formulas compute
-one strong SINR on max(h, g) and one weak SINR on min(h, g), take
-log2(1 + SINR) of each, and then select r1 and r2 from the two by h >= g.
-The CR-NOMA search reads r1 alone, so it selects each element's SINR first
-and takes one log.
+(base-2 logs everywhere).  A fixed-power pair takes two logs: the pair
+formulas compute one strong SINR on max(h, g) and one weak SINR on
+min(h, g), take log2(1 + SINR) of each, and then select r1 and r2 from the
+two by h >= g.
+
+The CR-NOMA rates need no split coefficient.  The split pins UE2's SINR at
+eps = 2**r_th - 1 wherever it can and otherwise gives UE2 all the power, in
+either gain order, so r2 = min(log2(1 + rho*g), r_th).  UE1's rate takes
+the coefficient-free forms of `_cr_secondary_rate`, one log and no branch;
+the split itself (`cr_power_split`) keeps the clipped coefficient.  These
+forms equal the clipped-split formulas in exact arithmetic and round
+differently, by a few ulps.
 """
 
 from __future__ import annotations
@@ -147,16 +154,23 @@ def _jain(r1, r2, s):
     return np.divide(s * s, 2.0 * q, out=np.ones(np.shape(q)), where=q > 0.0)
 
 
-def _qos_coefficients(g, rho, r_th):
-    """The clipped strong-user coefficient b of the QoS-driven split where
-    UE1 is the strong user and where UE2 is, each at the shape of g, on
-    which alone it depends (see `cr_power_split`)."""
+def _checked_epsilon(rho, r_th):
+    """The SINR threshold 2**r_th - 1 of the QoS-driven split, once rho and
+    r_th are positive and the threshold finite."""
     if not np.all(np.greater(rho, 0)) or not np.all(np.greater(r_th, 0)):
         raise ValueError("rho and r_th must be positive")
     with np.errstate(over="ignore"):
         eps = qos_epsilon(r_th)
     if not np.all(np.isfinite(eps)):
         raise ValueError(f"r_th = {r_th}: 2**r_th - 1 is not finite")
+    return eps
+
+
+def _qos_coefficients(g, rho, r_th):
+    """The clipped strong-user coefficient b of the QoS-driven split where
+    UE1 is the strong user and where UE2 is, each at the shape of g, on
+    which alone it depends (see `cr_power_split`)."""
+    eps = _checked_epsilon(rho, r_th)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rho_g = rho * g
         den = rho_g * (eps + 1.0)
@@ -192,19 +206,43 @@ def cr_rates(h, g, rho, r_th) -> RatePair:
     """(secondary, primary) rates under the QoS-driven power split.
 
     r1 is UE1's (secondary) rate; with a split strictly inside (0, 1) the
-    primary rate equals r_th, and a clipped split yields r1 = 0.
+    primary rate equals r_th, and a clipped split yields r1 = 0.  Both are
+    computed without the split (see the module docstring): r2 is
+    min(log2(1 + rho*g), r_th) and r1 is `_cr_secondary_rate`.
     """
-    return _pair(h, g, *_qos_split(h, g, rho, r_th), rho)
+    r1 = _cr_secondary_rate(h, g, rho, r_th)
+    with np.errstate(over="ignore"):  # rho * g = inf reads as the floor
+        r2 = np.minimum(np.log2(1.0 + rho * g), r_th, out=np.empty(np.shape(r1)))
+    return RatePair(_out(r1), _out(r2))
 
 
 def _cr_secondary_rate(h, g, rho, r_th):
-    """The r1 of `cr_rates` alone, for searches that never read r2: UE1's
-    SINR, strong or weak form, is selected first, so it takes one log, and
-    each form's coefficient stays at the shape of g."""
-    b_ue1_strong, b_ue2_strong = _qos_coefficients(g, rho, r_th)
-    sinr = np.where(np.greater_equal(h, g), _strong_sinr(h, b_ue1_strong, rho),
-                    _weak_sinr(h, 1.0 - b_ue2_strong, b_ue2_strong, rho))
-    return np.log2(1.0 + sinr)
+    """The r1 of `cr_rates`, which the CR-NOMA search also maximizes:
+    log2(max(S, W)) with S = 1 + h*(max(rho - eps/g, 0)/(eps + 1)) and
+    W = (1 + rho*h)/(1 + h*(eps/g)).
+
+    S is 1 + SINR of UE1 as the strong user (h >= g) and W as the weak one,
+    both under the clipped split.  With a = rho*h and c = h*eps/g: where
+    a > c, S*(1 + c) - (1 + a) = (a - c)*(c - eps)/(eps + 1), and c >= eps
+    exactly where h >= g; where a <= c the split is clipped, S = 1 >= W and
+    r1 = 0.  So the larger of the two is the one the gain order selects, and
+    no mask is needed.  The terms in g or h alone stay at their shape, so the
+    search's (M, K, T) grid takes two full-size buffers.  eps/g = inf (g -> 0
+    or a huge eps) makes W 0 or NaN where S = 1, which fmax reads as 1.
+    """
+    eps = _checked_epsilon(rho, r_th)
+    shape = np.broadcast_shapes(np.shape(h), np.shape(g), np.shape(rho), np.shape(eps))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = eps / g
+        weak = np.multiply(h, q, out=np.empty(shape))
+        weak += 1.0
+        np.divide(1.0 + rho * h, weak, out=weak)
+        share = np.maximum(rho - q, 0.0)
+        share /= eps + 1.0
+        strong = np.multiply(h, share, out=np.empty(shape))
+    strong += 1.0
+    np.fmax(strong, weak, out=strong)
+    return np.log2(strong, out=strong)
 
 
 def oma_pair_rates(h_best, g_best, rho) -> RatePair:

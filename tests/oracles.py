@@ -58,7 +58,8 @@ def random_triple(seed, trial_index, dims):
 # The package selects each element's SINR first and takes one log per rate.
 # These keep the form that computes both rate forms for every element and then
 # picks one; every selected element meets the same IEEE operations in the same
-# order, so the package must match them bit for bit.
+# order, so the package's fixed-power rates and CR-NOMA split must match them
+# bit for bit.
 
 
 def ref_cr_power_split(h, g, rho, r_th):
@@ -97,16 +98,43 @@ def _ref_pair(h, g, a, b, rho):
     return r1, r2
 
 
-def ref_cr_rates(h, g, rho, r_th):
-    """(r1, r2) under the QoS-driven split."""
-    a, b = ref_cr_power_split(h, g, rho, r_th)
-    return _ref_pair(h, g, a, b, rho)
-
-
 def ref_fnoma_pair_rates(h, g, split, rho):
     """(r1, r2) under a fixed split."""
     a, b = split
     return _ref_pair(h, g, a, b, rho)
+
+
+# --- the CR-NOMA rates at 50 digits ---------------------------------------------
+# The package rates CR-NOMA without the split coefficient, in forms equal to
+# the two-branch formulas in exact arithmetic that round differently.  These
+# evaluate the two-branch formulas, with the clipped split, on the exact
+# values of the float inputs.
+
+
+def cr_rates_mp(h, g, rho, r_th, dps=50):
+    """(r1, r2) under the QoS-driven clipped split, as mpf at `dps` digits."""
+    with mpmath.workdps(dps):
+        h, g, rho, r_th = (mpmath.mpf(float(v)) for v in (h, g, rho, r_th))
+        eps = mpmath.power(2, r_th) - 1
+        if h >= g:
+            b = max((rho * g - eps) / (rho * g * (eps + 1)), mpmath.mpf(0))
+        else:
+            b = min(eps / (rho * g), mpmath.mpf(1))
+        a = 1 - b
+        strong = lambda x: mpmath.log(1 + rho * b * x, 2)
+        weak = lambda x: mpmath.log(1 + a * x / (b * x + 1 / rho), 2)
+        return (strong(h), weak(g)) if h >= g else (weak(h), strong(g))
+
+
+def cr_condition(h, g, rho, r_th):
+    """How much the cancellation rho*g - eps of the secondary rate, where UE1
+    is strong and the split inside (0, 1), magnifies a rounding of an input:
+    (rho*g + eps) / (rho*g - eps) there, else 1.  Any float form of the rate
+    shares it, the two-branch formulas included."""
+    eps = 2.0 ** float(r_th) - 1.0
+    if h >= g and rho * g > eps:
+        return (rho * g + eps) / (rho * g - eps)
+    return 1.0
 
 
 # --- per-trial rates of one point ----------------------------------------------

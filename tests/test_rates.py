@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from noma_as import (PowerSplit, cr_power_split, cr_rates, fnoma_pair_rates,
                      fnoma_sum_rate, jain_fairness, oma_pair_rates, qos_epsilon)
 from noma_as.rates import _cr_secondary_rate
-from oracles import ref_cr_power_split, ref_cr_rates, ref_fnoma_pair_rates
+from oracles import cr_condition, cr_rates_mp, ref_cr_power_split, ref_fnoma_pair_rates
 
 LOG2_5 = math.log2(5.0)
 
@@ -170,20 +172,94 @@ def _same_bits(got, want):
 @example(h=0.01, g=0.05, rho=10.0, r_th=6.0, b=0.4)  # UE2 strong, b clipped to 1
 @example(h=1.0, g=1.0, rho=10.0, r_th=1.0, b=0.5)  # h == g
 def test_rates_match_the_two_branch_formulas_bit_for_bit(h, g, rho, r_th, b):
-    # each gain pair in both orders and equal, as scalars and as one array
+    # each gain pair in both orders and equal, as scalars and as one array;
+    # the CR-NOMA rates are held to the 50-digit oracle below instead
     hs, gs = np.array([h, g, h]), np.array([g, h, h])
     split = PowerSplit.from_b(b)
     with np.errstate(over="ignore"):  # rho * b * x may pass the float range
         for x, y in [(h, g), (g, h), (h, h), (hs, gs)]:
-            want_split = ref_cr_power_split(x, y, rho, r_th)
-            want_cr = ref_cr_rates(x, y, rho, r_th)
-            for got, want in [(cr_power_split(x, y, rho, r_th), want_split),
-                              (cr_rates(x, y, rho, r_th), want_cr),
-                              ((_cr_secondary_rate(x, y, rho, r_th),), want_cr[:1]),
+            for got, want in [(cr_power_split(x, y, rho, r_th),
+                               ref_cr_power_split(x, y, rho, r_th)),
                               (fnoma_pair_rates(x, y, split, rho),
                                ref_fnoma_pair_rates(x, y, split, rho))]:
                 for got_v, want_v in zip(got, want, strict=True):
                     _same_bits(got_v, want_v)
+            r1, r2 = cr_rates(x, y, rho, r_th)
+            _same_bits(r1, _cr_secondary_rate(x, y, rho, r_th))
+            full = np.log2(1.0 + rho * np.asarray(y, dtype=float))
+            _same_bits(r2, np.where(full >= r_th, r_th, full))
+
+
+def _ulps(got, want, condition):
+    """|got - want| in ulps of max(|want|, 1), over the condition factor."""
+    err = abs(mpmath.mpf(float(got)) - want)
+    return float(err / np.spacing(max(abs(float(want)), 1.0))) / condition
+
+
+CR_ULPS = 2.5  # bound on _ulps of both CR-NOMA rates against the oracle
+
+
+def _cr_draws(n):
+    """n draws of (h, g, rho, r_th) in each of three families: gains and
+    SNRs of the figure grids, the log-spread inputs of the acceptance
+    checks, and extremes up to rho*h = 1e300."""
+    rng = np.random.default_rng(2016)
+    d1, d2 = rng.uniform(50.0, 400.0, (2, n))
+    figure = (rng.exponential(1.0, n) / d1 ** 3, rng.exponential(1.0, n) / d2 ** 3,
+              10.0 ** ((rng.uniform(-20.0, 60.0, n) + 110.0) / 10.0),
+              rng.uniform(0.5, 10.0, n))
+    spread = (10.0 ** rng.uniform(-8, 2, n), 10.0 ** rng.uniform(-8, 2, n),
+              10.0 ** rng.uniform(0, 14, n), rng.uniform(0.1, 10.0, n))
+    extreme = (10.0 ** rng.uniform(-150, 150, n), 10.0 ** rng.uniform(-150, 150, n),
+               10.0 ** rng.uniform(-3, 150, n), rng.uniform(1e-3, 60.0, n))
+    edges = [(2e300, 1e300, 1.0, 40.0), (2.0, 0.05, 10.0, 1.0), (0.01, 0.05, 10.0, 6.0),
+             (1.0, 1.0, 10.0, 1.0), (1e-300, 1e-300, 1e10, 1000.0)]
+    return [np.concatenate([f[i] for f in (figure, spread, extreme)] + [[e[i] for e in edges]])
+            for i in range(4)]
+
+
+def test_cr_rates_are_within_a_few_ulps_of_the_two_branch_formulas():
+    # the coefficient-free forms round differently from the clipped split:
+    # both rates stay within CR_ULPS of the two-branch formulas at 50
+    # digits, where an ulp is one of max(|rate|, 1) and the strong-UE1
+    # cancellation's condition factor divides the error out
+    h, g, rho, r_th = _cr_draws(1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r1, r2 = cr_rates(h, g, rho, r_th)
+    worst = [0.0, 0.0]
+    for i in range(h.size):
+        condition = cr_condition(h[i], g[i], rho[i], r_th[i])
+        for j, (got, want) in enumerate(zip((r1[i], r2[i]),
+                                            cr_rates_mp(h[i], g[i], rho[i], r_th[i]))):
+            worst[j] = max(worst[j], _ulps(got, want, condition))
+    assert worst[0] <= CR_ULPS and worst[1] <= CR_ULPS, worst
+
+
+def test_cr_secondary_rate_on_the_search_grid_equals_cr_rates_bit_for_bit():
+    # the exhaustive search evaluates r1 on (M, 1, T) x (1, K, T); each
+    # element must be the r1 cr_rates gives for that pair, array or scalar
+    rng = np.random.default_rng(7)
+    h = 10.0 ** rng.uniform(-8, 0, (3, 1, 200))
+    g = 10.0 ** rng.uniform(-8, 0, (1, 4, 200))
+    for rho, r_th in ((10.0, 1.0), (1e4, 5.0), (1e8, 20.0)):
+        grid = _cr_secondary_rate(h, g, rho, r_th)
+        assert grid.shape == (3, 4, 200) and 0 < np.count_nonzero(grid) < grid.size
+        full_h, full_g = (np.ascontiguousarray(x) for x in np.broadcast_arrays(h, g))
+        _same_bits(grid, cr_rates(full_h, full_g, rho, r_th).r1)
+        for m, k, t in ((0, 0, 0), (2, 3, 199), (1, 2, 57)):
+            _same_bits(grid[m, k, t], cr_rates(h[m, 0, t], g[0, k, t], rho, r_th).r1)
+
+
+@given(h=log_spread(-150, 150), g=log_spread(-150, 150), rho=log_spread(-3, 150),
+       r_th=st.floats(1e-3, 60.0))
+def test_cr_primary_rate_is_the_floor_or_the_full_power_rate(h, g, rho, r_th):
+    # the split pins UE2's SINR at eps wherever it can and otherwise gives
+    # UE2 all the power, in either gain order
+    for x, y in ((h, g), (g, h)):
+        _, r2 = cr_rates(x, y, rho, r_th)
+        full = math.log2(1.0 + rho * y)
+        assert r2 == (r_th if full >= r_th else full)
 
 
 @given(h=gains, g=gains, rho=st.floats(1.0, 1e14), r_th=st.floats(0.1, 10.0))
@@ -191,7 +267,7 @@ def test_cr_qos_tightness(h, g, rho, r_th):
     split = cr_power_split(h, g, rho, r_th)
     if 0.0 < split.b < 1.0:
         _, r2 = cr_rates(h, g, rho, r_th)
-        assert abs(r2 - r_th) <= 1e-9
+        assert r2 == r_th
 
 
 @given(h=log_spread(-6, 300), g=log_spread(-6, 300), rho=log_spread(-3, 3),
@@ -204,7 +280,7 @@ def test_cr_split_interior_and_tight_when_ue1_strong(h, g, rho, r_th):
     b = cr_power_split(h, g, rho, r_th).b
     assert 0.0 < b < 1.0
     _, r2 = cr_rates(h, g, rho, r_th)
-    assert abs(r2 - r_th) <= 1e-9
+    assert r2 == r_th
 
 
 @given(h=st.floats(1e-3, 1e3), g=st.floats(1e-3, 1e3),
