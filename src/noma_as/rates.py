@@ -231,15 +231,19 @@ def _cr_secondary_rate(h, g, rho, r_th):
     or a huge eps) makes W 0 or NaN where S = 1, which fmax reads as 1.
     """
     eps = _checked_epsilon(rho, r_th)
-    shape = np.broadcast_shapes(np.shape(h), np.shape(g), np.shape(rho), np.shape(eps))
+    g_shape = np.broadcast_shapes(np.shape(g), np.shape(rho), np.shape(eps))
+    shape = np.broadcast_shapes(np.shape(h), g_shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q = eps / g
+        q = np.divide(eps, g, out=np.empty(g_shape))
+        strong = np.multiply(rho, h, out=np.empty(shape))
+        strong += 1.0
         weak = np.multiply(h, q, out=np.empty(shape))
         weak += 1.0
-        np.divide(1.0 + rho * h, weak, out=weak)
-        share = np.maximum(rho - q, 0.0)
-        share /= eps + 1.0
-        strong = np.multiply(h, share, out=np.empty(shape))
+        np.divide(strong, weak, out=weak)
+        np.subtract(rho, q, out=q)
+        np.maximum(q, 0.0, out=q)
+        q /= eps + 1.0
+        np.multiply(h, q, out=strong)
     strong += 1.0
     np.fmax(strong, weak, out=strong)
     return np.log2(strong, out=strong)

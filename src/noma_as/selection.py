@@ -218,11 +218,11 @@ def _random_triples(n_dim, m_dim, k_dim, seed, start, count):
         todo = np.arange(count if dim > 1 else 0)
         while todo.size:
             while used[todo].max() >= words.shape[1]:
-                block = _philox_block(seed, POLICY_DOMAIN,
-                                      (words.shape[1] // 8 + 1, 0, 0, trials))
                 # low half of each word first, as numpy's next_uint32 reads it
-                halves = np.stack(block, axis=1).astype("<u8", copy=False).view("<u4")
-                words = np.concatenate([words, halves], axis=1)
+                halves = np.stack(_philox_block(seed, POLICY_DOMAIN,
+                                                (words.shape[1] // 8 + 1, 0, 0, trials)),
+                                  axis=1).astype("<u8", copy=False).view("<u4")
+                words = np.concatenate([words, halves], axis=1) if words.size else halves
             product = words[todo, used[todo]].astype(np.uint64) * np.uint64(dim)
             used[todo] += 1
             accept = (product & _LOW32) >= threshold
