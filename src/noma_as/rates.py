@@ -226,9 +226,10 @@ def _cr_secondary_rate(h, g, rho, r_th):
     a > c, S*(1 + c) - (1 + a) = (a - c)*(c - eps)/(eps + 1), and c >= eps
     exactly where h >= g; where a <= c the split is clipped, S = 1 >= W and
     r1 = 0.  So the larger of the two is the one the gain order selects, and
-    no mask is needed.  The terms in g or h alone stay at their shape, so the
-    search's (M, K, T) grid takes two full-size buffers.  eps/g = inf (g -> 0
-    or a huge eps) makes W 0 or NaN where S = 1, which fmax reads as 1.
+    no mask is needed.  eps/g and the strong-user share stay at g's shape,
+    so the search's (M, K, T) grid takes two full-size buffers.  eps/g = inf
+    (g -> 0 or a huge eps) makes W 0 or NaN where S = 1, which fmax reads
+    as 1.
     """
     eps = _checked_epsilon(rho, r_th)
     g_shape = np.broadcast_shapes(np.shape(g), np.shape(rho), np.shape(eps))

@@ -391,14 +391,16 @@ def test_run_groups_points_by_geometry_trials_and_seed(monkeypatch):
 
 
 def test_run_holds_one_leaf_at_a_time_in_process(monkeypatch):
-    # figure 7 in four leaves per placement at one worker: when a leaf is
-    # sampled, the arrays of every earlier leaf are gone
+    # figure 7 in four leaves per placement at one worker: when a placement
+    # is sampled, the gains of every earlier placement and leaf are gone,
+    # and the unit draws kept, if any, are the leaf's own
     monkeypatch.setattr(harness, "_CHUNK", 128)
     assert len(harness._leaves(0, 512)) == 4
     earlier = []
 
     def sample(fading, seed, start, count):
         assert [ref for ref in earlier if ref() is not None] == []
+        assert [key[4:] for key in channel._kept or ()] in ([], [(start, count)])
         h, g = sample_channel_batch(fading, seed, start, count)
         earlier.extend((weakref.ref(h), weakref.ref(g)))
         return h, g
