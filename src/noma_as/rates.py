@@ -157,11 +157,11 @@ def _jain(r1, r2, s):
 def _checked_epsilon(rho, r_th):
     """The SINR threshold 2**r_th - 1 of the QoS-driven split, once rho and
     r_th are positive and the threshold finite."""
-    if not np.all(np.greater(rho, 0)) or not np.all(np.greater(r_th, 0)):
+    if not (np.greater(rho, 0).all() and np.greater(r_th, 0).all()):
         raise ValueError("rho and r_th must be positive")
     with np.errstate(over="ignore"):
         eps = qos_epsilon(r_th)
-    if not np.all(np.isfinite(eps)):
+    if not np.isfinite(eps).all():
         raise ValueError(f"r_th = {r_th}: 2**r_th - 1 is not finite")
     return eps
 
