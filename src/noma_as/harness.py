@@ -24,15 +24,17 @@ geometry (d1, d2, alpha) of the group in turn: the unit-rate exponentials
 of the leaf are computed once and kept until the last geometry has divided
 them by its path loss (`channel._keep_unit_draws`), so figure 7's two
 placements, figure 3's d2 values and figure 6's d1 values draw once per
-leaf.  For each geometry the task computes the row statistics
-(`selection.row_stats`: the per-row maxima and argmaxes that every kernel
-but random reads) and selects each policy whose choice reads only the gains
-(`Policy.gains_only`) once; then, for every point of the geometry, it runs
-the exhaustive searches, the rate formulas and the reduction.  A point
+leaf.  The last geometry is scaled with the one before it, so the draws are
+freed before either runs: a task holds the draws and one geometry's gains,
+or the last two geometries' gains.  For each geometry the task computes
+the row statistics (`selection.row_stats`: the per-row maxima and argmaxes
+that every kernel but random reads) and selects each policy whose choice
+reads only the gains (`Policy.gains_only`) once; then, for every point of
+the geometry, it runs the exhaustive searches, the rate formulas and the
+reduction.  A point
 reuses the arrays a fresh draw or selection would have produced, and they
 meet the same rate formulas and the same reduction, so no bit of any report
-moves.  A worker holds one leaf at a time, whatever the trial count, and
-one geometry's gains at a time.
+moves.  A worker holds one leaf at a time, whatever the trial count.
 """
 
 from __future__ import annotations
@@ -156,26 +158,32 @@ def _point(scn: Scenario) -> Point:
 def _simulate_leaf(task):
     """Moments of one leaf of one shape group, per point of the group in
     the task's order: `_make_report` of each policy stacked on axis 1, so
-    moments[0] are the sums and moments[1] the M2.  The geometries are
-    sampled in turn and rescale one computation of the leaf's unit draws,
-    which is dropped once the last geometry has scaled it."""
+    moments[0] are the sums and moments[1] the M2.  The geometries rescale
+    one computation of the leaf's unit draws, kept until the last geometry
+    has scaled them; the last is scaled right after the one before it, so
+    the draws are gone before either of the two runs."""
     seed, t0, count, geometries = task
-    _keep_unit_draws(len(geometries) > 1)
+    n = len(geometries)
+    scaled = {}  # the last geometry's gains, once scaled ahead
+    out = []
+    _keep_unit_draws(n > 1)
     try:
-        return [moments for i, (geometry, points) in enumerate(geometries)
-                for moments in _simulate_geometry(geometry, points, seed, t0, count,
-                                                  i + 1 == len(geometries))]
+        for i, (geometry, points) in enumerate(geometries):
+            gains = scaled.pop(i, None) or sample_channel_batch(geometry, seed, t0, count)
+            if i + 2 == n:
+                scaled[n - 1] = sample_channel_batch(geometries[-1][0], seed, t0, count)
+            if i + 2 >= n:
+                _keep_unit_draws(False)
+            out += _simulate_geometry(*gains, points, seed, t0)
     finally:
         _keep_unit_draws(False)
+    return out
 
 
-def _simulate_geometry(geometry, points, seed, t0, count, last):
-    """The moments of each point of one geometry of a leaf.  The leaf is
-    sampled, its row statistics computed and each `gains_only` policy
-    selected once, for all points."""
-    h, g = sample_channel_batch(geometry, seed, t0, count)
-    if last:
-        _keep_unit_draws(False)
+def _simulate_geometry(h, g, points, seed, t0):
+    """The moments of each point of one geometry of a leaf, from its gains:
+    the row statistics are computed and each `gains_only` policy selected
+    once, for all points."""
     rows = row_stats(h, g)
     chosen = {}
     out = []

@@ -391,18 +391,18 @@ def test_run_groups_points_by_geometry_trials_and_seed(monkeypatch):
 
 
 def test_run_holds_one_leaf_at_a_time_in_process(monkeypatch):
-    # figure 7 in four leaves per placement at one worker: when a placement
-    # is sampled, the gains of every earlier placement and leaf are gone,
-    # and the unit draws kept, if any, are the leaf's own
+    # figure 7 in four leaves at one worker, both placements of a leaf
+    # sampled together: when a leaf is sampled, the gains of every earlier
+    # leaf are gone, and the unit draws kept, if any, are the leaf's own
     monkeypatch.setattr(harness, "_CHUNK", 128)
     assert len(harness._leaves(0, 512)) == 4
     earlier = []
 
     def sample(fading, seed, start, count):
-        assert [ref for ref in earlier if ref() is not None] == []
+        assert [t0 for t0, ref in earlier if t0 != start and ref() is not None] == []
         assert [key[4:] for key in channel._kept or ()] in ([], [(start, count)])
         h, g = sample_channel_batch(fading, seed, start, count)
-        earlier.extend((weakref.ref(h), weakref.ref(g)))
+        earlier.extend((start, weakref.ref(x)) for x in (h, g))
         return h, g
 
     monkeypatch.setattr(harness, "sample_channel_batch", sample)
