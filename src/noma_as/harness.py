@@ -163,16 +163,14 @@ def _simulate_leaf(task):
     has scaled them; the last is scaled right after the one before it, so
     the draws are gone before either of the two runs."""
     seed, t0, count, geometries = task
-    n = len(geometries)
-    scaled = {}  # the last geometry's gains, once scaled ahead
+    ahead = None  # the last geometry's gains, scaled with the one before it
     out = []
-    _keep_unit_draws(n > 1)
+    _keep_unit_draws(len(geometries) > 1)
     try:
         for i, (geometry, points) in enumerate(geometries):
-            gains = scaled.pop(i, None) or sample_channel_batch(geometry, seed, t0, count)
-            if i + 2 == n:
-                scaled[n - 1] = sample_channel_batch(geometries[-1][0], seed, t0, count)
-            if i + 2 >= n:
+            gains = ahead or sample_channel_batch(geometry, seed, t0, count)
+            if i + 2 == len(geometries):
+                ahead = sample_channel_batch(geometries[-1][0], seed, t0, count)
                 _keep_unit_draws(False)
             out += _simulate_geometry(*gains, points, seed, t0)
     finally:
