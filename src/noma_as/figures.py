@@ -29,12 +29,16 @@ _RTH_GRID = tuple(float(r) for r in range(1, 9))
 FIGURE_IDS = tuple(range(1, 9))
 
 
-def _policies(entry):
-    """(mode, policies) of a column group's mode entry: every policy of the
-    mode, or for "jain" (figure 5) the fnoma policies a3 and aia."""
+def _point(entry, fading, split, r_th, trials, seed):
+    """The `Point` of a column group's mode entry: every policy of the mode,
+    reading the metric its columns show, or for "jain" (figure 5) the fnoma
+    policies a3 and aia, reading their mean Jain fairness."""
     if entry == "jain":
-        return "fnoma", ("a3", "aia")
-    return entry, tuple(p for m, p in POLICIES if m == entry)
+        return Point(fading, "fnoma", ("a3", "aia"), trials, seed, split, r_th,
+                     ("mean_fairness",))
+    policies = tuple(p for m, p in POLICIES if m == entry)
+    reads = tuple(dict.fromkeys(POLICIES[entry, p].metric for p in policies))
+    return Point(fading, entry, policies, trials, seed, split, r_th, reads)
 
 
 def _columns(entry, point, reports):
@@ -93,7 +97,7 @@ def figure_rows(figure_id: int, trials: int, seed: int, workers=None):
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
     axis, grid, column_groups = _FIGURES[figure_id]
-    plan = [(x, [(suffix, entry, Point(fading, *_policies(entry), trials, seed, split, r_th))
+    plan = [(x, [(suffix, entry, _point(entry, fading, split, r_th, trials, seed))
                  for suffix, entries, fading, split, r_th in column_groups(x)
                  for entry in entries])
             for x in grid]

@@ -80,6 +80,9 @@ class Scenario:
             if not (self.split.b > 0 and self.split.a >= self.split.b):
                 raise ConfigurationError(f"b = {self.split.b}: fnoma needs 0 < b <= 0.5",
                                          ("b",))
+            if self.split.a != 1.0 - self.split.b:  # the es objective takes a = 1 - b
+                raise ConfigurationError(f"b = {self.split.b}, a = {self.split.a}: fnoma "
+                                         f"needs a = 1 - b", ("b",))
         if self.mode == "crnoma":
             if self.r_th is None:
                 raise ConfigurationError("crnoma scenarios need a rate floor (key r_th)")
@@ -123,15 +126,23 @@ class Scenario:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Averages over the trials of one (scenario, policy) point."""
+    """Averages over the trials of one (scenario, policy) point.
 
-    mean_r1: float
-    mean_r2: float
-    mean_sum: float
-    mean_fairness: float
+    A mean its point does not read (`Point.reads`) is None, and its key is
+    absent from std_err.
+    """
+
+    mean_r1: float | None
+    mean_r2: float | None
+    mean_sum: float | None
+    mean_fairness: float | None
     std_err: dict
     trials_used: int
     mean_eval_count: float
+
+
+# The means a RateReport can carry: of r1, r2, r1 + r2 and the Jain fairness.
+QUANTITIES = ("mean_r1", "mean_r2", "mean_sum", "mean_fairness")
 
 
 # The selection of each (mode, policy), looked up here at call time: the
@@ -140,7 +151,11 @@ _TRIPLES = {key: policy.select for key, policy in POLICIES.items()}
 
 
 class Point(NamedTuple):
-    """The arguments of one `run_point` call, which a `Run` is built from."""
+    """The arguments of one `run_point` call, which a `Run` is built from.
+
+    reads names the `RateReport` means the caller reads, from `QUANTITIES`;
+    only those are computed and reduced.
+    """
 
     fading: FadingConfig
     mode: str
@@ -149,10 +164,12 @@ class Point(NamedTuple):
     seed: int
     split: PowerSplit | None = None
     r_th: float | None = None
+    reads: tuple = QUANTITIES
 
 
-def _point(scn: Scenario) -> Point:
-    return Point(scn.fading, scn.mode, (scn.policy,), scn.trials, scn.seed, scn.split, scn.r_th)
+def _point(scn: Scenario, reads=QUANTITIES) -> Point:
+    return Point(scn.fading, scn.mode, (scn.policy,), scn.trials, scn.seed, scn.split,
+                 scn.r_th, reads)
 
 
 def _simulate_leaf(task):
@@ -181,20 +198,28 @@ def _simulate_leaf(task):
 def _simulate_geometry(h, g, points, seed, t0):
     """The moments of each point of one geometry of a leaf, from its gains:
     the row statistics are computed and each `gains_only` policy selected
-    once, for all points."""
+    once, for all points.  A policy with an `optimum` whose point reads
+    only its metric takes the optimum as the per-trial value and selects
+    nothing."""
     rows = row_stats(h, g)
     chosen = {}
     out = []
     for point in points:
         mode, split, r_th, rho = point.mode, point.split, point.r_th, point.fading.rho
+        reads = point.reads
         reports = []
-        for policy in point.policies:
-            gains = chosen.get((mode, policy))
+        for name in point.policies:
+            policy = POLICIES[mode, name]
+            if policy.optimum is not None and reads == (policy.metric,):
+                top = policy.optimum(h, g, rows=rows, rho=rho, split=split, r_th=r_th)
+                reports.append(_make_report(top, None, reads))
+                continue
+            gains = chosen.get((mode, name))
             if gains is None:
-                gains = _TRIPLES[mode, policy](h, g, rows=rows, rho=rho, split=split,
-                                               r_th=r_th, seed=seed, t0=t0)
-                if POLICIES[mode, policy].gains_only:
-                    chosen[mode, policy] = gains
+                gains = _TRIPLES[mode, name](h, g, rows=rows, rho=rho, split=split,
+                                             r_th=r_th, seed=seed, t0=t0)
+                if policy.gains_only:
+                    chosen[mode, name] = gains
             h_sel, g_sel = gains
             if mode == "fnoma":
                 r1, r2 = fnoma_pair_rates(h_sel, g_sel, split, rho)
@@ -202,7 +227,7 @@ def _simulate_geometry(h, g, points, seed, t0):
                 r1, r2 = oma_pair_rates(h_sel, g_sel, rho)
             else:
                 r1, r2 = cr_rates(h_sel, g_sel, rho, r_th)
-            reports.append(_make_report(r1, r2))
+            reports.append(_make_report(r1, r2, reads))
         out.append(np.stack(reports, axis=1))
     return out
 
@@ -246,6 +271,10 @@ class Run:
     def __init__(self, workers, points):
         points = list(dict.fromkeys(points))
         for point in points:
+            reads = point.reads
+            if not reads or len(set(reads)) < len(reads) or not set(reads) <= set(QUANTITIES):
+                raise ConfigurationError(f"reads = {reads!r}: need distinct names from "
+                                         f"{QUANTITIES}")
             for policy in point.policies:
                 Scenario(point.fading, point.mode, policy, split=point.split,
                          r_th=point.r_th, trials=point.trials, seed=point.seed)
@@ -308,42 +337,50 @@ def _merged(t0, n, leaf):
     return sa + sb, qa + qb + delta * delta * (half * (n - half) / n)
 
 
-def _make_report(r1, r2):
+def _make_report(r1, r2, reads):
     """Moments of one leaf: row 0 the sums, row 1 the M2 about the leaf
-    mean, of r1, r2, r1 + r2 and the Jain fairness, in that order."""
-    out = np.empty((2, 4))
-    both = r1 + r2
-    for i, x in enumerate((r1, r2, both, _jain(r1, r2, both))):
+    mean, of each quantity `reads` names (r1, r2, r1 + r2 or the Jain
+    fairness of the rates r1 and r2), in its order.  With r2 None, r1 is
+    already the per-trial value of the one quantity read, as a policy's
+    `optimum` gives it."""
+    if r2 is None:
+        values = [r1]
+    else:
+        per_trial = {"mean_r1": r1, "mean_r2": r2}
+        if "mean_sum" in reads or "mean_fairness" in reads:
+            per_trial["mean_sum"] = both = r1 + r2
+            if "mean_fairness" in reads:
+                per_trial["mean_fairness"] = _jain(r1, r2, both)
+        values = [per_trial[q] for q in reads]
+    out = np.empty((2, len(values)))
+    for i, x in enumerate(values):
         total = np.add.reduce(x)
-        dev = x - total / x.size
-        out[:, i] = total, np.add.reduce(dev * dev)
+        dev = np.subtract(x, total / x.size)
+        out[:, i] = total, np.add.reduce(np.multiply(dev, dev, out=dev))
     return out
 
 
-def _report(trials, sums, m2, eval_count):
-    mean = sums / trials
-    se = np.sqrt(m2 / (trials - 1)) / math.sqrt(trials) if trials > 1 else np.zeros(4)
+def _report(trials, sums, m2, eval_count, reads):
+    mean = dict(zip(reads, map(float, sums / trials)))
+    se = np.sqrt(m2 / (trials - 1)) / math.sqrt(trials) if trials > 1 else np.zeros(len(reads))
     return RateReport(
-        mean_r1=float(mean[0]),
-        mean_r2=float(mean[1]),
-        mean_sum=float(mean[2]),
-        mean_fairness=float(mean[3]),
-        std_err=dict(zip(("r1", "r2", "sum", "fairness"), map(float, se))),
+        **{q: mean.get(q) for q in QUANTITIES},
+        std_err={q.removeprefix("mean_"): float(v) for q, v in zip(reads, se)},
         trials_used=trials,
         mean_eval_count=float(eval_count),
     )
 
 
 def run_point(fading, mode, policies, trials, seed, split=None, r_th=None,
-              workers=None):
+              reads=QUANTITIES, workers=None):
     """Evaluate several policies on the same `trials` realizations.
 
     Returns {policy: RateReport}.  All policies share the channel draws, so
-    cross-policy comparisons at one point are paired.  `workers` is a `Run`
-    built with this point among others, or a worker count for a run of this
-    point only.
+    cross-policy comparisons at one point are paired.  `reads` names the
+    means computed (see `Point`).  `workers` is a `Run` built with this
+    point among others, or a worker count for a run of this point only.
     """
-    point = Point(fading, mode, tuple(policies), trials, seed, split, r_th)
+    point = Point(fading, mode, tuple(policies), trials, seed, split, r_th, tuple(reads))
     own = nullcontext(workers) if isinstance(workers, Run) else Run(workers, [point])
     with own as run:
         leaf = run._leaf.get(point)
@@ -351,7 +388,7 @@ def run_point(fading, mode, policies, trials, seed, split=None, r_th=None,
             raise ValueError(f"{point} is not a point of this run")
         sums, m2 = _merged(0, trials, leaf)
     n, m, k = fading.n_bs, fading.m_ue1, fading.k_ue2
-    return {p: _report(trials, sums[i], m2[i], POLICIES[mode, p].count(n, m, k))
+    return {p: _report(trials, sums[i], m2[i], POLICIES[mode, p].count(n, m, k), point.reads)
             for i, p in enumerate(policies)}
 
 
@@ -459,12 +496,14 @@ def validate_asymptotics(points, workers=None):
     failed.
     """
     results = []
-    with Run(workers, [_point(p.scenario) for p in points]) as run:
-        for point in points:
+    runs = [_point(p.scenario, (POLICIES[p.scenario.mode, p.scenario.policy].metric,))
+            for p in points]
+    with Run(workers, runs) as run:
+        for point, run_args in zip(points, runs):
             scn = point.scenario
             policy = POLICIES[scn.mode, scn.policy]
             closed = point._closed_form
-            report = run_trials(scn, workers=run)
+            report = run_point(*run_args, workers=run)[scn.policy]
             mc = getattr(report, policy.metric)
             se = report.std_err[policy.metric.removeprefix("mean_")]
             gap = abs(closed - mc) / abs(mc) if mc != 0 else math.inf

@@ -56,7 +56,8 @@ compares: ``row_stats`` the M (K) columns of each row, a row pick the N
 rows of its key, and ``es`` its N candidates, whose maximum is the
 optimum.  ``es`` then gathers the chosen row's gains into (M, T) and
 (K, T) arrays, evaluates the objective on the (M, K, T) grid and takes the
-first of its M*K columns equal to the optimum.  ``POLICIES`` is the one
+first of its M*K columns equal to the optimum; a caller that needs only
+the optimum (``Policy.optimum``) skips that step.  ``POLICIES`` is the one
 table of (mode, policy) pairs that the harness, the figures and the CLI
 read.
 """
@@ -165,19 +166,24 @@ def _su_triples(rows):
     return _row_pick(rows, rows.h_max)
 
 
-def _es_triples(h, g, rows, objective):
-    """First row-major (n, m, k) maximizing objective(h[n, m], g[n, k]).
+def _es_triples(h, g, rows, objective, pick):
+    """(v*, (n, m, k)): each trial's optimum v* of objective(h[n, m],
+    g[n, k]) and the first row-major triple reaching it, or None for the
+    triple unless `pick`.
 
     The objective never decreases when either gain grows, so each row's
     best value is its row-max candidate's and the optimum v* is the best of
     the N candidates.  The first row reaching v* holds the first optimal
-    triple; its first M x K entry equal to v* is that triple.  The row's
-    gains are gathered into (M, T) and (K, T) so that the grid is (M, K, T).
+    triple; its first M x K entry equal to v* is that triple, so the
+    objective at the triple is v* bit for bit.  The row's gains are
+    gathered into (M, T) and (K, T) so that the grid is (M, K, T).
     """
     top, n = _first_max(objective(rows.h_max, rows.g_max))
+    if not pick:
+        return top, None
     grid = objective(_row_of(h, n)[:, None], _row_of(g, n)[None])
     _, idx = _first_max((grid == top).reshape(-1, n.size))
-    return (n,) + divmod(idx, g.shape[2])
+    return top, (n,) + divmod(idx, g.shape[2])
 
 
 def _row_of(x, n):
@@ -188,18 +194,20 @@ def _row_of(x, n):
     return np.take(x.transpose(1, 2, 0), at + t_dim * np.arange(c_dim)[:, None])
 
 
-def _es_fnoma_triples(h, g, rows, split, rho):
-    """Exhaustive search maximizing the fixed-power sum rate."""
-    return _es_triples(h, g, rows, lambda x, y: _fnoma_sum_rate(x, y, split.b, rho))
+def _es_fnoma_triples(h, g, rows, split, rho, pick=True):
+    """Exhaustive search maximizing the fixed-power sum rate r1 + r2: its
+    optimum and, if `pick`, its triple (see `_es_triples`)."""
+    return _es_triples(h, g, rows, lambda x, y: _fnoma_sum_rate(x, y, split.b, rho), pick)
 
 
-def _es_crnoma_triples(h, g, rows, rho, r_th):
-    """Exhaustive search maximizing the secondary rate under the QoS floor.
+def _es_crnoma_triples(h, g, rows, rho, r_th, pick=True):
+    """Exhaustive search maximizing the secondary rate r1 under the QoS
+    floor: its optimum and, if `pick`, its triple (see `_es_triples`).
 
     Infeasible triples carry r1 = 0, so they are admissible but dominated;
     an all-infeasible trial picks (0, 0, 0).
     """
-    return _es_triples(h, g, rows, lambda x, y: _cr_secondary_rate(x, y, rho, r_th))
+    return _es_triples(h, g, rows, lambda x, y: _cr_secondary_rate(x, y, rho, r_th), pick)
 
 
 def _random_triples(n_dim, m_dim, k_dim, seed, start, count):
@@ -279,6 +287,11 @@ class Policy:
     gains_only says the choice reads the gains (and seed, t0) but not rho,
     split or r_th, so the harness selects once per leaf of each geometry
     group and reuses the chosen gains at every point of the group.
+    optimum(h, g, rows=, rho=, split=, r_th=), where set, returns the
+    per-trial `metric` quantity at the policy's choice without making the
+    choice: the exhaustive searches' maximum, r1 + r2 (fnoma) or r1
+    (crnoma), which is that quantity's rate formula at the chosen triple
+    bit for bit.
     """
 
     column: str  # figure column; `_sim`/`_analytic` pair with a closed form
@@ -288,6 +301,7 @@ class Policy:
     bound: Bound | None = None
     closed_form: Callable | None = None
     gains_only: bool = True
+    optimum: Callable | None = None
 
 
 def _split_cfg(fading, split, r_th):
@@ -309,15 +323,19 @@ POLICIES = {
     ("fnoma", "es"): Policy(
         "fnoma_es",
         lambda h, g, rows, rho, split, **_: _triple_gains(
-            h, g, _es_fnoma_triples(h, g, rows, split, rho)),
+            h, g, _es_fnoma_triples(h, g, rows, split, rho)[1]),
         count_es, "mean_sum", Bound("es_fnoma", "N*M*K", lambda n, m, k: n * m * k, True),
-        gains_only=False),
+        gains_only=False,
+        optimum=lambda h, g, rows, rho, split, **_: _es_fnoma_triples(
+            h, g, rows, split, rho, pick=False)[0]),
     ("crnoma", "es"): Policy(
         "cr_es",
         lambda h, g, rows, rho, r_th, **_: _triple_gains(
-            h, g, _es_crnoma_triples(h, g, rows, rho, r_th)),
+            h, g, _es_crnoma_triples(h, g, rows, rho, r_th)[1]),
         count_es, "mean_r1", Bound("es_crnoma", "N*M*K", lambda n, m, k: n * m * k, True),
-        gains_only=False),
+        gains_only=False,
+        optimum=lambda h, g, rows, rho, r_th, **_: _es_crnoma_triples(
+            h, g, rows, rho, r_th, pick=False)[0]),
     ("fnoma", "a3"): Policy(
         "a3", lambda h, g, rows, **_: _triple_gains(h, g, _a3_triples(rows)),
         count_a3, "mean_sum", Bound("a3", "N*(M+K+3)", lambda n, m, k: n * (m + k + 3)),

@@ -42,13 +42,13 @@ def test_criterion_1_exhaustive_search_oracle_equivalence():
         h, g = oracles.random_instance(rng, n, m, k, omega_h=0.9, omega_g=2.1)
 
         rows = row_stats(h[None], g[None])
-        triple = [int(i[0]) for i in _es_fnoma_triples(h[None], g[None], rows, SPLIT, 1e3)]
+        triple = [int(i[0]) for i in _es_fnoma_triples(h[None], g[None], rows, SPLIT, 1e3)[1]]
         (bn, bm, bk), val = oracles.brute_es_fnoma(h, g, SPLIT.b, 1e3)
         assert tuple(triple) == (bn, bm, bk)
         impl_val = oracles.fnoma_objective(h[bn, bm], g[bn, bk], SPLIT.b, 1e3)
         assert abs(impl_val - val) <= 1e-12 * max(1.0, abs(val))
 
-        triple = [int(i[0]) for i in _es_crnoma_triples(h[None], g[None], rows, 1e3, 2.0)]
+        triple = [int(i[0]) for i in _es_crnoma_triples(h[None], g[None], rows, 1e3, 2.0)[1]]
         (bn, bm, bk), val = oracles.brute_es_crnoma(h, g, 1e3, 2.0)
         assert tuple(triple) == (bn, bm, bk)
         checked += 1

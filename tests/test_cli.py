@@ -84,11 +84,16 @@ def test_sweep_to_file(tmp_path):
 
 
 def test_sweep_to_stdout(tmp_path, capsys):
-    assert main(["sweep", "--scenario", _scenario_file(tmp_path),
-                 "--axis", "d2", "--values", "150"]) == 0
+    path = _scenario_file(tmp_path)
+    assert main(["sweep", "--scenario", path, "--axis", "d2", "--values", "150"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("d2,mean_r1,")
     assert len(lines) == 2
+    # a sweep reads every mean and standard error of its points' reports
+    report = harness.run_trials(harness.apply_axis(harness.load_scenario(path), "d2", 150.0))
+    row = [150.0, report.mean_r1, report.mean_r2, report.mean_sum, report.mean_fairness,
+           *report.std_err.values(), report.trials_used, report.mean_eval_count]
+    assert lines[1] == ",".join(format(float(v), ".17g") for v in row)
 
 
 def test_sweep_bad_axis(tmp_path):

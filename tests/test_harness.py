@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from noma_as import channel, figures, harness
+from noma_as import channel, figures, harness, selection
 from noma_as.harness import Point, Run
 from noma_as import (ConfigurationError, FadingConfig, PowerSplit, Scenario,
                      ValidationPoint, apply_axis, cr_rates, figure_rows, fnoma_pair_rates,
@@ -57,6 +57,7 @@ def test_mode_policy_compatibility():
 
 @pytest.mark.parametrize("kwargs, key", [
     ({"split": PowerSplit.from_b(0.0)}, "b"),
+    ({"split": PowerSplit(0.5, 0.4)}, "b"),  # not the whole power: es would rate a = 0.6
     ({"trials": 2.5}, "trials"),
     ({"seed": -1}, "seed"),
     ({"seed": 2 ** 64}, "seed"),
@@ -249,7 +250,8 @@ def test_merged_leaves_sum_like_numpy_bit_for_bit(n, seed):
     rng = np.random.default_rng(seed)
     r1 = rng.exponential(size=n) * 10.0 ** rng.uniform(-6, 6, n)
     r2 = rng.exponential(size=n) * 10.0 ** rng.uniform(-6, 6, n)
-    leaf = {t0: harness._make_report(r1[t0:t0 + count], r2[t0:t0 + count])[:, None]
+    leaf = {t0: harness._make_report(r1[t0:t0 + count], r2[t0:t0 + count],
+                                     harness.QUANTITIES)[:, None]
             for t0, count in harness._leaves(0, n)}
     sums, m2 = harness._merged(0, n, leaf)
     for i, x in enumerate((r1, r2, r1 + r2, jain_fairness(r1, r2))):
@@ -277,6 +279,47 @@ def test_run_point_matches_numpy_over_the_per_trial_arrays(mode, trials):
         assert report.trials_used == trials
 
 
+_FNOMA_ALL = ("es", "a3", "aia", "random")
+_CR_ALL = ("es", "mcg", "pu", "su", "random")
+_MODE_POINTS = {"fnoma": (_FNOMA_ALL, PowerSplit.from_b(0.4), None),
+                "crnoma": (_CR_ALL, None, 5.0), "oma": (("oma_es",), None, None)}
+
+
+@pytest.mark.parametrize("mode", sorted(_MODE_POINTS))
+def test_a_point_computes_only_the_means_it_reads(mode, monkeypatch):
+    # three leaves: each mean read equals that of a run reading all four,
+    # bit for bit, and the others are None and absent from std_err.  es
+    # reading only its metric takes the search's optimum and builds no grid.
+    monkeypatch.setattr(harness, "_CHUNK", 256)
+    fading = FadingConfig(n_bs=3, d1=200.0, d2=80.0, ps_dbm=20.0)
+    policies, split, r_th = _MODE_POINTS[mode]
+    full = run_point(fading, mode, policies, 520, 4, split, r_th, workers=1)
+    assert all(None not in (r.mean_r1, r.mean_r2, r.mean_sum, r.mean_fairness)
+               and list(r.std_err) == ["r1", "r2", "sum", "fairness"] for r in full.values())
+    gathered = []
+    row_of = selection._row_of
+    monkeypatch.setattr(selection, "_row_of", lambda *args: gathered.append(1) or row_of(*args))
+    for reads in [(q,) for q in harness.QUANTITIES] + [("mean_fairness", "mean_r1")]:
+        gathered.clear()
+        reports = run_point(fading, mode, policies, 520, 4, split, r_th, reads, workers=1)
+        for policy, report in reports.items():
+            assert [getattr(report, q) for q in harness.QUANTITIES] == [
+                getattr(full[policy], q) if q in reads else None for q in harness.QUANTITIES]
+            keys = [q.removeprefix("mean_") for q in reads]
+            assert report.std_err == {key: full[policy].std_err[key] for key in keys}
+            assert list(report.std_err) == keys
+            assert (report.trials_used, report.mean_eval_count) == (
+                full[policy].trials_used, full[policy].mean_eval_count)
+        es_metric = POLICIES[mode, "es"].metric if mode != "oma" else None
+        assert (gathered == []) == (mode == "oma" or reads == (es_metric,))
+
+
+@pytest.mark.parametrize("reads", [(), ("mean_r1", "mean_r1"), ("r1",), ("trials_used",)])
+def test_a_point_must_read_distinct_means(reads):
+    with pytest.raises(ConfigurationError, match="reads"):
+        run_point(FadingConfig(), "oma", ("oma_es",), 10, 1, reads=reads, workers=1)
+
+
 def test_the_parent_holds_no_per_trial_array():
     # per-trial arrays of r1 and r2 for 2**17 trials x 5 policies are 10 MiB
     fading = FadingConfig(n_bs=2, d1=80.0, ps_dbm=20.0)
@@ -292,10 +335,6 @@ def test_the_parent_holds_no_per_trial_array():
 
 
 # --- one run shared by many points ----------------------------------------------
-
-_FNOMA_ALL = ("es", "a3", "aia", "random")
-_CR_ALL = ("es", "mcg", "pu", "su", "random")
-
 
 def _reports(points, workers):
     return [run_point(*point, workers=workers) for point in points]
@@ -460,6 +499,31 @@ def test_run_writes_the_same_bits_at_one_two_and_three_workers(monkeypatch):
             assert run.workers == workers
             printed.append(repr(_reports(points, run)))
     assert printed[0] == printed[1] == printed[2]
+
+
+@pytest.mark.parametrize("figure_id", figures.FIGURE_IDS)
+def test_figures_read_their_columns_only_and_write_the_same_bytes(figure_id, tmp_path,
+                                                                  monkeypatch):
+    # each figure point reads the one mean its columns show; its CSV is the
+    # one a run reading all four means writes, at one and two workers, and
+    # the exhaustive searches take their optimum without building a grid
+    gathered = []
+    row_of = selection._row_of
+    monkeypatch.setattr(selection, "_row_of", lambda *args: gathered.append(1) or row_of(*args))
+    point = figures._point
+    for trials in (300, 16385):
+        monkeypatch.setattr(figures, "_point",
+                            lambda *args: point(*args)._replace(reads=harness.QUANTITIES))
+        figures.reproduce_figure(figure_id, trials, 1, tmp_path / "all.csv", workers=1)
+        searched = len(gathered)
+        assert (searched > 0) == (figure_id != 5)  # figure 5 runs no exhaustive search
+        monkeypatch.setattr(figures, "_point", point)
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}.csv"
+            figures.reproduce_figure(figure_id, trials, 1, out, workers=workers)
+            assert out.read_bytes() == (tmp_path / "all.csv").read_bytes()
+        assert len(gathered) == searched
+        gathered.clear()
 
 
 class _InlinePool:

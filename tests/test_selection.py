@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from noma_as import FadingConfig, PowerSplit, Scenario, cr_rates, sample_channel_batch
+from noma_as import (FadingConfig, PowerSplit, Scenario, cr_rates, fnoma_pair_rates,
+                     sample_channel_batch)
 from noma_as.rates import fnoma_sum_rate
 from noma_as.selection import (POLICIES, _a3_triples, _aia_triples, _es_crnoma_triples,
                                _es_fnoma_triples, _oma_indices, _pu_triples,
@@ -86,13 +87,13 @@ def test_every_policy_matches_plain_loop_oracle(key):
 def test_es_fnoma_singleton():
     rng = np.random.default_rng(1)
     h, g = _stack(rng, 3, 1, 1, 1)
-    assert [a.tolist() for a in _es_fnoma_triples(h, g, row_stats(h, g), B, RHO)] == [[0, 0, 0]] * 3
+    assert [a.tolist() for a in _es_fnoma_triples(h, g, row_stats(h, g), B, RHO)[1]] == [[0, 0, 0]] * 3
     assert POLICIES["fnoma", "es"].count(1, 1, 1) == 1
 
 
 def test_es_fnoma_matches_brute_force():
     for h, g in _batches(40, seed=2):
-        triples = np.stack(_es_fnoma_triples(h, g, row_stats(h, g), B, RHO), axis=1)
+        triples = np.stack(_es_fnoma_triples(h, g, row_stats(h, g), B, RHO)[1], axis=1)
         for t in range(h.shape[0]):
             (n, m, k), val = oracles.brute_es_fnoma(h[t], g[t], B.b, RHO)
             assert tuple(triples[t]) == (n, m, k)
@@ -107,7 +108,7 @@ def test_es_eval_count():
 
 def test_es_crnoma_matches_brute_force():
     for h, g in _batches(40, seed=4):
-        triples = np.stack(_es_crnoma_triples(h, g, row_stats(h, g), RHO, R_TH), axis=1)
+        triples = np.stack(_es_crnoma_triples(h, g, row_stats(h, g), RHO, R_TH)[1], axis=1)
         for t in range(h.shape[0]):
             (n, m, k), _ = oracles.brute_es_crnoma(h[t], g[t], RHO, R_TH)
             assert tuple(triples[t]) == (n, m, k)
@@ -117,9 +118,9 @@ def _es_pairs(h, g, split, rho, r_th):
     """(row-max search, full N*M*K reference) triples of both modes, each
     stacked to shape (3, T)."""
     rows = row_stats(h, g)
-    return [(np.stack(_es_fnoma_triples(h, g, rows, split, rho)),
+    return [(np.stack(_es_fnoma_triples(h, g, rows, split, rho)[1]),
              np.stack(oracles.full_es_fnoma_triples(h, g, split, rho))),
-            (np.stack(_es_crnoma_triples(h, g, rows, rho, r_th)),
+            (np.stack(_es_crnoma_triples(h, g, rows, rho, r_th)[1]),
              np.stack(oracles.full_es_crnoma_triples(h, g, rho, r_th)))]
 
 
@@ -187,15 +188,57 @@ def test_es_crnoma_all_infeasible_returns_first_triple():
     rng = np.random.default_rng(5)
     # rho*g < eps everywhere, so every triple is served nothing
     h, g = rng.uniform(0.5, 1.0, (4, 3, 2)), rng.uniform(0.5, 1.0, (4, 3, 2))
-    assert [a.tolist() for a in _es_crnoma_triples(h, g, row_stats(h, g), 10.0, 10.0)] == [[0] * 4] * 3
+    assert [a.tolist() for a in _es_crnoma_triples(h, g, row_stats(h, g), 10.0, 10.0)[1]] == [[0] * 4] * 3
+
+
+def _optimum_cases(n, m, k):
+    """(h, g, r_th) cases of one shape: sampled draws at figure powers, the
+    trial axis fastest as the sampler lays it out, row-major random draws,
+    gains from {1, 2, 3} that tie within and across rows (r_th = 11 leaves
+    many of their triples infeasible, at r1 = 0), and trials where every
+    triple is infeasible."""
+    rng = np.random.default_rng(n * 100 + m * 10 + k)
+    for ps_dbm, seed in ((0.0, 1), (20.0, 2), (40.0, 3)):
+        fading = FadingConfig(n, m, k, ps_dbm=ps_dbm)
+        h, g = sample_channel_batch(fading, seed, 0, 2000)
+        yield h * fading.rho / RHO, g * fading.rho / RHO, R_TH
+    yield (*_stack(rng, 300, n, m, k), R_TH)
+    ties = (rng.integers(1, 4, (300, n, m)).astype(float),
+            rng.integers(1, 4, (300, n, k)).astype(float))
+    yield (*ties, R_TH)
+    yield (*ties, 11.0)
+    yield rng.uniform(0.5, 1.0, (50, n, m)) / RHO, rng.uniform(0.5, 1.0, (50, n, k)) / RHO, R_TH
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (4, 2, 2), (4, 4, 4)])
+def test_es_optimum_is_the_rate_at_its_triple_bit_for_bit(dims):
+    # the harness reports the optimum in place of the rates at the triple
+    for h, g, r_th in _optimum_cases(*dims):
+        rows = row_stats(h, g)
+        top, triple = _es_fnoma_triples(h, g, rows, B, RHO)
+        r1, r2 = fnoma_pair_rates(*_triple_gains(h, g, triple), B, RHO)
+        assert top.tobytes() == (r1 + r2).tobytes()
+        for optimum in (_es_fnoma_triples(h, g, rows, B, RHO, pick=False),
+                        (POLICIES["fnoma", "es"].optimum(h, g, rows=rows, rho=RHO, split=B,
+                                                         r_th=None), None)):
+            assert optimum[0].tobytes() == top.tobytes() and optimum[1] is None
+        top, triple = _es_crnoma_triples(h, g, rows, RHO, r_th)
+        assert top.tobytes() == cr_rates(*_triple_gains(h, g, triple), RHO, r_th).r1.tobytes()
+        assert _es_crnoma_triples(h, g, rows, RHO, r_th, pick=False)[0].tobytes() == top.tobytes()
+        assert POLICIES["crnoma", "es"].optimum(
+            h, g, rows=rows, rho=RHO, split=None, r_th=r_th).tobytes() == top.tobytes()
+        infeasible = top == 0.0
+        assert all(np.all(i[infeasible] == 0) for i in triple)
+    # the last case: every triple infeasible, so r1 = 0 at (0, 0, 0)
+    assert infeasible.all()
 
 
 # --- ties ---------------------------------------------------------------------
 
 # Each kernel's triples, for every (mode, policy) of the table.
 _KERNELS = {
-    ("fnoma", "es"): lambda h, g, rows, seed, t0: _es_fnoma_triples(h, g, rows, B, RHO),
-    ("crnoma", "es"): lambda h, g, rows, seed, t0: _es_crnoma_triples(h, g, rows, RHO, R_TH),
+    ("fnoma", "es"): lambda h, g, rows, seed, t0: _es_fnoma_triples(h, g, rows, B, RHO)[1],
+    ("crnoma", "es"): lambda h, g, rows, seed, t0: _es_crnoma_triples(h, g, rows, RHO, R_TH)[1],
     ("fnoma", "a3"): lambda h, g, rows, seed, t0: _a3_triples(rows),
     ("fnoma", "aia"): lambda h, g, rows, seed, t0: _aia_triples(rows),
     ("crnoma", "mcg"): lambda h, g, rows, seed, t0: _a3_triples(rows),
