@@ -4,17 +4,29 @@ closed-form-vs-simulation validation.
 Reproducibility model: trial t of a scenario draws its channels from the
 (seed, t) substream, so the set of realizations is fixed by the scenario
 alone.  A point's trials split into leaves (`_leaves`) along the tree of
-numpy's pairwise sum.  Whoever simulates a leaf also reduces it: for r1,
-r2, r1 + r2 and the Jain fairness it returns the leaf's sum and its M2
-(sum of squared deviations) about the leaf mean, and no per-trial array
-leaves the worker.  The parent merges the leaves along the same tree
-(`_merged`): sums left + right, M2 by the pairwise update of Chan, Golub
-and LeVeque (1979).  The merged sum has the bits `np.add.reduce` gives over
-the whole per-trial array, so every mean is that array's `mean()`; the
-tree depends on the trial count alone, so reports are bit-identical for
-any worker count.  Policies evaluated at the same (seed, trials) point see
-the same realizations, which makes dominance comparisons between policies
-exact per realization rather than statistical.
+numpy's pairwise sum.  Whoever simulates a leaf also reduces it: for each
+mean its point reads it returns the leaf's sum and its M2 (sum of squared
+deviations) about the leaf mean, and no per-trial array leaves the worker.
+The parent merges the leaves along the same tree (`_merged`): sums left +
+right, M2 by the pairwise update of Chan, Golub and LeVeque (1979).  The
+merged sum has the bits `np.add.reduce` gives over the whole per-trial
+array, so every mean is that array's `mean()`; the tree depends on the
+trial count alone, so reports are bit-identical for any worker count.
+Policies evaluated at the same (seed, trials) point see the same
+realizations, which makes dominance comparisons between policies exact per
+realization rather than statistical.
+
+A point names the quantities it reads (`Point.reads`): the `RateReport`
+means of r1, r2, r1 + r2 and the Jain fairness.  A figure reads the
+metric its columns show (figure 5 the fairness), `validate_asymptotics`
+its policy's metric, and `sweep`, `run_trials` and a bare `run_point` all
+four.  A leaf computes and reduces only what its point reads; an unread
+mean is None and has no standard error.  Each quantity is reduced on its
+own, so a mean read has the same bits whichever others are read.  Where a
+point reads only the metric an exhaustive search maximizes, the search's
+optimum (`Policy.optimum`) is the per-trial value: it is the rate formula
+at the chosen triple bit for bit, so the search skips its M x K grid and
+the rate formula is not evaluated.
 
 A figure, sweep or validation builds one `Run` from all its points and
 groups them by what their draws depend on: the antenna counts, the trial
@@ -496,14 +508,14 @@ def validate_asymptotics(points, workers=None):
     failed.
     """
     results = []
-    runs = [_point(p.scenario, (POLICIES[p.scenario.mode, p.scenario.policy].metric,))
-            for p in points]
-    with Run(workers, runs) as run:
-        for point, run_args in zip(points, runs):
+    simulated = [_point(p.scenario, (POLICIES[p.scenario.mode, p.scenario.policy].metric,))
+                 for p in points]
+    with Run(workers, simulated) as run:
+        for point, sim in zip(points, simulated):
             scn = point.scenario
             policy = POLICIES[scn.mode, scn.policy]
             closed = point._closed_form
-            report = run_point(*run_args, workers=run)[scn.policy]
+            report = run_point(*sim, workers=run)[scn.policy]
             mc = getattr(report, policy.metric)
             se = report.std_err[policy.metric.removeprefix("mean_")]
             gap = abs(closed - mc) / abs(mc) if mc != 0 else math.inf

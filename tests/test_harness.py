@@ -57,7 +57,6 @@ def test_mode_policy_compatibility():
 
 @pytest.mark.parametrize("kwargs, key", [
     ({"split": PowerSplit.from_b(0.0)}, "b"),
-    ({"split": PowerSplit(0.5, 0.4)}, "b"),  # not the whole power: es would rate a = 0.6
     ({"trials": 2.5}, "trials"),
     ({"seed": -1}, "seed"),
     ({"seed": 2 ** 64}, "seed"),
@@ -69,6 +68,7 @@ def test_mode_policy_compatibility():
     ({"fading": FadingConfig(d1=1.0, d2=0.5, alpha=1000.0)}, "d2"),
     ({"trials": True}, "trials"),
     ({"seed": False}, "seed"),
+    ({"split": PowerSplit(0.5, 0.4)}, "b"),  # not the whole power: es would rate a = 0.6
 ])
 def test_bad_scenario_value_fails_at_construction(kwargs, key):
     with pytest.raises(ConfigurationError, match=rf"\b{key} =") as err:

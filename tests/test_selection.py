@@ -87,7 +87,8 @@ def test_every_policy_matches_plain_loop_oracle(key):
 def test_es_fnoma_singleton():
     rng = np.random.default_rng(1)
     h, g = _stack(rng, 3, 1, 1, 1)
-    assert [a.tolist() for a in _es_fnoma_triples(h, g, row_stats(h, g), B, RHO)[1]] == [[0, 0, 0]] * 3
+    _, triple = _es_fnoma_triples(h, g, row_stats(h, g), B, RHO)
+    assert [a.tolist() for a in triple] == [[0, 0, 0]] * 3
     assert POLICIES["fnoma", "es"].count(1, 1, 1) == 1
 
 
@@ -188,7 +189,8 @@ def test_es_crnoma_all_infeasible_returns_first_triple():
     rng = np.random.default_rng(5)
     # rho*g < eps everywhere, so every triple is served nothing
     h, g = rng.uniform(0.5, 1.0, (4, 3, 2)), rng.uniform(0.5, 1.0, (4, 3, 2))
-    assert [a.tolist() for a in _es_crnoma_triples(h, g, row_stats(h, g), 10.0, 10.0)[1]] == [[0] * 4] * 3
+    _, triple = _es_crnoma_triples(h, g, row_stats(h, g), 10.0, 10.0)
+    assert [a.tolist() for a in triple] == [[0] * 4] * 3
 
 
 def _optimum_cases(n, m, k):
