@@ -139,30 +139,29 @@ _BITS32 = np.uint64(32)
 
 def _mulhilo(a: int, b: np.ndarray):
     """Low and high 64-bit words of the 128-bit product of constant ``a`` and
-    the uint64 array ``b``; the high word is built from 32-bit halves.
+    the uint64 array ``b``.  The high word is the product of the 32-bit
+    halves with its carries: t = (a_lo*b_lo) >> 32, mid = a_hi*b_lo + t,
+    w = a_lo*b_hi + (mid & 0xFFFFFFFF) and hi = a_hi*b_hi + (mid >> 32) +
+    (w >> 32), where no sum reaches 2**64.
 
-    The partial products overwrite the halves of ``b`` they came from and
-    the sums accumulate in place, so a call allocates seven arrays of
-    ``b``'s shape instead of fifteen.  A 0-d ``b`` gives numpy scalars,
-    which the augmented operators rebind instead.
+    mid and hi accumulate in place in the arrays that take the low and high
+    halves of ``b``.  A 0-d ``b`` gives numpy scalars, which the augmented
+    operators rebind instead.
     """
     a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    lo_lo = b & _LOW32
-    lo_hi = b >> _BITS32
-    hi = a_hi * lo_hi
-    hi_lo = a_hi * lo_lo
-    lo_lo *= a_lo
-    lo_hi *= a_lo
-    carry = lo_lo
-    carry >>= _BITS32
-    carry += hi_lo & _LOW32
-    carry += lo_hi & _LOW32
-    hi_lo >>= _BITS32
-    hi += hi_lo
-    lo_hi >>= _BITS32
-    hi += lo_hi
-    carry >>= _BITS32
-    hi += carry
+    mid = b & _LOW32
+    hi = b >> _BITS32
+    t = mid * a_lo
+    t >>= _BITS32
+    mid *= a_hi
+    mid += t
+    w = hi * a_lo
+    w += mid & _LOW32
+    hi *= a_hi
+    mid >>= _BITS32
+    hi += mid
+    w >>= _BITS32
+    hi += w
     return np.uint64(a) * b, hi
 
 

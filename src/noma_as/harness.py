@@ -23,10 +23,12 @@ its policy's metric, and `sweep`, `run_trials` and a bare `run_point` all
 four.  A leaf computes and reduces only what its point reads; an unread
 mean is None and has no standard error.  Each quantity is reduced on its
 own, so a mean read has the same bits whichever others are read.  Where a
-point reads only the metric an exhaustive search maximizes, the search's
-optimum (`Policy.optimum`) is the per-trial value: it is the rate formula
-at the chosen triple bit for bit, so the search skips its M x K grid and
-the rate formula is not evaluated.
+point reads only the metric an exhaustive search among its policies
+maximizes, the search's row-max candidates (`Policy.optimum`) give the
+per-trial values: the search's is their optimum, the rate formula at the
+chosen triple bit for bit, so the search skips its M x K grid; a row-max
+policy's is the candidate of the row it chooses (`Policy.choose`), whose
+maxima are its gains.  Neither meets a rate formula.
 
 A figure, sweep or validation builds one `Run` from all its points and
 groups them by what their draws depend on: the antenna counts, the trial
@@ -40,13 +42,14 @@ leaf.  The last geometry is scaled with the one before it, so the draws are
 freed before either runs: a task holds the draws and one geometry's gains,
 or the last two geometries' gains.  For each geometry the task computes
 the row statistics (`selection.row_stats`: the per-row maxima and argmaxes
-that every kernel but random reads) and selects each policy whose choice
-reads only the gains (`Policy.gains_only`) once; then, for every point of
-the geometry, it runs the exhaustive searches, the rate formulas and the
-reduction.  A point
-reuses the arrays a fresh draw or selection would have produced, and they
-meet the same rate formulas and the same reduction, so no bit of any report
-moves.  A worker holds one leaf at a time, whatever the trial count.
+that every kernel but random reads) and makes each choice that depends on
+the gains alone (`Policy.depends`) once; random's depends on the shape
+group alone, so it is drawn once per leaf for every geometry.  Then, for
+every point of the geometry, it runs the exhaustive searches, the rate
+formulas and the reduction.  A point reuses the arrays a fresh draw or
+selection would have produced, and they meet the same rate formulas and
+the same reduction, so no bit of any report moves.  A worker holds one
+leaf at a time, whatever the trial count.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ import numpy as np
 from .channel import (ConfigurationError, FadingConfig, _is_int, _keep_unit_draws,
                       largest_gain, sample_channel_batch)
 from .rates import PowerSplit, _jain, cr_rates, fnoma_pair_rates, oma_pair_rates, qos_epsilon
-from .selection import POLICIES, row_stats
+from .selection import POLICIES, _row_at, _row_gains, _triple_gains, row_stats
 
 _CHUNK = 16384  # largest leaf; numpy's pairwise sum splits only above 128, so >= 128
 ASYMPTOTIC_MIN_RHO = 1e8  # below this the high-SNR closed forms are not claimed
@@ -157,9 +160,10 @@ class RateReport:
 QUANTITIES = ("mean_r1", "mean_r2", "mean_sum", "mean_fairness")
 
 
-# The selection of each (mode, policy), looked up here at call time: the
-# benchmark's tracer (perfbench/trace.py) wraps entries of this dict.
-_TRIPLES = {key: policy.select for key, policy in POLICIES.items()}
+# The choice of each (mode, policy), looked up here at call time: its
+# `choose`, else its selected gains.  The benchmark's tracer
+# (perfbench/trace.py) wraps entries of this dict.
+_TRIPLES = {key: policy.choose or policy.select for key, policy in POLICIES.items()}
 
 
 class Point(NamedTuple):
@@ -190,9 +194,11 @@ def _simulate_leaf(task):
     moments[0] are the sums and moments[1] the M2.  The geometries rescale
     one computation of the leaf's unit draws, kept until the last geometry
     has scaled them; the last is scaled right after the one before it, so
-    the draws are gone before either of the two runs."""
+    the draws are gone before either of the two runs.  A choice that
+    depends on the shape group alone is made once, for every geometry."""
     seed, t0, count, geometries = task
     ahead = None  # the last geometry's gains, scaled with the one before it
+    drawn = {}  # (mode, policy) -> its "shape" choice
     out = []
     _keep_unit_draws(len(geometries) > 1)
     try:
@@ -201,47 +207,68 @@ def _simulate_leaf(task):
             if i + 2 == len(geometries):
                 ahead = sample_channel_batch(geometries[-1][0], seed, t0, count)
                 _keep_unit_draws(False)
-            out += _simulate_geometry(*gains, points, seed, t0)
+            h, g = gains
+            rows, chosen = row_stats(h, g), {}
+            out += [_simulate_point(h, g, rows, point, seed, t0, chosen, drawn)
+                    for point in points]
     finally:
         _keep_unit_draws(False)
     return out
 
 
-def _simulate_geometry(h, g, points, seed, t0):
-    """The moments of each point of one geometry of a leaf, from its gains:
-    the row statistics are computed and each `gains_only` policy selected
-    once, for all points.  A policy with an `optimum` whose point reads
-    only its metric takes the optimum as the per-trial value and selects
-    nothing."""
-    rows = row_stats(h, g)
-    chosen = {}
-    out = []
-    for point in points:
-        mode, split, r_th, rho = point.mode, point.split, point.r_th, point.fading.rho
-        reads = point.reads
-        reports = []
-        for name in point.policies:
-            policy = POLICIES[mode, name]
-            if policy.optimum is not None and reads == (policy.metric,):
-                top = policy.optimum(h, g, rows=rows, rho=rho, split=split, r_th=r_th)
-                reports.append(_make_report(top, None, reads))
+def _simulate_point(h, g, rows, point, seed, t0, chosen, drawn):
+    """`_make_report` of each policy of one point, stacked on axis 1, from
+    the gains of its geometry and their row statistics.
+
+    Each choice that does not read the point's rho, split or r_th is made
+    once: for the geometry (`chosen`: a row-max policy's flat row indices,
+    else the chosen gains) or for the leaf (`drawn`).  Where the point
+    reads only the metric of a search among its policies, the search's
+    row-max candidates are the per-trial values: the search reports their
+    optimum, a row-max policy the candidate of its row, and neither meets a
+    rate formula.
+    """
+    mode, reads = point.mode, point.reads
+    kwargs = dict(rows=rows, rho=point.fading.rho, split=point.split, r_th=point.r_th,
+                  seed=seed, t0=t0)
+    policies = [POLICIES[mode, name] for name in point.policies]
+    search = next((p for p in policies if p.optimum and reads == (p.metric,)), None)
+    if search is not None:
+        candidates, top = search.optimum(h, g, **kwargs)
+    reports = []
+    for name, policy in zip(point.policies, policies):
+        key = mode, name
+        if policy is search:
+            reports.append(_make_report(top, None, reads))
+            continue
+        if policy.depends == "gains" and policy.choose is not None:  # a row-max policy
+            at = chosen.get(key)
+            if at is None:
+                at = chosen[key] = _row_at(_TRIPLES[key](h, g, **kwargs))
+            if search is not None:
+                reports.append(_make_report(np.take(candidates, at), None, reads))
                 continue
-            gains = chosen.get((mode, name))
+            gains = _row_gains(rows, at)
+        else:
+            gains = chosen.get(key)
             if gains is None:
-                gains = _TRIPLES[mode, name](h, g, rows=rows, rho=rho, split=split,
-                                             r_th=r_th, seed=seed, t0=t0)
-                if policy.gains_only:
-                    chosen[mode, name] = gains
-            h_sel, g_sel = gains
-            if mode == "fnoma":
-                r1, r2 = fnoma_pair_rates(h_sel, g_sel, split, rho)
-            elif mode == "oma":
-                r1, r2 = oma_pair_rates(h_sel, g_sel, rho)
-            else:
-                r1, r2 = cr_rates(h_sel, g_sel, rho, r_th)
-            reports.append(_make_report(r1, r2, reads))
-        out.append(np.stack(reports, axis=1))
-    return out
+                if policy.depends == "shape":
+                    if key not in drawn:
+                        drawn[key] = _TRIPLES[key](h, g, **kwargs)
+                    gains = _triple_gains(h, g, drawn[key])
+                else:
+                    gains = _TRIPLES[key](h, g, **kwargs)
+                if policy.depends != "point":
+                    chosen[key] = gains
+        h_sel, g_sel = gains
+        if mode == "fnoma":
+            r1, r2 = fnoma_pair_rates(h_sel, g_sel, point.split, point.fading.rho)
+        elif mode == "oma":
+            r1, r2 = oma_pair_rates(h_sel, g_sel, point.fading.rho)
+        else:
+            r1, r2 = cr_rates(h_sel, g_sel, point.fading.rho, point.r_th)
+        reports.append(_make_report(r1, r2, reads))
+    return np.stack(reports, axis=1)
 
 
 def _resolve_workers(workers):

@@ -44,20 +44,24 @@ word before its high half; a dimension of 1 reads none.  The value is
 exactly uniform: when ``(u32 * dim) mod 2**32 < (2**32 - dim) mod dim`` the
 trial draws again from its next word.
 
-The ``_*_triples`` kernels read stacked realizations of shape
-(T, N, M)/(T, N, K), through their ``row_stats`` (the per-row maxima and
-first argmaxes, which depend on the gains alone), and return 0-based index
-arrays.  They work one column at a time over the short antenna axes: numpy
-runs ``argmax`` along an axis of length 2-4, or a ufunc whose inner axis
-is that short, as one tiny loop per trial.  ``_first_max`` takes the
-maximum and its first index over a list of (T,) columns, which the
-sampler lays out contiguously, and each kernel passes it the columns it
-compares: ``row_stats`` the M (K) columns of each row, a row pick the N
-rows of its key, and ``es`` its N candidates, whose maximum is the
-optimum.  ``es`` then gathers the chosen row's gains into (M, T) and
-(K, T) arrays, evaluates the objective on the (M, K, T) grid and takes the
-first of its M*K columns equal to the optimum; a caller that needs only
-the optimum (``Policy.optimum``) skips that step.  ``POLICIES`` is the one
+The kernels read stacked realizations of shape (T, N, M)/(T, N, K),
+through their ``row_stats`` (the per-row maxima and first argmaxes, which
+depend on the gains alone), and return 0-based index arrays.  The row-max
+policies (a3, aia, mcg, pu, su) return only their row n (``_*_row``): their
+gains are row n's maxima (``_row_gains``), and ``_row_triple`` adds the
+argmax columns.  The kernels work one column at a time over the short
+antenna axes: numpy runs ``argmax`` along an axis of length 2-4, or a ufunc
+whose inner axis is that short, as one tiny loop per trial.
+``_first_max`` takes the maximum and its first index over a list of (T,)
+columns, which the sampler lays out contiguously, and each kernel passes
+it the columns it compares: ``row_stats`` the M (K) columns of each row, a
+row-max policy the N rows of its key, and ``es`` its N candidates, the
+objective at each row's maxima, whose maximum is the optimum.  ``es`` then
+gathers the chosen row's gains into (M, T) and (K, T) arrays, evaluates
+the objective on the (M, K, T) grid and takes the first of its M*K columns
+equal to the optimum; a caller that needs only the optimum
+(``Policy.optimum``) skips that step, and reads a row-max policy's value
+at the same point off the candidate of its row.  ``POLICIES`` is the one
 table of (mode, policy) pairs that the harness, the figures and the CLI
 read.
 """
@@ -134,42 +138,56 @@ def _row_columns(x):
 
 
 def row_stats(h, g):
-    """The row maxima and argmaxes that every kernel but random reads."""
+    """The row maxima that the search and row-max kernels read, and the
+    argmaxes of `_row_triple`."""
     return RowStats(*_row_columns(h), *_row_columns(g))
 
 
-def _row_pick(rows, key):
-    """(n, m, k): each trial's first row n maximizing key (N, T), with the
-    column indices of that row's maxima."""
-    _, n = _first_max(key)
-    at = n * n.size + np.arange(n.size)
+def _row_at(n):
+    """Flat indices of row n[t] of each trial t into an (N, T) array."""
+    return n * n.size + np.arange(n.size)
+
+
+def _row_triple(rows, row):
+    """(n, m, k) of the row-max policy choosing the row n = row(rows): n
+    with the column indices of its maxima."""
+    n = row(rows)
+    at = _row_at(n)
     return n, np.take(rows.h_arg, at), np.take(rows.g_arg, at)
 
 
-def _a3_triples(rows):
-    """Largest single gain anywhere, then the best same-row companion."""
-    return _row_pick(rows, np.maximum(rows.h_max, rows.g_max))
+def _row_gains(rows, at):
+    """The gains of a row-max policy choosing row n: row n's maxima, from
+    at = `_row_at(n)`."""
+    return np.take(rows.h_max, at), np.take(rows.g_max, at)
 
 
-def _aia_triples(rows):
-    """Row whose smaller row-maximum is largest, then both row maxima."""
-    return _row_pick(rows, np.minimum(rows.h_max, rows.g_max))
+def _a3_row(rows):
+    """Largest single gain anywhere: its row, whose maxima pair it with the
+    best same-row companion."""
+    return _first_max(np.maximum(rows.h_max, rows.g_max))[1]
 
 
-def _pu_triples(rows):
-    """Global best UE2 link first, then UE1's best on the shared BS antenna."""
-    return _row_pick(rows, rows.g_max)
+def _aia_row(rows):
+    """Row whose smaller row-maximum is largest."""
+    return _first_max(np.minimum(rows.h_max, rows.g_max))[1]
 
 
-def _su_triples(rows):
-    """Global best UE1 link first, then UE2's best on the shared BS antenna."""
-    return _row_pick(rows, rows.h_max)
+def _pu_row(rows):
+    """Row of the global best UE2 link; UE1 takes its best on it."""
+    return _first_max(rows.g_max)[1]
+
+
+def _su_row(rows):
+    """Row of the global best UE1 link; UE2 takes its best on it."""
+    return _first_max(rows.h_max)[1]
 
 
 def _es_triples(h, g, rows, objective, pick):
-    """(v*, (n, m, k)): each trial's optimum v* of objective(h[n, m],
-    g[n, k]) and the first row-major triple reaching it, or None for the
-    triple unless `pick`.
+    """(candidates, v*, (n, m, k)): the objective at each trial's N row-max
+    candidates, an (N, T) array; each trial's optimum v* of objective(h[n,
+    m], g[n, k]); and the first row-major triple reaching it, or None unless
+    `pick`.
 
     The objective never decreases when either gain grows, so each row's
     best value is its row-max candidate's and the optimum v* is the best of
@@ -178,12 +196,13 @@ def _es_triples(h, g, rows, objective, pick):
     objective at the triple is v* bit for bit.  The row's gains are
     gathered into (M, T) and (K, T) so that the grid is (M, K, T).
     """
-    top, n = _first_max(objective(rows.h_max, rows.g_max))
+    candidates = objective(rows.h_max, rows.g_max)
+    top, n = _first_max(candidates)
     if not pick:
-        return top, None
+        return candidates, top, None
     grid = objective(_row_of(h, n)[:, None], _row_of(g, n)[None])
     _, idx = _first_max((grid == top).reshape(-1, n.size))
-    return top, (n,) + divmod(idx, g.shape[2])
+    return candidates, top, (n,) + divmod(idx, g.shape[2])
 
 
 def _row_of(x, n):
@@ -281,17 +300,23 @@ class Policy:
     stacked UE1 and UE2 gains of the chosen links for trials t0, t0+1, ...,
     where rows is ``row_stats(h, g)``.
     closed_form(fading, split, r_th) is the high-SNR average of `metric`,
-    the RateReport field the mode reports.  Both look kernels and closed
-    forms up on their modules at call time, so a function replaced there
-    after import (as the benchmark's tracer does) is the one that runs.
-    gains_only says the choice reads the gains (and seed, t0) but not rho,
-    split or r_th, so the harness selects once per leaf of each geometry
-    group and reuses the chosen gains at every point of the group.
+    the RateReport field the mode reports.  Closed forms and the search,
+    random and oma kernels are looked up on their modules at call time, so
+    a function replaced there after import (as the benchmark's tracer does)
+    is the one that runs.
+    depends says what the choice reads: "shape" the antenna counts, seed
+    and trials alone (random), "gains" the gains too, "point" rho, split
+    and r_th as well (the exhaustive searches).  The harness makes a
+    "shape" choice once per leaf of a shape group and a "gains" choice once
+    per geometry of the leaf.
+    choose, where set, takes select's arguments and returns the choice
+    without its gains: random's (n, m, k), or the row n of a row-max policy,
+    whose gains are row n's maxima (`_row_gains`).
     optimum(h, g, rows=, rho=, split=, r_th=), where set, returns the
-    per-trial `metric` quantity at the policy's choice without making the
-    choice: the exhaustive searches' maximum, r1 + r2 (fnoma) or r1
-    (crnoma), which is that quantity's rate formula at the chosen triple
-    bit for bit.
+    `metric` quantity, r1 + r2 (fnoma) or r1 (crnoma), at the N row-max
+    candidates, an (N, T) array, and at the policy's choice, their maximum,
+    without making the choice.  Each is that quantity's rate formula at its
+    gains bit for bit, so a row-max policy's value is its row's candidate.
     """
 
     column: str  # figure column; `_sim`/`_analytic` pair with a closed form
@@ -300,7 +325,8 @@ class Policy:
     metric: str
     bound: Bound | None = None
     closed_form: Callable | None = None
-    gains_only: bool = True
+    depends: str = "gains"
+    choose: Callable | None = None
     optimum: Callable | None = None
 
 
@@ -312,9 +338,19 @@ def _qos_cfg(fading, split, r_th):
     return analytics.AnalyticConfig.from_fading(fading, r_th=r_th)
 
 
-def _random_gains(h, g, seed, t0, **_):
+def _row_policy(column, row, count, metric, bound, closed_form):
+    """A row-max policy choosing the row `row(rows)`."""
+    return Policy(column, lambda h, g, rows, **_: _row_gains(rows, _row_at(row(rows))), count,
+                  metric, bound, closed_form, choose=lambda h, g, rows, **_: row(rows))
+
+
+def _random_choice(h, g, seed, t0, **_):
     count, n_dim, m_dim = h.shape
-    return _triple_gains(h, g, _random_triples(n_dim, m_dim, g.shape[2], seed, t0, count))
+    return _random_triples(n_dim, m_dim, g.shape[2], seed, t0, count)
+
+
+def _random_gains(h, g, **kwargs):
+    return _triple_gains(h, g, _random_choice(h, g, **kwargs))
 
 
 # Within a mode, entries are in figure-column order; the bounded entries are
@@ -323,43 +359,43 @@ POLICIES = {
     ("fnoma", "es"): Policy(
         "fnoma_es",
         lambda h, g, rows, rho, split, **_: _triple_gains(
-            h, g, _es_fnoma_triples(h, g, rows, split, rho)[1]),
+            h, g, _es_fnoma_triples(h, g, rows, split, rho)[2]),
         count_es, "mean_sum", Bound("es_fnoma", "N*M*K", lambda n, m, k: n * m * k, True),
-        gains_only=False,
+        depends="point",
         optimum=lambda h, g, rows, rho, split, **_: _es_fnoma_triples(
-            h, g, rows, split, rho, pick=False)[0]),
+            h, g, rows, split, rho, pick=False)[:2]),
     ("crnoma", "es"): Policy(
         "cr_es",
         lambda h, g, rows, rho, r_th, **_: _triple_gains(
-            h, g, _es_crnoma_triples(h, g, rows, rho, r_th)[1]),
+            h, g, _es_crnoma_triples(h, g, rows, rho, r_th)[2]),
         count_es, "mean_r1", Bound("es_crnoma", "N*M*K", lambda n, m, k: n * m * k, True),
-        gains_only=False,
+        depends="point",
         optimum=lambda h, g, rows, rho, r_th, **_: _es_crnoma_triples(
-            h, g, rows, rho, r_th, pick=False)[0]),
-    ("fnoma", "a3"): Policy(
-        "a3", lambda h, g, rows, **_: _triple_gains(h, g, _a3_triples(rows)),
-        count_a3, "mean_sum", Bound("a3", "N*(M+K+3)", lambda n, m, k: n * (m + k + 3)),
+            h, g, rows, rho, r_th, pick=False)[:2]),
+    ("fnoma", "a3"): _row_policy(
+        "a3", _a3_row, count_a3, "mean_sum",
+        Bound("a3", "N*(M+K+3)", lambda n, m, k: n * (m + k + 3)),
         lambda *args: analytics.a3_avg_sum_rate(_split_cfg(*args)).value),
-    ("fnoma", "aia"): Policy(
-        "aia", lambda h, g, rows, **_: _triple_gains(h, g, _aia_triples(rows)),
-        count_a3, "mean_sum", Bound("aia", "N*(M+K+3)", lambda n, m, k: n * (m + k + 3)),
+    ("fnoma", "aia"): _row_policy(
+        "aia", _aia_row, count_a3, "mean_sum",
+        Bound("aia", "N*(M+K+3)", lambda n, m, k: n * (m + k + 3)),
         lambda *args: analytics.aia_avg_sum_rate(_split_cfg(*args)).value),
-    ("crnoma", "mcg"): Policy(
-        "mcg", lambda h, g, rows, **_: _triple_gains(h, g, _a3_triples(rows)),
-        count_a3, "mean_r1", Bound("mcg", "N*(M+K)+2", lambda n, m, k: n * (m + k) + 2),
+    ("crnoma", "mcg"): _row_policy(
+        "mcg", _a3_row, count_a3, "mean_r1",
+        Bound("mcg", "N*(M+K)+2", lambda n, m, k: n * (m + k) + 2),
         lambda *args: analytics.mcg_avg_secondary_rate(_qos_cfg(*args)).value),
-    ("crnoma", "pu"): Policy(
-        "pu", lambda h, g, rows, **_: _triple_gains(h, g, _pu_triples(rows)),
-        count_pu, "mean_r1", Bound("pu", "N*K+M", lambda n, m, k: n * k + m),
+    ("crnoma", "pu"): _row_policy(
+        "pu", _pu_row, count_pu, "mean_r1", Bound("pu", "N*K+M", lambda n, m, k: n * k + m),
         lambda *args: analytics.pu_avg_secondary_rate(_qos_cfg(*args)).value),
-    ("crnoma", "su"): Policy(
-        "su", lambda h, g, rows, **_: _triple_gains(h, g, _su_triples(rows)),
-        count_su, "mean_r1", Bound("su", "N*M+K", lambda n, m, k: n * m + k),
+    ("crnoma", "su"): _row_policy(
+        "su", _su_row, count_su, "mean_r1", Bound("su", "N*M+K", lambda n, m, k: n * m + k),
         lambda *args: analytics.su_avg_secondary_rate(_qos_cfg(*args)).value),
     ("fnoma", "random"): Policy(
-        "fnoma_ra", _random_gains, lambda n, m, k: 0, "mean_sum"),
+        "fnoma_ra", _random_gains, lambda n, m, k: 0, "mean_sum", depends="shape",
+        choose=_random_choice),
     ("crnoma", "random"): Policy(
-        "cr_ra", _random_gains, lambda n, m, k: 0, "mean_r1"),
+        "cr_ra", _random_gains, lambda n, m, k: 0, "mean_r1", depends="shape",
+        choose=_random_choice),
     ("oma", "oma_es"): Policy(
         "oma_es", lambda h, g, **_: _gains(h, g, *_oma_indices(h, g)),
         count_oma, "mean_sum"),

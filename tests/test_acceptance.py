@@ -18,8 +18,8 @@ from noma_as import (AnalyticConfig, FadingConfig, PowerSplit, aia_strong_pdf,
                      a3_avg_sum_rate, aia_avg_sum_rate,
                      pu_avg_secondary_rate, quadrature_rate, run_point,
                      sample_channel_batch, su_avg_secondary_rate)
-from noma_as.selection import (POLICIES, _a3_triples, _aia_triples, _es_crnoma_triples,
-                               _es_fnoma_triples, row_stats)
+from noma_as.selection import (POLICIES, _a3_row, _aia_row, _es_crnoma_triples,
+                               _es_fnoma_triples, _row_triple, row_stats)
 
 SEED = 20240501
 SPLIT = PowerSplit.from_b(0.4)
@@ -42,13 +42,13 @@ def test_criterion_1_exhaustive_search_oracle_equivalence():
         h, g = oracles.random_instance(rng, n, m, k, omega_h=0.9, omega_g=2.1)
 
         rows = row_stats(h[None], g[None])
-        triple = [int(i[0]) for i in _es_fnoma_triples(h[None], g[None], rows, SPLIT, 1e3)[1]]
+        triple = [int(i[0]) for i in _es_fnoma_triples(h[None], g[None], rows, SPLIT, 1e3)[2]]
         (bn, bm, bk), val = oracles.brute_es_fnoma(h, g, SPLIT.b, 1e3)
         assert tuple(triple) == (bn, bm, bk)
         impl_val = oracles.fnoma_objective(h[bn, bm], g[bn, bk], SPLIT.b, 1e3)
         assert abs(impl_val - val) <= 1e-12 * max(1.0, abs(val))
 
-        triple = [int(i[0]) for i in _es_crnoma_triples(h[None], g[None], rows, 1e3, 2.0)[1]]
+        triple = [int(i[0]) for i in _es_crnoma_triples(h[None], g[None], rows, 1e3, 2.0)[2]]
         (bn, bm, bk), val = oracles.brute_es_crnoma(h, g, 1e3, 2.0)
         assert tuple(triple) == (bn, bm, bk)
         checked += 1
@@ -67,12 +67,12 @@ def test_criterion_2_structural_identities():
         g = rng.exponential(0.5, (per_combo, n, k))
         t = np.arange(per_combo)
 
-        an, am, ak = _a3_triples(row_stats(h, g))
+        an, am, ak = _row_triple(row_stats(h, g), _a3_row)
         gamma_s = np.maximum(h[t, an, am], g[t, an, ak])
         assert np.array_equal(gamma_s, np.maximum(h.max(axis=(1, 2)),
                                                   g.max(axis=(1, 2))))
 
-        wn, wm, wk = _aia_triples(row_stats(h, g))
+        wn, wm, wk = _row_triple(row_stats(h, g), _aia_row)
         gamma_w = np.minimum(h[t, wn, wm], g[t, wn, wk])
         expected = np.minimum(h.max(axis=2), g.max(axis=2)).max(axis=1)
         assert np.array_equal(gamma_w, expected)

@@ -67,12 +67,12 @@ def _figure7_pass(tmp_path, mode, workers, trials):
 
 
 def test_figure7_samples_and_selects_once_per_placement(tmp_path):
-    # two placements, each one geometry over the nine powers: one draw and
-    # one random-policy selection per trial and placement, and one pool for
-    # the whole figure
+    # two placements, each one geometry over the nine powers: one draw per
+    # trial and placement, one random-policy choice per trial for both, and
+    # one pool for the whole figure
     trials = 16385
     pooled = _figure7_pass(tmp_path, "plain", 2, trials)
     assert pooled["pools_started"] == 1
     layers = _figure7_pass(tmp_path, "traced", 1, trials)["layers"]
     assert layers["channel.sample"]["trials"] == 2 * trials
-    assert layers["selection.random"]["trials"] == 2 * trials
+    assert layers["selection.random"]["trials"] == trials

@@ -8,7 +8,7 @@ from scipy import stats
 import oracles
 from noma_as import (ConfigurationError, FadingConfig, omega_from_distance,
                      sample_channel_batch, transmit_snr)
-from noma_as.channel import _gains_from_unit_draws, _neg_log, _philox_block
+from noma_as.channel import _PHILOX_M, _gains_from_unit_draws, _mulhilo, _neg_log, _philox_block
 
 _MASK64 = (1 << 64) - 1
 
@@ -138,6 +138,22 @@ def test_philox_block_keeps_unbroadcast_words_exact(counter, seed):
     for word, want in zip(got, expected):
         assert word.dtype == np.uint64 and word.shape == want.shape == full[0].shape
         assert np.array_equal(word, want)
+
+
+_EDGE_WORDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 63, 2 ** 64 - 2 ** 32, 2 ** 64 - 1]
+
+
+@pytest.mark.parametrize("a", _PHILOX_M)
+def test_mulhilo_matches_integer_product_on_edge_words(a):
+    # every carry of the 32-bit halves, for 1-d and 0-d words
+    words = np.array(_EDGE_WORDS, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        lo, hi = _mulhilo(a, words.copy())
+        scalar = [_mulhilo(a, np.uint64(w)) for w in _EDGE_WORDS]
+    assert [int(x) for x in lo] == [a * w & _MASK64 for w in _EDGE_WORDS]
+    assert [int(x) for x in hi] == [a * w >> 64 for w in _EDGE_WORDS]
+    assert [(int(x), int(y)) for x, y in scalar] == [(a * w & _MASK64, a * w >> 64)
+                                                     for w in _EDGE_WORDS]
 
 
 def test_sampled_columns_are_contiguous():

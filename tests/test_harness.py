@@ -18,7 +18,7 @@ from noma_as import (ConfigurationError, FadingConfig, PowerSplit, Scenario,
                      run_point, run_trials, sample_channel_batch, sweep,
                      validate_asymptotics)
 from noma_as.figures import _PS_GRID
-from noma_as.selection import POLICIES, _a3_triples, _pu_triples, row_stats
+from noma_as.selection import POLICIES, _a3_row, _pu_row, _row_triple, row_stats
 
 
 def _fnoma_scn(**kw):
@@ -149,7 +149,7 @@ def test_single_trial_equals_direct_computation():
     scn = _fnoma_scn(trials=1, seed=77)
     report = run_trials(scn, workers=1)
     h, g = sample_channel_batch(scn.fading, 77, 0, 1)
-    (n,), (m,), (k,) = _a3_triples(row_stats(h, g))
+    (n,), (m,), (k,) = _row_triple(row_stats(h, g), _a3_row)
     r1, r2 = fnoma_pair_rates(h[0, n, m], g[0, n, k], scn.split, scn.fading.rho)
     assert report.mean_r1 == r1
     assert report.mean_r2 == r2
@@ -163,7 +163,7 @@ def test_single_trial_crnoma_equals_direct_computation():
     scn = _cr_scn(trials=1, seed=5)
     report = run_trials(scn, workers=1)
     h, g = sample_channel_batch(scn.fading, 5, 0, 1)
-    (n,), (m,), (k,) = _pu_triples(row_stats(h, g))
+    (n,), (m,), (k,) = _row_triple(row_stats(h, g), _pu_row)
     r1, r2 = cr_rates(h[0, n, m], g[0, n, k], scn.fading.rho, scn.r_th)
     assert report.mean_r1 == r1 and report.mean_r2 == r2
 
@@ -505,11 +505,20 @@ def test_run_writes_the_same_bits_at_one_two_and_three_workers(monkeypatch):
 def test_figures_read_their_columns_only_and_write_the_same_bytes(figure_id, tmp_path,
                                                                   monkeypatch):
     # each figure point reads the one mean its columns show; its CSV is the
-    # one a run reading all four means writes, at one and two workers, and
-    # the exhaustive searches take their optimum without building a grid
-    gathered = []
+    # one a run reading all four means writes, at one and two workers; the
+    # exhaustive searches take their optimum without building a grid, and
+    # the rate formulas see only the random policy's gains (figure 5 reads
+    # the fairness, so its a3 and aia gains meet the formula)
+    gathered, drawn, rated = [], [], []
     row_of = selection._row_of
     monkeypatch.setattr(selection, "_row_of", lambda *args: gathered.append(1) or row_of(*args))
+    triple_gains = harness._triple_gains
+    monkeypatch.setattr(harness, "_triple_gains",
+                        lambda *args: drawn.append(triple_gains(*args)) or drawn[-1])
+    for name in ("fnoma_pair_rates", "cr_rates"):
+        rate = getattr(harness, name)
+        monkeypatch.setattr(harness, name,
+                            lambda h, *args, rate=rate: rated.append(h) or rate(h, *args))
     point = figures._point
     for trials in (300, 16385):
         monkeypatch.setattr(figures, "_point",
@@ -518,12 +527,17 @@ def test_figures_read_their_columns_only_and_write_the_same_bytes(figure_id, tmp
         searched = len(gathered)
         assert (searched > 0) == (figure_id != 5)  # figure 5 runs no exhaustive search
         monkeypatch.setattr(figures, "_point", point)
+        drawn.clear()
+        rated.clear()
         for workers in (1, 2):
             out = tmp_path / f"workers{workers}.csv"
             figures.reproduce_figure(figure_id, trials, 1, out, workers=workers)
             assert out.read_bytes() == (tmp_path / "all.csv").read_bytes()
         assert len(gathered) == searched
         gathered.clear()
+        assert rated  # the one-worker run calls them in this process
+        from_random = [any(h is gains[0] for gains in drawn) for h in rated]
+        assert all(from_random) if figure_id != 5 else not any(from_random)
 
 
 class _InlinePool:

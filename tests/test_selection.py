@@ -10,9 +10,9 @@ import oracles
 from noma_as import (FadingConfig, PowerSplit, Scenario, cr_rates, fnoma_pair_rates,
                      sample_channel_batch)
 from noma_as.rates import fnoma_sum_rate
-from noma_as.selection import (POLICIES, _a3_triples, _aia_triples, _es_crnoma_triples,
-                               _es_fnoma_triples, _oma_indices, _pu_triples,
-                               _random_triples, _su_triples, _triple_gains, row_stats)
+from noma_as.selection import (POLICIES, _a3_row, _aia_row, _es_crnoma_triples,
+                               _es_fnoma_triples, _oma_indices, _pu_row, _random_triples,
+                               _row_at, _row_triple, _su_row, _triple_gains, row_stats)
 
 B = PowerSplit.from_b(0.4)
 RHO = 1e3
@@ -87,14 +87,14 @@ def test_every_policy_matches_plain_loop_oracle(key):
 def test_es_fnoma_singleton():
     rng = np.random.default_rng(1)
     h, g = _stack(rng, 3, 1, 1, 1)
-    _, triple = _es_fnoma_triples(h, g, row_stats(h, g), B, RHO)
+    *_, triple = _es_fnoma_triples(h, g, row_stats(h, g), B, RHO)
     assert [a.tolist() for a in triple] == [[0, 0, 0]] * 3
     assert POLICIES["fnoma", "es"].count(1, 1, 1) == 1
 
 
 def test_es_fnoma_matches_brute_force():
     for h, g in _batches(40, seed=2):
-        triples = np.stack(_es_fnoma_triples(h, g, row_stats(h, g), B, RHO)[1], axis=1)
+        triples = np.stack(_es_fnoma_triples(h, g, row_stats(h, g), B, RHO)[2], axis=1)
         for t in range(h.shape[0]):
             (n, m, k), val = oracles.brute_es_fnoma(h[t], g[t], B.b, RHO)
             assert tuple(triples[t]) == (n, m, k)
@@ -109,7 +109,7 @@ def test_es_eval_count():
 
 def test_es_crnoma_matches_brute_force():
     for h, g in _batches(40, seed=4):
-        triples = np.stack(_es_crnoma_triples(h, g, row_stats(h, g), RHO, R_TH)[1], axis=1)
+        triples = np.stack(_es_crnoma_triples(h, g, row_stats(h, g), RHO, R_TH)[2], axis=1)
         for t in range(h.shape[0]):
             (n, m, k), _ = oracles.brute_es_crnoma(h[t], g[t], RHO, R_TH)
             assert tuple(triples[t]) == (n, m, k)
@@ -119,9 +119,9 @@ def _es_pairs(h, g, split, rho, r_th):
     """(row-max search, full N*M*K reference) triples of both modes, each
     stacked to shape (3, T)."""
     rows = row_stats(h, g)
-    return [(np.stack(_es_fnoma_triples(h, g, rows, split, rho)[1]),
+    return [(np.stack(_es_fnoma_triples(h, g, rows, split, rho)[2]),
              np.stack(oracles.full_es_fnoma_triples(h, g, split, rho))),
-            (np.stack(_es_crnoma_triples(h, g, rows, rho, r_th)[1]),
+            (np.stack(_es_crnoma_triples(h, g, rows, rho, r_th)[2]),
              np.stack(oracles.full_es_crnoma_triples(h, g, rho, r_th)))]
 
 
@@ -189,7 +189,7 @@ def test_es_crnoma_all_infeasible_returns_first_triple():
     rng = np.random.default_rng(5)
     # rho*g < eps everywhere, so every triple is served nothing
     h, g = rng.uniform(0.5, 1.0, (4, 3, 2)), rng.uniform(0.5, 1.0, (4, 3, 2))
-    _, triple = _es_crnoma_triples(h, g, row_stats(h, g), 10.0, 10.0)
+    *_, triple = _es_crnoma_triples(h, g, row_stats(h, g), 10.0, 10.0)
     assert [a.tolist() for a in triple] == [[0] * 4] * 3
 
 
@@ -212,40 +212,75 @@ def _optimum_cases(n, m, k):
     yield rng.uniform(0.5, 1.0, (50, n, m)) / RHO, rng.uniform(0.5, 1.0, (50, n, k)) / RHO, R_TH
 
 
+def _same_bits(got, expected):
+    return [x.tobytes() for x in got] == [x.tobytes() for x in expected]
+
+
 @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 2, 2), (4, 4, 4)])
 def test_es_optimum_is_the_rate_at_its_triple_bit_for_bit(dims):
-    # the harness reports the optimum in place of the rates at the triple
+    # the harness reports the optimum in place of the rates at the triple;
+    # the search with and without its pick, and the policy's optimum, give
+    # the same candidates and optimum
     for h, g, r_th in _optimum_cases(*dims):
         rows = row_stats(h, g)
-        top, triple = _es_fnoma_triples(h, g, rows, B, RHO)
+        candidates, top, triple = _es_fnoma_triples(h, g, rows, B, RHO)
         r1, r2 = fnoma_pair_rates(*_triple_gains(h, g, triple), B, RHO)
         assert top.tobytes() == (r1 + r2).tobytes()
-        for optimum in (_es_fnoma_triples(h, g, rows, B, RHO, pick=False),
-                        (POLICIES["fnoma", "es"].optimum(h, g, rows=rows, rho=RHO, split=B,
-                                                         r_th=None), None)):
-            assert optimum[0].tobytes() == top.tobytes() and optimum[1] is None
-        top, triple = _es_crnoma_triples(h, g, rows, RHO, r_th)
+        assert _es_fnoma_triples(h, g, rows, B, RHO, pick=False)[2] is None
+        for optimum in (_es_fnoma_triples(h, g, rows, B, RHO, pick=False)[:2],
+                        POLICIES["fnoma", "es"].optimum(h, g, rows=rows, rho=RHO, split=B,
+                                                        r_th=None)):
+            assert _same_bits(optimum, (candidates, top))
+        candidates, top, triple = _es_crnoma_triples(h, g, rows, RHO, r_th)
         assert top.tobytes() == cr_rates(*_triple_gains(h, g, triple), RHO, r_th).r1.tobytes()
-        assert _es_crnoma_triples(h, g, rows, RHO, r_th, pick=False)[0].tobytes() == top.tobytes()
-        assert POLICIES["crnoma", "es"].optimum(
-            h, g, rows=rows, rho=RHO, split=None, r_th=r_th).tobytes() == top.tobytes()
+        assert _es_crnoma_triples(h, g, rows, RHO, r_th, pick=False)[2] is None
+        for optimum in (_es_crnoma_triples(h, g, rows, RHO, r_th, pick=False)[:2],
+                        POLICIES["crnoma", "es"].optimum(h, g, rows=rows, rho=RHO, split=None,
+                                                         r_th=r_th)):
+            assert _same_bits(optimum, (candidates, top))
         infeasible = top == 0.0
         assert all(np.all(i[infeasible] == 0) for i in triple)
     # the last case: every triple infeasible, so r1 = 0 at (0, 0, 0)
     assert infeasible.all()
 
 
+_ROWS = {("fnoma", "a3"): _a3_row, ("fnoma", "aia"): _aia_row, ("crnoma", "mcg"): _a3_row,
+         ("crnoma", "pu"): _pu_row, ("crnoma", "su"): _su_row}
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (4, 2, 2), (4, 4, 4)])
+def test_row_policy_value_is_its_candidate_bit_for_bit(dims):
+    # where a point runs its mode's search and reads only the metric, the
+    # harness reports a row-max policy's candidate of its row in place of
+    # the rate at its triple; otherwise its gains come from the row maxima
+    assert set(_ROWS) == {key for key, p in POLICIES.items() if p.choose and p.depends == "gains"}
+    for h, g, r_th in _optimum_cases(*dims):
+        rows = row_stats(h, g)
+        kwargs = dict(rows=rows, rho=RHO, split=B, r_th=r_th, seed=7, t0=5)
+        for (mode, name), row in _ROWS.items():
+            policy = POLICIES[mode, name]
+            gains = _triple_gains(h, g, _row_triple(rows, row))
+            assert _same_bits(policy.select(h, g, **kwargs), gains)
+            candidates, _ = POLICIES[mode, "es"].optimum(h, g, **kwargs)
+            value = np.take(candidates, _row_at(policy.choose(h, g, **kwargs)))
+            if mode == "fnoma":
+                r1, r2 = fnoma_pair_rates(*gains, B, RHO)
+                assert value.tobytes() == (r1 + r2).tobytes()
+            else:
+                assert value.tobytes() == cr_rates(*gains, RHO, r_th).r1.tobytes()
+
+
 # --- ties ---------------------------------------------------------------------
 
 # Each kernel's triples, for every (mode, policy) of the table.
 _KERNELS = {
-    ("fnoma", "es"): lambda h, g, rows, seed, t0: _es_fnoma_triples(h, g, rows, B, RHO)[1],
-    ("crnoma", "es"): lambda h, g, rows, seed, t0: _es_crnoma_triples(h, g, rows, RHO, R_TH)[1],
-    ("fnoma", "a3"): lambda h, g, rows, seed, t0: _a3_triples(rows),
-    ("fnoma", "aia"): lambda h, g, rows, seed, t0: _aia_triples(rows),
-    ("crnoma", "mcg"): lambda h, g, rows, seed, t0: _a3_triples(rows),
-    ("crnoma", "pu"): lambda h, g, rows, seed, t0: _pu_triples(rows),
-    ("crnoma", "su"): lambda h, g, rows, seed, t0: _su_triples(rows),
+    ("fnoma", "es"): lambda h, g, rows, seed, t0: _es_fnoma_triples(h, g, rows, B, RHO)[2],
+    ("crnoma", "es"): lambda h, g, rows, seed, t0: _es_crnoma_triples(h, g, rows, RHO, R_TH)[2],
+    ("fnoma", "a3"): lambda h, g, rows, seed, t0: _row_triple(rows, _a3_row),
+    ("fnoma", "aia"): lambda h, g, rows, seed, t0: _row_triple(rows, _aia_row),
+    ("crnoma", "mcg"): lambda h, g, rows, seed, t0: _row_triple(rows, _a3_row),
+    ("crnoma", "pu"): lambda h, g, rows, seed, t0: _row_triple(rows, _pu_row),
+    ("crnoma", "su"): lambda h, g, rows, seed, t0: _row_triple(rows, _su_row),
     ("fnoma", "random"): lambda h, g, rows, seed, t0: _random_triples(
         h.shape[1], h.shape[2], g.shape[2], seed, t0, h.shape[0]),
     ("oma", "oma_es"): lambda h, g, rows, seed, t0: _oma_indices(h, g),
@@ -295,14 +330,14 @@ def test_ties_go_to_the_lowest_index(dims, count, seed, t0, data):
 def test_a3_hand_instance():
     h = np.array([[0.2, 0.1], [0.3, 5.0], [0.4, 0.2]])
     g = np.array([[1.0, 0.5], [2.0, 0.7], [0.3, 0.6]])
-    assert [int(i[0]) for i in _a3_triples(row_stats(h[None], g[None]))] == [1, 1, 0]
+    assert [int(i[0]) for i in _row_triple(row_stats(h[None], g[None]), _a3_row)] == [1, 1, 0]
     assert [float(x[0]) for x in _select(("fnoma", "a3"), h[None], g[None])] == [5.0, 2.0]
 
 
 def test_a3_singleton():
     rng = np.random.default_rng(1)
     h, g = _stack(rng, 3, 1, 1, 1)
-    assert [a.tolist() for a in _a3_triples(row_stats(h, g))] == [[0, 0, 0]] * 3
+    assert [a.tolist() for a in _row_triple(row_stats(h, g), _a3_row)] == [[0, 0, 0]] * 3
 
 
 def test_a3_strong_gain_is_global_max():
@@ -318,7 +353,8 @@ def test_a3_strong_gain_is_global_max():
 
 def test_aia_equals_a3_for_single_row():
     h, g = _stack(np.random.default_rng(7), 50, 1, 3, 2)
-    for got, expected in zip(_aia_triples(row_stats(h, g)), _a3_triples(row_stats(h, g))):
+    rows = row_stats(h, g)
+    for got, expected in zip(_row_triple(rows, _aia_row), _row_triple(rows, _a3_row)):
         assert np.array_equal(got, expected)
 
 
@@ -334,7 +370,8 @@ def test_aia_avoids_poor_companion_row():
     # must walk away from it
     h = np.array([[[10.0, 0.2], [2.0, 0.5]]])
     g = np.array([[[0.1, 0.05], [1.5, 0.2]]])
-    assert _a3_triples(row_stats(h, g))[0][0] == 0 and _aia_triples(row_stats(h, g))[0][0] == 1
+    rows = row_stats(h, g)
+    assert _row_triple(rows, _a3_row)[0][0] == 0 and _row_triple(rows, _aia_row)[0][0] == 1
     assert _select(("fnoma", "aia"), h, g)[1][0] == 1.5
 
 
@@ -361,14 +398,14 @@ def test_pu_hand_instance():
     g[2, 1] = 9.0
     g += 0.1
     h = np.array([[0.2, 0.3], [0.1, 0.2], [0.7, 0.4]])
-    n, m, k = _pu_triples(row_stats(h[None], g[None]))
+    n, m, k = _row_triple(row_stats(h[None], g[None]), _pu_row)
     assert (n[0], k[0]) == (2, 1)
     assert m[0] == 0  # row-3 argmax of h
 
 
 def test_pu_single_receive_antenna():
     h, g = _stack(np.random.default_rng(12), 20, 4, 2, 1)
-    n, _, k = _pu_triples(row_stats(h, g))
+    n, _, k = _row_triple(row_stats(h, g), _pu_row)
     assert not k.any()
     assert n.tolist() == [oracles.global_max(g[t])[1][0] for t in range(20)]
 
@@ -378,14 +415,14 @@ def test_su_hand_instance():
     h[0, 1] = 7.0
     h += 0.05
     g = np.array([[0.3, 0.9], [0.6, 0.1]])
-    n, m, k = _su_triples(row_stats(h[None], g[None]))
+    n, m, k = _row_triple(row_stats(h[None], g[None]), _su_row)
     assert (n[0], m[0]) == (0, 1)
     assert k[0] == 1  # row-1 argmax of g
 
 
 def test_su_single_receive_antenna():
     h, g = _stack(np.random.default_rng(13), 20, 4, 1, 3)
-    assert not _su_triples(row_stats(h, g))[1].any()
+    assert not _row_triple(row_stats(h, g), _su_row)[1].any()
 
 
 # --- random and orthogonal baselines ---------------------------------------
@@ -477,6 +514,7 @@ def test_comparison_policies_scale_equivariant():
     # could only come from genuine rank changes
     for h, g in _batches(20, seed=19):
         for c in (2.0 ** -20, 2.0 ** 13):
-            for kernel in (_a3_triples, _aia_triples, _pu_triples, _su_triples):
-                for s0, s1 in zip(kernel(row_stats(h, g)), kernel(row_stats(h * c, g * c))):
+            for row in (_a3_row, _aia_row, _pu_row, _su_row):
+                for s0, s1 in zip(_row_triple(row_stats(h, g), row),
+                                  _row_triple(row_stats(h * c, g * c), row)):
                     assert np.array_equal(s0, s1)
