@@ -27,7 +27,7 @@ point reads only the metric an exhaustive search among its policies
 maximizes, the search's row-max candidates (`Policy.optimum`) give the
 per-trial values: the search's is their optimum, the rate formula at the
 chosen triple bit for bit, so the search skips its M x K grid; a row-max
-policy's is the candidate of the row it chooses (`Policy.choose`), whose
+policy's (`Policy.row`) is the candidate of the row it chooses, whose
 maxima are its gains.  Neither meets a rate formula.
 
 A figure, sweep or validation builds one `Run` from all its points and
@@ -41,10 +41,10 @@ placements, figure 3's d2 values and figure 6's d1 values draw once per
 leaf.  The last geometry is scaled with the one before it, so the draws are
 freed before either runs: a task holds the draws and one geometry's gains,
 or the last two geometries' gains.  For each geometry the task computes
-the row statistics (`selection.row_stats`: the per-row maxima and argmaxes
-that every kernel but random reads) and makes each choice that depends on
-the gains alone (`Policy.depends`) once; random's depends on the shape
-group alone, so it is drawn once per leaf for every geometry.  Then, for
+the row statistics (`selection.row_stats`: the per-row maxima that every
+kernel but random and oma reads) and makes each choice that depends on
+the gains alone (`Policy.depends`) once, with its gains; random's depends
+on the shape group alone, so it is drawn once per leaf for every geometry.  Then, for
 every point of the geometry, it runs the exhaustive searches, the rate
 formulas and the reduction.  A point reuses the arrays a fresh draw or
 selection would have produced, and they meet the same rate formulas and
@@ -66,7 +66,7 @@ import numpy as np
 from .channel import (ConfigurationError, FadingConfig, _is_int, _keep_unit_draws,
                       largest_gain, sample_channel_batch)
 from .rates import PowerSplit, _jain, cr_rates, fnoma_pair_rates, oma_pair_rates, qos_epsilon
-from .selection import POLICIES, _row_at, _row_gains, _triple_gains, row_stats
+from .selection import POLICIES, row_stats
 
 _CHUNK = 16384  # largest leaf; numpy's pairwise sum splits only above 128, so >= 128
 ASYMPTOTIC_MIN_RHO = 1e8  # below this the high-SNR closed forms are not claimed
@@ -160,10 +160,10 @@ class RateReport:
 QUANTITIES = ("mean_r1", "mean_r2", "mean_sum", "mean_fairness")
 
 
-# The choice of each (mode, policy), looked up here at call time: its
-# `choose`, else its selected gains.  The benchmark's tracer
-# (perfbench/trace.py) wraps entries of this dict.
-_TRIPLES = {key: policy.choose or policy.select for key, policy in POLICIES.items()}
+# The choice of each (mode, policy) (`Policy.choose`), looked up here at
+# call time.  The benchmark's tracer (perfbench/trace.py) wraps entries of
+# this dict.
+_TRIPLES = {key: policy.choose for key, policy in POLICIES.items()}
 
 
 class Point(NamedTuple):
@@ -221,12 +221,12 @@ def _simulate_point(h, g, rows, point, seed, t0, chosen, drawn):
     the gains of its geometry and their row statistics.
 
     Each choice that does not read the point's rho, split or r_th is made
-    once: for the geometry (`chosen`: a row-max policy's flat row indices,
-    else the chosen gains) or for the leaf (`drawn`).  Where the point
-    reads only the metric of a search among its policies, the search's
-    row-max candidates are the per-trial values: the search reports their
-    optimum, a row-max policy the candidate of its row, and neither meets a
-    rate formula.
+    once, for the leaf (`drawn`) if it depends on the shape group alone,
+    else for the geometry; `chosen` keeps it for the geometry with its
+    gains, taken on first use.  Where the point reads only the metric of a
+    search among its policies, the search's row-max candidates are the
+    per-trial values: the search reports their optimum, a row-max policy
+    the candidate of its row, and neither meets a rate formula.
     """
     mode, reads = point.mode, point.reads
     kwargs = dict(rows=rows, rho=point.fading.rho, split=point.split, r_th=point.r_th,
@@ -241,25 +241,20 @@ def _simulate_point(h, g, rows, point, seed, t0, chosen, drawn):
         if policy is search:
             reports.append(_make_report(top, None, reads))
             continue
-        if policy.depends == "gains" and policy.choose is not None:  # a row-max policy
-            at = chosen.get(key)
-            if at is None:
-                at = chosen[key] = _row_at(_TRIPLES[key](h, g, **kwargs))
-            if search is not None:
-                reports.append(_make_report(np.take(candidates, at), None, reads))
-                continue
-            gains = _row_gains(rows, at)
-        else:
-            gains = chosen.get(key)
-            if gains is None:
-                if policy.depends == "shape":
-                    if key not in drawn:
-                        drawn[key] = _TRIPLES[key](h, g, **kwargs)
-                    gains = _triple_gains(h, g, drawn[key])
-                else:
-                    gains = _TRIPLES[key](h, g, **kwargs)
-                if policy.depends != "point":
-                    chosen[key] = gains
+        made = chosen.get(key)
+        if made is None:
+            if policy.depends == "shape" and key not in drawn:
+                drawn[key] = _TRIPLES[key](h, g, **kwargs)
+            made = [drawn[key] if policy.depends == "shape" else _TRIPLES[key](h, g, **kwargs),
+                    None]
+            if policy.depends != "point":
+                chosen[key] = made
+        choice, gains = made
+        if search is not None and policy.row:
+            reports.append(_make_report(np.take(candidates, choice), None, reads))
+            continue
+        if gains is None:
+            gains = made[1] = policy.gains(choice, h, g, rows)
         h_sel, g_sel = gains
         if mode == "fnoma":
             r1, r2 = fnoma_pair_rates(h_sel, g_sel, point.split, point.fading.rho)

@@ -45,25 +45,24 @@ exactly uniform: when ``(u32 * dim) mod 2**32 < (2**32 - dim) mod dim`` the
 trial draws again from its next word.
 
 The kernels read stacked realizations of shape (T, N, M)/(T, N, K),
-through their ``row_stats`` (the per-row maxima and first argmaxes, which
-depend on the gains alone), and return 0-based index arrays.  The row-max
-policies (a3, aia, mcg, pu, su) return only their row n (``_*_row``): their
-gains are row n's maxima (``_row_gains``), and ``_row_triple`` adds the
-argmax columns.  The kernels work one column at a time over the short
-antenna axes: numpy runs ``argmax`` along an axis of length 2-4, or a ufunc
-whose inner axis is that short, as one tiny loop per trial.
+through their ``row_stats`` (the per-row maxima, which depend on the gains
+alone), and return 0-based index arrays.  The row-max policies (a3, aia,
+mcg, pu, su) choose only their row n (``_*_row``, ``Policy.row``): their
+gains are row n's maxima, and ``_row_triple`` adds the first column of
+each maximum for the tests.  The kernels work one column at a time over
+the short antenna axes: numpy runs ``argmax`` along an axis of length 2-4,
+or a ufunc whose inner axis is that short, as one tiny loop per trial.
 ``_first_max`` takes the maximum and its first index over a list of (T,)
 columns, which the sampler lays out contiguously, and each kernel passes
-it the columns it compares: ``row_stats`` the M (K) columns of each row, a
-row-max policy the N rows of its key, and ``es`` its N candidates, the
-objective at each row's maxima, whose maximum is the optimum.  ``es`` then
-gathers the chosen row's gains into (M, T) and (K, T) arrays, evaluates
-the objective on the (M, K, T) grid and takes the first of its M*K columns
-equal to the optimum; a caller that needs only the optimum
-(``Policy.optimum``) skips that step, and reads a row-max policy's value
-at the same point off the candidate of its row.  ``POLICIES`` is the one
-table of (mode, policy) pairs that the harness, the figures and the CLI
-read.
+it the columns it compares: a row-max policy the N rows of its key, and
+``es`` its N candidates, the objective at each row's maxima, whose maximum
+is the optimum.  ``es`` then gathers the chosen row's gains into (M, T)
+and (K, T) arrays, evaluates the objective on the (M, K, T) grid and takes
+the first of its M*K columns equal to the optimum; a caller that needs
+only the optimum (``Policy.optimum``) skips that step, and reads a row-max
+policy's value at the same point off the candidate of its row.
+``POLICIES`` is the one table of (mode, policy) pairs that the harness,
+the figures and the CLI read.
 """
 
 from __future__ import annotations
@@ -107,13 +106,11 @@ def count_oma(n, m, k):
 
 
 class RowStats(NamedTuple):
-    """Per-row maxima of stacked h (T, N, M) and g (T, N, K) and their first
-    column indices, each of shape (N, T): row n is BS antenna n."""
+    """Per-row maxima of stacked h (T, N, M) and g (T, N, K), each of shape
+    (N, T): row n is BS antenna n."""
 
     h_max: np.ndarray
-    h_arg: np.ndarray
     g_max: np.ndarray
-    g_arg: np.ndarray
 
 
 def _first_max(columns):
@@ -130,17 +127,11 @@ def _first_max(columns):
     return best, arg
 
 
-def _row_columns(x):
-    """The (max, first argmax) of each row of stacked x (T, N, C), stacked
-    to shape (N, T) each, from one pass over the C columns of every row."""
-    per_row = [_first_max([x[:, n, j] for j in range(x.shape[2])]) for n in range(x.shape[1])]
-    return np.stack([best for best, _ in per_row]), np.stack([arg for _, arg in per_row])
-
-
 def row_stats(h, g):
-    """The row maxima that the search and row-max kernels read, and the
-    argmaxes of `_row_triple`."""
-    return RowStats(*_row_columns(h), *_row_columns(g))
+    """The row maxima that the search and row-max kernels read, reduced
+    over the middle axis of each (N, C, T) view, which the sampler lays out
+    contiguously."""
+    return RowStats(*(np.maximum.reduce(x.transpose(1, 2, 0), axis=1) for x in (h, g)))
 
 
 def _row_at(n):
@@ -148,18 +139,11 @@ def _row_at(n):
     return n * n.size + np.arange(n.size)
 
 
-def _row_triple(rows, row):
-    """(n, m, k) of the row-max policy choosing the row n = row(rows): n
-    with the column indices of its maxima."""
-    n = row(rows)
-    at = _row_at(n)
-    return n, np.take(rows.h_arg, at), np.take(rows.g_arg, at)
-
-
-def _row_gains(rows, at):
-    """The gains of a row-max policy choosing row n: row n's maxima, from
-    at = `_row_at(n)`."""
-    return np.take(rows.h_max, at), np.take(rows.g_max, at)
+def _row_triple(h, g, row):
+    """(n, m, k) of the row-max policy choosing the row n =
+    row(row_stats(h, g)): n with the first column of each row maximum."""
+    n = row(row_stats(h, g))
+    return (n,) + tuple(_first_max(_row_of(x, n))[1] for x in (h, g))
 
 
 def _a3_row(rows):
@@ -268,15 +252,12 @@ def _oma_indices(h, g):
     return tuple(out)
 
 
-def _gains(h, g, n1, m, n2, k):
-    """Stacked selected gains h[t, n1, m] and g[t, n2, k]."""
+def _triple_gains(h, g, choice):
+    """Stacked selected gains h[t, n1, m] and g[t, n2, k] of a choice (n1, m,
+    n2, k), or of a triple (n, m, k), where n1 = n2 = n."""
+    n1, m, n2, k = choice if len(choice) == 4 else (*choice[:2], *choice[::2])
     t = np.arange(h.shape[0])
     return h[t, n1, m], g[t, n2, k]
-
-
-def _triple_gains(h, g, triple):
-    n, m, k = triple
-    return _gains(h, g, n, m, n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +277,12 @@ class Bound(NamedTuple):
 class Policy:
     """Everything the harness, figures and CLI know about one (mode, policy).
 
-    select(h, g, rows=, rho=, split=, r_th=, seed=, t0=) returns the
-    stacked UE1 and UE2 gains of the chosen links for trials t0, t0+1, ...,
-    where rows is ``row_stats(h, g)``.
+    choose(h, g, rows=, rho=, split=, r_th=, seed=, t0=) returns the choice
+    for trials t0, t0+1, ..., where rows is ``row_stats(h, g)``: the flat
+    index `_row_at(n)` of each trial's row n for a row-max policy (`row`),
+    whose gains are row n's maxima, else the chosen antennas, (n, m, k) or
+    oma's (n1, m, n2, k).  `gains` turns a choice into the stacked UE1 and
+    UE2 gains, and `select` is the two in a row.
     closed_form(fading, split, r_th) is the high-SNR average of `metric`,
     the RateReport field the mode reports.  Closed forms and the search,
     random and oma kernels are looked up on their modules at call time, so
@@ -309,9 +293,6 @@ class Policy:
     and r_th as well (the exhaustive searches).  The harness makes a
     "shape" choice once per leaf of a shape group and a "gains" choice once
     per geometry of the leaf.
-    choose, where set, takes select's arguments and returns the choice
-    without its gains: random's (n, m, k), or the row n of a row-max policy,
-    whose gains are row n's maxima (`_row_gains`).
     optimum(h, g, rows=, rho=, split=, r_th=), where set, returns the
     `metric` quantity, r1 + r2 (fnoma) or r1 (crnoma), at the N row-max
     candidates, an (N, T) array, and at the policy's choice, their maximum,
@@ -320,14 +301,24 @@ class Policy:
     """
 
     column: str  # figure column; `_sim`/`_analytic` pair with a closed form
-    select: Callable
+    choose: Callable
     count: Callable  # (n, m, k) -> eval_count
     metric: str
     bound: Bound | None = None
     closed_form: Callable | None = None
     depends: str = "gains"
-    choose: Callable | None = None
+    row: bool = False  # a row-max policy
     optimum: Callable | None = None
+
+    def gains(self, choice, h, g, rows):
+        """The stacked UE1 and UE2 gains of a choice `choose` made."""
+        if self.row:
+            return np.take(rows.h_max, choice), np.take(rows.g_max, choice)
+        return _triple_gains(h, g, choice)
+
+    def select(self, h, g, rows, **kwargs):
+        """The gains of the choice on h and g (see `choose`)."""
+        return self.gains(self.choose(h, g, rows=rows, **kwargs), h, g, rows)
 
 
 def _split_cfg(fading, split, r_th):
@@ -340,8 +331,8 @@ def _qos_cfg(fading, split, r_th):
 
 def _row_policy(column, row, count, metric, bound, closed_form):
     """A row-max policy choosing the row `row(rows)`."""
-    return Policy(column, lambda h, g, rows, **_: _row_gains(rows, _row_at(row(rows))), count,
-                  metric, bound, closed_form, choose=lambda h, g, rows, **_: row(rows))
+    return Policy(column, lambda h, g, rows, **_: _row_at(row(rows)), count, metric, bound,
+                  closed_form, row=True)
 
 
 def _random_choice(h, g, seed, t0, **_):
@@ -349,25 +340,19 @@ def _random_choice(h, g, seed, t0, **_):
     return _random_triples(n_dim, m_dim, g.shape[2], seed, t0, count)
 
 
-def _random_gains(h, g, **kwargs):
-    return _triple_gains(h, g, _random_choice(h, g, **kwargs))
-
-
 # Within a mode, entries are in figure-column order; the bounded entries are
 # in the order `noma-as bench` prints them.
 POLICIES = {
     ("fnoma", "es"): Policy(
         "fnoma_es",
-        lambda h, g, rows, rho, split, **_: _triple_gains(
-            h, g, _es_fnoma_triples(h, g, rows, split, rho)[2]),
+        lambda h, g, rows, rho, split, **_: _es_fnoma_triples(h, g, rows, split, rho)[2],
         count_es, "mean_sum", Bound("es_fnoma", "N*M*K", lambda n, m, k: n * m * k, True),
         depends="point",
         optimum=lambda h, g, rows, rho, split, **_: _es_fnoma_triples(
             h, g, rows, split, rho, pick=False)[:2]),
     ("crnoma", "es"): Policy(
         "cr_es",
-        lambda h, g, rows, rho, r_th, **_: _triple_gains(
-            h, g, _es_crnoma_triples(h, g, rows, rho, r_th)[2]),
+        lambda h, g, rows, rho, r_th, **_: _es_crnoma_triples(h, g, rows, rho, r_th)[2],
         count_es, "mean_r1", Bound("es_crnoma", "N*M*K", lambda n, m, k: n * m * k, True),
         depends="point",
         optimum=lambda h, g, rows, rho, r_th, **_: _es_crnoma_triples(
@@ -391,12 +376,10 @@ POLICIES = {
         "su", _su_row, count_su, "mean_r1", Bound("su", "N*M+K", lambda n, m, k: n * m + k),
         lambda *args: analytics.su_avg_secondary_rate(_qos_cfg(*args)).value),
     ("fnoma", "random"): Policy(
-        "fnoma_ra", _random_gains, lambda n, m, k: 0, "mean_sum", depends="shape",
-        choose=_random_choice),
+        "fnoma_ra", _random_choice, lambda n, m, k: 0, "mean_sum", depends="shape"),
     ("crnoma", "random"): Policy(
-        "cr_ra", _random_gains, lambda n, m, k: 0, "mean_r1", depends="shape",
-        choose=_random_choice),
+        "cr_ra", _random_choice, lambda n, m, k: 0, "mean_r1", depends="shape"),
     ("oma", "oma_es"): Policy(
-        "oma_es", lambda h, g, **_: _gains(h, g, *_oma_indices(h, g)),
+        "oma_es", lambda h, g, **_: _oma_indices(h, g),
         count_oma, "mean_sum"),
 }

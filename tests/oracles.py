@@ -249,15 +249,11 @@ def policy_triple(key, h, g, b, rho, r_th, seed, trial):
     return n, _first_argmax(list(h[n])), _first_argmax(list(g[n]))
 
 
-def argmax_row_stats(h, g):
-    """(h_max, h_arg, g_max, g_arg) of stacked h (T, N, M) and g (T, N, K)
-    by numpy's argmax along the antenna axis, each transposed to the (N, T)
-    of `selection.row_stats`."""
-    out = []
-    for x in (h, g):
-        arg = x.argmax(axis=2)
-        out += [np.take_along_axis(x, arg[:, :, None], axis=2)[:, :, 0].T, arg.T]
-    return tuple(out)
+def max_row_stats(h, g):
+    """(h_max, g_max) of stacked h (T, N, M) and g (T, N, K) by numpy's max
+    along the antenna axis, each transposed to the (N, T) of
+    `selection.row_stats`."""
+    return h.max(axis=2).T, g.max(axis=2).T
 
 
 def aia_weak_oracle(h, g):

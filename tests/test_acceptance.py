@@ -67,12 +67,12 @@ def test_criterion_2_structural_identities():
         g = rng.exponential(0.5, (per_combo, n, k))
         t = np.arange(per_combo)
 
-        an, am, ak = _row_triple(row_stats(h, g), _a3_row)
+        an, am, ak = _row_triple(h, g, _a3_row)
         gamma_s = np.maximum(h[t, an, am], g[t, an, ak])
         assert np.array_equal(gamma_s, np.maximum(h.max(axis=(1, 2)),
                                                   g.max(axis=(1, 2))))
 
-        wn, wm, wk = _row_triple(row_stats(h, g), _aia_row)
+        wn, wm, wk = _row_triple(h, g, _aia_row)
         gamma_w = np.minimum(h[t, wn, wm], g[t, wn, wk])
         expected = np.minimum(h.max(axis=2), g.max(axis=2)).max(axis=1)
         assert np.array_equal(gamma_w, expected)

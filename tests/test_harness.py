@@ -149,7 +149,7 @@ def test_single_trial_equals_direct_computation():
     scn = _fnoma_scn(trials=1, seed=77)
     report = run_trials(scn, workers=1)
     h, g = sample_channel_batch(scn.fading, 77, 0, 1)
-    (n,), (m,), (k,) = _row_triple(row_stats(h, g), _a3_row)
+    (n,), (m,), (k,) = _row_triple(h, g, _a3_row)
     r1, r2 = fnoma_pair_rates(h[0, n, m], g[0, n, k], scn.split, scn.fading.rho)
     assert report.mean_r1 == r1
     assert report.mean_r2 == r2
@@ -163,7 +163,7 @@ def test_single_trial_crnoma_equals_direct_computation():
     scn = _cr_scn(trials=1, seed=5)
     report = run_trials(scn, workers=1)
     h, g = sample_channel_batch(scn.fading, 5, 0, 1)
-    (n,), (m,), (k,) = _row_triple(row_stats(h, g), _pu_row)
+    (n,), (m,), (k,) = _row_triple(h, g, _pu_row)
     r1, r2 = cr_rates(h[0, n, m], g[0, n, k], scn.fading.rho, scn.r_th)
     assert report.mean_r1 == r1 and report.mean_r2 == r2
 
@@ -512,8 +512,8 @@ def test_figures_read_their_columns_only_and_write_the_same_bytes(figure_id, tmp
     gathered, drawn, rated = [], [], []
     row_of = selection._row_of
     monkeypatch.setattr(selection, "_row_of", lambda *args: gathered.append(1) or row_of(*args))
-    triple_gains = harness._triple_gains
-    monkeypatch.setattr(harness, "_triple_gains",
+    triple_gains = selection._triple_gains
+    monkeypatch.setattr(selection, "_triple_gains",
                         lambda *args: drawn.append(triple_gains(*args)) or drawn[-1])
     for name in ("fnoma_pair_rates", "cr_rates"):
         rate = getattr(harness, name)
