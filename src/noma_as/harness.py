@@ -44,9 +44,9 @@ or the last two geometries' gains.  For each geometry the task computes
 the row statistics (`selection.row_stats`: the per-row maxima that every
 kernel but random and oma reads) and makes each choice that depends on
 the gains alone (`Policy.depends`) once, with its gains; random's depends
-on the shape group alone, so it is drawn once per leaf for every geometry.  Then, for
-every point of the geometry, it runs the exhaustive searches, the rate
-formulas and the reduction.  A point reuses the arrays a fresh draw or
+on the shape group alone, so it is drawn once per leaf for every
+geometry.  Then, for every point of the geometry, it runs the exhaustive
+searches, the rate formulas and the reduction.  A point reuses the arrays a fresh draw or
 selection would have produced, and they meet the same rate formulas and
 the same reduction, so no bit of any report moves.  A worker holds one
 leaf at a time, whatever the trial count.
