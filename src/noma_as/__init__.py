@@ -24,7 +24,6 @@ if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .analytics import (AnalyticConfig, AnalyticResult, EULER_GAMMA,
-                        aia_strong_pdf, exp_integral_ei,
                         mcg_avg_secondary_rate, prob_h_ge_g,
                         a3_avg_sum_rate, aia_avg_sum_rate,
                         pu_avg_secondary_rate, quadrature_rate,
@@ -36,8 +35,7 @@ from .harness import (ConfigurationError, RateReport, Scenario,
                       ValidationPoint, ValidationResult, apply_axis,
                       load_scenario, load_validation_grid, run_point,
                       run_trials, sweep, validate_asymptotics)
-from .rates import (PowerSplit, RatePair, cr_power_split, cr_rates,
-                    fnoma_pair_rates, fnoma_sum_rate, jain_fairness,
+from .rates import (PowerSplit, RatePair, cr_rates, fnoma_pair_rates,
                     oma_pair_rates, qos_epsilon)
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Closed-form high-SNR average-rate expressions and their oracles.
+"""Closed-form high-SNR average-rate expressions and their quadrature check.
 
 The selected gains of every policy are order statistics of exponentials, so
 their densities are finite mixtures of exponentials obtained from binomial
@@ -15,11 +15,9 @@ reproducible bit for bit.  Every closed form follows one refusal rule: it
 answers for N*M, N*K <= 30 only, beyond which float64 cancellation makes the
 expansions meaningless.  The weak-gain-first forms expand the (N-1)-fold
 product CDF through one exact big-integer coefficient table, each entry
-rounded to float once.  ``quadrature_rate`` is the independent numerical
-cross-check for all of the closed forms.  It is the only user of
-``scipy.integrate``, which scipy loads the first time the attribute is read,
-so importing this module loads only the scipy package itself and a figure,
-sweep or validation run never loads the integrators.
+rounded to float once.  ``quadrature_rate``, the numerical cross-check of
+the closed forms, is the only user of ``scipy.integrate``, which scipy loads
+on first access, so no figure, sweep or validation run loads it.
 """
 
 from __future__ import annotations
@@ -39,67 +37,6 @@ EULER_GAMMA = 0.5772156649015329
 
 _LN2 = math.log(2.0)
 _MAX_BINOMIAL_SUM = 30
-
-
-# ---------------------------------------------------------------------------
-# exponential integral
-
-
-def exp_integral_ei(x: float) -> float:
-    """Principal-value exponential integral Ei(x).
-
-    Branches: ascending series on (0, 40] and on [-1, 0) where its terms are
-    benign; a modified-Lentz continued fraction for x < -1, where the series
-    cancels catastrophically; the divergent-but-truncated asymptotic series
-    for x > 40.  Overflows to inf for x above ~709.8.
-    """
-    x = float(x)
-    if x == 0.0 or math.isnan(x):
-        raise ValueError("Ei is undefined at 0")
-    if x < -1.0:
-        return -_e1_continued_fraction(-x)
-    if x <= 40.0:
-        # Ei(x) = C + ln|x| + sum x^k / (k * k!); all terms positive for
-        # x > 0, and bounded by |x| <= 1 for the negative range kept here.
-        s = 0.0
-        term = 1.0
-        for k in range(1, 200):
-            term *= x / k
-            add = term / k
-            s += add
-            if abs(add) < 1e-17 * max(1.0, abs(s)):
-                break
-        return EULER_GAMMA + math.log(abs(x)) + s
-    # asymptotic: Ei(x) ~ e^x/x * sum k!/x^k, truncated at the smallest term
-    s = 1.0
-    term = 1.0
-    for k in range(1, int(x) + 1):
-        nxt = term * k / x
-        if nxt >= term:
-            break
-        term = nxt
-        s += term
-        if term < 1e-17 * s:
-            break
-    return math.exp(x) / x * s
-
-
-def _e1_continued_fraction(t: float) -> float:
-    """E1(t) = -Ei(-t) for t > 1 via the modified Lentz algorithm."""
-    b = t + 1.0
-    c = 1e308
-    d = 1.0 / b
-    h = d
-    for i in range(1, 400):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return h * math.exp(-t)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +120,7 @@ def a3_avg_sum_rate(cfg: AnalyticConfig) -> AnalyticResult:
 
 
 # ---------------------------------------------------------------------------
-# weak-gain-first policy: strong-companion density and average sum rate
+# weak-gain-first policy: average sum rate
 
 
 @lru_cache(maxsize=64)
@@ -209,54 +146,6 @@ def _aia_power_table(n: int, m: int, k: int):
                 product[p + i, q + j] = product.get((p + i, q + j), 0) + c * f
         table = {pq: c for pq, c in product.items() if c}
     return tuple(sorted(table.items()))
-
-
-@lru_cache(maxsize=64)
-def _aia_strong_mixture(n: int, m: int, k: int, oh: float, og: float):
-    """Exponential-mixture representation (weights w, rates theta) of the
-    density of the strong companion gain under weak-gain-first selection.
-
-    Derived by conditioning on the winning row and expanding every CDF
-    factor, the other N - 1 rows through the exact table of
-    ``_aia_power_table`` (so the same N*M, N*K <= 30 refusal applies);
-    consolidating equal decay rates keeps the representation small.  The
-    printed three-psi-term variant of this density carries extra pieces that
-    cancel across the expansion (and vanish identically only for N >= 2), so
-    the reduced form below is the one that is also correct at N = 1.
-    """
-    acc: dict[float, list] = {}
-
-    def add(weight, rate):
-        acc.setdefault(rate, []).append(weight)
-
-    table = _aia_power_table(n, m, k)
-    for (p, q), c in table:
-        coef, xi = float(c), p * oh + q * og
-        for i in range(1, m + 1):
-            for j in range(1, k + 1):
-                z = coef * n * i * j * oh * og * _mu(i, m) * _mu(j, k)
-                phi_i = i * oh + xi
-                phi_j = j * og + xi
-                add(z / phi_j, i * oh)
-                add(z / phi_i, j * og)
-                add(-z * (1.0 / phi_i + 1.0 / phi_j), i * oh + j * og + xi)
-    rates = np.array(list(acc.keys()))
-    weights = np.array([math.fsum(v) for v in acc.values()])
-    return weights, rates, m * k * len(table)
-
-
-def aia_strong_pdf(x, cfg: AnalyticConfig):
-    """Density of the strong companion gain under weak-gain-first selection.
-
-    Accepts a scalar or an array of nonnegative points.
-    """
-    xs = np.asarray(x, dtype=np.float64)
-    if np.any(xs < 0.0):
-        raise ValueError("density support is x >= 0")
-    w, th, _ = _aia_strong_mixture(cfg.n_bs, cfg.m_ue1, cfg.k_ue2,
-                                   cfg.omega_h, cfg.omega_g)
-    val = np.exp(-xs[..., None] * th) @ w
-    return float(val) if np.ndim(x) == 0 else val
 
 
 def aia_avg_sum_rate(cfg: AnalyticConfig) -> AnalyticResult:

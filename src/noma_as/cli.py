@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+from contextlib import nullcontext
 
-from .figures import reproduce_figure, write_csv, FIGURE_IDS
+from .figures import FIGURE_IDS, open_csv, reproduce_figure, write_csv
 from .harness import (ConfigurationError, load_scenario, load_validation_grid,
-                      sweep, validate_asymptotics)
+                      sweep_run, validate_asymptotics)
 from .selection import POLICIES
 
 EXIT_OK = 0
@@ -76,21 +77,19 @@ def _cmd_sweep(args) -> int:
         raise ConfigurationError(f"--values must be numbers, got {args.values!r}") from None
     if not values:
         raise ConfigurationError("--values is empty")
-    results = sweep(scn, args.axis, values)
+    results = sweep_run(scn, args.axis, values)
     header = [args.axis, "mean_r1", "mean_r2", "mean_sum", "mean_fairness",
               "stderr_r1", "stderr_r2", "stderr_sum", "stderr_fairness",
               "trials", "mean_eval_count"]
-    rows = [[v, r.mean_r1, r.mean_r2, r.mean_sum, r.mean_fairness,
-             r.std_err["r1"], r.std_err["r2"], r.std_err["sum"],
-             r.std_err["fairness"], r.trials_used, r.mean_eval_count]
-            for v, r in results]
+    # the output is opened once every point is checked, before any trial runs
+    with open_csv(args.out) if args.out else nullcontext(sys.stdout) as f:
+        rows = [[v, r.mean_r1, r.mean_r2, r.mean_sum, r.mean_fairness,
+                 r.std_err["r1"], r.std_err["r2"], r.std_err["sum"],
+                 r.std_err["fairness"], r.trials_used, r.mean_eval_count]
+                for v, r in results()]
+        write_csv(f, header, rows)
     if args.out:
-        write_csv(args.out, header, rows)
         print(f"sweep over {args.axis}: wrote {args.out}")
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(format(float(v), ".17g") for v in row))
     return EXIT_OK
 
 

@@ -89,9 +89,9 @@ _FIGURES = {
 }
 
 
-def figure_rows(figure_id: int, trials: int, seed: int, workers=None):
-    """(axis name, [(x, {column: value})]) for one figure id; all its points
-    share one `Run`."""
+def _figure_run(figure_id: int, trials: int, seed: int, workers):
+    """One figure id's points, checked as one `Run`, and a function that
+    runs them and returns (axis name, [(x, {column: value})])."""
     if figure_id not in _FIGURES:
         raise ConfigurationError(f"figure id must be in 1..8, got {figure_id}")
     if trials < 1:
@@ -101,36 +101,53 @@ def figure_rows(figure_id: int, trials: int, seed: int, workers=None):
                  for suffix, entries, fading, split, r_th in column_groups(x)
                  for entry in entries])
             for x in grid]
-    rows = []
-    with Run(workers, [point for _, groups in plan for _, _, point in groups]) as run:
-        for x, groups in plan:
-            cols = {}
-            for suffix, entry, point in groups:
-                reports = run_point(*point, workers=run)
-                cols.update({f"{name}{suffix}": value
-                             for name, value in _columns(entry, point, reports).items()})
-            rows.append((x, cols))
-    return axis, rows
+    checked = Run(workers, [point for _, groups in plan for _, _, point in groups])
+
+    def rows():
+        out = []
+        with checked as run:
+            for x, groups in plan:
+                cols = {}
+                for suffix, entry, point in groups:
+                    reports = run_point(*point, workers=run)
+                    cols.update({f"{name}{suffix}": value
+                                 for name, value in _columns(entry, point, reports).items()})
+                out.append((x, cols))
+        return axis, out
+    return rows
+
+
+def figure_rows(figure_id: int, trials: int, seed: int, workers=None):
+    """(axis name, [(x, {column: value})]) for one figure id; all its points
+    share one `Run`."""
+    return _figure_run(figure_id, trials, seed, workers)()
 
 
 def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
-def write_csv(path, header, rows):
-    """Comma-separated, UTF-8, LF line endings, 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+def open_csv(path):
+    """`path` opened for `write_csv`: UTF-8, LF line endings."""
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def write_csv(f, header, rows):
+    """Comma-separated rows of 17 significant digits, written to the text
+    file f."""
+    f.write(",".join(header) + "\n")
+    for row in rows:
+        f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def reproduce_figure(figure_id: int, trials: int, seed: int, out_path,
                      workers=None):
-    """Run one figure's full sweep and write its CSV; returns the rows."""
-    axis, rows = figure_rows(figure_id, trials, seed, workers)
-    columns = list(rows[0][1].keys())
-    header = [axis] + columns
-    table = [[x] + [cols[c] for c in columns] for x, cols in rows]
-    write_csv(out_path, header, table)
+    """Run one figure's full sweep and write its CSV; returns the rows.  The
+    file is opened once the figure's points are checked and before any trial
+    runs, so a path that cannot be written fails first."""
+    run = _figure_run(figure_id, trials, seed, workers)
+    with open_csv(out_path) as f:
+        axis, rows = run()
+        columns = list(rows[0][1].keys())
+        write_csv(f, [axis] + columns, [[x] + [cols[c] for c in columns] for x, cols in rows])
     return axis, rows

@@ -1,55 +1,37 @@
 """Monte Carlo experiment engine: scenarios, trial averaging, sweeps, and
 closed-form-vs-simulation validation.
 
-Reproducibility model: trial t of a scenario draws its channels from the
-(seed, t) substream, so the set of realizations is fixed by the scenario
-alone.  A point's trials split into leaves (`_leaves`) along the tree of
-numpy's pairwise sum.  Whoever simulates a leaf also reduces it: for each
-mean its point reads it returns the leaf's sum and its M2 (sum of squared
-deviations) about the leaf mean, and no per-trial array leaves the worker.
-The parent merges the leaves along the same tree (`_merged`): sums left +
-right, M2 by the pairwise update of Chan, Golub and LeVeque (1979).  The
-merged sum has the bits `np.add.reduce` gives over the whole per-trial
-array, so every mean is that array's `mean()`; the tree depends on the
-trial count alone, so reports are bit-identical for any worker count.
-Policies evaluated at the same (seed, trials) point see the same
-realizations, which makes dominance comparisons between policies exact per
-realization rather than statistical.
+Reproducibility: trial t of a scenario draws its channels from the (seed,
+t) substream, so policies at the same (seed, trials) point see the same
+realizations and compare per realization.  A point's trials split into
+leaves (`_leaves`) along the tree of numpy's pairwise sum.  Whoever
+simulates a leaf reduces it to the sum and the M2 (sum of squared
+deviations about the leaf mean) of each mean its point reads; the parent
+merges the leaves along the same tree (`_merged`): sums left + right, M2 by
+the pairwise update of Chan, Golub and LeVeque (1979).  So every mean has
+the bits of `np.add.reduce` over the whole per-trial array, for any worker
+count, and no per-trial array leaves the worker.
 
-A point names the quantities it reads (`Point.reads`): the `RateReport`
-means of r1, r2, r1 + r2 and the Jain fairness.  A figure reads the
-metric its columns show (figure 5 the fairness), `validate_asymptotics`
-its policy's metric, and `sweep`, `run_trials` and a bare `run_point` all
-four.  A leaf computes and reduces only what its point reads; an unread
-mean is None and has no standard error.  Each quantity is reduced on its
-own, so a mean read has the same bits whichever others are read.  Where a
-point reads only the metric an exhaustive search among its policies
-maximizes, the search's row-max candidates (`Policy.optimum`) give the
-per-trial values: the search's is their optimum, the rate formula at the
-chosen triple bit for bit, so the search skips its M x K grid; a row-max
-policy's (`Policy.row`) is the candidate of the row it chooses, whose
-maxima are its gains.  Neither meets a rate formula.
+A point names the `RateReport` means it reads (`Point.reads`), and a leaf
+computes only those, each reduced on its own.  Where a point reads only the
+metric an exhaustive search among its policies maximizes, the search's
+row-max candidates (`Policy.optimum`) are the per-trial values: the search
+reports their optimum and a row-max policy (`Policy.row`) the candidate of
+its row, bit for bit the rate formula at their gains, which neither meets.
 
 A figure, sweep or validation builds one `Run` from all its points and
 groups them by what their draws depend on: the antenna counts, the trial
-count and the seed, not the distances, the path-loss exponent or the power
-levels.  One task is one leaf of one such shape group.  It runs each
-geometry (d1, d2, alpha) of the group in turn: the unit-rate exponentials
-of the leaf are computed once and kept until the last geometry has divided
-them by its path loss (`channel._keep_unit_draws`), so figure 7's two
-placements, figure 3's d2 values and figure 6's d1 values draw once per
-leaf.  The last geometry is scaled with the one before it, so the draws are
-freed before either runs: a task holds the draws and one geometry's gains,
-or the last two geometries' gains.  For each geometry the task computes
-the row statistics (`selection.row_stats`: the per-row maxima that every
-kernel but random and oma reads) and makes each choice that depends on
-the gains alone (`Policy.depends`) once, with its gains; random's depends
-on the shape group alone, so it is drawn once per leaf for every
-geometry.  Then, for every point of the geometry, it runs the exhaustive
-searches, the rate formulas and the reduction.  A point reuses the arrays a fresh draw or
-selection would have produced, and they meet the same rate formulas and
-the same reduction, so no bit of any report moves.  A worker holds one
-leaf at a time, whatever the trial count.
+count and the seed.  One task (`_simulate_leaf`) is one leaf of one such
+shape group.  It runs each geometry (d1, d2, alpha) of the group in turn,
+rescaling one computation of the leaf's unit-rate exponentials
+(`channel._keep_unit_draws`); the last geometry is scaled with the one
+before it, so a task holds the draws and one geometry's gains, or the last
+two geometries' gains.  Per geometry it takes the row maxima
+(`selection.row_stats`) and makes each choice that does not read rho, split
+or r_th (`Policy.depends`) once, with its gains; random's reads only the
+shape group and is drawn once per leaf.  Then each point of the geometry
+runs its searches, rate formulas and reduction on the arrays a fresh draw
+and selection would have produced, so no bit of any report moves.
 """
 
 from __future__ import annotations
@@ -189,13 +171,10 @@ def _point(scn: Scenario, reads=QUANTITIES) -> Point:
 
 
 def _simulate_leaf(task):
-    """Moments of one leaf of one shape group, per point of the group in
-    the task's order: `_make_report` of each policy stacked on axis 1, so
-    moments[0] are the sums and moments[1] the M2.  The geometries rescale
-    one computation of the leaf's unit draws, kept until the last geometry
-    has scaled them; the last is scaled right after the one before it, so
-    the draws are gone before either of the two runs.  A choice that
-    depends on the shape group alone is made once, for every geometry."""
+    """Moments of one leaf of one shape group (see the module docstring),
+    per point of the group in the task's order: `_make_report` of each
+    policy stacked on axis 1, so moments[0] are the sums and moments[1] the
+    M2."""
     seed, t0, count, geometries = task
     ahead = None  # the last geometry's gains, scaled with the one before it
     drawn = {}  # (mode, policy) -> its "shape" choice
@@ -218,16 +197,9 @@ def _simulate_leaf(task):
 
 def _simulate_point(h, g, rows, point, seed, t0, chosen, drawn):
     """`_make_report` of each policy of one point, stacked on axis 1, from
-    the gains of its geometry and their row statistics.
-
-    Each choice that does not read the point's rho, split or r_th is made
-    once, for the leaf (`drawn`) if it depends on the shape group alone,
-    else for the geometry; `chosen` keeps it for the geometry with its
-    gains, taken on first use.  Where the point reads only the metric of a
-    search among its policies, the search's row-max candidates are the
-    per-trial values: the search reports their optimum, a row-max policy
-    the candidate of its row, and neither meets a rate formula.
-    """
+    the gains of its geometry and their row maxima.  `drawn` keeps the
+    leaf's "shape" choices, `chosen` the geometry's other choices that do
+    not read the point, each with its gains once taken."""
     mode, reads = point.mode, point.reads
     kwargs = dict(rows=rows, rho=point.fading.rho, split=point.split, r_th=point.r_th,
                   seed=seed, t0=t0)
@@ -276,8 +248,7 @@ def _resolve_workers(workers):
         try:
             value = int(env)
         except ValueError:
-            raise ConfigurationError(
-                f"NOMA_SIM_WORKERS must be a positive integer, got {env!r}") from None
+            value = 0
         if value < 1:
             raise ConfigurationError(
                 f"NOMA_SIM_WORKERS must be a positive integer, got {env!r}")
@@ -291,15 +262,12 @@ class Run:
     """The simulation of every point of one figure, sweep or validation.
 
     `points` are the `Point`s that `run_point` will be asked for; each
-    (point, policy) is checked as a `Scenario` here, before any work.  The
-    points are grouped by what their draws depend on: the antenna counts,
-    trials and seed; within a group, by geometry (the `FadingConfig` with
-    its power levels zeroed).  Entering the run starts one `_simulate_leaf`
-    task per leaf of each group.
-    `workers` (None: NOMA_SIM_WORKERS, else the usable CPUs) is capped at
-    the leaf count of the largest point.  With one worker the tasks run in
-    this process, one after another; otherwise on one process pool of that
-    many workers.  Use as a context manager.
+    (point, policy) is checked as a `Scenario` here, before any work.
+    Entering the run simulates every leaf of every shape group (see the
+    module docstring).  `workers` (None: NOMA_SIM_WORKERS, else the usable
+    CPUs) is capped at the leaf count of the largest point.  With one worker
+    the tasks run in this process, one after another; otherwise on one
+    process pool of that many workers.  Use as a context manager.
     """
 
     def __init__(self, workers, points):
@@ -459,9 +427,20 @@ def apply_axis(scn: Scenario, axis: str, value) -> Scenario:
 def sweep(base: Scenario, axis: str, values, workers=None):
     """One report per swept value, same seed at every point so the whole
     curve rides on common random numbers."""
+    return sweep_run(base, axis, values, workers)()
+
+
+def sweep_run(base: Scenario, axis: str, values, workers=None):
+    """`sweep`'s points, checked as one `Run`, and a function that runs
+    them and returns the sweep's reports, so a caller can open its output
+    in between."""
     points = [apply_axis(base, axis, v) for v in values]
-    with Run(workers, map(_point, points)) as run:
-        return [(v, run_trials(p, workers=run)) for v, p in zip(values, points)]
+    checked = Run(workers, map(_point, points))
+
+    def reports():
+        with checked as run:
+            return [(v, run_trials(p, workers=run)) for v, p in zip(values, points)]
+    return reports
 
 
 # ---------------------------------------------------------------------------

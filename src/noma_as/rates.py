@@ -8,24 +8,21 @@ the channel, and an equal-time orthogonal baseline.
 Role assignment is per realization: UE1 is the strong user when its gain is
 at least the UE2 gain (``h >= g``; ties deliberately resolve to UE1 so the
 mapping is deterministic).  The coefficient ``b`` always rides on the strong
-user's signal and ``a = 1 - b`` on the weak user's.  Every QoS-constrained
-policy is evaluated with the same exact, clipped split; the high-SNR
+user's signal and ``a = 1 - b`` on the weak user's.  The high-SNR
 simplifications live only in the closed forms of ``analytics``.
 
 All functions are ufunc-based: they accept scalars or broadcast-compatible
 arrays, and return Python floats for pure-scalar input.  Rates are bit/s/Hz
-(base-2 logs everywhere).  A fixed-power pair takes two logs: the pair
-formulas compute one strong SINR on max(h, g) and one weak SINR on
-min(h, g), take log2(1 + SINR) of each, and then select r1 and r2 from the
-two by h >= g.
+(base-2 logs everywhere).
 
-The CR-NOMA rates need no split coefficient.  The split pins UE2's SINR at
-eps = 2**r_th - 1 wherever it can and otherwise gives UE2 all the power, in
-either gain order, so r2 = min(log2(1 + rho*g), r_th).  UE1's rate takes
-the coefficient-free forms of `_cr_secondary_rate`, one log and no branch;
-the split itself (`cr_power_split`) keeps the clipped coefficient.  These
-forms equal the clipped-split formulas in exact arithmetic and round
-differently, by a few ulps.
+The CR-NOMA rate path is coefficient-free.  The QoS-driven split pins UE2's
+SINR at eps = 2**r_th - 1 wherever it can and otherwise gives UE2 all the
+power, in either gain order, so r2 = min(log2(1 + rho*g), r_th).  UE1's rate
+takes the forms of `_cr_secondary_rate`, one log and no branch.  These equal
+the formulas under the clipped split coefficient in exact arithmetic and
+round differently, by a few ulps.  The coefficient itself is computed only
+by the test oracles (``ref_cr_power_split`` and ``cr_rates_mp`` in
+``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -74,7 +71,7 @@ def _weak_sinr(x, a, b, rho):
 
 def _pair(h, g, d, a, b, rho):
     """(r1, r2): one strong rate on max(h, g) and one weak rate on
-    min(h, g), each UE's rate then selected by d = h >= g."""
+    min(h, g), two logs in all, each UE's rate then selected by d = h >= g."""
     strong = np.log2(1.0 + _strong_sinr(np.maximum(h, g), b, rho))
     weak = np.log2(1.0 + _weak_sinr(np.minimum(h, g), a, b, rho))
     return RatePair(_out(np.where(d, strong, weak)), _out(np.where(d, weak, strong)))
@@ -94,23 +91,9 @@ def fnoma_pair_rates(h, g, split: PowerSplit, rho) -> RatePair:
     return _pair(h, g, np.greater_equal(h, g), a, b, rho)
 
 
-def fnoma_sum_rate(gamma_s, gamma_w, b, rho):
-    """Sum rate as a function of the ordered gain pair (strong, weak).
-
-    Identical to r1 + r2 of :func:`fnoma_pair_rates` for the same gains.
-    """
-    if not 0.0 < b <= 0.5:
-        raise ValueError(f"strong-user coefficient must lie in (0, 0.5], got {b}")
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    if np.any(np.less(gamma_s, gamma_w)):
-        raise ValueError("gamma_s < gamma_w: caller must order the pair")
-    return _out(_fnoma_sum_rate(gamma_s, gamma_w, b, rho))
-
-
 def _fnoma_sum_rate(x, y, b, rho):
-    """`fnoma_sum_rate` of the gains x and y in either order, without its
-    checks: the strong form on max(x, y), the weak form on min(x, y).
+    """r1 + r2 of `fnoma_pair_rates` for the gains x and y in either order,
+    unchecked: the strong form on max(x, y), the weak form on min(x, y).
 
     Evaluated in place in three buffers of the broadcast shape, with the
     operations of `_strong_sinr` and `_weak_sinr` in their order, so the
@@ -131,19 +114,10 @@ def _fnoma_sum_rate(x, y, b, rho):
     return strong
 
 
-def jain_fairness(r1, r2):
-    """Fairness index (r1+r2)**2 / (2 (r1**2 + r2**2)), in [0.5, 1].
-
-    The degenerate all-zero point is defined as 1 (continuity along the
-    equal-rate diagonal).
-    """
-    if np.any(np.less(r1, 0)) or np.any(np.less(r2, 0)):
-        raise ValueError("rates must be nonnegative")
-    return _out(_jain(r1, r2, np.add(r1, r2)))
-
-
 def _jain(r1, r2, s):
-    """`jain_fairness` of nonnegative rates whose sum s = r1 + r2 is known."""
+    """Jain's fairness index (r1+r2)**2 / (2 (r1**2 + r2**2)), in [0.5, 1],
+    of nonnegative rates whose sum s = r1 + r2 is known.  The all-zero point
+    is 1, the limit along the equal-rate diagonal."""
     q = np.multiply(r1, r1) + np.multiply(r2, r2)
     small = q < np.finfo(float).tiny
     if np.any(small):  # subnormal squares lose bits: redo those scaled by 2**600
@@ -164,42 +138,6 @@ def _checked_epsilon(rho, r_th):
     if not np.isfinite(eps).all():
         raise ValueError(f"r_th = {r_th}: 2**r_th - 1 is not finite")
     return eps
-
-
-def _qos_coefficients(g, rho, r_th):
-    """The clipped strong-user coefficient b of the QoS-driven split where
-    UE1 is the strong user and where UE2 is, each at the shape of g, on
-    which alone it depends (see `cr_power_split`)."""
-    eps = _checked_epsilon(rho, r_th)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rho_g = rho * g
-        den = rho_g * (eps + 1.0)
-        b_ue1_strong = (rho_g - eps) / den
-        big = np.isinf(den)
-        if np.any(big):  # the same value, without the overflowing product
-            b_ue1_strong = np.where(big, (1.0 - eps / rho_g) / (eps + 1.0), b_ue1_strong)
-        b_ue2_strong = eps / rho_g
-    return np.maximum(b_ue1_strong, 0.0), np.minimum(b_ue2_strong, 1.0)
-
-
-def _qos_split(h, g, rho, r_th):
-    """(d, a, b) of the QoS-driven split: d marks where UE1 is the strong
-    user, b is the strong user's clipped coefficient and a = 1 - b."""
-    b_ue1_strong, b_ue2_strong = _qos_coefficients(g, rho, r_th)
-    d = np.greater_equal(h, g)
-    b = np.where(d, b_ue1_strong, b_ue2_strong)
-    return d, 1.0 - b, b
-
-
-def cr_power_split(h, g, rho, r_th) -> PowerSplit:
-    """Strong-user coefficient that serves UE1 subject to UE2's rate floor.
-
-    UE2 is primary: its rate must reach r_th, so b is the extreme admissible
-    value given the gain ordering, clipped into [0, 1] (an empty admissible
-    range means UE1 gets no power and its rate is zero).
-    """
-    _, a, b = _qos_split(h, g, rho, r_th)
-    return PowerSplit(_out(a), _out(b))
 
 
 def cr_rates(h, g, rho, r_th) -> RatePair:

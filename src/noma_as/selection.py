@@ -44,25 +44,14 @@ word before its high half; a dimension of 1 reads none.  The value is
 exactly uniform: when ``(u32 * dim) mod 2**32 < (2**32 - dim) mod dim`` the
 trial draws again from its next word.
 
-The kernels read stacked realizations of shape (T, N, M)/(T, N, K),
-through their ``row_stats`` (the per-row maxima, which depend on the gains
-alone), and return 0-based index arrays.  The row-max policies (a3, aia,
-mcg, pu, su) choose only their row n (``_*_row``, ``Policy.row``): their
-gains are row n's maxima, and ``_row_triple`` adds the first column of
-each maximum for the tests.  The kernels work one column at a time over
-the short antenna axes: numpy runs ``argmax`` along an axis of length 2-4,
-or a ufunc whose inner axis is that short, as one tiny loop per trial.
-``_first_max`` takes the maximum and its first index over a list of (T,)
-columns, which the sampler lays out contiguously, and each kernel passes
-it the columns it compares: a row-max policy the N rows of its key, and
-``es`` its N candidates, the objective at each row's maxima, whose maximum
-is the optimum.  ``es`` then gathers the chosen row's gains into (M, T)
-and (K, T) arrays, evaluates the objective on the (M, K, T) grid and takes
-the first of its M*K columns equal to the optimum; a caller that needs
-only the optimum (``Policy.optimum``) skips that step, and reads a row-max
-policy's value at the same point off the candidate of its row.
-``POLICIES`` is the one table of (mode, policy) pairs that the harness,
-the figures and the CLI read.
+The kernels read stacked realizations of shape (T, N, M)/(T, N, K) and
+their ``row_stats`` (the per-row maxima), and return 0-based index arrays.
+They work one column at a time over the short antenna axes: numpy runs
+``argmax`` along an axis of length 2-4, or a ufunc whose inner axis is that
+short, as one tiny loop per trial.  ``_first_max`` takes the maximum and its
+first index over a list of (T,) columns, which the sampler lays out
+contiguously.  ``POLICIES`` is the one table of (mode, policy) pairs that
+the harness, the figures and the CLI read.
 """
 
 from __future__ import annotations
@@ -139,13 +128,6 @@ def _row_at(n):
     return n * n.size + np.arange(n.size)
 
 
-def _row_triple(h, g, row):
-    """(n, m, k) of the row-max policy choosing the row n =
-    row(row_stats(h, g)): n with the first column of each row maximum."""
-    n = row(row_stats(h, g))
-    return (n,) + tuple(_first_max(_row_of(x, n))[1] for x in (h, g))
-
-
 def _a3_row(rows):
     """Largest single gain anywhere: its row, whose maxima pair it with the
     best same-row companion."""
@@ -173,9 +155,8 @@ def _es_triples(h, g, rows, objective, pick):
     m], g[n, k]); and the first row-major triple reaching it, or None unless
     `pick`.
 
-    The objective never decreases when either gain grows, so each row's
-    best value is its row-max candidate's and the optimum v* is the best of
-    the N candidates.  The first row reaching v* holds the first optimal
+    The optimum v* is the best of the N candidates (see the module
+    docstring), and the first row reaching v* holds the first optimal
     triple; its first M x K entry equal to v* is that triple, so the
     objective at the triple is v* bit for bit.  The row's gains are
     gathered into (M, T) and (K, T) so that the grid is (M, K, T).
@@ -281,8 +262,7 @@ class Policy:
     for trials t0, t0+1, ..., where rows is ``row_stats(h, g)``: the flat
     index `_row_at(n)` of each trial's row n for a row-max policy (`row`),
     whose gains are row n's maxima, else the chosen antennas, (n, m, k) or
-    oma's (n1, m, n2, k).  `gains` turns a choice into the stacked UE1 and
-    UE2 gains, and `select` is the two in a row.
+    oma's (n1, m, n2, k), which `gains` turns into the UE1 and UE2 gains.
     closed_form(fading, split, r_th) is the high-SNR average of `metric`,
     the RateReport field the mode reports.  Closed forms and the search,
     random and oma kernels are looked up on their modules at call time, so
@@ -290,9 +270,7 @@ class Policy:
     is the one that runs.
     depends says what the choice reads: "shape" the antenna counts, seed
     and trials alone (random), "gains" the gains too, "point" rho, split
-    and r_th as well (the exhaustive searches).  The harness makes a
-    "shape" choice once per leaf of a shape group and a "gains" choice once
-    per geometry of the leaf.
+    and r_th as well (the exhaustive searches).
     optimum(h, g, rows=, rho=, split=, r_th=), where set, returns the
     `metric` quantity, r1 + r2 (fnoma) or r1 (crnoma), at the N row-max
     candidates, an (N, T) array, and at the policy's choice, their maximum,
@@ -315,10 +293,6 @@ class Policy:
         if self.row:
             return np.take(rows.h_max, choice), np.take(rows.g_max, choice)
         return _triple_gains(h, g, choice)
-
-    def select(self, h, g, rows, **kwargs):
-        """The gains of the choice on h and g (see `choose`)."""
-        return self.gains(self.choose(h, g, rows=rows, **kwargs), h, g, rows)
 
 
 def _split_cfg(fading, split, r_th):

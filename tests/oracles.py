@@ -14,14 +14,15 @@ selected and rated in one batch.
 """
 
 import math
+from functools import lru_cache
 
 import mpmath
 import numpy as np
 
-from noma_as.analytics import EULER_GAMMA
+from noma_as.analytics import EULER_GAMMA, _aia_power_table
 from noma_as.channel import sample_channel_batch
-from noma_as.rates import cr_rates, fnoma_pair_rates, fnoma_sum_rate, oma_pair_rates
-from noma_as.selection import POLICIES, row_stats
+from noma_as.rates import _fnoma_sum_rate, cr_rates, fnoma_pair_rates, oma_pair_rates
+from noma_as.selection import POLICIES, _first_max, _row_of, row_stats
 
 _MASK64 = (1 << 64) - 1
 CHANNEL_DOMAIN, POLICY_DOMAIN = 0, 1
@@ -143,13 +144,28 @@ def cr_condition(h, g, rho, r_th):
 # numpy's mean and std over it are the reference for that reduction.
 
 
+def select(key, h, g, **kwargs):
+    """The stacked UE1 and UE2 gains that policy `key` = (mode, policy)
+    selects on stacked h and g, through the `choose` and `gains` the harness
+    runs; kwargs are `choose`'s rho, split, r_th, seed and t0."""
+    policy, rows = POLICIES[key], row_stats(h, g)
+    return policy.gains(policy.choose(h, g, rows=rows, **kwargs), h, g, rows)
+
+
+def row_triple(h, g, row):
+    """(n, m, k) of the row-max policy choosing the row n =
+    row(row_stats(h, g)): n with the first column of each row maximum."""
+    n = row(row_stats(h, g))
+    return (n,) + tuple(_first_max(_row_of(x, n))[1] for x in (h, g))
+
+
 def per_trial_rates(fading, mode, policy, trials, seed, split=None, r_th=None):
     """(r1, r2) of one policy at one point, one entry per trial, drawn,
     selected and rated in one batch."""
     h, g = sample_channel_batch(fading, seed, 0, trials)
     rho = fading.rho
-    h_sel, g_sel = POLICIES[mode, policy].select(h, g, rows=row_stats(h, g), rho=rho,
-                                                 split=split, r_th=r_th, seed=seed, t0=0)
+    h_sel, g_sel = select((mode, policy), h, g, rho=rho, split=split, r_th=r_th, seed=seed,
+                          t0=0)
     if mode == "fnoma":
         return fnoma_pair_rates(h_sel, g_sel, split, rho)
     if mode == "oma":
@@ -285,7 +301,7 @@ def full_es_fnoma_triples(h, g, split, rho):
     k_dim = g.shape[2]
     h4 = h[:, :, :, None]
     g4 = g[:, :, None, :]
-    obj = fnoma_sum_rate(np.maximum(h4, g4), np.minimum(h4, g4), split.b, rho)
+    obj = _fnoma_sum_rate(h4, g4, split.b, rho)
     idx = obj.reshape(tcount, -1).argmax(axis=1)
     return _unravel_nmk(idx, m_dim, k_dim)
 
@@ -299,6 +315,50 @@ def full_es_crnoma_triples(h, g, rho, r_th):
     r1, _ = cr_rates(h4, g4, rho, r_th)
     idx = r1.reshape(tcount, -1).argmax(axis=1)
     return _unravel_nmk(idx, m_dim, k_dim)
+
+
+# --- the weak-gain-first strong-companion density ------------------------------
+# The closed form integrates this density term by term; the tests hold it to
+# simulated histograms and to quadrature.
+
+
+@lru_cache(maxsize=64)
+def _aia_strong_mixture(n, m, k, oh, og):
+    """Exponential-mixture representation (weights w, rates theta) of the
+    density of the strong companion gain under weak-gain-first selection.
+
+    Derived by conditioning on the winning row and expanding every CDF
+    factor, the other N - 1 rows through the exact table of
+    ``analytics._aia_power_table``; consolidating equal decay rates keeps
+    the representation small.  The printed three-psi-term variant of this
+    density carries extra pieces that cancel across the expansion (and
+    vanish identically only for N >= 2), so the reduced form below is the
+    one that is also correct at N = 1.
+    """
+    acc = {}
+    for (p, q), c in _aia_power_table(n, m, k):
+        coef, xi = float(c), p * oh + q * og
+        for i in range(1, m + 1):
+            for j in range(1, k + 1):
+                z = coef * n * i * j * oh * og * _mu(i, m) * _mu(j, k)
+                phi_i = i * oh + xi
+                phi_j = j * og + xi
+                for weight, rate in ((z / phi_j, i * oh), (z / phi_i, j * og),
+                                     (-z * (1.0 / phi_i + 1.0 / phi_j),
+                                      i * oh + j * og + xi)):
+                    acc.setdefault(rate, []).append(weight)
+    return np.array([math.fsum(v) for v in acc.values()]), np.array(list(acc))
+
+
+def aia_strong_pdf(x, cfg):
+    """Density of the strong companion gain under weak-gain-first selection,
+    at a scalar or an array of nonnegative points."""
+    xs = np.asarray(x, dtype=np.float64)
+    if np.any(xs < 0.0):
+        raise ValueError("density support is x >= 0")
+    w, th = _aia_strong_mixture(cfg.n_bs, cfg.m_ue1, cfg.k_ue2, cfg.omega_h, cfg.omega_g)
+    val = np.exp(-xs[..., None] * th) @ w
+    return float(val) if np.ndim(x) == 0 else val
 
 
 # --- the weak-gain-first expansion, one multinomial composition at a time -------

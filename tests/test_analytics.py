@@ -6,12 +6,12 @@ import pytest
 from scipy import integrate
 
 import oracles
-from noma_as import (AnalyticConfig, EULER_GAMMA, FadingConfig, aia_strong_pdf,
-                     exp_integral_ei, mcg_avg_secondary_rate,
+from noma_as import (AnalyticConfig, EULER_GAMMA, FadingConfig, mcg_avg_secondary_rate,
                      prob_h_ge_g, a3_avg_sum_rate, aia_avg_sum_rate,
                      pu_avg_secondary_rate, quadrature_rate,
                      sample_channel_batch, su_avg_secondary_rate)
 from noma_as.analytics import _aia_power_table, _prob_h_ge_g
+from oracles import aia_strong_pdf
 
 mpmath.mp.dps = 30
 
@@ -20,7 +20,7 @@ def _cfg(n=2, m=2, k=2, oh=1.0, og=2.0, rho=1e12, b=None, eps=None):
     return AnalyticConfig(n, m, k, oh, og, rho, b, eps)
 
 
-# --- special functions -------------------------------------------------------
+# --- Euler's constant -------------------------------------------------------
 
 def test_euler_gamma_value():
     assert 0.5772 < EULER_GAMMA < 0.5773
@@ -30,36 +30,6 @@ def test_euler_gamma_harmonic_limit():
     n = 10 ** 7
     harmonic = float(np.sum(1.0 / np.arange(1, n + 1)))
     assert abs(harmonic - math.log(n) - EULER_GAMMA) < 1e-7
-
-
-@pytest.mark.parametrize("x", [
-    -700.0, -100.0, -40.1, -39.9, -10.0, -2.0, -1.0001, -0.9999, -0.5,
-    -1e-3, -1e-8, -1e-100, -1e-300, 1e-300, 1e-8, 0.5, 1.0, 5.0, 10.0,
-    39.9, 40.1, 100.0, 700.0,
-])
-def test_ei_against_mpmath(x):
-    got = exp_integral_ei(x)
-    ref = float(mpmath.ei(x))
-    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
-
-
-def test_ei_known_value():
-    assert exp_integral_ei(-1.0) == pytest.approx(-0.21938393439552026, abs=1e-14)
-
-
-def test_ei_small_argument_expansion():
-    x = 1e-8
-    assert exp_integral_ei(-x) - (EULER_GAMMA + math.log(x)) == pytest.approx(0.0, abs=1e-7)
-
-
-def test_ei_asymptotic_magnitude():
-    assert abs(exp_integral_ei(-10.0)) < 5e-6
-    assert exp_integral_ei(-10.0) < 0.0
-
-
-def test_ei_domain_error():
-    with pytest.raises(ValueError):
-        exp_integral_ei(0.0)
 
 
 # --- strong-gain-first average sum rate --------------------------------------

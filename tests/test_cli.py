@@ -67,9 +67,44 @@ def test_figure_bad_id():
                  "--out", "x.csv"]) == 1
 
 
-def test_figure_unwritable_path(tmp_path):
-    assert main(["figure", "--id", "5", "--trials", "10", "--seed", "1",
+def _refuse_sampling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a channel was sampled")
+    monkeypatch.setattr(harness, "sample_channel_batch", refuse)
+
+
+def test_figure_unwritable_path(tmp_path, monkeypatch, capsys):
+    # the output is opened before any trial runs
+    _refuse_sampling(monkeypatch)
+    assert main(["figure", "--id", "2", "--trials", "20000", "--seed", "1",
                  "--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 3
+    assert capsys.readouterr().err.startswith("i/o error:")
+
+
+def test_sweep_unwritable_path(tmp_path, monkeypatch, capsys):
+    _refuse_sampling(monkeypatch)
+    assert main(["sweep", "--scenario", _scenario_file(tmp_path), "--axis", "ps_dbm",
+                 "--values", "10,20", "--out", str(tmp_path / "no" / "x.csv")]) == 3
+    assert capsys.readouterr().err.startswith("i/o error:")
+
+
+@pytest.mark.parametrize("argv, workers", [
+    (["figure", "--id", "2", "--trials", "0", "--seed", "1"], None),
+    (["figure", "--id", "2", "--trials", "100", "--seed", "-1"], None),
+    (["figure", "--id", "2", "--trials", "100", "--seed", "1"], "0"),
+    (["sweep", "--axis", "n_bs", "--values", "2,0.5"], None),
+    (["sweep", "--axis", "ps_dbm", "--values", "10,20"], "0"),
+])
+def test_configuration_error_leaves_no_output_file(tmp_path, monkeypatch, argv, workers):
+    # a bad point or worker count fails before the output is opened
+    _refuse_sampling(monkeypatch)
+    if workers is not None:
+        monkeypatch.setenv("NOMA_SIM_WORKERS", workers)
+    if argv[0] == "sweep":
+        argv = argv + ["--scenario", _scenario_file(tmp_path)]
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_sweep_to_file(tmp_path):

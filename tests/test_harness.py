@@ -14,11 +14,12 @@ from noma_as import channel, figures, harness, selection
 from noma_as.harness import Point, Run
 from noma_as import (ConfigurationError, FadingConfig, PowerSplit, Scenario,
                      ValidationPoint, apply_axis, cr_rates, figure_rows, fnoma_pair_rates,
-                     jain_fairness, load_scenario, load_validation_grid,
-                     run_point, run_trials, sample_channel_batch, sweep,
-                     validate_asymptotics)
+                     load_scenario, load_validation_grid, run_point, run_trials,
+                     sample_channel_batch, sweep, validate_asymptotics)
 from noma_as.figures import _PS_GRID
-from noma_as.selection import POLICIES, _a3_row, _pu_row, _row_triple, row_stats
+from noma_as.rates import _jain
+from noma_as.selection import POLICIES, _a3_row, _pu_row, row_stats
+from oracles import row_triple
 
 
 def _fnoma_scn(**kw):
@@ -149,12 +150,12 @@ def test_single_trial_equals_direct_computation():
     scn = _fnoma_scn(trials=1, seed=77)
     report = run_trials(scn, workers=1)
     h, g = sample_channel_batch(scn.fading, 77, 0, 1)
-    (n,), (m,), (k,) = _row_triple(h, g, _a3_row)
+    (n,), (m,), (k,) = row_triple(h, g, _a3_row)
     r1, r2 = fnoma_pair_rates(h[0, n, m], g[0, n, k], scn.split, scn.fading.rho)
     assert report.mean_r1 == r1
     assert report.mean_r2 == r2
     assert report.mean_sum == r1 + r2
-    assert report.mean_fairness == jain_fairness(r1, r2)
+    assert report.mean_fairness == _jain(r1, r2, r1 + r2)
     assert report.std_err["sum"] == 0.0
     assert report.trials_used == 1
 
@@ -163,7 +164,7 @@ def test_single_trial_crnoma_equals_direct_computation():
     scn = _cr_scn(trials=1, seed=5)
     report = run_trials(scn, workers=1)
     h, g = sample_channel_batch(scn.fading, 5, 0, 1)
-    (n,), (m,), (k,) = _row_triple(h, g, _pu_row)
+    (n,), (m,), (k,) = row_triple(h, g, _pu_row)
     r1, r2 = cr_rates(h[0, n, m], g[0, n, k], scn.fading.rho, scn.r_th)
     assert report.mean_r1 == r1 and report.mean_r2 == r2
 
@@ -254,7 +255,7 @@ def test_merged_leaves_sum_like_numpy_bit_for_bit(n, seed):
                                      harness.QUANTITIES)[:, None]
             for t0, count in harness._leaves(0, n)}
     sums, m2 = harness._merged(0, n, leaf)
-    for i, x in enumerate((r1, r2, r1 + r2, jain_fairness(r1, r2))):
+    for i, x in enumerate((r1, r2, r1 + r2, _jain(r1, r2, r1 + r2))):
         assert sums[0, i] == np.add.reduce(x)
         assert sums[0, i] / n == x.mean()
         if n > 1:
@@ -272,7 +273,7 @@ def test_run_point_matches_numpy_over_the_per_trial_arrays(mode, trials):
     for policy, report in reports.items():
         r1, r2 = oracles.per_trial_rates(fading, mode, policy, trials, 7, split, r_th)
         for key, x in (("r1", r1), ("r2", r2), ("sum", r1 + r2),
-                       ("fairness", jain_fairness(r1, r2))):
+                       ("fairness", _jain(r1, r2, r1 + r2))):
             assert getattr(report, f"mean_{key}") == x.mean()
             se = x.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
             assert report.std_err[key] == pytest.approx(se, rel=1e-12, abs=0)

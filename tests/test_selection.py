@@ -9,10 +9,11 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from noma_as import (FadingConfig, PowerSplit, Scenario, cr_rates, fnoma_pair_rates,
                      sample_channel_batch)
-from noma_as.rates import fnoma_sum_rate
+from noma_as.rates import _fnoma_sum_rate
 from noma_as.selection import (POLICIES, _a3_row, _aia_row, _es_crnoma_triples,
                                _es_fnoma_triples, _oma_indices, _pu_row, _random_triples,
-                               _row_triple, _su_row, _triple_gains, row_stats)
+                               _su_row, _triple_gains, row_stats)
+from oracles import row_triple
 
 B = PowerSplit.from_b(0.4)
 RHO = 1e3
@@ -35,8 +36,7 @@ def _batches(count, seed):
 
 
 def _select(key, h, g, seed=7, t0=5):
-    return POLICIES[key].select(h, g, rows=row_stats(h, g), rho=RHO, split=B, r_th=R_TH,
-                                seed=seed, t0=t0)
+    return oracles.select(key, h, g, rho=RHO, split=B, r_th=R_TH, seed=seed, t0=t0)
 
 
 def _row_maxima(h, g, n):
@@ -164,7 +164,7 @@ def test_es_equals_full_search(dims, d1, d2, ps_dbm, b, r_th, seed, start, count
 def _objectives(h, g, triple, split, rho, r_th):
     """Sum rate and secondary rate of the chosen gains."""
     x, y = _triple_gains(h, g, triple)
-    return (fnoma_sum_rate(np.maximum(x, y), np.minimum(x, y), split.b, rho),
+    return (_fnoma_sum_rate(x, y, split.b, rho),
             cr_rates(x, y, rho, r_th).r1)
 
 
@@ -256,13 +256,13 @@ def test_row_policy_value_is_its_candidate_bit_for_bit(dims):
     assert set(_ROWS) == {key for key, p in POLICIES.items() if p.row}
     for h, g, r_th in _optimum_cases(*dims):
         rows = row_stats(h, g)
-        kwargs = dict(rows=rows, rho=RHO, split=B, r_th=r_th, seed=7, t0=5)
+        kwargs = dict(rho=RHO, split=B, r_th=r_th, seed=7, t0=5)
         for (mode, name), row in _ROWS.items():
             policy = POLICIES[mode, name]
-            gains = _triple_gains(h, g, _row_triple(h, g, row))
-            assert _same_bits(policy.select(h, g, **kwargs), gains)
-            candidates, _ = POLICIES[mode, "es"].optimum(h, g, **kwargs)
-            value = np.take(candidates, policy.choose(h, g, **kwargs))
+            gains = _triple_gains(h, g, row_triple(h, g, row))
+            assert _same_bits(oracles.select((mode, name), h, g, **kwargs), gains)
+            candidates, _ = POLICIES[mode, "es"].optimum(h, g, rows=rows, **kwargs)
+            value = np.take(candidates, policy.choose(h, g, rows=rows, **kwargs))
             if mode == "fnoma":
                 r1, r2 = fnoma_pair_rates(*gains, B, RHO)
                 assert value.tobytes() == (r1 + r2).tobytes()
@@ -276,11 +276,11 @@ def test_row_policy_value_is_its_candidate_bit_for_bit(dims):
 _KERNELS = {
     ("fnoma", "es"): lambda h, g, rows, seed, t0: _es_fnoma_triples(h, g, rows, B, RHO)[2],
     ("crnoma", "es"): lambda h, g, rows, seed, t0: _es_crnoma_triples(h, g, rows, RHO, R_TH)[2],
-    ("fnoma", "a3"): lambda h, g, rows, seed, t0: _row_triple(h, g, _a3_row),
-    ("fnoma", "aia"): lambda h, g, rows, seed, t0: _row_triple(h, g, _aia_row),
-    ("crnoma", "mcg"): lambda h, g, rows, seed, t0: _row_triple(h, g, _a3_row),
-    ("crnoma", "pu"): lambda h, g, rows, seed, t0: _row_triple(h, g, _pu_row),
-    ("crnoma", "su"): lambda h, g, rows, seed, t0: _row_triple(h, g, _su_row),
+    ("fnoma", "a3"): lambda h, g, rows, seed, t0: row_triple(h, g, _a3_row),
+    ("fnoma", "aia"): lambda h, g, rows, seed, t0: row_triple(h, g, _aia_row),
+    ("crnoma", "mcg"): lambda h, g, rows, seed, t0: row_triple(h, g, _a3_row),
+    ("crnoma", "pu"): lambda h, g, rows, seed, t0: row_triple(h, g, _pu_row),
+    ("crnoma", "su"): lambda h, g, rows, seed, t0: row_triple(h, g, _su_row),
     ("fnoma", "random"): lambda h, g, rows, seed, t0: _random_triples(
         h.shape[1], h.shape[2], g.shape[2], seed, t0, h.shape[0]),
     ("oma", "oma_es"): lambda h, g, rows, seed, t0: _oma_indices(h, g),
@@ -330,14 +330,14 @@ def test_ties_go_to_the_lowest_index(dims, count, seed, t0, data):
 def test_a3_hand_instance():
     h = np.array([[0.2, 0.1], [0.3, 5.0], [0.4, 0.2]])
     g = np.array([[1.0, 0.5], [2.0, 0.7], [0.3, 0.6]])
-    assert [int(i[0]) for i in _row_triple(h[None], g[None], _a3_row)] == [1, 1, 0]
+    assert [int(i[0]) for i in row_triple(h[None], g[None], _a3_row)] == [1, 1, 0]
     assert [float(x[0]) for x in _select(("fnoma", "a3"), h[None], g[None])] == [5.0, 2.0]
 
 
 def test_a3_singleton():
     rng = np.random.default_rng(1)
     h, g = _stack(rng, 3, 1, 1, 1)
-    assert [a.tolist() for a in _row_triple(h, g, _a3_row)] == [[0, 0, 0]] * 3
+    assert [a.tolist() for a in row_triple(h, g, _a3_row)] == [[0, 0, 0]] * 3
 
 
 def test_a3_strong_gain_is_global_max():
@@ -353,7 +353,7 @@ def test_a3_strong_gain_is_global_max():
 
 def test_aia_equals_a3_for_single_row():
     h, g = _stack(np.random.default_rng(7), 50, 1, 3, 2)
-    for got, expected in zip(_row_triple(h, g, _aia_row), _row_triple(h, g, _a3_row)):
+    for got, expected in zip(row_triple(h, g, _aia_row), row_triple(h, g, _a3_row)):
         assert np.array_equal(got, expected)
 
 
@@ -369,7 +369,7 @@ def test_aia_avoids_poor_companion_row():
     # must walk away from it
     h = np.array([[[10.0, 0.2], [2.0, 0.5]]])
     g = np.array([[[0.1, 0.05], [1.5, 0.2]]])
-    assert _row_triple(h, g, _a3_row)[0][0] == 0 and _row_triple(h, g, _aia_row)[0][0] == 1
+    assert row_triple(h, g, _a3_row)[0][0] == 0 and row_triple(h, g, _aia_row)[0][0] == 1
     assert _select(("fnoma", "aia"), h, g)[1][0] == 1.5
 
 
@@ -396,14 +396,14 @@ def test_pu_hand_instance():
     g[2, 1] = 9.0
     g += 0.1
     h = np.array([[0.2, 0.3], [0.1, 0.2], [0.7, 0.4]])
-    n, m, k = _row_triple(h[None], g[None], _pu_row)
+    n, m, k = row_triple(h[None], g[None], _pu_row)
     assert (n[0], k[0]) == (2, 1)
     assert m[0] == 0  # row-3 argmax of h
 
 
 def test_pu_single_receive_antenna():
     h, g = _stack(np.random.default_rng(12), 20, 4, 2, 1)
-    n, _, k = _row_triple(h, g, _pu_row)
+    n, _, k = row_triple(h, g, _pu_row)
     assert not k.any()
     assert n.tolist() == [oracles.global_max(g[t])[1][0] for t in range(20)]
 
@@ -413,14 +413,14 @@ def test_su_hand_instance():
     h[0, 1] = 7.0
     h += 0.05
     g = np.array([[0.3, 0.9], [0.6, 0.1]])
-    n, m, k = _row_triple(h[None], g[None], _su_row)
+    n, m, k = row_triple(h[None], g[None], _su_row)
     assert (n[0], m[0]) == (0, 1)
     assert k[0] == 1  # row-1 argmax of g
 
 
 def test_su_single_receive_antenna():
     h, g = _stack(np.random.default_rng(13), 20, 4, 1, 3)
-    assert not _row_triple(h, g, _su_row)[1].any()
+    assert not row_triple(h, g, _su_row)[1].any()
 
 
 # --- random and orthogonal baselines ---------------------------------------
@@ -513,6 +513,6 @@ def test_comparison_policies_scale_equivariant():
     for h, g in _batches(20, seed=19):
         for c in (2.0 ** -20, 2.0 ** 13):
             for row in (_a3_row, _aia_row, _pu_row, _su_row):
-                for s0, s1 in zip(_row_triple(h, g, row),
-                                  _row_triple(h * c, g * c, row)):
+                for s0, s1 in zip(row_triple(h, g, row),
+                                  row_triple(h * c, g * c, row)):
                     assert np.array_equal(s0, s1)
