@@ -21,8 +21,11 @@ results, and ``_philox_block`` computes the blocks of a whole vector of
 trials at once.  ``sample_channel_batch`` is the one sampler; a single
 realization is a batch of one.  Its unit draws ``-ln u`` depend on the seed,
 the antenna counts and the trials alone; a geometry only divides them by its
-``omega``, so geometries that share the rest can share one computation of
-them (``_keep_unit_draws``).
+``omega``.  Trial t's i-th draw is word i of its blocks whatever the antenna
+counts, so the N*(M+K) draws of N BS antennas are the first N*(M+K) of any
+larger N's.  Geometries that share the seed, M, K and the trials therefore
+share one computation of the draws, a smaller N reading a prefix of the
+draws kept (``_keep_unit_draws``).
 """
 
 from __future__ import annotations
@@ -232,8 +235,9 @@ def _gains_from_unit_draws(x, cfg: FadingConfig):
     return h, g
 
 
-# While on, the unit draws `sample_channel_batch` last used, keyed by what
-# they depend on: None when off, else {} or {key: draws}.
+# While on, the unit draws `sample_channel_batch` last drew, keyed by what
+# they depend on but N: None when off, else {} or {(seed, M, K, start,
+# count): draws}.
 _kept = None
 
 
@@ -243,8 +247,9 @@ def _keep_unit_draws(on: bool):
     The unit draws of a batch depend on the seed, the antenna counts and the
     trials alone, not on the distances or the path-loss exponent, which only
     divide them.  While keeping is on, `sample_channel_batch` keeps the
-    draws of its last call, and a call for another geometry with the same
-    seed, antenna counts and trials rescales them instead of drawing again.
+    draws of its last call that drew, and a call for another geometry with
+    the same seed, M, K and trials and no larger N rescales the first
+    N*(M+K) rows of them instead of drawing again.
     """
     global _kept
     _kept = {} if on else None
@@ -254,15 +259,16 @@ def sample_channel_batch(cfg: FadingConfig, seed: int, start: int, count: int):
     """Stacked draws for trials start .. start+count-1.
 
     Returns (h, g) with shapes (count, N, M) and (count, N, K), the trial
-    axis fastest in memory: the unit draws of ``_unit_draws`` (or the ones
-    kept, see ``_keep_unit_draws``) divided by ``omega_h`` and ``omega_g``.
+    axis fastest in memory: the unit draws of ``_unit_draws`` (or the first
+    rows of the ones kept, see ``_keep_unit_draws``) divided by ``omega_h``
+    and ``omega_g``.
     """
     n, m, k = cfg.n_bs, cfg.m_ue1, cfg.k_ue2
-    key = (seed, n, m, k, start, count)
+    total, key = n * (m + k), (seed, m, k, start, count)
     x = None if _kept is None else _kept.get(key)
-    if x is None:
-        x = _unit_draws(seed, n * (m + k), start, count)
+    if x is None or len(x) < total:
+        x = _unit_draws(seed, total, start, count)
         if _kept is not None:
             _kept.clear()
             _kept[key] = x
-    return _gains_from_unit_draws(x, cfg)
+    return _gains_from_unit_draws(x[:total], cfg)

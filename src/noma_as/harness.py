@@ -20,18 +20,21 @@ reports their optimum and a row-max policy (`Policy.row`) the candidate of
 its row, bit for bit the rate formula at their gains, which neither meets.
 
 A figure, sweep or validation builds one `Run` from all its points and
-groups them by what their draws depend on: the antenna counts, the trial
-count and the seed.  One task (`_simulate_leaf`) is one leaf of one such
-shape group.  It runs each geometry (d1, d2, alpha) of the group in turn,
-rescaling one computation of the leaf's unit-rate exponentials
-(`channel._keep_unit_draws`); the last geometry is scaled with the one
-before it, so a task holds the draws and one geometry's gains, or the last
-two geometries' gains.  Per geometry it takes the row maxima
+groups them by what their draws depend on: the user antenna counts M and K,
+the trial count and the seed.  The draws of N BS antennas are the first
+N*(M+K) of any larger N's, so N is not part of the key.  One task
+(`_simulate_leaf`) is one leaf of one such shape group.  It runs each
+geometry (N, d1, d2, alpha) of the group in turn, largest N first,
+rescaling one computation of the leaf's unit-rate exponentials, or a prefix
+of them (`channel._keep_unit_draws`); the last geometry is scaled with the
+one before it, so a task holds the draws and one geometry's gains, or the
+last two geometries' gains.  Per geometry it takes the row maxima
 (`selection.row_stats`) and makes each choice that does not read rho, split
-or r_th (`Policy.depends`) once, with its gains; random's reads only the
-shape group and is drawn once per leaf.  Then each point of the geometry
-runs its searches, rate formulas and reduction on the arrays a fresh draw
-and selection would have produced, so no bit of any report moves.
+or r_th (`Policy.depends`) once, with its gains; random's reads only N and
+the shape group and is drawn once per leaf and N.  Then each point of the
+geometry runs its searches, rate formulas and reduction on the arrays a
+fresh draw and selection would have produced, so no bit of any report
+moves.
 """
 
 from __future__ import annotations
@@ -50,7 +53,10 @@ from .channel import (ConfigurationError, FadingConfig, _is_int, _keep_unit_draw
 from .rates import PowerSplit, _jain, cr_rates, fnoma_pair_rates, oma_pair_rates, qos_epsilon
 from .selection import POLICIES, row_stats
 
-_CHUNK = 16384  # largest leaf; numpy's pairwise sum splits only above 128, so >= 128
+# Largest leaf.  numpy's pairwise sum splits only above 128, so >= 128.  A
+# task holds a leaf's draws for its group's largest N and up to two
+# geometries' gains, which sets a worker's peak memory.
+_CHUNK = 8192
 ASYMPTOTIC_MIN_RHO = 1e8  # below this the high-SNR closed forms are not claimed
 
 
@@ -177,7 +183,7 @@ def _simulate_leaf(task):
     M2."""
     seed, t0, count, geometries = task
     ahead = None  # the last geometry's gains, scaled with the one before it
-    drawn = {}  # (mode, policy) -> its "shape" choice
+    drawn = {}  # (mode, policy, N) -> its "shape" choice
     out = []
     _keep_unit_draws(len(geometries) > 1)
     try:
@@ -215,10 +221,11 @@ def _simulate_point(h, g, rows, point, seed, t0, chosen, drawn):
             continue
         made = chosen.get(key)
         if made is None:
-            if policy.depends == "shape" and key not in drawn:
-                drawn[key] = _TRIPLES[key](h, g, **kwargs)
-            made = [drawn[key] if policy.depends == "shape" else _TRIPLES[key](h, g, **kwargs),
-                    None]
+            shape = *key, h.shape[1]
+            if policy.depends == "shape" and shape not in drawn:
+                drawn[shape] = _TRIPLES[key](h, g, **kwargs)
+            made = [drawn[shape] if policy.depends == "shape"
+                    else _TRIPLES[key](h, g, **kwargs), None]
             if policy.depends != "point":
                 chosen[key] = made
         choice, gains = made
@@ -282,10 +289,10 @@ class Run:
                          r_th=point.r_th, trials=point.trials, seed=point.seed)
         self.workers = min(_resolve_workers(workers),
                            max((len(_leaves(0, p.trials)) for p in points), default=1))
-        self._groups = {}  # (N, M, K, trials, seed) -> {geometry: [point, ...]}
-        for point in points:
+        self._groups = {}  # (M, K, trials, seed) -> {geometry: [point, ...]}
+        for point in sorted(points, key=lambda p: -p.fading.n_bs):
             fading = point.fading
-            shape = (fading.n_bs, fading.m_ue1, fading.k_ue2, point.trials, point.seed)
+            shape = (fading.m_ue1, fading.k_ue2, point.trials, point.seed)
             geometry = replace(fading, ps_dbm=0.0, sigma2_dbm=0.0)
             self._groups.setdefault(shape, {}).setdefault(geometry, []).append(point)
         self._leaf = {}  # point -> {t0: moments of that leaf}

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from noma_as import harness
+
 TRACE = Path(__file__).resolve().parent.parent / "perfbench" / "trace.py"
 
 
@@ -76,3 +78,21 @@ def test_figure7_samples_and_selects_once_per_placement(tmp_path):
     layers = _figure7_pass(tmp_path, "traced", 1, trials)["layers"]
     assert layers["channel.sample"]["trials"] == 2 * trials
     assert layers["selection.random"]["trials"] == trials
+
+
+def test_figure2_samples_every_antenna_count_through_the_harness(tmp_path):
+    # the eight antenna counts share one computation of each leaf's unit
+    # draws, but every (N, leaf) still goes through the sampler the tracer
+    # wraps, so channel.sample counts each N's trials
+    trials = 16385
+    proc = subprocess.run(
+        [sys.executable, str(TRACE), "--pass", "traced", "--", "figure", "--id", "2",
+         "--trials", str(trials), "--seed", "1", "--out", "f.csv"],
+        cwd=tmp_path, env={**os.environ, "NOMA_SIM_WORKERS": "1"},
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rc"] == 0
+    sample = result["layers"]["channel.sample"]
+    assert sample["trials"] == 8 * trials
+    assert sample["calls"] == 8 * len(harness._leaves(0, trials))

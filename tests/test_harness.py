@@ -391,10 +391,11 @@ def test_run_keeps_row_statistics_per_chunk_on_two_workers(monkeypatch):
 
 def test_run_groups_points_by_geometry_trials_and_seed(monkeypatch):
     # each variant differs from the base point in one of d1, d2, alpha, seed,
-    # n_bs, m_ue1, k_ue2 and trials, and draws its own leaves; a point at
-    # another ps_dbm or sigma2_dbm shares the base point's draws.  References
-    # run each point alone with the same 128-trial leaves; their means must
-    # also equal those of one leaf.
+    # n_bs, m_ue1, k_ue2 and trials, and samples its own leaves (the n_bs = 3
+    # variant computes the unit draws that the base point reads a prefix
+    # of); a point at another ps_dbm or sigma2_dbm shares the base point's
+    # draws.  References run each point alone with the same 128-trial
+    # leaves; their means must also equal those of one leaf.
     base = FadingConfig(n_bs=2, d1=80.0, d2=200.0, alpha=3.0, ps_dbm=30.0)
     split = PowerSplit.from_b(0.4)
     same = [Point(f, "fnoma", _FNOMA_ALL, 512, 5, split)
@@ -440,7 +441,8 @@ def test_run_holds_one_leaf_at_a_time_in_process(monkeypatch):
 
     def sample(fading, seed, start, count):
         assert [t0 for t0, ref in earlier if t0 != start and ref() is not None] == []
-        assert [key[4:] for key in channel._kept or ()] in ([], [(start, count)])
+        kept = [(t0, n) for _seed, _m, _k, t0, n in channel._kept or ()]
+        assert kept in ([], [(start, count)])
         h, g = sample_channel_batch(fading, seed, start, count)
         earlier.extend((start, weakref.ref(x)) for x in (h, g))
         return h, g
@@ -479,6 +481,59 @@ def test_run_draws_figure_7_once_per_leaf_for_both_placements(monkeypatch):
     kept.clear()
     run_point(*points[0], workers=1)
     assert kept == [None, None]
+
+
+def test_run_draws_figure_2_once_per_leaf_for_every_bs_antenna_count(monkeypatch):
+    # figure 2's eight antenna counts share M, K, the trials and the seed,
+    # so each of the three leaves of 2 * _CHUNK + 1 trials computes the unit
+    # draws of N = 8 once, and every smaller N reads a prefix of them; every
+    # report equals that of a run of its point alone, at one and two workers
+    trials = 2 * harness._CHUNK + 1
+    _, grid, column_groups = figures._FIGURES[2]
+    points = [figures._point(entry, fading, split, r_th, trials, 3)
+              for n in grid for _, entries, fading, split, r_th in column_groups(n)
+              for entry in entries]
+    fresh = _reports(points, 1)
+    computed = []
+    unit_draws = channel._unit_draws
+
+    def count(*args):
+        computed.append(args[1:])
+        return unit_draws(*args)
+
+    monkeypatch.setattr(channel, "_unit_draws", count)
+    for workers in (1, 2):
+        with Run(workers, points) as run:
+            assert run.workers == workers
+            assert _reports(points, run) == fresh
+        if workers == 1:
+            assert computed == [(8 * 4, t0, n) for t0, n in harness._leaves(0, trials)]
+            assert len(computed) == 3
+
+
+@pytest.mark.parametrize("figure_id, bound_mib", [(7, 5), (2, 8)])
+def test_a_leaf_task_peaks_under_its_memory_bound(figure_id, bound_mib, monkeypatch):
+    # each leaf task of the figure at 32768 trials, run in this process
+    # under tracemalloc: what it allocates above what it started with;
+    # every figure point shares one shape group, so one task per leaf
+    peaks = []
+    simulate = harness._simulate_leaf
+
+    def traced(task):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        moments = simulate(task)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return moments
+
+    monkeypatch.setattr(harness, "_simulate_leaf", traced)
+    tracemalloc.start()
+    try:
+        figure_rows(figure_id, 32768, 1, workers=1)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < bound_mib * 2 ** 20
+    assert len(peaks) == len(harness._leaves(0, 32768))
 
 
 def test_run_writes_the_same_bits_at_one_two_and_three_workers(monkeypatch):
@@ -567,21 +622,22 @@ def test_run_starts_no_more_workers_than_chunks(monkeypatch):
         fn()
         return list(_InlinePool.sizes)
 
+    chunk = harness._CHUNK
     monkeypatch.setenv("NOMA_SIM_WORKERS", "64")
-    scn = _fnoma_scn(trials=16385)
+    scn = _fnoma_scn(trials=chunk + 1)
     assert pools_started(lambda: run_trials(scn)) == [2]
     assert run_trials(scn) == run_trials(scn, workers=1)
-    assert pools_started(lambda: run_trials(_fnoma_scn(trials=16384))) == []
+    assert pools_started(lambda: run_trials(_fnoma_scn(trials=chunk))) == []
     assert pools_started(lambda: sweep(scn, "ps_dbm", [10.0, 20.0])) == [2]
-    points = [ValidationPoint(_fnoma_scn(trials=t), 0.05) for t in (10, 2 * 16384 + 1)]
+    points = [ValidationPoint(_fnoma_scn(trials=t), 0.05) for t in (10, 2 * chunk + 1)]
     assert pools_started(lambda: validate_asymptotics(points)) == [3]
 
     monkeypatch.delenv("NOMA_SIM_WORKERS")
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     if hasattr(os, "sched_getaffinity"):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert Run(None, [harness._point(_fnoma_scn(trials=10 * 16384))]).workers == 2
-    assert Run(None, [harness._point(_fnoma_scn(trials=16384))]).workers == 1
+        assert Run(None, [harness._point(_fnoma_scn(trials=10 * chunk))]).workers == 2
+    assert Run(None, [harness._point(_fnoma_scn(trials=chunk))]).workers == 1
 
 
 # --- sweeps ---------------------------------------------------------------------
