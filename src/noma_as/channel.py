@@ -23,9 +23,10 @@ realization is a batch of one.  Its unit draws ``-ln u`` depend on the seed,
 the antenna counts and the trials alone; a geometry only divides them by its
 ``omega``.  Trial t's i-th draw is word i of its blocks whatever the antenna
 counts, so the N*(M+K) draws of N BS antennas are the first N*(M+K) of any
-larger N's.  Geometries that share the seed, M, K and the trials therefore
-share one computation of the draws, a smaller N reading a prefix of the
-draws kept (``_keep_unit_draws``).
+larger N's.  Geometries that share the seed, M, K and the trials can
+therefore share one computation of the draws: a caller that shares them
+computes ``_unit_draws`` for the largest N and passes the array as
+``sample_channel_batch``'s ``draws``, and a smaller N scales a prefix of it.
 """
 
 from __future__ import annotations
@@ -235,40 +236,21 @@ def _gains_from_unit_draws(x, cfg: FadingConfig):
     return h, g
 
 
-# While on, the unit draws `sample_channel_batch` last drew, keyed by what
-# they depend on but N: None when off, else {} or {(seed, M, K, start,
-# count): draws}.
-_kept = None
-
-
-def _keep_unit_draws(on: bool):
-    """Turn on (or off, dropping them) the keeping of the unit draws.
-
-    The unit draws of a batch depend on the seed, the antenna counts and the
-    trials alone, not on the distances or the path-loss exponent, which only
-    divide them.  While keeping is on, `sample_channel_batch` keeps the
-    draws of its last call that drew, and a call for another geometry with
-    the same seed, M, K and trials and no larger N rescales the first
-    N*(M+K) rows of them instead of drawing again.
-    """
-    global _kept
-    _kept = {} if on else None
-
-
-def sample_channel_batch(cfg: FadingConfig, seed: int, start: int, count: int):
+def sample_channel_batch(cfg: FadingConfig, seed: int, start: int, count: int, *,
+                         draws=None):
     """Stacked draws for trials start .. start+count-1.
 
     Returns (h, g) with shapes (count, N, M) and (count, N, K), the trial
-    axis fastest in memory: the unit draws of ``_unit_draws`` (or the first
-    rows of the ones kept, see ``_keep_unit_draws``) divided by ``omega_h``
-    and ``omega_g``.
+    axis fastest in memory: the unit draws of ``_unit_draws`` divided by
+    ``omega_h`` and ``omega_g``.  ``draws``, if given, are those unit draws
+    for this or a larger N, with at least N*(M+K) rows and ``count``
+    columns, and their first N*(M+K) rows are scaled instead of drawing.
     """
     n, m, k = cfg.n_bs, cfg.m_ue1, cfg.k_ue2
-    total, key = n * (m + k), (seed, m, k, start, count)
-    x = None if _kept is None else _kept.get(key)
-    if x is None or len(x) < total:
-        x = _unit_draws(seed, total, start, count)
-        if _kept is not None:
-            _kept.clear()
-            _kept[key] = x
-    return _gains_from_unit_draws(x[:total], cfg)
+    total = n * (m + k)
+    if draws is None:
+        draws = _unit_draws(seed, total, start, count)
+    elif draws.shape[1:] != (count,) or len(draws) < total:
+        raise ValueError(f"draws of shape {draws.shape}: need at least {total} rows "
+                         f"and {count} columns")
+    return _gains_from_unit_draws(draws[:total], cfg)

@@ -24,11 +24,13 @@ groups them by what their draws depend on: the user antenna counts M and K,
 the trial count and the seed.  The draws of N BS antennas are the first
 N*(M+K) of any larger N's, so N is not part of the key.  One task
 (`_simulate_leaf`) is one leaf of one such shape group.  It runs each
-geometry (N, d1, d2, alpha) of the group in turn, largest N first,
-rescaling one computation of the leaf's unit-rate exponentials, or a prefix
-of them (`channel._keep_unit_draws`); the last geometry is scaled with the
-one before it, so a task holds the draws and one geometry's gains, or the
-last two geometries' gains.  Per geometry it takes the row maxima
+geometry (N, d1, d2, alpha) of the group in turn, largest N first.  A task
+of more than one geometry computes the leaf's unit-rate exponentials once,
+for its largest N (`channel._unit_draws`), and passes them to the sampler
+of every geometry, which rescales them or a prefix of them; the last
+geometry is scaled with the one before it and the draws are then dropped,
+so a task holds the draws and one geometry's gains, or the last two
+geometries' gains.  Per geometry it takes the row maxima
 (`selection.row_stats`) and makes each choice that does not read rho, split
 or r_th (`Policy.depends`) once, with its gains; random's reads only N and
 the shape group and is drawn once per leaf and N.  Then each point of the
@@ -48,8 +50,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (ConfigurationError, FadingConfig, _is_int, _keep_unit_draws,
-                      largest_gain, sample_channel_batch)
+from . import channel
+from .channel import (ConfigurationError, FadingConfig, _is_int, largest_gain,
+                      sample_channel_batch)
 from .rates import PowerSplit, _jain, cr_rates, fnoma_pair_rates, oma_pair_rates, qos_epsilon
 from .selection import POLICIES, row_stats
 
@@ -182,22 +185,21 @@ def _simulate_leaf(task):
     policy stacked on axis 1, so moments[0] are the sums and moments[1] the
     M2."""
     seed, t0, count, geometries = task
+    first = geometries[0][0]  # the largest N, whose unit draws every geometry shares
+    draws = (channel._unit_draws(seed, first.n_bs * (first.m_ue1 + first.k_ue2), t0, count)
+             if len(geometries) > 1 else None)
     ahead = None  # the last geometry's gains, scaled with the one before it
     drawn = {}  # (mode, policy, N) -> its "shape" choice
     out = []
-    _keep_unit_draws(len(geometries) > 1)
-    try:
-        for i, (geometry, points) in enumerate(geometries):
-            gains = ahead or sample_channel_batch(geometry, seed, t0, count)
-            if i + 2 == len(geometries):
-                ahead = sample_channel_batch(geometries[-1][0], seed, t0, count)
-                _keep_unit_draws(False)
-            h, g = gains
-            rows, chosen = row_stats(h, g), {}
-            out += [_simulate_point(h, g, rows, point, seed, t0, chosen, drawn)
-                    for point in points]
-    finally:
-        _keep_unit_draws(False)
+    for i, (geometry, points) in enumerate(geometries):
+        gains = ahead or sample_channel_batch(geometry, seed, t0, count, draws=draws)
+        if i + 2 == len(geometries):
+            ahead = sample_channel_batch(geometries[-1][0], seed, t0, count, draws=draws)
+            draws = None
+        h, g = gains
+        rows, chosen = row_stats(h, g), {}
+        out += [_simulate_point(h, g, rows, point, seed, t0, chosen, drawn)
+                for point in points]
     return out
 
 

@@ -8,8 +8,12 @@ the channel, and an equal-time orthogonal baseline.
 Role assignment is per realization: UE1 is the strong user when its gain is
 at least the UE2 gain (``h >= g``; ties deliberately resolve to UE1 so the
 mapping is deterministic).  The coefficient ``b`` always rides on the strong
-user's signal and ``a = 1 - b`` on the weak user's.  The high-SNR
-simplifications live only in the closed forms of ``analytics``.
+user's signal and ``a = 1 - b`` on the weak user's.  One kernel,
+`_fnoma_rates`, evaluates the fixed-power formulas: the strong form on the
+larger gain and the weak form on the smaller.  `fnoma_pair_rates` assigns
+the two by gain order and the exhaustive search's `_fnoma_sum_rate` adds
+them.  The high-SNR simplifications live only in the closed forms of
+``analytics``.
 
 All functions are ufunc-based: they accept scalars or broadcast-compatible
 arrays, and return Python floats for pure-scalar input.  Rates are bit/s/Hz
@@ -18,11 +22,11 @@ arrays, and return Python floats for pure-scalar input.  Rates are bit/s/Hz
 The CR-NOMA rate path is coefficient-free.  The QoS-driven split pins UE2's
 SINR at eps = 2**r_th - 1 wherever it can and otherwise gives UE2 all the
 power, in either gain order, so r2 = min(log2(1 + rho*g), r_th).  UE1's rate
-takes the forms of `_cr_secondary_rate`, one log and no branch.  These equal
-the formulas under the clipped split coefficient in exact arithmetic and
-round differently, by a few ulps.  The coefficient itself is computed only
-by the test oracles (``ref_cr_power_split`` and ``cr_rates_mp`` in
-``tests/oracles.py``).
+takes the forms of `_cr_secondary_rate`, one log and no branch, from an eps
+its caller has checked.  These equal the formulas under the clipped split
+coefficient in exact arithmetic and round differently, by a few ulps.  The
+coefficient itself is computed only by the test oracles
+(``ref_cr_power_split`` and ``cr_rates_mp`` in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -59,22 +63,27 @@ def qos_epsilon(r_th):
     return np.exp2(r_th) - 1.0
 
 
-def _strong_sinr(x, b, rho):
-    # decoded after interference cancellation
-    return rho * b * x
+def _fnoma_rates(x, y, a, b, rho):
+    """The strong-form rate log2(1 + rho*b*max(x, y)), decoded after
+    interference cancellation, and the weak-form rate log2(1 + a*min(x, y)
+    / (b*min(x, y) + 1/rho)), decoded while treating the strong user's
+    signal as noise; unchecked.
 
-
-def _weak_sinr(x, a, b, rho):
-    # decoded while treating the strong user's signal as noise
-    return a * x / (b * x + 1.0 / rho)
-
-
-def _pair(h, g, d, a, b, rho):
-    """(r1, r2): one strong rate on max(h, g) and one weak rate on
-    min(h, g), two logs in all, each UE's rate then selected by d = h >= g."""
-    strong = np.log2(1.0 + _strong_sinr(np.maximum(h, g), b, rho))
-    weak = np.log2(1.0 + _weak_sinr(np.minimum(h, g), a, b, rho))
-    return RatePair(_out(np.where(d, strong, weak)), _out(np.where(d, weak, strong)))
+    Evaluated in place in three buffers of the broadcast shape, so the
+    exhaustive search's (M, K, T) grid takes no further full-size temporary.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, (x, y, a, b, rho)))
+    strong = np.maximum(x, y, out=np.empty(shape))
+    strong *= rho * b
+    strong += 1.0
+    np.log2(strong, out=strong)
+    weak_x = np.minimum(x, y, out=np.empty(shape))
+    weak = np.multiply(a, weak_x, out=np.empty(shape))
+    weak_x *= b
+    weak_x += 1.0 / rho
+    weak /= weak_x
+    weak += 1.0
+    return strong, np.log2(weak, out=weak)
 
 
 def fnoma_pair_rates(h, g, split: PowerSplit, rho) -> RatePair:
@@ -88,29 +97,16 @@ def fnoma_pair_rates(h, g, split: PowerSplit, rho) -> RatePair:
         raise ValueError(f"fixed-power mode needs a >= b, got a={a}, b={b}")
     if not rho > 0:
         raise ValueError("rho must be positive")
-    return _pair(h, g, np.greater_equal(h, g), a, b, rho)
+    d = np.greater_equal(h, g)
+    strong, weak = _fnoma_rates(h, g, a, b, rho)
+    return RatePair(_out(np.where(d, strong, weak)), _out(np.where(d, weak, strong)))
 
 
 def _fnoma_sum_rate(x, y, b, rho):
     """r1 + r2 of `fnoma_pair_rates` for the gains x and y in either order,
-    unchecked: the strong form on max(x, y), the weak form on min(x, y).
-
-    Evaluated in place in three buffers of the broadcast shape, with the
-    operations of `_strong_sinr` and `_weak_sinr` in their order, so the
-    exhaustive search's (M, K, T) grid takes no further full-size temporary.
-    """
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(b), np.shape(rho))
-    strong = np.maximum(x, y, out=np.empty(shape))
-    strong *= rho * b
-    strong += 1.0
-    np.log2(strong, out=strong)
-    weak_x = np.minimum(x, y, out=np.empty(shape))
-    weak = np.multiply(1.0 - b, weak_x, out=np.empty(shape))
-    weak_x *= b
-    weak_x += 1.0 / rho
-    weak /= weak_x
-    weak += 1.0
-    strong += np.log2(weak, out=weak)
+    with a = 1 - b, unchecked."""
+    strong, weak = _fnoma_rates(x, y, 1.0 - b, b, rho)
+    strong += weak
     return strong
 
 
@@ -148,13 +144,13 @@ def cr_rates(h, g, rho, r_th) -> RatePair:
     computed without the split (see the module docstring): r2 is
     min(log2(1 + rho*g), r_th) and r1 is `_cr_secondary_rate`.
     """
-    r1 = _cr_secondary_rate(h, g, rho, r_th)
+    r1 = _cr_secondary_rate(h, g, rho, _checked_epsilon(rho, r_th))
     with np.errstate(over="ignore"):  # rho * g = inf reads as the floor
         r2 = np.minimum(np.log2(1.0 + rho * g), r_th, out=np.empty(np.shape(r1)))
     return RatePair(_out(r1), _out(r2))
 
 
-def _cr_secondary_rate(h, g, rho, r_th):
+def _cr_secondary_rate(h, g, rho, eps):
     """The r1 of `cr_rates`, which the CR-NOMA search also maximizes:
     log2(max(S, W)) with S = 1 + h*(max(rho - eps/g, 0)/(eps + 1)) and
     W = (1 + rho*h)/(1 + h*(eps/g)).
@@ -167,9 +163,8 @@ def _cr_secondary_rate(h, g, rho, r_th):
     no mask is needed.  eps/g and the strong-user share stay at g's shape,
     so the search's (M, K, T) grid takes two full-size buffers.  eps/g = inf
     (g -> 0 or a huge eps) makes W 0 or NaN where S = 1, which fmax reads
-    as 1.
+    as 1.  Unchecked: eps = 2**r_th - 1 comes from the caller.
     """
-    eps = _checked_epsilon(rho, r_th)
     g_shape = np.broadcast_shapes(np.shape(g), np.shape(rho), np.shape(eps))
     shape = np.broadcast_shapes(np.shape(h), g_shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -63,7 +63,7 @@ import numpy as np
 
 from . import analytics
 from .channel import POLICY_DOMAIN, _LOW32, _philox_block, _trial_counters
-from .rates import _cr_secondary_rate, _fnoma_sum_rate
+from .rates import _cr_secondary_rate, _fnoma_sum_rate, qos_epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,8 @@ def _es_crnoma_triples(h, g, rows, rho, r_th, pick=True):
     Infeasible triples carry r1 = 0, so they are admissible but dominated;
     an all-infeasible trial picks (0, 0, 0).
     """
-    return _es_triples(h, g, rows, lambda x, y: _cr_secondary_rate(x, y, rho, r_th), pick)
+    eps = qos_epsilon(r_th)
+    return _es_triples(h, g, rows, lambda x, y: _cr_secondary_rate(x, y, rho, eps), pick)
 
 
 def _random_triples(n_dim, m_dim, k_dim, seed, start, count):

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 import oracles
-from noma_as import (ConfigurationError, FadingConfig, channel, omega_from_distance,
+from noma_as import (ConfigurationError, FadingConfig, omega_from_distance,
                      sample_channel_batch, transmit_snr)
 from noma_as.channel import (_PHILOX_M, _gains_from_unit_draws, _mulhilo, _neg_log,
                              _philox_block, _unit_draws)
@@ -196,28 +196,23 @@ def test_unit_draws_of_fewer_bs_antennas_are_a_prefix(seed, start):
         assert np.array_equal(_unit_draws(seed, n * 3, start, 9), largest[:n * 3])
 
 
-def test_kept_draws_serve_every_smaller_bs_antenna_count(monkeypatch):
-    # N = 4 draws, N = 1 reads a prefix of them, N = 8 draws again and
-    # replaces them, and N = 8 and N = 1 read what it drew; every gain
-    # equals that of a fresh batch
+def test_kept_draws_serve_every_smaller_bs_antenna_count():
+    # the unit draws of N = 8, computed once and passed as draws, give every
+    # N up to 8 the gains of a fresh batch, which reads their first N*(M+K)
+    # rows; draws of too few rows or other trials are refused
     def cfg(n):
         return FadingConfig(n_bs=n, m_ue1=2, k_ue2=1, d1=50.0)
 
-    fresh = {n: sample_channel_batch(cfg(n), 3, 5, 9) for n in (1, 4, 8)}
-    drawn = []
-    unit_draws = channel._unit_draws
-    monkeypatch.setattr(channel, "_unit_draws",
-                        lambda seed, total, *args: drawn.append(total)
-                        or unit_draws(seed, total, *args))
-    channel._keep_unit_draws(True)
-    try:
-        for n in (4, 1, 8, 8, 1):
-            h, g = sample_channel_batch(cfg(n), 3, 5, 9)
-            assert np.array_equal(h, fresh[n][0]) and np.array_equal(g, fresh[n][1])
-        sample_channel_batch(cfg(1), 3, 6, 9)  # other trials draw their own
-    finally:
-        channel._keep_unit_draws(False)
-    assert drawn == [12, 24, 3]
+    draws = _unit_draws(3, 8 * 3, 5, 9)
+    kept = draws.copy()
+    for n in (1, 4, 8):
+        h, g = sample_channel_batch(cfg(n), 3, 5, 9, draws=draws)
+        fresh_h, fresh_g = sample_channel_batch(cfg(n), 3, 5, 9)
+        assert np.array_equal(h, fresh_h) and np.array_equal(g, fresh_g)
+    assert draws.tobytes() == kept.tobytes()
+    for bad in (draws[:4 * 3 - 1], draws[:, :8], draws[:, None], draws[0]):
+        with pytest.raises(ValueError, match="draws"):
+            sample_channel_batch(cfg(4), 3, 5, 9, draws=bad)
 
 
 def test_gains_strictly_positive_and_finite():

@@ -417,9 +417,9 @@ def test_run_groups_points_by_geometry_trials_and_seed(monkeypatch):
     def geometry(fading):
         return fading.n_bs, fading.m_ue1, fading.k_ue2, fading.d1, fading.d2, fading.alpha
 
-    def sample(fading, seed, start, count):
+    def sample(fading, seed, start, count, draws=None):
         sampled.append((geometry(fading), seed, start, count))
-        return sample_channel_batch(fading, seed, start, count)
+        return sample_channel_batch(fading, seed, start, count, draws=draws)
 
     monkeypatch.setattr(harness, "sample_channel_batch", sample)
     with Run(1, points) as run:
@@ -434,53 +434,56 @@ def test_run_groups_points_by_geometry_trials_and_seed(monkeypatch):
 def test_run_holds_one_leaf_at_a_time_in_process(monkeypatch):
     # figure 7 in four leaves at one worker, both placements of a leaf
     # sampled together: when a leaf is sampled, the gains of every earlier
-    # leaf are gone, and the unit draws kept, if any, are the leaf's own
+    # leaf are gone, and the unit draws handed over, if any, are the leaf's own
     monkeypatch.setattr(harness, "_CHUNK", 128)
     assert len(harness._leaves(0, 512)) == 4
     earlier = []
 
-    def sample(fading, seed, start, count):
+    def sample(fading, seed, start, count, draws=None):
         assert [t0 for t0, ref in earlier if t0 != start and ref() is not None] == []
-        kept = [(t0, n) for _seed, _m, _k, t0, n in channel._kept or ()]
-        assert kept in ([], [(start, count)])
-        h, g = sample_channel_batch(fading, seed, start, count)
+        if draws is not None:
+            own = channel._unit_draws(seed, len(draws), start, count)
+            assert draws.tobytes() == own.tobytes()
+            handed.append(start)
+        h, g = sample_channel_batch(fading, seed, start, count, draws=draws)
         earlier.extend((start, weakref.ref(x)) for x in (h, g))
         return h, g
 
+    handed = []
     monkeypatch.setattr(harness, "sample_channel_batch", sample)
     axis, rows = figure_rows(7, 512, 1, workers=1)
     assert len(earlier) == 2 * 2 * 4 and len(rows) == 9
+    assert handed == [t0 for t0, _ in harness._leaves(0, 512) for _ in range(2)]
 
 
 def test_run_draws_figure_7_once_per_leaf_for_both_placements(monkeypatch):
     # the two placements differ only in d1 and d2, so the unit draws of each
     # of the two leaves are computed once, not once per placement; every
     # report equals that of a run of its point alone, and a run of one
-    # geometry keeps no unit draws while it samples
+    # geometry hands the sampler no unit draws
     monkeypatch.setattr(harness, "_CHUNK", 128)
     points = [Point(fading, "crnoma", _CR_ALL, 256, 2, r_th=5.0)
               for ps in _PS_GRID
               for *_, fading, _, _ in figures._two_placements(float(ps), 5.0)]
     fresh = _reports(points, 1)
-    computed, kept = [], []
+    computed, handed = [], []
     unit_draws = channel._unit_draws
 
     def count(*args):
         computed.append(args)
         return unit_draws(*args)
 
-    def sample(fading, seed, start, count):
-        kept.append(channel._kept)
-        return sample_channel_batch(fading, seed, start, count)
+    def sample(fading, seed, start, count, draws=None):
+        handed.append(draws)
+        return sample_channel_batch(fading, seed, start, count, draws=draws)
 
     monkeypatch.setattr(channel, "_unit_draws", count, raising=False)
     with Run(1, points) as run:
         assert _reports(points, run) == fresh
-    assert len(computed) == 2 and channel._kept is None
+    assert len(computed) == 2
     monkeypatch.setattr(harness, "sample_channel_batch", sample)
-    kept.clear()
     run_point(*points[0], workers=1)
-    assert kept == [None, None]
+    assert handed == [None, None]
 
 
 def test_run_draws_figure_2_once_per_leaf_for_every_bs_antenna_count(monkeypatch):
@@ -509,6 +512,39 @@ def test_run_draws_figure_2_once_per_leaf_for_every_bs_antenna_count(monkeypatch
         if workers == 1:
             assert computed == [(8 * 4, t0, n) for t0, n in harness._leaves(0, trials)]
             assert len(computed) == 3
+
+
+def test_a_leaf_drops_its_draws_before_its_last_geometry_runs(monkeypatch):
+    # figure 7 in four leaves, two placements each: the last geometry is
+    # scaled with the one before it and the leaf's unit draws are dropped
+    # then, so they are gone before any point of the last geometry runs
+    monkeypatch.setattr(harness, "_CHUNK", 128)
+    shared, last, checked = {}, [], []
+    unit_draws, simulate_leaf = channel._unit_draws, harness._simulate_leaf
+    simulate_point = harness._simulate_point
+
+    def draw(seed, total, start, count):
+        x = unit_draws(seed, total, start, count)
+        shared[start] = weakref.ref(x)
+        return x
+
+    def leaf(task):
+        last[:] = task[3][-1][1]
+        return simulate_leaf(task)
+
+    def point(h, g, rows, pt, seed, t0, *args):
+        if pt in last:
+            assert shared[t0]() is None
+            checked.append(t0)
+        return simulate_point(h, g, rows, pt, seed, t0, *args)
+
+    monkeypatch.setattr(channel, "_unit_draws", draw)
+    monkeypatch.setattr(harness, "_simulate_leaf", leaf)
+    monkeypatch.setattr(harness, "_simulate_point", point)
+    figure_rows(7, 512, 1, workers=1)
+    leaves = [t0 for t0, _ in harness._leaves(0, 512)]
+    assert sorted(shared) == leaves and sorted(set(checked)) == leaves
+    assert len(checked) == len(leaves) * len(last)
 
 
 @pytest.mark.parametrize("figure_id, bound_mib", [(7, 5), (2, 8)])
