@@ -35,7 +35,7 @@ from .harness import (ConfigurationError, RateReport, Scenario,
                       ValidationPoint, ValidationResult, apply_axis,
                       load_scenario, load_validation_grid, run_point,
                       run_trials, sweep, validate_asymptotics)
-from .rates import (PowerSplit, RatePair, cr_rates, fnoma_pair_rates,
-                    oma_pair_rates, qos_epsilon)
+from .rates import (RatePair, cr_rates, fnoma_pair_rates, oma_pair_rates,
+                    qos_epsilon)
 
 __version__ = "0.1.0"

@@ -213,10 +213,18 @@ def _prob_h_ge_g(nm: int, nk: int, omega_h: float, omega_g: float) -> float:
 
 
 def _cr_secondary_summand(io, jo, eps, rho):
+    """One summand of `_cr_secondary_series`.  Within 1e-9 of io = eps*jo,
+    its singular part eps*jo/(io - eps*jo) * ln((eps + 1)*jo/(io + jo)) is
+    taken as -eps/(eps + 1) * log1p(u)/u, u = (io - eps*jo)/((eps + 1)*jo),
+    which cancels nothing and is -eps/(eps + 1) at u = 0."""
     num = (eps + 1.0) * jo
     den = io - eps * jo
-    return (eps * jo / den * math.log(num / (io + jo))
-            - math.log(io / rho) - EULER_GAMMA)
+    if abs(den) <= 1e-9 * max(io, eps * jo):
+        u = den / num
+        singular = -eps / (eps + 1.0) * (math.log1p(u) / u if u else 1.0)
+    else:
+        singular = eps * jo / den * math.log(num / (io + jo))
+    return singular - math.log(io / rho) - EULER_GAMMA
 
 
 def _cr_secondary_series(i_max, j_max, cfg) -> AnalyticResult:
@@ -224,8 +232,8 @@ def _cr_secondary_series(i_max, j_max, cfg) -> AnalyticResult:
     best-of-j_max UE2 gain, both orderings integrated out.
 
     The summand has a removable singularity at i*omega_h = eps*j*omega_g;
-    it is evaluated there as the mean of a symmetric 1e-9 relative
-    perturbation (the expression is continuous across the point).
+    near it, `_cr_secondary_summand` takes the singular part in its log1p
+    form, which is exact at the point and cancels nothing around it.
     """
     if cfg.epsilon is None:
         raise ValueError("secondary-rate series needs cfg.epsilon")
@@ -238,12 +246,7 @@ def _cr_secondary_series(i_max, j_max, cfg) -> AnalyticResult:
         for j in range(1, j_max + 1):
             jo = j * og
             sign = float((-1) ** (i + j) * math.comb(i_max, i) * math.comb(j_max, j))
-            if abs(io - eps * jo) <= 1e-9 * max(io, eps * jo):
-                core = 0.5 * (_cr_secondary_summand(io * (1 + 1e-9), jo, eps, rho)
-                              + _cr_secondary_summand(io * (1 - 1e-9), jo, eps, rho))
-            else:
-                core = _cr_secondary_summand(io, jo, eps, rho)
-            terms.append(sign * core)
+            terms.append(sign * _cr_secondary_summand(io, jo, eps, rho))
     return AnalyticResult(math.fsum(terms) / _LN2, i_max * j_max)
 
 

@@ -16,7 +16,6 @@ from .analytics import (a3_avg_sum_rate, aia_avg_sum_rate,  # noqa: F401
                         su_avg_secondary_rate)
 from .channel import FadingConfig
 from .harness import ConfigurationError, Point, Run, run_point
-from .rates import PowerSplit
 from .selection import POLICIES
 
 _PS_GRID = tuple(range(0, 45, 5))
@@ -29,16 +28,16 @@ _RTH_GRID = tuple(float(r) for r in range(1, 9))
 FIGURE_IDS = tuple(range(1, 9))
 
 
-def _point(entry, fading, split, r_th, trials, seed):
+def _point(entry, fading, b, r_th, trials, seed):
     """The `Point` of a column group's mode entry: every policy of the mode,
     reading the metric its columns show, or for "jain" (figure 5) the fnoma
     policies a3 and aia, reading their mean Jain fairness."""
     if entry == "jain":
-        return Point(fading, "fnoma", ("a3", "aia"), trials, seed, split, r_th,
+        return Point(fading, "fnoma", ("a3", "aia"), trials, seed, b, r_th,
                      ("mean_fairness",))
     policies = tuple(p for m, p in POLICIES if m == entry)
     reads = tuple(dict.fromkeys(POLICIES[entry, p].metric for p in policies))
-    return Point(fading, entry, policies, trials, seed, split, r_th, reads)
+    return Point(fading, entry, policies, trials, seed, b, r_th, reads)
 
 
 def _columns(entry, point, reports):
@@ -54,7 +53,7 @@ def _columns(entry, point, reports):
             cols[policy.column] = value
         else:
             cols[f"{policy.column}_sim"] = value
-            cols[f"{policy.column}_analytic"] = policy.closed_form(point.fading, point.split,
+            cols[f"{policy.column}_analytic"] = policy.closed_form(point.fading, point.b,
                                                                    point.r_th)
     return cols
 
@@ -66,22 +65,20 @@ def _two_placements(ps_dbm, r_th):
             for suffix, d1, d2 in (("_ue1near", 80.0, 200.0), ("_ue2near", 200.0, 80.0))]
 
 
-_B04 = PowerSplit.from_b(0.4)
-
-# figure id -> (axis, grid, x -> [(suffix, mode entries, fading, split, r_th)]):
+# figure id -> (axis, grid, x -> [(suffix, mode entries, fading, b, r_th)]):
 # each column group runs every mode entry on shared draws and names its
 # columns with the group's suffix
 _FIGURES = {
     1: ("ps_dbm", _PS_GRID, lambda ps: [
-        ("", ("fnoma", "oma"), FadingConfig(n_bs=2, ps_dbm=float(ps)), _B04, None)]),
+        ("", ("fnoma", "oma"), FadingConfig(n_bs=2, ps_dbm=float(ps)), 0.4, None)]),
     2: ("n_bs", _N_GRID, lambda n: [
-        ("", ("fnoma", "oma"), FadingConfig(n_bs=n, ps_dbm=10.0), _B04, None)]),
+        ("", ("fnoma", "oma"), FadingConfig(n_bs=n, ps_dbm=10.0), 0.4, None)]),
     3: ("d2", _D2_GRID, lambda d2: [
-        ("", ("fnoma", "oma"), FadingConfig(n_bs=2, d2=d2, ps_dbm=10.0), _B04, None)]),
+        ("", ("fnoma", "oma"), FadingConfig(n_bs=2, d2=d2, ps_dbm=10.0), 0.4, None)]),
     4: ("b", _B_GRID, lambda b: [
-        ("", ("fnoma",), FadingConfig(n_bs=2, ps_dbm=10.0), PowerSplit.from_b(b), None)]),
+        ("", ("fnoma",), FadingConfig(n_bs=2, ps_dbm=10.0), b, None)]),
     5: ("b", _B_GRID, lambda b: [
-        ("", ("jain",), FadingConfig(n_bs=4, ps_dbm=20.0), PowerSplit.from_b(b), None)]),
+        ("", ("jain",), FadingConfig(n_bs=4, ps_dbm=20.0), b, None)]),
     6: ("d1", _D1_GRID, lambda d1: [
         ("", ("crnoma",), FadingConfig(n_bs=4, d1=d1, ps_dbm=20.0), None, 5.0)]),
     7: ("ps_dbm", _PS_GRID, lambda ps: _two_placements(float(ps), 5.0)),
@@ -97,8 +94,8 @@ def _figure_run(figure_id: int, trials: int, seed: int, workers):
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
     axis, grid, column_groups = _FIGURES[figure_id]
-    plan = [(x, [(suffix, entry, _point(entry, fading, split, r_th, trials, seed))
-                 for suffix, entries, fading, split, r_th in column_groups(x)
+    plan = [(x, [(suffix, entry, _point(entry, fading, b, r_th, trials, seed))
+                 for suffix, entries, fading, b, r_th in column_groups(x)
                  for entry in entries])
             for x in grid]
     checked = Run(workers, [point for _, groups in plan for _, _, point in groups])

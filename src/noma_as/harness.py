@@ -31,8 +31,8 @@ of every geometry, which rescales them or a prefix of them; the last
 geometry is scaled with the one before it and the draws are then dropped,
 so a task holds the draws and one geometry's gains, or the last two
 geometries' gains.  Per geometry it takes the row maxima
-(`selection.row_stats`) and makes each choice that does not read rho, split
-or r_th (`Policy.depends`) once, with its gains; random's reads only N and
+(`selection.row_stats`) and makes each choice that does not read rho, b or
+r_th (`Policy.depends`) once, with its gains; random's reads only N and
 the shape group and is drawn once per leaf and N.  Then each point of the
 geometry runs its searches, rate formulas and reduction on the arrays a
 fresh draw and selection would have produced, so no bit of any report
@@ -53,7 +53,7 @@ import numpy as np
 from . import channel
 from .channel import (ConfigurationError, FadingConfig, _is_int, largest_gain,
                       sample_channel_batch)
-from .rates import PowerSplit, _jain, cr_rates, fnoma_pair_rates, oma_pair_rates, qos_epsilon
+from .rates import _jain, cr_rates, fnoma_pair_rates, oma_pair_rates, qos_epsilon
 from .selection import POLICIES, row_stats
 
 # Largest leaf.  numpy's pairwise sum splits only above 128, so >= 128.  A
@@ -66,12 +66,13 @@ ASYMPTOTIC_MIN_RHO = 1e8  # below this the high-SNR closed forms are not claimed
 @dataclass(frozen=True)
 class Scenario:
     """One fully specified simulation: fading statistics, access mode,
-    selection policy, policy parameters, trial count and seed."""
+    selection policy, policy parameters (the fnoma power split b, the strong
+    user's share, and the crnoma rate floor r_th), trial count and seed."""
 
     fading: FadingConfig
     mode: str
     policy: str
-    split: PowerSplit | None = None
+    b: float | None = None
     r_th: float | None = None
     trials: int = 100_000
     seed: int = 0
@@ -80,15 +81,13 @@ class Scenario:
         if (self.mode, self.policy) not in POLICIES:
             raise ConfigurationError(f"(mode, policy) = {(self.mode, self.policy)} is "
                                      f"not one of {list(POLICIES)}")
+        if self.b is not None and not 0.0 <= self.b <= 1.0:
+            raise ConfigurationError(f"b = {self.b}: need 0 <= b <= 1", ("b",))
         if self.mode == "fnoma":
-            if self.split is None:
+            if self.b is None:
                 raise ConfigurationError("fnoma scenarios need a power split (key b)")
-            if not (self.split.b > 0 and self.split.a >= self.split.b):
-                raise ConfigurationError(f"b = {self.split.b}: fnoma needs 0 < b <= 0.5",
-                                         ("b",))
-            if self.split.a != 1.0 - self.split.b:  # the es objective takes a = 1 - b
-                raise ConfigurationError(f"b = {self.split.b}, a = {self.split.a}: fnoma "
-                                         f"needs a = 1 - b", ("b",))
+            if not 0.0 < self.b <= 0.5:
+                raise ConfigurationError(f"b = {self.b}: fnoma needs 0 < b <= 0.5", ("b",))
         if self.mode == "crnoma":
             if self.r_th is None:
                 raise ConfigurationError("crnoma scenarios need a rate floor (key r_th)")
@@ -169,14 +168,14 @@ class Point(NamedTuple):
     policies: tuple
     trials: int
     seed: int
-    split: PowerSplit | None = None
+    b: float | None = None
     r_th: float | None = None
     reads: tuple = QUANTITIES
 
 
 def _point(scn: Scenario, reads=QUANTITIES) -> Point:
-    return Point(scn.fading, scn.mode, (scn.policy,), scn.trials, scn.seed, scn.split,
-                 scn.r_th, reads)
+    return Point(scn.fading, scn.mode, (scn.policy,), scn.trials, scn.seed, scn.b, scn.r_th,
+                 reads)
 
 
 def _simulate_leaf(task):
@@ -209,7 +208,7 @@ def _simulate_point(h, g, rows, point, seed, t0, chosen, drawn):
     leaf's "shape" choices, `chosen` the geometry's other choices that do
     not read the point, each with its gains once taken."""
     mode, reads = point.mode, point.reads
-    kwargs = dict(rows=rows, rho=point.fading.rho, split=point.split, r_th=point.r_th,
+    kwargs = dict(rows=rows, rho=point.fading.rho, b=point.b, r_th=point.r_th,
                   seed=seed, t0=t0)
     policies = [POLICIES[mode, name] for name in point.policies]
     search = next((p for p in policies if p.optimum and reads == (p.metric,)), None)
@@ -238,7 +237,7 @@ def _simulate_point(h, g, rows, point, seed, t0, chosen, drawn):
             gains = made[1] = policy.gains(choice, h, g, rows)
         h_sel, g_sel = gains
         if mode == "fnoma":
-            r1, r2 = fnoma_pair_rates(h_sel, g_sel, point.split, point.fading.rho)
+            r1, r2 = fnoma_pair_rates(h_sel, g_sel, point.b, point.fading.rho)
         elif mode == "oma":
             r1, r2 = oma_pair_rates(h_sel, g_sel, point.fading.rho)
         else:
@@ -287,8 +286,8 @@ class Run:
                 raise ConfigurationError(f"reads = {reads!r}: need distinct names from "
                                          f"{QUANTITIES}")
             for policy in point.policies:
-                Scenario(point.fading, point.mode, policy, split=point.split,
-                         r_th=point.r_th, trials=point.trials, seed=point.seed)
+                Scenario(point.fading, point.mode, policy, b=point.b, r_th=point.r_th,
+                         trials=point.trials, seed=point.seed)
         self.workers = min(_resolve_workers(workers),
                            max((len(_leaves(0, p.trials)) for p in points), default=1))
         self._groups = {}  # (M, K, trials, seed) -> {geometry: [point, ...]}
@@ -382,7 +381,7 @@ def _report(trials, sums, m2, eval_count, reads):
     )
 
 
-def run_point(fading, mode, policies, trials, seed, split=None, r_th=None,
+def run_point(fading, mode, policies, trials, seed, b=None, r_th=None,
               reads=QUANTITIES, workers=None):
     """Evaluate several policies on the same `trials` realizations.
 
@@ -391,7 +390,7 @@ def run_point(fading, mode, policies, trials, seed, split=None, r_th=None,
     means computed (see `Point`).  `workers` is a `Run` built with this
     point among others, or a worker count for a run of this point only.
     """
-    point = Point(fading, mode, tuple(policies), trials, seed, split, r_th, tuple(reads))
+    point = Point(fading, mode, tuple(policies), trials, seed, b, r_th, tuple(reads))
     own = nullcontext(workers) if isinstance(workers, Run) else Run(workers, [point])
     with own as run:
         leaf = run._leaf.get(point)
@@ -425,7 +424,7 @@ def apply_axis(scn: Scenario, axis: str, value) -> Scenario:
     if axis == "b":
         if scn.mode != "fnoma":
             raise ConfigurationError("axis b applies to fnoma scenarios only")
-        return replace(scn, split=PowerSplit.from_b(float(value)))
+        return replace(scn, b=float(value))
     if axis == "r_th":
         if scn.mode != "crnoma":
             raise ConfigurationError("axis r_th applies to crnoma scenarios only")
@@ -480,7 +479,7 @@ class ValidationPoint:
                 f"no closed form for policy {scn.policy!r} in mode {scn.mode!r}")
         fading = scn.fading
         try:
-            value = closed_form(fading, scn.split, scn.r_th)
+            value = closed_form(fading, scn.b, scn.r_th)
         except ValueError as exc:
             raise ConfigurationError(
                 f"n_bs = {fading.n_bs}, m_ue1 = {fading.m_ue1}, k_ue2 = {fading.k_ue2}: "
@@ -543,7 +542,7 @@ def validate_asymptotics(points, workers=None):
 
 # ---------------------------------------------------------------------------
 # scenario files: `key = value` lines, keys matching the scenario fields
-# (fading parameters flattened; `b` sets the fnoma power split)
+# (fading parameters flattened)
 
 _FADING_INT_KEYS = ("n_bs", "m_ue1", "k_ue2")
 _FADING_FLOAT_KEYS = ("d1", "d2", "alpha", "ps_dbm", "sigma2_dbm")
@@ -593,14 +592,11 @@ def _scenario_from_mapping(kv: dict, path, allow_tolerance=False):
     if kv:
         raise ConfigurationError(f"{path}: unknown keys {sorted(kv)}")
     try:
-        split = None if b is None else PowerSplit.from_b(b)
         scn = Scenario(FadingConfig(**fading_kwargs), mode, policy,
-                       split=split, r_th=r_th, trials=trials, seed=seed)
+                       b=b, r_th=r_th, trials=trials, seed=seed)
     except ConfigurationError as exc:
         where = next((lines[k] for k in exc.keys if k in lines), path)
         raise ConfigurationError(f"{where}: {exc}", exc.keys) from None
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
     return scn, tolerance
 
 

@@ -7,13 +7,13 @@ the channel, and an equal-time orthogonal baseline.
 
 Role assignment is per realization: UE1 is the strong user when its gain is
 at least the UE2 gain (``h >= g``; ties deliberately resolve to UE1 so the
-mapping is deterministic).  The coefficient ``b`` always rides on the strong
-user's signal and ``a = 1 - b`` on the weak user's.  One kernel,
-`_fnoma_rates`, evaluates the fixed-power formulas: the strong form on the
-larger gain and the weak form on the smaller.  `fnoma_pair_rates` assigns
-the two by gain order and the exhaustive search's `_fnoma_sum_rate` adds
-them.  The high-SNR simplifications live only in the closed forms of
-``analytics``.
+mapping is deterministic).  The power split is the one number ``b``, the
+strong user's share; the weak user's share ``1 - b`` is taken in one place,
+the kernel `_fnoma_rates`, which evaluates the fixed-power formulas: the
+strong form on the larger gain and the weak form on the smaller.
+`fnoma_pair_rates` assigns the two by gain order and the exhaustive search's
+`_fnoma_sum_rate` adds them.  The high-SNR simplifications live only in the
+closed forms of ``analytics``.
 
 All functions are ufunc-based: they accept scalars or broadcast-compatible
 arrays, and return Python floats for pure-scalar input.  Rates are bit/s/Hz
@@ -36,19 +36,6 @@ from typing import NamedTuple
 import numpy as np
 
 
-class PowerSplit(NamedTuple):
-    """Power-allocation pair with a + b = 1; b is the strong user's share."""
-
-    a: float
-    b: float
-
-    @classmethod
-    def from_b(cls, b: float) -> "PowerSplit":
-        if not 0.0 <= b <= 1.0:
-            raise ValueError(f"strong-user coefficient must lie in [0, 1], got {b}")
-        return cls(1.0 - b, b)
-
-
 class RatePair(NamedTuple):
     r1: float  # UE1, bit/s/Hz
     r2: float  # UE2, bit/s/Hz
@@ -63,22 +50,22 @@ def qos_epsilon(r_th):
     return np.exp2(r_th) - 1.0
 
 
-def _fnoma_rates(x, y, a, b, rho):
+def _fnoma_rates(x, y, b, rho):
     """The strong-form rate log2(1 + rho*b*max(x, y)), decoded after
-    interference cancellation, and the weak-form rate log2(1 + a*min(x, y)
-    / (b*min(x, y) + 1/rho)), decoded while treating the strong user's
+    interference cancellation, and the weak-form rate log2(1 + (1 - b)*min(x,
+    y) / (b*min(x, y) + 1/rho)), decoded while treating the strong user's
     signal as noise; unchecked.
 
     Evaluated in place in three buffers of the broadcast shape, so the
     exhaustive search's (M, K, T) grid takes no further full-size temporary.
     """
-    shape = np.broadcast_shapes(*map(np.shape, (x, y, a, b, rho)))
+    shape = np.broadcast_shapes(*map(np.shape, (x, y, b, rho)))
     strong = np.maximum(x, y, out=np.empty(shape))
     strong *= rho * b
     strong += 1.0
     np.log2(strong, out=strong)
     weak_x = np.minimum(x, y, out=np.empty(shape))
-    weak = np.multiply(a, weak_x, out=np.empty(shape))
+    weak = np.multiply(1.0 - b, weak_x, out=np.empty(shape))
     weak_x *= b
     weak_x += 1.0 / rho
     weak /= weak_x
@@ -86,26 +73,26 @@ def _fnoma_rates(x, y, a, b, rho):
     return strong, np.log2(weak, out=weak)
 
 
-def fnoma_pair_rates(h, g, split: PowerSplit, rho) -> RatePair:
-    """Achievable rate pair under a fixed power split.
+def fnoma_pair_rates(h, g, b, rho) -> RatePair:
+    """Achievable rate pair when the strong user takes the share b of the
+    power and the weak user 1 - b, with 0 <= b <= 0.5.
 
     The larger gain takes the interference-free form, the smaller one the
     interference-limited form; exactly one of each for any input.
     """
-    a, b = split
-    if not a >= b:
-        raise ValueError(f"fixed-power mode needs a >= b, got a={a}, b={b}")
+    if not 0.0 <= b <= 0.5:
+        raise ValueError(f"fixed-power mode needs 0 <= b <= 0.5, got b={b}")
     if not rho > 0:
         raise ValueError("rho must be positive")
     d = np.greater_equal(h, g)
-    strong, weak = _fnoma_rates(h, g, a, b, rho)
+    strong, weak = _fnoma_rates(h, g, b, rho)
     return RatePair(_out(np.where(d, strong, weak)), _out(np.where(d, weak, strong)))
 
 
 def _fnoma_sum_rate(x, y, b, rho):
     """r1 + r2 of `fnoma_pair_rates` for the gains x and y in either order,
-    with a = 1 - b, unchecked."""
-    strong, weak = _fnoma_rates(x, y, 1.0 - b, b, rho)
+    unchecked."""
+    strong, weak = _fnoma_rates(x, y, b, rho)
     strong += weak
     return strong
 

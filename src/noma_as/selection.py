@@ -178,10 +178,10 @@ def _row_of(x, n):
     return np.take(x.transpose(1, 2, 0), at + t_dim * np.arange(c_dim)[:, None])
 
 
-def _es_fnoma_triples(h, g, rows, split, rho, pick=True):
+def _es_fnoma_triples(h, g, rows, b, rho, pick=True):
     """Exhaustive search maximizing the fixed-power sum rate r1 + r2: its
     optimum and, if `pick`, its triple (see `_es_triples`)."""
-    return _es_triples(h, g, rows, lambda x, y: _fnoma_sum_rate(x, y, split.b, rho), pick)
+    return _es_triples(h, g, rows, lambda x, y: _fnoma_sum_rate(x, y, b, rho), pick)
 
 
 def _es_crnoma_triples(h, g, rows, rho, r_th, pick=True):
@@ -259,20 +259,20 @@ class Bound(NamedTuple):
 class Policy:
     """Everything the harness, figures and CLI know about one (mode, policy).
 
-    choose(h, g, rows=, rho=, split=, r_th=, seed=, t0=) returns the choice
+    choose(h, g, rows=, rho=, b=, r_th=, seed=, t0=) returns the choice
     for trials t0, t0+1, ..., where rows is ``row_stats(h, g)``: the flat
     index `_row_at(n)` of each trial's row n for a row-max policy (`row`),
     whose gains are row n's maxima, else the chosen antennas, (n, m, k) or
     oma's (n1, m, n2, k), which `gains` turns into the UE1 and UE2 gains.
-    closed_form(fading, split, r_th) is the high-SNR average of `metric`,
+    closed_form(fading, b, r_th) is the high-SNR average of `metric`,
     the RateReport field the mode reports.  Closed forms and the search,
     random and oma kernels are looked up on their modules at call time, so
     a function replaced there after import (as the benchmark's tracer does)
     is the one that runs.
     depends says what the choice reads: "shape" the antenna counts, seed
-    and trials alone (random), "gains" the gains too, "point" rho, split
-    and r_th as well (the exhaustive searches).
-    optimum(h, g, rows=, rho=, split=, r_th=), where set, returns the
+    and trials alone (random), "gains" the gains too, "point" rho, b and
+    r_th as well (the exhaustive searches).
+    optimum(h, g, rows=, rho=, b=, r_th=), where set, returns the
     `metric` quantity, r1 + r2 (fnoma) or r1 (crnoma), at the N row-max
     candidates, an (N, T) array, and at the policy's choice, their maximum,
     without making the choice.  Each is that quantity's rate formula at its
@@ -296,11 +296,11 @@ class Policy:
         return _triple_gains(h, g, choice)
 
 
-def _split_cfg(fading, split, r_th):
-    return analytics.AnalyticConfig.from_fading(fading, b=split.b)
+def _split_cfg(fading, b, r_th):
+    return analytics.AnalyticConfig.from_fading(fading, b=b)
 
 
-def _qos_cfg(fading, split, r_th):
+def _qos_cfg(fading, b, r_th):
     return analytics.AnalyticConfig.from_fading(fading, r_th=r_th)
 
 
@@ -320,11 +320,11 @@ def _random_choice(h, g, seed, t0, **_):
 POLICIES = {
     ("fnoma", "es"): Policy(
         "fnoma_es",
-        lambda h, g, rows, rho, split, **_: _es_fnoma_triples(h, g, rows, split, rho)[2],
+        lambda h, g, rows, rho, b, **_: _es_fnoma_triples(h, g, rows, b, rho)[2],
         count_es, "mean_sum", Bound("es_fnoma", "N*M*K", lambda n, m, k: n * m * k, True),
         depends="point",
-        optimum=lambda h, g, rows, rho, split, **_: _es_fnoma_triples(
-            h, g, rows, split, rho, pick=False)[:2]),
+        optimum=lambda h, g, rows, rho, b, **_: _es_fnoma_triples(
+            h, g, rows, b, rho, pick=False)[:2]),
     ("crnoma", "es"): Policy(
         "cr_es",
         lambda h, g, rows, rho, r_th, **_: _es_crnoma_triples(h, g, rows, rho, r_th)[2],

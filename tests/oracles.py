@@ -8,7 +8,8 @@ kernels must pick the very same triple.  The per-trial draws are numpy's
 own streams: one ``np.random.Generator(np.random.Philox(...))`` per trial,
 read with its ``random`` and ``integers`` methods.  The weak-gain-first
 closed form is checked against its expansion listed composition by
-composition, in float and at 80 digits with mpmath.  The harness's means and
+composition, in float and at 80 digits with mpmath, and the CR-NOMA
+secondary-rate series term by term at 60 digits.  The harness's means and
 standard errors are checked against numpy's over per-trial arrays drawn,
 selected and rated in one batch.
 """
@@ -99,10 +100,10 @@ def _ref_pair(h, g, a, b, rho):
     return r1, r2
 
 
-def ref_fnoma_pair_rates(h, g, split, rho):
-    """(r1, r2) under a fixed split."""
-    a, b = split
-    return _ref_pair(h, g, a, b, rho)
+def ref_fnoma_pair_rates(h, g, b, rho):
+    """(r1, r2) with the strong user's power share b, the weak user's
+    a = 1 - b."""
+    return _ref_pair(h, g, 1.0 - b, b, rho)
 
 
 # --- the CR-NOMA rates at 50 digits ---------------------------------------------
@@ -147,7 +148,7 @@ def cr_condition(h, g, rho, r_th):
 def select(key, h, g, **kwargs):
     """The stacked UE1 and UE2 gains that policy `key` = (mode, policy)
     selects on stacked h and g, through the `choose` and `gains` the harness
-    runs; kwargs are `choose`'s rho, split, r_th, seed and t0."""
+    runs; kwargs are `choose`'s rho, b, r_th, seed and t0."""
     policy, rows = POLICIES[key], row_stats(h, g)
     return policy.gains(policy.choose(h, g, rows=rows, **kwargs), h, g, rows)
 
@@ -159,15 +160,15 @@ def row_triple(h, g, row):
     return (n,) + tuple(_first_max(_row_of(x, n))[1] for x in (h, g))
 
 
-def per_trial_rates(fading, mode, policy, trials, seed, split=None, r_th=None):
+def per_trial_rates(fading, mode, policy, trials, seed, b=None, r_th=None):
     """(r1, r2) of one policy at one point, one entry per trial, drawn,
     selected and rated in one batch."""
     h, g = sample_channel_batch(fading, seed, 0, trials)
     rho = fading.rho
-    h_sel, g_sel = select((mode, policy), h, g, rho=rho, split=split, r_th=r_th, seed=seed,
+    h_sel, g_sel = select((mode, policy), h, g, rho=rho, b=b, r_th=r_th, seed=seed,
                           t0=0)
     if mode == "fnoma":
-        return fnoma_pair_rates(h_sel, g_sel, split, rho)
+        return fnoma_pair_rates(h_sel, g_sel, b, rho)
     if mode == "oma":
         return oma_pair_rates(h_sel, g_sel, rho)
     return cr_rates(h_sel, g_sel, rho, r_th)
@@ -295,13 +296,13 @@ def _unravel_nmk(idx, m_dim, k_dim):
     return n, rem // k_dim, rem % k_dim
 
 
-def full_es_fnoma_triples(h, g, split, rho):
+def full_es_fnoma_triples(h, g, b, rho):
     """Every (n, m, k)'s fixed-power sum rate; the first maximum's triple."""
     tcount, _, m_dim = h.shape
     k_dim = g.shape[2]
     h4 = h[:, :, :, None]
     g4 = g[:, :, None, :]
-    obj = _fnoma_sum_rate(h4, g4, split.b, rho)
+    obj = _fnoma_sum_rate(h4, g4, b, rho)
     idx = obj.reshape(tcount, -1).argmax(axis=1)
     return _unravel_nmk(idx, m_dim, k_dim)
 
@@ -449,3 +450,24 @@ def aia_rate_mp(cfg, dps=80):
                     total += _aia_summand(cfg, mpmath.mpf(coef), xi, i, j,
                                           mpmath.mpf, mpmath.log, mpmath.euler)
         return float(mpmath.log(1 / mpmath.mpf(cfg.b), 2) + total / mpmath.log(2))
+
+
+def cr_secondary_series_mp(i_max, j_max, cfg, dps=60):
+    """The series of `analytics._cr_secondary_series` at `dps` digits, on
+    the exact values of cfg's floats, as mpf: each summand is eps*jo/(io -
+    eps*jo) * ln((eps + 1)*jo/(io + jo)) - ln(io/rho) - C, its singular
+    part taken as its limit -eps/(eps + 1) where io = eps*jo exactly."""
+    with mpmath.workdps(dps):
+        oh, og, rho, eps = (mpmath.mpf(v) for v in (cfg.omega_h, cfg.omega_g, cfg.rho,
+                                                     cfg.epsilon))
+        total = mpmath.mpf(0)
+        for i in range(1, i_max + 1):
+            io = i * oh
+            for j in range(1, j_max + 1):
+                jo = j * og
+                den = io - eps * jo
+                singular = (-eps / (eps + 1) if den == 0
+                            else eps * jo / den * mpmath.log((eps + 1) * jo / (io + jo)))
+                total += ((-1) ** (i + j) * math.comb(i_max, i) * math.comb(j_max, j)
+                          * (singular - mpmath.log(io / rho) - mpmath.euler))
+        return float(total / mpmath.log(2))

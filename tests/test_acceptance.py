@@ -13,7 +13,7 @@ import pytest
 from scipy import integrate
 
 import oracles
-from noma_as import (AnalyticConfig, FadingConfig, PowerSplit, cr_rates,
+from noma_as import (AnalyticConfig, FadingConfig, cr_rates,
                      mcg_avg_secondary_rate, prob_h_ge_g,
                      a3_avg_sum_rate, aia_avg_sum_rate,
                      pu_avg_secondary_rate, quadrature_rate, run_point,
@@ -23,7 +23,7 @@ from noma_as.selection import (POLICIES, _a3_row, _aia_row, _es_crnoma_triples,
 from oracles import aia_strong_pdf, ref_cr_power_split, row_triple
 
 SEED = 20240501
-SPLIT = PowerSplit.from_b(0.4)
+B = 0.4
 TRIALS = 100_000
 
 
@@ -43,10 +43,10 @@ def test_criterion_1_exhaustive_search_oracle_equivalence():
         h, g = oracles.random_instance(rng, n, m, k, omega_h=0.9, omega_g=2.1)
 
         rows = row_stats(h[None], g[None])
-        triple = [int(i[0]) for i in _es_fnoma_triples(h[None], g[None], rows, SPLIT, 1e3)[2]]
-        (bn, bm, bk), val = oracles.brute_es_fnoma(h, g, SPLIT.b, 1e3)
+        triple = [int(i[0]) for i in _es_fnoma_triples(h[None], g[None], rows, B, 1e3)[2]]
+        (bn, bm, bk), val = oracles.brute_es_fnoma(h, g, B, 1e3)
         assert tuple(triple) == (bn, bm, bk)
-        impl_val = oracles.fnoma_objective(h[bn, bm], g[bn, bk], SPLIT.b, 1e3)
+        impl_val = oracles.fnoma_objective(h[bn, bm], g[bn, bk], B, 1e3)
         assert abs(impl_val - val) <= 1e-12 * max(1.0, abs(val))
 
         triple = [int(i[0]) for i in _es_crnoma_triples(h[None], g[None], rows, 1e3, 2.0)[2]]
@@ -120,8 +120,7 @@ def fnoma_high_snr_reports():
     out = {}
     for ps in (20.0, 30.0, 40.0):
         fading = FadingConfig(n_bs=2, ps_dbm=ps)
-        out[ps] = run_point(fading, "fnoma", ("a3", "aia"), TRIALS, SEED,
-                            split=SPLIT)
+        out[ps] = run_point(fading, "fnoma", ("a3", "aia"), TRIALS, SEED, b=B)
     return out, time.perf_counter() - started
 
 
@@ -129,7 +128,7 @@ def test_criterion_4_strong_first_closed_form(fnoma_high_snr_reports):
     reports, elapsed = fnoma_high_snr_reports
     gaps = []
     for ps, reps in reports.items():
-        cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=2, ps_dbm=ps), b=SPLIT.b)
+        cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=2, ps_dbm=ps), b=B)
         closed = a3_avg_sum_rate(cfg).value
         mc = reps["a3"].mean_sum
         gaps.append(abs(closed - mc) / mc)
@@ -144,14 +143,14 @@ def test_criterion_5_weak_first_closed_form(fnoma_high_snr_reports):
     reports, _ = fnoma_high_snr_reports
     gaps = []
     for ps, reps in reports.items():
-        cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=2, ps_dbm=ps), b=SPLIT.b)
+        cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=2, ps_dbm=ps), b=B)
         closed = aia_avg_sum_rate(cfg).value
         mc = reps["aia"].mean_sum
         gaps.append(abs(closed - mc) / mc)
         assert gaps[-1] <= 0.02, (ps, closed, mc)
-    cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=2, ps_dbm=30.0), b=SPLIT.b)
-    numeric = math.log2(1.0 / SPLIT.b) + quadrature_rate(
-        lambda x: aia_strong_pdf(x, cfg), SPLIT.b, cfg.rho)
+    cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=2, ps_dbm=30.0), b=B)
+    numeric = math.log2(1.0 / B) + quadrature_rate(
+        lambda x: aia_strong_pdf(x, cfg), B, cfg.rho)
     quad_gap = abs(aia_avg_sum_rate(cfg).value - numeric)
     assert quad_gap <= 1e-3
     _announce(5, f"weak-first closed form within {100 * max(gaps):.3f}% of "
@@ -228,8 +227,7 @@ def test_criterion_9_qualitative_figure_claims():
     flat_fading = FadingConfig(n_bs=2, ps_dbm=10.0)
     per_policy = {p: [] for p in ("es", "a3", "aia", "random")}
     for b in (0.1, 0.2, 0.3, 0.4, 0.5):
-        reps = run_point(flat_fading, "fnoma", tuple(per_policy), TRIALS,
-                         SEED, split=PowerSplit.from_b(b))
+        reps = run_point(flat_fading, "fnoma", tuple(per_policy), TRIALS, SEED, b=b)
         for policy, series in per_policy.items():
             series.append(reps[policy].mean_sum)
     for policy, series in per_policy.items():
@@ -240,7 +238,7 @@ def test_criterion_9_qualitative_figure_claims():
     a3_curve, aia_curve = [], []
     for n in range(1, 9):
         reps = run_point(FadingConfig(n_bs=n, ps_dbm=10.0), "fnoma",
-                         ("a3", "aia"), TRIALS, SEED, split=SPLIT)
+                         ("a3", "aia"), TRIALS, SEED, b=B)
         a3_curve.append(reps["a3"].mean_sum)
         aia_curve.append(reps["aia"].mean_sum)
     assert all(b > a for a, b in zip(a3_curve, a3_curve[1:])), a3_curve
@@ -250,8 +248,7 @@ def test_criterion_9_qualitative_figure_claims():
     # fairness ordering on the fairness-figure grid
     fair_fading = FadingConfig(n_bs=4, ps_dbm=20.0)
     for b in (0.1, 0.2, 0.3, 0.4, 0.5):
-        reps = run_point(fair_fading, "fnoma", ("a3", "aia"), TRIALS, SEED,
-                         split=PowerSplit.from_b(b))
+        reps = run_point(fair_fading, "fnoma", ("a3", "aia"), TRIALS, SEED, b=b)
         diff = reps["aia"].mean_fairness - reps["a3"].mean_fairness
         se = math.hypot(reps["aia"].std_err["fairness"],
                         reps["a3"].std_err["fairness"])
@@ -260,7 +257,7 @@ def test_criterion_9_qualitative_figure_claims():
     # non-orthogonal exhaustive search beats the orthogonal baseline
     for ps in range(0, 45, 5):
         fading = FadingConfig(n_bs=2, ps_dbm=float(ps))
-        noma = run_point(fading, "fnoma", ("es",), TRIALS, SEED, split=SPLIT)
+        noma = run_point(fading, "fnoma", ("es",), TRIALS, SEED, b=B)
         oma = run_point(fading, "oma", ("oma_es",), TRIALS, SEED)
         assert noma["es"].mean_sum >= oma["oma_es"].mean_sum, ps
 

@@ -258,6 +258,27 @@ def test_secondary_rate_singular_pair_is_continuous():
     assert val == pytest.approx(nearby, rel=1e-5)
 
 
+@pytest.mark.parametrize("kind, dims, omegas, rho, eps", [
+    ("pu", (2, 2, 2), (2.0, 1.0), 1e12, 1.0),
+    ("pu", (4, 2, 2), (3.0, 1.0), 1e12, 3.0),
+    ("pu", (1, 2, 2), (31.0, 1.0), 1e10, 31.0),
+    ("su", (2, 2, 2), (1.0, 0.5), 1e12, 1.0),
+    ("pu", (2, 2, 2), (2.0 * (1 + 1e-10), 1.0), 1e12, 1.0),
+    ("pu", (2, 2, 2), (2.0 * (1 + 5e-10), 1.0), 1e12, 1.0),
+])
+def test_secondary_rate_at_and_near_the_singular_pair_against_60_digits(kind, dims, omegas,
+                                                                        rho, eps):
+    # i*omega_h == eps*j*omega_g at some (i, j), or within 1e-9 of it
+    n, m, k = dims
+    cfg = _cfg(n, m, k, *omegas, rho, eps=eps)
+    if kind == "pu":
+        got, sizes = pu_avg_secondary_rate(cfg).value, (m, n * k)
+    else:
+        got, sizes = su_avg_secondary_rate(cfg).value, (n * m, k)
+    want = oracles.cr_secondary_series_mp(*sizes, cfg, dps=60)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_pu_su_crossing_with_distance():
     # secondary-first wins while UE1 is the near user, primary-first wins
     # once UE1 moves far away

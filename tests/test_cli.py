@@ -168,12 +168,15 @@ seed = 3
 
 
 @pytest.mark.parametrize("line", ["trials = 1e5", "trials = 2.5", "seed = -1",
-                                  "b = 0", "alpha = 300", "ps_dbm = 2980",
+                                  "b = 0", "b = 1.5", "cr: b = 7", "alpha = 300",
+                                  "ps_dbm = 2980",
                                   "ps_dbm = -5000", "sigma2_dbm = -4000", "d1 = 1e-100",
                                   "cr: r_th = 1024", "cr: r_th = inf", "n_bs = 0",
                                   "m_ue1 = 0", "k_ue2 = -1", "d1 = -4", "d2 = 0",
                                   "alpha = 0", "ps_dbm = nan", "sigma2_dbm = inf"])
-def test_bad_scenario_value_names_file_and_key(tmp_path, capsys, line):
+def test_bad_scenario_value_names_file_and_key(tmp_path, capsys, monkeypatch, line):
+    ran = []
+    monkeypatch.setattr(harness, "_simulate_leaf", ran.append)
     text = SCENARIO_TEXT
     if line.startswith("cr: "):
         text, line = CR_SCENARIO_TEXT, line[4:]
@@ -185,6 +188,7 @@ def test_bad_scenario_value_names_file_and_key(tmp_path, capsys, line):
                  "--values", "100"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:{len(rows) + 1}: ") and f"{key} =" in err
+    assert ran == []
 
 
 def test_sweep_missing_file(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from noma_as import channel, figures, harness, selection
 from noma_as.harness import Point, Run
-from noma_as import (ConfigurationError, FadingConfig, PowerSplit, Scenario,
+from noma_as import (ConfigurationError, FadingConfig, Scenario,
                      ValidationPoint, apply_axis, cr_rates, figure_rows, fnoma_pair_rates,
                      load_scenario, load_validation_grid, run_point, run_trials,
                      sample_channel_batch, sweep, validate_asymptotics)
@@ -24,7 +24,7 @@ from oracles import row_triple
 
 def _fnoma_scn(**kw):
     defaults = dict(fading=FadingConfig(n_bs=2, ps_dbm=30.0), mode="fnoma",
-                    policy="a3", split=PowerSplit.from_b(0.4),
+                    policy="a3", b=0.4,
                     trials=2000, seed=11)
     defaults.update(kw)
     return Scenario(**defaults)
@@ -47,9 +47,9 @@ def test_mode_policy_compatibility():
     with pytest.raises(ConfigurationError):
         _fnoma_scn(mode="tdma")
     with pytest.raises(ConfigurationError):
-        _fnoma_scn(split=None)
+        _fnoma_scn(b=None)
     with pytest.raises(ConfigurationError):
-        _fnoma_scn(split=PowerSplit.from_b(0.7))  # strong user over-weighted
+        _fnoma_scn(b=0.7)  # strong user over-weighted
     with pytest.raises(ConfigurationError):
         _cr_scn(r_th=None)
     with pytest.raises(ConfigurationError):
@@ -57,7 +57,7 @@ def test_mode_policy_compatibility():
 
 
 @pytest.mark.parametrize("kwargs, key", [
-    ({"split": PowerSplit.from_b(0.0)}, "b"),
+    ({"b": 0.0}, "b"),
     ({"trials": 2.5}, "trials"),
     ({"seed": -1}, "seed"),
     ({"seed": 2 ** 64}, "seed"),
@@ -69,7 +69,8 @@ def test_mode_policy_compatibility():
     ({"fading": FadingConfig(d1=1.0, d2=0.5, alpha=1000.0)}, "d2"),
     ({"trials": True}, "trials"),
     ({"seed": False}, "seed"),
-    ({"split": PowerSplit(0.5, 0.4)}, "b"),  # not the whole power: es would rate a = 0.6
+    ({"b": 0.7}, "b"),  # strong user over-weighted
+    ({"b": math.nan}, "b"),
 ])
 def test_bad_scenario_value_fails_at_construction(kwargs, key):
     with pytest.raises(ConfigurationError, match=rf"\b{key} =") as err:
@@ -116,7 +117,7 @@ def test_any_scenario_is_rejected_when_built_or_reports_finite_numbers(
     fading = FadingConfig(n_bs=dims[0], m_ue1=dims[1], k_ue2=dims[2], d1=d1, d2=d2,
                           alpha=alpha, ps_dbm=ps_dbm, sigma2_dbm=sigma2_dbm)
     try:
-        scn = Scenario(fading, mode, policy, split=PowerSplit.from_b(b), r_th=r_th,
+        scn = Scenario(fading, mode, policy, b=b, r_th=r_th,
                        trials=trials, seed=seed)
     except ConfigurationError:
         return
@@ -138,7 +139,7 @@ def test_sweep_rejects_a_bad_point_before_any_point_runs(monkeypatch):
         sweep(_fnoma_scn(), "ps_dbm", [10.0, 20.0, 2980.0], workers=1)
     # a run checks every (point, policy) when it is built, before any task
     good = harness._point(_fnoma_scn())
-    bad = good._replace(policies=("es", "a3"), split=PowerSplit.from_b(0.6))
+    bad = good._replace(policies=("es", "a3"), b=0.6)
     with pytest.raises(ConfigurationError, match=r"^b = 0.6: "):
         Run(1, [good, bad])
     assert ran == []
@@ -151,7 +152,7 @@ def test_single_trial_equals_direct_computation():
     report = run_trials(scn, workers=1)
     h, g = sample_channel_batch(scn.fading, 77, 0, 1)
     (n,), (m,), (k,) = row_triple(h, g, _a3_row)
-    r1, r2 = fnoma_pair_rates(h[0, n, m], g[0, n, k], scn.split, scn.fading.rho)
+    r1, r2 = fnoma_pair_rates(h[0, n, m], g[0, n, k], scn.b, scn.fading.rho)
     assert report.mean_r1 == r1
     assert report.mean_r2 == r2
     assert report.mean_sum == r1 + r2
@@ -194,21 +195,19 @@ def test_report_sanity():
 def test_policies_share_realizations():
     # paired dominance must hold exactly, not just on average
     fading = FadingConfig(n_bs=3, ps_dbm=20.0)
-    split = PowerSplit.from_b(0.4)
     rep = run_point(fading, "fnoma", ("es", "a3", "random"), 4000, 21,
-                    split=split, workers=1)
+                    b=0.4, workers=1)
     assert rep["es"].mean_sum >= rep["a3"].mean_sum >= rep["random"].mean_sum
 
 
 def test_fnoma_dominance_across_grid_points():
-    split = PowerSplit.from_b(0.4)
     points = [FadingConfig(n_bs=2, ps_dbm=10.0),
               FadingConfig(n_bs=4, ps_dbm=10.0),
               FadingConfig(n_bs=2, d2=300.0, ps_dbm=10.0),
               FadingConfig(n_bs=2, ps_dbm=40.0)]
     for fading in points:
         rep = run_point(fading, "fnoma", ("es", "a3", "aia", "random"),
-                        20_000, 13, split=split, workers=1)
+                        20_000, 13, b=0.4, workers=1)
         assert rep["es"].mean_sum >= rep["a3"].mean_sum >= rep["random"].mean_sum
         assert rep["es"].mean_sum >= rep["aia"].mean_sum >= rep["random"].mean_sum
 
@@ -266,12 +265,11 @@ def test_merged_leaves_sum_like_numpy_bit_for_bit(n, seed):
 @pytest.mark.parametrize("mode", ["fnoma", "crnoma"])
 def test_run_point_matches_numpy_over_the_per_trial_arrays(mode, trials):
     fading = FadingConfig(n_bs=2, d1=80.0, ps_dbm=20.0)
-    split, r_th = (PowerSplit.from_b(0.4), None) if mode == "fnoma" else (None, 2.0)
+    b, r_th = (0.4, None) if mode == "fnoma" else (None, 2.0)
     policies = _FNOMA_ALL if mode == "fnoma" else _CR_ALL
-    reports = run_point(fading, mode, policies, trials, 7, split=split, r_th=r_th,
-                        workers=1)
+    reports = run_point(fading, mode, policies, trials, 7, b=b, r_th=r_th, workers=1)
     for policy, report in reports.items():
-        r1, r2 = oracles.per_trial_rates(fading, mode, policy, trials, 7, split, r_th)
+        r1, r2 = oracles.per_trial_rates(fading, mode, policy, trials, 7, b, r_th)
         for key, x in (("r1", r1), ("r2", r2), ("sum", r1 + r2),
                        ("fairness", _jain(r1, r2, r1 + r2))):
             assert getattr(report, f"mean_{key}") == x.mean()
@@ -282,7 +280,7 @@ def test_run_point_matches_numpy_over_the_per_trial_arrays(mode, trials):
 
 _FNOMA_ALL = ("es", "a3", "aia", "random")
 _CR_ALL = ("es", "mcg", "pu", "su", "random")
-_MODE_POINTS = {"fnoma": (_FNOMA_ALL, PowerSplit.from_b(0.4), None),
+_MODE_POINTS = {"fnoma": (_FNOMA_ALL, 0.4, None),
                 "crnoma": (_CR_ALL, None, 5.0), "oma": (("oma_es",), None, None)}
 
 
@@ -293,8 +291,8 @@ def test_a_point_computes_only_the_means_it_reads(mode, monkeypatch):
     # reading only its metric takes the search's optimum and builds no grid.
     monkeypatch.setattr(harness, "_CHUNK", 256)
     fading = FadingConfig(n_bs=3, d1=200.0, d2=80.0, ps_dbm=20.0)
-    policies, split, r_th = _MODE_POINTS[mode]
-    full = run_point(fading, mode, policies, 520, 4, split, r_th, workers=1)
+    policies, b, r_th = _MODE_POINTS[mode]
+    full = run_point(fading, mode, policies, 520, 4, b, r_th, workers=1)
     assert all(None not in (r.mean_r1, r.mean_r2, r.mean_sum, r.mean_fairness)
                and list(r.std_err) == ["r1", "r2", "sum", "fairness"] for r in full.values())
     gathered = []
@@ -302,7 +300,7 @@ def test_a_point_computes_only_the_means_it_reads(mode, monkeypatch):
     monkeypatch.setattr(selection, "_row_of", lambda *args: gathered.append(1) or row_of(*args))
     for reads in [(q,) for q in harness.QUANTITIES] + [("mean_fairness", "mean_r1")]:
         gathered.clear()
-        reports = run_point(fading, mode, policies, 520, 4, split, r_th, reads, workers=1)
+        reports = run_point(fading, mode, policies, 520, 4, b, r_th, reads, workers=1)
         for policy, report in reports.items():
             assert [getattr(report, q) for q in harness.QUANTITIES] == [
                 getattr(full[policy], q) if q in reads else None for q in harness.QUANTITIES]
@@ -349,8 +347,8 @@ def test_run_shares_draws_across_points_on_two_workers():
     # point.
     geo = FadingConfig(n_bs=2, d1=80.0, d2=200.0)
     swapped = FadingConfig(n_bs=2, d1=200.0, d2=80.0)
-    first = [Point(replace(geo, ps_dbm=ps), "fnoma", _FNOMA_ALL, 16385, 5,
-                   PowerSplit.from_b(b)) for ps in (-30.0, 0.0) for b in (0.2, 0.4)]
+    first = [Point(replace(geo, ps_dbm=ps), "fnoma", _FNOMA_ALL, 16385, 5, b)
+             for ps in (-30.0, 0.0) for b in (0.2, 0.4)]
     first.append(Point(replace(geo, ps_dbm=30.0), "oma", ("oma_es",), 16385, 5))
     cr = [Point(replace(swapped, ps_dbm=ps), "crnoma", _CR_ALL, 16385, 5, r_th=r_th)
           for ps in (10.0, 30.0) for r_th in (1.0, 5.0)]
@@ -374,8 +372,8 @@ def test_run_keeps_row_statistics_per_chunk_on_two_workers(monkeypatch):
     # those of one leaf, which no sharing across leaves can give.
     geo = FadingConfig(n_bs=3, d1=80.0, d2=200.0)
     swapped = FadingConfig(n_bs=3, d1=200.0, d2=80.0)
-    points = [Point(replace(geo, ps_dbm=ps), "fnoma", _FNOMA_ALL, 520, 5,
-                    PowerSplit.from_b(b)) for ps in (-30.0, 0.0, 30.0) for b in (0.2, 0.5)]
+    points = [Point(replace(geo, ps_dbm=ps), "fnoma", _FNOMA_ALL, 520, 5, b)
+              for ps in (-30.0, 0.0, 30.0) for b in (0.2, 0.5)]
     points += [Point(replace(swapped, ps_dbm=ps), "crnoma", _CR_ALL, 520, 5, r_th=r_th)
                for ps in (0.0, 20.0) for r_th in (1.0, 5.0)]
     one_leaf = _reports(points, 1)
@@ -397,10 +395,9 @@ def test_run_groups_points_by_geometry_trials_and_seed(monkeypatch):
     # draws.  References run each point alone with the same 128-trial
     # leaves; their means must also equal those of one leaf.
     base = FadingConfig(n_bs=2, d1=80.0, d2=200.0, alpha=3.0, ps_dbm=30.0)
-    split = PowerSplit.from_b(0.4)
-    same = [Point(f, "fnoma", _FNOMA_ALL, 512, 5, split)
+    same = [Point(f, "fnoma", _FNOMA_ALL, 512, 5, 0.4)
             for f in (base, replace(base, ps_dbm=10.0), replace(base, sigma2_dbm=-100.0))]
-    variants = [Point(f, "fnoma", _FNOMA_ALL, trials, seed, split)
+    variants = [Point(f, "fnoma", _FNOMA_ALL, trials, seed, 0.4)
                 for f, seed, trials in ((replace(base, d1=90.0), 5, 512),
                                         (replace(base, d2=150.0), 5, 512),
                                         (replace(base, alpha=2.5), 5, 512), (base, 6, 512),
@@ -493,8 +490,8 @@ def test_run_draws_figure_2_once_per_leaf_for_every_bs_antenna_count(monkeypatch
     # report equals that of a run of its point alone, at one and two workers
     trials = 2 * harness._CHUNK + 1
     _, grid, column_groups = figures._FIGURES[2]
-    points = [figures._point(entry, fading, split, r_th, trials, 3)
-              for n in grid for _, entries, fading, split, r_th in column_groups(n)
+    points = [figures._point(entry, fading, b, r_th, trials, 3)
+              for n in grid for _, entries, fading, b, r_th in column_groups(n)
               for entry in entries]
     fresh = _reports(points, 1)
     computed = []
@@ -578,8 +575,8 @@ def test_run_writes_the_same_bits_at_one_two_and_three_workers(monkeypatch):
     swapped = FadingConfig(n_bs=3, d1=200.0, d2=80.0)
     points = []
     for seed in (5, 6):
-        points += [Point(replace(geo, ps_dbm=ps), "fnoma", _FNOMA_ALL, 520, seed,
-                         PowerSplit.from_b(0.4)) for ps in (0.0, 30.0)]
+        points += [Point(replace(geo, ps_dbm=ps), "fnoma", _FNOMA_ALL, 520, seed, 0.4)
+                   for ps in (0.0, 30.0)]
         points.append(Point(replace(geo, ps_dbm=30.0), "oma", ("oma_es",), 520, seed))
         points += [Point(replace(swapped, ps_dbm=ps), "crnoma", _CR_ALL, 520, seed,
                          r_th=r_th) for ps in (10.0, 30.0) for r_th in (1.0, 5.0)]
@@ -710,7 +707,7 @@ def test_sweep_applies_values():
     scn = apply_axis(_fnoma_scn(), "n_bs", 5)
     assert scn.fading.n_bs == 5
     scn = apply_axis(_fnoma_scn(), "b", 0.25)
-    assert scn.split == PowerSplit.from_b(0.25)
+    assert scn.b == 0.25
     scn = apply_axis(_cr_scn(), "r_th", 2.0)
     assert scn.r_th == 2.0
 
@@ -799,7 +796,7 @@ def test_scenario_file_round_trip(tmp_path):
     scn = load_scenario(path)
     assert scn.mode == "fnoma" and scn.policy == "a3"
     assert scn.fading == FadingConfig(n_bs=2, ps_dbm=30.0)
-    assert scn.split == PowerSplit.from_b(0.4)
+    assert scn.b == 0.4
     assert scn.trials == 500 and scn.seed == 42
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from noma_as import PowerSplit, cr_rates, fnoma_pair_rates, oma_pair_rates, qos_epsilon
+from noma_as import cr_rates, fnoma_pair_rates, oma_pair_rates, qos_epsilon
 from noma_as.rates import _cr_secondary_rate, _fnoma_sum_rate, _jain
 from oracles import cr_condition, cr_rates_mp, ref_cr_power_split, ref_fnoma_pair_rates
 
@@ -24,11 +24,10 @@ settings.load_profile("rates")
 def test_channel_order_branches():
     # UE1 takes the strong-user role when h > g, UE2 when h < g, and a tie
     # resolves to the UE1 side
-    split = PowerSplit.from_b(0.4)
     strong = math.log2(1.0 + 10.0 * 0.4 * 1.0)
-    assert fnoma_pair_rates(2.0, 1.0, split, 10.0).r1 == math.log2(1.0 + 10.0 * 0.4 * 2.0)
-    assert fnoma_pair_rates(1.0, 2.0, split, 10.0).r2 == math.log2(1.0 + 10.0 * 0.4 * 2.0)
-    r1, r2 = fnoma_pair_rates(1.0, 1.0, split, 10.0)
+    assert fnoma_pair_rates(2.0, 1.0, 0.4, 10.0).r1 == math.log2(1.0 + 10.0 * 0.4 * 2.0)
+    assert fnoma_pair_rates(1.0, 2.0, 0.4, 10.0).r2 == math.log2(1.0 + 10.0 * 0.4 * 2.0)
+    r1, r2 = fnoma_pair_rates(1.0, 1.0, 0.4, 10.0)
     assert r1 == strong and r2 < strong
     # UE1 strong keeps the most power the floor allows (b = 0.45); UE2
     # strong would get the least it needs (b = 0.1)
@@ -38,33 +37,26 @@ def test_channel_order_branches():
     assert cr_rates(1.0, 1.0, 10.0, 1.0).r1 == math.log2(1.0 + 10.0 * 0.45 * 1.0)
 
 
-def test_power_split_construction():
-    s = PowerSplit.from_b(0.4)
-    assert s.a + s.b == 1.0 and s.a == 0.6
-    with pytest.raises(ValueError):
-        PowerSplit.from_b(1.2)
-
-
 def test_fnoma_pair_example():
-    r1, r2 = fnoma_pair_rates(1.0, 0.5, PowerSplit.from_b(0.4), 10.0)
+    r1, r2 = fnoma_pair_rates(1.0, 0.5, 0.4, 10.0)
     assert r1 == pytest.approx(LOG2_5, abs=1e-12)
     assert r2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fnoma_pair_mirrored():
-    r1, r2 = fnoma_pair_rates(0.5, 1.0, PowerSplit.from_b(0.4), 10.0)
+    r1, r2 = fnoma_pair_rates(0.5, 1.0, 0.4, 10.0)
     assert r2 == pytest.approx(LOG2_5, abs=1e-12)
     assert r1 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weak_rate_saturates_at_high_snr():
-    _, r2 = fnoma_pair_rates(2.0, 1.0, PowerSplit.from_b(0.4), 1e15)
+    _, r2 = fnoma_pair_rates(2.0, 1.0, 0.4, 1e15)
     assert r2 == pytest.approx(math.log2(1.0 / 0.4), abs=1e-6)
 
 
 def test_fnoma_rejects_strong_heavy_split():
     with pytest.raises(ValueError):
-        fnoma_pair_rates(1.0, 0.5, PowerSplit.from_b(0.7), 10.0)
+        fnoma_pair_rates(1.0, 0.5, 0.7, 10.0)
 
 
 def test_sum_rate_example():
@@ -79,7 +71,7 @@ def test_sum_rate_weak_term_vanishes():
 def test_sum_rate_equals_pair_sum(h, g, b, rho):
     # the exhaustive search's objective and its row candidates take the
     # gains in either order
-    r1, r2 = fnoma_pair_rates(h, g, PowerSplit.from_b(b), rho)
+    r1, r2 = fnoma_pair_rates(h, g, b, rho)
     want = np.float64(r1 + r2).tobytes()
     assert _fnoma_sum_rate(h, g, b, rho).tobytes() == want
     assert _fnoma_sum_rate(g, h, b, rho).tobytes() == want
@@ -89,7 +81,7 @@ def test_sum_rate_equals_pair_sum(h, g, b, rho):
 def test_exactly_one_interference_limited_branch(h, g, b, rho):
     # the larger gain always takes the cancellation form, the smaller the
     # interference-limited form; never both of a kind
-    r1, r2 = fnoma_pair_rates(h, g, PowerSplit.from_b(b), rho)
+    r1, r2 = fnoma_pair_rates(h, g, b, rho)
     a = 1.0 - b
     strong = lambda x: np.log2(1.0 + rho * b * x)
     weak = lambda x: np.log2(1.0 + a * x / (b * x + 1.0 / rho))
@@ -101,9 +93,8 @@ def test_exactly_one_interference_limited_branch(h, g, b, rho):
 
 @given(h=gains, g=gains, b=coeffs, rho=st.floats(1e-2, 1e12))
 def test_rates_monotone_in_snr(h, g, b, rho):
-    split = PowerSplit.from_b(b)
-    lo = fnoma_pair_rates(h, g, split, rho)
-    hi = fnoma_pair_rates(h, g, split, rho * 4.0)
+    lo = fnoma_pair_rates(h, g, b, rho)
+    hi = fnoma_pair_rates(h, g, b, rho * 4.0)
     assert hi.r1 >= lo.r1 - 1e-12
     assert hi.r2 >= lo.r2 - 1e-12
 
@@ -176,11 +167,10 @@ def test_rates_match_the_two_branch_formulas_bit_for_bit(h, g, rho, r_th, b):
     # each gain pair in both orders and equal, as scalars and as one array;
     # the CR-NOMA rates are held to the 50-digit oracle below instead
     hs, gs = np.array([h, g, h]), np.array([g, h, h])
-    split = PowerSplit.from_b(b)
     with np.errstate(over="ignore"):  # rho * b * x may pass the float range
         for x, y in [(h, g), (g, h), (h, h), (hs, gs)]:
-            got = fnoma_pair_rates(x, y, split, rho)
-            for got_v, want_v in zip(got, ref_fnoma_pair_rates(x, y, split, rho), strict=True):
+            got = fnoma_pair_rates(x, y, b, rho)
+            for got_v, want_v in zip(got, ref_fnoma_pair_rates(x, y, b, rho), strict=True):
                 _same_bits(got_v, want_v)
             r1, r2 = cr_rates(x, y, rho, r_th)
             _same_bits(r1, _cr_secondary_rate(x, y, rho, qos_epsilon(r_th)))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from noma_as import (FadingConfig, PowerSplit, Scenario, cr_rates, fnoma_pair_rates,
+from noma_as import (FadingConfig, Scenario, cr_rates, fnoma_pair_rates,
                      sample_channel_batch)
 from noma_as.rates import _fnoma_sum_rate
 from noma_as.selection import (POLICIES, _a3_row, _aia_row, _es_crnoma_triples,
@@ -15,7 +15,7 @@ from noma_as.selection import (POLICIES, _a3_row, _aia_row, _es_crnoma_triples,
                                _su_row, _triple_gains, row_stats)
 from oracles import row_triple
 
-B = PowerSplit.from_b(0.4)
+B = 0.4
 RHO = 1e3
 R_TH = 2.0
 # shapes (N, M, K), each antenna count down to 1
@@ -36,7 +36,7 @@ def _batches(count, seed):
 
 
 def _select(key, h, g, seed=7, t0=5):
-    return oracles.select(key, h, g, rho=RHO, split=B, r_th=R_TH, seed=seed, t0=t0)
+    return oracles.select(key, h, g, rho=RHO, b=B, r_th=R_TH, seed=seed, t0=t0)
 
 
 def _row_maxima(h, g, n):
@@ -49,7 +49,7 @@ def _oracle_gains(key, h, g, seed, trial):
     mode, policy = key
     if policy == "es":
         brute = oracles.brute_es_fnoma if mode == "fnoma" else oracles.brute_es_crnoma
-        args = (B.b, RHO) if mode == "fnoma" else (RHO, R_TH)
+        args = (B, RHO) if mode == "fnoma" else (RHO, R_TH)
         (n, m, k), _ = brute(h, g, *args)
         return h[n, m], g[n, k]
     if policy in ("a3", "mcg"):
@@ -96,9 +96,9 @@ def test_es_fnoma_matches_brute_force():
     for h, g in _batches(40, seed=2):
         triples = np.stack(_es_fnoma_triples(h, g, row_stats(h, g), B, RHO)[2], axis=1)
         for t in range(h.shape[0]):
-            (n, m, k), val = oracles.brute_es_fnoma(h[t], g[t], B.b, RHO)
+            (n, m, k), val = oracles.brute_es_fnoma(h[t], g[t], B, RHO)
             assert tuple(triples[t]) == (n, m, k)
-            got = oracles.fnoma_objective(h[t, n, m], g[t, n, k], B.b, RHO)
+            got = oracles.fnoma_objective(h[t, n, m], g[t, n, k], B, RHO)
             assert got == pytest.approx(val, rel=1e-12)
 
 
@@ -115,12 +115,12 @@ def test_es_crnoma_matches_brute_force():
             assert tuple(triples[t]) == (n, m, k)
 
 
-def _es_pairs(h, g, split, rho, r_th):
+def _es_pairs(h, g, b, rho, r_th):
     """(row-max search, full N*M*K reference) triples of both modes, each
     stacked to shape (3, T)."""
     rows = row_stats(h, g)
-    return [(np.stack(_es_fnoma_triples(h, g, rows, split, rho)[2]),
-             np.stack(oracles.full_es_fnoma_triples(h, g, split, rho))),
+    return [(np.stack(_es_fnoma_triples(h, g, rows, b, rho)[2]),
+             np.stack(oracles.full_es_fnoma_triples(h, g, b, rho))),
             (np.stack(_es_crnoma_triples(h, g, rows, rho, r_th)[2]),
              np.stack(oracles.full_es_crnoma_triples(h, g, rho, r_th)))]
 
@@ -143,12 +143,11 @@ _U64 = st.integers(0, 2 ** 64 - 1)
 
 
 def _sampled(dims, d1, d2, ps_dbm, b, r_th, seed, start, count):
-    """Draws of an accepted scenario: (split, rho, h, g)."""
+    """Draws of an accepted scenario: (rho, h, g)."""
     fading = FadingConfig(*dims, d1=d1, d2=d2, ps_dbm=ps_dbm)
-    split = PowerSplit.from_b(b)
-    Scenario(fading, "fnoma", "es", split=split)
+    Scenario(fading, "fnoma", "es", b=b)
     Scenario(fading, "crnoma", "es", r_th=r_th)
-    return (split, fading.rho) + sample_channel_batch(fading, seed, start, count)
+    return (fading.rho,) + sample_channel_batch(fading, seed, start, count)
 
 
 @settings(max_examples=150, deadline=None)
@@ -156,15 +155,15 @@ def _sampled(dims, d1, d2, ps_dbm, b, r_th, seed, start, count):
        b=st.floats(0.0, 0.5, exclude_min=True), r_th=st.floats(0.01, 30.0),
        seed=_U64, start=_U64, count=st.integers(1, 300))
 def test_es_equals_full_search(dims, d1, d2, ps_dbm, b, r_th, seed, start, count):
-    split, rho, h, g = _sampled(dims, d1, d2, ps_dbm, b, r_th, seed, start, count)
-    for got, expected in _es_pairs(h, g, split, rho, r_th):
+    rho, h, g = _sampled(dims, d1, d2, ps_dbm, b, r_th, seed, start, count)
+    for got, expected in _es_pairs(h, g, b, rho, r_th):
         assert np.array_equal(got, expected)
 
 
-def _objectives(h, g, triple, split, rho, r_th):
+def _objectives(h, g, triple, b, rho, r_th):
     """Sum rate and secondary rate of the chosen gains."""
     x, y = _triple_gains(h, g, triple)
-    return (_fnoma_sum_rate(x, y, split.b, rho),
+    return (_fnoma_sum_rate(x, y, b, rho),
             cr_rates(x, y, rho, r_th).r1)
 
 
@@ -177,11 +176,11 @@ def _objectives(h, g, triple, split, rho, r_th):
        seed=_U64, start=_U64, count=st.integers(1, 300))
 def test_es_matches_full_search_value_at_high_snr(dims, d1, d2, ps_dbm, b, r_th, seed,
                                                   start, count):
-    split, rho, h, g = _sampled(dims, d1, d2, ps_dbm, b, r_th, seed, start, count)
-    for mode, (got, expected) in enumerate(_es_pairs(h, g, split, rho, r_th)):
+    rho, h, g = _sampled(dims, d1, d2, ps_dbm, b, r_th, seed, start, count)
+    for mode, (got, expected) in enumerate(_es_pairs(h, g, b, rho, r_th)):
         differ = ~(got == expected).all(axis=0)
-        ours = _objectives(h, g, got, split, rho, r_th)[mode][differ]
-        full = _objectives(h, g, expected, split, rho, r_th)[mode][differ]
+        ours = _objectives(h, g, got, b, rho, r_th)[mode][differ]
+        full = _objectives(h, g, expected, b, rho, r_th)[mode][differ]
         assert np.all(np.abs(ours - full) <= 1e-9 * np.abs(full))
 
 
@@ -228,14 +227,14 @@ def test_es_optimum_is_the_rate_at_its_triple_bit_for_bit(dims):
         assert top.tobytes() == (r1 + r2).tobytes()
         assert _es_fnoma_triples(h, g, rows, B, RHO, pick=False)[2] is None
         for optimum in (_es_fnoma_triples(h, g, rows, B, RHO, pick=False)[:2],
-                        POLICIES["fnoma", "es"].optimum(h, g, rows=rows, rho=RHO, split=B,
+                        POLICIES["fnoma", "es"].optimum(h, g, rows=rows, rho=RHO, b=B,
                                                         r_th=None)):
             assert _same_bits(optimum, (candidates, top))
         candidates, top, triple = _es_crnoma_triples(h, g, rows, RHO, r_th)
         assert top.tobytes() == cr_rates(*_triple_gains(h, g, triple), RHO, r_th).r1.tobytes()
         assert _es_crnoma_triples(h, g, rows, RHO, r_th, pick=False)[2] is None
         for optimum in (_es_crnoma_triples(h, g, rows, RHO, r_th, pick=False)[:2],
-                        POLICIES["crnoma", "es"].optimum(h, g, rows=rows, rho=RHO, split=None,
+                        POLICIES["crnoma", "es"].optimum(h, g, rows=rows, rho=RHO, b=None,
                                                          r_th=r_th)):
             assert _same_bits(optimum, (candidates, top))
         infeasible = top == 0.0
@@ -256,7 +255,7 @@ def test_row_policy_value_is_its_candidate_bit_for_bit(dims):
     assert set(_ROWS) == {key for key, p in POLICIES.items() if p.row}
     for h, g, r_th in _optimum_cases(*dims):
         rows = row_stats(h, g)
-        kwargs = dict(rho=RHO, split=B, r_th=r_th, seed=7, t0=5)
+        kwargs = dict(rho=RHO, b=B, r_th=r_th, seed=7, t0=5)
         for (mode, name), row in _ROWS.items():
             policy = POLICIES[mode, name]
             gains = _triple_gains(h, g, row_triple(h, g, row))
@@ -309,7 +308,7 @@ def test_ties_go_to_the_lowest_index(dims, count, seed, t0, data):
     draw = lambda shape: _TIE_GAINS[data.draw(
         hnp.arrays(np.int8, shape, elements=st.integers(0, 2)))]
     h0, g0 = draw((count, n, m)), draw((count, n, k))
-    expected = {key: [oracles.policy_triple(key, h0[t], g0[t], B.b, RHO, R_TH, seed, t0 + t)
+    expected = {key: [oracles.policy_triple(key, h0[t], g0[t], B, RHO, R_TH, seed, t0 + t)
                       for t in range(count)] for key in POLICIES}
     for layout in _LAYOUTS:
         h, g = layout(h0), layout(g0)
@@ -494,7 +493,7 @@ def test_es_dominates_heuristics_per_realization():
         for policy in ("a3", "aia", "random"):
             h_sel, g_sel = _select(("fnoma", policy), h, g, seed=3)
             for t in range(h.shape[0]):
-                assert rate(es_h[t], es_g[t], B.b, RHO) >= rate(h_sel[t], g_sel[t], B.b, RHO)
+                assert rate(es_h[t], es_g[t], B, RHO) >= rate(h_sel[t], g_sel[t], B, RHO)
 
 
 def test_es_crnoma_dominates_per_realization():
