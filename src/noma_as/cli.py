@@ -25,6 +25,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_TOLERANCE = 2
 EXIT_IO = 3
+# bench audits max_dim**3 configurations; at 64 the command took 0.66 s,
+# start-up included, on a 2-CPU virtual machine
+MAX_DIM = 64
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,7 +60,7 @@ def _build_parser() -> _Parser:
 
     ben = sub.add_parser("bench", help="comparison-count formulas vs complexity bounds")
     ben.add_argument("--max-dim", type=int, default=8,
-                     help="check all antenna counts in {1..max-dim}^3")
+                     help=f"check all antenna counts in {{1..max-dim}}^3, max-dim <= {MAX_DIM}")
     return parser
 
 
@@ -113,8 +116,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.max_dim < 1:
-        raise ConfigurationError("--max-dim must be >= 1")
+    if not 1 <= args.max_dim <= MAX_DIM:
+        raise ConfigurationError(f"--max-dim must be in 1..{MAX_DIM}, got {args.max_dim}")
     audited = [p for p in POLICIES.values() if p.bound is not None]
     dims = range(1, args.max_dim + 1)
     print(f"{'policy':>10s} {'bound':>12s}   counts for (N, M=K=2), N=1..{args.max_dim}")

@@ -27,20 +27,19 @@ N*(M+K) of any larger N's, so N is not part of the key.  One task
 geometry (N, d1, d2, alpha) of the group in turn, largest N first.  A task
 of more than one geometry computes the leaf's unit-rate exponentials once,
 for its largest N (`channel._unit_draws`), and passes them to the sampler
-of every geometry, which rescales them or a prefix of them; the last
-geometry is scaled with the one before it and the draws are then dropped,
-so a task holds the draws and one geometry's gains, or the last two
-geometries' gains.  Per geometry it takes the row maxima
-(`selection.row_stats`) and makes each choice that does not read rho, b or
-r_th (`Policy.depends`) once, with its gains; random's reads only N and
-the shape group and is drawn once per leaf and N.  Then each point of the
-geometry runs its searches, rate formulas and reduction on the arrays a
-fresh draw and selection would have produced, so no bit of any report
-moves.
+of every geometry, which rescales them or a prefix of them.  A task holds
+its draws and one geometry's arrays at a time (`_simulate_geometry`): that
+geometry's gains, their row maxima (`selection.row_stats`) and each choice
+that does not read rho, b or r_th (`Policy.depends`), made once with its
+gains; random's reads only N and the shape group and is drawn once per
+leaf and N.  Then each point of the geometry runs its searches, rate
+formulas and reduction on the arrays a fresh draw and selection would have
+produced, so no bit of any report moves.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -57,9 +56,14 @@ from .rates import _jain, cr_rates, fnoma_pair_rates, oma_pair_rates, qos_epsilo
 from .selection import POLICIES, row_stats
 
 # Largest leaf.  numpy's pairwise sum splits only above 128, so >= 128.  A
-# task holds a leaf's draws for its group's largest N and up to two
-# geometries' gains, which sets a worker's peak memory.
+# task holds a leaf's draws for its group's largest N and one geometry's
+# arrays at a time, which sets a worker's peak memory.
 _CHUNK = 8192
+# Most bytes of unit draws a leaf may hold, N*(M+K)*_CHUNK*8: N*(M+K) <= 4096.
+_LEAF_DRAW_BYTES = 2 ** 28
+# Most trials of one scenario: 131072 leaves, which `_leaves` lists in 0.1 s
+# on a 2-CPU virtual machine.
+_MAX_TRIALS = 2 ** 30
 ASYMPTOTIC_MIN_RHO = 1e8  # below this the high-SNR closed forms are not claimed
 
 
@@ -96,13 +100,19 @@ class Scenario:
             if not 0 < eps < math.inf:
                 raise ConfigurationError(f"r_th = {self.r_th}: crnoma needs 2**r_th - 1 "
                                          f"positive and finite", ("r_th",))
-        if not _is_int(self.trials) or self.trials < 1:
-            raise ConfigurationError(f"trials = {self.trials!r}: need an integer >= 1",
-                                     ("trials",))
+        if not _is_int(self.trials) or not 1 <= self.trials <= _MAX_TRIALS:
+            raise ConfigurationError(f"trials = {self.trials!r}: need an integer in "
+                                     f"[1, {_MAX_TRIALS}]", ("trials",))
         if not _is_int(self.seed) or not 0 <= self.seed < 2 ** 64:
             raise ConfigurationError(f"seed = {self.seed!r}: need an integer in [0, 2**64)",
                                      ("seed",))
         fading = self.fading
+        n, m, k = fading.n_bs, fading.m_ue1, fading.k_ue2
+        if n * (m + k) * _CHUNK * 8 > _LEAF_DRAW_BYTES:
+            raise ConfigurationError(
+                f"n_bs = {n}, m_ue1 = {m}, k_ue2 = {k}: {n * (m + k)} draws per trial, "
+                f"above the {_LEAF_DRAW_BYTES // (_CHUNK * 8)} whose {_CHUNK}-trial leaf "
+                f"fits in {_LEAF_DRAW_BYTES >> 20} MiB", ("n_bs", "m_ue1", "k_ue2"))
         try:
             omegas = (fading.omega_h, fading.omega_g)
         except OverflowError:
@@ -187,19 +197,18 @@ def _simulate_leaf(task):
     first = geometries[0][0]  # the largest N, whose unit draws every geometry shares
     draws = (channel._unit_draws(seed, first.n_bs * (first.m_ue1 + first.k_ue2), t0, count)
              if len(geometries) > 1 else None)
-    ahead = None  # the last geometry's gains, scaled with the one before it
     drawn = {}  # (mode, policy, N) -> its "shape" choice
-    out = []
-    for i, (geometry, points) in enumerate(geometries):
-        gains = ahead or sample_channel_batch(geometry, seed, t0, count, draws=draws)
-        if i + 2 == len(geometries):
-            ahead = sample_channel_batch(geometries[-1][0], seed, t0, count, draws=draws)
-            draws = None
-        h, g = gains
-        rows, chosen = row_stats(h, g), {}
-        out += [_simulate_point(h, g, rows, point, seed, t0, chosen, drawn)
-                for point in points]
-    return out
+    return [moments for geometry, points in geometries
+            for moments in _simulate_geometry(geometry, points, seed, t0, count, draws, drawn)]
+
+
+def _simulate_geometry(geometry, points, seed, t0, count, draws, drawn):
+    """Moments of each point of one geometry of a leaf.  The geometry's
+    gains, row maxima and choices live for this call only, so they are
+    freed before the next geometry is sampled."""
+    h, g = sample_channel_batch(geometry, seed, t0, count, draws=draws)
+    rows, chosen = row_stats(h, g), {}
+    return [_simulate_point(h, g, rows, point, seed, t0, chosen, drawn) for point in points]
 
 
 def _simulate_point(h, g, rows, point, seed, t0, chosen, drawn):
@@ -600,10 +609,23 @@ def _scenario_from_mapping(kv: dict, path, allow_tolerance=False):
     return scn, tolerance
 
 
+def _read_lines(path):
+    """The lines of a UTF-8 text file, newlines read as text mode reads
+    them; an undecodable byte fails naming its path:line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigurationError(f"{path}:{line}: byte 0x{data[exc.start]:02x} is not "
+                                 f"UTF-8 text ({exc.reason})") from None
+    return io.StringIO(text, newline=None).readlines()
+
+
 def load_scenario(path) -> Scenario:
     """Parse one scenario from a key/value text file."""
-    with open(path, encoding="utf-8") as f:
-        kv = _parse_kv_lines(f.readlines(), path)
+    kv = _parse_kv_lines(_read_lines(path), path)
     scn, _ = _scenario_from_mapping(kv, path)
     return scn
 
@@ -611,8 +633,7 @@ def load_scenario(path) -> Scenario:
 def load_validation_grid(path):
     """Parse a validation grid: scenario blocks separated by blank lines,
     each optionally carrying its own relative `tolerance` (default 2%)."""
-    with open(path, encoding="utf-8") as f:
-        lines = f.readlines()
+    lines = _read_lines(path)
     blocks = []
     current = []
     current_start = 0

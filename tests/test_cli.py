@@ -173,7 +173,8 @@ seed = 3
                                   "ps_dbm = -5000", "sigma2_dbm = -4000", "d1 = 1e-100",
                                   "cr: r_th = 1024", "cr: r_th = inf", "n_bs = 0",
                                   "m_ue1 = 0", "k_ue2 = -1", "d1 = -4", "d2 = 0",
-                                  "alpha = 0", "ps_dbm = nan", "sigma2_dbm = inf"])
+                                  "alpha = 0", "ps_dbm = nan", "sigma2_dbm = inf",
+                                  "n_bs = 1025"])
 def test_bad_scenario_value_names_file_and_key(tmp_path, capsys, monkeypatch, line):
     ran = []
     monkeypatch.setattr(harness, "_simulate_leaf", ran.append)
@@ -189,6 +190,42 @@ def test_bad_scenario_value_names_file_and_key(tmp_path, capsys, monkeypatch, li
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:{len(rows) + 1}: ") and f"{key} =" in err
     assert ran == []
+
+
+@pytest.mark.parametrize("command", ["figure", "sweep", "validate"])
+def test_a_trial_count_above_the_cap_fails_before_any_leaf_is_planned(tmp_path, capsys,
+                                                                     monkeypatch, command):
+    def refuse(*args):
+        raise AssertionError("a leaf was planned or simulated")
+
+    monkeypatch.setattr(harness, "_leaves", refuse)
+    monkeypatch.setattr(harness, "_simulate_leaf", refuse)
+    trials = 2 ** 30 + 1
+    path = tmp_path / "scn.txt"
+    path.write_text(SCENARIO_TEXT.replace("trials = 300", f"trials = {trials}"))
+    out = tmp_path / "x.csv"
+    argv = {"figure": ["figure", "--id", "7", "--trials", str(trials), "--out", str(out)],
+            "sweep": ["sweep", "--scenario", str(path), "--axis", "d2", "--values", "100",
+                      "--out", str(out)],
+            "validate": ["validate", "--grid", str(path)]}[command]
+    assert main(argv) == 1
+    where = "" if command == "figure" else f"{path}:6: "
+    assert capsys.readouterr().err == (f"error: {where}trials = {trials}: need an integer "
+                                       f"in [1, {2 ** 30}]\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "validate"])
+def test_a_byte_that_is_not_utf8_names_the_file_and_line(tmp_path, capsys, command):
+    rows = SCENARIO_TEXT.encode().splitlines(True)
+    rows[3] = b"ps_dbm = 2\xff0\n"
+    path = tmp_path / "scn.txt"
+    path.write_bytes(b"".join(rows))
+    argv = {"sweep": ["sweep", "--scenario", str(path), "--axis", "d2", "--values", "100"],
+            "validate": ["validate", "--grid", str(path)]}[command]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path}:4: byte 0xff is not UTF-8 text")
 
 
 def test_sweep_missing_file(tmp_path):
@@ -261,6 +298,17 @@ def test_bench_all_within_bounds(capsys):
     out = capsys.readouterr().out
     assert "within bounds" in out
     assert "es_fnoma" in out
+
+
+@pytest.mark.parametrize("max_dim, code", [(64, 0), (65, 1)])
+def test_bench_max_dim_is_capped(capsys, max_dim, code):
+    assert main(["bench", "--max-dim", str(max_dim)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err == "error: --max-dim must be in 1..64, got 65\n"
+    else:
+        assert out.endswith(f"over {64 ** 3} antenna configurations "
+                            f"(exhaustive counts exactly N*M*K)\n")
 
 
 def test_usage_error_maps_to_config_exit():

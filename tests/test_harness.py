@@ -3,6 +3,7 @@ import os
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +88,27 @@ def test_bad_scenario_value_fails_at_construction(kwargs, key):
 def test_bad_crnoma_value_fails_at_construction(kwargs, key):
     with pytest.raises(ConfigurationError, match=rf"\b{key} ="):
         _cr_scn(**kwargs)
+
+
+@given(dims=st.tuples(st.integers(1, 5000), st.integers(1, 64), st.integers(1, 64)),
+       trials=st.integers(1, 2 ** 40))
+@example(dims=(1024, 2, 2), trials=2 ** 30)
+@example(dims=(1025, 2, 2), trials=1)
+@example(dims=(1, 2047, 2047), trials=1)
+@example(dims=(1, 2, 2), trials=2 ** 30 + 1)
+def test_a_scenario_builds_only_within_the_leaf_budget_and_the_trial_cap(dims, trials):
+    # construction only: a rejected scenario plans no leaf and draws nothing
+    n, m, k = dims
+    within = (n * (m + k) * harness._CHUNK * 8 <= harness._LEAF_DRAW_BYTES
+              and trials <= harness._MAX_TRIALS)
+    try:
+        _fnoma_scn(fading=FadingConfig(n_bs=n, m_ue1=m, k_ue2=k), trials=trials)
+    except ConfigurationError as exc:
+        assert not within
+        assert exc.keys == (("trials",) if trials > harness._MAX_TRIALS
+                            else ("n_bs", "m_ue1", "k_ue2"))
+    else:
+        assert within
 
 
 def _log_wide(lo, hi):
@@ -511,44 +533,12 @@ def test_run_draws_figure_2_once_per_leaf_for_every_bs_antenna_count(monkeypatch
             assert len(computed) == 3
 
 
-def test_a_leaf_drops_its_draws_before_its_last_geometry_runs(monkeypatch):
-    # figure 7 in four leaves, two placements each: the last geometry is
-    # scaled with the one before it and the leaf's unit draws are dropped
-    # then, so they are gone before any point of the last geometry runs
-    monkeypatch.setattr(harness, "_CHUNK", 128)
-    shared, last, checked = {}, [], []
-    unit_draws, simulate_leaf = channel._unit_draws, harness._simulate_leaf
-    simulate_point = harness._simulate_point
-
-    def draw(seed, total, start, count):
-        x = unit_draws(seed, total, start, count)
-        shared[start] = weakref.ref(x)
-        return x
-
-    def leaf(task):
-        last[:] = task[3][-1][1]
-        return simulate_leaf(task)
-
-    def point(h, g, rows, pt, seed, t0, *args):
-        if pt in last:
-            assert shared[t0]() is None
-            checked.append(t0)
-        return simulate_point(h, g, rows, pt, seed, t0, *args)
-
-    monkeypatch.setattr(channel, "_unit_draws", draw)
-    monkeypatch.setattr(harness, "_simulate_leaf", leaf)
-    monkeypatch.setattr(harness, "_simulate_point", point)
-    figure_rows(7, 512, 1, workers=1)
-    leaves = [t0 for t0, _ in harness._leaves(0, 512)]
-    assert sorted(shared) == leaves and sorted(set(checked)) == leaves
-    assert len(checked) == len(leaves) * len(last)
+_GRID = Path(__file__).resolve().parent.parent / "perfbench" / "validate_grid.txt"
 
 
-@pytest.mark.parametrize("figure_id, bound_mib", [(7, 5), (2, 8)])
-def test_a_leaf_task_peaks_under_its_memory_bound(figure_id, bound_mib, monkeypatch):
-    # each leaf task of the figure at 32768 trials, run in this process
-    # under tracemalloc: what it allocates above what it started with;
-    # every figure point shares one shape group, so one task per leaf
+def _leaf_peaks(monkeypatch, run):
+    """What each leaf task of `run()`, run in this process under
+    tracemalloc, allocates above what it started with."""
     peaks = []
     simulate = harness._simulate_leaf
 
@@ -562,11 +552,35 @@ def test_a_leaf_task_peaks_under_its_memory_bound(figure_id, bound_mib, monkeypa
     monkeypatch.setattr(harness, "_simulate_leaf", traced)
     tracemalloc.start()
     try:
-        figure_rows(figure_id, 32768, 1, workers=1)
+        run()
     finally:
         tracemalloc.stop()
+    return peaks
+
+
+# Bounds in MiB, above each figure's measured peak (figure 2 6.69, 3 2.57,
+# 6 4.01, 7 4.01); those of figures 2, 3 and 6 sit below the peak a task
+# reaches when it holds two geometries' arrays at once (7.57, 3.07, 5.01).
+@pytest.mark.parametrize("figure_id, bound_mib", [
+    (7, 5), (2, 7.25), (1, 2.5), (3, 2.8), (4, 2.5), (5, 2.75), (6, 4.5), (8, 4.5)])
+def test_a_leaf_task_peaks_under_its_memory_bound(figure_id, bound_mib, monkeypatch):
+    # figures 2 and 7 in four leaves, the others in one full leaf, which
+    # peaks as high; every figure point shares one shape group, so one task
+    # per leaf
+    trials = 4 * harness._CHUNK if figure_id in (2, 7) else harness._CHUNK
+    peaks = _leaf_peaks(monkeypatch, lambda: figure_rows(figure_id, trials, 1, workers=1))
     assert max(peaks) < bound_mib * 2 ** 20
-    assert len(peaks) == len(harness._leaves(0, 32768))
+    assert len(peaks) == len(harness._leaves(0, trials))
+
+
+def test_a_validation_leaf_task_peaks_under_its_memory_bound(monkeypatch):
+    # the benchmark's validation grid in one full leaf, three geometries of
+    # one shape group: 3.20 MiB measured, 4.19 MiB when a task holds two
+    # geometries' arrays at once
+    points = [ValidationPoint(replace(p.scenario, trials=harness._CHUNK), p.tolerance)
+              for p in load_validation_grid(_GRID)]
+    peaks = _leaf_peaks(monkeypatch, lambda: validate_asymptotics(points, workers=1))
+    assert len(peaks) == 1 and peaks[0] < 3.6 * 2 ** 20
 
 
 def test_run_writes_the_same_bits_at_one_two_and_three_workers(monkeypatch):
