@@ -1,29 +1,30 @@
 """Closed-form high-SNR average-rate expressions and their quadrature check.
 
 The selected gains of every policy are order statistics of exponentials, so
-their densities are finite mixtures of exponentials obtained from binomial
-and multinomial expansions of the relevant CDF powers.  Averaging
-``log2(1 + b*rho*x)`` against such a mixture uses
+their densities are finite mixtures of exponentials (binomial and
+multinomial expansions of CDF powers).  A component of rate theta averages
+ln(1 + c*x) to -e^(theta/c) Ei(-theta/c) ~ ln(c/theta) - C at high SNR (C is
+Euler's constant), and the weights sum to 1, so every closed form is
+(ln rho + S)/ln 2: the offset S depends on the geometry (N, M, K, omega_h,
+omega_g and, in QoS mode, epsilon), not on rho nor on the power split b.
 
-    int_0^inf ln(1 + c*x) * theta * exp(-theta*x) dx = -e^(theta/c) Ei(-theta/c)
-
-and its small-argument behaviour Ei(-t) ~ C + ln t (C is Euler's constant),
-which is what makes the high-SNR forms elementary.
-
-Alternating binomial sums are accumulated with ``math.fsum``, so values are
-reproducible bit for bit.  Every closed form follows one refusal rule: it
-answers for N*M, N*K <= 30 only, beyond which float64 cancellation makes the
-expansions meaningless.  The weak-gain-first forms expand the (N-1)-fold
-product CDF through one exact big-integer coefficient table, each entry
-rounded to float once.  ``quadrature_rate``, the numerical cross-check of
-the closed forms, is the only user of ``scipy.integrate``, which scipy loads
-on first access, so no figure, sweep or validation run loads it.
+S is a sum of c*ln(a) over exact rational pairs (a, c), built from the
+float rate parameters taken exactly and grouped by argument, minus C, plus
+a rational constant.  `_Offset`, the one evaluator, sums ln rho + S in
+``decimal`` at the precision its condition sum|t_i| / |sum t_i| asks for,
+found by iterating, and rounds to float once: a value is within an ulp of
+the exact one.  Offsets are cached per geometry.  A closed form refuses
+(ValueError) a series of more than `_MAX_TERMS` terms, before building any
+coefficient, and a sum that cancels more than the 80 digits of C kept here
+can hold.  ``quadrature_rate`` alone uses ``scipy.integrate``, which scipy
+loads on first access, so no figure, sweep or validation run loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,20 +35,21 @@ from .channel import FadingConfig
 from .rates import qos_epsilon
 
 EULER_GAMMA = 0.5772156649015329
-
-_LN2 = math.log(2.0)
-_MAX_BINOMIAL_SUM = 30
-
-
-# ---------------------------------------------------------------------------
-# configuration and result containers
+# C to 80 significant digits, the most an offset is evaluated at
+_GAMMA = Decimal("0.57721566490153286060651209008240243104215933593992359880576723488486772677766467")
+_MAX_DIGITS = 80
+_LN2 = Decimal(2).ln(Context(prec=_MAX_DIGITS))
+# Most terms of a series; near it a closed form takes up to 4 s on 2 CPUs
+_MAX_TERMS = 2 ** 15
+# Digits beyond the condition's: 20 for a float (17 needed) and the sum's error
+_GUARD = 24
 
 
 @dataclass(frozen=True)
 class AnalyticConfig:
     """Inputs of the closed forms: geometry counts, exponential rates of the
-    two gain populations, linear SNR, and (where needed) the strong-user
-    coefficient b or the QoS SINR threshold epsilon."""
+    two gain populations, linear SNR, and (QoS mode) the SINR threshold
+    epsilon."""
 
     n_bs: int
     m_ue1: int
@@ -55,7 +57,6 @@ class AnalyticConfig:
     omega_h: float
     omega_g: float
     rho: float
-    b: float | None = None
     epsilon: float | None = None
 
     def __post_init__(self):
@@ -65,36 +66,78 @@ class AnalyticConfig:
             raise ValueError("rate parameters must be positive")
         if not self.rho > 0:
             raise ValueError("rho must be positive")
-        if self.b is not None and not 0.0 < self.b < 1.0:
-            raise ValueError("b must lie in (0, 1)")
         if self.epsilon is not None and not self.epsilon >= 0.0:
             raise ValueError("epsilon must be nonnegative")
 
     @classmethod
-    def from_fading(cls, fading: FadingConfig, b=None, r_th=None) -> "AnalyticConfig":
-        eps = None if r_th is None else float(qos_epsilon(r_th))
-        return cls(fading.n_bs, fading.m_ue1, fading.k_ue2,
-                   fading.omega_h, fading.omega_g, fading.rho, b, eps)
+    def from_fading(cls, fading: FadingConfig, r_th=None) -> "AnalyticConfig":
+        return cls(fading.n_bs, fading.m_ue1, fading.k_ue2, fading.omega_h, fading.omega_g,
+                   fading.rho, None if r_th is None else float(qos_epsilon(r_th)))
 
 
 @dataclass(frozen=True)
 class AnalyticResult:
     value: float
-    terms: int  # series summands evaluated
+    terms: int  # distinct logs of the offset's sum
 
 
-def _mu(i: int, n: int) -> float:
-    # (-1)^i * C(n, i): signed binomial weight of the CDF-power expansion
-    return float((-1) ** i * math.comb(n, i))
+def _dec(x):  # a Fraction or int, rounded to the context's precision
+    return Decimal(x.numerator) / x.denominator
 
 
-def _check_binomial_range(*sizes):
-    for s in sizes:
-        if s > _MAX_BINOMIAL_SUM:
-            raise ValueError(
-                f"alternating binomial sum of order {s} exceeds the supported "
-                f"range (<= {_MAX_BINOMIAL_SUM}); float64 cancellation would "
-                "dominate the result")
+class _Offset:
+    """S = sum c*ln(a) - C + rational over exact pairs (a, c), grouped by
+    argument, evaluated when built at the digits a first guess asks for
+    (sum|t_i| to 4 digits, |ln rho + S| >= 1); `result` adds ln rho."""
+
+    def __init__(self, pairs, rational=0):
+        self.logs, self.rational = {}, rational
+        for a, c in pairs:
+            self.logs[a] = self.logs.get(a, 0) + c
+        with localcontext(Context(prec=4)):
+            size = sum(abs(_dec(c) * Decimal(math.log(a))) for a, c in self.logs.items()) + 1
+            self._sum(min(_GUARD + 1 + (size * (len(self.logs) + 3)).adjusted(), _MAX_DIGITS))
+
+    def _sum(self, digits):
+        """Sets `_at` to (digits, S, sum|t_i|), S at `digits` digits."""
+        with localcontext(Context(prec=digits)):
+            t = [_dec(c) * _dec(a).ln() for a, c in self.logs.items()]
+            t += [-_GAMMA, _dec(self.rational)]
+            self._at = digits, sum(t), sum(map(abs, t))
+
+    def result(self, rho) -> AnalyticResult:
+        """(ln rho + S)/ln 2, rounded to float once.  A sum errs by under
+        10**(1.6 - digits) * terms * sum|t_i|; below 10**-20 of |ln rho + S|
+        it is kept, else redone at the digits its computed condition asks."""
+        terms = len(self.logs) + 3
+        while True:
+            digits, total, size = self._at
+            with localcontext(Context(prec=digits)):
+                ln_rho = Decimal(rho).ln()
+                value = ln_rho + total
+                need = (_GUARD + ((size + abs(ln_rho)) / abs(value) * terms).adjusted()
+                        if value else _MAX_DIGITS + 1)
+                if need <= digits:
+                    return AnalyticResult(float(value / _LN2), len(self.logs))
+            if digits == _MAX_DIGITS:
+                raise ValueError(f"the sum cancels more than {_MAX_DIGITS} digits can hold")
+            self._sum(min(need, _MAX_DIGITS))
+
+
+def _alternating(i_max, j_max, terms=None):
+    """[(i, j, (-1)**(i+j) C(i_max, i) C(j_max, j))], i <= i_max, j <= j_max:
+    the signed weights of two expanded CDF powers, which sum to 1.  Refuses
+    a series of more than `_MAX_TERMS` terms, i_max*j_max unless `terms`."""
+    if (terms or i_max * j_max) > _MAX_TERMS:
+        raise ValueError(f"the series has {terms or i_max * j_max} terms, above {_MAX_TERMS}")
+    return [(i, j, (-1) ** (i + j) * math.comb(i_max, i) * math.comb(j_max, j))
+            for i in range(1, i_max + 1) for j in range(1, j_max + 1)]
+
+
+def _integers(omega_h, omega_g):
+    """Integers (A, B, D) with omega_h = A/D and omega_g = B/D."""
+    d = math.lcm(*(Fraction(w).denominator for w in (omega_h, omega_g)))
+    return (*(int(Fraction(w) * d) for w in (omega_h, omega_g)), d)
 
 
 # ---------------------------------------------------------------------------
@@ -102,21 +145,18 @@ def _check_binomial_range(*sizes):
 
 
 def a3_avg_sum_rate(cfg: AnalyticConfig) -> AnalyticResult:
-    """High-SNR average sum rate of the strong-gain-first selection.
-
-    (ln rho - C)/ln 2 plus the alternating double binomial sum over the two
-    whole-matrix maxima; independent of the power split b.
-    """
+    """High-SNR average sum rate of the strong-gain-first selection: S = -C
+    plus the alternating double binomial sum over the two whole-matrix
+    maxima of ln((i*omega_h + j*omega_g)/(i*j*omega_h*omega_g))."""
     nm, nk = cfg.n_bs * cfg.m_ue1, cfg.n_bs * cfg.k_ue2
-    _check_binomial_range(nm, nk)
-    oh, og = cfg.omega_h, cfg.omega_g
-    terms = []
-    for i in range(1, nm + 1):
-        for j in range(1, nk + 1):
-            terms.append(_mu(i, nm) * _mu(j, nk)
-                         * math.log((i * oh + j * og) / (i * j * oh * og)))
-    value = (math.log(cfg.rho) - EULER_GAMMA + math.fsum(terms)) / _LN2
-    return AnalyticResult(value, nm * nk)
+    return _a3_offset(nm, nk, cfg.omega_h, cfg.omega_g).result(cfg.rho)
+
+
+@lru_cache(maxsize=64)
+def _a3_offset(nm, nk, omega_h, omega_g):
+    a, b, d = _integers(omega_h, omega_g)
+    return _Offset((Fraction((i * a + j * b) * d, i * j * a * b), sign)
+                   for i, j, sign in _alternating(nm, nk))
 
 
 # ---------------------------------------------------------------------------
@@ -126,18 +166,11 @@ def a3_avg_sum_rate(cfg: AnalyticConfig) -> AnalyticResult:
 @lru_cache(maxsize=64)
 def _aia_power_table(n: int, m: int, k: int):
     """Nonzero exact coefficients ((p, q), c_pq) of P(X, Y)**(N-1), where
-    P = 1 - sum_{i,j >= 1} mu(i, M) mu(j, K) X^i Y^j, so that P(e^-x omega_h,
-    e^-x omega_g) is the CDF of one row's smaller row-maximum.
-
-    The term c_pq of the (N-1)-fold product CDF decays at rate
-    xi = p*omega_h + q*omega_g.  N - 1 big-integer convolutions give the
-    table exactly; refuses outside N*M, N*K <= 30 before building it.
-    """
-    _check_binomial_range(n * m, n * k)
-    factor = {(0, 0): 1}
-    for i in range(1, m + 1):
-        for j in range(1, k + 1):
-            factor[i, j] = (-1) ** (i + j + 1) * math.comb(m, i) * math.comb(k, j)
+    P = 1 - sum_{i,j >= 1} (-1)**(i+j) C(M, i) C(K, j) X^i Y^j, so that
+    P(e^-x omega_h, e^-x omega_g) is the CDF of one row's smaller
+    row-maximum; c_pq decays at rate xi = p*omega_h + q*omega_g.  N - 1
+    big-integer convolutions give the table exactly."""
+    factor = {(0, 0): 1, **{(i, j): -sign for i, j, sign in _alternating(m, k)}}
     table = {(0, 0): 1}
     for _ in range(n - 1):
         product = {}
@@ -149,37 +182,30 @@ def _aia_power_table(n: int, m: int, k: int):
 
 
 def aia_avg_sum_rate(cfg: AnalyticConfig) -> AnalyticResult:
-    """High-SNR average sum rate of the weak-gain-first selection.
+    """High-SNR average sum rate of the weak-gain-first selection:
+    log2(1/b) for the saturated weak user plus the strong-companion term,
+    whose components of rate theta and weight w give -w*(C + ln(theta/(b
+    rho))).  The weights sum to 1, so b cancels and S = -C - sum w*ln(theta)
+    over i*omega_h, j*omega_g and i*omega_h + j*omega_g + xi of each table
+    entry and (i, j)."""
+    return _aia_offset(cfg.n_bs, cfg.m_ue1, cfg.k_ue2, cfg.omega_h,
+                       cfg.omega_g).result(cfg.rho)
 
-    log2(1/b) for the saturated weak user plus the mixture average of the
-    strong-companion term, each exponential component integrated through the
-    small-argument Ei form chi(theta) = C + ln(theta/(b rho)).
-    """
-    if cfg.b is None:
-        raise ValueError("aia_avg_sum_rate needs cfg.b")
-    b, rho = cfg.b, cfg.rho
-    oh, og = cfg.omega_h, cfg.omega_g
-    n, m, k = cfg.n_bs, cfg.m_ue1, cfg.k_ue2
 
-    def chi(u):
-        return EULER_GAMMA + math.log(u / (b * rho))
-
-    terms = []
+@lru_cache(maxsize=64)
+def _aia_offset(n, m, k, omega_h, omega_g):
+    signs = _alternating(m, k, ((n - 1) * m + 1) * ((n - 1) * k + 1) * m * k)
+    a, b, d = _integers(omega_h, omega_g)
+    logs = {}  # (x, y) -> coefficient of ln((x*a + y*b)/d)
     for (p, q), c in _aia_power_table(n, m, k):
-        coef, xi = float(c), p * oh + q * og
-        for i in range(1, m + 1):
-            for j in range(1, k + 1):
-                z = coef * n * i * j * oh * og * _mu(i, m) * _mu(j, k)
-                io, jo = i * oh, j * og
-                phi_i = io + xi
-                phi_j = jo + xi
-                phi_1 = io + jo + xi
-                phi_2 = io + jo + 2.0 * xi
-                terms.append(z * (-chi(io) / (io * phi_j)
-                                  - chi(jo) / (jo * phi_i)
-                                  + phi_2 * chi(phi_1) / (phi_i * phi_j * phi_1)))
-    value = math.log2(1.0 / b) + math.fsum(terms) / _LN2
-    return AnalyticResult(value, len(terms))
+        for i, j, sign in signs:
+            z, xi = c * n * sign, p * a + q * b
+            phi_i, phi_j, phi_1 = i * a + xi, j * b + xi, i * a + j * b + xi
+            for key, num, den in (((i, 0), -z * j * b, phi_j), ((0, j), -z * i * a, phi_i),
+                                  ((i + p, j + q), z * i * a * j * b * (phi_1 + xi),
+                                   phi_i * phi_j * phi_1)):
+                logs[key] = logs.get(key, 0) + Fraction(num, den)
+    return _Offset((Fraction(x * a + y * b, d), c) for (x, y), c in logs.items())
 
 
 # ---------------------------------------------------------------------------
@@ -187,91 +213,69 @@ def aia_avg_sum_rate(cfg: AnalyticConfig) -> AnalyticResult:
 
 
 def prob_h_ge_g(cfg: AnalyticConfig) -> float:
-    """Probability that the best UE1 gain beats the best UE2 gain.
-
-    Evaluated in exact rational arithmetic (the summands are ratios of the
-    float-exact rate parameters), so the symmetric case returns exactly 0.5
-    and the alternating sum loses nothing to cancellation.
-    """
-    return _prob_h_ge_g(cfg.n_bs * cfg.m_ue1, cfg.n_bs * cfg.k_ue2,
-                        cfg.omega_h, cfg.omega_g)
+    """Probability that the best UE1 gain beats the best UE2 gain, summed in
+    exact rational arithmetic, so the symmetric case returns exactly 0.5."""
+    return float(_prob_h_ge_g(cfg.n_bs * cfg.m_ue1, cfg.n_bs * cfg.k_ue2,
+                              cfg.omega_h, cfg.omega_g))
 
 
 @lru_cache(maxsize=64)
-def _prob_h_ge_g(nm: int, nk: int, omega_h: float, omega_g: float) -> float:
-    """The exact sum of `prob_h_ge_g`, cached: it depends on the geometry
-    only, and costs about a millisecond at N*M = N*K = 8."""
-    _check_binomial_range(nm, nk)
-    oh, og = Fraction(omega_h), Fraction(omega_g)
-    total = Fraction(0)
-    for i in range(1, nm + 1):
-        for j in range(1, nk + 1):
-            sign = (-1) ** (i + j)
-            total += (sign * math.comb(nm, i) * math.comb(nk, j)
-                      * j * og / (i * oh + j * og))
-    return float(total)
+def _prob_h_ge_g(nm: int, nk: int, omega_h: float, omega_g: float) -> Fraction:
+    """The exact sum of `prob_h_ge_g`, cached per geometry."""
+    a, b, _ = _integers(omega_h, omega_g)
+    return sum(Fraction(sign * j * b, i * a + j * b) for i, j, sign in _alternating(nm, nk))
 
 
-def _cr_secondary_summand(io, jo, eps, rho):
-    """One summand of `_cr_secondary_series`.  Within 1e-9 of io = eps*jo,
-    its singular part eps*jo/(io - eps*jo) * ln((eps + 1)*jo/(io + jo)) is
-    taken as -eps/(eps + 1) * log1p(u)/u, u = (io - eps*jo)/((eps + 1)*jo),
-    which cancels nothing and is -eps/(eps + 1) at u = 0."""
-    num = (eps + 1.0) * jo
-    den = io - eps * jo
-    if abs(den) <= 1e-9 * max(io, eps * jo):
-        u = den / num
-        singular = -eps / (eps + 1.0) * (math.log1p(u) / u if u else 1.0)
-    else:
-        singular = eps * jo / den * math.log(num / (io + jo))
-    return singular - math.log(io / rho) - EULER_GAMMA
-
-
-def _cr_secondary_series(i_max, j_max, cfg) -> AnalyticResult:
-    """Average secondary rate for a best-of-i_max UE1 gain paired with a
-    best-of-j_max UE2 gain, both orderings integrated out.
-
-    The summand has a removable singularity at i*omega_h = eps*j*omega_g;
-    near it, `_cr_secondary_summand` takes the singular part in its log1p
-    form, which is exact at the point and cancels nothing around it.
-    """
+def _qos(cfg):
     if cfg.epsilon is None:
-        raise ValueError("secondary-rate series needs cfg.epsilon")
-    _check_binomial_range(i_max, j_max)
-    eps, rho = cfg.epsilon, cfg.rho
-    oh, og = cfg.omega_h, cfg.omega_g
-    terms = []
-    for i in range(1, i_max + 1):
-        io = i * oh
-        for j in range(1, j_max + 1):
-            jo = j * og
-            sign = float((-1) ** (i + j) * math.comb(i_max, i) * math.comb(j_max, j))
-            terms.append(sign * _cr_secondary_summand(io, jo, eps, rho))
-    return AnalyticResult(math.fsum(terms) / _LN2, i_max * j_max)
+        raise ValueError("the secondary-rate closed forms need cfg.epsilon")
+    return cfg.omega_h, cfg.omega_g, cfg.epsilon
+
+
+@lru_cache(maxsize=256)
+def _cr_offset(i_max, j_max, omega_h, omega_g, epsilon):
+    """Offset of the average secondary rate of a best-of-i_max UE1 gain and
+    a best-of-j_max UE2 gain, both orders integrated out: each summand is
+    eps*jo/(io - eps*jo) * ln((eps + 1)*jo/(io + jo)) - ln(io/rho) - C, io =
+    i*omega_h, jo = j*omega_g; where io = eps*jo exactly, the singular part
+    is its limit -eps/(eps + 1)."""
+    signs, (a, b, d) = _alternating(i_max, j_max), _integers(omega_h, omega_g)
+    e, f = Fraction(epsilon).as_integer_ratio()
+    pairs = [(Fraction(i * a, d), -sign) for i, j, sign in signs]
+    pairs += [(Fraction((e + f) * j * b, f * (i * a + j * b)),
+               Fraction(sign * e * j * b, i * a * f - e * j * b))
+              for i, j, sign in signs if i * a * f != e * j * b]
+    return _Offset(pairs, -sum(Fraction(sign * e, e + f) for i, j, sign in signs
+                               if i * a * f == e * j * b))
 
 
 def pu_avg_secondary_rate(cfg: AnalyticConfig) -> AnalyticResult:
     """High-SNR average secondary rate of primary-first selection: the UE2
     gain is the whole-matrix maximum (N*K-fold), the UE1 gain a row maximum
     (M-fold)."""
-    return _cr_secondary_series(cfg.m_ue1, cfg.n_bs * cfg.k_ue2, cfg)
+    return _cr_offset(cfg.m_ue1, cfg.n_bs * cfg.k_ue2, *_qos(cfg)).result(cfg.rho)
 
 
 def su_avg_secondary_rate(cfg: AnalyticConfig) -> AnalyticResult:
     """High-SNR average secondary rate of secondary-first selection: same
     summand with the maxima swapped (N*M-fold UE1, K-fold UE2)."""
-    return _cr_secondary_series(cfg.n_bs * cfg.m_ue1, cfg.k_ue2, cfg)
+    return _cr_offset(cfg.n_bs * cfg.m_ue1, cfg.k_ue2, *_qos(cfg)).result(cfg.rho)
 
 
 def mcg_avg_secondary_rate(cfg: AnalyticConfig) -> AnalyticResult:
     """Total-probability mixture of the primary-first and secondary-first
-    averages, weighted by which whole-matrix maximum wins."""
-    p_su = prob_h_ge_g(cfg)
-    pu = pu_avg_secondary_rate(cfg)
-    su = su_avg_secondary_rate(cfg)
-    value = (1.0 - p_su) * pu.value + p_su * su.value
-    return AnalyticResult(value, pu.terms + su.terms
-                          + cfg.n_bs ** 2 * cfg.m_ue1 * cfg.k_ue2)
+    averages, weighted by which whole-matrix maximum wins: S = (1 - p)*S_pu
+    + p*S_su with p the exact `prob_h_ge_g`."""
+    return _mcg_offset(cfg.n_bs, cfg.m_ue1, cfg.k_ue2, *_qos(cfg)).result(cfg.rho)
+
+
+@lru_cache(maxsize=64)
+def _mcg_offset(n, m, k, omega_h, omega_g, epsilon):
+    p = _prob_h_ge_g(n * m, n * k, omega_h, omega_g)
+    parts = ((1 - p, _cr_offset(m, n * k, omega_h, omega_g, epsilon)),
+             (p, _cr_offset(n * m, k, omega_h, omega_g, epsilon)))
+    return _Offset([(a, w * c) for w, s in parts for a, c in s.logs.items()],
+                   sum(w * s.rational for w, s in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -279,24 +283,20 @@ def mcg_avg_secondary_rate(cfg: AnalyticConfig) -> AnalyticResult:
 
 
 def quadrature_rate(pdf, b, rho, abs_tol=1e-8) -> float:
-    """Numerical E[log2(1 + b*rho*X)] for X with density ``pdf`` on [0, inf).
-
-    Works at any SNR, so it cross-checks the asymptotic closed forms from
-    the outside.  The support is probed on a log grid to locate the density
+    """Numerical E[log2(1 + b*rho*X)] for X with density ``pdf`` on [0, inf),
+    at any SNR, so it cross-checks the asymptotic closed forms from the
+    outside.  The support is probed on a log grid to locate the density
     scale, the upper cutoff grows until the tail mass drops below 1e-12, and
     the integral is accumulated over log-spaced segments so the rate knee at
     1/(b*rho) and the density scale may sit many decades apart.  Raises if
-    the accumulated error estimate exceeds ``abs_tol``.
-    """
+    the accumulated error estimate exceeds ``abs_tol``."""
     if not (b > 0 and rho > 0):
         raise ValueError("b and rho must be positive")
     probe = 10.0 ** np.arange(-18.0, 19.0)
     dens = np.asarray([float(pdf(x)) for x in probe])
     if not np.any(dens > 0.0):
         raise ValueError("pdf is zero on the whole probe grid 1e-18..1e18")
-    scale = float(probe[int(np.argmax(dens * probe))])
-
-    cutoff = scale
+    cutoff = float(probe[int(np.argmax(dens * probe))])  # the density scale
     for _ in range(200):
         seg, _ = scipy.integrate.quad(pdf, cutoff, 2.0 * cutoff, limit=100)
         if abs(seg) < 1e-13:
@@ -305,9 +305,7 @@ def quadrature_rate(pdf, b, rho, abs_tol=1e-8) -> float:
     else:
         raise RuntimeError("could not find a 1e-12 tail cutoff for the pdf")
 
-    knee = 1.0 / (b * rho)
-    points = [0.0]
-    edge = knee
+    points, edge = [0.0], 1.0 / (b * rho)  # from the rate knee up
     while edge < cutoff:
         if edge > 0.0:
             points.append(edge)
@@ -317,14 +315,12 @@ def quadrature_rate(pdf, b, rho, abs_tol=1e-8) -> float:
     def f(x):
         return math.log2(1.0 + b * rho * x) * pdf(x)
 
-    total = 0.0
-    err = 0.0
+    total = err = 0.0
     for lo, hi in zip(points[:-1], points[1:]):
         v, e = scipy.integrate.quad(f, lo, hi, epsabs=abs_tol / (2 * len(points)),
                                     epsrel=1e-12, limit=200)
         total += v
         err += e
     if err > abs_tol:
-        raise RuntimeError(
-            f"quadrature did not converge to {abs_tol:g}; achieved {err:g}")
+        raise RuntimeError(f"quadrature did not converge to {abs_tol:g}; achieved {err:g}")
     return total

@@ -91,8 +91,6 @@ def _figure_run(figure_id: int, trials: int, seed: int, workers):
     runs them and returns (axis name, [(x, {column: value})])."""
     if figure_id not in _FIGURES:
         raise ConfigurationError(f"figure id must be in 1..8, got {figure_id}")
-    if trials < 1:
-        raise ConfigurationError("trials must be >= 1")
     axis, grid, column_groups = _FIGURES[figure_id]
     plan = [(x, [(suffix, entry, _point(entry, fading, b, r_th, trials, seed))
                  for suffix, entries, fading, b, r_th in column_groups(x)

@@ -45,6 +45,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -61,8 +62,8 @@ from .selection import POLICIES, row_stats
 _CHUNK = 8192
 # Most bytes of unit draws a leaf may hold, N*(M+K)*_CHUNK*8: N*(M+K) <= 4096.
 _LEAF_DRAW_BYTES = 2 ** 28
-# Most trials of one scenario: 131072 leaves, which `_leaves` lists in 0.1 s
-# on a 2-CPU virtual machine.
+# Most trials of one scenario: 131072 leaves, which `Run.__enter__` lists in
+# 0.1 s on a 2-CPU virtual machine; `Run.__init__` only counts them.
 _MAX_TRIALS = 2 ** 30
 ASYMPTOTIC_MIN_RHO = 1e8  # below this the high-SNR closed forms are not claimed
 
@@ -298,7 +299,7 @@ class Run:
                 Scenario(point.fading, point.mode, policy, b=point.b, r_th=point.r_th,
                          trials=point.trials, seed=point.seed)
         self.workers = min(_resolve_workers(workers),
-                           max((len(_leaves(0, p.trials)) for p in points), default=1))
+                           max((_leaf_count(p.trials) for p in points), default=1))
         self._groups = {}  # (M, K, trials, seed) -> {geometry: [point, ...]}
         for point in sorted(points, key=lambda p: -p.fading.n_bs):
             fading = point.fading
@@ -339,6 +340,14 @@ def _leaves(t0, n):
         return [(t0, n)]
     half = _half(n)
     return _leaves(t0, half) + _leaves(t0 + half, n - half)
+
+
+def _leaf_count(n):
+    """len(_leaves(t0, n)), counted over the few sizes of each tree level."""
+    @lru_cache(maxsize=None)
+    def count(n):
+        return 1 if n <= _CHUNK else count(_half(n)) + count(n - _half(n))
+    return count(n)
 
 
 def _merged(t0, n, leaf):

@@ -264,11 +264,11 @@ class Policy:
     index `_row_at(n)` of each trial's row n for a row-max policy (`row`),
     whose gains are row n's maxima, else the chosen antennas, (n, m, k) or
     oma's (n1, m, n2, k), which `gains` turns into the UE1 and UE2 gains.
-    closed_form(fading, b, r_th) is the high-SNR average of `metric`,
-    the RateReport field the mode reports.  Closed forms and the search,
-    random and oma kernels are looked up on their modules at call time, so
-    a function replaced there after import (as the benchmark's tracer does)
-    is the one that runs.
+    closed_form(fading, b, r_th) is the high-SNR average of `metric`, the
+    RateReport field the mode reports; none depends on b.  Closed forms and
+    the search, random and oma kernels are looked up on their modules at
+    call time, so a function replaced there after import (as the
+    benchmark's tracer does) is the one that runs.
     depends says what the choice reads: "shape" the antenna counts, seed
     and trials alone (random), "gains" the gains too, "point" rho, b and
     r_th as well (the exhaustive searches).
@@ -296,18 +296,16 @@ class Policy:
         return _triple_gains(h, g, choice)
 
 
-def _split_cfg(fading, b, r_th):
-    return analytics.AnalyticConfig.from_fading(fading, b=b)
-
-
-def _qos_cfg(fading, b, r_th):
-    return analytics.AnalyticConfig.from_fading(fading, r_th=r_th)
-
-
 def _row_policy(column, row, count, metric, bound, closed_form):
-    """A row-max policy choosing the row `row(rows)`."""
+    """A row-max policy choosing the row `row(rows)`, whose closed form is
+    the function of that name in `analytics`; the QoS-mode forms (metric
+    r1) read r_th."""
+    def closed(fading, b, r_th):
+        cfg = analytics.AnalyticConfig.from_fading(fading,
+                                                   r_th if metric == "mean_r1" else None)
+        return getattr(analytics, closed_form)(cfg).value
     return Policy(column, lambda h, g, rows, **_: _row_at(row(rows)), count, metric, bound,
-                  closed_form, row=True)
+                  closed, row=True)
 
 
 def _random_choice(h, g, seed, t0, **_):
@@ -335,21 +333,21 @@ POLICIES = {
     ("fnoma", "a3"): _row_policy(
         "a3", _a3_row, count_a3, "mean_sum",
         Bound("a3", "N*(M+K+3)", lambda n, m, k: n * (m + k + 3)),
-        lambda *args: analytics.a3_avg_sum_rate(_split_cfg(*args)).value),
+        "a3_avg_sum_rate"),
     ("fnoma", "aia"): _row_policy(
         "aia", _aia_row, count_a3, "mean_sum",
         Bound("aia", "N*(M+K+3)", lambda n, m, k: n * (m + k + 3)),
-        lambda *args: analytics.aia_avg_sum_rate(_split_cfg(*args)).value),
+        "aia_avg_sum_rate"),
     ("crnoma", "mcg"): _row_policy(
         "mcg", _a3_row, count_a3, "mean_r1",
         Bound("mcg", "N*(M+K)+2", lambda n, m, k: n * (m + k) + 2),
-        lambda *args: analytics.mcg_avg_secondary_rate(_qos_cfg(*args)).value),
+        "mcg_avg_secondary_rate"),
     ("crnoma", "pu"): _row_policy(
         "pu", _pu_row, count_pu, "mean_r1", Bound("pu", "N*K+M", lambda n, m, k: n * k + m),
-        lambda *args: analytics.pu_avg_secondary_rate(_qos_cfg(*args)).value),
+        "pu_avg_secondary_rate"),
     ("crnoma", "su"): _row_policy(
         "su", _su_row, count_su, "mean_r1", Bound("su", "N*M+K", lambda n, m, k: n * m + k),
-        lambda *args: analytics.su_avg_secondary_rate(_qos_cfg(*args)).value),
+        "su_avg_secondary_rate"),
     ("fnoma", "random"): Policy(
         "fnoma_ra", _random_choice, lambda n, m, k: 0, "mean_sum", depends="shape"),
     ("crnoma", "random"): Policy(

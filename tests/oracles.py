@@ -8,10 +8,10 @@ kernels must pick the very same triple.  The per-trial draws are numpy's
 own streams: one ``np.random.Generator(np.random.Philox(...))`` per trial,
 read with its ``random`` and ``integers`` methods.  The weak-gain-first
 closed form is checked against its expansion listed composition by
-composition, in float and at 80 digits with mpmath, and the CR-NOMA
-secondary-rate series term by term at 60 digits.  The harness's means and
-standard errors are checked against numpy's over per-trial arrays drawn,
-selected and rated in one batch.
+composition, in float and at 80 digits with mpmath, under an explicit power
+split b; the other closed forms against their series as printed, at 80
+digits.  The harness's means and standard errors are checked against
+numpy's over per-trial arrays drawn, selected and rated in one batch.
 """
 
 import math
@@ -384,41 +384,40 @@ def _mu(i, n):
 def aia_composition_terms(n, m, k):
     """One exact ((p, q), coefficient) per composition of the (N-1)-fold
     product; terms with equal (p, q) decay at the same rate."""
-    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, k + 1)]
+    pairs = [(i, j, -_mu(i, m) * _mu(j, k)) for i in range(1, m + 1)
+             for j in range(1, k + 1)]
     out = []
     for ell in _compositions(n - 1, m * k + 1):
         coef = math.factorial(n - 1)
         for l in ell:
             coef //= math.factorial(l)
         p = q = 0
-        for (i, j), l in zip(pairs, ell[1:]):
-            coef *= (-_mu(i, m) * _mu(j, k)) ** l
-            p, q = p + i * l, q + j * l
+        for (i, j, base), l in zip(pairs, ell[1:]):
+            if l:
+                coef *= base ** l
+                p, q = p + i * l, q + j * l
         out.append(((p, q), coef))
     return out
 
 
-def _aia_summand(cfg, coef, xi, i, j, num, log, euler):
-    """One (composition, i, j) summand of the average sum rate before the
-    final log2(1/b) + sum/ln 2, in the arithmetic of `num`, `log` and `euler`."""
-    b, rho, oh, og = num(cfg.b), num(cfg.rho), num(cfg.omega_h), num(cfg.omega_g)
-
-    def chi(u):
-        return euler + log(u / (b * rho))
-
-    z = coef * cfg.n_bs * i * j * oh * og * num(_mu(i, cfg.m_ue1)) * num(_mu(j, cfg.k_ue2))
+def _aia_pieces(coef, xi, i, j, n, m, k, oh, og):
+    """The (weight, rate) pairs of one (composition, i, j) summand of the
+    average sum rate, which is sum weight * chi(rate), chi(u) = C + ln(u/(b
+    rho)), in the arithmetic of coef, xi, oh and og."""
+    z = coef * n * i * j * oh * og * _mu(i, m) * _mu(j, k)
     io, jo = i * oh, j * og
     phi_i = io + xi
     phi_j = jo + xi
     phi_1 = io + jo + xi
     phi_2 = io + jo + 2 * xi
-    return z * (-chi(io) / (io * phi_j) - chi(jo) / (jo * phi_i)
-                + phi_2 * chi(phi_1) / (phi_i * phi_j * phi_1))
+    return [(-z / (io * phi_j), io), (-z / (jo * phi_i), jo),
+            (z * phi_2 / (phi_i * phi_j * phi_1), phi_1)]
 
 
-def aia_rate_from_float_compositions(cfg):
-    """The average sum rate with every composition's weight built in float as
-    float(multinomial) * base**l per part, summed with math.fsum."""
+def aia_rate_from_float_compositions(cfg, b):
+    """The average sum rate log2(1/b) + sum/ln 2 under the power split b,
+    with every composition's weight built in float as float(multinomial) *
+    base**l per part, summed with math.fsum."""
     n, m, k, oh, og = cfg.n_bs, cfg.m_ue1, cfg.k_ue2, cfg.omega_h, cfg.omega_g
     pair_rate = [(-float(_mu(i, m)) * float(_mu(j, k)), i * oh + j * og)
                  for i in range(1, m + 1) for j in range(1, k + 1)]
@@ -433,34 +432,76 @@ def aia_rate_from_float_compositions(cfg):
             if l:
                 weight *= base ** l
                 xi += rate * l
-        terms += [_aia_summand(cfg, weight, xi, i, j, float, math.log, EULER_GAMMA)
-                  for i in range(1, m + 1) for j in range(1, k + 1)]
-    return math.log2(1.0 / cfg.b) + math.fsum(terms) / math.log(2.0)
+        terms += [w * (EULER_GAMMA + math.log(u / (b * cfg.rho)))
+                  for i in range(1, m + 1) for j in range(1, k + 1)
+                  for w, u in _aia_pieces(weight, xi, i, j, n, m, k, oh, og)]
+    return math.log2(1.0 / b) + math.fsum(terms) / math.log(2.0)
 
 
-def aia_rate_mp(cfg, dps=80):
-    """The average sum rate summed over the compositions at `dps` digits."""
+@lru_cache(maxsize=64)
+def _aia_sums_mp(n, m, k, oh, og, dps):
+    """(sum weight * ln rate, sum weight) over every (composition, i, j)
+    summand at `dps` digits, the compositions grouped by decay rate in exact
+    integers first, and the weights of each rate summed before its log."""
+    grouped = {}
+    for pq, coef in aia_composition_terms(n, m, k):
+        grouped[pq] = grouped.get(pq, 0) + coef
     with mpmath.workdps(dps):
-        oh, og = mpmath.mpf(cfg.omega_h), mpmath.mpf(cfg.omega_g)
-        total = mpmath.mpf(0)
-        for (p, q), coef in aia_composition_terms(cfg.n_bs, cfg.m_ue1, cfg.k_ue2):
-            xi = p * oh + q * og
-            for i in range(1, cfg.m_ue1 + 1):
-                for j in range(1, cfg.k_ue2 + 1):
-                    total += _aia_summand(cfg, mpmath.mpf(coef), xi, i, j,
-                                          mpmath.mpf, mpmath.log, mpmath.euler)
-        return float(mpmath.log(1 / mpmath.mpf(cfg.b), 2) + total / mpmath.log(2))
+        oh, og = mpmath.mpf(oh), mpmath.mpf(og)
+        by_rate = {}
+        for (p, q), coef in grouped.items():
+            for i in range(1, m + 1):
+                for j in range(1, k + 1):
+                    for w, u in _aia_pieces(mpmath.mpf(coef), p * oh + q * og, i, j,
+                                            n, m, k, oh, og):
+                        by_rate.setdefault(u, []).append(w)
+        weights = {u: mpmath.fsum(ws) for u, ws in by_rate.items()}
+        return (mpmath.fsum(w * mpmath.log(u) for u, w in weights.items()),
+                mpmath.fsum(weights.values()))
 
 
-def cr_secondary_series_mp(i_max, j_max, cfg, dps=60):
-    """The series of `analytics._cr_secondary_series` at `dps` digits, on
-    the exact values of cfg's floats, as mpf: each summand is eps*jo/(io -
-    eps*jo) * ln((eps + 1)*jo/(io + jo)) - ln(io/rho) - C, its singular
-    part taken as its limit -eps/(eps + 1) where io = eps*jo exactly."""
+def aia_rate_mp(cfg, b, dps=80):
+    """The average sum rate log2(1/b) + sum weight * chi(rate) / ln 2 under
+    the power split b at `dps` digits; the parts that depend on neither b
+    nor rho are cached per geometry."""
+    logs, weights = _aia_sums_mp(cfg.n_bs, cfg.m_ue1, cfg.k_ue2, cfg.omega_h,
+                                 cfg.omega_g, dps)
     with mpmath.workdps(dps):
-        oh, og, rho, eps = (mpmath.mpf(v) for v in (cfg.omega_h, cfg.omega_g, cfg.rho,
-                                                     cfg.epsilon))
-        total = mpmath.mpf(0)
+        b, rho = mpmath.mpf(b), mpmath.mpf(cfg.rho)
+        total = logs + (mpmath.euler - mpmath.log(b * rho)) * weights
+        return float(mpmath.log(1 / b, 2) + total / mpmath.log(2))
+
+
+# --- the other closed forms at 80 digits ----------------------------------------
+# Each sums its series as printed, on the exact values of cfg's floats, and
+# caches the part of the sum that does not depend on rho per geometry.
+
+
+@lru_cache(maxsize=64)
+def _a3_sum_mp(nm, nk, oh, og, dps):
+    with mpmath.workdps(dps):
+        oh, og = mpmath.mpf(oh), mpmath.mpf(og)
+        return mpmath.fsum(_mu(i, nm) * _mu(j, nk) * mpmath.log((i * oh + j * og)
+                                                                 / (i * j * oh * og))
+                           for i in range(1, nm + 1) for j in range(1, nk + 1))
+
+
+def a3_rate_mp(cfg, dps=80):
+    """(ln rho - C + sum mu(i, NM) mu(j, NK) ln((i oh + j og)/(i j oh og)))/ln 2."""
+    total = _a3_sum_mp(cfg.n_bs * cfg.m_ue1, cfg.n_bs * cfg.k_ue2, cfg.omega_h,
+                       cfg.omega_g, dps)
+    with mpmath.workdps(dps):
+        return float((mpmath.log(mpmath.mpf(cfg.rho)) - mpmath.euler + total) / mpmath.log(2))
+
+
+@lru_cache(maxsize=256)
+def _cr_sums_mp(i_max, j_max, oh, og, eps, dps):
+    """(sum sign, sum sign * (singular - ln io)) of the CR-NOMA series at
+    `dps` digits, its singular part taken as its limit -eps/(eps + 1) where
+    io = eps*jo exactly."""
+    with mpmath.workdps(dps):
+        oh, og, eps = (mpmath.mpf(v) for v in (oh, og, eps))
+        signs, total = 0, mpmath.mpf(0)
         for i in range(1, i_max + 1):
             io = i * oh
             for j in range(1, j_max + 1):
@@ -468,6 +509,45 @@ def cr_secondary_series_mp(i_max, j_max, cfg, dps=60):
                 den = io - eps * jo
                 singular = (-eps / (eps + 1) if den == 0
                             else eps * jo / den * mpmath.log((eps + 1) * jo / (io + jo)))
-                total += ((-1) ** (i + j) * math.comb(i_max, i) * math.comb(j_max, j)
-                          * (singular - mpmath.log(io / rho) - mpmath.euler))
-        return float(total / mpmath.log(2))
+                sign = _mu(i, i_max) * _mu(j, j_max)
+                signs += sign
+                total += sign * (singular - mpmath.log(io))
+        return signs, total
+
+
+def _cr_series_mp(i_max, j_max, cfg, dps):
+    signs, total = _cr_sums_mp(i_max, j_max, cfg.omega_h, cfg.omega_g, cfg.epsilon, dps)
+    with mpmath.workdps(dps):
+        return (total + signs * (mpmath.log(mpmath.mpf(cfg.rho)) - mpmath.euler)) / mpmath.log(2)
+
+
+def cr_secondary_series_mp(i_max, j_max, cfg, dps=60):
+    """The average secondary rate of a best-of-i_max UE1 gain paired with a
+    best-of-j_max UE2 gain at `dps` digits: each summand, sign * (eps*jo/(io
+    - eps*jo) * ln((eps + 1)*jo/(io + jo)) - ln(io/rho) - C), over ln 2."""
+    return float(_cr_series_mp(i_max, j_max, cfg, dps))
+
+
+def pu_rate_mp(cfg, dps=80):
+    return cr_secondary_series_mp(cfg.m_ue1, cfg.n_bs * cfg.k_ue2, cfg, dps)
+
+
+def su_rate_mp(cfg, dps=80):
+    return cr_secondary_series_mp(cfg.n_bs * cfg.m_ue1, cfg.k_ue2, cfg, dps)
+
+
+@lru_cache(maxsize=64)
+def _prob_mp(nm, nk, oh, og, dps):
+    with mpmath.workdps(dps):
+        oh, og = mpmath.mpf(oh), mpmath.mpf(og)
+        return mpmath.fsum(_mu(i, nm) * _mu(j, nk) * j * og / (i * oh + j * og)
+                           for i in range(1, nm + 1) for j in range(1, nk + 1))
+
+
+def mcg_rate_mp(cfg, dps=80):
+    """(1 - p) * pu + p * su, p = P(best UE1 gain >= best UE2 gain)."""
+    n, m, k = cfg.n_bs, cfg.m_ue1, cfg.k_ue2
+    p = _prob_mp(n * m, n * k, cfg.omega_h, cfg.omega_g, dps)
+    with mpmath.workdps(dps):
+        return float((1 - p) * _cr_series_mp(m, n * k, cfg, dps)
+                     + p * _cr_series_mp(n * m, k, cfg, dps))

@@ -128,7 +128,7 @@ def test_criterion_4_strong_first_closed_form(fnoma_high_snr_reports):
     reports, elapsed = fnoma_high_snr_reports
     gaps = []
     for ps, reps in reports.items():
-        cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=2, ps_dbm=ps), b=B)
+        cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=2, ps_dbm=ps))
         closed = a3_avg_sum_rate(cfg).value
         mc = reps["a3"].mean_sum
         gaps.append(abs(closed - mc) / mc)
@@ -143,12 +143,12 @@ def test_criterion_5_weak_first_closed_form(fnoma_high_snr_reports):
     reports, _ = fnoma_high_snr_reports
     gaps = []
     for ps, reps in reports.items():
-        cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=2, ps_dbm=ps), b=B)
+        cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=2, ps_dbm=ps))
         closed = aia_avg_sum_rate(cfg).value
         mc = reps["aia"].mean_sum
         gaps.append(abs(closed - mc) / mc)
         assert gaps[-1] <= 0.02, (ps, closed, mc)
-    cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=2, ps_dbm=30.0), b=B)
+    cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=2, ps_dbm=30.0))
     numeric = math.log2(1.0 / B) + quadrature_rate(
         lambda x: aia_strong_pdf(x, cfg), B, cfg.rho)
     quad_gap = abs(aia_avg_sum_rate(cfg).value - numeric)

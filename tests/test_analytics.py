@@ -1,23 +1,47 @@
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import oracles
-from noma_as import (AnalyticConfig, EULER_GAMMA, FadingConfig, mcg_avg_secondary_rate,
+from noma_as import (AnalyticConfig, EULER_GAMMA, FadingConfig, figures, mcg_avg_secondary_rate,
                      prob_h_ge_g, a3_avg_sum_rate, aia_avg_sum_rate,
                      pu_avg_secondary_rate, quadrature_rate,
                      sample_channel_batch, su_avg_secondary_rate)
-from noma_as.analytics import _aia_power_table, _prob_h_ge_g
+from noma_as import analytics
+from noma_as.analytics import _aia_offset, _aia_power_table, _mcg_offset, _prob_h_ge_g
+from noma_as.harness import load_validation_grid
+from noma_as.selection import POLICIES
 from oracles import aia_strong_pdf
 
 mpmath.mp.dps = 30
 
+ROOT = Path(__file__).resolve().parent.parent
 
-def _cfg(n=2, m=2, k=2, oh=1.0, og=2.0, rho=1e12, b=None, eps=None):
-    return AnalyticConfig(n, m, k, oh, og, rho, b, eps)
+
+def _cfg(n=2, m=2, k=2, oh=1.0, og=2.0, rho=1e12, eps=None):
+    return AnalyticConfig(n, m, k, oh, og, rho, eps)
+
+
+# each closed form's 80-digit oracle, under the power split b where it reads one
+ORACLES = {"a3": lambda cfg, b: oracles.a3_rate_mp(cfg), "aia": oracles.aia_rate_mp,
+           "pu": lambda cfg, b: oracles.pu_rate_mp(cfg),
+           "su": lambda cfg, b: oracles.su_rate_mp(cfg),
+           "mcg": lambda cfg, b: oracles.mcg_rate_mp(cfg)}
+MODES = {"a3": "fnoma", "aia": "fnoma", "pu": "crnoma", "su": "crnoma", "mcg": "crnoma"}
+
+
+def _assert_is_oracle(name, fading, b, r_th, where=None):
+    """The closed form of `name` at a point is within an ulp of its oracle."""
+    got = POLICIES[MODES[name], name].closed_form(fading, b, r_th)
+    want = ORACLES[name](AnalyticConfig.from_fading(fading, r_th if MODES[name] == "crnoma"
+                                                    else None), b)
+    assert abs(got - want) <= math.ulp(want), (where, name, fading, got, want)
 
 
 # --- Euler's constant -------------------------------------------------------
@@ -42,9 +66,9 @@ def test_a3_rate_single_antenna_hand_value():
 
 
 def test_a3_rate_independent_of_split():
-    a = a3_avg_sum_rate(_cfg(b=0.2))
-    b = a3_avg_sum_rate(_cfg(b=0.4))
-    assert a.value == b.value
+    closed_form = POLICIES["fnoma", "a3"].closed_form
+    fading = FadingConfig(n_bs=2, ps_dbm=30.0)
+    assert closed_form(fading, 0.2, None) == closed_form(fading, 0.4, None)
 
 
 def test_a3_rate_symmetry_under_population_exchange():
@@ -65,8 +89,20 @@ def test_a3_rate_vs_quadrature_single_antenna():
 
 
 def test_a3_rate_rejects_oversized_sums():
-    with pytest.raises(ValueError):
-        a3_avg_sum_rate(_cfg(20, 2, 2))
+    # refused by cost, before any coefficient is built: (100, 2, 2) sums
+    # 200 * 200 terms; (20, 2, 2), which N*M <= 30 refused, now answers
+    with pytest.raises(ValueError, match="40000 terms, above 32768"):
+        a3_avg_sum_rate(_cfg(100, 2, 2))
+    _assert_is_oracle("a3", FadingConfig(n_bs=20, ps_dbm=40.0), 0.4, None)
+
+
+def test_a_sum_that_cancels_past_80_digits_is_refused():
+    # pu at (200, 1, 1): 200 alternating binomial terms, whose largest is
+    # about 1e59 times the sum
+    cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=200, m_ue1=1, k_ue2=1, ps_dbm=40.0),
+                                     r_th=5.0)
+    with pytest.raises(ValueError, match="cancels more than 80 digits"):
+        pu_avg_secondary_rate(cfg)
 
 
 # --- weak-gain-first density and average sum rate ----------------------------
@@ -120,7 +156,7 @@ def test_aia_pdf_matches_simulated_histogram():
 def test_aia_rate_consistent_with_quadrature():
     for n, m, k, oh, og in [(2, 2, 2, 1.0, 2.0), (1, 2, 2, 1.0, 2.0),
                             (3, 2, 1, 0.5, 2.0)]:
-        cfg = _cfg(n, m, k, oh, og, 1e12, b=0.4)
+        cfg = _cfg(n, m, k, oh, og, 1e12)
         numeric = math.log2(1.0 / 0.4) + quadrature_rate(
             lambda x: aia_strong_pdf(x, cfg), 0.4, 1e12)
         closed = aia_avg_sum_rate(cfg).value
@@ -128,25 +164,25 @@ def test_aia_rate_consistent_with_quadrature():
 
 
 def test_aia_rate_equals_a3_rate_for_single_row():
-    cfg = _cfg(1, 2, 2, 1.0, 2.0, 1e12, b=0.4)
+    cfg = _cfg(1, 2, 2, 1.0, 2.0, 1e12)
     assert aia_avg_sum_rate(cfg).value == pytest.approx(
         a3_avg_sum_rate(cfg).value, abs=1e-6)
 
 
-def test_aia_rate_needs_split():
-    with pytest.raises(ValueError):
-        aia_avg_sum_rate(_cfg(b=None))
+def test_aia_rate_refuses_beyond_the_term_cap_before_its_table(monkeypatch):
+    # at (8, 4, 4), where N*M <= 30 refused, the float expansion returned
+    # -359.9; the 80-digit oracle gives this value (4 s to check)
+    cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=8, m_ue1=4, k_ue2=4, ps_dbm=40.0))
+    assert aia_avg_sum_rate(cfg).value == 31.695439524334983
 
+    def refuse(*args):
+        raise AssertionError("a coefficient table was built")
 
-def test_aia_rate_refuses_beyond_the_binomial_range():
-    # the a3 rule, N*M, N*K <= 30, with a3's message: at (8, 4, 4) the float
-    # expansion returned -359.9 where the rate is 31.7
-    for n, m, k in [(60, 3, 3), (8, 4, 4)]:
-        with pytest.raises(ValueError) as aia_info:
-            aia_avg_sum_rate(_cfg(n, m, k, b=0.4))
-        with pytest.raises(ValueError) as a3_info:
-            a3_avg_sum_rate(_cfg(n, m, k))
-        assert str(aia_info.value) == str(a3_info.value)
+    # the table of (13, 4, 4) has up to 49 * 49 entries, each with 4 * 4 terms
+    monkeypatch.setattr(analytics, "_aia_power_table", refuse)
+    for n, m, k in [(60, 3, 3), (13, 4, 4)]:
+        with pytest.raises(ValueError, match="terms, above 32768"):
+            aia_avg_sum_rate(_cfg(n, m, k))
 
 
 def test_aia_table_is_the_compositions_grouped_by_decay_rate():
@@ -163,21 +199,92 @@ def test_aia_table_is_the_compositions_grouped_by_decay_rate():
                 assert sum(table.values()) == (1 if n == 1 else 0)
 
 
-def test_aia_rate_up_to_two_rows_is_the_float_composition_sum():
-    # bit for bit: figure 1's aia_analytic column rests on this
-    cfgs = [AnalyticConfig.from_fading(FadingConfig(n_bs=2, ps_dbm=float(ps)), b=0.4)
+def test_aia_rate_up_to_two_rows_is_the_80_digit_oracle():
+    # figure 1's aia_analytic column rests on this; the float composition
+    # sum, which this closed form once was bit for bit, is 1e-12 close
+    cfgs = [AnalyticConfig.from_fading(FadingConfig(n_bs=2, ps_dbm=float(ps)))
             for ps in range(0, 45, 5)]
-    cfgs += [_cfg(n, m, k, oh, og, 1e12, b=0.4) for n in (1, 2) for m in range(1, 4)
+    cfgs += [_cfg(n, m, k, oh, og, 1e12) for n in (1, 2) for m in range(1, 4)
              for k in range(1, 4) for oh, og in [(1.0, 2.0), (512000.0, 8e6)]]
     for cfg in cfgs:
-        assert aia_avg_sum_rate(cfg).value == oracles.aia_rate_from_float_compositions(cfg)
+        got, want = aia_avg_sum_rate(cfg).value, oracles.aia_rate_mp(cfg, 0.4)
+        assert abs(got - want) <= math.ulp(want), cfg
+        assert oracles.aia_rate_from_float_compositions(cfg, 0.4) == pytest.approx(
+            want, rel=1e-12, abs=0)
 
 
 def test_aia_rate_on_figure_two_grid_against_80_digits():
     for n in range(1, 9):
-        cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=n, ps_dbm=10.0), b=0.4)
-        exact = oracles.aia_rate_mp(cfg)
-        assert aia_avg_sum_rate(cfg).value == pytest.approx(exact, rel=1e-9, abs=0), n
+        cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=n, ps_dbm=10.0))
+        exact = oracles.aia_rate_mp(cfg, 0.4)
+        assert abs(aia_avg_sum_rate(cfg).value - exact) <= math.ulp(exact), n
+
+
+def test_aia_weights_sum_to_minus_one_so_the_split_cancels():
+    # the coefficient of ln(b*rho) in the paper's sum is minus the sum of the
+    # weights, exactly 1, so log2(1/b) + log2(b*rho) leaves log2(rho)
+    for n, m, k in [(1, 1, 1), (2, 2, 2), (4, 2, 2), (3, 3, 2), (8, 2, 2), (3, 1, 3)]:
+        for oh, og in [(512000.0, 8e6), (1.0, 2.0), (0.3, 0.3)]:
+            assert sum(_aia_offset(n, m, k, oh, og).logs.values()) == -1, (n, m, k, oh, og)
+
+
+def test_aia_rate_is_bit_identical_across_the_split():
+    # figure 4's aia_analytic column is one constant, which the b-dependent
+    # oracle gives at every b of the grid
+    axis, grid, groups = figures._FIGURES[4]
+    values = set()
+    for b in grid:
+        [(_, _, fading, b, r_th)] = groups(b)
+        values.add(POLICIES["fnoma", "aia"].closed_form(fading, b, r_th))
+        _assert_is_oracle("aia", fading, b, r_th)
+    assert len(values) == 1
+
+
+def _analytic_cells():
+    """(where, name, fading, b, r_th) of every `_analytic` cell of figures
+    1-8 and every point of both validate grids."""
+    for figure_id, (axis, grid, groups) in figures._FIGURES.items():
+        for x in grid:
+            for _, entries, fading, b, r_th in groups(x):
+                for mode, name in POLICIES:
+                    if mode in entries and POLICIES[mode, name].closed_form:
+                        yield (figure_id, x), name, fading, b, r_th
+    for path in (ROOT / "perfbench" / "validate_grid.txt", ROOT / "scenarios" / "validate_grid.txt"):
+        for point in load_validation_grid(path):
+            scn = point.scenario
+            yield path.name, scn.policy, scn.fading, scn.b, scn.r_th
+
+
+def test_every_figure_and_validate_grid_closed_form_is_its_80_digit_oracle():
+    cells = list(_analytic_cells())
+    assert len(cells) == 210
+    for where, name, fading, b, r_th in cells:
+        _assert_is_oracle(name, fading, b, r_th, where)
+
+
+@pytest.mark.parametrize("dims", [(10, 3, 3), (8, 3, 3), (6, 4, 4), (8, 2, 2)])
+def test_closed_forms_at_larger_geometries_are_their_80_digit_oracles(dims):
+    # at (10, 3, 3) and 40 dBm the float sums gave a3 0.921 and aia 21.60
+    # where the rates are 32.794 and 31.467
+    n, m, k = dims
+    fading = FadingConfig(n_bs=n, m_ue1=m, k_ue2=k, ps_dbm=40.0)
+    for name in ORACLES:
+        _assert_is_oracle(name, fading, 0.4, 5.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(ORACLES)),
+       dims=st.tuples(st.integers(1, 5), st.integers(1, 3), st.integers(1, 3)),
+       d1=st.floats(20.0, 400.0), d2=st.floats(20.0, 400.0), ps_dbm=st.floats(20.0, 60.0),
+       r_th=st.floats(0.5, 8.0))
+def test_an_accepted_closed_form_is_within_an_ulp_of_its_oracle(name, dims, d1, d2, ps_dbm,
+                                                                r_th):
+    n, m, k = dims
+    fading = FadingConfig(n_bs=n, m_ue1=m, k_ue2=k, d1=d1, d2=d2, ps_dbm=ps_dbm)
+    try:
+        _assert_is_oracle(name, fading, 0.4, r_th)
+    except ValueError:
+        pass  # refused
 
 
 # --- crossing probability -----------------------------------------------------
@@ -211,17 +318,19 @@ def test_prob_matches_empirical_frequency():
 
 
 def test_prob_sums_once_per_geometry():
-    # figure 7's mcg closed form at 9 powers on each of its two placements
+    # figure 7's mcg closed form at 9 powers on each of its two placements:
+    # its offset, p included, is built once per placement
     _prob_h_ge_g.cache_clear()
+    _mcg_offset.cache_clear()
     for d1, d2 in ((80.0, 200.0), (200.0, 80.0)):
         for ps in range(0, 45, 5):
             fading = FadingConfig(n_bs=4, d1=d1, d2=d2, ps_dbm=float(ps))
             cfg = AnalyticConfig.from_fading(fading, r_th=2.0)
             mcg_avg_secondary_rate(cfg)
             uncached = _prob_h_ge_g.__wrapped__(8, 8, fading.omega_h, fading.omega_g)
-            assert prob_h_ge_g(cfg) == uncached
+            assert prob_h_ge_g(cfg) == float(uncached)
     info = _prob_h_ge_g.cache_info()
-    assert (info.misses, info.hits) == (2, 2 * 9 * 2 - 2)
+    assert (info.misses, info.hits) == (2, 9 * 2)
 
 
 # --- QoS-mode average secondary rates ----------------------------------------
@@ -276,7 +385,7 @@ def test_secondary_rate_at_and_near_the_singular_pair_against_60_digits(kind, di
     else:
         got, sizes = su_avg_secondary_rate(cfg).value, (n * m, k)
     want = oracles.cr_secondary_series_mp(*sizes, cfg, dps=60)
-    assert abs(got - want) <= 1e-13 * abs(want)
+    assert abs(got - want) <= math.ulp(want)
 
 
 def test_pu_su_crossing_with_distance():
@@ -342,7 +451,7 @@ def test_closed_forms_monotone_in_snr():
     rhos = 10.0 ** np.arange(8, 15)
     for maker, extract in [
         (lambda r: a3_avg_sum_rate(_cfg(2, 2, 2, 512000.0, 8e6, r)), None),
-        (lambda r: aia_avg_sum_rate(_cfg(2, 2, 2, 512000.0, 8e6, r, b=0.4)), None),
+        (lambda r: aia_avg_sum_rate(_cfg(2, 2, 2, 512000.0, 8e6, r)), None),
         (lambda r: pu_avg_secondary_rate(_cfg(4, 2, 2, 512000.0, 8e6, r, eps=31.0)), None),
         (lambda r: su_avg_secondary_rate(_cfg(4, 2, 2, 512000.0, 8e6, r, eps=31.0)), None),
         (lambda r: mcg_avg_secondary_rate(_cfg(4, 2, 2, 512000.0, 8e6, r, eps=31.0)), None),
@@ -352,7 +461,7 @@ def test_closed_forms_monotone_in_snr():
 
 
 def test_results_reproducible_bit_for_bit():
-    cfg = _cfg(3, 2, 2, 512000.0, 8e6, 1e13, b=0.3, eps=7.0)
+    cfg = _cfg(3, 2, 2, 512000.0, 8e6, 1e13, eps=7.0)
     assert a3_avg_sum_rate(cfg).value == a3_avg_sum_rate(cfg).value
     assert aia_avg_sum_rate(cfg).value == aia_avg_sum_rate(cfg).value
     assert pu_avg_secondary_rate(cfg).value == pu_avg_secondary_rate(cfg).value
@@ -364,7 +473,5 @@ def test_analytic_config_validation():
         AnalyticConfig(0, 2, 2, 1.0, 1.0, 1e12)
     with pytest.raises(ValueError):
         AnalyticConfig(2, 2, 2, -1.0, 1.0, 1e12)
-    with pytest.raises(ValueError):
-        AnalyticConfig(2, 2, 2, 1.0, 1.0, 1e12, b=1.5)
     with pytest.raises(ValueError):
         AnalyticConfig(2, 2, 2, 1.0, 1.0, 1e12, epsilon=-1.0)

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from noma_as import harness
+import oracles
+from noma_as import AnalyticConfig, FadingConfig, harness
 from noma_as.cli import main
 
 SCENARIO_TEXT = """\
@@ -95,7 +96,8 @@ def test_sweep_unwritable_path(tmp_path, monkeypatch, capsys):
     (["sweep", "--axis", "n_bs", "--values", "2,0.5"], None),
     (["sweep", "--axis", "ps_dbm", "--values", "10,20"], "0"),
 ])
-def test_configuration_error_leaves_no_output_file(tmp_path, monkeypatch, argv, workers):
+def test_configuration_error_leaves_no_output_file(tmp_path, monkeypatch, capsys, argv,
+                                                   workers):
     # a bad point or worker count fails before the output is opened
     _refuse_sampling(monkeypatch)
     if workers is not None:
@@ -105,6 +107,8 @@ def test_configuration_error_leaves_no_output_file(tmp_path, monkeypatch, argv, 
     out = tmp_path / "x.csv"
     assert main(argv + ["--out", str(out)]) == 1
     assert not out.exists()
+    if argv[3:5] == ["--trials", "0"]:  # the Scenario's check, keyed like a file's
+        assert capsys.readouterr().err == f"error: trials = 0: need an integer in [1, {2 ** 30}]\n"
 
 
 def test_sweep_to_file(tmp_path):
@@ -259,11 +263,11 @@ def test_validate_refuses_a_closed_form_before_any_point_runs(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text("mode = fnoma\npolicy = a3\nps_dbm = 30\nb = 0.4\n"
                     "trials = 20000\nseed = 2\n\nmode = fnoma\npolicy = a3\n"
-                    "n_bs = 16\nps_dbm = 30\nb = 0.4\ntrials = 20000\n")
+                    "n_bs = 100\nps_dbm = 30\nb = 0.4\ntrials = 20000\n")
     assert main(["validate", "--grid", str(grid)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"error: {grid}:8: n_bs = 16, m_ue1 = 2, k_ue2 = 2: ")
+    assert err.startswith(f"error: {grid}:8: n_bs = 100, m_ue1 = 2, k_ue2 = 2: ")
 
 
 def test_validate_refuses_aia_beyond_the_binomial_range_before_any_chunk(
@@ -274,11 +278,31 @@ def test_validate_refuses_aia_beyond_the_binomial_range_before_any_chunk(
     grid = tmp_path / "grid.txt"
     grid.write_text("mode = fnoma\npolicy = a3\nps_dbm = 30\nb = 0.4\n"
                     "trials = 20000\nseed = 2\n\nmode = fnoma\npolicy = aia\n"
-                    "n_bs = 8\nm_ue1 = 4\nk_ue2 = 4\nps_dbm = 40\nb = 0.4\n")
+                    "n_bs = 13\nm_ue1 = 4\nk_ue2 = 4\nps_dbm = 40\nb = 0.4\n")
     assert main(["validate", "--grid", str(grid)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and ran == []
-    assert err.startswith(f"error: {grid}:8: n_bs = 8, m_ue1 = 4, k_ue2 = 4: ")
+    assert err.startswith(f"error: {grid}:8: n_bs = 13, m_ue1 = 4, k_ue2 = 4: ")
+
+
+def test_validate_prints_the_exact_closed_forms_at_ten_by_three_by_three(tmp_path, capsys):
+    # the float sums printed a3 closed=0.92109 and aia closed=21.6041 here,
+    # and failed the point; a refusal would exit 1 naming the antenna counts
+    geometry = "n_bs = 10\nm_ue1 = 3\nk_ue2 = 3\nps_dbm = 40\nb = 0.4\ntrials = 2000\n"
+    grid = tmp_path / "grid.txt"
+    grid.write_text(f"mode = fnoma\npolicy = a3\n{geometry}\nmode = fnoma\npolicy = aia\n"
+                    f"{geometry}")
+    code = main(["validate", "--grid", str(grid)])
+    out, err = capsys.readouterr()
+    if code == 1:
+        assert "n_bs = 10, m_ue1 = 3, k_ue2 = 3: " in err and out == ""
+        return
+    cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=10, m_ue1=3, k_ue2=3, ps_dbm=40.0))
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 2 and "FAIL" not in out
+    assert f"closed={oracles.a3_rate_mp(cfg):.6g} " in lines[0] and "closed=32.7941 " in out
+    assert f"closed={oracles.aia_rate_mp(cfg, 0.4):.6g} " in lines[1]
+    assert "closed=31.4673 " in lines[1]
 
 
 @pytest.mark.parametrize("value", ["nan", "-0.5", "0", "inf"])

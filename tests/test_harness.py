@@ -409,6 +409,16 @@ def test_run_keeps_row_statistics_per_chunk_on_two_workers(monkeypatch):
     assert _means(shared) == _means(one_leaf)
 
 
+@pytest.mark.parametrize("chunk", [8192, 256])
+def test_leaf_count_is_the_number_of_leaves(monkeypatch, chunk):
+    monkeypatch.setattr(harness, "_CHUNK", chunk)
+    sizes = [1, 2, 1000, 2 ** 20 - 1, 2 ** 20, 2 ** 20 + 1, 10 ** 6]
+    sizes += [q * chunk + r for q in (1, 2, 3, 4, 5, 7, 8, 9, 16, 33) for r in (-1, 0, 1)]
+    for n in sizes:
+        assert harness._leaf_count(n) == len(harness._leaves(0, n)), n
+    assert harness._leaf_count(2 ** 30) == 2 ** 30 // chunk
+
+
 def test_run_groups_points_by_geometry_trials_and_seed(monkeypatch):
     # each variant differs from the base point in one of d1, d2, alpha, seed,
     # n_bs, m_ue1, k_ue2 and trials, and samples its own leaves (the n_bs = 3
@@ -880,14 +890,14 @@ def test_validation_grid_parsing(tmp_path):
 
 def test_validation_grid_refuses_a_closed_form_before_any_point_runs(tmp_path,
                                                                      monkeypatch):
-    # the second block's a3 closed form needs N*M = 32 > 30 binomial terms
+    # the second block's a3 closed form sums 200 * 200 terms, above the cap
     ran = _record_tasks(monkeypatch)
     path = tmp_path / "grid.txt"
     path.write_text(GRID_TEXT.split("\n\n")[0] + "\n\n\nmode = fnoma\npolicy = a3\n"
-                    "n_bs = 16\nps_dbm = 30\nb = 0.4\ntrials = 400\n")
+                    "n_bs = 100\nps_dbm = 30\nb = 0.4\ntrials = 400\n")
     with pytest.raises(ConfigurationError) as info:
         validate_asymptotics(load_validation_grid(path), workers=1)
-    assert str(info.value).startswith(f"{path}:10: n_bs = 16, m_ue1 = 2, k_ue2 = 2: ")
+    assert str(info.value).startswith(f"{path}:10: n_bs = 100, m_ue1 = 2, k_ue2 = 2: ")
     assert info.value.keys == ("n_bs", "m_ue1", "k_ue2")
     assert ran == []
 
