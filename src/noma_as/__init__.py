@@ -28,8 +28,7 @@ from .analytics import (AnalyticConfig, AnalyticResult, EULER_GAMMA,
                         a3_avg_sum_rate, aia_avg_sum_rate,
                         pu_avg_secondary_rate, quadrature_rate,
                         su_avg_secondary_rate)
-from .channel import (FadingConfig, omega_from_distance, sample_channel_batch,
-                      transmit_snr)
+from .channel import FadingConfig, sample_channel_batch
 from .figures import figure_rows, reproduce_figure
 from .harness import (ConfigurationError, RateReport, Scenario,
                       ValidationPoint, ValidationResult, apply_axis,

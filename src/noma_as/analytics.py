@@ -16,8 +16,9 @@ found by iterating, and rounds to float once: a value is within an ulp of
 the exact one.  Offsets are cached per geometry.  A closed form refuses
 (ValueError) a series of more than `_MAX_TERMS` terms, before building any
 coefficient, and a sum that cancels more than the 80 digits of C kept here
-can hold.  ``quadrature_rate`` alone uses ``scipy.integrate``, which scipy
-loads on first access, so no figure, sweep or validation run loads it.
+can hold, unsummed when a first guess already asks for more.
+``quadrature_rate`` alone uses ``scipy.integrate``, which scipy loads on
+first access, so no figure, sweep or validation run loads it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,15 @@ _LN2 = Decimal(2).ln(Context(prec=_MAX_DIGITS))
 _MAX_TERMS = 2 ** 15
 # Digits beyond the condition's: 20 for a float (17 needed) and the sum's error
 _GUARD = 24
+# Most |ln rho + S|, so a sum whose first guess would need more than
+# _MAX_DIGITS digits even at this |ln rho + S| is refused unsummed.  ln x of
+# a positive double x is within [-745, 710].  S is the mean log of the gain
+# a high-SNR rate reads: one of n <= 2**16 gains (a3, aia), so between the
+# mean log of the smallest at the largest rate, -ln(n*omega) - C >= -722,
+# and the log of the mean of the largest at the smallest, ln(H_n/omega) <=
+# 748; or (QoS) a UE1 gain over a factor in [1, eps + 1], which lowers it by
+# up to ln(eps + 1) <= 710.  So |ln rho + S| <= 745 + 722 + 710 < 2500.
+_MAX_VALUE = 2500
 
 
 @dataclass(frozen=True)
@@ -88,7 +98,9 @@ def _dec(x):  # a Fraction or int, rounded to the context's precision
 class _Offset:
     """S = sum c*ln(a) - C + rational over exact pairs (a, c), grouped by
     argument, evaluated when built at the digits a first guess asks for
-    (sum|t_i| to 4 digits, |ln rho + S| >= 1); `result` adds ln rho."""
+    (sum|t_i| to 4 digits, |ln rho + S| >= 1); `result` adds ln rho.  A
+    guess that needs more than `_MAX_DIGITS` digits at |ln rho + S| =
+    `_MAX_VALUE` is not summed, and `result` refuses it."""
 
     def __init__(self, pairs, rational=0):
         self.logs, self.rational = {}, rational
@@ -96,7 +108,10 @@ class _Offset:
             self.logs[a] = self.logs.get(a, 0) + c
         with localcontext(Context(prec=4)):
             size = sum(abs(_dec(c) * Decimal(math.log(a))) for a, c in self.logs.items()) + 1
-            self._sum(min(_GUARD + 1 + (size * (len(self.logs) + 3)).adjusted(), _MAX_DIGITS))
+            guess = size * (len(self.logs) + 3)
+            self._at = None
+            if _GUARD + (guess / _MAX_VALUE).adjusted() <= _MAX_DIGITS:
+                self._sum(min(_GUARD + 1 + guess.adjusted(), _MAX_DIGITS))
 
     def _sum(self, digits):
         """Sets `_at` to (digits, S, sum|t_i|), S at `digits` digits."""
@@ -110,7 +125,7 @@ class _Offset:
         10**(1.6 - digits) * terms * sum|t_i|; below 10**-20 of |ln rho + S|
         it is kept, else redone at the digits its computed condition asks."""
         terms = len(self.logs) + 3
-        while True:
+        while self._at is not None:
             digits, total, size = self._at
             with localcontext(Context(prec=digits)):
                 ln_rho = Decimal(rho).ln()
@@ -120,8 +135,9 @@ class _Offset:
                 if need <= digits:
                     return AnalyticResult(float(value / _LN2), len(self.logs))
             if digits == _MAX_DIGITS:
-                raise ValueError(f"the sum cancels more than {_MAX_DIGITS} digits can hold")
+                break
             self._sum(min(need, _MAX_DIGITS))
+        raise ValueError(f"the sum cancels more than {_MAX_DIGITS} digits can hold")
 
 
 def _alternating(i_max, j_max, terms=None):

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,27 +46,18 @@ CHANNEL_DOMAIN = 0
 POLICY_DOMAIN = 1
 
 
-def omega_from_distance(d, alpha):
-    """Exponential rate parameter ``d**alpha`` of a squared channel gain.
-
-    The mean gain is the reciprocal, ``d**-alpha``.
-    """
-    if not (d > 0 and alpha > 0) or not (math.isfinite(d) and math.isfinite(alpha)):
-        raise ValueError(f"need d > 0 and alpha > 0, got d={d}, alpha={alpha}")
-    return float(d) ** float(alpha)
-
-
-def transmit_snr(ps_dbm, sigma2_dbm):
-    """Linear transmit SNR ``rho = 10**((ps_dbm - sigma2_dbm)/10)``."""
-    if not (math.isfinite(ps_dbm) and math.isfinite(sigma2_dbm)):
-        raise ValueError("power levels must be finite")
-    return 10.0 ** ((ps_dbm - sigma2_dbm) / 10.0)
-
-
 def largest_gain(omega):
     """Largest gain any draw can give at rate parameter ``omega``: minus the
     log of the smallest uniform, over ``omega``, as the sampler computes it."""
     return float(-np.log(_TINY)) / omega
+
+
+def _power(base, exponent):
+    """``base**exponent`` in floats, inf where it overflows."""
+    try:
+        return float(base) ** float(exponent)
+    except OverflowError:
+        return math.inf
 
 
 def _is_int(value):
@@ -93,6 +84,13 @@ class FadingConfig:
     n_bs/m_ue1/k_ue2 are the antenna counts at the base station, UE1 and UE2.
     d1/d2 are the BS-to-user distances in metres.  Defaults follow the common
     two-antenna-per-user setup with alpha = 3 and -110 dBm noise.
+
+    Built, it holds the rate parameters ``omega_h = d1**alpha`` and
+    ``omega_g = d2**alpha`` of the BS-UE1 and BS-UE2 squared gains (the mean
+    gain is the reciprocal) and the linear transmit SNR ``rho =
+    10**((ps_dbm - sigma2_dbm)/10)``, computed once.  A geometry that cannot
+    run is refused here: a path loss or SNR out of float range, or an SNR
+    times the largest gain a draw can give that overflows.
     """
 
     n_bs: int = 2
@@ -103,6 +101,9 @@ class FadingConfig:
     alpha: float = 3.0
     ps_dbm: float = 30.0
     sigma2_dbm: float = -110.0
+    omega_h: float = field(init=False, repr=False, compare=False)
+    omega_g: float = field(init=False, repr=False, compare=False)
+    rho: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for keys, ok, need in (
@@ -117,21 +118,26 @@ class FadingConfig:
                 value = getattr(self, key)
                 if not ok(value):
                     raise ConfigurationError(f"{key} = {value}: {need}", (key,))
-
-    @property
-    def omega_h(self) -> float:
-        """Rate parameter of the BS-UE1 squared gains."""
-        return omega_from_distance(self.d1, self.alpha)
-
-    @property
-    def omega_g(self) -> float:
-        """Rate parameter of the BS-UE2 squared gains."""
-        return omega_from_distance(self.d2, self.alpha)
-
-    @property
-    def rho(self) -> float:
-        """Linear transmit SNR."""
-        return transmit_snr(self.ps_dbm, self.sigma2_dbm)
+        omegas = _power(self.d1, self.alpha), _power(self.d2, self.alpha)
+        if not all(0 < w < math.inf for w in omegas):
+            raise ConfigurationError(f"alpha = {self.alpha}: path loss "
+                                     f"d1**alpha or d2**alpha is out of float range",
+                                     ("alpha",))
+        rho = _power(10.0, (self.ps_dbm - self.sigma2_dbm) / 10.0)
+        if not 0 < rho < math.inf:
+            keys = ("ps_dbm", "sigma2_dbm")  # the larger magnitude first
+            raise ConfigurationError(
+                f"ps_dbm = {self.ps_dbm}, sigma2_dbm = {self.sigma2_dbm}: the SNR "
+                f"10**((ps_dbm - sigma2_dbm)/10) is out of float range",
+                sorted(keys, key=lambda k: -abs(getattr(self, k))))
+        for key, omega in zip(("d1", "d2"), omegas):
+            if not rho * largest_gain(omega) < math.inf:
+                raise ConfigurationError(
+                    f"{key} = {getattr(self, key)}, alpha = {self.alpha}: the largest gain "
+                    f"a draw can give, {largest_gain(1.0):.6g} / {key}**alpha, times the "
+                    f"SNR {rho:.6g} overflows", (key, "alpha"))
+        for name, value in zip(("omega_h", "omega_g", "rho"), (*omegas, rho)):
+            object.__setattr__(self, name, value)
 
 
 # Philox4x64-10 round multipliers and Weyl key increments (Salmon et al.)

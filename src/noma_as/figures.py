@@ -53,8 +53,7 @@ def _columns(entry, point, reports):
             cols[policy.column] = value
         else:
             cols[f"{policy.column}_sim"] = value
-            cols[f"{policy.column}_analytic"] = policy.closed_form(point.fading, point.b,
-                                                                   point.r_th)
+            cols[f"{policy.column}_analytic"] = policy.closed_form(point.fading, point.r_th)
     return cols
 
 

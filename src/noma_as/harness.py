@@ -51,8 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import channel
-from .channel import (ConfigurationError, FadingConfig, _is_int, largest_gain,
-                      sample_channel_batch)
+from .channel import ConfigurationError, FadingConfig, _is_int, sample_channel_batch
 from .rates import _jain, cr_rates, fnoma_pair_rates, oma_pair_rates, qos_epsilon
 from .selection import POLICIES, row_stats
 
@@ -72,7 +71,9 @@ ASYMPTOTIC_MIN_RHO = 1e8  # below this the high-SNR closed forms are not claimed
 class Scenario:
     """One fully specified simulation: fading statistics, access mode,
     selection policy, policy parameters (the fnoma power split b, the strong
-    user's share, and the crnoma rate floor r_th), trial count and seed."""
+    user's share, and the crnoma rate floor r_th), trial count and seed.
+    The fading checks its own values when built; a scenario checks what it
+    adds."""
 
     fading: FadingConfig
     mode: str
@@ -107,37 +108,12 @@ class Scenario:
         if not _is_int(self.seed) or not 0 <= self.seed < 2 ** 64:
             raise ConfigurationError(f"seed = {self.seed!r}: need an integer in [0, 2**64)",
                                      ("seed",))
-        fading = self.fading
-        n, m, k = fading.n_bs, fading.m_ue1, fading.k_ue2
+        n, m, k = self.fading.n_bs, self.fading.m_ue1, self.fading.k_ue2
         if n * (m + k) * _CHUNK * 8 > _LEAF_DRAW_BYTES:
             raise ConfigurationError(
                 f"n_bs = {n}, m_ue1 = {m}, k_ue2 = {k}: {n * (m + k)} draws per trial, "
                 f"above the {_LEAF_DRAW_BYTES // (_CHUNK * 8)} whose {_CHUNK}-trial leaf "
                 f"fits in {_LEAF_DRAW_BYTES >> 20} MiB", ("n_bs", "m_ue1", "k_ue2"))
-        try:
-            omegas = (fading.omega_h, fading.omega_g)
-        except OverflowError:
-            omegas = (math.inf,)
-        if not all(0 < w < math.inf for w in omegas):
-            raise ConfigurationError(f"alpha = {fading.alpha}: path loss "
-                                     f"d1**alpha or d2**alpha is out of float range",
-                                     ("alpha",))
-        try:
-            rho = fading.rho
-        except OverflowError:
-            rho = math.inf
-        if not 0 < rho < math.inf:
-            keys = ("ps_dbm", "sigma2_dbm")  # the larger magnitude first
-            raise ConfigurationError(
-                f"ps_dbm = {fading.ps_dbm}, sigma2_dbm = {fading.sigma2_dbm}: the SNR "
-                f"10**((ps_dbm - sigma2_dbm)/10) is out of float range",
-                sorted(keys, key=lambda k: -abs(getattr(fading, k))))
-        for key, d, omega in (("d1", fading.d1, omegas[0]), ("d2", fading.d2, omegas[1])):
-            if not rho * largest_gain(omega) < math.inf:
-                raise ConfigurationError(
-                    f"{key} = {d}, alpha = {fading.alpha}: the largest gain a draw can "
-                    f"give, {largest_gain(1.0):.6g} / {key}**alpha, times the SNR "
-                    f"{rho:.6g} overflows", (key, "alpha"))
 
 
 @dataclass(frozen=True)
@@ -497,7 +473,7 @@ class ValidationPoint:
                 f"no closed form for policy {scn.policy!r} in mode {scn.mode!r}")
         fading = scn.fading
         try:
-            value = closed_form(fading, scn.b, scn.r_th)
+            value = closed_form(fading, scn.r_th)
         except ValueError as exc:
             raise ConfigurationError(
                 f"n_bs = {fading.n_bs}, m_ue1 = {fading.m_ue1}, k_ue2 = {fading.k_ue2}: "

@@ -264,11 +264,11 @@ class Policy:
     index `_row_at(n)` of each trial's row n for a row-max policy (`row`),
     whose gains are row n's maxima, else the chosen antennas, (n, m, k) or
     oma's (n1, m, n2, k), which `gains` turns into the UE1 and UE2 gains.
-    closed_form(fading, b, r_th) is the high-SNR average of `metric`, the
-    RateReport field the mode reports; none depends on b.  Closed forms and
-    the search, random and oma kernels are looked up on their modules at
-    call time, so a function replaced there after import (as the
-    benchmark's tracer does) is the one that runs.
+    closed_form(fading, r_th) is the high-SNR average of `metric`, the
+    RateReport field the mode reports.  Closed forms and the search, random
+    and oma kernels are looked up on their modules at call time, so a
+    function replaced there after import (as the benchmark's tracer does)
+    is the one that runs.
     depends says what the choice reads: "shape" the antenna counts, seed
     and trials alone (random), "gains" the gains too, "point" rho, b and
     r_th as well (the exhaustive searches).
@@ -300,7 +300,7 @@ def _row_policy(column, row, count, metric, bound, closed_form):
     """A row-max policy choosing the row `row(rows)`, whose closed form is
     the function of that name in `analytics`; the QoS-mode forms (metric
     r1) read r_th."""
-    def closed(fading, b, r_th):
+    def closed(fading, r_th):
         cfg = analytics.AnalyticConfig.from_fading(fading,
                                                    r_th if metric == "mean_r1" else None)
         return getattr(analytics, closed_form)(cfg).value

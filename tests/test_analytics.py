@@ -38,7 +38,7 @@ MODES = {"a3": "fnoma", "aia": "fnoma", "pu": "crnoma", "su": "crnoma", "mcg": "
 
 def _assert_is_oracle(name, fading, b, r_th, where=None):
     """The closed form of `name` at a point is within an ulp of its oracle."""
-    got = POLICIES[MODES[name], name].closed_form(fading, b, r_th)
+    got = POLICIES[MODES[name], name].closed_form(fading, r_th)
     want = ORACLES[name](AnalyticConfig.from_fading(fading, r_th if MODES[name] == "crnoma"
                                                     else None), b)
     assert abs(got - want) <= math.ulp(want), (where, name, fading, got, want)
@@ -66,9 +66,8 @@ def test_a3_rate_single_antenna_hand_value():
 
 
 def test_a3_rate_independent_of_split():
-    closed_form = POLICIES["fnoma", "a3"].closed_form
-    fading = FadingConfig(n_bs=2, ps_dbm=30.0)
-    assert closed_form(fading, 0.2, None) == closed_form(fading, 0.4, None)
+    # the closed forms take no split: a3's value is its oracle, which reads none
+    _assert_is_oracle("a3", FadingConfig(n_bs=2, ps_dbm=30.0), None, None)
 
 
 def test_a3_rate_symmetry_under_population_exchange():
@@ -103,6 +102,23 @@ def test_a_sum_that_cancels_past_80_digits_is_refused():
                                      r_th=5.0)
     with pytest.raises(ValueError, match="cancels more than 80 digits"):
         pu_avg_secondary_rate(cfg)
+
+
+def test_a_sum_whose_first_guess_is_past_80_digits_is_refused_unsummed(monkeypatch):
+    # a3 at 1e14: the first guesses of (44, 2, 2), (46, 2, 2) and (90, 2, 2)
+    # ask for 83, 85 and 139 digits; the last two need more than 80 at any
+    # |ln rho + S| up to _MAX_VALUE, so neither is summed
+    digits, summed = [], analytics._Offset._sum
+    monkeypatch.setattr(analytics._Offset, "_sum",
+                        lambda self, d: digits.append(d) or summed(self, d))
+    analytics._a3_offset.cache_clear()
+    for n in (46, 90):
+        with pytest.raises(ValueError, match="cancels more than 80 digits"):
+            a3_avg_sum_rate(_cfg(n, 2, 2, 80.0 ** 3, 200.0 ** 3, 1e14))
+    assert digits == []
+    assert a3_avg_sum_rate(_cfg(44, 2, 2, 80.0 ** 3, 200.0 ** 3, 1e14)).value == \
+        29.838082283818043
+    assert digits == [80]
 
 
 # --- weak-gain-first density and average sum rate ----------------------------
@@ -235,7 +251,7 @@ def test_aia_rate_is_bit_identical_across_the_split():
     values = set()
     for b in grid:
         [(_, _, fading, b, r_th)] = groups(b)
-        values.add(POLICIES["fnoma", "aia"].closed_form(fading, b, r_th))
+        values.add(POLICIES["fnoma", "aia"].closed_form(fading, r_th))
         _assert_is_oracle("aia", fading, b, r_th)
     assert len(values) == 1
 

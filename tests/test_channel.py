@@ -3,13 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
-from noma_as import (ConfigurationError, FadingConfig, omega_from_distance,
-                     sample_channel_batch, transmit_snr)
+from noma_as import AnalyticConfig, ConfigurationError, FadingConfig, sample_channel_batch
 from noma_as.channel import (_PHILOX_M, _gains_from_unit_draws, _mulhilo, _neg_log,
-                             _philox_block, _unit_draws)
+                             _philox_block, _unit_draws, largest_gain)
 
 _MASK64 = (1 << 64) - 1
 
@@ -20,13 +21,14 @@ _MASK64 = (1 << 64) - 1
     (200, 3, 8.0e6),
 ])
 def test_omega_from_distance(d, alpha, expected):
-    assert omega_from_distance(d, alpha) == pytest.approx(expected, rel=1e-15)
+    cfg = FadingConfig(d1=d, d2=d, alpha=alpha)
+    assert cfg.omega_h == cfg.omega_g == pytest.approx(expected, rel=1e-15)
 
 
 @pytest.mark.parametrize("d, alpha", [(0, 3), (-5, 3), (80, 0), (80, -1), (math.nan, 3)])
 def test_omega_rejects_bad_parameters(d, alpha):
-    with pytest.raises(ValueError):
-        omega_from_distance(d, alpha)
+    with pytest.raises(ConfigurationError):
+        FadingConfig(d1=d, alpha=alpha)
 
 
 @pytest.mark.parametrize("ps, sigma2, expected", [
@@ -35,14 +37,45 @@ def test_omega_rejects_bad_parameters(d, alpha):
     (20, -110, 1.0e13),
 ])
 def test_transmit_snr(ps, sigma2, expected):
-    assert transmit_snr(ps, sigma2) == expected
+    assert FadingConfig(ps_dbm=ps, sigma2_dbm=sigma2).rho == expected
 
 
 def test_transmit_snr_rejects_non_finite():
-    with pytest.raises(ValueError):
-        transmit_snr(math.nan, -110)
-    with pytest.raises(ValueError):
-        transmit_snr(10, math.inf)
+    with pytest.raises(ConfigurationError):
+        FadingConfig(ps_dbm=math.nan, sigma2_dbm=-110)
+    with pytest.raises(ConfigurationError):
+        FadingConfig(ps_dbm=10, sigma2_dbm=math.inf)
+
+
+def _wide(low, high):
+    """Any float, or one in [low, high]."""
+    return st.floats() | st.floats(low, high)
+
+
+_DEFAULTS = dict(d1=80.0, d2=200.0, alpha=3.0, ps_dbm=30.0, sigma2_dbm=-110.0)
+
+
+@given(d1=_wide(1e-160, 1e160), d2=_wide(1e-160, 1e160), alpha=_wide(1e-3, 1e3),
+       ps_dbm=_wide(-5000.0, 5000.0), sigma2_dbm=_wide(-5000.0, 5000.0))
+@example(**{**_DEFAULTS, "alpha": 300.0})
+@example(**{**_DEFAULTS, "ps_dbm": 2980.0})
+@example(**{**_DEFAULTS, "ps_dbm": -5000.0})
+@example(**{**_DEFAULTS, "d1": 1e-100})
+def test_a_built_fading_config_can_run(d1, d2, alpha, ps_dbm, sigma2_dbm):
+    # either refused, naming its keys, or every derived value is usable
+    kwargs = dict(d1=d1, d2=d2, alpha=alpha, ps_dbm=ps_dbm, sigma2_dbm=sigma2_dbm)
+    try:
+        cfg = FadingConfig(**kwargs)
+    except ConfigurationError as exc:
+        assert exc.keys and set(exc.keys) <= set(kwargs)
+        return
+    for value in (cfg.omega_h, cfg.omega_g, cfg.rho):
+        assert 0 < value < math.inf
+    for omega in (cfg.omega_h, cfg.omega_g):
+        assert cfg.rho * largest_gain(omega) < math.inf
+    AnalyticConfig.from_fading(cfg)
+    h, g = sample_channel_batch(cfg, 0, 0, 4)
+    assert np.isfinite(cfg.rho * h).all() and np.isfinite(cfg.rho * g).all()
 
 
 @pytest.mark.parametrize("kwargs", [

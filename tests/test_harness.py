@@ -57,17 +57,24 @@ def test_mode_policy_compatibility():
         _fnoma_scn(trials=0)
 
 
+def _built(kwargs):
+    """kwargs with its "fading" entry, a dict of keywords, built into a
+    FadingConfig; built in the test, as one refused at collection would stop
+    the collection of the whole module."""
+    return {**kwargs, "fading": FadingConfig(**kwargs["fading"])} if "fading" in kwargs else kwargs
+
+
 @pytest.mark.parametrize("kwargs, key", [
     ({"b": 0.0}, "b"),
     ({"trials": 2.5}, "trials"),
     ({"seed": -1}, "seed"),
     ({"seed": 2 ** 64}, "seed"),
-    ({"fading": FadingConfig(alpha=300.0)}, "alpha"),
-    ({"fading": FadingConfig(ps_dbm=2980.0)}, "ps_dbm"),  # rho overflows
-    ({"fading": FadingConfig(ps_dbm=-5000.0)}, "ps_dbm"),  # rho underflows to 0
-    ({"fading": FadingConfig(sigma2_dbm=-4000.0)}, "sigma2_dbm"),
-    ({"policy": "es", "fading": FadingConfig(d1=1e-100)}, "d1"),  # rho * gain overflows
-    ({"fading": FadingConfig(d1=1.0, d2=0.5, alpha=1000.0)}, "d2"),
+    ({"fading": {"alpha": 300.0}}, "alpha"),
+    ({"fading": {"ps_dbm": 2980.0}}, "ps_dbm"),  # rho overflows
+    ({"fading": {"ps_dbm": -5000.0}}, "ps_dbm"),  # rho underflows to 0
+    ({"fading": {"sigma2_dbm": -4000.0}}, "sigma2_dbm"),
+    ({"policy": "es", "fading": {"d1": 1e-100}}, "d1"),  # rho * gain overflows
+    ({"fading": {"d1": 1.0, "d2": 0.5, "alpha": 1000.0}}, "d2"),
     ({"trials": True}, "trials"),
     ({"seed": False}, "seed"),
     ({"b": 0.7}, "b"),  # strong user over-weighted
@@ -75,7 +82,7 @@ def test_mode_policy_compatibility():
 ])
 def test_bad_scenario_value_fails_at_construction(kwargs, key):
     with pytest.raises(ConfigurationError, match=rf"\b{key} =") as err:
-        _fnoma_scn(**kwargs)
+        _fnoma_scn(**_built(kwargs))
     assert key in err.value.keys
 
 
@@ -83,11 +90,11 @@ def test_bad_scenario_value_fails_at_construction(kwargs, key):
     ({"r_th": 1024.0}, "r_th"),  # 2**r_th - 1 overflows
     ({"r_th": math.inf}, "r_th"),
     ({"r_th": 1e-300}, "r_th"),  # 2**r_th - 1 rounds to 0
-    ({"policy": "es", "fading": FadingConfig(d1=1e-100, d2=1e-100)}, "d1"),
+    ({"policy": "es", "fading": {"d1": 1e-100, "d2": 1e-100}}, "d1"),
 ])
 def test_bad_crnoma_value_fails_at_construction(kwargs, key):
     with pytest.raises(ConfigurationError, match=rf"\b{key} ="):
-        _cr_scn(**kwargs)
+        _cr_scn(**_built(kwargs))
 
 
 @given(dims=st.tuples(st.integers(1, 5000), st.integers(1, 64), st.integers(1, 64)),
@@ -136,9 +143,9 @@ def _log_wide(lo, hi):
 def test_any_scenario_is_rejected_when_built_or_reports_finite_numbers(
         pair, dims, d1, d2, alpha, ps_dbm, sigma2_dbm, b, r_th, trials, seed):
     mode, policy = pair
-    fading = FadingConfig(n_bs=dims[0], m_ue1=dims[1], k_ue2=dims[2], d1=d1, d2=d2,
-                          alpha=alpha, ps_dbm=ps_dbm, sigma2_dbm=sigma2_dbm)
-    try:
+    try:  # the fading refuses a geometry that cannot run, the scenario the rest
+        fading = FadingConfig(n_bs=dims[0], m_ue1=dims[1], k_ue2=dims[2], d1=d1, d2=d2,
+                              alpha=alpha, ps_dbm=ps_dbm, sigma2_dbm=sigma2_dbm)
         scn = Scenario(fading, mode, policy, b=b, r_th=r_th,
                        trials=trials, seed=seed)
     except ConfigurationError:
