@@ -23,8 +23,7 @@ if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from .analytics import (AnalyticConfig, AnalyticResult, EULER_GAMMA,
-                        mcg_avg_secondary_rate, prob_h_ge_g,
+from .analytics import (EULER_GAMMA, mcg_avg_secondary_rate, prob_h_ge_g,
                         a3_avg_sum_rate, aia_avg_sum_rate,
                         pu_avg_secondary_rate, quadrature_rate,
                         su_avg_secondary_rate)

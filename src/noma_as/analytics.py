@@ -24,7 +24,7 @@ first access, so no figure, sweep or validation run loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -53,42 +53,6 @@ _GUARD = 24
 # 748; or (QoS) a UE1 gain over a factor in [1, eps + 1], which lowers it by
 # up to ln(eps + 1) <= 710.  So |ln rho + S| <= 745 + 722 + 710 < 2500.
 _MAX_VALUE = 2500
-
-
-@dataclass(frozen=True)
-class AnalyticConfig:
-    """Inputs of the closed forms: geometry counts, exponential rates of the
-    two gain populations, linear SNR, and (QoS mode) the SINR threshold
-    epsilon."""
-
-    n_bs: int
-    m_ue1: int
-    k_ue2: int
-    omega_h: float
-    omega_g: float
-    rho: float
-    epsilon: float | None = None
-
-    def __post_init__(self):
-        if min(self.n_bs, self.m_ue1, self.k_ue2) < 1:
-            raise ValueError("antenna counts must be >= 1")
-        if not (self.omega_h > 0 and self.omega_g > 0):
-            raise ValueError("rate parameters must be positive")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if self.epsilon is not None and not self.epsilon >= 0.0:
-            raise ValueError("epsilon must be nonnegative")
-
-    @classmethod
-    def from_fading(cls, fading: FadingConfig, r_th=None) -> "AnalyticConfig":
-        return cls(fading.n_bs, fading.m_ue1, fading.k_ue2, fading.omega_h, fading.omega_g,
-                   fading.rho, None if r_th is None else float(qos_epsilon(r_th)))
-
-
-@dataclass(frozen=True)
-class AnalyticResult:
-    value: float
-    terms: int  # distinct logs of the offset's sum
 
 
 def _dec(x):  # a Fraction or int, rounded to the context's precision
@@ -120,7 +84,7 @@ class _Offset:
             t += [-_GAMMA, _dec(self.rational)]
             self._at = digits, sum(t), sum(map(abs, t))
 
-    def result(self, rho) -> AnalyticResult:
+    def result(self, rho) -> float:
         """(ln rho + S)/ln 2, rounded to float once.  A sum errs by under
         10**(1.6 - digits) * terms * sum|t_i|; below 10**-20 of |ln rho + S|
         it is kept, else redone at the digits its computed condition asks."""
@@ -133,7 +97,7 @@ class _Offset:
                 need = (_GUARD + ((size + abs(ln_rho)) / abs(value) * terms).adjusted()
                         if value else _MAX_DIGITS + 1)
                 if need <= digits:
-                    return AnalyticResult(float(value / _LN2), len(self.logs))
+                    return float(value / _LN2)
             if digits == _MAX_DIGITS:
                 break
             self._sum(min(need, _MAX_DIGITS))
@@ -160,12 +124,12 @@ def _integers(omega_h, omega_g):
 # strong-gain-first policy: average sum rate
 
 
-def a3_avg_sum_rate(cfg: AnalyticConfig) -> AnalyticResult:
+def a3_avg_sum_rate(fading: FadingConfig) -> float:
     """High-SNR average sum rate of the strong-gain-first selection: S = -C
     plus the alternating double binomial sum over the two whole-matrix
     maxima of ln((i*omega_h + j*omega_g)/(i*j*omega_h*omega_g))."""
-    nm, nk = cfg.n_bs * cfg.m_ue1, cfg.n_bs * cfg.k_ue2
-    return _a3_offset(nm, nk, cfg.omega_h, cfg.omega_g).result(cfg.rho)
+    return _a3_offset(fading.n_bs * fading.m_ue1, fading.n_bs * fading.k_ue2,
+                      fading.omega_h, fading.omega_g).result(fading.rho)
 
 
 @lru_cache(maxsize=64)
@@ -197,15 +161,15 @@ def _aia_power_table(n: int, m: int, k: int):
     return tuple(sorted(table.items()))
 
 
-def aia_avg_sum_rate(cfg: AnalyticConfig) -> AnalyticResult:
+def aia_avg_sum_rate(fading: FadingConfig) -> float:
     """High-SNR average sum rate of the weak-gain-first selection:
     log2(1/b) for the saturated weak user plus the strong-companion term,
     whose components of rate theta and weight w give -w*(C + ln(theta/(b
     rho))).  The weights sum to 1, so b cancels and S = -C - sum w*ln(theta)
     over i*omega_h, j*omega_g and i*omega_h + j*omega_g + xi of each table
     entry and (i, j)."""
-    return _aia_offset(cfg.n_bs, cfg.m_ue1, cfg.k_ue2, cfg.omega_h,
-                       cfg.omega_g).result(cfg.rho)
+    return _aia_offset(fading.n_bs, fading.m_ue1, fading.k_ue2, fading.omega_h,
+                       fading.omega_g).result(fading.rho)
 
 
 @lru_cache(maxsize=64)
@@ -228,11 +192,11 @@ def _aia_offset(n, m, k, omega_h, omega_g):
 # QoS-mode policies: crossing probability and average secondary rates
 
 
-def prob_h_ge_g(cfg: AnalyticConfig) -> float:
+def prob_h_ge_g(fading: FadingConfig) -> float:
     """Probability that the best UE1 gain beats the best UE2 gain, summed in
     exact rational arithmetic, so the symmetric case returns exactly 0.5."""
-    return float(_prob_h_ge_g(cfg.n_bs * cfg.m_ue1, cfg.n_bs * cfg.k_ue2,
-                              cfg.omega_h, cfg.omega_g))
+    return float(_prob_h_ge_g(fading.n_bs * fading.m_ue1, fading.n_bs * fading.k_ue2,
+                              fading.omega_h, fading.omega_g))
 
 
 @lru_cache(maxsize=64)
@@ -242,10 +206,15 @@ def _prob_h_ge_g(nm: int, nk: int, omega_h: float, omega_g: float) -> Fraction:
     return sum(Fraction(sign * j * b, i * a + j * b) for i, j, sign in _alternating(nm, nk))
 
 
-def _qos(cfg):
-    if cfg.epsilon is None:
-        raise ValueError("the secondary-rate closed forms need cfg.epsilon")
-    return cfg.omega_h, cfg.omega_g, cfg.epsilon
+def _qos(fading, r_th):
+    """(omega_h, omega_g, epsilon) of a QoS-mode form, epsilon = 2**r_th -
+    1; refuses an r_th that is not a number with 0 <= epsilon < inf."""
+    with np.errstate(over="ignore"):
+        eps = float(qos_epsilon(r_th)) if isinstance(r_th, numbers.Real) else math.nan
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"r_th = {r_th}: the secondary-rate closed forms need "
+                         f"0 <= 2**r_th - 1 < inf")
+    return fading.omega_h, fading.omega_g, eps
 
 
 @lru_cache(maxsize=256)
@@ -265,24 +234,27 @@ def _cr_offset(i_max, j_max, omega_h, omega_g, epsilon):
                                if i * a * f == e * j * b))
 
 
-def pu_avg_secondary_rate(cfg: AnalyticConfig) -> AnalyticResult:
+def pu_avg_secondary_rate(fading: FadingConfig, r_th) -> float:
     """High-SNR average secondary rate of primary-first selection: the UE2
     gain is the whole-matrix maximum (N*K-fold), the UE1 gain a row maximum
     (M-fold)."""
-    return _cr_offset(cfg.m_ue1, cfg.n_bs * cfg.k_ue2, *_qos(cfg)).result(cfg.rho)
+    return _cr_offset(fading.m_ue1, fading.n_bs * fading.k_ue2,
+                      *_qos(fading, r_th)).result(fading.rho)
 
 
-def su_avg_secondary_rate(cfg: AnalyticConfig) -> AnalyticResult:
+def su_avg_secondary_rate(fading: FadingConfig, r_th) -> float:
     """High-SNR average secondary rate of secondary-first selection: same
     summand with the maxima swapped (N*M-fold UE1, K-fold UE2)."""
-    return _cr_offset(cfg.n_bs * cfg.m_ue1, cfg.k_ue2, *_qos(cfg)).result(cfg.rho)
+    return _cr_offset(fading.n_bs * fading.m_ue1, fading.k_ue2,
+                      *_qos(fading, r_th)).result(fading.rho)
 
 
-def mcg_avg_secondary_rate(cfg: AnalyticConfig) -> AnalyticResult:
+def mcg_avg_secondary_rate(fading: FadingConfig, r_th) -> float:
     """Total-probability mixture of the primary-first and secondary-first
     averages, weighted by which whole-matrix maximum wins: S = (1 - p)*S_pu
     + p*S_su with p the exact `prob_h_ge_g`."""
-    return _mcg_offset(cfg.n_bs, cfg.m_ue1, cfg.k_ue2, *_qos(cfg)).result(cfg.rho)
+    return _mcg_offset(fading.n_bs, fading.m_ue1, fading.k_ue2,
+                       *_qos(fading, r_th)).result(fading.rho)
 
 
 @lru_cache(maxsize=64)

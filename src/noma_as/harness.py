@@ -564,9 +564,9 @@ def _scenario_from_mapping(kv: dict, path, allow_tolerance=False):
     lines = {key: where for key, (_, where) in kv.items()}
     kv = dict(kv)
 
-    def take(key, parse, default=None):
+    def take(key, parse):
         if key not in kv:
-            return default
+            return None
         value, where = kv.pop(key)
         try:
             return parse(value)
@@ -581,13 +581,12 @@ def _scenario_from_mapping(kv: dict, path, allow_tolerance=False):
         if key not in kv:
             raise ConfigurationError(f"{path}: missing required key {key!r}")
     mode, policy = take("mode", str), take("policy", str)
-    b, r_th = take("b", float), take("r_th", float)
-    trials, seed = take("trials", int, 100_000), take("seed", int, 0)
+    kwargs = {key: take(key, parse) for key, parse in
+              (("b", float), ("r_th", float), ("trials", int), ("seed", int)) if key in kv}
     if kv:
         raise ConfigurationError(f"{path}: unknown keys {sorted(kv)}")
     try:
-        scn = Scenario(FadingConfig(**fading_kwargs), mode, policy,
-                       b=b, r_th=r_th, trials=trials, seed=seed)
+        scn = Scenario(FadingConfig(**fading_kwargs), mode, policy, **kwargs)
     except ConfigurationError as exc:
         where = next((lines[k] for k in exc.keys if k in lines), path)
         raise ConfigurationError(f"{where}: {exc}", exc.keys) from None

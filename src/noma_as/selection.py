@@ -301,9 +301,8 @@ def _row_policy(column, row, count, metric, bound, closed_form):
     the function of that name in `analytics`; the QoS-mode forms (metric
     r1) read r_th."""
     def closed(fading, r_th):
-        cfg = analytics.AnalyticConfig.from_fading(fading,
-                                                   r_th if metric == "mean_r1" else None)
-        return getattr(analytics, closed_form)(cfg).value
+        form = getattr(analytics, closed_form)
+        return form(fading, r_th) if metric == "mean_r1" else form(fading)
     return Policy(column, lambda h, g, rows, **_: _row_at(row(rows)), count, metric, bound,
                   closed, row=True)
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from noma_as.analytics import EULER_GAMMA, _aia_power_table
 from noma_as.channel import sample_channel_batch
-from noma_as.rates import _fnoma_sum_rate, cr_rates, fnoma_pair_rates, oma_pair_rates
+from noma_as.rates import (_fnoma_sum_rate, cr_rates, fnoma_pair_rates, oma_pair_rates,
+                           qos_epsilon)
 from noma_as.selection import POLICIES, _first_max, _row_of, row_stats
 
 _MASK64 = (1 << 64) - 1
@@ -515,25 +516,27 @@ def _cr_sums_mp(i_max, j_max, oh, og, eps, dps):
         return signs, total
 
 
-def _cr_series_mp(i_max, j_max, cfg, dps):
-    signs, total = _cr_sums_mp(i_max, j_max, cfg.omega_h, cfg.omega_g, cfg.epsilon, dps)
+def _cr_series_mp(i_max, j_max, cfg, r_th, dps):
+    eps = float(qos_epsilon(r_th))
+    signs, total = _cr_sums_mp(i_max, j_max, cfg.omega_h, cfg.omega_g, eps, dps)
     with mpmath.workdps(dps):
         return (total + signs * (mpmath.log(mpmath.mpf(cfg.rho)) - mpmath.euler)) / mpmath.log(2)
 
 
-def cr_secondary_series_mp(i_max, j_max, cfg, dps=60):
+def cr_secondary_series_mp(i_max, j_max, cfg, r_th, dps=60):
     """The average secondary rate of a best-of-i_max UE1 gain paired with a
     best-of-j_max UE2 gain at `dps` digits: each summand, sign * (eps*jo/(io
-    - eps*jo) * ln((eps + 1)*jo/(io + jo)) - ln(io/rho) - C), over ln 2."""
-    return float(_cr_series_mp(i_max, j_max, cfg, dps))
+    - eps*jo) * ln((eps + 1)*jo/(io + jo)) - ln(io/rho) - C), over ln 2,
+    with eps the float 2**r_th - 1 the closed forms read."""
+    return float(_cr_series_mp(i_max, j_max, cfg, r_th, dps))
 
 
-def pu_rate_mp(cfg, dps=80):
-    return cr_secondary_series_mp(cfg.m_ue1, cfg.n_bs * cfg.k_ue2, cfg, dps)
+def pu_rate_mp(cfg, r_th, dps=80):
+    return cr_secondary_series_mp(cfg.m_ue1, cfg.n_bs * cfg.k_ue2, cfg, r_th, dps)
 
 
-def su_rate_mp(cfg, dps=80):
-    return cr_secondary_series_mp(cfg.n_bs * cfg.m_ue1, cfg.k_ue2, cfg, dps)
+def su_rate_mp(cfg, r_th, dps=80):
+    return cr_secondary_series_mp(cfg.n_bs * cfg.m_ue1, cfg.k_ue2, cfg, r_th, dps)
 
 
 @lru_cache(maxsize=64)
@@ -544,10 +547,10 @@ def _prob_mp(nm, nk, oh, og, dps):
                            for i in range(1, nm + 1) for j in range(1, nk + 1))
 
 
-def mcg_rate_mp(cfg, dps=80):
+def mcg_rate_mp(cfg, r_th, dps=80):
     """(1 - p) * pu + p * su, p = P(best UE1 gain >= best UE2 gain)."""
     n, m, k = cfg.n_bs, cfg.m_ue1, cfg.k_ue2
     p = _prob_mp(n * m, n * k, cfg.omega_h, cfg.omega_g, dps)
     with mpmath.workdps(dps):
-        return float((1 - p) * _cr_series_mp(m, n * k, cfg, dps)
-                     + p * _cr_series_mp(n * m, k, cfg, dps))
+        return float((1 - p) * _cr_series_mp(m, n * k, cfg, r_th, dps)
+                     + p * _cr_series_mp(n * m, k, cfg, r_th, dps))

@@ -13,7 +13,7 @@ import pytest
 from scipy import integrate
 
 import oracles
-from noma_as import (AnalyticConfig, FadingConfig, cr_rates,
+from noma_as import (FadingConfig, cr_rates,
                      mcg_avg_secondary_rate, prob_h_ge_g,
                      a3_avg_sum_rate, aia_avg_sum_rate,
                      pu_avg_secondary_rate, quadrature_rate, run_point,
@@ -128,8 +128,7 @@ def test_criterion_4_strong_first_closed_form(fnoma_high_snr_reports):
     reports, elapsed = fnoma_high_snr_reports
     gaps = []
     for ps, reps in reports.items():
-        cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=2, ps_dbm=ps))
-        closed = a3_avg_sum_rate(cfg).value
+        closed = a3_avg_sum_rate(FadingConfig(n_bs=2, ps_dbm=ps))
         mc = reps["a3"].mean_sum
         gaps.append(abs(closed - mc) / mc)
         assert gaps[-1] <= 0.01, (ps, closed, mc)
@@ -143,15 +142,14 @@ def test_criterion_5_weak_first_closed_form(fnoma_high_snr_reports):
     reports, _ = fnoma_high_snr_reports
     gaps = []
     for ps, reps in reports.items():
-        cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=2, ps_dbm=ps))
-        closed = aia_avg_sum_rate(cfg).value
+        closed = aia_avg_sum_rate(FadingConfig(n_bs=2, ps_dbm=ps))
         mc = reps["aia"].mean_sum
         gaps.append(abs(closed - mc) / mc)
         assert gaps[-1] <= 0.02, (ps, closed, mc)
-    cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=2, ps_dbm=30.0))
+    cfg = FadingConfig(n_bs=2, ps_dbm=30.0)
     numeric = math.log2(1.0 / B) + quadrature_rate(
         lambda x: aia_strong_pdf(x, cfg), B, cfg.rho)
-    quad_gap = abs(aia_avg_sum_rate(cfg).value - numeric)
+    quad_gap = abs(aia_avg_sum_rate(cfg) - numeric)
     assert quad_gap <= 1e-3
     _announce(5, f"weak-first closed form within {100 * max(gaps):.3f}% of "
                  f"simulation and {quad_gap:.1e} bits of quadrature")
@@ -160,7 +158,7 @@ def test_criterion_5_weak_first_closed_form(fnoma_high_snr_reports):
 def test_criterion_6_density_normalization():
     started = time.perf_counter()
     for n, m, k in itertools.product((1, 2, 3), repeat=3):
-        cfg = AnalyticConfig(n, m, k, 1.0, 2.0, 1e12)
+        cfg = FadingConfig(n, m, k, d1=1.0, d2=2.0, alpha=1.0, ps_dbm=120.0, sigma2_dbm=0.0)
         mass, _ = integrate.quad(lambda x: aia_strong_pdf(x, cfg), 0.0,
                                  np.inf, limit=300)
         assert abs(mass - 1.0) <= 1e-6, (n, m, k, mass)
@@ -177,12 +175,12 @@ def test_criterion_7_crossing_probability():
         FadingConfig(n_bs=3, m_ue1=1, k_ue2=2, d1=60.0, d2=220.0),
     ]
     for fading in configs:
-        p = prob_h_ge_g(AnalyticConfig.from_fading(fading))
+        p = prob_h_ge_g(fading)
         h, g = sample_channel_batch(fading, SEED + 3, 0, 1_000_000)
         freq = float(np.mean(h.max(axis=(1, 2)) >= g.max(axis=(1, 2))))
         se = math.sqrt(p * (1.0 - p) / 1_000_000)
         assert abs(freq - p) <= 3.0 * se, (fading, p, freq)
-    symmetric = AnalyticConfig(2, 2, 2, 512000.0, 512000.0, 1e12)
+    symmetric = FadingConfig(n_bs=2, d1=80.0, d2=80.0)  # omega_h = omega_g = 512000
     assert prob_h_ge_g(symmetric) == 0.5
     _announce(7, "crossing probability matches 1e6-trial frequencies at three "
                  "asymmetric geometries and is exactly 0.5 symmetric")
@@ -201,10 +199,9 @@ def qos_distance_sweep():
 
 def test_criterion_8_qos_closed_forms_and_crossing(qos_distance_sweep):
     def gap(d1, policy):
-        cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=4, d1=d1, ps_dbm=20.0),
-                                         r_th=5.0)
+        cfg = FadingConfig(n_bs=4, d1=d1, ps_dbm=20.0)
         closed = {"pu": pu_avg_secondary_rate, "su": su_avg_secondary_rate,
-                  "mcg": mcg_avg_secondary_rate}[policy](cfg).value
+                  "mcg": mcg_avg_secondary_rate}[policy](cfg, 5.0)
         mc = qos_distance_sweep[d1][policy].mean_r1
         return abs(closed - mc) / mc
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import oracles
-from noma_as import (AnalyticConfig, EULER_GAMMA, FadingConfig, figures, mcg_avg_secondary_rate,
+from noma_as import (EULER_GAMMA, FadingConfig, figures, mcg_avg_secondary_rate,
                      prob_h_ge_g, a3_avg_sum_rate, aia_avg_sum_rate,
                      pu_avg_secondary_rate, quadrature_rate,
                      sample_channel_batch, su_avg_secondary_rate)
@@ -24,23 +25,29 @@ mpmath.mp.dps = 30
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _cfg(n=2, m=2, k=2, oh=1.0, og=2.0, rho=1e12, eps=None):
-    return AnalyticConfig(n, m, k, oh, og, rho, eps)
+def _cfg(n=2, m=2, k=2, oh=1.0, og=2.0, rho=1e12):
+    """The geometry of rate parameters oh, og and SNR rho, each exactly:
+    d**1.0 is d, and 10**(10*log10(rho)/10) is rho for the powers of ten
+    used here.  A QoS case's epsilon 31, 7, 3, 1 or 0 is the r_th 5, 3, 2,
+    1 or 0 its form is given."""
+    return FadingConfig(n, m, k, d1=oh, d2=og, alpha=1.0, ps_dbm=10 * math.log10(rho),
+                        sigma2_dbm=0.0)
 
 
-# each closed form's 80-digit oracle, under the power split b where it reads one
-ORACLES = {"a3": lambda cfg, b: oracles.a3_rate_mp(cfg), "aia": oracles.aia_rate_mp,
-           "pu": lambda cfg, b: oracles.pu_rate_mp(cfg),
-           "su": lambda cfg, b: oracles.su_rate_mp(cfg),
-           "mcg": lambda cfg, b: oracles.mcg_rate_mp(cfg)}
+# each closed form's 80-digit oracle, under the power split b and rate floor
+# r_th where it reads them
+ORACLES = {"a3": lambda cfg, b, r_th: oracles.a3_rate_mp(cfg),
+           "aia": lambda cfg, b, r_th: oracles.aia_rate_mp(cfg, b),
+           "pu": lambda cfg, b, r_th: oracles.pu_rate_mp(cfg, r_th),
+           "su": lambda cfg, b, r_th: oracles.su_rate_mp(cfg, r_th),
+           "mcg": lambda cfg, b, r_th: oracles.mcg_rate_mp(cfg, r_th)}
 MODES = {"a3": "fnoma", "aia": "fnoma", "pu": "crnoma", "su": "crnoma", "mcg": "crnoma"}
 
 
 def _assert_is_oracle(name, fading, b, r_th, where=None):
     """The closed form of `name` at a point is within an ulp of its oracle."""
     got = POLICIES[MODES[name], name].closed_form(fading, r_th)
-    want = ORACLES[name](AnalyticConfig.from_fading(fading, r_th if MODES[name] == "crnoma"
-                                                    else None), b)
+    want = ORACLES[name](fading, b, r_th)
     assert abs(got - want) <= math.ulp(want), (where, name, fading, got, want)
 
 
@@ -61,8 +68,8 @@ def test_euler_gamma_harmonic_limit():
 def test_a3_rate_single_antenna_hand_value():
     got = a3_avg_sum_rate(_cfg(1, 1, 1, 1.0, 1.0, 1000.0))
     expected = (math.log(1000.0) - EULER_GAMMA + math.log(2.0)) / math.log(2.0)
-    assert got.value == pytest.approx(expected, abs=1e-12)
-    assert got.terms == 1
+    assert got == pytest.approx(expected, abs=1e-12)
+    assert len(analytics._a3_offset(1, 1, 1.0, 1.0).logs) == 1
 
 
 def test_a3_rate_independent_of_split():
@@ -74,7 +81,7 @@ def test_a3_rate_symmetry_under_population_exchange():
     # swapping (NM, omega_h) with (NK, omega_g) leaves the formula unchanged
     a = a3_avg_sum_rate(_cfg(1, 4, 2, 0.7, 3.0, 1e10))
     b = a3_avg_sum_rate(_cfg(1, 2, 4, 3.0, 0.7, 1e10))
-    assert a.value == pytest.approx(b.value, rel=1e-12)
+    assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_a3_rate_vs_quadrature_single_antenna():
@@ -83,7 +90,7 @@ def test_a3_rate_vs_quadrature_single_antenna():
     pdf = lambda x: (oh * math.exp(-oh * x) + og * math.exp(-og * x)
                      - (oh + og) * math.exp(-(oh + og) * x))
     numeric = math.log2(1.0 / b) + quadrature_rate(pdf, b, rho)
-    closed = a3_avg_sum_rate(_cfg(1, 1, 1, oh, og, rho)).value
+    closed = a3_avg_sum_rate(_cfg(1, 1, 1, oh, og, rho))
     assert closed == pytest.approx(numeric, abs=1e-6)
 
 
@@ -98,10 +105,9 @@ def test_a3_rate_rejects_oversized_sums():
 def test_a_sum_that_cancels_past_80_digits_is_refused():
     # pu at (200, 1, 1): 200 alternating binomial terms, whose largest is
     # about 1e59 times the sum
-    cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=200, m_ue1=1, k_ue2=1, ps_dbm=40.0),
-                                     r_th=5.0)
+    cfg = FadingConfig(n_bs=200, m_ue1=1, k_ue2=1, ps_dbm=40.0)
     with pytest.raises(ValueError, match="cancels more than 80 digits"):
-        pu_avg_secondary_rate(cfg)
+        pu_avg_secondary_rate(cfg, 5.0)
 
 
 def test_a_sum_whose_first_guess_is_past_80_digits_is_refused_unsummed(monkeypatch):
@@ -116,8 +122,7 @@ def test_a_sum_whose_first_guess_is_past_80_digits_is_refused_unsummed(monkeypat
         with pytest.raises(ValueError, match="cancels more than 80 digits"):
             a3_avg_sum_rate(_cfg(n, 2, 2, 80.0 ** 3, 200.0 ** 3, 1e14))
     assert digits == []
-    assert a3_avg_sum_rate(_cfg(44, 2, 2, 80.0 ** 3, 200.0 ** 3, 1e14)).value == \
-        29.838082283818043
+    assert a3_avg_sum_rate(_cfg(44, 2, 2, 80.0 ** 3, 200.0 ** 3, 1e14)) == 29.838082283818043
     assert digits == [80]
 
 
@@ -149,9 +154,8 @@ def test_aia_pdf_domain_error():
 
 
 def test_aia_pdf_matches_simulated_histogram():
-    cfg = _cfg(2, 2, 2, 512000.0, 8.0e6, 1e12)
-    fading = FadingConfig(n_bs=2, d1=80.0, d2=200.0)
-    h, g = sample_channel_batch(fading, seed=33, start=0, count=1_000_000)
+    cfg = FadingConfig(n_bs=2, d1=80.0, d2=200.0)  # omega_h 512000, omega_g 8e6
+    h, g = sample_channel_batch(cfg, seed=33, start=0, count=1_000_000)
     hn, gn = h.max(axis=2), g.max(axis=2)
     rows = np.minimum(hn, gn).argmax(axis=1)
     t = np.arange(rows.size)
@@ -175,21 +179,20 @@ def test_aia_rate_consistent_with_quadrature():
         cfg = _cfg(n, m, k, oh, og, 1e12)
         numeric = math.log2(1.0 / 0.4) + quadrature_rate(
             lambda x: aia_strong_pdf(x, cfg), 0.4, 1e12)
-        closed = aia_avg_sum_rate(cfg).value
+        closed = aia_avg_sum_rate(cfg)
         assert abs(closed - numeric) <= 1e-3
 
 
 def test_aia_rate_equals_a3_rate_for_single_row():
     cfg = _cfg(1, 2, 2, 1.0, 2.0, 1e12)
-    assert aia_avg_sum_rate(cfg).value == pytest.approx(
-        a3_avg_sum_rate(cfg).value, abs=1e-6)
+    assert aia_avg_sum_rate(cfg) == pytest.approx(a3_avg_sum_rate(cfg), abs=1e-6)
 
 
 def test_aia_rate_refuses_beyond_the_term_cap_before_its_table(monkeypatch):
     # at (8, 4, 4), where N*M <= 30 refused, the float expansion returned
     # -359.9; the 80-digit oracle gives this value (4 s to check)
-    cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=8, m_ue1=4, k_ue2=4, ps_dbm=40.0))
-    assert aia_avg_sum_rate(cfg).value == 31.695439524334983
+    cfg = FadingConfig(n_bs=8, m_ue1=4, k_ue2=4, ps_dbm=40.0)
+    assert aia_avg_sum_rate(cfg) == 31.695439524334983
 
     def refuse(*args):
         raise AssertionError("a coefficient table was built")
@@ -218,12 +221,11 @@ def test_aia_table_is_the_compositions_grouped_by_decay_rate():
 def test_aia_rate_up_to_two_rows_is_the_80_digit_oracle():
     # figure 1's aia_analytic column rests on this; the float composition
     # sum, which this closed form once was bit for bit, is 1e-12 close
-    cfgs = [AnalyticConfig.from_fading(FadingConfig(n_bs=2, ps_dbm=float(ps)))
-            for ps in range(0, 45, 5)]
+    cfgs = [FadingConfig(n_bs=2, ps_dbm=float(ps)) for ps in range(0, 45, 5)]
     cfgs += [_cfg(n, m, k, oh, og, 1e12) for n in (1, 2) for m in range(1, 4)
              for k in range(1, 4) for oh, og in [(1.0, 2.0), (512000.0, 8e6)]]
     for cfg in cfgs:
-        got, want = aia_avg_sum_rate(cfg).value, oracles.aia_rate_mp(cfg, 0.4)
+        got, want = aia_avg_sum_rate(cfg), oracles.aia_rate_mp(cfg, 0.4)
         assert abs(got - want) <= math.ulp(want), cfg
         assert oracles.aia_rate_from_float_compositions(cfg, 0.4) == pytest.approx(
             want, rel=1e-12, abs=0)
@@ -231,9 +233,9 @@ def test_aia_rate_up_to_two_rows_is_the_80_digit_oracle():
 
 def test_aia_rate_on_figure_two_grid_against_80_digits():
     for n in range(1, 9):
-        cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=n, ps_dbm=10.0))
+        cfg = FadingConfig(n_bs=n, ps_dbm=10.0)
         exact = oracles.aia_rate_mp(cfg, 0.4)
-        assert abs(aia_avg_sum_rate(cfg).value - exact) <= math.ulp(exact), n
+        assert abs(aia_avg_sum_rate(cfg) - exact) <= math.ulp(exact), n
 
 
 def test_aia_weights_sum_to_minus_one_so_the_split_cancels():
@@ -324,9 +326,8 @@ def test_prob_complement_sums_to_one():
 
 
 def test_prob_matches_empirical_frequency():
-    fading = FadingConfig(n_bs=2, d1=100.0, d2=160.0)
-    cfg = AnalyticConfig.from_fading(fading)
-    h, g = sample_channel_batch(fading, seed=17, start=0, count=200_000)
+    cfg = FadingConfig(n_bs=2, d1=100.0, d2=160.0)
+    h, g = sample_channel_batch(cfg, seed=17, start=0, count=200_000)
     freq = np.mean(h.max(axis=(1, 2)) >= g.max(axis=(1, 2)))
     p = prob_h_ge_g(cfg)
     se = math.sqrt(p * (1 - p) / 200_000)
@@ -341,10 +342,9 @@ def test_prob_sums_once_per_geometry():
     for d1, d2 in ((80.0, 200.0), (200.0, 80.0)):
         for ps in range(0, 45, 5):
             fading = FadingConfig(n_bs=4, d1=d1, d2=d2, ps_dbm=float(ps))
-            cfg = AnalyticConfig.from_fading(fading, r_th=2.0)
-            mcg_avg_secondary_rate(cfg)
+            mcg_avg_secondary_rate(fading, 2.0)
             uncached = _prob_h_ge_g.__wrapped__(8, 8, fading.omega_h, fading.omega_g)
-            assert prob_h_ge_g(cfg) == float(uncached)
+            assert prob_h_ge_g(fading) == float(uncached)
     info = _prob_h_ge_g.cache_info()
     assert (info.misses, info.hits) == (2, 9 * 2)
 
@@ -352,34 +352,34 @@ def test_prob_sums_once_per_geometry():
 # --- QoS-mode average secondary rates ----------------------------------------
 
 def test_secondary_rate_gains_one_bit_per_snr_doubling():
-    base = _cfg(4, 2, 2, 512000.0, 8e6, 1e13, eps=31.0)
-    doubled = _cfg(4, 2, 2, 512000.0, 8e6, 2e13, eps=31.0)
+    base = _cfg(4, 2, 2, 512000.0, 8e6, 1e13)
+    doubled = replace(base, ps_dbm=base.ps_dbm + 10 * math.log10(2))
     for fn in (pu_avg_secondary_rate, su_avg_secondary_rate):
-        assert fn(doubled).value - fn(base).value == pytest.approx(1.0, abs=1e-9)
+        assert fn(doubled, 5.0) - fn(base, 5.0) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_secondary_rate_zero_qos_limit():
     # with no primary floor everything goes to the secondary user: the
     # average approaches E[log2(1 + rho * best-row gain)]
     oh, og, rho = 512000.0, 8e6, 1e13
-    cfg = _cfg(4, 2, 2, oh, og, rho, eps=0.0)
-    closed = pu_avg_secondary_rate(cfg).value
+    cfg = _cfg(4, 2, 2, oh, og, rho)
+    closed = pu_avg_secondary_rate(cfg, 0.0)
     pdf = lambda x: 2 * oh * math.exp(-oh * x) * (1 - math.exp(-oh * x))
     numeric = quadrature_rate(pdf, 1.0, rho)
     assert abs(closed - numeric) <= 1e-3
 
 
 def test_su_equals_pu_in_fully_symmetric_single_row():
-    cfg = _cfg(1, 2, 2, 2.0, 2.0, 1e12, eps=3.0)
-    assert su_avg_secondary_rate(cfg).value == pu_avg_secondary_rate(cfg).value
+    cfg = _cfg(1, 2, 2, 2.0, 2.0, 1e12)
+    assert su_avg_secondary_rate(cfg, 2.0) == pu_avg_secondary_rate(cfg, 2.0)
 
 
 def test_secondary_rate_singular_pair_is_continuous():
     # i*omega_h == eps*j*omega_g for (i=1, j=2): removable singularity
-    cfg = _cfg(2, 2, 2, 2.0, 1.0, 1e12, eps=1.0)
-    val = pu_avg_secondary_rate(cfg).value
+    cfg = _cfg(2, 2, 2, 2.0, 1.0, 1e12)
+    val = pu_avg_secondary_rate(cfg, 1.0)
     assert math.isfinite(val)
-    nearby = pu_avg_secondary_rate(_cfg(2, 2, 2, 2.0 * (1 + 1e-7), 1.0, 1e12, eps=1.0)).value
+    nearby = pu_avg_secondary_rate(_cfg(2, 2, 2, 2.0 * (1 + 1e-7), 1.0, 1e12), 1.0)
     assert val == pytest.approx(nearby, rel=1e-5)
 
 
@@ -395,12 +395,12 @@ def test_secondary_rate_at_and_near_the_singular_pair_against_60_digits(kind, di
                                                                         rho, eps):
     # i*omega_h == eps*j*omega_g at some (i, j), or within 1e-9 of it
     n, m, k = dims
-    cfg = _cfg(n, m, k, *omegas, rho, eps=eps)
+    cfg, r_th = _cfg(n, m, k, *omegas, rho), math.log2(eps + 1)
     if kind == "pu":
-        got, sizes = pu_avg_secondary_rate(cfg).value, (m, n * k)
+        got, sizes = pu_avg_secondary_rate(cfg, r_th), (m, n * k)
     else:
-        got, sizes = su_avg_secondary_rate(cfg).value, (n * m, k)
-    want = oracles.cr_secondary_series_mp(*sizes, cfg, dps=60)
+        got, sizes = su_avg_secondary_rate(cfg, r_th), (n * m, k)
+    want = oracles.cr_secondary_series_mp(*sizes, cfg, r_th, dps=60)
     assert abs(got - want) <= math.ulp(want)
 
 
@@ -408,8 +408,8 @@ def test_pu_su_crossing_with_distance():
     # secondary-first wins while UE1 is the near user, primary-first wins
     # once UE1 moves far away
     def rates(d1):
-        cfg = _cfg(4, 2, 2, d1 ** 3, 200.0 ** 3, 1e13, eps=31.0)
-        return pu_avg_secondary_rate(cfg).value, su_avg_secondary_rate(cfg).value
+        cfg = _cfg(4, 2, 2, d1 ** 3, 200.0 ** 3, 1e13)
+        return pu_avg_secondary_rate(cfg, 5.0), su_avg_secondary_rate(cfg, 5.0)
 
     pu_near, su_near = rates(80.0)
     pu_far, su_far = rates(320.0)
@@ -418,24 +418,29 @@ def test_pu_su_crossing_with_distance():
 
 
 def test_mcg_mixture_collapses():
-    su_like = _cfg(2, 2, 2, 1e-9, 1.0, 1e12, eps=3.0)    # UE1 gain dominates
-    pu_like = _cfg(2, 2, 2, 1.0, 1e-9, 1e12, eps=3.0)    # UE2 gain dominates
-    assert mcg_avg_secondary_rate(su_like).value == pytest.approx(
-        su_avg_secondary_rate(su_like).value, rel=1e-9)
-    assert mcg_avg_secondary_rate(pu_like).value == pytest.approx(
-        pu_avg_secondary_rate(pu_like).value, rel=1e-9)
+    su_like = _cfg(2, 2, 2, 1e-9, 1.0, 1e12)    # UE1 gain dominates
+    pu_like = _cfg(2, 2, 2, 1.0, 1e-9, 1e12)    # UE2 gain dominates
+    assert mcg_avg_secondary_rate(su_like, 2.0) == pytest.approx(
+        su_avg_secondary_rate(su_like, 2.0), rel=1e-9)
+    assert mcg_avg_secondary_rate(pu_like, 2.0) == pytest.approx(
+        pu_avg_secondary_rate(pu_like, 2.0), rel=1e-9)
 
 
 def test_mcg_is_between_pu_and_su():
-    cfg = _cfg(4, 2, 2, 150.0 ** 3, 200.0 ** 3, 1e13, eps=31.0)
-    lo = min(pu_avg_secondary_rate(cfg).value, su_avg_secondary_rate(cfg).value)
-    hi = max(pu_avg_secondary_rate(cfg).value, su_avg_secondary_rate(cfg).value)
-    assert lo <= mcg_avg_secondary_rate(cfg).value <= hi
+    cfg = _cfg(4, 2, 2, 150.0 ** 3, 200.0 ** 3, 1e13)
+    lo = min(pu_avg_secondary_rate(cfg, 5.0), su_avg_secondary_rate(cfg, 5.0))
+    hi = max(pu_avg_secondary_rate(cfg, 5.0), su_avg_secondary_rate(cfg, 5.0))
+    assert lo <= mcg_avg_secondary_rate(cfg, 5.0) <= hi
 
 
-def test_secondary_rate_needs_epsilon():
-    with pytest.raises(ValueError):
-        pu_avg_secondary_rate(_cfg(eps=None))
+@pytest.mark.parametrize("r_th", [None, math.nan, -1.0, 2000.0, math.inf])
+@pytest.mark.parametrize("name", ["pu", "su", "mcg"])
+def test_secondary_rate_refuses_an_unusable_r_th(name, r_th):
+    # 2**r_th - 1 must be a number in [0, inf): at 2000.0 and inf exp2
+    # overflows, which must neither warn nor reach the exact arithmetic
+    form = getattr(analytics, f"{name}_avg_secondary_rate")
+    with pytest.raises(ValueError, match="r_th = "):
+        form(FadingConfig(), r_th)
 
 
 # --- quadrature oracle ---------------------------------------------------------
@@ -468,26 +473,17 @@ def test_closed_forms_monotone_in_snr():
     for maker, extract in [
         (lambda r: a3_avg_sum_rate(_cfg(2, 2, 2, 512000.0, 8e6, r)), None),
         (lambda r: aia_avg_sum_rate(_cfg(2, 2, 2, 512000.0, 8e6, r)), None),
-        (lambda r: pu_avg_secondary_rate(_cfg(4, 2, 2, 512000.0, 8e6, r, eps=31.0)), None),
-        (lambda r: su_avg_secondary_rate(_cfg(4, 2, 2, 512000.0, 8e6, r, eps=31.0)), None),
-        (lambda r: mcg_avg_secondary_rate(_cfg(4, 2, 2, 512000.0, 8e6, r, eps=31.0)), None),
+        (lambda r: pu_avg_secondary_rate(_cfg(4, 2, 2, 512000.0, 8e6, r), 5.0), None),
+        (lambda r: su_avg_secondary_rate(_cfg(4, 2, 2, 512000.0, 8e6, r), 5.0), None),
+        (lambda r: mcg_avg_secondary_rate(_cfg(4, 2, 2, 512000.0, 8e6, r), 5.0), None),
     ]:
-        values = [maker(r).value for r in rhos]
+        values = [maker(r) for r in rhos]
         assert all(b >= a for a, b in zip(values, values[1:])), values
 
 
 def test_results_reproducible_bit_for_bit():
-    cfg = _cfg(3, 2, 2, 512000.0, 8e6, 1e13, eps=7.0)
-    assert a3_avg_sum_rate(cfg).value == a3_avg_sum_rate(cfg).value
-    assert aia_avg_sum_rate(cfg).value == aia_avg_sum_rate(cfg).value
-    assert pu_avg_secondary_rate(cfg).value == pu_avg_secondary_rate(cfg).value
+    cfg = _cfg(3, 2, 2, 512000.0, 8e6, 1e13)
+    assert a3_avg_sum_rate(cfg) == a3_avg_sum_rate(cfg)
+    assert aia_avg_sum_rate(cfg) == aia_avg_sum_rate(cfg)
+    assert pu_avg_secondary_rate(cfg, 3.0) == pu_avg_secondary_rate(cfg, 3.0)
     assert prob_h_ge_g(cfg) == prob_h_ge_g(cfg)
-
-
-def test_analytic_config_validation():
-    with pytest.raises(ValueError):
-        AnalyticConfig(0, 2, 2, 1.0, 1.0, 1e12)
-    with pytest.raises(ValueError):
-        AnalyticConfig(2, 2, 2, -1.0, 1.0, 1e12)
-    with pytest.raises(ValueError):
-        AnalyticConfig(2, 2, 2, 1.0, 1.0, 1e12, epsilon=-1.0)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
-from noma_as import AnalyticConfig, ConfigurationError, FadingConfig, sample_channel_batch
+from noma_as import ConfigurationError, FadingConfig, sample_channel_batch
 from noma_as.channel import (_PHILOX_M, _gains_from_unit_draws, _mulhilo, _neg_log,
                              _philox_block, _unit_draws, largest_gain)
 
@@ -73,7 +73,6 @@ def test_a_built_fading_config_can_run(d1, d2, alpha, ps_dbm, sigma2_dbm):
         assert 0 < value < math.inf
     for omega in (cfg.omega_h, cfg.omega_g):
         assert cfg.rho * largest_gain(omega) < math.inf
-    AnalyticConfig.from_fading(cfg)
     h, g = sample_channel_batch(cfg, 0, 0, 4)
     assert np.isfinite(cfg.rho * h).all() and np.isfinite(cfg.rho * g).all()
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from noma_as import AnalyticConfig, FadingConfig, harness
+from noma_as import FadingConfig, harness
 from noma_as.cli import main
 
 SCENARIO_TEXT = """\
@@ -297,7 +297,7 @@ def test_validate_prints_the_exact_closed_forms_at_ten_by_three_by_three(tmp_pat
     if code == 1:
         assert "n_bs = 10, m_ue1 = 3, k_ue2 = 3: " in err and out == ""
         return
-    cfg = AnalyticConfig.from_fading(FadingConfig(n_bs=10, m_ue1=3, k_ue2=3, ps_dbm=40.0))
+    cfg = FadingConfig(n_bs=10, m_ue1=3, k_ue2=3, ps_dbm=40.0)
     lines = out.splitlines()
     assert code == 0 and len(lines) == 2 and "FAIL" not in out
     assert f"closed={oracles.a3_rate_mp(cfg):.6g} " in lines[0] and "closed=32.7941 " in out

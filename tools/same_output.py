@@ -1,0 +1,100 @@
+"""Check that two source trees of noma_as give byte-identical output.
+
+    python tools/same_output.py OLD_SRC NEW_SRC [--trials 20000] [--seed 3]
+
+OLD_SRC and NEW_SRC are directories holding the ``noma_as`` package (a
+checkout's ``src``).  Each command below runs once per tree, in a fresh
+interpreter with ``PYTHONPATH=<src>`` and no bytecode written, in a new
+temporary directory that holds copies of the input files; nothing is written
+into either tree.  The commands:
+
+- ``figure`` 1-8 at ``--trials`` and ``--seed``, with ``NOMA_SIM_WORKERS``
+  1 and 2: the CSV, stdout and stderr;
+- ``validate`` on ``scenarios/validate_grid.txt`` and
+  ``perfbench/validate_grid.txt``;
+- ``sweep --scenario scenarios/fig1_a3.txt`` over ``ps_dbm`` 0,10,20,30,40,
+  ``n_bs`` 1,2,4,8 and ``d1`` 50,1e-100,80 (the last refused);
+- ``bench --max-dim 8``.
+
+Every command's stdout, stderr and exit code are compared, with the
+temporary directory's path read as ``<tmp>``.  Prints each output that
+differs and exits 1 if any does, else 0.  The input files are read from the
+tree this script is in.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+INPUTS = ("scenarios/fig1_a3.txt", "scenarios/validate_grid.txt", "perfbench/validate_grid.txt")
+SWEEPS = (("ps_dbm", "0,10,20,30,40"), ("n_bs", "1,2,4,8"), ("d1", "50,1e-100,80"))
+
+
+def commands(trials, seed):
+    """(name, argv, workers, csv) of every command; `csv` is the file it
+    writes, if any."""
+    out = []
+    for figure in range(1, 9):
+        for workers in ("1", "2"):
+            out.append((f"figure {figure} workers={workers}",
+                        ["figure", "--id", str(figure), "--trials", str(trials),
+                         "--seed", str(seed), "--out", "figure.csv"], workers, "figure.csv"))
+    for grid in INPUTS[1:]:
+        out.append((f"validate {grid}", ["validate", "--grid", grid], None, None))
+    for axis, values in SWEEPS:
+        out.append((f"sweep {axis} {values}", ["sweep", "--scenario", INPUTS[0], "--axis", axis,
+                                               "--values", values], None, None))
+    out.append(("bench --max-dim 8", ["bench", "--max-dim", "8"], None, None))
+    return out
+
+
+def run(src, argv, workers, csv):
+    """{output: bytes} of one command run on the tree `src`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in INPUTS:
+            (Path(tmp) / name).parent.mkdir(exist_ok=True)
+            shutil.copyfile(ROOT / name, Path(tmp) / name)
+        env = {**os.environ, "PYTHONPATH": str(Path(src).resolve()),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        env.pop("NOMA_SIM_WORKERS", None)
+        if workers:
+            env["NOMA_SIM_WORKERS"] = workers
+        proc = subprocess.run([sys.executable, "-m", "noma_as", *argv], cwd=tmp, env=env,
+                              capture_output=True)
+        outputs = {"stdout": proc.stdout, "stderr": proc.stderr,
+                   "exit code": str(proc.returncode).encode()}
+        if csv:
+            path = Path(tmp) / csv
+            outputs["csv"] = path.read_bytes() if path.exists() else b"<missing>"
+        return {key: value.replace(tmp.encode(), b"<tmp>") for key, value in outputs.items()}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    parser.add_argument("--trials", type=int, default=20_000)
+    parser.add_argument("--seed", type=int, default=3)
+    args = parser.parse_args(argv)
+    for src in (args.old_src, args.new_src):
+        if not (Path(src) / "noma_as" / "__init__.py").is_file():
+            parser.error(f"{src} holds no noma_as package")
+    compared, differ = 0, []
+    for name, cmd, workers, csv in commands(args.trials, args.seed):
+        old, new = (run(src, cmd, workers, csv) for src in (args.old_src, args.new_src))
+        for key in old:
+            compared += 1
+            if old[key] != new[key]:
+                differ.append(f"{name}: {key}")
+                print(f"differs: {name}: {key}", flush=True)
+    print(f"{compared} outputs compared, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
