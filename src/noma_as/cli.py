@@ -17,7 +17,7 @@ import sys
 from contextlib import nullcontext
 
 from .figures import open_csv, reproduce_figure, write_csv
-from .harness import (ConfigurationError, load_scenario, load_validation_grid,
+from .harness import (QUANTITIES, ConfigurationError, load_scenario, load_validation_grid,
                       sweep_run, validate_asymptotics)
 from .selection import POLICIES
 
@@ -79,15 +79,12 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ConfigurationError("--values is empty")
     results = sweep_run(scn, args.axis, values)
-    header = [args.axis, "mean_r1", "mean_r2", "mean_sum", "mean_fairness",
-              "stderr_r1", "stderr_r2", "stderr_sum", "stderr_fairness",
+    header = [args.axis, *QUANTITIES, *(q.replace("mean_", "stderr_") for q in QUANTITIES),
               "trials", "mean_eval_count"]
     # the output is opened once every point is checked, before any trial runs
     with open_csv(args.out) if args.out else nullcontext(sys.stdout) as f:
-        rows = [[v, r.mean_r1, r.mean_r2, r.mean_sum, r.mean_fairness,
-                 r.std_err["r1"], r.std_err["r2"], r.std_err["sum"],
-                 r.std_err["fairness"], r.trials_used, r.mean_eval_count]
-                for v, r in results()]
+        rows = [[v, *(getattr(r, q) for q in QUANTITIES), *r.std_err.values(),
+                 r.trials_used, r.mean_eval_count] for v, r in results()]
         write_csv(f, header, rows)
     if args.out:
         print(f"sweep over {args.axis}: wrote {args.out}")

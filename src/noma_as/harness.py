@@ -40,6 +40,7 @@ produced, so no bit of any report moves.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -86,7 +87,7 @@ class Scenario:
     def __post_init__(self):
         if (self.mode, self.policy) not in POLICIES:
             raise ConfigurationError(f"(mode, policy) = {(self.mode, self.policy)} is "
-                                     f"not one of {list(POLICIES)}")
+                                     f"not one of {list(POLICIES)}", ("policy", "mode"))
         if self.b is not None and not 0.0 <= self.b <= 1.0:
             raise ConfigurationError(f"b = {self.b}: need 0 <= b <= 1", ("b",))
         if self.mode == "fnoma":
@@ -535,111 +536,96 @@ def validate_asymptotics(points, workers=None):
 
 
 # ---------------------------------------------------------------------------
-# scenario files: `key = value` lines, keys matching the scenario fields
-# (fading parameters flattened)
+# scenario files and validation grids: `key = value` lines, keys matching the
+# scenario fields (fading parameters flattened).  A scenario file is one block
+# (`_blocks`' runs joined); a grid's blocks are split by blank or comment-only
+# lines.  Every error of a file with a key line names a path:line.
 
 _FADING_INT_KEYS = ("n_bs", "m_ue1", "k_ue2")
 _FADING_FLOAT_KEYS = ("d1", "d2", "alpha", "ps_dbm", "sigma2_dbm")
 
 
-def _parse_kv_lines(lines, path, start_line=0):
-    """{key: (value, "path:line")} for the `key = value` lines."""
-    kv = {}
-    for offset, raw in enumerate(lines):
-        where = f"{path}:{start_line + offset + 1}"
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
+def _blocks(path):
+    """The runs of lines of a UTF-8 text file that are neither blank nor
+    comment-only, newlines read as text mode reads them and a leading
+    byte-order mark dropped.  Each line is (its text before any '#',
+    stripped; the line; "path:line").  An undecodable byte fails naming its
+    path:line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object is data without its mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigurationError(f"{path}:{line}: byte 0x{exc.object[exc.start]:02x} is not "
+                                 f"UTF-8 text ({exc.reason})") from None
+    lines = [(raw.split("#", 1)[0].strip(), raw, f"{path}:{number}")
+             for number, raw in enumerate(io.StringIO(text, newline=None).readlines(), 1)]
+    return [list(run) for kept, run in itertools.groupby(lines, key=lambda line: line[0] != "")
+            if kept]
+
+
+def _scenario(block, path, grid=False):
+    """The `Scenario` of one block of `_blocks`' lines, or with `grid` its
+    `ValidationPoint`, whose `tolerance` key defaults to 2%.  An error names
+    the line of the first key it is about that the block sets, else the
+    block's first line."""
+    kv, lines = {}, {}  # key -> its value, key -> its "path:line"
+    for text, raw, where in block:
+        if "=" not in text:
             raise ConfigurationError(f"{where}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
+        key, _, value = text.partition("=")
         key = key.strip()
         if key in kv:
             raise ConfigurationError(f"{where}: duplicate key {key!r}")
-        kv[key] = (value.strip(), where)
-    return kv
-
-
-def _scenario_from_mapping(kv: dict, path, allow_tolerance=False):
-    lines = {key: where for key, (_, where) in kv.items()}
-    kv = dict(kv)
+        kv[key], lines[key] = value.strip(), where
+    first = block[0][2] if block else path
 
     def take(key, parse):
         if key not in kv:
             return None
-        value, where = kv.pop(key)
+        value = kv.pop(key)
         try:
             return parse(value)
         except ValueError:
             raise ConfigurationError(
-                f"{where}: {key} = {value!r} is not a valid {parse.__name__}") from None
+                f"{lines[key]}: {key} = {value!r} is not a valid {parse.__name__}") from None
 
-    tolerance = take("tolerance", float) if allow_tolerance else None
+    tolerance = take("tolerance", float) if grid else None
     fading_kwargs = {key: take(key, int) for key in _FADING_INT_KEYS if key in kv}
     fading_kwargs.update({key: take(key, float) for key in _FADING_FLOAT_KEYS if key in kv})
     for key in ("mode", "policy"):
         if key not in kv:
-            raise ConfigurationError(f"{path}: missing required key {key!r}")
+            raise ConfigurationError(f"{first}: missing required key {key!r}")
     mode, policy = take("mode", str), take("policy", str)
     kwargs = {key: take(key, parse) for key, parse in
               (("b", float), ("r_th", float), ("trials", int), ("seed", int)) if key in kv}
     if kv:
-        raise ConfigurationError(f"{path}: unknown keys {sorted(kv)}")
+        raise ConfigurationError(f"{lines[next(iter(kv))]}: unknown keys {sorted(kv)}")
     try:
         scn = Scenario(FadingConfig(**fading_kwargs), mode, policy, **kwargs)
     except ConfigurationError as exc:
-        where = next((lines[k] for k in exc.keys if k in lines), path)
+        where = next((lines[k] for k in exc.keys if k in lines), first)
         raise ConfigurationError(f"{where}: {exc}", exc.keys) from None
-    return scn, tolerance
-
-
-def _read_lines(path):
-    """The lines of a UTF-8 text file, newlines read as text mode reads
-    them; an undecodable byte fails naming its path:line."""
-    with open(path, "rb") as f:
-        data = f.read()
+    if not grid:
+        return scn
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ConfigurationError(f"{path}:{line}: byte 0x{data[exc.start]:02x} is not "
-                                 f"UTF-8 text ({exc.reason})") from None
-    return io.StringIO(text, newline=None).readlines()
+        return ValidationPoint(scn, 0.02 if tolerance is None else tolerance)
+    except ConfigurationError as exc:
+        where = lines["tolerance"] if "tolerance" in exc.keys else first
+        raise ConfigurationError(f"{where}: {exc}", exc.keys) from None
 
 
 def load_scenario(path) -> Scenario:
     """Parse one scenario from a key/value text file."""
-    kv = _parse_kv_lines(_read_lines(path), path)
-    scn, _ = _scenario_from_mapping(kv, path)
-    return scn
+    return _scenario([line for block in _blocks(path) for line in block], path)
 
 
 def load_validation_grid(path):
-    """Parse a validation grid: scenario blocks separated by blank lines,
-    each optionally carrying its own relative `tolerance` (default 2%)."""
-    lines = _read_lines(path)
-    blocks = []
-    current = []
-    current_start = 0
-    for idx, raw in enumerate(lines):
-        if raw.split("#", 1)[0].strip():
-            if not current:
-                current_start = idx
-            current.append(raw)
-        elif current:
-            blocks.append((current_start, current))
-            current = []
-    if current:
-        blocks.append((current_start, current))
+    """Parse a validation grid: scenario blocks separated by blank or
+    comment-only lines, each optionally carrying its own relative
+    `tolerance` (default 2%)."""
+    blocks = _blocks(path)
     if not blocks:
         raise ConfigurationError(f"{path}: no scenario blocks found")
-    points = []
-    for start, block in blocks:
-        kv = _parse_kv_lines(block, path, start_line=start)
-        scn, tol = _scenario_from_mapping(kv, path, allow_tolerance=True)
-        try:
-            points.append(ValidationPoint(scn, 0.02 if tol is None else tol))
-        except ConfigurationError as exc:
-            where = kv["tolerance"][1] if "tolerance" in exc.keys else f"{path}:{start + 1}"
-            raise ConfigurationError(f"{where}: {exc}", exc.keys) from None
-    return points
+    return [_scenario(block, path, grid=True) for block in blocks]

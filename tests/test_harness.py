@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -923,3 +923,91 @@ def test_validation_grid_empty(tmp_path):
     path.write_text("\n\n# nothing here\n")
     with pytest.raises(ConfigurationError):
         load_validation_grid(path)
+
+
+@pytest.mark.parametrize("text, line", [
+    (GRID_TEXT + "bandwidth = 20\n", 17),                        # the unknown key
+    (GRID_TEXT.replace("mode = crnoma\n", ""), 9),               # the block's first line
+    (GRID_TEXT.replace("b = 0.4\n", ""), 1),                     # no key b to name
+    (GRID_TEXT.replace("policy = pu", "policy = a3"), 10),       # the policy
+], ids=["unknown key", "missing mode", "fnoma without b", "mode and policy"])
+def test_every_file_error_names_its_line(tmp_path, text, line):
+    path = tmp_path / "grid.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError) as info:
+        load_validation_grid(path)
+    assert str(info.value).startswith(f"{path}:{line}: ")
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_key(tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(SCENARIO_TEXT)
+    marked.write_bytes(b"\xef\xbb\xbf" + SCENARIO_TEXT.encode())
+    assert load_scenario(marked) == load_scenario(plain)
+    assert load_validation_grid(marked) == load_validation_grid(plain)
+    rows = SCENARIO_TEXT.encode().splitlines(True)
+    rows[3] = b"ps_dbm = 3\xff0\n"
+    marked.write_bytes(b"\xef\xbb\xbf" + b"".join(rows))
+    with pytest.raises(ConfigurationError) as info:
+        load_scenario(marked)
+    assert str(info.value).startswith(f"{marked}:4: byte 0xff is not UTF-8 text")
+
+
+# per key, values that pass its checks and values that do not; antenna counts
+# stay small, so every closed form a grid block asks for is cheap
+_FILE_VALUES = {
+    "mode": ([], ["noma"]), "policy": ([], ["best"]),
+    "n_bs": (["1", "2", "3"], ["0", "2.5"]), "m_ue1": (["1", "2"], ["-1"]),
+    "k_ue2": (["1", "2"], ["0"]), "d1": (["80", "200"], ["0"]), "d2": (["200", "80"], ["inf"]),
+    "alpha": (["3", "2"], ["x"]), "ps_dbm": (["20", "40"], ["nan"]),
+    "sigma2_dbm": (["-110"], ["-4000"]), "b": (["0.4", "0.2"], ["7"]),
+    "r_th": (["1", "5"], ["inf"]), "trials": (["100"], ["0", "1e5"]),
+    "seed": (["1"], ["-1"]), "tolerance": (["0.05"], ["-0.5"]),
+}
+
+
+@st.composite
+def _file_lines(draw):
+    """The lines of a scenario or grid file: a (mode, policy) pair, the key
+    its mode needs and other keys, each set at most once and mostly to a
+    good value, in any order; then a few blank, comment-only, unknown-key,
+    repeated-key or '='-less lines put in anywhere."""
+    mode, policy = draw(st.sampled_from(sorted(POLICIES)))
+    likely = {"mode", "policy", {"fnoma": "b", "crnoma": "r_th"}.get(mode)}
+    lines = []
+    for key, (good, bad) in _FILE_VALUES.items():
+        if draw(st.integers(0, 9)) >= (9 if key in likely else 4):
+            continue
+        good = good or [{"mode": mode, "policy": policy}[key]]
+        value = draw(st.sampled_from(bad if draw(st.integers(0, 19)) == 0 else good))
+        lines.append(f"{key} = {value}" + draw(st.sampled_from(["", "  # why"])))
+    lines = draw(st.permutations(lines))
+    extra = ["", "  ", "# a comment", "no equals sign", "bandwidth = 20", "seed = 2"]
+    for line in draw(st.lists(st.sampled_from(extra), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=_file_lines(), newline=st.sampled_from(["\n", "\r\n"]), mark=st.booleans())
+def test_a_file_loads_or_its_error_names_one_of_its_lines(tmp_path_factory, lines, newline,
+                                                          mark):
+    content = [line for line in lines if line.split("#", 1)[0].strip()]
+    assume(content)
+    path = tmp_path_factory.getbasetemp() / "file.txt"
+    path.write_bytes(b"\xef\xbb\xbf" * mark + (newline.join(lines) + newline).encode())
+    outcomes = []
+    for load in (load_scenario, load_validation_grid):
+        try:
+            outcomes.append(load(path))
+        except ConfigurationError as exc:
+            where, _, number = str(exc).partition(": ")[0].rpartition(":")
+            assert where == str(path) and 1 <= int(number) <= len(lines), str(exc)
+            outcomes.append(str(exc))
+    # a one-block text without a tolerance is the same scenario to both loaders
+    if len(content) == len(lines) and not any(line.startswith("tolerance") for line in lines):
+        scenario, grid = outcomes
+        if isinstance(grid, list):
+            assert grid[0].scenario == scenario
+        elif isinstance(scenario, str):
+            assert grid == scenario

@@ -14,7 +14,10 @@ into either tree.  The commands:
   ``perfbench/validate_grid.txt``;
 - ``sweep --scenario scenarios/fig1_a3.txt`` over ``ps_dbm`` 0,10,20,30,40,
   ``n_bs`` 1,2,4,8 and ``d1`` 50,1e-100,80 (the last refused);
-- ``bench --max-dim 8``.
+- ``bench --max-dim 8``;
+- ``sweep --scenario`` (over ``d2`` 100) and ``validate --grid`` on each of
+  the ``REFUSED`` texts below, most of which the loaders refuse: the
+  messages of bad input are output too.
 
 Every command's stdout, stderr and exit code are compared, with the
 temporary directory's path read as ``<tmp>``.  Prints each output that
@@ -33,32 +36,61 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ("scenarios/fig1_a3.txt", "scenarios/validate_grid.txt", "perfbench/validate_grid.txt")
 SWEEPS = (("ps_dbm", "0,10,20,30,40"), ("n_bs", "1,2,4,8"), ("d1", "50,1e-100,80"))
+_BLOCK = b"mode = fnoma\npolicy = a3\nn_bs = 2\nps_dbm = 30\nb = 0.4\ntrials = 2000\nseed = 1\n"
+# {name: bytes} of scenario and grid files, each written as input.txt
+REFUSED = {
+    "no '='": _BLOCK + b"bandwidth\n",
+    "duplicate key": _BLOCK + b"b = 0.3\n",
+    "unknown key": _BLOCK + b"bandwidth = 20\n",
+    "missing mode": _BLOCK.replace(b"mode = fnoma\n", b""),
+    "mode and policy": _BLOCK.replace(b"policy = a3", b"policy = mcg"),
+    "n_bs = 2.5": _BLOCK.replace(b"n_bs = 2", b"n_bs = 2.5"),
+    "b = 7": _BLOCK.replace(b"b = 0.4", b"b = 7"),
+    "fnoma without b": _BLOCK.replace(b"b = 0.4\n", b""),
+    "non-UTF-8 byte on line 4": _BLOCK.replace(b"ps_dbm = 30", b"ps_dbm = 3\xff0"),
+    "byte-order mark": b"\xef\xbb\xbf" + _BLOCK,
+    "CRLF endings": _BLOCK.replace(b"\n", b"\r\n"),
+    "empty file": b"",
+    "second block unknown key": _BLOCK + b"\n" + _BLOCK + b"bandwidth = 20\n",
+    "second block missing mode": _BLOCK + b"\n" + _BLOCK.replace(b"mode = fnoma\n", b""),
+    "second block refused closed form":
+        _BLOCK + b"\n" + _BLOCK.replace(b"n_bs = 2", b"n_bs = 100"),
+    "tolerance = -0.5": _BLOCK + b"tolerance = -0.5\n",
+    "blocks split by a comment": _BLOCK + b"# second point\n" + _BLOCK.replace(b"a3", b"aia"),
+}
 
 
 def commands(trials, seed):
-    """(name, argv, workers, csv) of every command; `csv` is the file it
-    writes, if any."""
+    """(name, argv, workers, csv, text) of every command; `csv` is the file
+    it writes, if any, and `text` the bytes of its input.txt, if any."""
     out = []
     for figure in range(1, 9):
         for workers in ("1", "2"):
             out.append((f"figure {figure} workers={workers}",
                         ["figure", "--id", str(figure), "--trials", str(trials),
-                         "--seed", str(seed), "--out", "figure.csv"], workers, "figure.csv"))
+                         "--seed", str(seed), "--out", "figure.csv"],
+                        workers, "figure.csv", None))
     for grid in INPUTS[1:]:
-        out.append((f"validate {grid}", ["validate", "--grid", grid], None, None))
+        out.append((f"validate {grid}", ["validate", "--grid", grid], None, None, None))
     for axis, values in SWEEPS:
         out.append((f"sweep {axis} {values}", ["sweep", "--scenario", INPUTS[0], "--axis", axis,
-                                               "--values", values], None, None))
-    out.append(("bench --max-dim 8", ["bench", "--max-dim", "8"], None, None))
+                                               "--values", values], None, None, None))
+    out.append(("bench --max-dim 8", ["bench", "--max-dim", "8"], None, None, None))
+    for name, text in REFUSED.items():
+        out.append((f"sweep {name}", ["sweep", "--scenario", "input.txt", "--axis", "d2",
+                                       "--values", "100"], None, None, text))
+        out.append((f"validate {name}", ["validate", "--grid", "input.txt"], None, None, text))
     return out
 
 
-def run(src, argv, workers, csv):
+def run(src, argv, workers, csv, text):
     """{output: bytes} of one command run on the tree `src`."""
     with tempfile.TemporaryDirectory() as tmp:
         for name in INPUTS:
             (Path(tmp) / name).parent.mkdir(exist_ok=True)
             shutil.copyfile(ROOT / name, Path(tmp) / name)
+        if text is not None:
+            (Path(tmp) / "input.txt").write_bytes(text)
         env = {**os.environ, "PYTHONPATH": str(Path(src).resolve()),
                "PYTHONDONTWRITEBYTECODE": "1"}
         env.pop("NOMA_SIM_WORKERS", None)
@@ -85,8 +117,8 @@ def main(argv=None):
         if not (Path(src) / "noma_as" / "__init__.py").is_file():
             parser.error(f"{src} holds no noma_as package")
     compared, differ = 0, []
-    for name, cmd, workers, csv in commands(args.trials, args.seed):
-        old, new = (run(src, cmd, workers, csv) for src in (args.old_src, args.new_src))
+    for name, *command in commands(args.trials, args.seed):
+        old, new = (run(src, *command) for src in (args.old_src, args.new_src))
         for key in old:
             compared += 1
             if old[key] != new[key]:
