@@ -277,28 +277,27 @@ class Run:
                          trials=point.trials, seed=point.seed)
         self.workers = min(_resolve_workers(workers),
                            max((_leaf_count(p.trials) for p in points), default=1))
-        self._groups = {}  # (M, K, trials, seed) -> {geometry: [point, ...]}
+        groups = {}  # (M, K, trials, seed) -> {geometry: [point, ...]}
         for point in sorted(points, key=lambda p: -p.fading.n_bs):
             fading = point.fading
             shape = (fading.m_ue1, fading.k_ue2, point.trials, point.seed)
             geometry = replace(fading, ps_dbm=0.0, sigma2_dbm=0.0)
-            self._groups.setdefault(shape, {}).setdefault(geometry, []).append(point)
-        self._leaf = {}  # point -> {t0: moments of that leaf}
+            groups.setdefault(shape, {}).setdefault(geometry, []).append(point)
+        self._groups = [(trials, seed, tuple((geometry, tuple(group))
+                                             for geometry, group in geometries.items()))
+                        for (*_, trials, seed), geometries in groups.items()]
+        self._moments = {}  # point -> (sums, M2) of all its trials
 
     def __enter__(self):
-        tasks = [(seed, t0, count, tuple((geometry, tuple(group))
-                                         for geometry, group in geometries.items()))
-                 for (*_, trials, seed), geometries in self._groups.items()
-                 for t0, count in _leaves(0, trials)]
-        if self.workers == 1:
-            results = map(_simulate_leaf, tasks)
-        else:
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                results = list(pool.map(_simulate_leaf, tasks))
-        for (_, t0, _, geometries), moments in zip(tasks, results):
-            points = [point for _, group in geometries for point in group]
-            for point, leaf in zip(points, moments, strict=True):
-                self._leaf.setdefault(point, {})[t0] = leaf
+        tasks = ((seed, t0, count, geometries) for trials, seed, geometries in self._groups
+                 for t0, count in _leaves(0, trials))
+        with (nullcontext() if self.workers == 1
+              else ProcessPoolExecutor(max_workers=self.workers)) as pool:
+            results = (map(_simulate_leaf, tasks) if pool is None
+                       else pool.map(_simulate_leaf, tasks))
+            for trials, _, geometries in self._groups:
+                points = [point for _, group in geometries for point in group]
+                self._moments.update(zip(points, _merged(trials, results), strict=True))
         return self
 
     def __exit__(self, *exc):
@@ -327,19 +326,22 @@ def _leaf_count(n):
     return count(n)
 
 
-def _merged(t0, n, leaf):
-    """(sums, M2) of trials t0 .. t0 + n - 1, merged along the tree of
-    `_leaves` from leaf[t0] = (sums, M2) of each leaf.
+def _merged(n, leaves):
+    """(sums, M2) of each point of a shape group over its n trials, merged
+    along the tree of `_leaves` from `leaves`, an iterator of each leaf's
+    moments per point, in trial order (`_simulate_leaf`'s results).
 
     Sums add left + right, as numpy's pairwise sum does; M2 merges by the
     pairwise update of Chan, Golub and LeVeque (1979).
     """
     if n <= _CHUNK:
-        return leaf[t0]
+        return next(leaves)
     half = _half(n)
-    (sa, qa), (sb, qb) = _merged(t0, half, leaf), _merged(t0 + half, n - half, leaf)
-    delta = sb / (n - half) - sa / half
-    return sa + sb, qa + qb + delta * delta * (half * (n - half) / n)
+    merged = []
+    for (sa, qa), (sb, qb) in zip(_merged(half, leaves), _merged(n - half, leaves)):
+        delta = sb / (n - half) - sa / half
+        merged.append((sa + sb, qa + qb + delta * delta * (half * (n - half) / n)))
+    return merged
 
 
 def _make_report(r1, r2, reads):
@@ -388,10 +390,10 @@ def run_point(fading, mode, policies, trials, seed, b=None, r_th=None,
     point = Point(fading, mode, tuple(policies), trials, seed, b, r_th, tuple(reads))
     own = nullcontext(workers) if isinstance(workers, Run) else Run(workers, [point])
     with own as run:
-        leaf = run._leaf.get(point)
-        if leaf is None:
-            raise ValueError(f"{point} is not a point of this run")
-        sums, m2 = _merged(0, trials, leaf)
+        moments = run._moments.get(point)
+    if moments is None:
+        raise ValueError(f"{point} is not a point of this run")
+    sums, m2 = moments
     n, m, k = fading.n_bs, fading.m_ue1, fading.k_ue2
     return {p: _report(trials, sums[i], m2[i], POLICIES[mode, p].count(n, m, k), point.reads)
             for i, p in enumerate(policies)}

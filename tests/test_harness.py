@@ -279,10 +279,10 @@ def test_merged_leaves_sum_like_numpy_bit_for_bit(n, seed):
     rng = np.random.default_rng(seed)
     r1 = rng.exponential(size=n) * 10.0 ** rng.uniform(-6, 6, n)
     r2 = rng.exponential(size=n) * 10.0 ** rng.uniform(-6, 6, n)
-    leaf = {t0: harness._make_report(r1[t0:t0 + count], r2[t0:t0 + count],
-                                     harness.QUANTITIES)[:, None]
-            for t0, count in harness._leaves(0, n)}
-    sums, m2 = harness._merged(0, n, leaf)
+    leaves = ([harness._make_report(r1[t0:t0 + count], r2[t0:t0 + count],
+                                    harness.QUANTITIES)[:, None]]
+              for t0, count in harness._leaves(0, n))
+    [(sums, m2)] = harness._merged(n, leaves)
     for i, x in enumerate((r1, r2, r1 + r2, _jain(r1, r2, r1 + r2))):
         assert sums[0, i] == np.add.reduce(x)
         assert sums[0, i] / n == x.mean()
