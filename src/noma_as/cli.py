@@ -6,7 +6,9 @@ a scenario file), `validate` (closed form vs Monte Carlo on a grid file),
 complexity bounds).
 
 Exit codes: 0 success, 1 configuration error, 2 validation-tolerance
-failure, 3 I/O error.  NOMA_SIM_WORKERS caps worker processes.
+failure, 3 I/O error.  NOMA_SIM_WORKERS sets the number of worker processes,
+at most the CPUs this process may run on; a larger, zero or non-integer
+value is a configuration error.
 """
 
 from __future__ import annotations

@@ -7,10 +7,12 @@ realizations and compare per realization.  A point's trials split into
 leaves (`_leaves`) along the tree of numpy's pairwise sum.  Whoever
 simulates a leaf reduces it to the sum and the M2 (sum of squared
 deviations about the leaf mean) of each mean its point reads; the parent
-merges the leaves along the same tree (`_merged`): sums left + right, M2 by
-the pairwise update of Chan, Golub and LeVeque (1979).  So every mean has
-the bits of `np.add.reduce` over the whole per-trial array, for any worker
-count, and no per-trial array leaves the worker.
+merges the leaves along the same tree as they arrive, in trial order
+(`_merged`): sums left + right, M2 by the pairwise update of Chan, Golub and
+LeVeque (1979).  So every mean has the bits of `np.add.reduce` over the
+whole per-trial array, for any worker count, no per-trial array leaves the
+worker, and the parent holds the moments of one leaf per tree level.  On W
+workers at most 2W tasks are submitted and not yet read.
 
 A point names the `RateReport` means it reads (`Point.reads`), and a leaf
 computes only those, each reduced on its own.  Where a point reads only the
@@ -62,8 +64,8 @@ from .selection import POLICIES, row_stats
 _CHUNK = 8192
 # Most bytes of unit draws a leaf may hold, N*(M+K)*_CHUNK*8: N*(M+K) <= 4096.
 _LEAF_DRAW_BYTES = 2 ** 28
-# Most trials of one scenario: 131072 leaves, which `Run.__enter__` lists in
-# 0.1 s on a 2-CPU virtual machine; `Run.__init__` only counts them.
+# Most trials of one scenario: 131072 leaves, which `_leaves` yields one at
+# a time as `Run.__enter__` makes its tasks; `Run.__init__` only counts them.
 _MAX_TRIALS = 2 ** 30
 ASYMPTOTIC_MIN_RHO = 1e8  # below this the high-SNR closed forms are not claimed
 
@@ -234,23 +236,36 @@ def _simulate_point(h, g, rows, point, seed, t0, chosen, drawn):
 
 
 def _resolve_workers(workers):
-    if workers is not None:
-        if workers < 1:
-            raise ConfigurationError("workers must be >= 1")
-        return workers
-    env = os.environ.get("NOMA_SIM_WORKERS")
-    if env is not None:
+    """`workers`, else NOMA_SIM_WORKERS, else the usable CPUs; refuses a
+    count that is not an integer from 1 to the usable CPUs."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    source = f"workers = {workers!r}"
+    if workers is None:
+        env = os.environ.get("NOMA_SIM_WORKERS")
+        if env is None:
+            return cpus
+        source = f"NOMA_SIM_WORKERS = {env!r}"
         try:
-            value = int(env)
+            workers = int(env)
         except ValueError:
-            value = 0
-        if value < 1:
-            raise ConfigurationError(
-                f"NOMA_SIM_WORKERS must be a positive integer, got {env!r}")
-        return value
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+            workers = None
+    if not _is_int(workers) or not 1 <= workers <= cpus:
+        raise ConfigurationError(f"{source}: need an integer from 1 to {cpus}, the CPUs "
+                                 f"this process may run on")
+    return workers
+
+
+def _in_order(pool, tasks, window):
+    """`_simulate_leaf` of each task on `pool`, yielded in task order, with
+    at most `window` tasks submitted and not yet read."""
+    pending = []
+    for task in tasks:
+        pending.append(pool.submit(_simulate_leaf, task))
+        if len(pending) == window:
+            yield pending.pop(0).result()
+    for future in pending:
+        yield future.result()
 
 
 class Run:
@@ -258,11 +273,12 @@ class Run:
 
     `points` are the `Point`s that `run_point` will be asked for; each
     (point, policy) is checked as a `Scenario` here, before any work.
-    Entering the run simulates every leaf of every shape group (see the
-    module docstring).  `workers` (None: NOMA_SIM_WORKERS, else the usable
-    CPUs) is capped at the leaf count of the largest point.  With one worker
-    the tasks run in this process, one after another; otherwise on one
-    process pool of that many workers.  Use as a context manager.
+    Entering the run simulates every leaf of every shape group and merges
+    each point's leaves as they arrive (see the module docstring).
+    `workers` (None: NOMA_SIM_WORKERS, else the usable CPUs; at most the
+    usable CPUs) is capped at the leaf count of the largest point.  With one
+    worker the tasks run in this process, one after another; otherwise on
+    one process pool of that many workers.  Use as a context manager.
     """
 
     def __init__(self, workers, points):
@@ -294,7 +310,7 @@ class Run:
         with (nullcontext() if self.workers == 1
               else ProcessPoolExecutor(max_workers=self.workers)) as pool:
             results = (map(_simulate_leaf, tasks) if pool is None
-                       else pool.map(_simulate_leaf, tasks))
+                       else _in_order(pool, tasks, 2 * self.workers))
             for trials, _, geometries in self._groups:
                 points = [point for _, group in geometries for point in group]
                 self._moments.update(zip(points, _merged(trials, results), strict=True))
@@ -310,16 +326,20 @@ def _half(n):
 
 
 def _leaves(t0, n):
-    """The (t0, count) leaves of trials t0 .. t0 + n - 1, in trial order: the
-    pieces of numpy's pairwise-sum tree, split until at most `_CHUNK`."""
+    """Yields the (t0, count) leaves of trials t0 .. t0 + n - 1, in trial
+    order: the pieces of numpy's pairwise-sum tree, split until at most
+    `_CHUNK`."""
     if n <= _CHUNK:
-        return [(t0, n)]
+        yield t0, n
+        return
     half = _half(n)
-    return _leaves(t0, half) + _leaves(t0 + half, n - half)
+    yield from _leaves(t0, half)
+    yield from _leaves(t0 + half, n - half)
 
 
 def _leaf_count(n):
-    """len(_leaves(t0, n)), counted over the few sizes of each tree level."""
+    """How many leaves `_leaves(t0, n)` yields, counted over the few sizes
+    of each tree level."""
     @lru_cache(maxsize=None)
     def count(n):
         return 1 if n <= _CHUNK else count(_half(n)) + count(n - _half(n))

@@ -95,4 +95,4 @@ def test_figure2_samples_every_antenna_count_through_the_harness(tmp_path):
     assert result["rc"] == 0
     sample = result["layers"]["channel.sample"]
     assert sample["trials"] == 8 * trials
-    assert sample["calls"] == 8 * len(harness._leaves(0, trials))
+    assert sample["calls"] == 8 * len(list(harness._leaves(0, trials)))

@@ -95,11 +95,15 @@ def test_sweep_unwritable_path(tmp_path, monkeypatch, capsys):
     (["figure", "--id", "2", "--trials", "100", "--seed", "1"], "0"),
     (["sweep", "--axis", "n_bs", "--values", "2,0.5"], None),
     (["sweep", "--axis", "ps_dbm", "--values", "10,20"], "0"),
+    (["figure", "--id", "7", "--trials", "100000", "--seed", "1"], "3"),
 ])
 def test_configuration_error_leaves_no_output_file(tmp_path, monkeypatch, capsys, argv,
                                                    workers):
-    # a bad point or worker count fails before the output is opened
+    # a bad point or worker count fails before the output is opened; this
+    # process may run on two CPUs, so three workers are refused
     _refuse_sampling(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     if workers is not None:
         monkeypatch.setenv("NOMA_SIM_WORKERS", workers)
     if argv[0] == "sweep":
@@ -109,6 +113,9 @@ def test_configuration_error_leaves_no_output_file(tmp_path, monkeypatch, capsys
     assert not out.exists()
     if argv[3:5] == ["--trials", "0"]:  # the Scenario's check, keyed like a file's
         assert capsys.readouterr().err == f"error: trials = 0: need an integer in [1, {2 ** 30}]\n"
+    if workers == "3":
+        assert capsys.readouterr().err == ("error: NOMA_SIM_WORKERS = '3': need an integer "
+                                           "from 1 to 2, the CPUs this process may run on\n")
 
 
 def test_sweep_to_file(tmp_path):

@@ -1,7 +1,9 @@
 import math
 import os
+import re
 import tracemalloc
 import weakref
+from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -260,6 +262,12 @@ def test_workers_env_validation(monkeypatch):
     monkeypatch.setenv("NOMA_SIM_WORKERS", "0")
     with pytest.raises(ConfigurationError):
         run_trials(_fnoma_scn(trials=10))
+    _usable_cpus(monkeypatch, 2)
+    for env in ("3", "1.5", ""):
+        monkeypatch.setenv("NOMA_SIM_WORKERS", env)
+        with pytest.raises(ConfigurationError, match=rf"^NOMA_SIM_WORKERS = '{env}': "
+                                                     rf"need an integer from 1 to 2, "):
+            run_trials(_fnoma_scn(trials=10))
     monkeypatch.setenv("NOMA_SIM_WORKERS", "1")
     run_trials(_fnoma_scn(trials=10))
 
@@ -407,7 +415,7 @@ def test_run_keeps_row_statistics_per_chunk_on_two_workers(monkeypatch):
                for ps in (0.0, 20.0) for r_th in (1.0, 5.0)]
     one_leaf = _reports(points, 1)
     monkeypatch.setattr(harness, "_CHUNK", 256)
-    assert harness._leaves(0, 520) == [(0, 256), (256, 128), (384, 136)]
+    assert list(harness._leaves(0, 520)) == [(0, 256), (256, 128), (384, 136)]
     fresh = _reports(points, 1)
     with Run(2, points) as run:
         assert run.workers == 2
@@ -422,7 +430,7 @@ def test_leaf_count_is_the_number_of_leaves(monkeypatch, chunk):
     sizes = [1, 2, 1000, 2 ** 20 - 1, 2 ** 20, 2 ** 20 + 1, 10 ** 6]
     sizes += [q * chunk + r for q in (1, 2, 3, 4, 5, 7, 8, 9, 16, 33) for r in (-1, 0, 1)]
     for n in sizes:
-        assert harness._leaf_count(n) == len(harness._leaves(0, n)), n
+        assert harness._leaf_count(n) == len(list(harness._leaves(0, n))), n
     assert harness._leaf_count(2 ** 30) == 2 ** 30 // chunk
 
 
@@ -446,7 +454,7 @@ def test_run_groups_points_by_geometry_trials_and_seed(monkeypatch):
     points = same + variants
     one_leaf = _reports(points, 1)
     monkeypatch.setattr(harness, "_CHUNK", 128)
-    assert harness._leaves(0, 512) == [(t0, 128) for t0 in (0, 128, 256, 384)]
+    assert list(harness._leaves(0, 512)) == [(t0, 128) for t0 in (0, 128, 256, 384)]
     fresh = _reports(points, 1)
     sampled = []
 
@@ -472,7 +480,7 @@ def test_run_holds_one_leaf_at_a_time_in_process(monkeypatch):
     # sampled together: when a leaf is sampled, the gains of every earlier
     # leaf are gone, and the unit draws handed over, if any, are the leaf's own
     monkeypatch.setattr(harness, "_CHUNK", 128)
-    assert len(harness._leaves(0, 512)) == 4
+    assert len(list(harness._leaves(0, 512))) == 4
     earlier = []
 
     def sample(fading, seed, start, count, draws=None):
@@ -587,7 +595,7 @@ def test_a_leaf_task_peaks_under_its_memory_bound(figure_id, bound_mib, monkeypa
     trials = 4 * harness._CHUNK if figure_id in (2, 7) else harness._CHUNK
     peaks = _leaf_peaks(monkeypatch, lambda: figure_rows(figure_id, trials, 1, workers=1))
     assert max(peaks) < bound_mib * 2 ** 20
-    assert len(peaks) == len(harness._leaves(0, trials))
+    assert len(peaks) == len(list(harness._leaves(0, trials)))
 
 
 def test_a_validation_leaf_task_peaks_under_its_memory_bound(monkeypatch):
@@ -612,9 +620,12 @@ def test_run_writes_the_same_bits_at_one_two_and_three_workers(monkeypatch):
         points += [Point(replace(swapped, ps_dbm=ps), "crnoma", _CR_ALL, 520, seed,
                          r_th=r_th) for ps in (10.0, 30.0) for r_th in (1.0, 5.0)]
     monkeypatch.setattr(harness, "_CHUNK", 256)
-    assert len(harness._leaves(0, 520)) == 3
+    assert len(list(harness._leaves(0, 520))) == 3
     printed = []
     for workers in (1, 2, 3):
+        if workers == 3:  # more than this host may have: three CPUs and a pool in process
+            _usable_cpus(monkeypatch, 3)
+            monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
         with Run(workers, points) as run:
             assert run.workers == workers
             printed.append(repr(_reports(points, run)))
@@ -674,12 +685,21 @@ class _InlinePool:
     def __exit__(self, *exc):
         pass
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    def submit(self, fn, task):
+        future = Future()
+        future.set_result(fn(task))
+        return future
+
+
+def _usable_cpus(monkeypatch, n):
+    """Make this process see n CPUs it may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
 
 
 def test_run_starts_no_more_workers_than_chunks(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    _usable_cpus(monkeypatch, 64)
 
     def pools_started(fn):
         _InlinePool.sizes.clear()
@@ -702,6 +722,47 @@ def test_run_starts_no_more_workers_than_chunks(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         assert Run(None, [harness._point(_fnoma_scn(trials=10 * chunk))]).workers == 2
     assert Run(None, [harness._point(_fnoma_scn(trials=chunk))]).workers == 1
+
+
+def test_run_refuses_a_worker_count_the_host_cannot_run(monkeypatch):
+    # when the run is built, before any draw, naming the count and the
+    # usable CPUs; without sched_getaffinity the CPU count is the bound
+    ran = _record_tasks(monkeypatch)
+    _usable_cpus(monkeypatch, 2)
+    points = [harness._point(_fnoma_scn(trials=4 * harness._CHUNK))]
+    for workers in (2.5, True, 3, 0, "2"):
+        with pytest.raises(ConfigurationError, match=rf"^workers = {re.escape(repr(workers))}: "
+                                                     rf"need an integer from 1 to 2, "):
+            Run(workers, points)
+    assert Run(2, points).workers == 2
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert Run(3, points).workers == 3
+    with pytest.raises(ConfigurationError, match=r"^workers = 4: need an integer from 1 to 3, "):
+        Run(4, points)
+    assert ran == []
+
+
+def _zero_moments(task):
+    """Stands in for `_simulate_leaf`: zero moments of each point's shape."""
+    return [np.zeros((2, len(point.policies), len(point.reads)))
+            for _, points in task[3] for point in points]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_parent_holds_as_much_at_any_trial_count(monkeypatch, workers):
+    # figure 7 with its leaves stubbed: the parent's peak at 2**22 trials
+    # (512 leaves) is within 0.5 MiB of its peak at 2**16 (8 leaves)
+    monkeypatch.setattr(harness, "_simulate_leaf", _zero_moments)
+    peaks = []
+    for trials in (2 ** 16, 2 ** 16, 2 ** 22):  # the first run fills the caches
+        tracemalloc.start()
+        try:
+            figure_rows(7, trials, 1, workers=workers)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] - peaks[1] < 0.5 * 2 ** 20, peaks
 
 
 # --- sweeps ---------------------------------------------------------------------

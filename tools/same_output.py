@@ -10,8 +10,11 @@ into either tree.  The commands:
 
 - ``figure`` 1-8 at ``--trials`` and ``--seed``, with ``NOMA_SIM_WORKERS``
   1 and 2: the CSV, stdout and stderr;
+- ``figure`` 1 with ``NOMA_SIM_WORKERS`` 1.5 and the usable CPUs + 1, both
+  refused;
 - ``validate`` on ``scenarios/validate_grid.txt`` and
-  ``perfbench/validate_grid.txt``;
+  ``perfbench/validate_grid.txt``, with ``NOMA_SIM_WORKERS`` 1 and 2 (the
+  second grid is 13 tasks, more than 2 workers keep in flight);
 - ``sweep --scenario scenarios/fig1_a3.txt`` over ``ps_dbm`` 0,10,20,30,40,
   ``n_bs`` 1,2,4,8 and ``d1`` 50,1e-100,80 (the last refused);
 - ``bench --max-dim 8``;
@@ -64,14 +67,17 @@ def commands(trials, seed):
     """(name, argv, workers, csv, text) of every command; `csv` is the file
     it writes, if any, and `text` the bytes of its input.txt, if any."""
     out = []
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     for figure in range(1, 9):
-        for workers in ("1", "2"):
+        for workers in ("1", "2") + (("1.5", str(cpus + 1)) if figure == 1 else ()):
             out.append((f"figure {figure} workers={workers}",
                         ["figure", "--id", str(figure), "--trials", str(trials),
                          "--seed", str(seed), "--out", "figure.csv"],
                         workers, "figure.csv", None))
     for grid in INPUTS[1:]:
-        out.append((f"validate {grid}", ["validate", "--grid", grid], None, None, None))
+        for workers in ("1", "2"):
+            out.append((f"validate {grid} workers={workers}", ["validate", "--grid", grid],
+                        workers, None, None))
     for axis, values in SWEEPS:
         out.append((f"sweep {axis} {values}", ["sweep", "--scenario", INPUTS[0], "--axis", axis,
                                                "--values", values], None, None, None))
