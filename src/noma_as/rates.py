@@ -100,8 +100,7 @@ def _fnoma_sum_rate(x, y, b, rho):
 def _jain(r1, r2, s):
     """Jain's fairness index (r1+r2)**2 / (2 (r1**2 + r2**2)), in [0.5, 1],
     of nonnegative rates whose sum s = r1 + r2 is known.  The all-zero point
-    is 1, the limit along the equal-rate diagonal.  Rounding in s*s and q
-    can step one ulp past either end of the range, so the result is clipped."""
+    is 1, the limit along the equal-rate diagonal."""
     q = np.multiply(r1, r1) + np.multiply(r2, r2)
     small = q < np.finfo(float).tiny
     if np.any(small):  # subnormal squares lose bits: redo those scaled by 2**600
@@ -109,8 +108,7 @@ def _jain(r1, r2, s):
             u1, u2 = np.multiply(r1, 2.0 ** 600), np.multiply(r2, 2.0 ** 600)
             s = np.where(small, u1 + u2, s)
             q = np.where(small, u1 * u1 + u2 * u2, q)
-    j = np.divide(s * s, 2.0 * q, out=np.ones(np.shape(q)), where=q > 0.0)
-    return np.clip(j, 0.5, 1.0, out=j)
+    return np.divide(s * s, 2.0 * q, out=np.ones(np.shape(q)), where=q > 0.0)
 
 
 def _checked_epsilon(rho, r_th):

@@ -201,14 +201,16 @@ def test_single_trial_crnoma_equals_direct_computation():
     assert report.mean_r1 == r1 and report.mean_r2 == r2
 
 
-def test_reports_invariant_to_worker_count():
+def test_reports_invariant_to_worker_count(monkeypatch):
+    _usable_cpus(monkeypatch, 2)
     scn = _fnoma_scn(trials=40_000, seed=3)
     a = run_trials(scn, workers=1)
     b = run_trials(scn, workers=2)
     assert a == b
 
 
-def test_std_err_scales_like_inverse_sqrt_trials():
+def test_std_err_scales_like_inverse_sqrt_trials(monkeypatch):
+    _usable_cpus(monkeypatch, 2)
     small = run_trials(_fnoma_scn(trials=20_000, seed=9), workers=1)
     large = run_trials(_fnoma_scn(trials=80_000, seed=9), workers=2)
     ratio = small.std_err["sum"] / large.std_err["sum"]
@@ -356,8 +358,9 @@ def test_a_point_must_read_distinct_means(reads):
         run_point(FadingConfig(), "oma", ("oma_es",), 10, 1, reads=reads, workers=1)
 
 
-def test_the_parent_holds_no_per_trial_array():
+def test_the_parent_holds_no_per_trial_array(monkeypatch):
     # per-trial arrays of r1 and r2 for 2**17 trials x 5 policies are 10 MiB
+    _usable_cpus(monkeypatch, 2)
     fading = FadingConfig(n_bs=2, d1=80.0, ps_dbm=20.0)
     run_point(fading, "crnoma", _CR_ALL, 16385, 3, r_th=2.0, workers=2)  # imports
     tracemalloc.start()
@@ -376,7 +379,7 @@ def _reports(points, workers):
     return [run_point(*point, workers=workers) for point in points]
 
 
-def test_run_shares_draws_across_points_on_two_workers():
+def test_run_shares_draws_across_points_on_two_workers(monkeypatch):
     # two leaves on two worker processes: fnoma powers x splits and the oma
     # point on one geometry, crnoma with d1 and d2 swapped, then the first
     # geometry's points again.  Each report must equal a one-worker run of
@@ -390,6 +393,7 @@ def test_run_shares_draws_across_points_on_two_workers():
     cr = [Point(replace(swapped, ps_dbm=ps), "crnoma", _CR_ALL, 16385, 5, r_th=r_th)
           for ps in (10.0, 30.0) for r_th in (1.0, 5.0)]
     fresh = _reports(first + cr, 1)
+    _usable_cpus(monkeypatch, 2)
     with Run(2, first + cr + first) as run:
         assert run.workers == 2
         assert _reports(first + cr + first, run) == fresh + fresh[:len(first)]
@@ -417,6 +421,7 @@ def test_run_keeps_row_statistics_per_chunk_on_two_workers(monkeypatch):
     monkeypatch.setattr(harness, "_CHUNK", 256)
     assert list(harness._leaves(0, 520)) == [(0, 256), (256, 128), (384, 136)]
     fresh = _reports(points, 1)
+    _usable_cpus(monkeypatch, 2)
     with Run(2, points) as run:
         assert run.workers == 2
         shared = _reports(points, run)
@@ -549,6 +554,7 @@ def test_run_draws_figure_2_once_per_leaf_for_every_bs_antenna_count(monkeypatch
         return unit_draws(*args)
 
     monkeypatch.setattr(channel, "_unit_draws", count)
+    _usable_cpus(monkeypatch, 2)
     for workers in (1, 2):
         with Run(workers, points) as run:
             assert run.workers == workers
@@ -622,6 +628,7 @@ def test_run_writes_the_same_bits_at_one_two_and_three_workers(monkeypatch):
     monkeypatch.setattr(harness, "_CHUNK", 256)
     assert len(list(harness._leaves(0, 520))) == 3
     printed = []
+    _usable_cpus(monkeypatch, 2)
     for workers in (1, 2, 3):
         if workers == 3:  # more than this host may have: three CPUs and a pool in process
             _usable_cpus(monkeypatch, 3)
@@ -640,6 +647,7 @@ def test_figures_read_their_columns_only_and_write_the_same_bytes(figure_id, tmp
     # exhaustive searches take their optimum without building a grid, and
     # the rate formulas see only the random policy's gains (figure 5 reads
     # the fairness, so its a3 and aia gains meet the formula)
+    _usable_cpus(monkeypatch, 2)
     gathered, drawn, rated = [], [], []
     row_of = selection._row_of
     monkeypatch.setattr(selection, "_row_of", lambda *args: gathered.append(1) or row_of(*args))
@@ -754,6 +762,7 @@ def test_the_parent_holds_as_much_at_any_trial_count(monkeypatch, workers):
     # figure 7 with its leaves stubbed: the parent's peak at 2**22 trials
     # (512 leaves) is within 0.5 MiB of its peak at 2**16 (8 leaves)
     monkeypatch.setattr(harness, "_simulate_leaf", _zero_moments)
+    _usable_cpus(monkeypatch, 2)
     peaks = []
     for trials in (2 ** 16, 2 ** 16, 2 ** 22):  # the first run fills the caches
         tracemalloc.start()
