@@ -32,7 +32,7 @@ from .figures import figure_rows, reproduce_figure
 from .harness import (ConfigurationError, RateReport, Scenario,
                       ValidationPoint, ValidationResult, apply_axis,
                       load_scenario, load_validation_grid, run_point,
-                      run_trials, sweep, validate_asymptotics)
+                      sweep, validate_asymptotics)
 from .rates import (RatePair, cr_rates, fnoma_pair_rates, oma_pair_rates,
                     qos_epsilon)
 

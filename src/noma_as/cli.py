@@ -98,7 +98,7 @@ def _cmd_validate(args) -> int:
     failed = False
     for res in results:
         scn = res.scenario
-        label = (f"{scn.policy:>4s} {scn.mode:<6s} N={scn.fading.n_bs} "
+        label = (f"{scn.policies[0]:>4s} {scn.mode:<6s} N={scn.fading.n_bs} "
                  f"ps={scn.fading.ps_dbm:g}dBm d1={scn.fading.d1:g} d2={scn.fading.d2:g}")
         line = (f"{label}: closed={res.closed_form:.6g} mc={res.monte_carlo:.6g} "
                 f"gap={100 * res.rel_gap:.3f}% tol={100 * res.tolerance:g}%")

@@ -15,7 +15,7 @@ from .analytics import (a3_avg_sum_rate, aia_avg_sum_rate,  # noqa: F401
                         mcg_avg_secondary_rate, pu_avg_secondary_rate,
                         su_avg_secondary_rate)
 from .channel import FadingConfig
-from .harness import ConfigurationError, Point, Run, run_point
+from .harness import ConfigurationError, Run, Scenario, run_point
 from .selection import POLICIES
 
 _PS_GRID = tuple(range(0, 45, 5))
@@ -29,15 +29,15 @@ FIGURE_IDS = tuple(range(1, 9))
 
 
 def _point(entry, fading, b, r_th, trials, seed):
-    """The `Point` of a column group's mode entry: every policy of the mode,
-    reading the metric its columns show, or for "jain" (figure 5) the fnoma
-    policies a3 and aia, reading their mean Jain fairness."""
+    """The `Scenario` of a column group's mode entry: every policy of the
+    mode, reading the metric its columns show, or for "jain" (figure 5) the
+    fnoma policies a3 and aia, reading their mean Jain fairness."""
     if entry == "jain":
-        return Point(fading, "fnoma", ("a3", "aia"), trials, seed, b, r_th,
-                     ("mean_fairness",))
+        return Scenario(fading, "fnoma", ("a3", "aia"), trials, seed, b, r_th,
+                        ("mean_fairness",))
     policies = tuple(p for m, p in POLICIES if m == entry)
     reads = tuple(dict.fromkeys(POLICIES[entry, p].metric for p in policies))
-    return Point(fading, entry, policies, trials, seed, b, r_th, reads)
+    return Scenario(fading, entry, policies, trials, seed, b, r_th, reads)
 
 
 def _columns(entry, point, reports):
@@ -103,7 +103,7 @@ def _figure_run(figure_id: int, trials: int, seed: int, workers):
             for x, groups in plan:
                 cols = {}
                 for suffix, entry, point in groups:
-                    reports = run_point(*point, workers=run)
+                    reports = run_point(**vars(point), workers=run)
                     cols.update({f"{name}{suffix}": value
                                  for name, value in _columns(entry, point, reports).items()})
                 out.append((x, cols))

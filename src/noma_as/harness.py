@@ -14,7 +14,7 @@ whole per-trial array, for any worker count, no per-trial array leaves the
 worker, and the parent holds the moments of one leaf per tree level.  On W
 workers at most 2W tasks are submitted and not yet read.
 
-A point names the `RateReport` means it reads (`Point.reads`), and a leaf
+A point names the `RateReport` means it reads (`Scenario.reads`), and a leaf
 computes only those, each reduced on its own.  Where a point reads only the
 metric an exhaustive search among its policies maximizes, the search's
 row-max candidates (`Policy.optimum`) are the per-trial values: the search
@@ -49,7 +49,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -68,28 +67,38 @@ _LEAF_DRAW_BYTES = 2 ** 28
 # a time as `Run.__enter__` makes its tasks; `Run.__init__` only counts them.
 _MAX_TRIALS = 2 ** 30
 ASYMPTOTIC_MIN_RHO = 1e8  # below this the high-SNR closed forms are not claimed
+# The means a RateReport can carry: of r1, r2, r1 + r2 and the Jain fairness.
+QUANTITIES = ("mean_r1", "mean_r2", "mean_sum", "mean_fairness")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One fully specified simulation: fading statistics, access mode,
-    selection policy, policy parameters (the fnoma power split b, the strong
-    user's share, and the crnoma rate floor r_th), trial count and seed.
-    The fading checks its own values when built; a scenario checks what it
-    adds."""
+    """One fully specified simulated point: fading statistics, access mode,
+    the selection policies run on its shared draws, trial count and seed,
+    policy parameters (the fnoma power split b, the strong user's share, and
+    the crnoma rate floor r_th) and the `RateReport` means its caller reads,
+    from `QUANTITIES`; only those are computed and reduced.  Its fields are
+    `run_point`'s parameters before `workers`.  The fading checks its own
+    values when built; a scenario checks what it adds."""
 
     fading: FadingConfig
     mode: str
-    policy: str
-    b: float | None = None
-    r_th: float | None = None
+    policies: tuple
     trials: int = 100_000
     seed: int = 0
+    b: float | None = None
+    r_th: float | None = None
+    reads: tuple = QUANTITIES
 
     def __post_init__(self):
-        if (self.mode, self.policy) not in POLICIES:
-            raise ConfigurationError(f"(mode, policy) = {(self.mode, self.policy)} is "
-                                     f"not one of {list(POLICIES)}", ("policy", "mode"))
+        reads = self.reads
+        if not reads or len(set(reads)) < len(reads) or not set(reads) <= set(QUANTITIES):
+            raise ConfigurationError(f"reads = {reads!r}: need distinct names from "
+                                     f"{QUANTITIES}")
+        for policy in self.policies:
+            if (self.mode, policy) not in POLICIES:
+                raise ConfigurationError(f"(mode, policy) = {(self.mode, policy)} is "
+                                         f"not one of {list(POLICIES)}", ("policy", "mode"))
         if self.b is not None and not 0.0 <= self.b <= 1.0:
             raise ConfigurationError(f"b = {self.b}: need 0 <= b <= 1", ("b",))
         if self.mode == "fnoma":
@@ -123,8 +132,8 @@ class Scenario:
 class RateReport:
     """Averages over the trials of one (scenario, policy) point.
 
-    A mean its point does not read (`Point.reads`) is None, and its key is
-    absent from std_err.
+    A mean its point does not read (`Scenario.reads`) is None, and its key
+    is absent from std_err.
     """
 
     mean_r1: float | None
@@ -136,36 +145,10 @@ class RateReport:
     mean_eval_count: float
 
 
-# The means a RateReport can carry: of r1, r2, r1 + r2 and the Jain fairness.
-QUANTITIES = ("mean_r1", "mean_r2", "mean_sum", "mean_fairness")
-
-
 # The choice of each (mode, policy) (`Policy.choose`), looked up here at
 # call time.  The benchmark's tracer (perfbench/trace.py) wraps entries of
 # this dict.
 _TRIPLES = {key: policy.choose for key, policy in POLICIES.items()}
-
-
-class Point(NamedTuple):
-    """The arguments of one `run_point` call, which a `Run` is built from.
-
-    reads names the `RateReport` means the caller reads, from `QUANTITIES`;
-    only those are computed and reduced.
-    """
-
-    fading: FadingConfig
-    mode: str
-    policies: tuple
-    trials: int
-    seed: int
-    b: float | None = None
-    r_th: float | None = None
-    reads: tuple = QUANTITIES
-
-
-def _point(scn: Scenario, reads=QUANTITIES) -> Point:
-    return Point(scn.fading, scn.mode, (scn.policy,), scn.trials, scn.seed, scn.b, scn.r_th,
-                 reads)
 
 
 def _simulate_leaf(task):
@@ -271,10 +254,10 @@ def _in_order(pool, tasks, window):
 class Run:
     """The simulation of every point of one figure, sweep or validation.
 
-    `points` are the `Point`s that `run_point` will be asked for; each
-    (point, policy) is checked as a `Scenario` here, before any work.
-    Entering the run simulates every leaf of every shape group and merges
-    each point's leaves as they arrive (see the module docstring).
+    `points` are the `Scenario`s that `run_point` will be asked for, each
+    checked when it was built, before any work.  Entering the run simulates
+    every leaf of every shape group and merges each point's leaves as they
+    arrive (see the module docstring).
     `workers` (None: NOMA_SIM_WORKERS, else the usable CPUs; at most the
     usable CPUs) is capped at the leaf count of the largest point.  With one
     worker the tasks run in this process, one after another; otherwise on
@@ -283,14 +266,6 @@ class Run:
 
     def __init__(self, workers, points):
         points = list(dict.fromkeys(points))
-        for point in points:
-            reads = point.reads
-            if not reads or len(set(reads)) < len(reads) or not set(reads) <= set(QUANTITIES):
-                raise ConfigurationError(f"reads = {reads!r}: need distinct names from "
-                                         f"{QUANTITIES}")
-            for policy in point.policies:
-                Scenario(point.fading, point.mode, policy, b=point.b, r_th=point.r_th,
-                         trials=point.trials, seed=point.seed)
         self.workers = min(_resolve_workers(workers),
                            max((_leaf_count(p.trials) for p in points), default=1))
         groups = {}  # (M, K, trials, seed) -> {geometry: [point, ...]}
@@ -403,11 +378,12 @@ def run_point(fading, mode, policies, trials, seed, b=None, r_th=None,
     """Evaluate several policies on the same `trials` realizations.
 
     Returns {policy: RateReport}.  All policies share the channel draws, so
-    cross-policy comparisons at one point are paired.  `reads` names the
-    means computed (see `Point`).  `workers` is a `Run` built with this
-    point among others, or a worker count for a run of this point only.
+    cross-policy comparisons at one point are paired.  The other arguments
+    are the fields of the point's `Scenario`, checked here.  `workers` is a
+    `Run` built with this point among others, or a worker count for a run of
+    this point only.
     """
-    point = Point(fading, mode, tuple(policies), trials, seed, b, r_th, tuple(reads))
+    point = Scenario(fading, mode, tuple(policies), trials, seed, b, r_th, tuple(reads))
     own = nullcontext(workers) if isinstance(workers, Run) else Run(workers, [point])
     with own as run:
         moments = run._moments.get(point)
@@ -417,11 +393,6 @@ def run_point(fading, mode, policies, trials, seed, b=None, r_th=None,
     n, m, k = fading.n_bs, fading.m_ue1, fading.k_ue2
     return {p: _report(trials, sums[i], m2[i], POLICIES[mode, p].count(n, m, k), point.reads)
             for i, p in enumerate(policies)}
-
-
-def run_trials(scn: Scenario, workers=None) -> RateReport:
-    """Average instantaneous rates of one policy over scn.trials draws."""
-    return run_point(*_point(scn), workers=workers)[scn.policy]
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +420,17 @@ def apply_axis(scn: Scenario, axis: str, value) -> Scenario:
     raise ConfigurationError(f"unknown sweep axis {axis!r} (choose from {_SWEEP_AXES})")
 
 
+def _policy(scn: Scenario) -> str:
+    """The one policy of a swept or validated scenario."""
+    if len(scn.policies) != 1:
+        raise ConfigurationError(f"policies = {scn.policies!r}: need exactly one policy",
+                                 ("policies",))
+    return scn.policies[0]
+
+
 def sweep(base: Scenario, axis: str, values, workers=None):
-    """One report per swept value, same seed at every point so the whole
-    curve rides on common random numbers."""
+    """One report of its one policy per swept value, same seed at every
+    point so the whole curve rides on common random numbers."""
     return sweep_run(base, axis, values, workers)()
 
 
@@ -459,12 +438,14 @@ def sweep_run(base: Scenario, axis: str, values, workers=None):
     """`sweep`'s points, checked as one `Run`, and a function that runs
     them and returns the sweep's reports, so a caller can open its output
     in between."""
+    policy = _policy(base)
     points = [apply_axis(base, axis, v) for v in values]
-    checked = Run(workers, map(_point, points))
+    checked = Run(workers, points)
 
     def reports():
         with checked as run:
-            return [(v, run_trials(p, workers=run)) for v, p in zip(values, points)]
+            return [(v, run_point(**vars(p), workers=run)[policy])
+                    for v, p in zip(values, points)]
     return reports
 
 
@@ -476,9 +457,9 @@ def sweep_run(base: Scenario, axis: str, values, workers=None):
 class ValidationPoint:
     """A scenario whose closed form is checked against its simulation.
 
-    The tolerance and the closed form are checked when the point is built,
-    so a bad tolerance or a closed form that refuses the antenna counts
-    fails before any point of a run starts.
+    The scenario runs one policy.  Its tolerance and closed form are checked
+    when the point is built, so a bad tolerance or a closed form that
+    refuses the antenna counts fails before any point of a run starts.
     """
 
     scenario: Scenario
@@ -490,17 +471,18 @@ class ValidationPoint:
             raise ConfigurationError(f"tolerance = {self.tolerance}: need a finite "
                                      f"relative gap > 0", ("tolerance",))
         scn = self.scenario
-        closed_form = POLICIES[scn.mode, scn.policy].closed_form
+        policy = _policy(scn)
+        closed_form = POLICIES[scn.mode, policy].closed_form
         if closed_form is None:
             raise ConfigurationError(
-                f"no closed form for policy {scn.policy!r} in mode {scn.mode!r}")
+                f"no closed form for policy {policy!r} in mode {scn.mode!r}")
         fading = scn.fading
         try:
             value = closed_form(fading, scn.r_th)
         except ValueError as exc:
             raise ConfigurationError(
                 f"n_bs = {fading.n_bs}, m_ue1 = {fading.m_ue1}, k_ue2 = {fading.k_ue2}: "
-                f"the {scn.policy} closed form refuses these antenna counts: {exc}",
+                f"the {policy} closed form refuses these antenna counts: {exc}",
                 ("n_bs", "m_ue1", "k_ue2")) from None
         object.__setattr__(self, "_closed_form", value)
 
@@ -534,16 +516,16 @@ def validate_asymptotics(points, workers=None):
     failed.
     """
     results = []
-    simulated = [_point(p.scenario, (POLICIES[p.scenario.mode, p.scenario.policy].metric,))
-                 for p in points]
+    scenarios = [p.scenario for p in points]
+    simulated = [replace(s, reads=(POLICIES[s.mode, s.policies[0]].metric,)) for s in scenarios]
     with Run(workers, simulated) as run:
         for point, sim in zip(points, simulated):
             scn = point.scenario
-            policy = POLICIES[scn.mode, scn.policy]
             closed = point._closed_form
-            report = run_point(*sim, workers=run)[scn.policy]
-            mc = getattr(report, policy.metric)
-            se = report.std_err[policy.metric.removeprefix("mean_")]
+            (report,) = run_point(**vars(sim), workers=run).values()
+            (metric,) = sim.reads
+            mc = getattr(report, metric)
+            se = report.std_err[metric.removeprefix("mean_")]
             gap = abs(closed - mc) / abs(mc) if mc != 0 else math.inf
             if scn.fading.rho < ASYMPTOTIC_MIN_RHO:
                 status = "not-applicable"
@@ -625,7 +607,7 @@ def _scenario(block, path, grid=False):
     if kv:
         raise ConfigurationError(f"{lines[next(iter(kv))]}: unknown keys {sorted(kv)}")
     try:
-        scn = Scenario(FadingConfig(**fading_kwargs), mode, policy, **kwargs)
+        scn = Scenario(FadingConfig(**fading_kwargs), mode, (policy,), **kwargs)
     except ConfigurationError as exc:
         where = next((lines[k] for k in exc.keys if k in lines), first)
         raise ConfigurationError(f"{where}: {exc}", exc.keys) from None

@@ -270,7 +270,7 @@ def _analytic_cells():
     for path in (ROOT / "perfbench" / "validate_grid.txt", ROOT / "scenarios" / "validate_grid.txt"):
         for point in load_validation_grid(path):
             scn = point.scenario
-            yield path.name, scn.policy, scn.fading, scn.b, scn.r_th
+            yield path.name, scn.policies[0], scn.fading, scn.b, scn.r_th
 
 
 def test_every_figure_and_validate_grid_closed_form_is_its_80_digit_oracle():

@@ -136,7 +136,8 @@ def test_sweep_to_stdout(tmp_path, capsys):
     assert lines[0].startswith("d2,mean_r1,")
     assert len(lines) == 2
     # a sweep reads every mean and standard error of its points' reports
-    report = harness.run_trials(harness.apply_axis(harness.load_scenario(path), "d2", 150.0))
+    scn = harness.apply_axis(harness.load_scenario(path), "d2", 150.0)
+    (report,) = harness.run_point(**vars(scn)).values()
     row = [150.0, report.mean_r1, report.mean_r2, report.mean_sum, report.mean_fairness,
            *report.std_err.values(), report.trials_used, report.mean_eval_count]
     assert lines[1] == ",".join(format(float(v), ".17g") for v in row)

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import os
 import re
@@ -14,10 +16,10 @@ from hypothesis import strategies as st
 
 import oracles
 from noma_as import channel, figures, harness, selection
-from noma_as.harness import Point, Run
+from noma_as.harness import Run
 from noma_as import (ConfigurationError, FadingConfig, Scenario,
                      ValidationPoint, apply_axis, cr_rates, figure_rows, fnoma_pair_rates,
-                     load_scenario, load_validation_grid, run_point, run_trials,
+                     load_scenario, load_validation_grid, run_point,
                      sample_channel_batch, sweep, validate_asymptotics)
 from noma_as.figures import _PS_GRID
 from noma_as.rates import _jain
@@ -27,7 +29,7 @@ from oracles import row_triple
 
 def _fnoma_scn(**kw):
     defaults = dict(fading=FadingConfig(n_bs=2, ps_dbm=30.0), mode="fnoma",
-                    policy="a3", b=0.4,
+                    policies=("a3",), b=0.4,
                     trials=2000, seed=11)
     defaults.update(kw)
     return Scenario(**defaults)
@@ -35,18 +37,23 @@ def _fnoma_scn(**kw):
 
 def _cr_scn(**kw):
     defaults = dict(fading=FadingConfig(n_bs=4, d1=80.0, ps_dbm=20.0),
-                    mode="crnoma", policy="pu", r_th=5.0, trials=2000, seed=11)
+                    mode="crnoma", policies=("pu",), r_th=5.0, trials=2000, seed=11)
     defaults.update(kw)
     return Scenario(**defaults)
+
+
+def _one_report(scn, workers=None):
+    """The report of the one policy of `scn`, run alone."""
+    return run_point(**vars(scn), workers=workers)[scn.policies[0]]
 
 
 # --- scenario validation ------------------------------------------------------
 
 def test_mode_policy_compatibility():
     with pytest.raises(ConfigurationError):
-        _fnoma_scn(policy="mcg")
+        _fnoma_scn(policies=("mcg",))
     with pytest.raises(ConfigurationError):
-        _cr_scn(policy="a3")
+        _cr_scn(policies=("a3",))
     with pytest.raises(ConfigurationError):
         _fnoma_scn(mode="tdma")
     with pytest.raises(ConfigurationError):
@@ -75,7 +82,7 @@ def _built(kwargs):
     ({"fading": {"ps_dbm": 2980.0}}, "ps_dbm"),  # rho overflows
     ({"fading": {"ps_dbm": -5000.0}}, "ps_dbm"),  # rho underflows to 0
     ({"fading": {"sigma2_dbm": -4000.0}}, "sigma2_dbm"),
-    ({"policy": "es", "fading": {"d1": 1e-100}}, "d1"),  # rho * gain overflows
+    ({"policies": ("es",), "fading": {"d1": 1e-100}}, "d1"),  # rho * gain overflows
     ({"fading": {"d1": 1.0, "d2": 0.5, "alpha": 1000.0}}, "d2"),
     ({"trials": True}, "trials"),
     ({"seed": False}, "seed"),
@@ -92,7 +99,7 @@ def test_bad_scenario_value_fails_at_construction(kwargs, key):
     ({"r_th": 1024.0}, "r_th"),  # 2**r_th - 1 overflows
     ({"r_th": math.inf}, "r_th"),
     ({"r_th": 1e-300}, "r_th"),  # 2**r_th - 1 rounds to 0
-    ({"policy": "es", "fading": {"d1": 1e-100, "d2": 1e-100}}, "d1"),
+    ({"policies": ("es",), "fading": {"d1": 1e-100, "d2": 1e-100}}, "d1"),
 ])
 def test_bad_crnoma_value_fails_at_construction(kwargs, key):
     with pytest.raises(ConfigurationError, match=rf"\b{key} ="):
@@ -148,11 +155,11 @@ def test_any_scenario_is_rejected_when_built_or_reports_finite_numbers(
     try:  # the fading refuses a geometry that cannot run, the scenario the rest
         fading = FadingConfig(n_bs=dims[0], m_ue1=dims[1], k_ue2=dims[2], d1=d1, d2=d2,
                               alpha=alpha, ps_dbm=ps_dbm, sigma2_dbm=sigma2_dbm)
-        scn = Scenario(fading, mode, policy, b=b, r_th=r_th,
+        scn = Scenario(fading, mode, (policy,), b=b, r_th=r_th,
                        trials=trials, seed=seed)
     except ConfigurationError:
         return
-    report = run_trials(scn, workers=1)
+    report = _one_report(scn, workers=1)
     values = [report.mean_r1, report.mean_r2, report.mean_sum, report.mean_fairness,
               *report.std_err.values()]
     assert all(math.isfinite(v) for v in values), report
@@ -168,11 +175,10 @@ def test_sweep_rejects_a_bad_point_before_any_point_runs(monkeypatch):
     ran = _record_tasks(monkeypatch)
     with pytest.raises(ConfigurationError, match=r"\bps_dbm ="):
         sweep(_fnoma_scn(), "ps_dbm", [10.0, 20.0, 2980.0], workers=1)
-    # a run checks every (point, policy) when it is built, before any task
-    good = harness._point(_fnoma_scn())
-    bad = good._replace(policies=("es", "a3"), b=0.6)
+    # a point is checked when it is built, before any run holds it or any task
+    good = _fnoma_scn()
     with pytest.raises(ConfigurationError, match=r"^b = 0.6: "):
-        Run(1, [good, bad])
+        Run(1, [good, replace(good, policies=("es", "a3"), b=0.6)])
     assert ran == []
 
 
@@ -180,7 +186,7 @@ def test_sweep_rejects_a_bad_point_before_any_point_runs(monkeypatch):
 
 def test_single_trial_equals_direct_computation():
     scn = _fnoma_scn(trials=1, seed=77)
-    report = run_trials(scn, workers=1)
+    report = _one_report(scn, workers=1)
     h, g = sample_channel_batch(scn.fading, 77, 0, 1)
     (n,), (m,), (k,) = row_triple(h, g, _a3_row)
     r1, r2 = fnoma_pair_rates(h[0, n, m], g[0, n, k], scn.b, scn.fading.rho)
@@ -194,7 +200,7 @@ def test_single_trial_equals_direct_computation():
 
 def test_single_trial_crnoma_equals_direct_computation():
     scn = _cr_scn(trials=1, seed=5)
-    report = run_trials(scn, workers=1)
+    report = _one_report(scn, workers=1)
     h, g = sample_channel_batch(scn.fading, 5, 0, 1)
     (n,), (m,), (k,) = row_triple(h, g, _pu_row)
     r1, r2 = cr_rates(h[0, n, m], g[0, n, k], scn.fading.rho, scn.r_th)
@@ -204,21 +210,21 @@ def test_single_trial_crnoma_equals_direct_computation():
 def test_reports_invariant_to_worker_count(monkeypatch):
     _usable_cpus(monkeypatch, 2)
     scn = _fnoma_scn(trials=40_000, seed=3)
-    a = run_trials(scn, workers=1)
-    b = run_trials(scn, workers=2)
+    a = _one_report(scn, workers=1)
+    b = _one_report(scn, workers=2)
     assert a == b
 
 
 def test_std_err_scales_like_inverse_sqrt_trials(monkeypatch):
     _usable_cpus(monkeypatch, 2)
-    small = run_trials(_fnoma_scn(trials=20_000, seed=9), workers=1)
-    large = run_trials(_fnoma_scn(trials=80_000, seed=9), workers=2)
+    small = _one_report(_fnoma_scn(trials=20_000, seed=9), workers=1)
+    large = _one_report(_fnoma_scn(trials=80_000, seed=9), workers=2)
     ratio = small.std_err["sum"] / large.std_err["sum"]
     assert 1.8 < ratio < 2.2
 
 
 def test_report_sanity():
-    rep = run_trials(_cr_scn(trials=5000), workers=1)
+    rep = _one_report(_cr_scn(trials=5000), workers=1)
     assert 0.5 <= rep.mean_fairness <= 1.0
     assert all(v >= 0.0 for v in rep.std_err.values())
     assert rep.mean_eval_count == (4 * 2 - 1) + (2 - 1)
@@ -260,18 +266,18 @@ def test_crnoma_dominance_across_grid_points():
 def test_workers_env_validation(monkeypatch):
     monkeypatch.setenv("NOMA_SIM_WORKERS", "zero")
     with pytest.raises(ConfigurationError):
-        run_trials(_fnoma_scn(trials=10))
+        _one_report(_fnoma_scn(trials=10))
     monkeypatch.setenv("NOMA_SIM_WORKERS", "0")
     with pytest.raises(ConfigurationError):
-        run_trials(_fnoma_scn(trials=10))
+        _one_report(_fnoma_scn(trials=10))
     _usable_cpus(monkeypatch, 2)
     for env in ("3", "1.5", ""):
         monkeypatch.setenv("NOMA_SIM_WORKERS", env)
         with pytest.raises(ConfigurationError, match=rf"^NOMA_SIM_WORKERS = '{env}': "
                                                      rf"need an integer from 1 to 2, "):
-            run_trials(_fnoma_scn(trials=10))
+            _one_report(_fnoma_scn(trials=10))
     monkeypatch.setenv("NOMA_SIM_WORKERS", "1")
-    run_trials(_fnoma_scn(trials=10))
+    _one_report(_fnoma_scn(trials=10))
 
 
 # --- the reduction: leaf moments merged along numpy's pairwise tree ----------------
@@ -355,7 +361,17 @@ def test_a_point_computes_only_the_means_it_reads(mode, monkeypatch):
 @pytest.mark.parametrize("reads", [(), ("mean_r1", "mean_r1"), ("r1",), ("trials_used",)])
 def test_a_point_must_read_distinct_means(reads):
     with pytest.raises(ConfigurationError, match="reads"):
-        run_point(FadingConfig(), "oma", ("oma_es",), 10, 1, reads=reads, workers=1)
+        Scenario(FadingConfig(), "oma", ("oma_es",), 10, 1, reads=reads)
+
+
+def test_run_point_takes_the_fields_of_a_scenario_and_workers():
+    # so `run_point(**vars(scn), workers=...)` runs the scenario scn; where
+    # run_point has a default, it is the field's
+    fields = {f.name: f.default for f in dataclasses.fields(Scenario)}
+    parameters = inspect.signature(run_point).parameters
+    assert list(parameters) == [*fields, "workers"]
+    assert all(p.default == fields[name] for name, p in parameters.items()
+               if name != "workers" and p.default is not p.empty)
 
 
 def test_the_parent_holds_no_per_trial_array(monkeypatch):
@@ -376,7 +392,7 @@ def test_the_parent_holds_no_per_trial_array(monkeypatch):
 # --- one run shared by many points ----------------------------------------------
 
 def _reports(points, workers):
-    return [run_point(*point, workers=workers) for point in points]
+    return [run_point(**vars(point), workers=workers) for point in points]
 
 
 def test_run_shares_draws_across_points_on_two_workers(monkeypatch):
@@ -387,10 +403,10 @@ def test_run_shares_draws_across_points_on_two_workers(monkeypatch):
     # point.
     geo = FadingConfig(n_bs=2, d1=80.0, d2=200.0)
     swapped = FadingConfig(n_bs=2, d1=200.0, d2=80.0)
-    first = [Point(replace(geo, ps_dbm=ps), "fnoma", _FNOMA_ALL, 16385, 5, b)
+    first = [Scenario(replace(geo, ps_dbm=ps), "fnoma", _FNOMA_ALL, 16385, 5, b)
              for ps in (-30.0, 0.0) for b in (0.2, 0.4)]
-    first.append(Point(replace(geo, ps_dbm=30.0), "oma", ("oma_es",), 16385, 5))
-    cr = [Point(replace(swapped, ps_dbm=ps), "crnoma", _CR_ALL, 16385, 5, r_th=r_th)
+    first.append(Scenario(replace(geo, ps_dbm=30.0), "oma", ("oma_es",), 16385, 5))
+    cr = [Scenario(replace(swapped, ps_dbm=ps), "crnoma", _CR_ALL, 16385, 5, r_th=r_th)
           for ps in (10.0, 30.0) for r_th in (1.0, 5.0)]
     fresh = _reports(first + cr, 1)
     _usable_cpus(monkeypatch, 2)
@@ -398,7 +414,7 @@ def test_run_shares_draws_across_points_on_two_workers(monkeypatch):
         assert run.workers == 2
         assert _reports(first + cr + first, run) == fresh + fresh[:len(first)]
         with pytest.raises(ValueError, match="not a point of this run"):
-            run_point(*first[0]._replace(seed=6), workers=run)
+            run_point(**vars(replace(first[0], seed=6)), workers=run)
 
 
 def _means(reports):
@@ -413,9 +429,9 @@ def test_run_keeps_row_statistics_per_chunk_on_two_workers(monkeypatch):
     # those of one leaf, which no sharing across leaves can give.
     geo = FadingConfig(n_bs=3, d1=80.0, d2=200.0)
     swapped = FadingConfig(n_bs=3, d1=200.0, d2=80.0)
-    points = [Point(replace(geo, ps_dbm=ps), "fnoma", _FNOMA_ALL, 520, 5, b)
+    points = [Scenario(replace(geo, ps_dbm=ps), "fnoma", _FNOMA_ALL, 520, 5, b)
               for ps in (-30.0, 0.0, 30.0) for b in (0.2, 0.5)]
-    points += [Point(replace(swapped, ps_dbm=ps), "crnoma", _CR_ALL, 520, 5, r_th=r_th)
+    points += [Scenario(replace(swapped, ps_dbm=ps), "crnoma", _CR_ALL, 520, 5, r_th=r_th)
                for ps in (0.0, 20.0) for r_th in (1.0, 5.0)]
     one_leaf = _reports(points, 1)
     monkeypatch.setattr(harness, "_CHUNK", 256)
@@ -447,9 +463,9 @@ def test_run_groups_points_by_geometry_trials_and_seed(monkeypatch):
     # draws.  References run each point alone with the same 128-trial
     # leaves; their means must also equal those of one leaf.
     base = FadingConfig(n_bs=2, d1=80.0, d2=200.0, alpha=3.0, ps_dbm=30.0)
-    same = [Point(f, "fnoma", _FNOMA_ALL, 512, 5, 0.4)
+    same = [Scenario(f, "fnoma", _FNOMA_ALL, 512, 5, 0.4)
             for f in (base, replace(base, ps_dbm=10.0), replace(base, sigma2_dbm=-100.0))]
-    variants = [Point(f, "fnoma", _FNOMA_ALL, trials, seed, 0.4)
+    variants = [Scenario(f, "fnoma", _FNOMA_ALL, trials, seed, 0.4)
                 for f, seed, trials in ((replace(base, d1=90.0), 5, 512),
                                         (replace(base, d2=150.0), 5, 512),
                                         (replace(base, alpha=2.5), 5, 512), (base, 6, 512),
@@ -511,7 +527,7 @@ def test_run_draws_figure_7_once_per_leaf_for_both_placements(monkeypatch):
     # report equals that of a run of its point alone, and a run of one
     # geometry hands the sampler no unit draws
     monkeypatch.setattr(harness, "_CHUNK", 128)
-    points = [Point(fading, "crnoma", _CR_ALL, 256, 2, r_th=5.0)
+    points = [Scenario(fading, "crnoma", _CR_ALL, 256, 2, r_th=5.0)
               for ps in _PS_GRID
               for *_, fading, _, _ in figures._two_placements(float(ps), 5.0)]
     fresh = _reports(points, 1)
@@ -531,7 +547,7 @@ def test_run_draws_figure_7_once_per_leaf_for_both_placements(monkeypatch):
         assert _reports(points, run) == fresh
     assert len(computed) == 2
     monkeypatch.setattr(harness, "sample_channel_batch", sample)
-    run_point(*points[0], workers=1)
+    run_point(**vars(points[0]), workers=1)
     assert handed == [None, None]
 
 
@@ -620,10 +636,10 @@ def test_run_writes_the_same_bits_at_one_two_and_three_workers(monkeypatch):
     swapped = FadingConfig(n_bs=3, d1=200.0, d2=80.0)
     points = []
     for seed in (5, 6):
-        points += [Point(replace(geo, ps_dbm=ps), "fnoma", _FNOMA_ALL, 520, seed, 0.4)
+        points += [Scenario(replace(geo, ps_dbm=ps), "fnoma", _FNOMA_ALL, 520, seed, 0.4)
                    for ps in (0.0, 30.0)]
-        points.append(Point(replace(geo, ps_dbm=30.0), "oma", ("oma_es",), 520, seed))
-        points += [Point(replace(swapped, ps_dbm=ps), "crnoma", _CR_ALL, 520, seed,
+        points.append(Scenario(replace(geo, ps_dbm=30.0), "oma", ("oma_es",), 520, seed))
+        points += [Scenario(replace(swapped, ps_dbm=ps), "crnoma", _CR_ALL, 520, seed,
                          r_th=r_th) for ps in (10.0, 30.0) for r_th in (1.0, 5.0)]
     monkeypatch.setattr(harness, "_CHUNK", 256)
     assert len(list(harness._leaves(0, 520))) == 3
@@ -661,7 +677,7 @@ def test_figures_read_their_columns_only_and_write_the_same_bytes(figure_id, tmp
     point = figures._point
     for trials in (300, 16385):
         monkeypatch.setattr(figures, "_point",
-                            lambda *args: point(*args)._replace(reads=harness.QUANTITIES))
+                            lambda *args: replace(point(*args), reads=harness.QUANTITIES))
         figures.reproduce_figure(figure_id, trials, 1, tmp_path / "all.csv", workers=1)
         searched = len(gathered)
         assert (searched > 0) == (figure_id != 5)  # figure 5 runs no exhaustive search
@@ -717,9 +733,9 @@ def test_run_starts_no_more_workers_than_chunks(monkeypatch):
     chunk = harness._CHUNK
     monkeypatch.setenv("NOMA_SIM_WORKERS", "64")
     scn = _fnoma_scn(trials=chunk + 1)
-    assert pools_started(lambda: run_trials(scn)) == [2]
-    assert run_trials(scn) == run_trials(scn, workers=1)
-    assert pools_started(lambda: run_trials(_fnoma_scn(trials=chunk))) == []
+    assert pools_started(lambda: _one_report(scn)) == [2]
+    assert _one_report(scn) == _one_report(scn, workers=1)
+    assert pools_started(lambda: _one_report(_fnoma_scn(trials=chunk))) == []
     assert pools_started(lambda: sweep(scn, "ps_dbm", [10.0, 20.0])) == [2]
     points = [ValidationPoint(_fnoma_scn(trials=t), 0.05) for t in (10, 2 * chunk + 1)]
     assert pools_started(lambda: validate_asymptotics(points)) == [3]
@@ -728,8 +744,8 @@ def test_run_starts_no_more_workers_than_chunks(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     if hasattr(os, "sched_getaffinity"):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert Run(None, [harness._point(_fnoma_scn(trials=10 * chunk))]).workers == 2
-    assert Run(None, [harness._point(_fnoma_scn(trials=chunk))]).workers == 1
+        assert Run(None, [_fnoma_scn(trials=10 * chunk)]).workers == 2
+    assert Run(None, [_fnoma_scn(trials=chunk)]).workers == 1
 
 
 def test_run_refuses_a_worker_count_the_host_cannot_run(monkeypatch):
@@ -737,7 +753,7 @@ def test_run_refuses_a_worker_count_the_host_cannot_run(monkeypatch):
     # usable CPUs; without sched_getaffinity the CPU count is the bound
     ran = _record_tasks(monkeypatch)
     _usable_cpus(monkeypatch, 2)
-    points = [harness._point(_fnoma_scn(trials=4 * harness._CHUNK))]
+    points = [_fnoma_scn(trials=4 * harness._CHUNK)]
     for workers in (2.5, True, 3, 0, "2"):
         with pytest.raises(ConfigurationError, match=rf"^workers = {re.escape(repr(workers))}: "
                                                      rf"need an integer from 1 to 2, "):
@@ -780,7 +796,7 @@ def test_sweep_power_monotone_for_every_policy():
     # common random numbers make per-trial rates monotone in power, so the
     # means must be exactly monotone, not just statistically
     for policy in ("es", "a3", "aia", "random"):
-        rows = sweep(_fnoma_scn(policy=policy, trials=2000), "ps_dbm",
+        rows = sweep(_fnoma_scn(policies=(policy,), trials=2000), "ps_dbm",
                      [0.0, 10.0, 20.0, 30.0], workers=1)
         sums = [rep.mean_sum for _, rep in rows]
         assert all(b > a for a, b in zip(sums, sums[1:])), policy
@@ -824,8 +840,8 @@ def test_sweep_reproducible():
 def test_validate_asymptotics_passes_at_high_snr():
     points = [
         ValidationPoint(_fnoma_scn(trials=30_000), 0.01),
-        ValidationPoint(_fnoma_scn(policy="aia", trials=30_000), 0.02),
-        ValidationPoint(_cr_scn(policy="mcg", trials=30_000), 0.02),
+        ValidationPoint(_fnoma_scn(policies=("aia",), trials=30_000), 0.02),
+        ValidationPoint(_cr_scn(policies=("mcg",), trials=30_000), 0.02),
     ]
     results = validate_asymptotics(points, workers=1)
     assert [r.status for r in results] == ["pass"] * 3
@@ -835,8 +851,8 @@ def test_validate_asymptotics_passes_at_high_snr():
 
 def test_validation_result_carries_the_monte_carlo_error(monkeypatch):
     # a PASS point: the report's standard error, the gap in units of it
-    scn = _cr_scn(policy="mcg", trials=20_000)
-    report = run_trials(scn, workers=1)
+    scn = _cr_scn(policies=("mcg",), trials=20_000)
+    report = _one_report(scn, workers=1)
     res = validate_asymptotics([ValidationPoint(scn, 0.02)], workers=1)[0]
     assert res.status == "pass"
     assert res.monte_carlo == report.mean_r1
@@ -866,9 +882,20 @@ def test_validate_flags_low_snr_as_not_applicable():
     assert res.rel_gap > 0.05  # the closed form is far off here, by design
 
 
+def test_a_sweep_or_validation_point_runs_one_policy(monkeypatch):
+    ran = _record_tasks(monkeypatch)
+    two = _fnoma_scn(policies=("a3", "aia"))
+    with pytest.raises(ConfigurationError, match=r"^policies = \('a3', 'aia'\): ") as info:
+        ValidationPoint(two, 0.02)
+    assert info.value.keys == ("policies",)
+    with pytest.raises(ConfigurationError, match=r"^policies = \('a3', 'aia'\): "):
+        sweep(two, "ps_dbm", [10.0], workers=1)
+    assert ran == []
+
+
 def test_validate_rejects_policies_without_closed_form():
     with pytest.raises(ConfigurationError):
-        validate_asymptotics([ValidationPoint(_fnoma_scn(policy="es"), 0.01)])
+        validate_asymptotics([ValidationPoint(_fnoma_scn(policies=("es",)), 0.01)])
 
 
 # --- scenario files --------------------------------------------------------------
@@ -895,7 +922,7 @@ def test_scenario_file_round_trip(tmp_path):
     path = tmp_path / "scn.txt"
     path.write_text(SCENARIO_TEXT)
     scn = load_scenario(path)
-    assert scn.mode == "fnoma" and scn.policy == "a3"
+    assert scn.mode == "fnoma" and scn.policies == ("a3",)
     assert scn.fading == FadingConfig(n_bs=2, ps_dbm=30.0)
     assert scn.b == 0.4
     assert scn.trials == 500 and scn.seed == 42
@@ -962,7 +989,7 @@ def test_validation_grid_parsing(tmp_path):
     assert len(points) == 2
     assert points[0].tolerance == 0.05
     assert points[1].tolerance == 0.02  # default
-    assert points[1].scenario.policy == "pu"
+    assert points[1].scenario.policies == ("pu",)
 
 
 def test_validation_grid_refuses_a_closed_form_before_any_point_runs(tmp_path,

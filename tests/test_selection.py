@@ -145,8 +145,8 @@ _U64 = st.integers(0, 2 ** 64 - 1)
 def _sampled(dims, d1, d2, ps_dbm, b, r_th, seed, start, count):
     """Draws of an accepted scenario: (rho, h, g)."""
     fading = FadingConfig(*dims, d1=d1, d2=d2, ps_dbm=ps_dbm)
-    Scenario(fading, "fnoma", "es", b=b)
-    Scenario(fading, "crnoma", "es", r_th=r_th)
+    Scenario(fading, "fnoma", ("es",), b=b)
+    Scenario(fading, "crnoma", ("es",), r_th=r_th)
     return (fading.rho,) + sample_channel_batch(fading, seed, start, count)
 
 

@@ -47,6 +47,7 @@ REFUSED = {
     "unknown key": _BLOCK + b"bandwidth = 20\n",
     "missing mode": _BLOCK.replace(b"mode = fnoma\n", b""),
     "mode and policy": _BLOCK.replace(b"policy = a3", b"policy = mcg"),
+    "no closed form": _BLOCK.replace(b"policy = a3", b"policy = random"),
     "n_bs = 2.5": _BLOCK.replace(b"n_bs = 2", b"n_bs = 2.5"),
     "b = 7": _BLOCK.replace(b"b = 0.4", b"b = 7"),
     "fnoma without b": _BLOCK.replace(b"b = 0.4\n", b""),
