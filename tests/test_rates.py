@@ -112,8 +112,16 @@ def test_jain_examples():
 
 @given(r1=st.floats(0, 50), r2=st.floats(0, 50))
 @example(r1=7.462160828527934e-157, r2=7.462160828527934e-157)
+@example(r1=50.0, r2=49.99999999999999)  # s*s / (2q) rounds an ulp above 1
 def test_jain_range(r1, r2):
     assert 0.5 <= _jain_of(r1, r2) <= 1.0
+
+
+def test_jain_of_an_array_of_nearly_equal_rates_is_at_most_one():
+    # s*s / (2q) rounds an ulp above 1 at each element, in numpy's array
+    # loops, which may round otherwise than its scalar path
+    r1, r2 = np.full(16, 1.1754943508222875e-38), np.full(16, 1.175494351e-38)
+    assert np.all(_jain_of(r1, r2) <= 1.0)
 
 
 def test_cr_split_examples():
