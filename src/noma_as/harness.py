@@ -91,6 +91,11 @@ class Scenario:
     reads: tuple = QUANTITIES
 
     def __post_init__(self):
+        # a `Run` keys its points by value, and a str would read as one name
+        # per character
+        for key in ("policies", "reads"):
+            if not isinstance(getattr(self, key), tuple):
+                raise ConfigurationError(f"{key} = {getattr(self, key)!r}: need a tuple", (key,))
         reads = self.reads
         if not reads or len(set(reads)) < len(reads) or not set(reads) <= set(QUANTITIES):
             raise ConfigurationError(f"reads = {reads!r}: need distinct names from "

@@ -88,6 +88,9 @@ def _built(kwargs):
     ({"seed": False}, "seed"),
     ({"b": 0.7}, "b"),  # strong user over-weighted
     ({"b": math.nan}, "b"),
+    ({"policies": "a3"}, "policies"),
+    ({"policies": ["a3"]}, "policies"),
+    ({"reads": ["mean_r1"]}, "reads"),
 ])
 def test_bad_scenario_value_fails_at_construction(kwargs, key):
     with pytest.raises(ConfigurationError, match=rf"\b{key} =") as err:
