@@ -65,6 +65,11 @@ def _is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value):
+    """A real number of any real type but bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 class ConfigurationError(ValueError):
     """Invalid scenario, axis, or file input (CLI exit code 1).
 
@@ -109,15 +114,16 @@ class FadingConfig:
         for keys, ok, need in (
                 (("n_bs", "m_ue1", "k_ue2"), lambda v: _is_int(v) and v >= 1,
                  "antenna counts must be integers >= 1"),
-                (("d1", "d2"), lambda v: 0 < v < math.inf,
+                (("d1", "d2"), lambda v: _is_real(v) and 0 < v < math.inf,
                  "distances must be positive and finite"),
-                (("alpha",), lambda v: 0 < v < math.inf,
+                (("alpha",), lambda v: _is_real(v) and 0 < v < math.inf,
                  "path-loss exponent must be positive and finite"),
-                (("ps_dbm", "sigma2_dbm"), math.isfinite, "power levels must be finite")):
+                (("ps_dbm", "sigma2_dbm"), lambda v: _is_real(v) and math.isfinite(v),
+                 "power levels must be finite")):
             for key in keys:
                 value = getattr(self, key)
                 if not ok(value):
-                    raise ConfigurationError(f"{key} = {value}: {need}", (key,))
+                    raise ConfigurationError(f"{key} = {value!r}: {need}", (key,))
         omegas = _power(self.d1, self.alpha), _power(self.d2, self.alpha)
         if not all(0 < w < math.inf for w in omegas):
             raise ConfigurationError(f"alpha = {self.alpha}: path loss "

@@ -19,8 +19,8 @@ import sys
 from contextlib import nullcontext
 
 from .figures import open_csv, reproduce_figure, write_csv
-from .harness import (QUANTITIES, ConfigurationError, load_scenario, load_validation_grid,
-                      sweep_run, validate_asymptotics)
+from .harness import (QUANTITIES, SWEEP_AXES, ConfigurationError, load_scenario,
+                      load_validation_grid, sweep_run, validate_asymptotics)
 from .selection import POLICIES
 
 EXIT_OK = 0
@@ -51,8 +51,7 @@ def _build_parser() -> _Parser:
 
     swp = sub.add_parser("sweep", help="sweep one axis of a scenario file")
     swp.add_argument("--scenario", required=True, help="scenario key=value file")
-    swp.add_argument("--axis", required=True,
-                     help="ps_dbm | n_bs | d1 | d2 | b | r_th")
+    swp.add_argument("--axis", required=True, help=" | ".join(SWEEP_AXES))
     swp.add_argument("--values", required=True, help="comma-separated values")
     swp.add_argument("--out", help="output CSV path (default: stdout)")
 

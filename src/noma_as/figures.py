@@ -31,13 +31,15 @@ FIGURE_IDS = tuple(range(1, 9))
 def _point(entry, fading, b, r_th, trials, seed):
     """The `Scenario` of a column group's mode entry: every policy of the
     mode, reading the metric its columns show, or for "jain" (figure 5) the
-    fnoma policies a3 and aia, reading their mean Jain fairness."""
+    fnoma policies a3 and aia, reading their mean Jain fairness.  A group's
+    b is its fnoma entry's only, as figures 1-3 run oma beside fnoma."""
     if entry == "jain":
         return Scenario(fading, "fnoma", ("a3", "aia"), trials, seed, b, r_th,
                         ("mean_fairness",))
     policies = tuple(p for m, p in POLICIES if m == entry)
     reads = tuple(dict.fromkeys(POLICIES[entry, p].metric for p in policies))
-    return Scenario(fading, entry, policies, trials, seed, b, r_th, reads)
+    return Scenario(fading, entry, policies, trials, seed, b if entry == "fnoma" else None,
+                    r_th, reads)
 
 
 def _columns(entry, point, reports):

@@ -53,7 +53,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import channel
-from .channel import ConfigurationError, FadingConfig, _is_int, sample_channel_batch
+from .channel import (ConfigurationError, FadingConfig, _is_int, _is_real,
+                      sample_channel_batch)
 from .rates import _jain, cr_rates, fnoma_pair_rates, oma_pair_rates, qos_epsilon
 from .selection import POLICIES, row_stats
 
@@ -75,9 +76,10 @@ QUANTITIES = ("mean_r1", "mean_r2", "mean_sum", "mean_fairness")
 class Scenario:
     """One fully specified simulated point: fading statistics, access mode,
     the selection policies run on its shared draws, trial count and seed,
-    policy parameters (the fnoma power split b, the strong user's share, and
-    the crnoma rate floor r_th) and the `RateReport` means its caller reads,
-    from `QUANTITIES`; only those are computed and reduced.  Its fields are
+    the one policy parameter its mode reads (fnoma's power split b, the
+    strong user's share, or crnoma's rate floor r_th; the other is None, and
+    oma reads neither) and the `RateReport` means its caller reads, from
+    `QUANTITIES`; only those are computed and reduced.  Its fields are
     `run_point`'s parameters before `workers`.  The fading checks its own
     values when built; a scenario checks what it adds."""
 
@@ -91,33 +93,36 @@ class Scenario:
     reads: tuple = QUANTITIES
 
     def __post_init__(self):
-        # a `Run` keys its points by value, and a str would read as one name
-        # per character
+        # a `Run` keys its points by value, a str would read as one name per
+        # character, and a point computes each name it is given
         for key in ("policies", "reads"):
-            if not isinstance(getattr(self, key), tuple):
-                raise ConfigurationError(f"{key} = {getattr(self, key)!r}: need a tuple", (key,))
-        reads = self.reads
-        if not reads or len(set(reads)) < len(reads) or not set(reads) <= set(QUANTITIES):
-            raise ConfigurationError(f"reads = {reads!r}: need distinct names from "
-                                     f"{QUANTITIES}")
+            names = getattr(self, key)
+            if not (isinstance(names, tuple) and names and len(set(names)) == len(names)):
+                raise ConfigurationError(f"{key} = {names!r}: need a tuple of one or more "
+                                         f"distinct names", (key,))
+        if not set(self.reads) <= set(QUANTITIES):
+            raise ConfigurationError(f"reads = {self.reads!r}: need names from {QUANTITIES}",
+                                     ("reads",))
         for policy in self.policies:
             if (self.mode, policy) not in POLICIES:
                 raise ConfigurationError(f"(mode, policy) = {(self.mode, policy)} is "
                                          f"not one of {list(POLICIES)}", ("policy", "mode"))
-        if self.b is not None and not 0.0 <= self.b <= 1.0:
-            raise ConfigurationError(f"b = {self.b}: need 0 <= b <= 1", ("b",))
-        if self.mode == "fnoma":
-            if self.b is None:
-                raise ConfigurationError("fnoma scenarios need a power split (key b)")
-            if not 0.0 < self.b <= 0.5:
-                raise ConfigurationError(f"b = {self.b}: fnoma needs 0 < b <= 0.5", ("b",))
+        # a mode reads b (fnoma) or r_th (crnoma), and only that mode sets it
+        for key, mode, need in (("b", "fnoma", "a power split"),
+                                ("r_th", "crnoma", "a rate floor")):
+            value = getattr(self, key)
+            if value is None and self.mode == mode:
+                raise ConfigurationError(f"{mode} scenarios need {need} (key {key})", (key,))
+            if value is not None and self.mode != mode:
+                raise ConfigurationError(f"{key} = {value!r}: only {mode} scenarios read {key}",
+                                         (key,))
+        if self.mode == "fnoma" and not (_is_real(self.b) and 0.0 < self.b <= 0.5):
+            raise ConfigurationError(f"b = {self.b!r}: fnoma needs 0 < b <= 0.5", ("b",))
         if self.mode == "crnoma":
-            if self.r_th is None:
-                raise ConfigurationError("crnoma scenarios need a rate floor (key r_th)")
             with np.errstate(over="ignore"):
-                eps = qos_epsilon(self.r_th) if self.r_th > 0 else 0.0
+                eps = qos_epsilon(self.r_th) if _is_real(self.r_th) and self.r_th > 0 else 0.0
             if not 0 < eps < math.inf:
-                raise ConfigurationError(f"r_th = {self.r_th}: crnoma needs 2**r_th - 1 "
+                raise ConfigurationError(f"r_th = {self.r_th!r}: crnoma needs 2**r_th - 1 "
                                          f"positive and finite", ("r_th",))
         if not _is_int(self.trials) or not 1 <= self.trials <= _MAX_TRIALS:
             raise ConfigurationError(f"trials = {self.trials!r}: need an integer in "
@@ -403,26 +408,19 @@ def run_point(fading, mode, policies, trials, seed, b=None, r_th=None,
 # ---------------------------------------------------------------------------
 # parameter sweeps
 
-_SWEEP_AXES = ("ps_dbm", "n_bs", "d1", "d2", "b", "r_th")
+SWEEP_AXES = ("ps_dbm", "n_bs", "d1", "d2", "b", "r_th")
 
 
 def apply_axis(scn: Scenario, axis: str, value) -> Scenario:
-    """Scenario with one swept parameter replaced."""
-    if axis in ("ps_dbm", "d1", "d2"):
-        return replace(scn, fading=replace(scn.fading, **{axis: float(value)}))
-    if axis == "n_bs":
-        if not (math.isfinite(value) and int(value) == value):
-            raise ConfigurationError(f"n_bs must be an integer, got {value}", ("n_bs",))
-        return replace(scn, fading=replace(scn.fading, n_bs=int(value)))
-    if axis == "b":
-        if scn.mode != "fnoma":
-            raise ConfigurationError("axis b applies to fnoma scenarios only")
-        return replace(scn, b=float(value))
-    if axis == "r_th":
-        if scn.mode != "crnoma":
-            raise ConfigurationError("axis r_th applies to crnoma scenarios only")
-        return replace(scn, r_th=float(value))
-    raise ConfigurationError(f"unknown sweep axis {axis!r} (choose from {_SWEEP_AXES})")
+    """Scenario with one swept parameter replaced, an integral float n_bs as
+    an int; the scenario and its fading check the value when built."""
+    if axis not in SWEEP_AXES:
+        raise ConfigurationError(f"unknown sweep axis {axis!r} (choose from {SWEEP_AXES})")
+    if axis == "n_bs" and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if axis in ("b", "r_th"):
+        return replace(scn, **{axis: value})
+    return replace(scn, fading=replace(scn.fading, **{axis: value}))
 
 
 def _policy(scn: Scenario) -> str:

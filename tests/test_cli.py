@@ -158,7 +158,7 @@ def test_sweep_rejects_a_non_integer_antenna_count(tmp_path, capsys, value):
     assert main(["sweep", "--scenario", _scenario_file(tmp_path), "--axis", "n_bs",
                  "--values", value]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: n_bs must be an integer, got {value}\n"
+    assert err == f"error: n_bs = {value}: antenna counts must be integers >= 1\n"
 
 
 def test_sweep_unknown_scenario_key(tmp_path):
@@ -180,7 +180,8 @@ seed = 3
 
 
 @pytest.mark.parametrize("line", ["trials = 1e5", "trials = 2.5", "seed = -1",
-                                  "b = 0", "b = 1.5", "cr: b = 7", "alpha = 300",
+                                  "b = 0", "b = 1.5", "cr: b = 7", "cr: b = 0.4",
+                                  "r_th = 1", "alpha = 300",
                                   "ps_dbm = 2980",
                                   "ps_dbm = -5000", "sigma2_dbm = -4000", "d1 = 1e-100",
                                   "cr: r_th = 1024", "cr: r_th = inf", "n_bs = 0",
@@ -202,6 +203,18 @@ def test_bad_scenario_value_names_file_and_key(tmp_path, capsys, monkeypatch, li
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:{len(rows) + 1}: ") and f"{key} =" in err
     assert ran == []
+
+
+@pytest.mark.parametrize("text, key, need", [
+    (SCENARIO_TEXT, "b", "fnoma scenarios need a power split"),
+    (CR_SCENARIO_TEXT, "r_th", "crnoma scenarios need a rate floor"),
+])
+def test_a_missing_mode_parameter_names_the_first_line(tmp_path, capsys, text, key, need):
+    path = tmp_path / "bad.txt"
+    path.write_text("".join(row for row in text.splitlines(True)
+                            if not row.startswith(key + " ")))
+    assert main(["validate", "--grid", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:1: {need} (key {key})\n"
 
 
 @pytest.mark.parametrize("command", ["figure", "sweep", "validate"])

@@ -90,6 +90,8 @@ def _built(kwargs):
     ({"b": math.nan}, "b"),
     ({"policies": "a3"}, "policies"),
     ({"policies": ["a3"]}, "policies"),
+    ({"policies": ()}, "policies"),
+    ({"policies": ("a3", "a3")}, "policies"),  # one report would hide a second run
     ({"reads": ["mean_r1"]}, "reads"),
 ])
 def test_bad_scenario_value_fails_at_construction(kwargs, key):
@@ -107,6 +109,50 @@ def test_bad_scenario_value_fails_at_construction(kwargs, key):
 def test_bad_crnoma_value_fails_at_construction(kwargs, key):
     with pytest.raises(ConfigurationError, match=rf"\b{key} ="):
         _cr_scn(**_built(kwargs))
+
+
+@pytest.mark.parametrize("mode, policy, kwargs, key", [
+    ("oma", "oma_es", {"b": 0.4}, "b"),
+    ("crnoma", "pu", {"b": 0.4, "r_th": 5.0}, "b"),
+    ("fnoma", "a3", {"b": 0.4, "r_th": 5.0}, "r_th"),
+    ("oma", "oma_es", {"r_th": 5.0}, "r_th"),
+])
+def test_a_scenario_refuses_a_parameter_its_mode_does_not_read(mode, policy, kwargs, key):
+    reader = {"b": "fnoma", "r_th": "crnoma"}[key]
+    need = rf"^{key} = {kwargs[key]}: only {reader} scenarios read {key}$"
+    with pytest.raises(ConfigurationError, match=need) as err:
+        Scenario(FadingConfig(), mode, (policy,), **kwargs)
+    assert err.value.keys == (key,)
+
+
+@pytest.mark.parametrize("mode, policy, key", [("fnoma", "a3", "b"), ("crnoma", "pu", "r_th")])
+def test_a_scenario_needs_the_parameter_its_mode_reads(mode, policy, key):
+    need = rf"^{mode} scenarios need .* \(key {key}\)$"
+    with pytest.raises(ConfigurationError, match=need) as err:
+        Scenario(FadingConfig(), mode, (policy,))
+    assert err.value.keys == (key,)
+
+
+@pytest.mark.parametrize("build, key", [
+    (lambda: _fnoma_scn(b="0.4"), "b"),
+    (lambda: _fnoma_scn(b=True), "b"),
+    (lambda: _cr_scn(r_th="5"), "r_th"),
+    *[(lambda key=key: FadingConfig(**{key: "80"}), key)
+      for key in ("d1", "d2", "alpha", "ps_dbm", "sigma2_dbm")],
+])
+def test_a_value_that_is_not_a_real_number_is_refused(build, key):
+    with pytest.raises(ConfigurationError, match=rf"^{key} = ") as err:
+        build()
+    assert err.value.keys == (key,)
+
+
+@pytest.mark.parametrize("policies", [(), ("a3", "a3")])
+def test_run_point_refuses_no_or_repeated_policies_before_any_leaf(monkeypatch, policies):
+    ran = _record_tasks(monkeypatch)
+    with pytest.raises(ConfigurationError, match=r"^policies = ") as err:
+        run_point(FadingConfig(), "fnoma", policies, 100, 1, b=0.4, workers=2)
+    assert err.value.keys == ("policies",)
+    assert ran == []
 
 
 @given(dims=st.tuples(st.integers(1, 5000), st.integers(1, 64), st.integers(1, 64)),
@@ -158,8 +204,8 @@ def test_any_scenario_is_rejected_when_built_or_reports_finite_numbers(
     try:  # the fading refuses a geometry that cannot run, the scenario the rest
         fading = FadingConfig(n_bs=dims[0], m_ue1=dims[1], k_ue2=dims[2], d1=d1, d2=d2,
                               alpha=alpha, ps_dbm=ps_dbm, sigma2_dbm=sigma2_dbm)
-        scn = Scenario(fading, mode, (policy,), b=b, r_th=r_th,
-                       trials=trials, seed=seed)
+        scn = Scenario(fading, mode, (policy,), b=b if mode == "fnoma" else None,
+                       r_th=r_th if mode == "crnoma" else None, trials=trials, seed=seed)
     except ConfigurationError:
         return
     report = _one_report(scn, workers=1)

@@ -51,6 +51,10 @@ REFUSED = {
     "n_bs = 2.5": _BLOCK.replace(b"n_bs = 2", b"n_bs = 2.5"),
     "b = 7": _BLOCK.replace(b"b = 0.4", b"b = 7"),
     "fnoma without b": _BLOCK.replace(b"b = 0.4\n", b""),
+    "crnoma with b": _BLOCK.replace(b"mode = fnoma\npolicy = a3", b"mode = crnoma\npolicy = pu")
+    + b"r_th = 1\n",
+    "fnoma with r_th": _BLOCK + b"r_th = 1\n",
+    "oma with b": _BLOCK.replace(b"mode = fnoma\npolicy = a3", b"mode = oma\npolicy = oma_es"),
     "non-UTF-8 byte on line 4": _BLOCK.replace(b"ps_dbm = 30", b"ps_dbm = 3\xff0"),
     "byte-order mark": b"\xef\xbb\xbf" + _BLOCK,
     "CRLF endings": _BLOCK.replace(b"\n", b"\r\n"),
