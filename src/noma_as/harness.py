@@ -97,7 +97,8 @@ class Scenario:
         # character, and a point computes each name it is given
         for key in ("policies", "reads"):
             names = getattr(self, key)
-            if not (isinstance(names, tuple) and names and len(set(names)) == len(names)):
+            if not (isinstance(names, tuple) and names and all(isinstance(n, str) for n in names)
+                    and len(set(names)) == len(names)):
                 raise ConfigurationError(f"{key} = {names!r}: need a tuple of one or more "
                                          f"distinct names", (key,))
         if not set(self.reads) <= set(QUANTITIES):

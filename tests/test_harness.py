@@ -92,6 +92,8 @@ def _built(kwargs):
     ({"policies": ["a3"]}, "policies"),
     ({"policies": ()}, "policies"),
     ({"policies": ("a3", "a3")}, "policies"),  # one report would hide a second run
+    ({"policies": (["a3"],)}, "policies"),
+    ({"reads": (["mean_r1"],)}, "reads"),
     ({"reads": ["mean_r1"]}, "reads"),
 ])
 def test_bad_scenario_value_fails_at_construction(kwargs, key):
