@@ -90,11 +90,11 @@ def _built(kwargs):
     ({"b": math.nan}, "b"),
     ({"policies": "a3"}, "policies"),
     ({"policies": ["a3"]}, "policies"),
+    ({"reads": ["mean_r1"]}, "reads"),
     ({"policies": ()}, "policies"),
     ({"policies": ("a3", "a3")}, "policies"),  # one report would hide a second run
     ({"policies": (["a3"],)}, "policies"),
     ({"reads": (["mean_r1"],)}, "reads"),
-    ({"reads": ["mean_r1"]}, "reads"),
 ])
 def test_bad_scenario_value_fails_at_construction(kwargs, key):
     with pytest.raises(ConfigurationError, match=rf"\b{key} =") as err:
