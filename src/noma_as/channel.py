@@ -82,6 +82,23 @@ class ConfigurationError(ValueError):
         self.keys = keys
 
 
+def _check(owner, rows):
+    """Refuses the first value of `owner` that fails its row, with a
+    `ConfigurationError` "key = value: need" that names its key.  A row is
+    (keys, ok, need): the value of each attribute in keys fails where
+    ok(value) is false, or raises OverflowError or TypeError, as it does on
+    a value it cannot evaluate, such as an int beyond float range."""
+    for keys, ok, need in rows:
+        for key in keys:
+            value = getattr(owner, key)
+            try:
+                good = ok(value)
+            except (OverflowError, TypeError):
+                good = False
+            if not good:
+                raise ConfigurationError(f"{key} = {value!r}: {need}", (key,))
+
+
 @dataclass(frozen=True)
 class FadingConfig:
     """Scenario geometry and radio parameters; fixes all channel statistics.
@@ -111,19 +128,15 @@ class FadingConfig:
     rho: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for keys, ok, need in (
-                (("n_bs", "m_ue1", "k_ue2"), lambda v: _is_int(v) and v >= 1,
-                 "antenna counts must be integers >= 1"),
-                (("d1", "d2"), lambda v: _is_real(v) and 0 < v < math.inf,
-                 "distances must be positive and finite"),
-                (("alpha",), lambda v: _is_real(v) and 0 < v < math.inf,
-                 "path-loss exponent must be positive and finite"),
-                (("ps_dbm", "sigma2_dbm"), lambda v: _is_real(v) and math.isfinite(v),
-                 "power levels must be finite")):
-            for key in keys:
-                value = getattr(self, key)
-                if not ok(value):
-                    raise ConfigurationError(f"{key} = {value!r}: {need}", (key,))
+        _check(self, (
+            (("n_bs", "m_ue1", "k_ue2"), lambda v: _is_int(v) and v >= 1,
+             "antenna counts must be integers >= 1"),
+            (("d1", "d2"), lambda v: _is_real(v) and 0 < v < math.inf,
+             "distances must be positive and finite"),
+            (("alpha",), lambda v: _is_real(v) and 0 < v < math.inf,
+             "path-loss exponent must be positive and finite"),
+            (("ps_dbm", "sigma2_dbm"), lambda v: _is_real(v) and math.isfinite(v),
+             "power levels must be finite")))
         omegas = _power(self.d1, self.alpha), _power(self.d2, self.alpha)
         if not all(0 < w < math.inf for w in omegas):
             raise ConfigurationError(f"alpha = {self.alpha}: path loss "

@@ -47,13 +47,13 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import channel
-from .channel import (ConfigurationError, FadingConfig, _is_int, _is_real,
+from .channel import (ConfigurationError, FadingConfig, _check, _is_int, _is_real,
                       sample_channel_batch)
 from .rates import _jain, cr_rates, fnoma_pair_rates, oma_pair_rates, qos_epsilon
 from .selection import POLICIES, row_stats
@@ -95,15 +95,11 @@ class Scenario:
     def __post_init__(self):
         # a `Run` keys its points by value, a str would read as one name per
         # character, and a point computes each name it is given
-        for key in ("policies", "reads"):
-            names = getattr(self, key)
-            if not (isinstance(names, tuple) and names and all(isinstance(n, str) for n in names)
-                    and len(set(names)) == len(names)):
-                raise ConfigurationError(f"{key} = {names!r}: need a tuple of one or more "
-                                         f"distinct names", (key,))
-        if not set(self.reads) <= set(QUANTITIES):
-            raise ConfigurationError(f"reads = {self.reads!r}: need names from {QUANTITIES}",
-                                     ("reads",))
+        _check(self, (
+            (("policies", "reads"), lambda v: isinstance(v, tuple) and v
+             and all(isinstance(n, str) for n in v) and len(set(v)) == len(v),
+             "need a tuple of one or more distinct names"),
+            (("reads",), lambda v: set(v) <= set(QUANTITIES), f"need names from {QUANTITIES}")))
         for policy in self.policies:
             if (self.mode, policy) not in POLICIES:
                 raise ConfigurationError(f"(mode, policy) = {(self.mode, policy)} is "
@@ -117,20 +113,17 @@ class Scenario:
             if value is not None and self.mode != mode:
                 raise ConfigurationError(f"{key} = {value!r}: only {mode} scenarios read {key}",
                                          (key,))
-        if self.mode == "fnoma" and not (_is_real(self.b) and 0.0 < self.b <= 0.5):
-            raise ConfigurationError(f"b = {self.b!r}: fnoma needs 0 < b <= 0.5", ("b",))
-        if self.mode == "crnoma":
-            with np.errstate(over="ignore"):
-                eps = qos_epsilon(self.r_th) if _is_real(self.r_th) and self.r_th > 0 else 0.0
-            if not 0 < eps < math.inf:
-                raise ConfigurationError(f"r_th = {self.r_th!r}: crnoma needs 2**r_th - 1 "
-                                         f"positive and finite", ("r_th",))
-        if not _is_int(self.trials) or not 1 <= self.trials <= _MAX_TRIALS:
-            raise ConfigurationError(f"trials = {self.trials!r}: need an integer in "
-                                     f"[1, {_MAX_TRIALS}]", ("trials",))
-        if not _is_int(self.seed) or not 0 <= self.seed < 2 ** 64:
-            raise ConfigurationError(f"seed = {self.seed!r}: need an integer in [0, 2**64)",
-                                     ("seed",))
+        with np.errstate(over="ignore"):  # 2**r_th - 1 overflows to inf, which is refused
+            _check(self, (
+                (("b",) if self.mode == "fnoma" else (),
+                 lambda v: _is_real(v) and 0.0 < v <= 0.5, "fnoma needs 0 < b <= 0.5"),
+                (("r_th",) if self.mode == "crnoma" else (),
+                 lambda v: _is_real(v) and 0 < qos_epsilon(v) < math.inf,
+                 "crnoma needs 2**r_th - 1 positive and finite"),
+                (("trials",), lambda v: _is_int(v) and 1 <= v <= _MAX_TRIALS,
+                 f"need an integer in [1, {_MAX_TRIALS}]"),
+                (("seed",), lambda v: _is_int(v) and 0 <= v < 2 ** 64,
+                 "need an integer in [0, 2**64)")))
         n, m, k = self.fading.n_bs, self.fading.m_ue1, self.fading.k_ue2
         if n * (m + k) * _CHUNK * 8 > _LEAF_DRAW_BYTES:
             raise ConfigurationError(
@@ -394,7 +387,9 @@ def run_point(fading, mode, policies, trials, seed, b=None, r_th=None,
     `Run` built with this point among others, or a worker count for a run of
     this point only.
     """
-    point = Scenario(fading, mode, tuple(policies), trials, seed, b, r_th, tuple(reads))
+    # a str is passed on whole, for the `Scenario` to refuse, not split into characters
+    policies, reads = (v if isinstance(v, str) else tuple(v) for v in (policies, reads))
+    point = Scenario(fading, mode, policies, trials, seed, b, r_th, reads)
     own = nullcontext(workers) if isinstance(workers, Run) else Run(workers, [point])
     with own as run:
         moments = run._moments.get(point)
@@ -471,9 +466,8 @@ class ValidationPoint:
     _closed_form: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 < self.tolerance < math.inf:
-            raise ConfigurationError(f"tolerance = {self.tolerance}: need a finite "
-                                     f"relative gap > 0", ("tolerance",))
+        _check(self, ((("tolerance",), lambda v: _is_real(v) and 0 < v < math.inf,
+                       "need a finite relative gap > 0"),))
         scn = self.scenario
         policy = _policy(scn)
         closed_form = POLICIES[scn.mode, policy].closed_form
@@ -549,8 +543,12 @@ def validate_asymptotics(points, workers=None):
 # (`_blocks`' runs joined); a grid's blocks are split by blank or comment-only
 # lines.  Every error of a file with a key line names a path:line.
 
-_FADING_INT_KEYS = ("n_bs", "m_ue1", "k_ue2")
-_FADING_FLOAT_KEYS = ("d1", "d2", "alpha", "ps_dbm", "sigma2_dbm")
+# The keys a block may set, each with the parser of its value text: the
+# `FadingConfig` fields, the `Scenario`'s with its one policy, and a grid
+# block's tolerance.
+_KEYS = {"n_bs": int, "m_ue1": int, "k_ue2": int, "d1": float, "d2": float, "alpha": float,
+         "ps_dbm": float, "sigma2_dbm": float, "mode": str, "policy": str, "b": float,
+         "r_th": float, "trials": int, "seed": int, "tolerance": float}
 
 
 def _blocks(path):
@@ -575,10 +573,16 @@ def _blocks(path):
 
 def _scenario(block, path, grid=False):
     """The `Scenario` of one block of `_blocks`' lines, or with `grid` its
-    `ValidationPoint`, whose `tolerance` key defaults to 2%.  An error names
-    the line of the first key it is about that the block sets, else the
-    block's first line."""
-    kv, lines = {}, {}  # key -> its value, key -> its "path:line"
+    `ValidationPoint`, whose `tolerance` key defaults to 2%.
+
+    A block is read in one pass, and its first error, in this order, is the
+    one raised: a line without '=' or a repeated key, in line order; keys
+    not in `_KEYS` (`tolerance` outside a grid); a missing `mode`, then
+    `policy`; a value its parser refuses, in line order; then the checks of
+    `FadingConfig`, `Scenario` and `ValidationPoint`.  An error names the
+    line of the first key it is about that the block sets, else the block's
+    first line."""
+    kv, lines = {}, {}  # key -> its value text, key -> its "path:line"
     for text, raw, where in block:
         if "=" not in text:
             raise ConfigurationError(f"{where}: expected 'key = value', got {raw!r}")
@@ -588,39 +592,27 @@ def _scenario(block, path, grid=False):
             raise ConfigurationError(f"{where}: duplicate key {key!r}")
         kv[key], lines[key] = value.strip(), where
     first = block[0][2] if block else path
-
-    def take(key, parse):
-        if key not in kv:
-            return None
-        value = kv.pop(key)
-        try:
-            return parse(value)
-        except ValueError:
-            raise ConfigurationError(
-                f"{lines[key]}: {key} = {value!r} is not a valid {parse.__name__}") from None
-
-    tolerance = take("tolerance", float) if grid else None
-    fading_kwargs = {key: take(key, int) for key in _FADING_INT_KEYS if key in kv}
-    fading_kwargs.update({key: take(key, float) for key in _FADING_FLOAT_KEYS if key in kv})
+    unknown = [key for key in kv if key not in _KEYS or (key == "tolerance" and not grid)]
+    if unknown:
+        raise ConfigurationError(f"{lines[unknown[0]]}: unknown keys {sorted(unknown)}")
     for key in ("mode", "policy"):
         if key not in kv:
             raise ConfigurationError(f"{first}: missing required key {key!r}")
-    mode, policy = take("mode", str), take("policy", str)
-    kwargs = {key: take(key, parse) for key, parse in
-              (("b", float), ("r_th", float), ("trials", int), ("seed", int)) if key in kv}
-    if kv:
-        raise ConfigurationError(f"{lines[next(iter(kv))]}: unknown keys {sorted(kv)}")
+    values = {}
+    for key, value in kv.items():
+        try:
+            values[key] = _KEYS[key](value)
+        except ValueError:
+            raise ConfigurationError(f"{lines[key]}: {key} = {value!r} is not a valid "
+                                     f"{_KEYS[key].__name__}") from None
+    mode, policy = values.pop("mode"), values.pop("policy")
+    tolerance = values.pop("tolerance", 0.02)
+    fading = {f.name: values.pop(f.name) for f in fields(FadingConfig) if f.name in values}
     try:
-        scn = Scenario(FadingConfig(**fading_kwargs), mode, (policy,), **kwargs)
+        scn = Scenario(FadingConfig(**fading), mode, (policy,), **values)
+        return ValidationPoint(scn, tolerance) if grid else scn
     except ConfigurationError as exc:
         where = next((lines[k] for k in exc.keys if k in lines), first)
-        raise ConfigurationError(f"{where}: {exc}", exc.keys) from None
-    if not grid:
-        return scn
-    try:
-        return ValidationPoint(scn, 0.02 if tolerance is None else tolerance)
-    except ConfigurationError as exc:
-        where = lines["tolerance"] if "tolerance" in exc.keys else first
         raise ConfigurationError(f"{where}: {exc}", exc.keys) from None
 
 

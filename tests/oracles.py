@@ -284,10 +284,6 @@ def aia_weak_oracle(h, g):
     return best
 
 
-def exponential_mean_oracle(omega):
-    return 1.0 / omega
-
-
 # --- full N*M*K searches over stacked realizations -------------------------------
 
 

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +230,37 @@ def test_unit_draws_of_fewer_bs_antennas_are_a_prefix(seed, start):
     largest = _unit_draws(seed, 8 * 3, start, 9)
     for n in range(1, 8):
         assert np.array_equal(_unit_draws(seed, n * 3, start, 9), largest[:n * 3])
+
+
+_DRAWS_SCRIPT = """\
+import sys
+
+from noma_as.channel import _unit_draws
+
+sys.stdout.buffer.write(_unit_draws(1, 16, 0, 8192).tobytes())
+"""
+
+
+def test_unit_draws_at_every_cpu_dispatch_level_are_within_one_ulp():
+    # numpy runs float64 log in the best SIMD loop the CPU offers, and the
+    # loops round differently, so a seed fixes the draws only to 1 ulp
+    # across hosts.  Each child disables the dispatch targets from one level
+    # up, in its own environment; the test asserts the ulp bound, not bits.
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    offered = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    if not offered:
+        pytest.skip("numpy dispatches to no level above its baseline on this CPU")
+    host = _unit_draws(1, 16, 0, 8192)
+    src = Path(__file__).resolve().parent.parent / "src"
+    for level in range(len(offered)):
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(offered[level:]),
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _DRAWS_SCRIPT], capture_output=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        child = np.frombuffer(done.stdout, dtype=np.float64).reshape(host.shape)
+        ulps = np.abs(child.view(np.int64) - host.view(np.int64))  # all draws are > 0
+        assert ulps.max() <= 1, offered[level:]
 
 
 def test_kept_draws_serve_every_smaller_bs_antenna_count():

@@ -288,7 +288,7 @@ def test_validate_refuses_a_closed_form_before_any_point_runs(tmp_path, capsys):
     assert main(["validate", "--grid", str(grid)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"error: {grid}:8: n_bs = 100, m_ue1 = 2, k_ue2 = 2: ")
+    assert err.startswith(f"error: {grid}:10: n_bs = 100, m_ue1 = 2, k_ue2 = 2: ")
 
 
 def test_validate_refuses_aia_beyond_the_binomial_range_before_any_chunk(
@@ -303,7 +303,7 @@ def test_validate_refuses_aia_beyond_the_binomial_range_before_any_chunk(
     assert main(["validate", "--grid", str(grid)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and ran == []
-    assert err.startswith(f"error: {grid}:8: n_bs = 13, m_ue1 = 4, k_ue2 = 4: ")
+    assert err.startswith(f"error: {grid}:10: n_bs = 13, m_ue1 = 4, k_ue2 = 4: ")
 
 
 def test_validate_prints_the_exact_closed_forms_at_ten_by_three_by_three(tmp_path, capsys):

@@ -148,6 +148,40 @@ def test_a_value_that_is_not_a_real_number_is_refused(build, key):
     assert err.value.keys == (key,)
 
 
+@pytest.mark.parametrize("build, key", [
+    (lambda: FadingConfig(ps_dbm=10 ** 400), "ps_dbm"),
+    (lambda: FadingConfig(sigma2_dbm=10 ** 400), "sigma2_dbm"),
+    (lambda: Scenario(FadingConfig(), "crnoma", ("mcg",), r_th=10 ** 400), "r_th"),
+    (lambda: ValidationPoint(_fnoma_scn(), "0.05"), "tolerance"),
+    (lambda: ValidationPoint(_fnoma_scn(), None), "tolerance"),
+    (lambda: ValidationPoint(_fnoma_scn(), True), "tolerance"),
+], ids=["ps_dbm 10**400", "sigma2_dbm 10**400", "r_th 10**400", "tolerance '0.05'",
+        "tolerance None", "tolerance True"])
+def test_a_value_its_check_cannot_evaluate_is_refused_by_its_key(build, key):
+    # an int beyond float range overflows math.isfinite and has no numpy
+    # exp2; a tolerance of another type has no order with 0, or is a bool
+    with pytest.raises(ConfigurationError, match=rf"^{key} = ") as err:
+        build()
+    assert err.value.keys == (key,)
+
+
+@pytest.mark.parametrize("kwargs, key", [({"policies": "a3"}, "policies"),
+                                         ({"reads": "mean_sum"}, "reads")],
+                         ids=["policies 'a3'", "reads 'mean_sum'"])
+def test_run_point_refuses_a_str_of_names_by_its_key(monkeypatch, kwargs, key):
+    # a str is not split into one name per character
+    ran = _record_tasks(monkeypatch)
+    args = {"policies": ["a3"], "reads": ["mean_sum"], **kwargs}
+    with pytest.raises(ConfigurationError, match=rf"^{key} = {kwargs[key]!r}: ") as err:
+        run_point(FadingConfig(), "fnoma", trials=100, seed=1, b=0.4, workers=1, **args)
+    assert err.value.keys == (key,)
+    assert ran == []
+    monkeypatch.undo()
+    listed = run_point(FadingConfig(), "fnoma", ["a3"], 100, 1, b=0.4, reads=["mean_sum"],
+                       workers=1)
+    assert list(listed) == ["a3"] and listed["a3"].mean_r1 is None
+
+
 @pytest.mark.parametrize("policies", [(), ("a3", "a3")])
 def test_run_point_refuses_no_or_repeated_policies_before_any_leaf(monkeypatch, policies):
     ran = _record_tasks(monkeypatch)
@@ -992,6 +1026,12 @@ def test_scenario_file_names_the_line_of_an_infinite_distance_or_exponent(tmp_pa
     assert info.value.keys == (key,)
 
 
+def test_the_key_table_is_the_fading_and_scenario_fields_and_the_tolerance():
+    fading = {f.name for f in dataclasses.fields(FadingConfig) if f.init}
+    assert set(harness._KEYS) == fading | {"mode", "policy", "b", "r_th", "trials", "seed",
+                                           "tolerance"}
+
+
 def test_scenario_file_unknown_key(tmp_path):
     path = tmp_path / "scn.txt"
     path.write_text(SCENARIO_TEXT + "bandwidth = 20\n")
@@ -1052,7 +1092,7 @@ def test_validation_grid_refuses_a_closed_form_before_any_point_runs(tmp_path,
                     "n_bs = 100\nps_dbm = 30\nb = 0.4\ntrials = 400\n")
     with pytest.raises(ConfigurationError) as info:
         validate_asymptotics(load_validation_grid(path), workers=1)
-    assert str(info.value).startswith(f"{path}:10: n_bs = 100, m_ue1 = 2, k_ue2 = 2: ")
+    assert str(info.value).startswith(f"{path}:12: n_bs = 100, m_ue1 = 2, k_ue2 = 2: ")
     assert info.value.keys == ("n_bs", "m_ue1", "k_ue2")
     assert ran == []
 
@@ -1078,7 +1118,9 @@ def test_validation_grid_empty(tmp_path):
     (GRID_TEXT.replace("mode = crnoma\n", ""), 9),               # the block's first line
     (GRID_TEXT.replace("b = 0.4\n", ""), 1),                     # no key b to name
     (GRID_TEXT.replace("policy = pu", "policy = a3"), 10),       # the policy
-], ids=["unknown key", "missing mode", "fnoma without b", "mode and policy"])
+    (GRID_TEXT.replace("n_bs = 4", "n_bs = 2.5") + "bandwidth = 20\n", 17),  # unknown first
+], ids=["unknown key", "missing mode", "fnoma without b", "mode and policy",
+        "unknown key and bad value"])
 def test_every_file_error_names_its_line(tmp_path, text, line):
     path = tmp_path / "grid.txt"
     path.write_text(text)

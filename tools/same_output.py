@@ -45,6 +45,7 @@ REFUSED = {
     "no '='": _BLOCK + b"bandwidth\n",
     "duplicate key": _BLOCK + b"b = 0.3\n",
     "unknown key": _BLOCK + b"bandwidth = 20\n",
+    "unknown key and bad value": _BLOCK.replace(b"n_bs = 2", b"n_bs = 2.5") + b"bandwidth = 20\n",
     "missing mode": _BLOCK.replace(b"mode = fnoma\n", b""),
     "mode and policy": _BLOCK.replace(b"policy = a3", b"policy = mcg"),
     "no closed form": _BLOCK.replace(b"policy = a3", b"policy = random"),
