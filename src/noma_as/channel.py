@@ -131,7 +131,7 @@ class FadingConfig:
         _check(self, (
             (("n_bs", "m_ue1", "k_ue2"), lambda v: _is_int(v) and v >= 1,
              "antenna counts must be integers >= 1"),
-            (("d1", "d2"), lambda v: _is_real(v) and 0 < v < math.inf,
+            (("d1", "d2"), lambda v: _is_real(v) and 0 < float(v) < math.inf,
              "distances must be positive and finite"),
             (("alpha",), lambda v: _is_real(v) and 0 < v < math.inf,
              "path-loss exponent must be positive and finite"),

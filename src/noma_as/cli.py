@@ -79,13 +79,14 @@ def _cmd_sweep(args) -> int:
         raise ConfigurationError(f"--values must be numbers, got {args.values!r}") from None
     if not values:
         raise ConfigurationError("--values is empty")
-    results = sweep_run(scn, args.axis, values)
+    results = sweep_run([scn], args.axis, values)
     header = [args.axis, *QUANTITIES, *(q.replace("mean_", "stderr_") for q in QUANTITIES),
               "trials", "mean_eval_count"]
     # the output is opened once every point is checked, before any trial runs
     with open_csv(args.out) if args.out else nullcontext(sys.stdout) as f:
         rows = [[v, *(getattr(r, q) for q in QUANTITIES), *r.std_err.values(),
-                 r.trials_used, r.mean_eval_count] for v, r in results()]
+                 r.trials_used, r.mean_eval_count]
+                for v, [(_, reports)] in results() for r in reports.values()]
         write_csv(f, header, rows)
     if args.out:
         print(f"sweep over {args.axis}: wrote {args.out}")

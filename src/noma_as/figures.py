@@ -1,6 +1,10 @@
 """Figure-reproduction sweeps: fixed parameter grids per figure id, one CSV
 per figure with the sweep axis in the first column.
 
+A figure is a sweep: each of its column groups is a base `Scenario`, and
+`harness.sweep_run` builds every group's point at each x with `apply_axis`,
+the rule `noma-as sweep` varies a point by, and runs them all as one `Run`.
+
 The source material tabulates no y-values, so the grids here only pin the
 x-axes and scenario constants; downstream checks rest on orderings,
 monotonicity, flatness and crossings of the emitted curves.  Simulated and
@@ -9,13 +13,16 @@ closed-form curves carry `_sim` / `_analytic` suffixes where both exist.
 
 from __future__ import annotations
 
-# The closed forms run through POLICIES; their names stay bound here because
-# the benchmark's tracer (perfbench/trace.py) wraps them on this module too.
+from dataclasses import replace
+
+# The figures call neither run_point nor the closed forms by these names;
+# they stay bound here because the benchmark's tracer (perfbench/trace.py)
+# wraps them on this module too.
 from .analytics import (a3_avg_sum_rate, aia_avg_sum_rate,  # noqa: F401
                         mcg_avg_secondary_rate, pu_avg_secondary_rate,
                         su_avg_secondary_rate)
 from .channel import FadingConfig
-from .harness import ConfigurationError, Run, Scenario, run_point
+from .harness import ConfigurationError, Scenario, run_point, sweep_run  # noqa: F401
 from .selection import POLICIES
 
 _PS_GRID = tuple(range(0, 45, 5))
@@ -28,24 +35,19 @@ _RTH_GRID = tuple(float(r) for r in range(1, 9))
 FIGURE_IDS = tuple(range(1, 9))
 
 
-def _point(entry, fading, b, r_th, trials, seed):
-    """The `Scenario` of a column group's mode entry: every policy of the
-    mode, reading the metric its columns show, or for "jain" (figure 5) the
-    fnoma policies a3 and aia, reading their mean Jain fairness.  A group's
-    b is its fnoma entry's only, as figures 1-3 run oma beside fnoma."""
-    if entry == "jain":
-        return Scenario(fading, "fnoma", ("a3", "aia"), trials, seed, b, r_th,
-                        ("mean_fairness",))
-    policies = tuple(p for m, p in POLICIES if m == entry)
-    reads = tuple(dict.fromkeys(POLICIES[entry, p].metric for p in policies))
-    return Scenario(fading, entry, policies, trials, seed, b if entry == "fnoma" else None,
-                    r_th, reads)
+def _base(mode, fading, b=None, r_th=None):
+    """A column group's base: every policy of the mode, reading the metrics
+    its columns show."""
+    policies = tuple(p for m, p in POLICIES if m == mode)
+    reads = tuple(dict.fromkeys(POLICIES[mode, p].metric for p in policies))
+    return Scenario(fading, mode, policies, b=b, r_th=r_th, reads=reads)
 
 
-def _columns(entry, point, reports):
+def _columns(base, point, reports):
     """One column per policy, or a `_sim`/`_analytic` pair where the policy
-    has a closed form; "jain" columns hold the mean Jain fairness."""
-    if entry == "jain":
+    has a closed form; a base that reads only the mean Jain fairness
+    (figure 5) has one `jain_` column per policy."""
+    if base.reads == ("mean_fairness",):
         return {f"jain_{name}": reports[name].mean_fairness for name in point.policies}
     cols = {}
     for name in point.policies:
@@ -59,31 +61,29 @@ def _columns(entry, point, reports):
     return cols
 
 
-def _two_placements(ps_dbm, r_th):
-    """Column groups with UE1 nearer the BS, then UE2 nearer, told apart by
-    column-name suffixes."""
-    return [(suffix, ("crnoma",), FadingConfig(n_bs=4, d1=d1, d2=d2, ps_dbm=ps_dbm), None, r_th)
-            for suffix, d1, d2 in (("_ue1near", 80.0, 200.0), ("_ue2near", 200.0, 80.0))]
+def _with_oma(fading):
+    """Column groups of fnoma at b = 0.4 and of oma, unsuffixed, on the
+    same draws."""
+    return [("", _base("fnoma", fading, b=0.4)), ("", _base("oma", fading))]
 
 
-# figure id -> (axis, grid, x -> [(suffix, mode entries, fading, b, r_th)]):
-# each column group runs every mode entry on shared draws and names its
-# columns with the group's suffix
+# UE1 nearer the BS, then UE2 nearer, told apart by column-name suffixes
+_TWO_PLACEMENTS = [(suffix, _base("crnoma", FadingConfig(n_bs=4, d1=d1, d2=d2, ps_dbm=20.0),
+                                  r_th=5.0))
+                   for suffix, d1, d2 in (("_ue1near", 80.0, 200.0), ("_ue2near", 200.0, 80.0))]
+
+# figure id -> (axis, grid, [(suffix, base)]): each base is swept over the
+# grid on shared draws, and its columns are named with its suffix
 _FIGURES = {
-    1: ("ps_dbm", _PS_GRID, lambda ps: [
-        ("", ("fnoma", "oma"), FadingConfig(n_bs=2, ps_dbm=float(ps)), 0.4, None)]),
-    2: ("n_bs", _N_GRID, lambda n: [
-        ("", ("fnoma", "oma"), FadingConfig(n_bs=n, ps_dbm=10.0), 0.4, None)]),
-    3: ("d2", _D2_GRID, lambda d2: [
-        ("", ("fnoma", "oma"), FadingConfig(n_bs=2, d2=d2, ps_dbm=10.0), 0.4, None)]),
-    4: ("b", _B_GRID, lambda b: [
-        ("", ("fnoma",), FadingConfig(n_bs=2, ps_dbm=10.0), b, None)]),
-    5: ("b", _B_GRID, lambda b: [
-        ("", ("jain",), FadingConfig(n_bs=4, ps_dbm=20.0), b, None)]),
-    6: ("d1", _D1_GRID, lambda d1: [
-        ("", ("crnoma",), FadingConfig(n_bs=4, d1=d1, ps_dbm=20.0), None, 5.0)]),
-    7: ("ps_dbm", _PS_GRID, lambda ps: _two_placements(float(ps), 5.0)),
-    8: ("r_th", _RTH_GRID, lambda r_th: _two_placements(20.0, float(r_th))),
+    1: ("ps_dbm", _PS_GRID, _with_oma(FadingConfig(n_bs=2))),
+    2: ("n_bs", _N_GRID, _with_oma(FadingConfig(ps_dbm=10.0))),
+    3: ("d2", _D2_GRID, _with_oma(FadingConfig(n_bs=2, ps_dbm=10.0))),
+    4: ("b", _B_GRID, [("", _base("fnoma", FadingConfig(n_bs=2, ps_dbm=10.0), b=0.4))]),
+    5: ("b", _B_GRID, [("", Scenario(FadingConfig(n_bs=4, ps_dbm=20.0), "fnoma", ("a3", "aia"),
+                                     b=0.4, reads=("mean_fairness",)))]),
+    6: ("d1", _D1_GRID, [("", _base("crnoma", FadingConfig(n_bs=4, ps_dbm=20.0), r_th=5.0))]),
+    7: ("ps_dbm", _PS_GRID, _TWO_PLACEMENTS),
+    8: ("r_th", _RTH_GRID, _TWO_PLACEMENTS),
 }
 
 
@@ -92,24 +92,15 @@ def _figure_run(figure_id: int, trials: int, seed: int, workers):
     runs them and returns (axis name, [(x, {column: value})])."""
     if figure_id not in _FIGURES:
         raise ConfigurationError(f"figure id must be in 1..8, got {figure_id}")
-    axis, grid, column_groups = _FIGURES[figure_id]
-    plan = [(x, [(suffix, entry, _point(entry, fading, b, r_th, trials, seed))
-                 for suffix, entries, fading, b, r_th in column_groups(x)
-                 for entry in entries])
-            for x in grid]
-    checked = Run(workers, [point for _, groups in plan for _, _, point in groups])
+    axis, grid, groups = _FIGURES[figure_id]
+    run = sweep_run([replace(base, trials=trials, seed=seed) for _, base in groups],
+                    axis, grid, workers)
 
     def rows():
-        out = []
-        with checked as run:
-            for x, groups in plan:
-                cols = {}
-                for suffix, entry, point in groups:
-                    reports = run_point(**vars(point), workers=run)
-                    cols.update({f"{name}{suffix}": value
-                                 for name, value in _columns(entry, point, reports).items()})
-                out.append((x, cols))
-        return axis, out
+        return axis, [(x, {f"{name}{suffix}": value
+                           for (suffix, base), (point, reports) in zip(groups, points)
+                           for name, value in _columns(base, point, reports).items()})
+                      for x, points in run()]
     return rows
 
 

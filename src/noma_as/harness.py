@@ -430,21 +430,23 @@ def _policy(scn: Scenario) -> str:
 def sweep(base: Scenario, axis: str, values, workers=None):
     """One report of its one policy per swept value, same seed at every
     point so the whole curve rides on common random numbers."""
-    return sweep_run(base, axis, values, workers)()
-
-
-def sweep_run(base: Scenario, axis: str, values, workers=None):
-    """`sweep`'s points, checked as one `Run`, and a function that runs
-    them and returns the sweep's reports, so a caller can open its output
-    in between."""
     policy = _policy(base)
-    points = [apply_axis(base, axis, v) for v in values]
-    checked = Run(workers, points)
+    return [(v, r[policy]) for v, [(_, r)] in sweep_run([base], axis, values, workers)()]
+
+
+def sweep_run(bases, axis: str, values, workers=None):
+    """Each base `Scenario` at each swept value, built by `apply_axis` and
+    checked as one `Run`, and a function that runs them and returns
+    [(value, [(point, {policy: RateReport}) per base])], so a caller can
+    open its output in between.  `sweep` is this of one base, and a figure
+    (`figures`) of its column groups' bases."""
+    plan = [(v, [apply_axis(base, axis, v) for base in bases]) for v in values]
+    checked = Run(workers, [point for _, points in plan for point in points])
 
     def reports():
         with checked as run:
-            return [(v, run_point(**vars(p), workers=run)[policy])
-                    for v, p in zip(values, points)]
+            return [(v, [(p, run_point(**vars(p), workers=run)) for p in points])
+                    for v, points in plan]
     return reports
 
 

@@ -16,7 +16,7 @@ from noma_as import (EULER_GAMMA, FadingConfig, figures, mcg_avg_secondary_rate,
                      sample_channel_batch, su_avg_secondary_rate)
 from noma_as import analytics
 from noma_as.analytics import _aia_offset, _aia_power_table, _mcg_offset, _prob_h_ge_g
-from noma_as.harness import load_validation_grid
+from noma_as.harness import apply_axis, load_validation_grid
 from noma_as.selection import POLICIES
 from oracles import aia_strong_pdf
 
@@ -249,10 +249,11 @@ def test_aia_weights_sum_to_minus_one_so_the_split_cancels():
 def test_aia_rate_is_bit_identical_across_the_split():
     # figure 4's aia_analytic column is one constant, which the b-dependent
     # oracle gives at every b of the grid
-    axis, grid, groups = figures._FIGURES[4]
+    axis, grid, [(_, base)] = figures._FIGURES[4]
     values = set()
-    for b in grid:
-        [(_, _, fading, b, r_th)] = groups(b)
+    for x in grid:
+        point = apply_axis(base, axis, x)
+        fading, b, r_th = point.fading, point.b, point.r_th
         values.add(POLICIES["fnoma", "aia"].closed_form(fading, r_th))
         _assert_is_oracle("aia", fading, b, r_th)
     assert len(values) == 1
@@ -263,10 +264,13 @@ def _analytic_cells():
     1-8 and every point of both validate grids."""
     for figure_id, (axis, grid, groups) in figures._FIGURES.items():
         for x in grid:
-            for _, entries, fading, b, r_th in groups(x):
-                for mode, name in POLICIES:
-                    if mode in entries and POLICIES[mode, name].closed_form:
-                        yield (figure_id, x), name, fading, b, r_th
+            for _, base in groups:
+                point = apply_axis(base, axis, x)
+                for name in point.policies:
+                    policy = POLICIES[point.mode, name]
+                    # figure 5's base reads the fairness, so it shows no closed form
+                    if policy.closed_form and policy.metric in point.reads:
+                        yield (figure_id, x), name, point.fading, point.b, point.r_th
     for path in (ROOT / "perfbench" / "validate_grid.txt", ROOT / "scenarios" / "validate_grid.txt"):
         for point in load_validation_grid(path):
             scn = point.scenario

@@ -21,7 +21,6 @@ from noma_as import (ConfigurationError, FadingConfig, Scenario,
                      ValidationPoint, apply_axis, cr_rates, figure_rows, fnoma_pair_rates,
                      load_scenario, load_validation_grid, run_point,
                      sample_channel_batch, sweep, validate_asymptotics)
-from noma_as.figures import _PS_GRID
 from noma_as.rates import _jain
 from noma_as.selection import POLICIES, _a3_row, _pu_row, row_stats
 from oracles import row_triple
@@ -149,14 +148,16 @@ def test_a_value_that_is_not_a_real_number_is_refused(build, key):
 
 
 @pytest.mark.parametrize("build, key", [
+    (lambda: FadingConfig(d1=10 ** 400), "d1"),
+    (lambda: FadingConfig(d2=10 ** 400), "d2"),
     (lambda: FadingConfig(ps_dbm=10 ** 400), "ps_dbm"),
     (lambda: FadingConfig(sigma2_dbm=10 ** 400), "sigma2_dbm"),
     (lambda: Scenario(FadingConfig(), "crnoma", ("mcg",), r_th=10 ** 400), "r_th"),
     (lambda: ValidationPoint(_fnoma_scn(), "0.05"), "tolerance"),
     (lambda: ValidationPoint(_fnoma_scn(), None), "tolerance"),
     (lambda: ValidationPoint(_fnoma_scn(), True), "tolerance"),
-], ids=["ps_dbm 10**400", "sigma2_dbm 10**400", "r_th 10**400", "tolerance '0.05'",
-        "tolerance None", "tolerance True"])
+], ids=["d1 10**400", "d2 10**400", "ps_dbm 10**400", "sigma2_dbm 10**400", "r_th 10**400",
+        "tolerance '0.05'", "tolerance None", "tolerance True"])
 def test_a_value_its_check_cannot_evaluate_is_refused_by_its_key(build, key):
     # an int beyond float range overflows math.isfinite and has no numpy
     # exp2; a tolerance of another type has no order with 0, or is a bool
@@ -612,9 +613,9 @@ def test_run_draws_figure_7_once_per_leaf_for_both_placements(monkeypatch):
     # report equals that of a run of its point alone, and a run of one
     # geometry hands the sampler no unit draws
     monkeypatch.setattr(harness, "_CHUNK", 128)
-    points = [Scenario(fading, "crnoma", _CR_ALL, 256, 2, r_th=5.0)
-              for ps in _PS_GRID
-              for *_, fading, _, _ in figures._two_placements(float(ps), 5.0)]
+    axis, grid, groups = figures._FIGURES[7]
+    points = [Scenario(apply_axis(base, axis, ps).fading, "crnoma", _CR_ALL, 256, 2, r_th=5.0)
+              for ps in grid for _, base in groups]
     fresh = _reports(points, 1)
     computed, handed = [], []
     unit_draws = channel._unit_draws
@@ -642,10 +643,9 @@ def test_run_draws_figure_2_once_per_leaf_for_every_bs_antenna_count(monkeypatch
     # draws of N = 8 once, and every smaller N reads a prefix of them; every
     # report equals that of a run of its point alone, at one and two workers
     trials = 2 * harness._CHUNK + 1
-    _, grid, column_groups = figures._FIGURES[2]
-    points = [figures._point(entry, fading, b, r_th, trials, 3)
-              for n in grid for _, entries, fading, b, r_th in column_groups(n)
-              for entry in entries]
+    axis, grid, groups = figures._FIGURES[2]
+    points = [replace(apply_axis(base, axis, n), trials=trials, seed=3)
+              for n in grid for _, base in groups]
     fresh = _reports(points, 1)
     computed = []
     unit_draws = channel._unit_draws
@@ -740,6 +740,33 @@ def test_run_writes_the_same_bits_at_one_two_and_three_workers(monkeypatch):
     assert printed[0] == printed[1] == printed[2]
 
 
+@pytest.mark.parametrize("figure_id, mode, policies", [
+    (1, "fnoma", ("a3", "aia", "es", "random")),
+    (7, "crnoma", ("mcg", "pu", "es", "random")),
+])
+def test_a_figure_column_is_the_sweep_of_its_policy(figure_id, mode, policies):
+    # a sweep of one policy of a column group's base over the figure's grid,
+    # reading every mean as a scenario file's point does, takes the rate
+    # formula at its gains, where the figure reads the search's optimum and
+    # candidates; the mean the column shows has the same bits
+    trials = 2 * harness._CHUNK + 1
+    axis, grid, groups = figures._FIGURES[figure_id]
+    _, rows = figure_rows(figure_id, trials, 3, workers=1)
+    swept = 0
+    for suffix, base in groups:
+        if base.mode != mode:
+            continue
+        for name in policies:
+            policy = POLICIES[mode, name]
+            column = policy.column + ("_sim" if policy.closed_form else "") + suffix
+            scn = Scenario(base.fading, mode, (name,), trials, 3, base.b, base.r_th)
+            reports = sweep(scn, axis, grid, workers=1)
+            assert ([getattr(report, policy.metric) for _, report in reports]
+                    == [cols[column] for _, cols in rows]), column
+            swept += 1
+    assert swept == len(policies) * (2 if figure_id == 7 else 1)
+
+
 @pytest.mark.parametrize("figure_id", figures.FIGURE_IDS)
 def test_figures_read_their_columns_only_and_write_the_same_bytes(figure_id, tmp_path,
                                                                   monkeypatch):
@@ -759,14 +786,14 @@ def test_figures_read_their_columns_only_and_write_the_same_bytes(figure_id, tmp
         rate = getattr(harness, name)
         monkeypatch.setattr(harness, name,
                             lambda h, *args, rate=rate: rated.append(h) or rate(h, *args))
-    point = figures._point
+    sweep_run = figures.sweep_run
     for trials in (300, 16385):
-        monkeypatch.setattr(figures, "_point",
-                            lambda *args: replace(point(*args), reads=harness.QUANTITIES))
+        monkeypatch.setattr(figures, "sweep_run", lambda bases, *args: sweep_run(
+            [replace(base, reads=harness.QUANTITIES) for base in bases], *args))
         figures.reproduce_figure(figure_id, trials, 1, tmp_path / "all.csv", workers=1)
         searched = len(gathered)
         assert (searched > 0) == (figure_id != 5)  # figure 5 runs no exhaustive search
-        monkeypatch.setattr(figures, "_point", point)
+        monkeypatch.setattr(figures, "sweep_run", sweep_run)
         drawn.clear()
         rated.clear()
         for workers in (1, 2):

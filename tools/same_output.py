@@ -16,7 +16,8 @@ into either tree.  The commands:
   ``perfbench/validate_grid.txt``, with ``NOMA_SIM_WORKERS`` 1 and 2 (the
   second grid is 13 tasks, more than 2 workers keep in flight);
 - ``sweep --scenario scenarios/fig1_a3.txt`` over ``ps_dbm`` 0,10,20,30,40,
-  ``n_bs`` 1,2,4,8 and ``d1`` 50,1e-100,80 (the last refused);
+  ``n_bs`` 1,2,4,8, ``d1`` 50,1e-100,80 (the last refused) and ``b``
+  0.1,0.3,0.5;
 - ``bench --max-dim 8``;
 - ``sweep --scenario`` (over ``d2`` 100) and ``validate --grid`` on each of
   the ``REFUSED`` texts below, most of which the loaders refuse: the
@@ -38,7 +39,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ("scenarios/fig1_a3.txt", "scenarios/validate_grid.txt", "perfbench/validate_grid.txt")
-SWEEPS = (("ps_dbm", "0,10,20,30,40"), ("n_bs", "1,2,4,8"), ("d1", "50,1e-100,80"))
+SWEEPS = (("ps_dbm", "0,10,20,30,40"), ("n_bs", "1,2,4,8"), ("d1", "50,1e-100,80"),
+          ("b", "0.1,0.3,0.5"))
 _BLOCK = b"mode = fnoma\npolicy = a3\nn_bs = 2\nps_dbm = 30\nb = 0.4\ntrials = 2000\nseed = 1\n"
 # {name: bytes} of scenario and grid files, each written as input.txt
 REFUSED = {
