@@ -24,7 +24,6 @@ first access, so no figure, sweep or validation run loads it.
 from __future__ import annotations
 
 import math
-import numbers
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -32,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 import scipy
 
-from .channel import FadingConfig
+from .channel import FadingConfig, _is_real
 from .rates import qos_epsilon
 
 EULER_GAMMA = 0.5772156649015329
@@ -208,9 +207,10 @@ def _prob_h_ge_g(nm: int, nk: int, omega_h: float, omega_g: float) -> Fraction:
 
 def _qos(fading, r_th):
     """(omega_h, omega_g, epsilon) of a QoS-mode form, epsilon = 2**r_th -
-    1; refuses an r_th that is not a number with 0 <= epsilon < inf."""
+    1; refuses an r_th that is not a real number (a bool is not) with
+    0 <= epsilon < inf."""
     with np.errstate(over="ignore"):
-        eps = float(qos_epsilon(r_th)) if isinstance(r_th, numbers.Real) else math.nan
+        eps = float(qos_epsilon(r_th)) if _is_real(r_th) else math.nan
     if not 0 <= eps < math.inf:
         raise ValueError(f"r_th = {r_th}: the secondary-rate closed forms need "
                          f"0 <= 2**r_th - 1 < inf")

@@ -86,7 +86,7 @@ def _cmd_sweep(args) -> int:
     with open_csv(args.out) if args.out else nullcontext(sys.stdout) as f:
         rows = [[v, *(getattr(r, q) for q in QUANTITIES), *r.std_err.values(),
                  r.trials_used, r.mean_eval_count]
-                for v, [(_, reports)] in results() for r in reports.values()]
+                for v, [(_, reports)] in results for r in reports.values()]
         write_csv(f, header, rows)
     if args.out:
         print(f"sweep over {args.axis}: wrote {args.out}")

@@ -88,26 +88,25 @@ _FIGURES = {
 
 
 def _figure_run(figure_id: int, trials: int, seed: int, workers):
-    """One figure id's points, checked as one `Run`, and a function that
-    runs them and returns (axis name, [(x, {column: value})])."""
+    """(axis name, a generator of (x, {column: value})) of one figure id:
+    its points are checked as one `Run` when called, and run when the
+    generator is first read."""
     if figure_id not in _FIGURES:
         raise ConfigurationError(f"figure id must be in 1..8, got {figure_id}")
     axis, grid, groups = _FIGURES[figure_id]
-    run = sweep_run([replace(base, trials=trials, seed=seed) for _, base in groups],
-                    axis, grid, workers)
-
-    def rows():
-        return axis, [(x, {f"{name}{suffix}": value
-                           for (suffix, base), (point, reports) in zip(groups, points)
-                           for name, value in _columns(base, point, reports).items()})
-                      for x, points in run()]
-    return rows
+    swept = sweep_run([replace(base, trials=trials, seed=seed) for _, base in groups],
+                      axis, grid, workers)
+    return axis, ((x, {f"{name}{suffix}": value
+                       for (suffix, base), (point, reports) in zip(groups, points)
+                       for name, value in _columns(base, point, reports).items()})
+                  for x, points in swept)
 
 
 def figure_rows(figure_id: int, trials: int, seed: int, workers=None):
     """(axis name, [(x, {column: value})]) for one figure id; all its points
     share one `Run`."""
-    return _figure_run(figure_id, trials, seed, workers)()
+    axis, rows = _figure_run(figure_id, trials, seed, workers)
+    return axis, list(rows)
 
 
 def _fmt(v) -> str:
@@ -129,12 +128,13 @@ def write_csv(f, header, rows):
 
 def reproduce_figure(figure_id: int, trials: int, seed: int, out_path,
                      workers=None):
-    """Run one figure's full sweep and write its CSV; returns the rows.  The
-    file is opened once the figure's points are checked and before any trial
-    runs, so a path that cannot be written fails first."""
-    run = _figure_run(figure_id, trials, seed, workers)
+    """Run one figure's full sweep and write its CSV; returns (axis name,
+    [(x, {column: value})]).  The file is opened once the figure's points
+    are checked and before the rows are first read, which runs every trial,
+    so a path that cannot be written fails first."""
+    axis, rows = _figure_run(figure_id, trials, seed, workers)
     with open_csv(out_path) as f:
-        axis, rows = run()
+        rows = list(rows)
         columns = list(rows[0][1].keys())
         write_csv(f, [axis] + columns, [[x] + [cols[c] for c in columns] for x, cols in rows])
     return axis, rows

@@ -48,7 +48,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +65,8 @@ _CHUNK = 8192
 # Most bytes of unit draws a leaf may hold, N*(M+K)*_CHUNK*8: N*(M+K) <= 4096.
 _LEAF_DRAW_BYTES = 2 ** 28
 # Most trials of one scenario: 131072 leaves, which `_leaves` yields one at
-# a time as `Run.__enter__` makes its tasks; `Run.__init__` only counts them.
+# a time as `Run._moments` makes its tasks; `Run.__init__` only counts them,
+# up to the worker count.
 _MAX_TRIALS = 2 ** 30
 ASYMPTOTIC_MIN_RHO = 1e8  # below this the high-SNR closed forms are not claimed
 # The means a RateReport can carry: of r1, r2, r1 + r2 and the Jain fairness.
@@ -259,19 +260,21 @@ class Run:
     """The simulation of every point of one figure, sweep or validation.
 
     `points` are the `Scenario`s that `run_point` will be asked for, each
-    checked when it was built, before any work.  Entering the run simulates
+    checked when it was built; building the run checks the worker count and
+    plans the tasks, and runs none.  The first read of a point simulates
     every leaf of every shape group and merges each point's leaves as they
-    arrive (see the module docstring).
+    arrive (see the module docstring); later reads run nothing.
     `workers` (None: NOMA_SIM_WORKERS, else the usable CPUs; at most the
     usable CPUs) is capped at the leaf count of the largest point.  With one
     worker the tasks run in this process, one after another; otherwise on
-    one process pool of that many workers.  Use as a context manager.
+    one process pool of that many workers.
     """
 
     def __init__(self, workers, points):
         points = list(dict.fromkeys(points))
-        self.workers = min(_resolve_workers(workers),
-                           max((_leaf_count(p.trials) for p in points), default=1))
+        cap = _resolve_workers(workers)
+        self.workers = max((len(list(itertools.islice(_leaves(0, trials), cap)))
+                            for trials in {p.trials for p in points}), default=1)
         groups = {}  # (M, K, trials, seed) -> {geometry: [point, ...]}
         for point in sorted(points, key=lambda p: -p.fading.n_bs):
             fading = point.fading
@@ -281,9 +284,11 @@ class Run:
         self._groups = [(trials, seed, tuple((geometry, tuple(group))
                                              for geometry, group in geometries.items()))
                         for (*_, trials, seed), geometries in groups.items()]
-        self._moments = {}  # point -> (sums, M2) of all its trials
 
-    def __enter__(self):
+    @cached_property
+    def _moments(self):
+        """point -> (sums, M2) of all its trials, simulated on first read."""
+        moments = {}
         tasks = ((seed, t0, count, geometries) for trials, seed, geometries in self._groups
                  for t0, count in _leaves(0, trials))
         with (nullcontext() if self.workers == 1
@@ -292,11 +297,8 @@ class Run:
                        else _in_order(pool, tasks, 2 * self.workers))
             for trials, _, geometries in self._groups:
                 points = [point for _, group in geometries for point in group]
-                self._moments.update(zip(points, _merged(trials, results), strict=True))
-        return self
-
-    def __exit__(self, *exc):
-        pass
+                moments.update(zip(points, _merged(trials, results), strict=True))
+        return moments
 
 
 def _half(n):
@@ -314,15 +316,6 @@ def _leaves(t0, n):
     half = _half(n)
     yield from _leaves(t0, half)
     yield from _leaves(t0 + half, n - half)
-
-
-def _leaf_count(n):
-    """How many leaves `_leaves(t0, n)` yields, counted over the few sizes
-    of each tree level."""
-    @lru_cache(maxsize=None)
-    def count(n):
-        return 1 if n <= _CHUNK else count(_half(n)) + count(n - _half(n))
-    return count(n)
 
 
 def _merged(n, leaves):
@@ -384,15 +377,15 @@ def run_point(fading, mode, policies, trials, seed, b=None, r_th=None,
     Returns {policy: RateReport}.  All policies share the channel draws, so
     cross-policy comparisons at one point are paired.  The other arguments
     are the fields of the point's `Scenario`, checked here.  `workers` is a
-    `Run` built with this point among others, or a worker count for a run of
-    this point only.
+    `Run` built with this point among others, which simulates all its points
+    on the first read of any, or a worker count for a run of this point
+    only.
     """
     # a str is passed on whole, for the `Scenario` to refuse, not split into characters
     policies, reads = (v if isinstance(v, str) else tuple(v) for v in (policies, reads))
     point = Scenario(fading, mode, policies, trials, seed, b, r_th, reads)
-    own = nullcontext(workers) if isinstance(workers, Run) else Run(workers, [point])
-    with own as run:
-        moments = run._moments.get(point)
+    run = workers if isinstance(workers, Run) else Run(workers, [point])
+    moments = run._moments.get(point)
     if moments is None:
         raise ValueError(f"{point} is not a point of this run")
     sums, m2 = moments
@@ -431,23 +424,18 @@ def sweep(base: Scenario, axis: str, values, workers=None):
     """One report of its one policy per swept value, same seed at every
     point so the whole curve rides on common random numbers."""
     policy = _policy(base)
-    return [(v, r[policy]) for v, [(_, r)] in sweep_run([base], axis, values, workers)()]
+    return [(v, r[policy]) for v, [(_, r)] in sweep_run([base], axis, values, workers)]
 
 
 def sweep_run(bases, axis: str, values, workers=None):
     """Each base `Scenario` at each swept value, built by `apply_axis` and
-    checked as one `Run`, and a function that runs them and returns
-    [(value, [(point, {policy: RateReport}) per base])], so a caller can
-    open its output in between.  `sweep` is this of one base, and a figure
-    (`figures`) of its column groups' bases."""
+    checked as one `Run` when called, and a generator of (value, [(point,
+    {policy: RateReport}) per base]) that runs them when first read, so a
+    caller can open its output in between.  `sweep` is this of one base,
+    and a figure (`figures`) of its column groups' bases."""
     plan = [(v, [apply_axis(base, axis, v) for base in bases]) for v in values]
-    checked = Run(workers, [point for _, points in plan for point in points])
-
-    def reports():
-        with checked as run:
-            return [(v, [(p, run_point(**vars(p), workers=run)) for p in points])
-                    for v, points in plan]
-    return reports
+    run = Run(workers, [point for _, points in plan for point in points])
+    return ((v, [(p, run_point(**vars(p), workers=run)) for p in points]) for v, points in plan)
 
 
 # ---------------------------------------------------------------------------
@@ -518,24 +506,24 @@ def validate_asymptotics(points, workers=None):
     results = []
     scenarios = [p.scenario for p in points]
     simulated = [replace(s, reads=(POLICIES[s.mode, s.policies[0]].metric,)) for s in scenarios]
-    with Run(workers, simulated) as run:
-        for point, sim in zip(points, simulated):
-            scn = point.scenario
-            closed = point._closed_form
-            (report,) = run_point(**vars(sim), workers=run).values()
-            (metric,) = sim.reads
-            mc = getattr(report, metric)
-            se = report.std_err[metric.removeprefix("mean_")]
-            gap = abs(closed - mc) / abs(mc) if mc != 0 else math.inf
-            if scn.fading.rho < ASYMPTOTIC_MIN_RHO:
-                status = "not-applicable"
-            elif gap <= point.tolerance:
-                status = "pass"
-            else:
-                status = "fail"
-            sigmas = abs(closed - mc) / se if se > 0 else (0.0 if closed == mc else math.inf)
-            results.append(ValidationResult(scn, closed, mc, gap, point.tolerance, status,
-                                            se, sigmas))
+    run = Run(workers, simulated)
+    for point, sim in zip(points, simulated):
+        scn = point.scenario
+        closed = point._closed_form
+        (report,) = run_point(**vars(sim), workers=run).values()
+        (metric,) = sim.reads
+        mc = getattr(report, metric)
+        se = report.std_err[metric.removeprefix("mean_")]
+        gap = abs(closed - mc) / abs(mc) if mc != 0 else math.inf
+        if scn.fading.rho < ASYMPTOTIC_MIN_RHO:
+            status = "not-applicable"
+        elif gap <= point.tolerance:
+            status = "pass"
+        else:
+            status = "fail"
+        sigmas = abs(closed - mc) / se if se > 0 else (0.0 if closed == mc else math.inf)
+        results.append(ValidationResult(scn, closed, mc, gap, point.tolerance, status,
+                                        se, sigmas))
     return results
 
 

@@ -437,11 +437,12 @@ def test_mcg_is_between_pu_and_su():
     assert lo <= mcg_avg_secondary_rate(cfg, 5.0) <= hi
 
 
-@pytest.mark.parametrize("r_th", [None, math.nan, -1.0, 2000.0, math.inf])
+@pytest.mark.parametrize("r_th", [None, math.nan, -1.0, 2000.0, math.inf, True])
 @pytest.mark.parametrize("name", ["pu", "su", "mcg"])
 def test_secondary_rate_refuses_an_unusable_r_th(name, r_th):
-    # 2**r_th - 1 must be a number in [0, inf): at 2000.0 and inf exp2
-    # overflows, which must neither warn nor reach the exact arithmetic
+    # 2**r_th - 1 must be a number in [0, inf), and a bool is not one, as
+    # `Scenario` holds: at 2000.0 and inf exp2 overflows, which must neither
+    # warn nor reach the exact arithmetic
     form = getattr(analytics, f"{name}_avg_secondary_rate")
     with pytest.raises(ValueError, match="r_th = "):
         form(FadingConfig(), r_th)

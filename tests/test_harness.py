@@ -496,11 +496,11 @@ def test_run_shares_draws_across_points_on_two_workers(monkeypatch):
           for ps in (10.0, 30.0) for r_th in (1.0, 5.0)]
     fresh = _reports(first + cr, 1)
     _usable_cpus(monkeypatch, 2)
-    with Run(2, first + cr + first) as run:
-        assert run.workers == 2
-        assert _reports(first + cr + first, run) == fresh + fresh[:len(first)]
-        with pytest.raises(ValueError, match="not a point of this run"):
-            run_point(**vars(replace(first[0], seed=6)), workers=run)
+    run = Run(2, first + cr + first)
+    assert run.workers == 2
+    assert _reports(first + cr + first, run) == fresh + fresh[:len(first)]
+    with pytest.raises(ValueError, match="not a point of this run"):
+        run_point(**vars(replace(first[0], seed=6)), workers=run)
 
 
 def _means(reports):
@@ -524,21 +524,26 @@ def test_run_keeps_row_statistics_per_chunk_on_two_workers(monkeypatch):
     assert list(harness._leaves(0, 520)) == [(0, 256), (256, 128), (384, 136)]
     fresh = _reports(points, 1)
     _usable_cpus(monkeypatch, 2)
-    with Run(2, points) as run:
-        assert run.workers == 2
-        shared = _reports(points, run)
+    run = Run(2, points)
+    assert run.workers == 2
+    shared = _reports(points, run)
     assert shared == fresh
     assert _means(shared) == _means(one_leaf)
 
 
 @pytest.mark.parametrize("chunk", [8192, 256])
 def test_leaf_count_is_the_number_of_leaves(monkeypatch, chunk):
+    # a run's workers are capped at the leaf count of its largest point,
+    # counted no further than the workers asked for
     monkeypatch.setattr(harness, "_CHUNK", chunk)
+    _usable_cpus(monkeypatch, 64)
     sizes = [1, 2, 1000, 2 ** 20 - 1, 2 ** 20, 2 ** 20 + 1, 10 ** 6]
     sizes += [q * chunk + r for q in (1, 2, 3, 4, 5, 7, 8, 9, 16, 33) for r in (-1, 0, 1)]
     for n in sizes:
-        assert harness._leaf_count(n) == len(list(harness._leaves(0, n))), n
-    assert harness._leaf_count(2 ** 30) == 2 ** 30 // chunk
+        scn, leaves = _fnoma_scn(trials=n), len(list(harness._leaves(0, n)))
+        for workers in (1, 2, 64):
+            assert Run(workers, [scn]).workers == min(workers, leaves), (n, workers)
+    assert Run(64, [_fnoma_scn(trials=2 ** 30)]).workers == 64
 
 
 def test_run_groups_points_by_geometry_trials_and_seed(monkeypatch):
@@ -573,8 +578,8 @@ def test_run_groups_points_by_geometry_trials_and_seed(monkeypatch):
         return sample_channel_batch(fading, seed, start, count, draws=draws)
 
     monkeypatch.setattr(harness, "sample_channel_batch", sample)
-    with Run(1, points) as run:
-        shared = _reports(points, run)
+    run = Run(1, points)
+    shared = _reports(points, run)
     assert sorted(sampled) == sorted((geometry(p.fading), p.seed, t0, count)
                                      for p in [same[0]] + variants
                                      for t0, count in harness._leaves(0, p.trials))
@@ -629,8 +634,8 @@ def test_run_draws_figure_7_once_per_leaf_for_both_placements(monkeypatch):
         return sample_channel_batch(fading, seed, start, count, draws=draws)
 
     monkeypatch.setattr(channel, "_unit_draws", count, raising=False)
-    with Run(1, points) as run:
-        assert _reports(points, run) == fresh
+    run = Run(1, points)
+    assert _reports(points, run) == fresh
     assert len(computed) == 2
     monkeypatch.setattr(harness, "sample_channel_batch", sample)
     run_point(**vars(points[0]), workers=1)
@@ -657,9 +662,9 @@ def test_run_draws_figure_2_once_per_leaf_for_every_bs_antenna_count(monkeypatch
     monkeypatch.setattr(channel, "_unit_draws", count)
     _usable_cpus(monkeypatch, 2)
     for workers in (1, 2):
-        with Run(workers, points) as run:
-            assert run.workers == workers
-            assert _reports(points, run) == fresh
+        run = Run(workers, points)
+        assert run.workers == workers
+        assert _reports(points, run) == fresh
         if workers == 1:
             assert computed == [(8 * 4, t0, n) for t0, n in harness._leaves(0, trials)]
             assert len(computed) == 3
@@ -734,9 +739,9 @@ def test_run_writes_the_same_bits_at_one_two_and_three_workers(monkeypatch):
         if workers == 3:  # more than this host may have: three CPUs and a pool in process
             _usable_cpus(monkeypatch, 3)
             monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
-        with Run(workers, points) as run:
-            assert run.workers == workers
-            printed.append(repr(_reports(points, run)))
+        run = Run(workers, points)
+        assert run.workers == workers
+        printed.append(repr(_reports(points, run)))
     assert printed[0] == printed[1] == printed[2]
 
 
@@ -883,6 +888,31 @@ def _zero_moments(task):
     """Stands in for `_simulate_leaf`: zero moments of each point's shape."""
     return [np.zeros((2, len(point.policies), len(point.reads)))
             for _, points in task[3] for point in points]
+
+
+def test_a_run_simulates_nothing_until_a_point_is_read_and_each_leaf_once(monkeypatch):
+    # building a run, a sweep or a figure plans its tasks and runs none; the
+    # first read of a point runs every leaf task of every shape group (here
+    # two, one per seed), and no read runs one again
+    tasks = []
+    monkeypatch.setattr(harness, "_simulate_leaf",
+                        lambda task: tasks.append(task[:3]) or _zero_moments(task))
+    trials = 2 * harness._CHUNK + 1
+    bases = [_fnoma_scn(trials=trials), _cr_scn(trials=trials, seed=12)]
+    Run(1, bases)
+    swept = harness.sweep_run(bases, "ps_dbm", [10.0, 20.0], workers=1)
+    figures._figure_run(7, trials, 1, 1)
+    assert tasks == []
+    assert len(list(swept)) == 2
+    leaves = [(seed, t0, n) for seed in (11, 12) for t0, n in harness._leaves(0, trials)]
+    assert sorted(tasks) == leaves
+    tasks.clear()
+    run = Run(1, bases)
+    first = [run_point(**vars(p), workers=run) for p in bases]
+    assert sorted(tasks) == leaves
+    tasks.clear()
+    assert [run_point(**vars(p), workers=run) for p in bases] == first
+    assert tasks == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -1,6 +1,8 @@
-"""Check that two source trees of noma_as give byte-identical output.
+"""Check that two source trees of noma_as give byte-identical output, or
+list what one tree's output moves across numpy's CPU dispatch levels.
 
     python tools/same_output.py OLD_SRC NEW_SRC [--trials 20000] [--seed 3]
+    python tools/same_output.py --dispatch SRC [--trials 20000] [--seed 3]
 
 OLD_SRC and NEW_SRC are directories holding the ``noma_as`` package (a
 checkout's ``src``).  Each command below runs once per tree, in a fresh
@@ -27,9 +29,17 @@ Every command's stdout, stderr and exit code are compared, with the
 temporary directory's path read as ``<tmp>``.  Prints each output that
 differs and exits 1 if any does, else 0.  The input files are read from the
 tree this script is in.
+
+With ``--dispatch SRC`` the commands run on the one tree SRC, once at the
+host's dispatch level and once per level below it that numpy offers, each
+set by ``NPY_DISABLE_CPU_FEATURES`` in the child's environment only.  Prints
+each output that differs from the host level's, with how many cells differ
+for a CSV, and exits 0 whatever it finds: a seed fixes the draws only to
+1 ulp across levels (README, "Reproducibility").
 """
 
 import argparse
+import itertools
 import os
 import shutil
 import subprocess
@@ -97,8 +107,10 @@ def commands(trials, seed):
     return out
 
 
-def run(src, argv, workers, csv, text):
-    """{output: bytes} of one command run on the tree `src`."""
+def run(src, argv, workers, csv, text, disabled=None):
+    """{output: bytes} of one command run on the tree `src`, with the
+    dispatch targets `disabled` (None: the environment's setting, "": none)
+    turned off in the child."""
     with tempfile.TemporaryDirectory() as tmp:
         for name in INPUTS:
             (Path(tmp) / name).parent.mkdir(exist_ok=True)
@@ -110,6 +122,8 @@ def run(src, argv, workers, csv, text):
         env.pop("NOMA_SIM_WORKERS", None)
         if workers:
             env["NOMA_SIM_WORKERS"] = workers
+        if disabled is not None:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
         proc = subprocess.run([sys.executable, "-m", "noma_as", *argv], cwd=tmp, env=env,
                               capture_output=True)
         outputs = {"stdout": proc.stdout, "stderr": proc.stderr,
@@ -120,16 +134,59 @@ def run(src, argv, workers, csv, text):
         return {key: value.replace(tmp.encode(), b"<tmp>") for key, value in outputs.items()}
 
 
+def _cells_differ(old, new):
+    """How many cells of two CSV outputs differ, a cell only one has
+    counted."""
+    rows = itertools.zip_longest(*([line.split(b",") for line in out.splitlines()]
+                                   for out in (old, new)), fillvalue=[])
+    return sum(a != b for old_row, new_row in rows
+               for a, b in itertools.zip_longest(old_row, new_row))
+
+
+def dispatch(src, trials, seed):
+    """Prints each output of `src` that moves from the host's dispatch level
+    to a lower one; returns 0."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    offered = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    if not offered:
+        print("numpy dispatches to no level above its baseline on this CPU: nothing to compare")
+        return 0
+    listed = commands(trials, seed)
+    host = [run(src, *command, disabled="") for _, *command in listed]
+    for level in range(len(offered)):
+        disabled = " ".join(offered[level:])
+        compared, differ = 0, 0
+        for (name, *command), at_host in zip(listed, host):
+            outputs = run(src, *command, disabled=disabled)
+            for key, value in outputs.items():
+                compared += 1
+                if value != at_host[key]:
+                    differ += 1
+                    cells = (f" ({_cells_differ(at_host[key], value)} cells)"
+                             if key == "csv" else "")
+                    print(f"differs with {disabled} off: {name}: {key}{cells}", flush=True)
+        print(f"with {disabled} off: {compared} outputs compared, {differ} differ from the "
+              f"host level", flush=True)
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("old_src")
-    parser.add_argument("new_src")
+    parser.add_argument("old_src", nargs="?")
+    parser.add_argument("new_src", nargs="?")
+    parser.add_argument("--dispatch", metavar="SRC",
+                        help="compare SRC's outputs across CPU dispatch levels instead")
     parser.add_argument("--trials", type=int, default=20_000)
     parser.add_argument("--seed", type=int, default=3)
     args = parser.parse_args(argv)
-    for src in (args.old_src, args.new_src):
+    trees = [args.dispatch] if args.dispatch else [args.old_src, args.new_src]
+    if args.dispatch and args.old_src or None in trees:
+        parser.error("give OLD_SRC and NEW_SRC, or --dispatch SRC alone")
+    for src in trees:
         if not (Path(src) / "noma_as" / "__init__.py").is_file():
             parser.error(f"{src} holds no noma_as package")
+    if args.dispatch:
+        return dispatch(args.dispatch, args.trials, args.seed)
     compared, differ = 0, []
     for name, *command in commands(args.trials, args.seed):
         old, new = (run(src, *command) for src in (args.old_src, args.new_src))
