@@ -23,7 +23,7 @@ from .analytics import (a3_avg_sum_rate, aia_avg_sum_rate,  # noqa: F401
                         su_avg_secondary_rate)
 from .channel import FadingConfig
 from .harness import ConfigurationError, Scenario, run_point, sweep_run  # noqa: F401
-from .selection import POLICIES
+from .selection import METRIC, POLICIES
 
 _PS_GRID = tuple(range(0, 45, 5))
 _B_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -36,11 +36,10 @@ FIGURE_IDS = tuple(range(1, 9))
 
 
 def _base(mode, fading, b=None, r_th=None):
-    """A column group's base: every policy of the mode, reading the metrics
+    """A column group's base: every policy of the mode, reading the metric
     its columns show."""
     policies = tuple(p for m, p in POLICIES if m == mode)
-    reads = tuple(dict.fromkeys(POLICIES[mode, p].metric for p in policies))
-    return Scenario(fading, mode, policies, b=b, r_th=r_th, reads=reads)
+    return Scenario(fading, mode, policies, b=b, r_th=r_th, reads=(METRIC[mode],))
 
 
 def _columns(base, point, reports):
@@ -52,7 +51,7 @@ def _columns(base, point, reports):
     cols = {}
     for name in point.policies:
         policy = POLICIES[point.mode, name]
-        value = getattr(reports[name], policy.metric)
+        value = getattr(reports[name], METRIC[point.mode])
         if policy.closed_form is None:
             cols[policy.column] = value
         else:

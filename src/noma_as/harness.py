@@ -15,9 +15,10 @@ worker, and the parent holds the moments of one leaf per tree level.  On W
 workers at most 2W tasks are submitted and not yet read.
 
 A point names the `RateReport` means it reads (`Scenario.reads`), and a leaf
-computes only those, each reduced on its own.  Where a point reads only the
-metric an exhaustive search among its policies maximizes, the search's
-row-max candidates (`Policy.optimum`) are the per-trial values: the search
+computes only those, each reduced on its own.  Where a point reads only its
+mode's metric (`selection.METRIC`), which its exhaustive search maximizes,
+the search's row-max candidates (`Policy.optimum`) are the per-trial
+values: the search
 reports their optimum and a row-max policy (`Policy.row`) the candidate of
 its row, bit for bit the rate formula at their gains, which neither meets.
 
@@ -56,7 +57,7 @@ from . import channel
 from .channel import (ConfigurationError, FadingConfig, _check, _is_int, _is_real,
                       sample_channel_batch)
 from .rates import _jain, cr_rates, fnoma_pair_rates, oma_pair_rates, qos_epsilon
-from .selection import POLICIES, row_stats
+from .selection import METRIC, POLICIES, row_stats
 
 # Largest leaf.  numpy's pairwise sum splits only above 128, so >= 128.  A
 # task holds a leaf's draws for its group's largest N and one geometry's
@@ -188,7 +189,7 @@ def _simulate_point(h, g, rows, point, seed, t0, chosen, drawn):
     kwargs = dict(rows=rows, rho=point.fading.rho, b=point.b, r_th=point.r_th,
                   seed=seed, t0=t0)
     policies = [POLICIES[mode, name] for name in point.policies]
-    search = next((p for p in policies if p.optimum and reads == (p.metric,)), None)
+    search = next((p for p in policies if p.optimum and reads == (METRIC[mode],)), None)
     if search is not None:
         candidates, top = search.optimum(h, g, **kwargs)
     reports = []
@@ -505,7 +506,7 @@ def validate_asymptotics(points, workers=None):
     """
     results = []
     scenarios = [p.scenario for p in points]
-    simulated = [replace(s, reads=(POLICIES[s.mode, s.policies[0]].metric,)) for s in scenarios]
+    simulated = [replace(s, reads=(METRIC[s.mode],)) for s in scenarios]
     run = Run(workers, simulated)
     for point, sim in zip(points, simulated):
         scn = point.scenario

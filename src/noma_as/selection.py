@@ -51,7 +51,8 @@ They work one column at a time over the short antenna axes: numpy runs
 short, as one tiny loop per trial.  ``_first_max`` takes the maximum and its
 first index over a list of (T,) columns, which the sampler lays out
 contiguously.  ``POLICIES`` is the one table of (mode, policy) pairs that
-the harness, the figures and the CLI read.
+the harness, the figures and the CLI read, and ``METRIC`` the one table of
+the mean each mode reports.
 """
 
 from __future__ import annotations
@@ -264,16 +265,18 @@ class Policy:
     index `_row_at(n)` of each trial's row n for a row-max policy (`row`),
     whose gains are row n's maxima, else the chosen antennas, (n, m, k) or
     oma's (n1, m, n2, k), which `gains` turns into the UE1 and UE2 gains.
-    closed_form(fading, r_th) is the high-SNR average of `metric`, the
-    RateReport field the mode reports.  Closed forms and the search, random
-    and oma kernels are looked up on their modules at call time, so a
+    closed_form(fading, r_th) is the high-SNR average of its mode's metric,
+    `METRIC[mode]`, given r_th exactly when the point sets one: an fnoma
+    form refuses a rate floor with a TypeError.  Closed forms and the
+    search, random and oma kernels are looked up on their modules at call
+    time, so a
     function replaced there after import (as the benchmark's tracer does)
     is the one that runs.
     depends says what the choice reads: "shape" the antenna counts, seed
     and trials alone (random), "gains" the gains too, "point" rho, b and
     r_th as well (the exhaustive searches).
-    optimum(h, g, rows=, rho=, b=, r_th=), where set, returns the
-    `metric` quantity, r1 + r2 (fnoma) or r1 (crnoma), at the N row-max
+    optimum(h, g, rows=, rho=, b=, r_th=), where set, returns its mode's
+    metric quantity, r1 + r2 (fnoma) or r1 (crnoma), at the N row-max
     candidates, an (N, T) array, and at the policy's choice, their maximum,
     without making the choice.  Each is that quantity's rate formula at its
     gains bit for bit, so a row-max policy's value is its row's candidate.
@@ -282,7 +285,6 @@ class Policy:
     column: str  # figure column; `_sim`/`_analytic` pair with a closed form
     choose: Callable
     count: Callable  # (n, m, k) -> eval_count
-    metric: str
     bound: Bound | None = None
     closed_form: Callable | None = None
     depends: str = "gains"
@@ -296,15 +298,15 @@ class Policy:
         return _triple_gains(h, g, choice)
 
 
-def _row_policy(column, row, count, metric, bound, closed_form):
+def _row_policy(column, row, count, bound, closed_form):
     """A row-max policy choosing the row `row(rows)`, whose closed form is
-    the function of that name in `analytics`; the QoS-mode forms (metric
-    r1) read r_th."""
+    the function of that name in `analytics`, given r_th where the point
+    sets one."""
     def closed(fading, r_th):
         form = getattr(analytics, closed_form)
-        return form(fading, r_th) if metric == "mean_r1" else form(fading)
-    return Policy(column, lambda h, g, rows, **_: _row_at(row(rows)), count, metric, bound,
-                  closed, row=True)
+        return form(fading) if r_th is None else form(fading, r_th)
+    return Policy(column, lambda h, g, rows, **_: _row_at(row(rows)), count, bound, closed,
+                  row=True)
 
 
 def _random_choice(h, g, seed, t0, **_):
@@ -312,46 +314,46 @@ def _random_choice(h, g, seed, t0, **_):
     return _random_triples(n_dim, m_dim, g.shape[2], seed, t0, count)
 
 
+# The RateReport mean of each mode: what its searches maximize, its figures
+# plot and its closed forms average.
+METRIC = {"fnoma": "mean_sum", "crnoma": "mean_r1", "oma": "mean_sum"}
+
 # Within a mode, entries are in figure-column order; the bounded entries are
 # in the order `noma-as bench` prints them.
 POLICIES = {
     ("fnoma", "es"): Policy(
         "fnoma_es",
         lambda h, g, rows, rho, b, **_: _es_fnoma_triples(h, g, rows, b, rho)[2],
-        count_es, "mean_sum", Bound("es_fnoma", "N*M*K", lambda n, m, k: n * m * k, True),
+        count_es, Bound("es_fnoma", "N*M*K", lambda n, m, k: n * m * k, True),
         depends="point",
         optimum=lambda h, g, rows, rho, b, **_: _es_fnoma_triples(
             h, g, rows, b, rho, pick=False)[:2]),
     ("crnoma", "es"): Policy(
         "cr_es",
         lambda h, g, rows, rho, r_th, **_: _es_crnoma_triples(h, g, rows, rho, r_th)[2],
-        count_es, "mean_r1", Bound("es_crnoma", "N*M*K", lambda n, m, k: n * m * k, True),
+        count_es, Bound("es_crnoma", "N*M*K", lambda n, m, k: n * m * k, True),
         depends="point",
         optimum=lambda h, g, rows, rho, r_th, **_: _es_crnoma_triples(
             h, g, rows, rho, r_th, pick=False)[:2]),
     ("fnoma", "a3"): _row_policy(
-        "a3", _a3_row, count_a3, "mean_sum",
-        Bound("a3", "N*(M+K+3)", lambda n, m, k: n * (m + k + 3)),
+        "a3", _a3_row, count_a3, Bound("a3", "N*(M+K+3)", lambda n, m, k: n * (m + k + 3)),
         "a3_avg_sum_rate"),
     ("fnoma", "aia"): _row_policy(
-        "aia", _aia_row, count_a3, "mean_sum",
-        Bound("aia", "N*(M+K+3)", lambda n, m, k: n * (m + k + 3)),
+        "aia", _aia_row, count_a3, Bound("aia", "N*(M+K+3)", lambda n, m, k: n * (m + k + 3)),
         "aia_avg_sum_rate"),
     ("crnoma", "mcg"): _row_policy(
-        "mcg", _a3_row, count_a3, "mean_r1",
-        Bound("mcg", "N*(M+K)+2", lambda n, m, k: n * (m + k) + 2),
+        "mcg", _a3_row, count_a3, Bound("mcg", "N*(M+K)+2", lambda n, m, k: n * (m + k) + 2),
         "mcg_avg_secondary_rate"),
     ("crnoma", "pu"): _row_policy(
-        "pu", _pu_row, count_pu, "mean_r1", Bound("pu", "N*K+M", lambda n, m, k: n * k + m),
+        "pu", _pu_row, count_pu, Bound("pu", "N*K+M", lambda n, m, k: n * k + m),
         "pu_avg_secondary_rate"),
     ("crnoma", "su"): _row_policy(
-        "su", _su_row, count_su, "mean_r1", Bound("su", "N*M+K", lambda n, m, k: n * m + k),
+        "su", _su_row, count_su, Bound("su", "N*M+K", lambda n, m, k: n * m + k),
         "su_avg_secondary_rate"),
     ("fnoma", "random"): Policy(
-        "fnoma_ra", _random_choice, lambda n, m, k: 0, "mean_sum", depends="shape"),
+        "fnoma_ra", _random_choice, lambda n, m, k: 0, depends="shape"),
     ("crnoma", "random"): Policy(
-        "cr_ra", _random_choice, lambda n, m, k: 0, "mean_r1", depends="shape"),
+        "cr_ra", _random_choice, lambda n, m, k: 0, depends="shape"),
     ("oma", "oma_es"): Policy(
-        "oma_es", lambda h, g, **_: _oma_indices(h, g),
-        count_oma, "mean_sum"),
+        "oma_es", lambda h, g, **_: _oma_indices(h, g), count_oma),
 }

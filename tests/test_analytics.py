@@ -17,7 +17,7 @@ from noma_as import (EULER_GAMMA, FadingConfig, figures, mcg_avg_secondary_rate,
 from noma_as import analytics
 from noma_as.analytics import _aia_offset, _aia_power_table, _mcg_offset, _prob_h_ge_g
 from noma_as.harness import apply_axis, load_validation_grid
-from noma_as.selection import POLICIES
+from noma_as.selection import METRIC, POLICIES
 from oracles import aia_strong_pdf
 
 mpmath.mp.dps = 30
@@ -45,8 +45,10 @@ MODES = {"a3": "fnoma", "aia": "fnoma", "pu": "crnoma", "su": "crnoma", "mcg": "
 
 
 def _assert_is_oracle(name, fading, b, r_th, where=None):
-    """The closed form of `name` at a point is within an ulp of its oracle."""
-    got = POLICIES[MODES[name], name].closed_form(fading, r_th)
+    """The closed form of `name` at a point is within an ulp of its oracle;
+    only the crnoma forms are given the rate floor."""
+    got = POLICIES[MODES[name], name].closed_form(fading,
+                                                  r_th if MODES[name] == "crnoma" else None)
     want = ORACLES[name](fading, b, r_th)
     assert abs(got - want) <= math.ulp(want), (where, name, fading, got, want)
 
@@ -269,7 +271,7 @@ def _analytic_cells():
                 for name in point.policies:
                     policy = POLICIES[point.mode, name]
                     # figure 5's base reads the fairness, so it shows no closed form
-                    if policy.closed_form and policy.metric in point.reads:
+                    if policy.closed_form and METRIC[point.mode] in point.reads:
                         yield (figure_id, x), name, point.fading, point.b, point.r_th
     for path in (ROOT / "perfbench" / "validate_grid.txt", ROOT / "scenarios" / "validate_grid.txt"):
         for point in load_validation_grid(path):
@@ -446,6 +448,17 @@ def test_secondary_rate_refuses_an_unusable_r_th(name, r_th):
     form = getattr(analytics, f"{name}_avg_secondary_rate")
     with pytest.raises(ValueError, match="r_th = "):
         form(FadingConfig(), r_th)
+
+
+def test_a_policy_closed_form_is_given_r_th_exactly_when_the_point_sets_one():
+    # a crnoma point sets its rate floor and an fnoma point none, so an
+    # fnoma form given a floor refuses it instead of dropping it
+    fading = FadingConfig(n_bs=2, ps_dbm=40.0)
+    pu, a3 = POLICIES["crnoma", "pu"].closed_form, POLICIES["fnoma", "a3"].closed_form
+    assert pu(fading, 5.0) == pu_avg_secondary_rate(fading, 5.0)
+    assert a3(fading, None) == a3_avg_sum_rate(fading)
+    with pytest.raises(TypeError):
+        a3(fading, 5.0)
 
 
 # --- quadrature oracle ---------------------------------------------------------

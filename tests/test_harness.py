@@ -22,7 +22,7 @@ from noma_as import (ConfigurationError, FadingConfig, Scenario,
                      load_scenario, load_validation_grid, run_point,
                      sample_channel_batch, sweep, validate_asymptotics)
 from noma_as.rates import _jain
-from noma_as.selection import POLICIES, _a3_row, _pu_row, row_stats
+from noma_as.selection import METRIC, POLICIES, _a3_row, _pu_row, row_stats
 from oracles import row_triple
 
 
@@ -440,7 +440,7 @@ def test_a_point_computes_only_the_means_it_reads(mode, monkeypatch):
             assert list(report.std_err) == keys
             assert (report.trials_used, report.mean_eval_count) == (
                 full[policy].trials_used, full[policy].mean_eval_count)
-        es_metric = POLICIES[mode, "es"].metric if mode != "oma" else None
+        es_metric = METRIC[mode] if mode != "oma" else None
         assert (gathered == []) == (mode == "oma" or reads == (es_metric,))
 
 
@@ -766,7 +766,7 @@ def test_a_figure_column_is_the_sweep_of_its_policy(figure_id, mode, policies):
             column = policy.column + ("_sim" if policy.closed_form else "") + suffix
             scn = Scenario(base.fading, mode, (name,), trials, 3, base.b, base.r_th)
             reports = sweep(scn, axis, grid, workers=1)
-            assert ([getattr(report, policy.metric) for _, report in reports]
+            assert ([getattr(report, METRIC[mode]) for _, report in reports]
                     == [cols[column] for _, cols in rows]), column
             swept += 1
     assert swept == len(policies) * (2 if figure_id == 7 else 1)
