@@ -6,9 +6,12 @@ a scenario file), `validate` (closed form vs Monte Carlo on a grid file),
 complexity bounds).
 
 Exit codes: 0 success, 1 configuration error, 2 validation-tolerance
-failure, 3 I/O error.  NOMA_SIM_WORKERS sets the number of worker processes,
-at most the CPUs this process may run on; a larger, zero or non-integer
-value is a configuration error.
+failure, 3 I/O error, 4 a worker process died (`BrokenProcessPool`), 130
+interrupted (Ctrl-C); 1, 3, 4 and 130 print one line on stderr.  A run that
+fails or is interrupted leaves its output file as it was.
+NOMA_SIM_WORKERS sets the number of worker processes, at most the CPUs
+this process may run on; a larger, zero or non-integer value is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 
 from .figures import open_csv, reproduce_figure, write_csv
@@ -27,6 +31,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_TOLERANCE = 2
 EXIT_IO = 3
+EXIT_WORKER = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 # bench audits max_dim**3 configurations; at 64 the command took 0.66 s,
 # start-up included, on a 2-CPU virtual machine
 MAX_DIM = 64
@@ -158,6 +164,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except BrokenProcessPool as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

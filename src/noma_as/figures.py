@@ -13,6 +13,9 @@ closed-form curves carry `_sim` / `_analytic` suffixes where both exist.
 
 from __future__ import annotations
 
+import itertools
+import os
+from contextlib import contextmanager
 from dataclasses import replace
 
 # The figures call neither run_point nor the closed forms by these names;
@@ -31,8 +34,6 @@ _D1_GRID = (50.0, 80.0, 100.0, 150.0, 175.0, 200.0, 225.0, 250.0, 300.0, 350.0, 
 _D2_GRID = tuple(float(d) for d in range(100, 425, 50))
 _N_GRID = tuple(range(1, 9))
 _RTH_GRID = tuple(float(r) for r in range(1, 9))
-
-FIGURE_IDS = tuple(range(1, 9))
 
 
 def _base(mode, fading, b=None, r_th=None):
@@ -112,9 +113,41 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
+@contextmanager
 def open_csv(path):
-    """`path` opened for `write_csv`: UTF-8, LF line endings."""
-    return open(path, "w", encoding="utf-8", newline="")
+    """A text file for `write_csv` (UTF-8, LF line endings) whose rows
+    replace `path` when the block ends.  Entering refuses a path that
+    `open(path, "w")` refuses, with that error, and leaves the target as it
+    was.  The rows go to a new file beside the target, created as that open
+    creates a file (mode 0o666 less the umask), which replaces the target
+    at the end; on any exception, KeyboardInterrupt included, the new file
+    is removed instead.  An existing target that is not a regular file (a
+    directory, /dev/null, a pipe) is opened with `open(path, "w")`."""
+    path = os.fspath(path)
+    existed = os.path.exists(path)
+    if existed and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            yield f
+        return
+    # refused as open(path, "w") refuses it, but neither truncated nor left
+    os.close(os.open(path, os.O_WRONLY | os.O_CREAT))
+    target = os.path.realpath(path)  # a symlink stays and its file is replaced
+    if not existed:
+        os.unlink(target)
+    for serial in itertools.count():
+        tmp = f"{target}.{os.getpid()}-{serial}.tmp"
+        try:
+            f = open(tmp, "x", encoding="utf-8", newline="")
+            break
+        except FileExistsError:
+            continue
+    try:
+        with f:
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_csv(f, header, rows):
@@ -128,9 +161,10 @@ def write_csv(f, header, rows):
 def reproduce_figure(figure_id: int, trials: int, seed: int, out_path,
                      workers=None):
     """Run one figure's full sweep and write its CSV; returns (axis name,
-    [(x, {column: value})]).  The file is opened once the figure's points
-    are checked and before the rows are first read, which runs every trial,
-    so a path that cannot be written fails first."""
+    [(x, {column: value})]).  The output is opened (`open_csv`) once the
+    figure's points are checked and before the rows are first read, which
+    runs every trial, so a path that cannot be written fails first, and a
+    run that fails leaves the file as it was."""
     axis, rows = _figure_run(figure_id, trials, seed, workers)
     with open_csv(out_path) as f:
         rows = list(rows)

@@ -1,6 +1,8 @@
+import concurrent.futures
 import csv
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -434,3 +436,122 @@ def test_import_loads_numpy_with_one_blas_thread(tmp_path, openblas):
     assert env_value == str(openblas)
     if openblas is None:
         assert threads == "1"
+
+
+# --- a run that fails keeps the previous output ------------------------------
+
+LEAF_SCRIPT = """\
+import os
+import signal
+import sys
+
+from noma_as import cli, harness
+
+simulate_leaf = harness._simulate_leaf
+
+
+def leaf(task):
+    # the first leaf runs; any later one kills its worker or is interrupted
+    if task[1] > 0:
+        if sys.argv[1] == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise KeyboardInterrupt
+    return simulate_leaf(task)
+
+
+harness._simulate_leaf = leaf
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+# two leaves of each point, so a run reaches a leaf with t0 > 0
+TWO_LEAF_SCENARIO = SCENARIO_TEXT.replace("trials = 300", f"trials = {2 * harness._CHUNK}")
+
+
+def _usable_cpus():
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _argv(command, tmp_path, out):
+    """A figure or a `sweep --out` of two leaves per point, writing `out`."""
+    if command == "figure":
+        return ["figure", "--id", "1", "--trials", str(2 * harness._CHUNK), "--out", str(out)]
+    scenario = tmp_path / "two_leaves.txt"
+    scenario.write_text(TWO_LEAF_SCENARIO)
+    return ["sweep", "--scenario", str(scenario), "--axis", "ps_dbm", "--values", "10,20",
+            "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["figure", "sweep"])
+@pytest.mark.parametrize("action, workers, code, err", [
+    pytest.param("kill", "2", 4, None, id="dead-worker",
+                 marks=pytest.mark.skipif(_usable_cpus() < 2, reason="needs 2 usable CPUs")),
+    pytest.param("interrupt", "1", 130, "interrupted\n", id="interrupted"),
+])
+def test_a_failed_run_exits_with_one_line_and_keeps_the_previous_output(
+        tmp_path, command, action, workers, code, err):
+    # a child interpreter whose leaves past the first kill their own worker
+    # or raise KeyboardInterrupt, as Ctrl-C does; only its processes are hit
+    script = tmp_path / "leaf.py"
+    script.write_text(LEAF_SCRIPT)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "previous.csv"
+    out.write_bytes(b"previous,bytes\r\n1,2\n")
+    done = subprocess.run([sys.executable, str(script), action, *_argv(command, tmp_path, out)],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=_fresh_env(NOMA_SIM_WORKERS=workers), timeout=300)
+    assert done.returncode == code, done.stderr
+    if err is None:
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    else:
+        assert done.stderr == err
+    assert out.read_bytes() == b"previous,bytes\r\n1,2\n"
+    assert os.listdir(out_dir) == ["previous.csv"]
+
+
+@pytest.mark.parametrize("argv", [["figure", "--id", "1", "--trials", "64"],
+                                  ["sweep", "--axis", "ps_dbm", "--values", "10,20"]])
+def test_a_run_over_an_existing_file_writes_what_a_fresh_path_gets(tmp_path, monkeypatch,
+                                                                    argv):
+    # the rows replace the old file whole, with the mode a new file gets
+    monkeypatch.setenv("NOMA_SIM_WORKERS", "1")
+    if argv[0] == "sweep":
+        argv = argv + ["--scenario", _scenario_file(tmp_path)]
+    fresh, existing = tmp_path / "fresh", tmp_path / "existing"
+    fresh.mkdir()
+    existing.mkdir()
+    old = existing / "out.csv"
+    old.write_bytes(b"x" * 100_000)
+    old.chmod(0o600)
+    umask = os.umask(0o027)
+    try:
+        assert main(argv + ["--out", str(fresh / "out.csv")]) == 0
+        assert main(argv + ["--out", str(old)]) == 0
+    finally:
+        os.umask(umask)
+    assert old.read_bytes() == (fresh / "out.csv").read_bytes()
+    assert old.stat().st_mode & 0o777 == 0o640
+    assert os.listdir(existing) == ["out.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pipe_or_a_symlink_as_the_output_stays_what_it_is(tmp_path):
+    # a target that is not a regular file is written in place, and a
+    # symlink's file is replaced with the link kept
+    argv = ["figure", "--id", "5", "--trials", "64", "--out"]
+    fresh = tmp_path / "fresh.csv"
+    assert main(argv + [str(fresh)]) == 0
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    with concurrent.futures.ThreadPoolExecutor(1) as reader:
+        read = reader.submit(pipe.read_bytes)
+        assert main(argv + [str(pipe)]) == 0
+        assert read.result(timeout=60) == fresh.read_bytes()
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
+    (tmp_path / "file.csv").write_bytes(b"old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to("file.csv")
+    assert main(argv + [str(link)]) == 0
+    assert link.is_symlink() and link.read_bytes() == fresh.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["file.csv", "fresh.csv", "link.csv", "pipe"]

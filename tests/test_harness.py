@@ -772,7 +772,7 @@ def test_a_figure_column_is_the_sweep_of_its_policy(figure_id, mode, policies):
     assert swept == len(policies) * (2 if figure_id == 7 else 1)
 
 
-@pytest.mark.parametrize("figure_id", figures.FIGURE_IDS)
+@pytest.mark.parametrize("figure_id", sorted(figures._FIGURES))
 def test_figures_read_their_columns_only_and_write_the_same_bytes(figure_id, tmp_path,
                                                                   monkeypatch):
     # each figure point reads the one mean its columns show; its CSV is the

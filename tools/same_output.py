@@ -17,9 +17,12 @@ into either tree.  The commands:
 - ``validate`` on ``scenarios/validate_grid.txt`` and
   ``perfbench/validate_grid.txt``, with ``NOMA_SIM_WORKERS`` 1 and 2 (the
   second grid is 13 tasks, more than 2 workers keep in flight);
+- ``figure`` 1 with ``--out missing/figure.csv``, refused (no such
+  directory);
 - ``sweep --scenario scenarios/fig1_a3.txt`` over ``ps_dbm`` 0,10,20,30,40,
   ``n_bs`` 1,2,4,8, ``d1`` 50,1e-100,80 (the last refused) and ``b``
-  0.1,0.3,0.5;
+  0.1,0.3,0.5, and over ``ps_dbm`` 0,20,40 with ``--out sweep.csv``: the
+  CSV too;
 - ``bench --max-dim 8``;
 - ``sweep --scenario`` (over ``d2`` 100) and ``validate --grid`` on each of
   the ``REFUSED`` texts below, most of which the loaders refuse: the
@@ -92,6 +95,9 @@ def commands(trials, seed):
                         ["figure", "--id", str(figure), "--trials", str(trials),
                          "--seed", str(seed), "--out", "figure.csv"],
                         workers, "figure.csv", None))
+    out.append(("figure 1 --out missing/figure.csv",
+                ["figure", "--id", "1", "--trials", str(trials), "--seed", str(seed),
+                 "--out", "missing/figure.csv"], "1", None, None))
     for grid in INPUTS[1:]:
         for workers in ("1", "2"):
             out.append((f"validate {grid} workers={workers}", ["validate", "--grid", grid],
@@ -99,6 +105,9 @@ def commands(trials, seed):
     for axis, values in SWEEPS:
         out.append((f"sweep {axis} {values}", ["sweep", "--scenario", INPUTS[0], "--axis", axis,
                                                "--values", values], None, None, None))
+    out.append(("sweep ps_dbm 0,20,40 --out sweep.csv",
+                ["sweep", "--scenario", INPUTS[0], "--axis", "ps_dbm", "--values", "0,20,40",
+                 "--out", "sweep.csv"], None, "sweep.csv", None))
     out.append(("bench --max-dim 8", ["bench", "--max-dim", "8"], None, None, None))
     for name, text in REFUSED.items():
         out.append((f"sweep {name}", ["sweep", "--scenario", "input.txt", "--axis", "d2",
