@@ -269,9 +269,8 @@ class Policy:
     `METRIC[mode]`, given r_th exactly when the point sets one: an fnoma
     form refuses a rate floor with a TypeError.  Closed forms and the
     search, random and oma kernels are looked up on their modules at call
-    time, so a
-    function replaced there after import (as the benchmark's tracer does)
-    is the one that runs.
+    time, so a function replaced there after import (as the benchmark's
+    tracer does) is the one that runs.
     depends says what the choice reads: "shape" the antenna counts, seed
     and trials alone (random), "gains" the gains too, "point" rho, b and
     r_th as well (the exhaustive searches).
