@@ -18,9 +18,9 @@ A point names the `RateReport` means it reads (`Scenario.reads`), and a leaf
 computes only those, each reduced on its own.  Where a point reads only its
 mode's metric (`selection.METRIC`), which its exhaustive search maximizes,
 the search's row-max candidates (`Policy.optimum`) are the per-trial
-values: the search
-reports their optimum and a row-max policy (`Policy.row`) the candidate of
-its row, bit for bit the rate formula at their gains, which neither meets.
+values: the search reports their optimum and a row-max policy
+(`Policy.row`) the candidate of its row, bit for bit the rate formula at
+their gains, which neither meets.
 
 A figure, sweep or validation builds one `Run` from all its points and
 groups them by what their draws depend on: the user antenna counts M and K,

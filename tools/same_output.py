@@ -14,11 +14,11 @@ into either tree.  The commands:
   1 and 2: the CSV, stdout and stderr;
 - ``figure`` 1 with ``NOMA_SIM_WORKERS`` 1.5 and the usable CPUs + 1, both
   refused;
+- ``figure`` 1 with ``--out missing/figure.csv``, refused (no such
+  directory);
 - ``validate`` on ``scenarios/validate_grid.txt`` and
   ``perfbench/validate_grid.txt``, with ``NOMA_SIM_WORKERS`` 1 and 2 (the
   second grid is 13 tasks, more than 2 workers keep in flight);
-- ``figure`` 1 with ``--out missing/figure.csv``, refused (no such
-  directory);
 - ``sweep --scenario scenarios/fig1_a3.txt`` over ``ps_dbm`` 0,10,20,30,40,
   ``n_bs`` 1,2,4,8, ``d1`` 50,1e-100,80 (the last refused) and ``b``
   0.1,0.3,0.5, and over ``ps_dbm`` 0,20,40 with ``--out sweep.csv``: the
