@@ -90,9 +90,10 @@ def _cmd_sweep(args) -> int:
               "trials", "mean_eval_count"]
     # the output is opened once every point is checked, before any trial runs
     with open_csv(args.out) if args.out else nullcontext(sys.stdout) as f:
-        rows = [[v, *(getattr(r, q) for q in QUANTITIES), *r.std_err.values(),
-                 r.trials_used, r.mean_eval_count]
-                for v, [(_, reports)] in results for r in reports.values()]
+        rows = [[v, *(getattr(r, q) for q in QUANTITIES), *r.std_err.values(), point.trials,
+                 POLICIES[point.mode, name].count(point.fading.n_bs, point.fading.m_ue1,
+                                                  point.fading.k_ue2)]
+                for v, [(point, reports)] in results for name, r in reports.items()]
         write_csv(f, header, rows)
     if args.out:
         print(f"sweep over {args.axis}: wrote {args.out}")

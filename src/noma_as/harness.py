@@ -147,8 +147,6 @@ class RateReport:
     mean_sum: float | None
     mean_fairness: float | None
     std_err: dict
-    trials_used: int
-    mean_eval_count: float
 
 
 # The choice of each (mode, policy) (`Policy.choose`), looked up here at
@@ -360,15 +358,11 @@ def _make_report(r1, r2, reads):
     return out
 
 
-def _report(trials, sums, m2, eval_count, reads):
+def _report(trials, sums, m2, reads):
     mean = dict(zip(reads, map(float, sums / trials)))
     se = np.sqrt(m2 / (trials - 1)) / math.sqrt(trials) if trials > 1 else np.zeros(len(reads))
-    return RateReport(
-        **{q: mean.get(q) for q in QUANTITIES},
-        std_err={q.removeprefix("mean_"): float(v) for q, v in zip(reads, se)},
-        trials_used=trials,
-        mean_eval_count=float(eval_count),
-    )
+    return RateReport(**{q: mean.get(q) for q in QUANTITIES},
+                      std_err={q.removeprefix("mean_"): float(v) for q, v in zip(reads, se)})
 
 
 def run_point(fading, mode, policies, trials, seed, b=None, r_th=None,
@@ -390,9 +384,7 @@ def run_point(fading, mode, policies, trials, seed, b=None, r_th=None,
     if moments is None:
         raise ValueError(f"{point} is not a point of this run")
     sums, m2 = moments
-    n, m, k = fading.n_bs, fading.m_ue1, fading.k_ue2
-    return {p: _report(trials, sums[i], m2[i], POLICIES[mode, p].count(n, m, k), point.reads)
-            for i, p in enumerate(policies)}
+    return {p: _report(trials, sums[i], m2[i], point.reads) for i, p in enumerate(policies)}
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 import oracles
 from noma_as import FadingConfig, harness
 from noma_as.cli import main
+from noma_as.selection import POLICIES
 
 SCENARIO_TEXT = """\
 mode = fnoma
@@ -141,7 +142,9 @@ def test_sweep_to_stdout(tmp_path, capsys):
     scn = harness.apply_axis(harness.load_scenario(path), "d2", 150.0)
     (report,) = harness.run_point(**vars(scn)).values()
     row = [150.0, report.mean_r1, report.mean_r2, report.mean_sum, report.mean_fairness,
-           *report.std_err.values(), report.trials_used, report.mean_eval_count]
+           *report.std_err.values(), scn.trials,
+           POLICIES[scn.mode, "a3"].count(scn.fading.n_bs, scn.fading.m_ue1,
+                                          scn.fading.k_ue2)]
     assert lines[1] == ",".join(format(float(v), ".17g") for v in row)
 
 

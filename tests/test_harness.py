@@ -281,7 +281,6 @@ def test_single_trial_equals_direct_computation():
     assert report.mean_sum == r1 + r2
     assert report.mean_fairness == _jain(r1, r2, r1 + r2)
     assert report.std_err["sum"] == 0.0
-    assert report.trials_used == 1
 
 
 def test_single_trial_crnoma_equals_direct_computation():
@@ -313,8 +312,7 @@ def test_report_sanity():
     rep = _one_report(_cr_scn(trials=5000), workers=1)
     assert 0.5 <= rep.mean_fairness <= 1.0
     assert all(v >= 0.0 for v in rep.std_err.values())
-    assert rep.mean_eval_count == (4 * 2 - 1) + (2 - 1)
-    assert rep.trials_used == 5000
+    assert POLICIES["crnoma", "pu"].count(4, 2, 2) == (4 * 2 - 1) + (2 - 1)
 
 
 def test_policies_share_realizations():
@@ -406,7 +404,6 @@ def test_run_point_matches_numpy_over_the_per_trial_arrays(mode, trials):
             assert getattr(report, f"mean_{key}") == x.mean()
             se = x.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
             assert report.std_err[key] == pytest.approx(se, rel=1e-12, abs=0)
-        assert report.trials_used == trials
 
 
 _FNOMA_ALL = ("es", "a3", "aia", "random")
@@ -438,8 +435,6 @@ def test_a_point_computes_only_the_means_it_reads(mode, monkeypatch):
             keys = [q.removeprefix("mean_") for q in reads]
             assert report.std_err == {key: full[policy].std_err[key] for key in keys}
             assert list(report.std_err) == keys
-            assert (report.trials_used, report.mean_eval_count) == (
-                full[policy].trials_used, full[policy].mean_eval_count)
         es_metric = METRIC[mode] if mode != "oma" else None
         assert (gathered == []) == (mode == "oma" or reads == (es_metric,))
 
@@ -471,7 +466,7 @@ def test_the_parent_holds_no_per_trial_array(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert reports["es"].trials_used == 2 ** 17
+    assert list(reports) == list(_CR_ALL)
     assert peak < 2 ** 20
 
 
