@@ -138,10 +138,12 @@ class FadingConfig:
             (("ps_dbm", "sigma2_dbm"), lambda v: _is_real(v) and math.isfinite(v),
              "power levels must be finite")))
         omegas = _power(self.d1, self.alpha), _power(self.d2, self.alpha)
-        if not all(0 < w < math.inf for w in omegas):
-            raise ConfigurationError(f"alpha = {self.alpha}: path loss "
-                                     f"d1**alpha or d2**alpha is out of float range",
-                                     ("alpha",))
+        out = [key for key, w in zip(("d1", "d2"), omegas) if not 0 < w < math.inf]
+        if out:  # one distance out of range is named with alpha; both, alpha alone
+            keys = (*out, "alpha") if len(out) == 1 else ("alpha",)
+            raise ConfigurationError(
+                ", ".join(f"{k} = {getattr(self, k)}" for k in keys) + ": path loss "
+                + " or ".join(f"{k}**alpha" for k in out) + " is out of float range", keys)
         rho = _power(10.0, (self.ps_dbm - self.sigma2_dbm) / 10.0)
         if not 0 < rho < math.inf:
             keys = ("ps_dbm", "sigma2_dbm")  # the larger magnitude first

@@ -456,7 +456,7 @@ class ValidationPoint:
         closed_form = POLICIES[scn.mode, policy].closed_form
         if closed_form is None:
             raise ConfigurationError(
-                f"no closed form for policy {policy!r} in mode {scn.mode!r}")
+                f"no closed form for policy {policy!r} in mode {scn.mode!r}", ("policy", "mode"))
         fading = scn.fading
         try:
             value = closed_form(fading, scn.r_th)

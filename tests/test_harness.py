@@ -1078,6 +1078,23 @@ def test_scenario_file_names_the_line_of_an_infinite_distance_or_exponent(tmp_pa
     assert info.value.keys == (key,)
 
 
+@pytest.mark.parametrize("key, value, line", [("d1", "1e-200", 7), ("d2", "1e200", 8),
+                                             ("alpha", "300", 9)])
+def test_scenario_file_names_the_line_of_a_path_loss_out_of_float_range(tmp_path, key, value,
+                                                                        line):
+    # one distance's d**alpha out of range names that distance; both, the exponent
+    path = tmp_path / "scn.txt"
+    text = "".join(f"{key} = {value}\n" if raw.startswith(f"{key} =") else raw
+                   for raw in SCENARIO_TEXT.splitlines(keepends=True))
+    path.write_text(text)
+    with pytest.raises(ConfigurationError) as info:
+        load_scenario(path)
+    named = "d1**alpha or d2**alpha" if key == "alpha" else f"{key}**alpha"
+    assert str(info.value).startswith(f"{path}:{line}: {key} = ")
+    assert str(info.value).endswith(f": path loss {named} is out of float range")
+    assert info.value.keys == ((key, "alpha") if key != "alpha" else ("alpha",))
+
+
 def test_the_key_table_is_the_fading_and_scenario_fields_and_the_tolerance():
     fading = {f.name for f in dataclasses.fields(FadingConfig) if f.init}
     assert set(harness._KEYS) == fading | {"mode", "policy", "b", "r_th", "trials", "seed",
@@ -1147,6 +1164,15 @@ def test_validation_grid_refuses_a_closed_form_before_any_point_runs(tmp_path,
     assert str(info.value).startswith(f"{path}:12: n_bs = 100, m_ue1 = 2, k_ue2 = 2: ")
     assert info.value.keys == ("n_bs", "m_ue1", "k_ue2")
     assert ran == []
+
+
+def test_validation_grid_names_the_policy_line_of_a_policy_without_a_closed_form(tmp_path):
+    path = tmp_path / "grid.txt"
+    path.write_text(GRID_TEXT.replace("policy = pu\n", "") + "policy = random\n")
+    with pytest.raises(ConfigurationError) as info:
+        load_validation_grid(path)
+    assert str(info.value) == f"{path}:16: no closed form for policy 'random' in mode 'crnoma'"
+    assert info.value.keys == ("policy", "mode")
 
 
 def test_validation_grid_rejects_a_bad_tolerance(tmp_path):
