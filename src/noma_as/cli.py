@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from contextlib import nullcontext
 
 from .figures import open_csv, reproduce_figure, write_csv
@@ -165,7 +165,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except BrokenProcessPool as exc:
+    except BrokenExecutor as exc:  # BrokenProcessPool included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WORKER
     except KeyboardInterrupt:

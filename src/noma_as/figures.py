@@ -123,7 +123,7 @@ def open_csv(path):
     at the end; on any exception, KeyboardInterrupt included, the new file
     is removed instead.  An existing target that is not a regular file (a
     directory, /dev/null, a pipe) is opened with `open(path, "w")`."""
-    path = os.fspath(path)
+    path = os.fsdecode(path)
     existed = os.path.exists(path)
     if existed and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="") as f:

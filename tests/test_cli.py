@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from noma_as import FadingConfig, harness
+from noma_as import FadingConfig, figures, harness
 from noma_as.cli import main
 from noma_as.selection import POLICIES
 
@@ -146,6 +146,19 @@ def test_sweep_to_stdout(tmp_path, capsys):
            POLICIES[scn.mode, "a3"].count(scn.fading.n_bs, scn.fading.m_ue1,
                                           scn.fading.k_ue2)]
     assert lines[1] == ",".join(format(float(v), ".17g") for v in row)
+
+
+def test_a_sweep_over_n_bs_counts_the_comparisons_of_each_point(tmp_path, capsys):
+    path = _scenario_file(tmp_path)
+    assert main(["sweep", "--scenario", path, "--axis", "n_bs", "--values", "1,2,4"]) == 0
+    header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+    assert header[0] == "n_bs" and header[-2:] == ["trials", "mean_eval_count"]
+    assert [float(row[0]) for row in rows] == [1.0, 2.0, 4.0]
+    trials = harness.load_scenario(path).trials
+    for row in rows:
+        n = int(float(row[0]))
+        assert float(row[-2]) == trials
+        assert float(row[-1]) == POLICIES["fnoma", "a3"].count(n, 2, 2)
 
 
 def test_sweep_bad_axis(tmp_path):
@@ -558,3 +571,14 @@ def test_a_pipe_or_a_symlink_as_the_output_stays_what_it_is(tmp_path):
     assert main(argv + [str(link)]) == 0
     assert link.is_symlink() and link.read_bytes() == fresh.read_bytes()
     assert sorted(os.listdir(tmp_path)) == ["file.csv", "fresh.csv", "link.csv", "pipe"]
+
+
+def test_a_bytes_or_path_like_output_gets_what_a_str_output_gets(tmp_path):
+    # the new file beside the target is named from the decoded path
+    for target in (str(tmp_path / "str.csv"), os.fsencode(tmp_path / "bytes.csv"),
+                   tmp_path / "path.csv"):
+        figures.reproduce_figure(5, 64, 1, target, workers=1)
+    expected = (tmp_path / "str.csv").read_bytes()
+    assert (tmp_path / "bytes.csv").read_bytes() == expected
+    assert (tmp_path / "path.csv").read_bytes() == expected
+    assert sorted(os.listdir(tmp_path)) == ["bytes.csv", "path.csv", "str.csv"]
