@@ -81,6 +81,7 @@ REFUSED = {
         _BLOCK + b"\n" + _BLOCK.replace(b"n_bs = 2", b"n_bs = 100"),
     "tolerance = -0.5": _BLOCK + b"tolerance = -0.5\n",
     "blocks split by a comment": _BLOCK + b"# second point\n" + _BLOCK.replace(b"a3", b"aia"),
+    "d1 path loss underflows": _BLOCK + b"d1 = 1e-200\n",
 }
 
 
