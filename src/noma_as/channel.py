@@ -139,8 +139,8 @@ class FadingConfig:
              "power levels must be finite")))
         omegas = _power(self.d1, self.alpha), _power(self.d2, self.alpha)
         out = [key for key, w in zip(("d1", "d2"), omegas) if not 0 < w < math.inf]
-        if out:  # one distance out of range is named with alpha; both, alpha alone
-            keys = (*out, "alpha") if len(out) == 1 else ("alpha",)
+        if out:  # one distance out of range is named with alpha; both, after alpha
+            keys = (*out, "alpha") if len(out) == 1 else ("alpha", *out)
             raise ConfigurationError(
                 ", ".join(f"{k} = {getattr(self, k)}" for k in keys) + ": path loss "
                 + " or ".join(f"{k}**alpha" for k in out) + " is out of float range", keys)

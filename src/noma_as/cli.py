@@ -100,23 +100,21 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+_VERDICTS = {"pass": "PASS", "fail": "FAIL",
+             "not-applicable": "N/A (SNR below asymptotic domain)"}
+
+
 def _cmd_validate(args) -> int:
-    results = validate_asymptotics(load_validation_grid(args.grid))
-    failed = False
-    for res in results:
-        scn = res.scenario
+    points = load_validation_grid(args.grid)
+    results = validate_asymptotics(points)
+    for point, res in zip(points, results):
+        scn = point.scenario
         label = (f"{scn.policies[0]:>4s} {scn.mode:<6s} N={scn.fading.n_bs} "
                  f"ps={scn.fading.ps_dbm:g}dBm d1={scn.fading.d1:g} d2={scn.fading.d2:g}")
-        line = (f"{label}: closed={res.closed_form:.6g} mc={res.monte_carlo:.6g} "
-                f"gap={100 * res.rel_gap:.3f}% tol={100 * res.tolerance:g}%")
-        if res.status == "not-applicable":
-            print(f"{line} N/A (SNR below asymptotic domain)")
-        elif res.status == "pass":
-            print(f"{line} PASS")
-        else:
-            print(f"{line} FAIL")
-            failed = True
-    return EXIT_TOLERANCE if failed else EXIT_OK
+        print(f"{label}: closed={point.closed_form:.6g} mc={res.monte_carlo:.6g} "
+              f"gap={100 * res.rel_gap:.3f}% tol={100 * point.tolerance:g}% "
+              f"{_VERDICTS[res.status]}")
+    return EXIT_TOLERANCE if any(r.status == "fail" for r in results) else EXIT_OK
 
 
 def _cmd_bench(args) -> int:

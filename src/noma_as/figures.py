@@ -46,7 +46,8 @@ def _base(mode, fading, b=None, r_th=None):
 def _columns(base, point, reports):
     """One column per policy, or a `_sim`/`_analytic` pair where the policy
     has a closed form; a base that reads only the mean Jain fairness
-    (figure 5) has one `jain_` column per policy."""
+    (figure 5) has one `jain_` column per policy.  The base, not the point,
+    picks the columns: a point may read more means than its base shows."""
     if base.reads == ("mean_fairness",):
         return {f"jain_{name}": reports[name].mean_fairness for name in point.policies}
     cols = {}

@@ -441,12 +441,13 @@ class ValidationPoint:
 
     The scenario runs one policy.  Its tolerance and closed form are checked
     when the point is built, so a bad tolerance or a closed form that
-    refuses the antenna counts fails before any point of a run starts.
+    refuses the antenna counts fails before any point of a run starts; a
+    run's `ValidationResult` holds only what the simulation adds.
     """
 
     scenario: Scenario
     tolerance: float  # relative gap allowed
-    _closed_form: float = field(init=False, repr=False, compare=False)
+    closed_form: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check(self, ((("tolerance",), lambda v: _is_real(v) and 0 < v < math.inf,
@@ -465,12 +466,12 @@ class ValidationPoint:
                 f"n_bs = {fading.n_bs}, m_ue1 = {fading.m_ue1}, k_ue2 = {fading.k_ue2}: "
                 f"the {policy} closed form refuses these antenna counts: {exc}",
                 ("n_bs", "m_ue1", "k_ue2")) from None
-        object.__setattr__(self, "_closed_form", value)
+        object.__setattr__(self, "closed_form", value)
 
 
 @dataclass(frozen=True)
 class ValidationResult:
-    """One point's closed form against its Monte Carlo estimate.
+    """One `ValidationPoint`'s Monte Carlo estimate and verdict.
 
     std_err is the estimate's standard error and sigma_gap the gap
     |closed_form - monte_carlo| in units of it: a gap of a few sigma is
@@ -478,11 +479,8 @@ class ValidationResult:
     tolerance does not cover.
     """
 
-    scenario: Scenario
-    closed_form: float
     monte_carlo: float
     rel_gap: float
-    tolerance: float
     status: str  # "pass" | "fail" | "not-applicable"
     std_err: float
     sigma_gap: float
@@ -490,33 +488,31 @@ class ValidationResult:
 
 def validate_asymptotics(points, workers=None):
     """Relative gap between each point's closed form and its Monte Carlo
-    estimate, judged against the point's tolerance.
+    estimate, judged against the point's tolerance: one `ValidationResult`
+    per point, in order.
 
     Points whose SNR sits below the asymptotic validity domain are reported
     with their (typically large) gap but flagged not-applicable rather than
     failed.
     """
     results = []
-    scenarios = [p.scenario for p in points]
-    simulated = [replace(s, reads=(METRIC[s.mode],)) for s in scenarios]
+    simulated = [replace(p.scenario, reads=(METRIC[p.scenario.mode],)) for p in points]
     run = Run(workers, simulated)
     for point, sim in zip(points, simulated):
-        scn = point.scenario
-        closed = point._closed_form
+        closed = point.closed_form
         (report,) = run_point(**vars(sim), workers=run).values()
         (metric,) = sim.reads
         mc = getattr(report, metric)
         se = report.std_err[metric.removeprefix("mean_")]
         gap = abs(closed - mc) / abs(mc) if mc != 0 else math.inf
-        if scn.fading.rho < ASYMPTOTIC_MIN_RHO:
+        if sim.fading.rho < ASYMPTOTIC_MIN_RHO:
             status = "not-applicable"
         elif gap <= point.tolerance:
             status = "pass"
         else:
             status = "fail"
         sigmas = abs(closed - mc) / se if se > 0 else (0.0 if closed == mc else math.inf)
-        results.append(ValidationResult(scn, closed, mc, gap, point.tolerance, status,
-                                        se, sigmas))
+        results.append(ValidationResult(mc, gap, status, se, sigmas))
     return results
 
 

@@ -290,6 +290,28 @@ def test_validate_pass_and_fail(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_validate_prints_each_block_with_its_own_closed_form_tolerance_and_verdict(
+        tmp_path, capsys):
+    # PASS, N/A and FAIL blocks: each line reads its own point, in grid order
+    grid = tmp_path / "grid.txt"
+    grid.write_text("mode = fnoma\npolicy = a3\nps_dbm = 30\nb = 0.4\ntrials = 2000\n"
+                    "tolerance = 0.05\n\nmode = fnoma\npolicy = aia\nps_dbm = -100\nb = 0.4\n"
+                    "trials = 2000\n\nmode = crnoma\npolicy = mcg\nn_bs = 4\nps_dbm = 20\n"
+                    "r_th = 5\ntrials = 2000\ntolerance = 0.000001\n")
+    blocks = [("fnoma", "a3", FadingConfig(ps_dbm=30.0), None, "5%", "PASS"),
+              ("fnoma", "aia", FadingConfig(ps_dbm=-100.0), None, "2%",
+               "N/A (SNR below asymptotic domain)"),
+              ("crnoma", "mcg", FadingConfig(n_bs=4, ps_dbm=20.0), 5.0, "0.0001%", "FAIL")]
+    assert main(["validate", "--grid", str(grid)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(blocks)
+    for line, (mode, policy, fading, r_th, tol, verdict) in zip(lines, blocks):
+        closed = POLICIES[mode, policy].closed_form(fading, r_th)
+        assert line.startswith(f"{policy:>4s} {mode:<6s} N={fading.n_bs} ")
+        assert f": closed={closed:.6g} mc=" in line
+        assert line.endswith(f" tol={tol} {verdict}")
+
+
 def test_validate_low_snr_not_applicable(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text("mode = fnoma\npolicy = a3\nps_dbm = -100\nb = 0.4\n"

@@ -982,27 +982,41 @@ def test_validate_asymptotics_passes_at_high_snr():
     ]
     results = validate_asymptotics(points, workers=1)
     assert [r.status for r in results] == ["pass"] * 3
-    for r in results:
-        assert r.rel_gap <= r.tolerance
+    for point, r in zip(points, results):
+        assert r.rel_gap <= point.tolerance
 
 
 def test_validation_result_carries_the_monte_carlo_error(monkeypatch):
     # a PASS point: the report's standard error, the gap in units of it
     scn = _cr_scn(policies=("mcg",), trials=20_000)
     report = _one_report(scn, workers=1)
-    res = validate_asymptotics([ValidationPoint(scn, 0.02)], workers=1)[0]
+    point = ValidationPoint(scn, 0.02)
+    res = validate_asymptotics([point], workers=1)[0]
     assert res.status == "pass"
     assert res.monte_carlo == report.mean_r1
     assert res.std_err == report.std_err["r1"] > 0
-    assert res.sigma_gap == abs(res.closed_form - res.monte_carlo) / res.std_err < 5
+    assert res.sigma_gap == abs(point.closed_form - res.monte_carlo) / res.std_err < 5
     # a fabricated FAIL: a closed form 5% off lies far outside the noise
     policy = POLICIES["crnoma", "mcg"]
     monkeypatch.setitem(POLICIES, ("crnoma", "mcg"), replace(
         policy, closed_form=lambda *args: 1.05 * policy.closed_form(*args)))
-    bad = validate_asymptotics([ValidationPoint(scn, 0.02)], workers=1)[0]
+    bad_point = ValidationPoint(scn, 0.02)
+    bad = validate_asymptotics([bad_point], workers=1)[0]
     assert bad.status == "fail"
     assert (bad.monte_carlo, bad.std_err) == (res.monte_carlo, res.std_err)
-    assert bad.sigma_gap == abs(bad.closed_form - bad.monte_carlo) / bad.std_err > 50
+    assert bad.sigma_gap == abs(bad_point.closed_form - bad.monte_carlo) / bad.std_err > 50
+
+
+def test_a_validation_result_holds_only_what_its_run_measured():
+    # the scenario, tolerance and closed form are read from the point
+    assert [f.name for f in dataclasses.fields(harness.ValidationResult)] == [
+        "monte_carlo", "rel_gap", "status", "std_err", "sigma_gap"]
+
+
+@pytest.mark.parametrize("scn", [_fnoma_scn(policies=("aia",)), _cr_scn(policies=("mcg",))])
+def test_a_validation_point_holds_its_closed_form_from_when_it_is_built(scn):
+    closed_form = POLICIES[scn.mode, scn.policies[0]].closed_form(scn.fading, scn.r_th)
+    assert ValidationPoint(scn, 0.02).closed_form == closed_form
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, -0.5, 0.0, math.inf, -math.inf])
@@ -1082,7 +1096,8 @@ def test_scenario_file_names_the_line_of_an_infinite_distance_or_exponent(tmp_pa
                                              ("alpha", "300", 9)])
 def test_scenario_file_names_the_line_of_a_path_loss_out_of_float_range(tmp_path, key, value,
                                                                         line):
-    # one distance's d**alpha out of range names that distance; both, the exponent
+    # one distance's d**alpha out of range names that distance; both, the
+    # exponent and then the distances
     path = tmp_path / "scn.txt"
     text = "".join(f"{key} = {value}\n" if raw.startswith(f"{key} =") else raw
                    for raw in SCENARIO_TEXT.splitlines(keepends=True))
@@ -1092,7 +1107,20 @@ def test_scenario_file_names_the_line_of_a_path_loss_out_of_float_range(tmp_path
     named = "d1**alpha or d2**alpha" if key == "alpha" else f"{key}**alpha"
     assert str(info.value).startswith(f"{path}:{line}: {key} = ")
     assert str(info.value).endswith(f": path loss {named} is out of float range")
-    assert info.value.keys == ((key, "alpha") if key != "alpha" else ("alpha",))
+    assert info.value.keys == ((key, "alpha") if key != "alpha" else ("alpha", "d1", "d2"))
+
+
+def test_scenario_file_without_alpha_names_the_d1_line_when_both_path_losses_leave_range(
+        tmp_path):
+    path = tmp_path / "scn.txt"
+    text = "".join(raw for raw in SCENARIO_TEXT.splitlines(keepends=True)
+                   if not raw.startswith("alpha ="))
+    path.write_text(text.replace("d1 = 80", "d1 = 1e-200").replace("d2 = 200", "d2 = 1e200"))
+    with pytest.raises(ConfigurationError) as info:
+        load_scenario(path)
+    assert str(info.value) == (f"{path}:7: alpha = 3.0, d1 = 1e-200, d2 = 1e+200: path loss "
+                               f"d1**alpha or d2**alpha is out of float range")
+    assert info.value.keys == ("alpha", "d1", "d2")
 
 
 def test_the_key_table_is_the_fading_and_scenario_fields_and_the_tolerance():

@@ -82,6 +82,12 @@ REFUSED = {
     "tolerance = -0.5": _BLOCK + b"tolerance = -0.5\n",
     "blocks split by a comment": _BLOCK + b"# second point\n" + _BLOCK.replace(b"a3", b"aia"),
     "d1 path loss underflows": _BLOCK + b"d1 = 1e-200\n",
+    "both path losses out of range": _BLOCK + b"d1 = 1e-200\nd2 = 1e200\n",
+    "alpha = 300": _BLOCK + b"alpha = 300\n",
+    # not refused by `validate`: one PASS, one N/A and one FAIL line, exit code 2
+    "three verdicts": _BLOCK + b"tolerance = 0.05\n\n"
+    + _BLOCK.replace(b"ps_dbm = 30", b"ps_dbm = -100") + b"\nmode = crnoma\npolicy = mcg\n"
+    b"n_bs = 4\nps_dbm = 20\nr_th = 5\ntrials = 2000\nseed = 1\ntolerance = 0.000001\n",
 }
 
 
