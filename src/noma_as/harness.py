@@ -474,9 +474,9 @@ class ValidationResult:
     """One `ValidationPoint`'s Monte Carlo estimate and verdict.
 
     std_err is the estimate's standard error and sigma_gap the gap
-    |closed_form - monte_carlo| in units of it: a gap of a few sigma is
-    sampling noise, a gap of hundreds a wrong formula or a bias the
-    tolerance does not cover.
+    |closed_form - monte_carlo|, closed_form the point's, in units of it:
+    a gap of a few sigma is sampling noise, a gap of hundreds a wrong
+    formula or a bias the tolerance does not cover.
     """
 
     monte_carlo: float
