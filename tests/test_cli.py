@@ -1,5 +1,7 @@
 import concurrent.futures
 import csv
+import dataclasses
+import itertools
 import math
 import os
 import stat
@@ -12,7 +14,7 @@ import pytest
 import oracles
 from noma_as import FadingConfig, figures, harness
 from noma_as.cli import main
-from noma_as.selection import POLICIES
+from noma_as.selection import POLICIES, Bound, count_a3
 
 SCENARIO_TEXT = """\
 mode = fnoma
@@ -383,6 +385,20 @@ def test_bench_all_within_bounds(capsys):
     out = capsys.readouterr().out
     assert "within bounds" in out
     assert "es_fnoma" in out
+
+
+def test_bench_prints_each_count_past_its_bound_and_fails(capsys, monkeypatch):
+    # a3 advertised as N: every configuration but (1, 1, 1) exceeds it
+    policy = POLICIES["fnoma", "a3"]
+    monkeypatch.setitem(POLICIES, ("fnoma", "a3"), dataclasses.replace(
+        policy, bound=Bound("a3", "N", lambda n, m, k: n)))
+    assert main(["bench", "--max-dim", "2"]) == 2
+    # the header and seven audited rows, then each excess and no success line
+    out = capsys.readouterr().out.splitlines()
+    assert out[3] == "        a3            N   [3, 7]"
+    assert out[8:] == [f"BOUND EXCEEDED: {('a3', n, m, k, count_a3(n, m, k))}"
+                           for n, m, k in itertools.product((1, 2), repeat=3)
+                           if (n, m, k) != (1, 1, 1)]
 
 
 @pytest.mark.parametrize("max_dim, code", [(64, 0), (65, 1)])
