@@ -7,8 +7,11 @@ complexity bounds).
 
 Exit codes: 0 success, 1 configuration error, 2 validation-tolerance
 failure, 3 I/O error, 4 a worker process died (`BrokenProcessPool`), 130
-interrupted (Ctrl-C); 1, 3, 4 and 130 print one line on stderr.  A run that
-fails or is interrupted leaves its output file as it was.
+interrupted (Ctrl-C), 143 and 129 ended by SIGTERM and SIGHUP; all but 0
+and 2 print one line on stderr.  A run that fails or is interrupted,
+SIGTERM and SIGHUP included, leaves its output file as it was, removes its
+`.tmp` and stops its workers; only SIGKILL leaves the `.tmp` and, at 2 or
+more workers, live workers behind.
 NOMA_SIM_WORKERS sets the number of worker processes, at most the CPUs
 this process may run on; a larger, zero or non-integer value is a
 configuration error.
@@ -17,8 +20,12 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
+import os
+import signal
 import sys
+import threading
 from concurrent.futures import BrokenExecutor
 from contextlib import nullcontext
 
@@ -32,7 +39,7 @@ EXIT_CONFIG = 1
 EXIT_TOLERANCE = 2
 EXIT_IO = 3
 EXIT_WORKER = 4
-EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it; 128 + n for signal n
 # bench audits max_dim**3 configurations; at 64 the command took 0.66 s,
 # start-up included, on a 2-CPU virtual machine
 MAX_DIM = 64
@@ -137,8 +144,26 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+# signals that end a run as Ctrl-C does: the new output file is removed and
+# the pool shut down
+_SIGNALS = [getattr(signal, name) for name in ("SIGTERM", "SIGHUP") if hasattr(signal, name)]
+
+
+def _interrupt(pid, signum, frame):
+    """Handler of `_SIGNALS` in the CLI process `pid`.  A pool worker
+    inherits it when forked, yet dies by the signal as by default, so a
+    worker ended alone is reported as a dead worker (exit 4)."""
+    if os.getpid() != pid:
+        signal.signal(signum, signal.SIG_DFL)
+        signal.raise_signal(signum)
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    handler = functools.partial(_interrupt, os.getpid())
+    previous = ({signum: signal.signal(signum, handler) for signum in _SIGNALS}
+                if threading.current_thread() is threading.main_thread() else {})
     try:
         args = parser.parse_args(argv)
         if args.command == "figure":
@@ -157,9 +182,15 @@ def main(argv=None) -> int:
     except BrokenExecutor as exc:  # BrokenProcessPool included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WORKER
-    except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+    except KeyboardInterrupt as exc:
+        if not exc.args:  # Ctrl-C
+            print("interrupted", file=sys.stderr)
+            return EXIT_INTERRUPTED
+        print(f"interrupted by {signal.Signals(exc.args[0]).name}", file=sys.stderr)
+        return 128 + exc.args[0]
+    finally:  # in-process callers keep their own handlers
+        for signum, old in previous.items():
+            signal.signal(signum, old)
 
 
 if __name__ == "__main__":

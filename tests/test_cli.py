@@ -4,9 +4,11 @@ import dataclasses
 import itertools
 import math
 import os
+import signal
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -501,19 +503,37 @@ import sys
 
 from noma_as import cli, harness
 
+CLI_PID = os.getpid()  # recorded before the pool forks
 simulate_leaf = harness._simulate_leaf
 
 
 def leaf(task):
-    # the first leaf runs; any later one kills its worker or is interrupted
-    if task[1] > 0:
-        if sys.argv[1] == "kill":
-            os.kill(os.getpid(), signal.SIGKILL)
+    # the first leaf runs; a later one kills its worker by SIGKILL or SIGTERM
+    # or is interrupted, as Ctrl-C does; or the second leaf sends the CLI a
+    # signal and runs on
+    action = sys.argv[1]
+    if action in ("SIGTERM", "SIGHUP") and task[1] == harness._CHUNK:
+        os.kill(CLI_PID, getattr(signal, action))
+    elif action in ("kill", "term") and task[1] > 0:
+        os.kill(os.getpid(), signal.SIGKILL if action == "kill" else signal.SIGTERM)
+    elif action == "interrupt" and task[1] > 0:
         raise KeyboardInterrupt
     return simulate_leaf(task)
 
 
+def record_pid():
+    open(os.path.join("pids", str(os.getpid())), "x").close()
+
+
+class Pool(harness.ProcessPoolExecutor):
+    # each worker records its pid in ./pids when it starts
+    def __init__(self, max_workers):
+        super().__init__(max_workers, initializer=record_pid)
+
+
+os.mkdir("pids")
 harness._simulate_leaf = leaf
+harness.ProcessPoolExecutor = Pool
 sys.exit(cli.main(sys.argv[2:]))
 """
 
@@ -536,32 +556,69 @@ def _argv(command, tmp_path, out):
             "--out", str(out)]
 
 
+def _alive(pid):
+    """Whether process `pid` still runs; a zombie has exited."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:  # no /proc here
+        return True
+
+
+TWO_CPUS = pytest.mark.skipif(_usable_cpus() < 2, reason="needs 2 usable CPUs")
+
+
 @pytest.mark.parametrize("command", ["figure", "sweep"])
 @pytest.mark.parametrize("action, workers, code, err", [
-    pytest.param("kill", "2", 4, None, id="dead-worker",
-                 marks=pytest.mark.skipif(_usable_cpus() < 2, reason="needs 2 usable CPUs")),
+    pytest.param("kill", "2", 4, None, id="dead-worker", marks=TWO_CPUS),
+    pytest.param("term", "2", 4, None, id="terminated-worker", marks=TWO_CPUS),
     pytest.param("interrupt", "1", 130, "interrupted\n", id="interrupted"),
+    pytest.param("SIGTERM", "1", 143, "interrupted by SIGTERM\n", id="sigterm-1"),
+    pytest.param("SIGTERM", "2", 143, "interrupted by SIGTERM\n", id="sigterm-2",
+                 marks=TWO_CPUS),
+    pytest.param("SIGHUP", "1", 129, "interrupted by SIGHUP\n", id="sighup-1"),
+    pytest.param("SIGHUP", "2", 129, "interrupted by SIGHUP\n", id="sighup-2",
+                 marks=TWO_CPUS),
 ])
 def test_a_failed_run_exits_with_one_line_and_keeps_the_previous_output(
         tmp_path, command, action, workers, code, err):
     # a child interpreter whose leaves past the first kill their own worker
-    # or raise KeyboardInterrupt, as Ctrl-C does; only its processes are hit
+    # or raise KeyboardInterrupt, as Ctrl-C does, or whose second leaf sends
+    # the CLI a signal; only its processes are hit, and none outlives it.  A
+    # worker inherits the CLI's SIGTERM handler, yet dies by the signal
+    # instead of sending its leaf's caller an interrupt
     script = tmp_path / "leaf.py"
     script.write_text(LEAF_SCRIPT)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     out = out_dir / "previous.csv"
     out.write_bytes(b"previous,bytes\r\n1,2\n")
-    done = subprocess.run([sys.executable, str(script), action, *_argv(command, tmp_path, out)],
-                          capture_output=True, text=True, cwd=tmp_path,
-                          env=_fresh_env(NOMA_SIM_WORKERS=workers), timeout=300)
-    assert done.returncode == code, done.stderr
+    # stderr goes to a file: a worker left alive would hold a pipe open
+    with open(tmp_path / "stderr.txt", "w") as f:
+        done = subprocess.run([sys.executable, str(script), action,
+                               *_argv(command, tmp_path, out)],
+                              stdout=subprocess.DEVNULL, stderr=f, cwd=tmp_path,
+                              env=_fresh_env(NOMA_SIM_WORKERS=workers), timeout=300)
+    deadline = time.monotonic() + 5
+    pids = [int(name) for name in os.listdir(tmp_path / "pids")]
+    while (alive := [pid for pid in pids if _alive(pid)]) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    for pid in alive:  # stopped here, then reported below
+        os.kill(pid, signal.SIGKILL)
+    stderr = (tmp_path / "stderr.txt").read_text()
+    assert done.returncode == code, stderr
     if err is None:
-        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
     else:
-        assert done.stderr == err
+        assert stderr == err
     assert out.read_bytes() == b"previous,bytes\r\n1,2\n"
     assert os.listdir(out_dir) == ["previous.csv"]
+    assert len(pids) == (0 if workers == "1" else int(workers))
+    assert alive == []
 
 
 @pytest.mark.parametrize("argv", [["figure", "--id", "1", "--trials", "64"],

@@ -10,9 +10,9 @@ import oracles
 from noma_as import (FadingConfig, Scenario, cr_rates, fnoma_pair_rates,
                      sample_channel_batch)
 from noma_as.rates import _fnoma_sum_rate
-from noma_as.selection import (POLICIES, _a3_row, _aia_row, _es_crnoma_triples,
+from noma_as.selection import (POLICIES, Bound, _a3_row, _aia_row, _es_crnoma_triples,
                                _es_fnoma_triples, _oma_indices, _pu_row, _random_triples,
-                               _su_row, _triple_gains, row_stats)
+                               _su_row, _triple_gains, count_es, row_stats)
 from oracles import row_triple
 
 B = 0.4
@@ -105,6 +105,12 @@ def test_es_fnoma_matches_brute_force():
 def test_es_eval_count():
     assert POLICIES["fnoma", "es"].count(4, 2, 2) == 16
     assert POLICIES["crnoma", "es"].count(4, 2, 2) == 16
+
+
+def test_an_exhaustive_search_advertises_its_count_as_its_bound():
+    assert Bound._fields == ("row", "text", "limit")
+    for mode in ("fnoma", "crnoma"):
+        assert POLICIES[mode, "es"].bound.limit is count_es
 
 
 def test_es_crnoma_matches_brute_force():

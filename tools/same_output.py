@@ -23,7 +23,8 @@ into either tree.  The commands:
   ``n_bs`` 1,2,4,8, ``d1`` 50,1e-100,80 (the last refused) and ``b``
   0.1,0.3,0.5, and over ``ps_dbm`` 0,20,40 with ``--out sweep.csv``: the
   CSV too;
-- ``bench --max-dim 8``;
+- ``bench`` at ``--max-dim`` 1, 8 and 64 (the audit's smallest table, a
+  middle one and its largest, ``MAX_DIM``);
 - ``sweep --scenario`` (over ``d2`` 100) and ``validate --grid`` on each of
   the ``REFUSED`` texts below, most of which the loaders refuse: the
   messages of bad input are output too.
@@ -115,7 +116,9 @@ def commands(trials, seed):
     out.append(("sweep ps_dbm 0,20,40 --out sweep.csv",
                 ["sweep", "--scenario", INPUTS[0], "--axis", "ps_dbm", "--values", "0,20,40",
                  "--out", "sweep.csv"], None, "sweep.csv", None))
-    out.append(("bench --max-dim 8", ["bench", "--max-dim", "8"], None, None, None))
+    for max_dim in ("1", "8", "64"):
+        out.append((f"bench --max-dim {max_dim}", ["bench", "--max-dim", max_dim],
+                    None, None, None))
     for name, text in REFUSED.items():
         out.append((f"sweep {name}", ["sweep", "--scenario", "input.txt", "--axis", "d2",
                                        "--values", "100"], None, None, text))
