@@ -11,7 +11,8 @@ interrupted (Ctrl-C), 143 and 129 ended by SIGTERM and SIGHUP; all but 0
 and 2 print one line on stderr.  A run that fails or is interrupted,
 SIGTERM and SIGHUP included, leaves its output file as it was, removes its
 `.tmp` and stops its workers; only SIGKILL leaves the `.tmp` and, at 2 or
-more workers, live workers behind.
+more workers, live workers behind.  SIGTERM or SIGHUP ignored at start
+(`nohup`) stays ignored.
 NOMA_SIM_WORKERS sets the number of worker processes, at most the CPUs
 this process may run on; a larger, zero or non-integer value is a
 configuration error.
@@ -39,7 +40,6 @@ EXIT_CONFIG = 1
 EXIT_TOLERANCE = 2
 EXIT_IO = 3
 EXIT_WORKER = 4
-EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it; 128 + n for signal n
 # bench audits max_dim**3 configurations; at 64 the command took 0.66 s,
 # start-up included, on a 2-CPU virtual machine
 MAX_DIM = 64
@@ -162,7 +162,9 @@ def _interrupt(pid, signum, frame):
 def main(argv=None) -> int:
     parser = _build_parser()
     handler = functools.partial(_interrupt, os.getpid())
-    previous = ({signum: signal.signal(signum, handler) for signum in _SIGNALS}
+    # a signal ignored at start (nohup, trap '' HUP) stays ignored
+    previous = ({signum: signal.signal(signum, handler) for signum in _SIGNALS
+                 if signal.getsignal(signum) is not signal.SIG_IGN}
                 if threading.current_thread() is threading.main_thread() else {})
     try:
         args = parser.parse_args(argv)
@@ -182,12 +184,11 @@ def main(argv=None) -> int:
     except BrokenExecutor as exc:  # BrokenProcessPool included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WORKER
-    except KeyboardInterrupt as exc:
-        if not exc.args:  # Ctrl-C
-            print("interrupted", file=sys.stderr)
-            return EXIT_INTERRUPTED
-        print(f"interrupted by {signal.Signals(exc.args[0]).name}", file=sys.stderr)
-        return 128 + exc.args[0]
+    except KeyboardInterrupt as exc:  # Ctrl-C, or one of `_SIGNALS` as its args
+        signum = exc.args[0] if exc.args else signal.SIGINT
+        by = f" by {signal.Signals(signum).name}" if exc.args else ""
+        print(f"interrupted{by}", file=sys.stderr)
+        return 128 + signum
     finally:  # in-process callers keep their own handlers
         for signum, old in previous.items():
             signal.signal(signum, old)

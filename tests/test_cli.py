@@ -509,11 +509,16 @@ simulate_leaf = harness._simulate_leaf
 
 def leaf(task):
     # the first leaf runs; a later one kills its worker by SIGKILL or SIGTERM
-    # or is interrupted, as Ctrl-C does; or the second leaf sends the CLI a
-    # signal and runs on
+    # or is interrupted, as Ctrl-C does; or the second leaf sends a signal to
+    # the CLI and runs on, or to the CLI's whole process group
     action = sys.argv[1]
-    if action in ("SIGTERM", "SIGHUP") and task[1] == harness._CHUNK:
-        os.kill(CLI_PID, getattr(signal, action))
+    signame = action.removeprefix("group-")
+    if signame in ("SIGTERM", "SIGHUP") and task[1] == harness._CHUNK:
+        if action == signame:
+            os.kill(CLI_PID, getattr(signal, signame))
+        else:  # the CLI leads its own group: no process outside the run is hit
+            assert os.getpgid(CLI_PID) == CLI_PID
+            os.killpg(CLI_PID, getattr(signal, signame))
     elif action in ("kill", "term") and task[1] > 0:
         os.kill(os.getpid(), signal.SIGKILL if action == "kill" else signal.SIGTERM)
     elif action == "interrupt" and task[1] > 0:
@@ -569,6 +574,16 @@ def _alive(pid):
         return True
 
 
+def _stop_survivors(pids):
+    """The processes of `pids` still alive 5 s from now, killed by SIGKILL."""
+    deadline = time.monotonic() + 5
+    while (alive := [pid for pid in pids if _alive(pid)]) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    for pid in alive:  # stopped here, then reported by the caller
+        os.kill(pid, signal.SIGKILL)
+    return alive
+
+
 TWO_CPUS = pytest.mark.skipif(_usable_cpus() < 2, reason="needs 2 usable CPUs")
 
 
@@ -583,12 +598,18 @@ TWO_CPUS = pytest.mark.skipif(_usable_cpus() < 2, reason="needs 2 usable CPUs")
     pytest.param("SIGHUP", "1", 129, "interrupted by SIGHUP\n", id="sighup-1"),
     pytest.param("SIGHUP", "2", 129, "interrupted by SIGHUP\n", id="sighup-2",
                  marks=TWO_CPUS),
+    pytest.param("group-SIGTERM", "1", 143, "interrupted by SIGTERM\n", id="group-sigterm-1"),
+    pytest.param("group-SIGTERM", "2", 143, "interrupted by SIGTERM\n", id="group-sigterm-2",
+                 marks=TWO_CPUS),
+    pytest.param("group-SIGHUP", "2", 129, "interrupted by SIGHUP\n", id="group-sighup-2",
+                 marks=TWO_CPUS),
 ])
 def test_a_failed_run_exits_with_one_line_and_keeps_the_previous_output(
         tmp_path, command, action, workers, code, err):
     # a child interpreter whose leaves past the first kill their own worker
     # or raise KeyboardInterrupt, as Ctrl-C does, or whose second leaf sends
-    # the CLI a signal; only its processes are hit, and none outlives it.  A
+    # a signal to the CLI or, as a terminal hangup or `timeout` does, to its
+    # process group; only its processes are hit, and none outlives it.  A
     # worker inherits the CLI's SIGTERM handler, yet dies by the signal
     # instead of sending its leaf's caller an interrupt
     script = tmp_path / "leaf.py"
@@ -602,13 +623,10 @@ def test_a_failed_run_exits_with_one_line_and_keeps_the_previous_output(
         done = subprocess.run([sys.executable, str(script), action,
                                *_argv(command, tmp_path, out)],
                               stdout=subprocess.DEVNULL, stderr=f, cwd=tmp_path,
-                              env=_fresh_env(NOMA_SIM_WORKERS=workers), timeout=300)
-    deadline = time.monotonic() + 5
+                              env=_fresh_env(NOMA_SIM_WORKERS=workers), timeout=300,
+                              start_new_session=True)
     pids = [int(name) for name in os.listdir(tmp_path / "pids")]
-    while (alive := [pid for pid in pids if _alive(pid)]) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    for pid in alive:  # stopped here, then reported below
-        os.kill(pid, signal.SIGKILL)
+    alive = _stop_survivors(pids)
     stderr = (tmp_path / "stderr.txt").read_text()
     assert done.returncode == code, stderr
     if err is None:
@@ -619,6 +637,38 @@ def test_a_failed_run_exits_with_one_line_and_keeps_the_previous_output(
     assert os.listdir(out_dir) == ["previous.csv"]
     assert len(pids) == (0 if workers == "1" else int(workers))
     assert alive == []
+
+
+def _ignore_sighup():
+    signal.signal(signal.SIGHUP, signal.SIG_IGN)
+
+
+@pytest.mark.parametrize("workers", ["1", pytest.param("2", marks=TWO_CPUS)])
+@pytest.mark.parametrize("action", ["SIGHUP", "group-SIGHUP"])
+def test_a_sighup_ignored_at_start_stays_ignored(tmp_path, action, workers):
+    # as under `nohup`: the CLI starts with SIGHUP ignored, its second leaf
+    # sends the CLI (or the CLI's group) a SIGHUP, and the run goes on to
+    # write what a run sent no signal writes
+    script = tmp_path / "leaf.py"
+    script.write_text(LEAF_SCRIPT)
+    outputs = []
+    for act in ("none", action):
+        cwd = tmp_path / act
+        cwd.mkdir()
+        out = cwd / "out.csv"
+        with open(cwd / "stderr.txt", "w") as f:
+            done = subprocess.run([sys.executable, str(script), act,
+                                   *_argv("figure", cwd, out)],
+                                  stdout=subprocess.DEVNULL, stderr=f, cwd=cwd,
+                                  env=_fresh_env(NOMA_SIM_WORKERS=workers), timeout=300,
+                                  start_new_session=True, preexec_fn=_ignore_sighup)
+        pids = [int(name) for name in os.listdir(cwd / "pids")]
+        alive = _stop_survivors(pids)
+        assert (done.returncode, (cwd / "stderr.txt").read_text()) == (0, "")
+        assert alive == []
+        assert sorted(os.listdir(cwd)) == ["out.csv", "pids", "stderr.txt"]
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("argv", [["figure", "--id", "1", "--trials", "64"],
