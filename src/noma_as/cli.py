@@ -10,8 +10,8 @@ failure, 3 I/O error, 4 a worker process died (`BrokenProcessPool`), 130
 interrupted (Ctrl-C), 143 and 129 ended by SIGTERM and SIGHUP; all but 0
 and 2 print one line on stderr.  A run that fails or is interrupted,
 SIGTERM and SIGHUP included, leaves its output file as it was, removes its
-`.tmp` and stops its workers; only SIGKILL leaves the `.tmp` and, at 2 or
-more workers, live workers behind.  SIGTERM or SIGHUP ignored at start
+`.tmp` and stops its workers; only SIGKILL leaves the `.tmp` behind, and
+the workers then exit on their own.  SIGTERM or SIGHUP ignored at start
 (`nohup`) stays ignored.
 NOMA_SIM_WORKERS sets the number of worker processes, at most the CPUs
 this process may run on; a larger, zero or non-integer value is a

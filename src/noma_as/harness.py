@@ -19,8 +19,8 @@ computes only those, each reduced on its own.  Where a point reads only its
 mode's metric (`selection.METRIC`), which its exhaustive search maximizes,
 the search's row-max candidates (`Policy.optimum`) are the per-trial
 values: the search reports their optimum and a row-max policy
-(`Policy.row`) the candidate of its row, bit for bit the rate formula at
-their gains, which neither meets.
+(`Policy.kind` "row") the candidate of its row, bit for bit the rate
+formula at their gains, which neither meets.
 
 A figure, sweep or validation builds one `Run` from all its points and
 groups them by what their draws depend on: the user antenna counts M and K,
@@ -33,11 +33,11 @@ for its largest N (`channel._unit_draws`), and passes them to the sampler
 of every geometry, which rescales them or a prefix of them.  A task holds
 its draws and one geometry's arrays at a time (`_simulate_geometry`): that
 geometry's gains, their row maxima (`selection.row_stats`) and each choice
-that does not read rho, b or r_th (`Policy.depends`), made once with its
-gains; random's reads only N and the shape group and is drawn once per
-leaf and N.  Then each point of the geometry runs its searches, rate
-formulas and reduction on the arrays a fresh draw and selection would have
-produced, so no bit of any report moves.
+that does not read rho, b or r_th (every `Policy.kind` but "search"), made
+once with its gains; random's reads only N and the shape group, so it is
+drawn once per leaf and N for both modes.  Then each point of the geometry
+runs its searches, rate formulas and reduction on the arrays a fresh draw
+and selection would have produced, so no bit of any report moves.
 """
 
 from __future__ import annotations
@@ -45,7 +45,9 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import multiprocessing
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
@@ -164,7 +166,7 @@ def _simulate_leaf(task):
     first = geometries[0][0]  # the largest N, whose unit draws every geometry shares
     draws = (channel._unit_draws(seed, first.n_bs * (first.m_ue1 + first.k_ue2), t0, count)
              if len(geometries) > 1 else None)
-    drawn = {}  # (mode, policy, N) -> its "shape" choice
+    drawn = {}  # N -> random's choice, which reads nothing else of the leaf
     return [moments for geometry, points in geometries
             for moments in _simulate_geometry(geometry, points, seed, t0, count, draws, drawn)]
 
@@ -181,8 +183,8 @@ def _simulate_geometry(geometry, points, seed, t0, count, draws, drawn):
 def _simulate_point(h, g, rows, point, seed, t0, chosen, drawn):
     """`_make_report` of each policy of one point, stacked on axis 1, from
     the gains of its geometry and their row maxima.  `drawn` keeps the
-    leaf's "shape" choices, `chosen` the geometry's other choices that do
-    not read the point, each with its gains once taken."""
+    leaf's random choice of each N, `chosen` the geometry's choices of
+    every kind but "search", each with its gains once taken."""
     mode, reads = point.mode, point.reads
     kwargs = dict(rows=rows, rho=point.fading.rho, b=point.b, r_th=point.r_th,
                   seed=seed, t0=t0)
@@ -198,15 +200,14 @@ def _simulate_point(h, g, rows, point, seed, t0, chosen, drawn):
             continue
         made = chosen.get(key)
         if made is None:
-            shape = *key, h.shape[1]
-            if policy.depends == "shape" and shape not in drawn:
-                drawn[shape] = _TRIPLES[key](h, g, **kwargs)
-            made = [drawn[shape] if policy.depends == "shape"
-                    else _TRIPLES[key](h, g, **kwargs), None]
-            if policy.depends != "point":
+            n = h.shape[1]
+            if policy.kind == "random" and n not in drawn:
+                drawn[n] = _TRIPLES[key](h, g, **kwargs)
+            made = [drawn[n] if policy.kind == "random" else _TRIPLES[key](h, g, **kwargs), None]
+            if policy.kind != "search":
                 chosen[key] = made
         choice, gains = made
-        if search is not None and policy.row:
+        if search is not None and policy.kind == "row":
             reports.append(_make_report(np.take(candidates, choice), None, reads))
             continue
         if gains is None:
@@ -243,12 +244,28 @@ def _resolve_workers(workers):
     return workers
 
 
+# the pid of the pool worker whose thread watches its parent (`_pooled_leaf`)
+_watching = None
+
+
+def _pooled_leaf(task):
+    """`_simulate_leaf` in a pool worker.  Its first leaf starts a thread
+    that ends the worker once the process that started it is gone, even
+    by SIGKILL, which no pool shutdown follows."""
+    global _watching
+    parent = multiprocessing.parent_process()
+    if parent is not None and _watching != os.getpid():
+        _watching = os.getpid()
+        threading.Thread(target=lambda: parent.join() or os._exit(1), daemon=True).start()
+    return _simulate_leaf(task)
+
+
 def _in_order(pool, tasks, window):
-    """`_simulate_leaf` of each task on `pool`, yielded in task order, with
-    at most `window` tasks submitted and not yet read."""
+    """`_simulate_leaf` of each task on `pool` (`_pooled_leaf`), yielded in
+    task order, with at most `window` tasks submitted and not yet read."""
     pending = []
     for task in tasks:
-        pending.append(pool.submit(_simulate_leaf, task))
+        pending.append(pool.submit(_pooled_leaf, task))
         if len(pending) == window:
             yield pending.pop(0).result()
     for future in pending:

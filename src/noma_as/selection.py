@@ -163,9 +163,9 @@ def _es_triples(h, g, rows, objective, pick):
     gathered into (M, T) and (K, T) so that the grid is (M, K, T).
     """
     candidates = objective(rows.h_max, rows.g_max)
-    top, n = _first_max(candidates)
     if not pick:
-        return candidates, top, None
+        return candidates, np.maximum.reduce(candidates, axis=0), None
+    top, n = _first_max(candidates)
     grid = objective(_row_of(h, n)[:, None], _row_of(g, n)[None])
     _, idx = _first_max((grid == top).reshape(-1, n.size))
     return candidates, top, (n,) + divmod(idx, g.shape[2])
@@ -260,39 +260,45 @@ class Bound(NamedTuple):
 class Policy:
     """Everything the harness, figures and CLI know about one (mode, policy).
 
+    kind names its family, and with it what the choice reads and which
+    fields are set:
+
+    - "search", the exhaustive searches: the choice reads rho, b and r_th
+      as well as the gains; `optimum` and `bound` are set;
+    - "row", the row-max policies: the choice is the flat index
+      `_row_at(n)` of each trial's row n, whose maxima are its gains;
+      `closed_form` and `bound` are set;
+    - "random": the choice reads only the antenna counts, seed and trials;
+    - "links", oma's best link per user: the choice reads the gains.
+
     choose(h, g, rows=, rho=, b=, r_th=, seed=, t0=) returns the choice
-    for trials t0, t0+1, ..., where rows is ``row_stats(h, g)``: the flat
-    index `_row_at(n)` of each trial's row n for a row-max policy (`row`),
-    whose gains are row n's maxima, else the chosen antennas, (n, m, k) or
-    oma's (n1, m, n2, k), which `gains` turns into the UE1 and UE2 gains.
+    for trials t0, t0+1, ..., where rows is ``row_stats(h, g)``: a row-max
+    policy's row index, else the chosen antennas, (n, m, k) or oma's (n1,
+    m, n2, k); `gains` turns a choice into the UE1 and UE2 gains.
     closed_form(fading, r_th) is the high-SNR average of its mode's metric,
     `METRIC[mode]`, given r_th exactly when the point sets one: an fnoma
     form refuses a rate floor with a TypeError.  Closed forms and the
     search, random and oma kernels are looked up on their modules at call
     time, so a function replaced there after import (as the benchmark's
     tracer does) is the one that runs.
-    depends says what the choice reads: "shape" the antenna counts, seed
-    and trials alone (random), "gains" the gains too, "point" rho, b and
-    r_th as well (the exhaustive searches).
-    optimum(h, g, rows=, rho=, b=, r_th=), where set, returns its mode's
-    metric quantity, r1 + r2 (fnoma) or r1 (crnoma), at the N row-max
-    candidates, an (N, T) array, and at the policy's choice, their maximum,
-    without making the choice.  Each is that quantity's rate formula at its
-    gains bit for bit, so a row-max policy's value is its row's candidate.
+    optimum(h, g, rows=, rho=, b=, r_th=) returns its mode's metric
+    quantity, r1 + r2 (fnoma) or r1 (crnoma), at the N row-max candidates,
+    an (N, T) array, and at the policy's choice, their maximum, without
+    making the choice.  Each is that quantity's rate formula at its gains
+    bit for bit, so a row-max policy's value is its row's candidate.
     """
 
     column: str  # figure column; `_sim`/`_analytic` pair with a closed form
+    kind: str  # "search", "row", "random" or "links"
     choose: Callable
     count: Callable  # (n, m, k) -> eval_count
     bound: Bound | None = None
     closed_form: Callable | None = None
-    depends: str = "gains"
-    row: bool = False  # a row-max policy
     optimum: Callable | None = None
 
     def gains(self, choice, h, g, rows):
         """The stacked UE1 and UE2 gains of a choice `choose` made."""
-        if self.row:
+        if self.kind == "row":
             return np.take(rows.h_max, choice), np.take(rows.g_max, choice)
         return _triple_gains(h, g, choice)
 
@@ -304,8 +310,7 @@ def _row_policy(column, row, count, bound, closed_form):
     def closed(fading, r_th):
         form = getattr(analytics, closed_form)
         return form(fading) if r_th is None else form(fading, r_th)
-    return Policy(column, lambda h, g, rows, **_: _row_at(row(rows)), count, bound, closed,
-                  row=True)
+    return Policy(column, "row", lambda h, g, rows, **_: _row_at(row(rows)), count, bound, closed)
 
 
 def _random_choice(h, g, seed, t0, **_):
@@ -321,17 +326,15 @@ METRIC = {"fnoma": "mean_sum", "crnoma": "mean_r1", "oma": "mean_sum"}
 # in the order `noma-as bench` prints them.
 POLICIES = {
     ("fnoma", "es"): Policy(
-        "fnoma_es",
+        "fnoma_es", "search",
         lambda h, g, rows, rho, b, **_: _es_fnoma_triples(h, g, rows, b, rho)[2],
         count_es, Bound("es_fnoma", "N*M*K", count_es),
-        depends="point",
         optimum=lambda h, g, rows, rho, b, **_: _es_fnoma_triples(
             h, g, rows, b, rho, pick=False)[:2]),
     ("crnoma", "es"): Policy(
-        "cr_es",
+        "cr_es", "search",
         lambda h, g, rows, rho, r_th, **_: _es_crnoma_triples(h, g, rows, rho, r_th)[2],
         count_es, Bound("es_crnoma", "N*M*K", count_es),
-        depends="point",
         optimum=lambda h, g, rows, rho, r_th, **_: _es_crnoma_triples(
             h, g, rows, rho, r_th, pick=False)[:2]),
     ("fnoma", "a3"): _row_policy(
@@ -349,10 +352,7 @@ POLICIES = {
     ("crnoma", "su"): _row_policy(
         "su", _su_row, count_su, Bound("su", "N*M+K", lambda n, m, k: n * m + k),
         "su_avg_secondary_rate"),
-    ("fnoma", "random"): Policy(
-        "fnoma_ra", _random_choice, lambda n, m, k: 0, depends="shape"),
-    ("crnoma", "random"): Policy(
-        "cr_ra", _random_choice, lambda n, m, k: 0, depends="shape"),
-    ("oma", "oma_es"): Policy(
-        "oma_es", lambda h, g, **_: _oma_indices(h, g), count_oma),
+    ("fnoma", "random"): Policy("fnoma_ra", "random", _random_choice, lambda n, m, k: 0),
+    ("crnoma", "random"): Policy("cr_ra", "random", _random_choice, lambda n, m, k: 0),
+    ("oma", "oma_es"): Policy("oma_es", "links", lambda h, g, **_: _oma_indices(h, g), count_oma),
 }

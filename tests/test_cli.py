@@ -519,6 +519,8 @@ def leaf(task):
         else:  # the CLI leads its own group: no process outside the run is hit
             assert os.getpgid(CLI_PID) == CLI_PID
             os.killpg(CLI_PID, getattr(signal, signame))
+    elif action == "kill-cli" and task[1] == harness._CHUNK:
+        os.kill(CLI_PID, signal.SIGKILL)
     elif action in ("kill", "term") and task[1] > 0:
         os.kill(os.getpid(), signal.SIGKILL if action == "kill" else signal.SIGTERM)
     elif action == "interrupt" and task[1] > 0:
@@ -636,6 +638,33 @@ def test_a_failed_run_exits_with_one_line_and_keeps_the_previous_output(
     assert out.read_bytes() == b"previous,bytes\r\n1,2\n"
     assert os.listdir(out_dir) == ["previous.csv"]
     assert len(pids) == (0 if workers == "1" else int(workers))
+    assert alive == []
+
+
+@TWO_CPUS
+@pytest.mark.parametrize("command", ["figure", "sweep"])
+def test_a_cli_killed_by_sigkill_leaves_its_tmp_and_no_worker(tmp_path, command):
+    # the second leaf sends SIGKILL to the CLI, which runs no cleanup: the
+    # new file stays beside the intact target, and each worker, left with no
+    # parent to feed or stop it, exits on its own
+    script = tmp_path / "leaf.py"
+    script.write_text(LEAF_SCRIPT)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "previous.csv"
+    out.write_bytes(b"previous,bytes\r\n1,2\n")
+    with open(tmp_path / "stderr.txt", "w") as f:
+        cli = subprocess.Popen([sys.executable, str(script), "kill-cli",
+                                *_argv(command, tmp_path, out)],
+                               stdout=subprocess.DEVNULL, stderr=f, cwd=tmp_path,
+                               env=_fresh_env(NOMA_SIM_WORKERS="2"), start_new_session=True)
+        code = cli.wait(timeout=300)
+    pids = [int(name) for name in os.listdir(tmp_path / "pids")]
+    alive = _stop_survivors(pids)
+    assert code == -signal.SIGKILL, (tmp_path / "stderr.txt").read_text()
+    assert out.read_bytes() == b"previous,bytes\r\n1,2\n"
+    assert sorted(os.listdir(out_dir)) == ["previous.csv", f"previous.csv.{cli.pid}-0.tmp"]
+    assert len(pids) == 2
     assert alive == []
 
 

@@ -665,6 +665,27 @@ def test_run_draws_figure_2_once_per_leaf_for_every_bs_antenna_count(monkeypatch
             assert len(computed) == 3
 
 
+def test_run_draws_random_once_per_leaf_for_both_modes(monkeypatch):
+    # random's choice reads only N and the shape group, so an fnoma and a
+    # crnoma point of one geometry share each leaf's draw; every report
+    # equals that of a run of its point alone
+    monkeypatch.setattr(harness, "_CHUNK", 128)
+    fading = FadingConfig(n_bs=3, d1=80.0, ps_dbm=20.0)
+    points = [Scenario(fading, "fnoma", ("random",), 256, 5, b=0.3),
+              Scenario(replace(fading, ps_dbm=30.0), "crnoma", ("random",), 256, 5, r_th=2.0)]
+    fresh = _reports(points, 1)
+    drawn = []
+    random_triples = selection._random_triples
+
+    def count(*args):
+        drawn.append(args[4:])  # (start, count)
+        return random_triples(*args)
+
+    monkeypatch.setattr(selection, "_random_triples", count)
+    assert _reports(points, Run(1, points)) == fresh
+    assert drawn == list(harness._leaves(0, 256)) == [(0, 128), (128, 128)]
+
+
 _GRID = Path(__file__).resolve().parent.parent / "perfbench" / "validate_grid.txt"
 
 

@@ -113,6 +113,21 @@ def test_an_exhaustive_search_advertises_its_count_as_its_bound():
         assert POLICIES[mode, "es"].bound.limit is count_es
 
 
+def test_a_policy_kind_names_its_family_and_its_fields():
+    # a search sets its optimum and bound, a row-max policy its closed form
+    # and bound; random and oma's best links set none of them
+    kinds = {key: p.kind for key, p in POLICIES.items()}
+    assert kinds == {("fnoma", "es"): "search", ("crnoma", "es"): "search",
+                     ("fnoma", "a3"): "row", ("fnoma", "aia"): "row", ("crnoma", "mcg"): "row",
+                     ("crnoma", "pu"): "row", ("crnoma", "su"): "row",
+                     ("fnoma", "random"): "random", ("crnoma", "random"): "random",
+                     ("oma", "oma_es"): "links"}
+    for key, p in POLICIES.items():
+        assert (p.optimum is not None) == (p.kind == "search"), key
+        assert (p.closed_form is not None) == (p.kind == "row"), key
+        assert (p.bound is not None) == (p.kind in ("search", "row")), key
+
+
 def test_es_crnoma_matches_brute_force():
     for h, g in _batches(40, seed=4):
         triples = np.stack(_es_crnoma_triples(h, g, row_stats(h, g), RHO, R_TH)[2], axis=1)
@@ -258,7 +273,7 @@ def test_row_policy_value_is_its_candidate_bit_for_bit(dims):
     # where a point runs its mode's search and reads only the metric, the
     # harness reports a row-max policy's candidate of its row in place of
     # the rate at its triple; otherwise its gains come from the row maxima
-    assert set(_ROWS) == {key for key, p in POLICIES.items() if p.row}
+    assert set(_ROWS) == {key for key, p in POLICIES.items() if p.kind == "row"}
     for h, g, r_th in _optimum_cases(*dims):
         rows = row_stats(h, g)
         kwargs = dict(rho=RHO, b=B, r_th=r_th, seed=7, t0=5)
