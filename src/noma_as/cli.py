@@ -13,6 +13,9 @@ SIGTERM and SIGHUP included, leaves its output file as it was, removes its
 `.tmp` and stops its workers; only SIGKILL leaves the `.tmp` behind, and
 the workers then exit on their own.  SIGTERM or SIGHUP ignored at start
 (`nohup`) stays ignored.
+The process entry `run` (`noma-as`, `python -m noma_as[.cli]`) freezes the
+heap before the run, so the exit skips tearing down the imported object
+graph; `main` called in-process leaves the caller's GC state as it was.
 NOMA_SIM_WORKERS sets the number of worker processes, at most the CPUs
 this process may run on; a larger, zero or non-integer value is a
 configuration error.
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import os
 import signal
@@ -194,5 +198,14 @@ def main(argv=None) -> int:
             signal.signal(signum, old)
 
 
+def run(argv=None):
+    """Process entry: `main(argv)`, then exit with its code.  Every import is
+    done, so the heap is frozen first: the exit then skips collecting the
+    numpy and package objects the OS frees anyway, and forked workers start
+    from a frozen heap."""
+    gc.freeze()
+    sys.exit(main(argv))
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

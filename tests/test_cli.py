@@ -1,6 +1,8 @@
+import ast
 import concurrent.futures
 import csv
 import dataclasses
+import gc
 import itertools
 import math
 import os
@@ -494,6 +496,71 @@ def test_import_loads_numpy_with_one_blas_thread(tmp_path, openblas):
         assert threads == "1"
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_in_process_leaves_the_callers_gc_as_it_was(tmp_path, monkeypatch, enabled):
+    # only the process entry freezes the heap: a library caller's collector
+    # keeps its state and its young objects
+    monkeypatch.setenv("NOMA_SIM_WORKERS", "1")
+    frozen = gc.get_freeze_count()
+    if not enabled:
+        gc.disable()
+    try:
+        assert main(["figure", "--id", "1", "--trials", "64",
+                     "--out", str(tmp_path / "f.csv")]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        gc.enable()
+
+
+ENTRY_SCRIPT = """\
+import gc
+import runpy
+import sys
+
+from noma_as import cli
+
+
+def main(argv):
+    print(gc.get_freeze_count() > 0, argv)
+    return 7
+
+
+print(gc.get_freeze_count())
+cli.main = main
+if sys.argv[1] == "run":
+    cli.run(sys.argv[2:])
+else:  # python -m noma_as
+    sys.argv[1:2] = []
+    runpy.run_module("noma_as", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("how", ["run", "module"])
+def test_the_process_entry_freezes_the_heap_before_main_and_exits_with_its_code(
+        tmp_path, how):
+    done = subprocess.run([sys.executable, "-c", ENTRY_SCRIPT, how, "figure", "--id", "1"],
+                          capture_output=True, text=True, env=_fresh_env(), cwd=tmp_path,
+                          timeout=120)
+    expected = "['figure', '--id', '1']" if how == "run" else "None"
+    assert (done.returncode, done.stderr) == (7, "")
+    assert done.stdout == f"0\nTrue {expected}\n"
+
+
+def test_every_process_entry_is_cli_run():
+    # `noma-as`, `python -m noma_as` and `python -m noma_as.cli` all go
+    # through `run`, the one place the heap is frozen
+    def code(text):
+        return [ast.dump(stmt) for stmt in ast.parse(text).body]
+
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(harness.__file__).parent
+    pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"] == {"noma-as": "noma_as.cli:run"}
+    assert code((package / "__main__.py").read_text()) == code("from .cli import run\nrun()")
+    guard = code((package / "cli.py").read_text())[-1:]
+    assert guard == code('if __name__ == "__main__":\n    run()')
+
+
 # --- a run that fails keeps the previous output ------------------------------
 
 LEAF_SCRIPT = """\
@@ -541,7 +608,7 @@ class Pool(harness.ProcessPoolExecutor):
 os.mkdir("pids")
 harness._simulate_leaf = leaf
 harness.ProcessPoolExecutor = Pool
-sys.exit(cli.main(sys.argv[2:]))
+cli.run(sys.argv[2:])
 """
 
 # two leaves of each point, so a run reaches a leaf with t0 > 0
