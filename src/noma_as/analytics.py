@@ -269,15 +269,18 @@ def _mcg_offset(n, m, k, omega_h, omega_g, epsilon):
 # ---------------------------------------------------------------------------
 # quadrature oracle
 
+# the absolute error `quadrature_rate` vouches for
+_QUAD_ABS_TOL = 1e-8
 
-def quadrature_rate(pdf, b, rho, abs_tol=1e-8) -> float:
+
+def quadrature_rate(pdf, b, rho) -> float:
     """Numerical E[log2(1 + b*rho*X)] for X with density ``pdf`` on [0, inf),
     at any SNR, so it cross-checks the asymptotic closed forms from the
     outside.  The support is probed on a log grid to locate the density
     scale, the upper cutoff grows until the tail mass drops below 1e-12, and
     the integral is accumulated over log-spaced segments so the rate knee at
     1/(b*rho) and the density scale may sit many decades apart.  Raises if
-    the accumulated error estimate exceeds ``abs_tol``."""
+    the accumulated error estimate exceeds `_QUAD_ABS_TOL`."""
     if not (b > 0 and rho > 0):
         raise ValueError("b and rho must be positive")
     probe = 10.0 ** np.arange(-18.0, 19.0)
@@ -305,10 +308,10 @@ def quadrature_rate(pdf, b, rho, abs_tol=1e-8) -> float:
 
     total = err = 0.0
     for lo, hi in zip(points[:-1], points[1:]):
-        v, e = scipy.integrate.quad(f, lo, hi, epsabs=abs_tol / (2 * len(points)),
+        v, e = scipy.integrate.quad(f, lo, hi, epsabs=_QUAD_ABS_TOL / (2 * len(points)),
                                     epsrel=1e-12, limit=200)
         total += v
         err += e
-    if err > abs_tol:
-        raise RuntimeError(f"quadrature did not converge to {abs_tol:g}; achieved {err:g}")
+    if err > _QUAD_ABS_TOL:
+        raise RuntimeError(f"quadrature did not converge to {_QUAD_ABS_TOL:g}; achieved {err:g}")
     return total

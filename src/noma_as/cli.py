@@ -13,9 +13,10 @@ SIGTERM and SIGHUP included, leaves its output file as it was, removes its
 `.tmp` and stops its workers; only SIGKILL leaves the `.tmp` behind, and
 the workers then exit on their own.  SIGTERM or SIGHUP ignored at start
 (`nohup`) stays ignored.
-The process entry `run` (`noma-as`, `python -m noma_as[.cli]`) freezes the
-heap before the run, so the exit skips tearing down the imported object
-graph; `main` called in-process leaves the caller's GC state as it was.
+The process entry `run` (`noma-as`, `python -m noma_as[.cli]`) installs the
+SIGTERM and SIGHUP handlers and freezes the heap before the run, so the
+exit skips tearing down the imported object graph; `main` called in-process
+leaves the caller's GC state and signal handlers as it found them.
 NOMA_SIM_WORKERS sets the number of worker processes, at most the CPUs
 this process may run on; a larger, zero or non-integer value is a
 configuration error.
@@ -30,7 +31,6 @@ import itertools
 import os
 import signal
 import sys
-import threading
 from concurrent.futures import BrokenExecutor
 from contextlib import nullcontext
 
@@ -165,11 +165,6 @@ def _interrupt(pid, signum, frame):
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    handler = functools.partial(_interrupt, os.getpid())
-    # a signal ignored at start (nohup, trap '' HUP) stays ignored
-    previous = ({signum: signal.signal(signum, handler) for signum in _SIGNALS
-                 if signal.getsignal(signum) is not signal.SIG_IGN}
-                if threading.current_thread() is threading.main_thread() else {})
     try:
         args = parser.parse_args(argv)
         if args.command == "figure":
@@ -193,16 +188,18 @@ def main(argv=None) -> int:
         by = f" by {signal.Signals(signum).name}" if exc.args else ""
         print(f"interrupted{by}", file=sys.stderr)
         return 128 + signum
-    finally:  # in-process callers keep their own handlers
-        for signum, old in previous.items():
-            signal.signal(signum, old)
 
 
 def run(argv=None):
-    """Process entry: `main(argv)`, then exit with its code.  Every import is
-    done, so the heap is frozen first: the exit then skips collecting the
-    numpy and package objects the OS frees anyway, and forked workers start
-    from a frozen heap."""
+    """Process entry: `main(argv)`, then exit with its code.  It alone
+    installs the `_SIGNALS` handlers, and restores none: the process exits.
+    Every import is done, so the heap is frozen first: the exit then skips
+    collecting the numpy and package objects the OS frees anyway, and forked
+    workers start from a frozen heap."""
+    for signum in _SIGNALS:
+        # a signal ignored at start (nohup, trap '' HUP) stays ignored
+        if signal.getsignal(signum) is not signal.SIG_IGN:
+            signal.signal(signum, functools.partial(_interrupt, os.getpid()))
     gc.freeze()
     sys.exit(main(argv))
 

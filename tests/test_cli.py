@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from noma_as import FadingConfig, figures, harness
+from noma_as import FadingConfig, cli, figures, harness
 from noma_as.cli import main
 from noma_as.selection import POLICIES, Bound, count_a3
 
@@ -559,6 +559,100 @@ def test_every_process_entry_is_cli_run():
     assert code((package / "__main__.py").read_text()) == code("from .cli import run\nrun()")
     guard = code((package / "cli.py").read_text())[-1:]
     assert guard == code('if __name__ == "__main__":\n    run()')
+
+
+# --- only the process entry installs the SIGTERM/SIGHUP handlers ------------
+
+def _caller_handler(signum, frame):
+    """A handler of the process that calls `main` in-process."""
+
+
+@pytest.mark.parametrize("caller", [_caller_handler, signal.SIG_IGN], ids=["handler", "SIG_IGN"])
+def test_main_in_process_leaves_the_callers_signal_handlers(monkeypatch, caller):
+    # the command runs under the caller's handlers, which stay after it
+    signals = (signal.SIGTERM, signal.SIGHUP)
+    during = []
+    monkeypatch.setattr(cli, "_cmd_bench", lambda args: during.append(
+        [signal.getsignal(signum) for signum in signals]) or 0)
+    previous = [signal.signal(signum, caller) for signum in signals]
+    try:
+        assert main(["bench"]) == 0
+        after = [signal.getsignal(signum) for signum in signals]
+    finally:
+        for signum, old in zip(signals, previous):
+            signal.signal(signum, old)
+    assert during == [[caller, caller]]
+    assert after == [caller, caller]
+
+
+def test_a_sigterm_during_an_in_process_main_reaches_the_caller(monkeypatch, capsys):
+    # the caller's handler runs, and `main` returns the command's own code
+    monkeypatch.setattr(cli, "_cmd_bench",
+                        lambda args: signal.raise_signal(signal.SIGTERM) or 0)
+    seen = []
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: seen.append(signum))
+    try:
+        code = main(["bench"])
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert (code, seen) == (0, [signal.SIGTERM])
+    assert capsys.readouterr().err == ""
+
+
+HANDLERS_SCRIPT = """\
+import functools
+import os
+import signal
+
+from noma_as import cli
+
+
+def handlers():
+    # "interrupt" for `_interrupt` bound to this process, else the default's name
+    return ["interrupt" if isinstance(h, functools.partial)
+            and (h.func, h.args) == (cli._interrupt, (os.getpid(),))
+            else signal.Handlers(h).name
+            for h in map(signal.getsignal, (signal.SIGTERM, signal.SIGHUP))]
+
+
+def main(argv):
+    print(*handlers())
+    return 0
+
+
+print(*handlers())
+cli.main = main
+cli.run([])
+"""
+
+
+def _start_with(sigterm):
+    """A `preexec_fn` that sets SIGTERM to `sigterm` and SIGHUP to SIG_DFL."""
+    def preexec():
+        signal.signal(signal.SIGTERM, sigterm)
+        signal.signal(signal.SIGHUP, signal.SIG_DFL)
+    return preexec
+
+
+@pytest.mark.parametrize("sigterm, expected", [
+    (signal.SIG_DFL, "SIG_DFL SIG_DFL\ninterrupt interrupt\n"),
+    (signal.SIG_IGN, "SIG_IGN SIG_DFL\nSIG_IGN interrupt\n"),
+], ids=["default", "sigterm-ignored"])
+def test_the_process_entry_installs_the_handlers_before_main(tmp_path, sigterm, expected):
+    # `run` hands each signal not ignored at start to `_interrupt`, bound to
+    # the CLI's pid, before `main` runs
+    done = subprocess.run([sys.executable, "-c", HANDLERS_SCRIPT], capture_output=True,
+                          text=True, env=_fresh_env(), cwd=tmp_path, timeout=120,
+                          preexec_fn=_start_with(sigterm))
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", expected)
+
+
+def test_main_runs_its_command_from_a_thread_other_than_the_main_one(capsys):
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        code = pool.submit(main, ["bench", "--max-dim", "1"]).result(timeout=60)
+    assert code == 0
+    assert capsys.readouterr().out.endswith("over 1 antenna configurations "
+                                            "(exhaustive counts exactly N*M*K)\n")
 
 
 # --- a run that fails keeps the previous output ------------------------------

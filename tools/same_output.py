@@ -23,6 +23,10 @@ into either tree.  The commands:
   ``n_bs`` 1,2,4,8, ``d1`` 50,1e-100,80 (the last refused) and ``b``
   0.1,0.3,0.5, and over ``ps_dbm`` 0,20,40 with ``--out sweep.csv``: the
   CSV too;
+- ``sweep --scenario`` over ``ps_dbm`` 0,20,40 on each of the ``ACCEPTED``
+  texts below: ``es`` and ``random`` in both NOMA modes, ``oma_es`` and
+  crnoma's ``mcg``.  A sweep reads all four means, so ``es`` picks its
+  triples and crnoma reports r2, which no figure and no row-max sweep does;
 - ``bench`` at ``--max-dim`` 1, 8 and 64 (the audit's smallest table, a
   middle one and its largest, ``MAX_DIM``);
 - ``sweep --scenario`` (over ``d2`` 100) and ``validate --grid`` on each of
@@ -56,6 +60,13 @@ INPUTS = ("scenarios/fig1_a3.txt", "scenarios/validate_grid.txt", "perfbench/val
 SWEEPS = (("ps_dbm", "0,10,20,30,40"), ("n_bs", "1,2,4,8"), ("d1", "50,1e-100,80"),
           ("b", "0.1,0.3,0.5"))
 _BLOCK = b"mode = fnoma\npolicy = a3\nn_bs = 2\nps_dbm = 30\nb = 0.4\ntrials = 2000\nseed = 1\n"
+# {name: bytes} of scenario files the loader accepts, each written as input.txt
+ACCEPTED = {f"{mode} {policy}": (f"mode = {mode}\npolicy = {policy}\nn_bs = 2\nps_dbm = 30\n"
+                                 f"{parameter}trials = 2000\nseed = 1\n").encode()
+            for mode, policy, parameter in (
+                ("fnoma", "es", "b = 0.4\n"), ("crnoma", "es", "r_th = 1\n"),
+                ("fnoma", "random", "b = 0.4\n"), ("crnoma", "random", "r_th = 1\n"),
+                ("oma", "oma_es", ""), ("crnoma", "mcg", "r_th = 1\n"))}
 # {name: bytes} of scenario and grid files, each written as input.txt
 REFUSED = {
     "no '='": _BLOCK + b"bandwidth\n",
@@ -116,6 +127,10 @@ def commands(trials, seed):
     out.append(("sweep ps_dbm 0,20,40 --out sweep.csv",
                 ["sweep", "--scenario", INPUTS[0], "--axis", "ps_dbm", "--values", "0,20,40",
                  "--out", "sweep.csv"], None, "sweep.csv", None))
+    for name, text in ACCEPTED.items():
+        out.append((f"sweep {name} ps_dbm 0,20,40",
+                    ["sweep", "--scenario", "input.txt", "--axis", "ps_dbm",
+                     "--values", "0,20,40"], None, None, text))
     for max_dim in ("1", "8", "64"):
         out.append((f"bench --max-dim {max_dim}", ["bench", "--max-dim", max_dim],
                     None, None, None))
